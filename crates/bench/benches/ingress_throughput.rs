@@ -3,7 +3,7 @@
 //!
 //! Three measurements against one native-executing service:
 //!
-//! 1. **Ceiling** — closed-loop, in-process `execute_batch_native`
+//! 1. **Ceiling** — closed-loop, in-process `execute_batch_native_observed`
 //!    throughput of the mixed workload: the hardware-speed bound no
 //!    network stack can beat.
 //! 2. **Socket path** — the same workload offered open-loop through
@@ -90,7 +90,8 @@ mod linux {
                     .expect("plan");
             }
             while let Some(batch) = svc.next_batch() {
-                svc.execute_batch_native(batch).expect("native execution");
+                svc.execute_batch_native_observed(batch)
+                    .expect("native execution");
             }
             if pass == 1 {
                 let elapsed = t0.elapsed().as_secs_f64().max(1e-9);

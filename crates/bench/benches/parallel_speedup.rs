@@ -16,7 +16,7 @@
 
 use gcm_bench::table::Series;
 use gcm_core::{CacheState, CostModel, Region};
-use gcm_engine::parallel;
+use gcm_engine::parallel::{self, SimWorkers};
 use gcm_hardware::presets;
 use gcm_workload::Workload;
 
@@ -58,7 +58,13 @@ fn main() {
         let mut measured = Vec::new();
         let mut predicted = Vec::new();
         for &dop in &DOPS {
-            let run = parallel::par_filter_lt(&spec, &scan_keys, n / 2, dop, PER_OP_NS);
+            let run = parallel::par_filter_lt(
+                &SimWorkers::new(&spec, dop),
+                &scan_keys,
+                n / 2,
+                dop,
+                PER_OP_NS,
+            );
             let u = Region::new("U", n, 8);
             let w = Region::new("W", run.out.len() as u64, 8);
             let threads = parallel::par_select_patterns(&u, &w, dop as u64);
@@ -80,7 +86,8 @@ fn main() {
         let mut measured = Vec::new();
         let mut predicted = Vec::new();
         for &dop in &DOPS {
-            let run = parallel::par_group_count(&spec, &agg_keys, dop, PER_OP_NS);
+            let run =
+                parallel::par_group_count(&SimWorkers::new(&spec, dop), &agg_keys, dop, PER_OP_NS);
             let u = Region::new("U", n, 8);
             let w = Region::new("G", run.out.len() as u64, 16);
             let (threads, merge) =
@@ -112,7 +119,8 @@ fn main() {
         let mut measured = Vec::new();
         let mut predicted = Vec::new();
         for &dop in &DOPS {
-            let run = parallel::par_hash_join(&spec, &uk, &vk, 4, dop, PER_OP_NS);
+            let run =
+                parallel::par_hash_join(&SimWorkers::new(&spec, dop), &uk, &vk, 4, dop, PER_OP_NS);
             let u = Region::new("U", n, 8);
             let v = Region::new("V", n, 8);
             let w = Region::new("W", run.out.len() as u64, 16);

@@ -16,7 +16,7 @@
 //! byte-identical across modes, the executable form of "observability
 //! never changes what it observes".
 
-use gcm_engine::plan::{self, LogicalPlan, NoPrebuilt, NoTrace, Optimizer, SpanTracer, TableStats};
+use gcm_engine::plan::{self, LogicalPlan, NoPrebuilt, Optimizer, SpanTracer, TableStats};
 use gcm_engine::ExecContext;
 use gcm_hardware::presets;
 use gcm_obs::SpanRecorder;
@@ -65,18 +65,12 @@ fn main() {
         ];
         let t0 = Instant::now();
         let out = match mode {
-            "untraced" => plan::execute_with_builds(&mut ctx, &planned.plan, &tables, &NoPrebuilt),
-            "disabled" => {
-                recorder.set_enabled(false);
+            "untraced" => plan::execute(&mut ctx, &planned.plan, &tables),
+            traced => {
+                recorder.set_enabled(traced == "enabled");
                 let mut tracer = SpanTracer::new(&mut sink);
                 plan::execute_traced(&mut ctx, &planned.plan, &tables, &NoPrebuilt, &mut tracer)
             }
-            "enabled" => {
-                recorder.set_enabled(true);
-                let mut tracer = SpanTracer::new(&mut sink);
-                plan::execute_traced(&mut ctx, &planned.plan, &tables, &NoPrebuilt, &mut tracer)
-            }
-            _ => plan::execute_traced(&mut ctx, &planned.plan, &tables, &NoPrebuilt, &mut NoTrace),
         }
         .expect("plan executes");
         let wall = t0.elapsed().as_nanos() as u64;

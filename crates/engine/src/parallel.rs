@@ -10,16 +10,21 @@
 //!
 //! This module is the *measured* side of that claim: real
 //! [`std::thread::scope`] worker threads, each computing real results
-//! over its own simulated memory hierarchy — an [`ExecContext`] on the
-//! machine's [`thread_view`](gcm_hardware::HardwareSpec::thread_view),
-//! which grants the thread its full private levels but only a `1/d`
-//! share of every shared level. A stage's measured elapsed time is the
-//! slowest thread's charged memory time plus its CPU time (Eq 6.1), so
+//! over the context its [`WorkerContexts`] factory hands it. With
+//! [`SimWorkers`] that is a simulated memory hierarchy — an
+//! [`ExecContext`] on the machine's
+//! [`thread_view`](gcm_hardware::HardwareSpec::thread_view), which
+//! grants the thread its full private levels but only a `1/d` share of
+//! every shared level; with [`NativeWorkers`] it is real host memory. A
+//! stage's measured elapsed time is the slowest thread's charged memory
+//! time plus its CPU time (Eq 6.1; wall time alone on native), so
 //! partition skew shows up exactly as a straggler, and shared-level
 //! contention shows up as per-thread misses that a single-core run would
 //! not pay.
 //!
-//! Three partition-parallel operators are provided:
+//! Three partition-parallel operators are provided, each one entry point
+//! generic over the worker factory (`&SimWorkers::new(&spec, dop)` or
+//! `&NativeWorkers`):
 //!
 //! * [`par_filter_lt`] — parallel scan + filter over key chunks;
 //! * [`par_group_count`] — parallel aggregation with per-thread partial
@@ -41,7 +46,6 @@ use crate::ops::hash::HashTable;
 use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 use gcm_hardware::HardwareSpec;
-use gcm_obs::span::{Span, SpanKind, SpanSink};
 use std::ops::Range;
 
 /// A factory of per-worker execution contexts: how a parallel stage
@@ -98,22 +102,16 @@ impl WorkerContexts for SimWorkers {
 /// Native worker contexts: every worker thread allocates and scans real
 /// host buffers, so a stage's measured wall time is genuine concurrent
 /// execution on the actual machine (hardware shares its caches itself —
-/// no view construction required or possible).
+/// no view construction required or possible). Per-op CPU time is inside
+/// the wall clock, so the stages' `per_op_ns` argument is ignored.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NativeWorkers {
-    /// Optional per-worker backing-store pre-reservation, bytes.
-    pub capacity: usize,
-}
+pub struct NativeWorkers;
 
 impl WorkerContexts for NativeWorkers {
     type Backend = NativeBackend;
 
     fn worker(&self) -> ExecContext<NativeBackend> {
-        if self.capacity > 0 {
-            ExecContext::native_with_capacity(self.capacity)
-        } else {
-            ExecContext::native()
-        }
+        ExecContext::native()
     }
 
     fn merge(&self) -> ExecContext<NativeBackend> {
@@ -144,33 +142,6 @@ pub struct ParRun<T> {
     pub serial_ops: u64,
 }
 
-/// Append one [`SpanKind::Worker`] span per worker of a finished
-/// parallel stage. `t0_ns` is the stage's start on the recorder's
-/// clock (capture [`SpanSink::now_ns`] before launching the stage);
-/// each worker's span ends at `t0_ns + thread_ns[i]` — its *measured*
-/// time (charged on sim, wall on native), which is the number the
-/// straggler analysis cares about. Per-worker op counts are not
-/// tracked, so the spans carry timing only.
-pub fn record_worker_spans<T>(sink: &mut SpanSink, stage: &str, t0_ns: u64, run: &ParRun<T>) {
-    if !sink.active() {
-        return;
-    }
-    for (i, ns) in run.thread_ns.iter().enumerate() {
-        sink.record(Span {
-            name: format!("{stage}/worker{i}"),
-            kind: SpanKind::Worker,
-            start_ns: t0_ns,
-            end_ns: t0_ns + ns.max(0.0).round() as u64,
-            elapsed_ns: *ns,
-            accesses: 0,
-            level_misses: Vec::new(),
-            ops: 0,
-            lane: 0,
-            seq: 0,
-        });
-    }
-}
-
 /// Split `0..n` into `dop` near-equal contiguous chunks (the leading
 /// chunks take the remainder; empty chunks are legal).
 pub fn chunk_ranges(n: usize, dop: usize) -> Vec<Range<usize>> {
@@ -194,55 +165,37 @@ fn keys_of<B: MemoryBackend>(ctx: &ExecContext<B>, rel: &Relation) -> Vec<u64> {
         .collect()
 }
 
-/// Parallel scan + filter: every worker filters its chunk of `keys` on
-/// its own [`thread_view`](HardwareSpec::thread_view) context; the
-/// outputs are concatenated in chunk order.
-pub fn par_filter_lt(
-    spec: &HardwareSpec,
-    keys: &[u64],
-    threshold: u64,
-    dop: usize,
-    per_op_ns: f64,
-) -> ParRun<Vec<u64>> {
-    par_filter_lt_on(&SimWorkers::new(spec, dop), keys, threshold, dop, per_op_ns)
-}
-
-/// [`par_filter_lt`] on real host memory: the same partition-parallel
-/// filter, each worker over native buffers (per-op CPU time is inside
-/// the wall clock, so no calibration parameter is needed).
-pub fn par_filter_lt_native(keys: &[u64], threshold: u64, dop: usize) -> ParRun<Vec<u64>> {
-    par_filter_lt_on(&NativeWorkers::default(), keys, threshold, dop, 0.0)
-}
-
-/// The backend-generic realisation of [`par_filter_lt`].
-pub fn par_filter_lt_on<W: WorkerContexts>(
-    workers: &W,
-    keys: &[u64],
-    threshold: u64,
-    dop: usize,
-    per_op_ns: f64,
-) -> ParRun<Vec<u64>> {
-    let results: Vec<WorkerOut<Vec<u64>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunk_ranges(keys.len(), dop)
+/// Run `work` over `items` on one scoped thread each (the stage's one
+/// spawn/join site), returning the results in item order.
+fn scoped_map<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
             .into_iter()
-            .map(|range| {
-                let chunk = &keys[range];
-                s.spawn(move || {
-                    let mut ctx = workers.worker();
-                    let rel = ctx.relation_from_keys("U", chunk, 8);
-                    let mut out = None;
-                    let (_, stats) = ctx.measure(|c| {
-                        out = Some(ops::scan::select_lt(c, &rel, threshold, "W"));
-                    });
-                    let out = keys_of(&ctx, &out.expect("select ran"));
-                    (out, stats.total_ns(per_op_ns), stats.ops)
-                })
-            })
+            .map(|item| s.spawn(move || work(item)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
+    })
+}
+
+/// Parallel scan + filter: every worker filters its chunk of `keys` on
+/// its own context from `workers`; the outputs are concatenated in chunk
+/// order.
+pub fn par_filter_lt(
+    workers: &impl WorkerContexts,
+    keys: &[u64],
+    threshold: u64,
+    dop: usize,
+    per_op_ns: f64,
+) -> ParRun<Vec<u64>> {
+    let results: Vec<WorkerOut<Vec<u64>>> = scoped_map(chunk_ranges(keys.len(), dop), |range| {
+        let mut ctx = workers.worker();
+        let rel = ctx.relation_from_keys("U", &keys[range], 8);
+        let (out, stats) = ctx.measure(|c| ops::scan::select_lt(c, &rel, threshold, "W"));
+        (keys_of(&ctx, &out), stats.total_ns(per_op_ns), stats.ops)
     });
     let thread_ns: Vec<f64> = results.iter().map(|r| r.1).collect();
     ParRun {
@@ -259,54 +212,24 @@ pub fn par_filter_lt_on<W: WorkerContexts>(
 /// adds the partials into one final table. Returns `(key, count)` pairs
 /// in merge-table order.
 pub fn par_group_count(
-    spec: &HardwareSpec,
+    workers: &impl WorkerContexts,
     keys: &[u64],
     dop: usize,
     per_op_ns: f64,
 ) -> ParRun<Vec<(u64, u64)>> {
-    par_group_count_on(&SimWorkers::new(spec, dop), keys, dop, per_op_ns)
-}
-
-/// [`par_group_count`] on real host memory.
-pub fn par_group_count_native(keys: &[u64], dop: usize) -> ParRun<Vec<(u64, u64)>> {
-    par_group_count_on(&NativeWorkers::default(), keys, dop, 0.0)
-}
-
-/// The backend-generic realisation of [`par_group_count`].
-pub fn par_group_count_on<W: WorkerContexts>(
-    workers: &W,
-    keys: &[u64],
-    dop: usize,
-    per_op_ns: f64,
-) -> ParRun<Vec<(u64, u64)>> {
-    let partials: Vec<WorkerOut<Vec<(u64, u64)>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunk_ranges(keys.len(), dop)
-            .into_iter()
-            .map(|range| {
-                let chunk = &keys[range];
-                s.spawn(move || {
-                    let mut ctx = workers.worker();
-                    let rel = ctx.relation_from_keys("U", chunk, 8);
-                    let mut out = None;
-                    let (_, stats) = ctx.measure(|c| {
-                        out = Some(ops::aggregate::hash_group_count(c, &rel, "G"));
-                    });
-                    let out = out.expect("aggregate ran");
-                    let pairs: Vec<(u64, u64)> = (0..out.n())
-                        .map(|i| {
-                            let t = out.tuple(i);
-                            (ctx.mem.host_read_u64(t), ctx.mem.host_read_u64(t + 8))
-                        })
-                        .collect();
-                    (pairs, stats.total_ns(per_op_ns), stats.ops)
+    let partials: Vec<WorkerOut<Vec<(u64, u64)>>> =
+        scoped_map(chunk_ranges(keys.len(), dop), |range| {
+            let mut ctx = workers.worker();
+            let rel = ctx.relation_from_keys("U", &keys[range], 8);
+            let (out, stats) = ctx.measure(|c| ops::aggregate::hash_group_count(c, &rel, "G"));
+            let pairs: Vec<(u64, u64)> = (0..out.n())
+                .map(|i| {
+                    let t = out.tuple(i);
+                    (ctx.mem.host_read_u64(t), ctx.mem.host_read_u64(t + 8))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
+                .collect();
+            (pairs, stats.total_ns(per_op_ns), stats.ops)
+        });
     let mut thread_ns: Vec<f64> = partials.iter().map(|p| p.1).collect();
     let phase_wall = thread_ns.iter().copied().fold(0.0, f64::max);
     let mut total_ops: u64 = partials.iter().map(|p| p.2).sum();
@@ -367,38 +290,7 @@ pub fn par_group_count_on<W: WorkerContexts>(
 /// clusters from every phase-1 output, and hash-joins each matching
 /// pair. Measured wall time is `max(phase 1) + max(phase 2)`.
 pub fn par_hash_join(
-    spec: &HardwareSpec,
-    u_keys: &[u64],
-    v_keys: &[u64],
-    bits: u32,
-    dop: usize,
-    per_op_ns: f64,
-) -> ParRun<Vec<u64>> {
-    par_hash_join_on(
-        &SimWorkers::new(spec, dop),
-        u_keys,
-        v_keys,
-        bits,
-        dop,
-        per_op_ns,
-    )
-}
-
-/// [`par_hash_join`] on real host memory: scoped worker threads
-/// radix-partitioning and joining over native buffers, concurrently for
-/// real.
-pub fn par_hash_join_native(
-    u_keys: &[u64],
-    v_keys: &[u64],
-    bits: u32,
-    dop: usize,
-) -> ParRun<Vec<u64>> {
-    par_hash_join_on(&NativeWorkers::default(), u_keys, v_keys, bits, dop, 0.0)
-}
-
-/// The backend-generic realisation of [`par_hash_join`].
-pub fn par_hash_join_on<W: WorkerContexts>(
-    workers: &W,
+    workers: &impl WorkerContexts,
     u_keys: &[u64],
     v_keys: &[u64],
     bits: u32,
@@ -413,39 +305,28 @@ pub fn par_hash_join_on<W: WorkerContexts>(
 
     // Phase 1: partition chunks of both sides.
     type Buckets = Vec<Vec<u64>>;
-    let phase1: Vec<(Buckets, Buckets, f64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunk_ranges(u_keys.len(), dop)
-            .into_iter()
-            .zip(chunk_ranges(v_keys.len(), dop))
-            .map(|(ur, vr)| {
-                let (uc, vc) = (&u_keys[ur], &v_keys[vr]);
-                s.spawn(move || {
-                    let mut ctx = workers.worker();
-                    let u = ctx.relation_from_keys("U", uc, 8);
-                    let v = ctx.relation_from_keys("V", vc, 8);
-                    let mut parts = None;
-                    let (_, stats) = ctx.measure(|c| {
-                        let pu = ops::radix::radix_partition(c, &u, bits, 1, "Up");
-                        let pv = ops::radix::radix_partition(c, &v, bits, 1, "Vp");
-                        parts = Some((pu, pv));
-                    });
-                    let (pu, pv) = parts.expect("partitioning ran");
-                    let buckets = |p: &ops::partition::Partitioned| -> Buckets {
-                        (0..m).map(|j| keys_of(&ctx, &p.part(j))).collect()
-                    };
-                    (
-                        buckets(&pu),
-                        buckets(&pv),
-                        stats.total_ns(per_op_ns),
-                        stats.ops,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+    let chunks: Vec<_> = chunk_ranges(u_keys.len(), dop)
+        .into_iter()
+        .zip(chunk_ranges(v_keys.len(), dop))
+        .collect();
+    let phase1: Vec<(Buckets, Buckets, f64, u64)> = scoped_map(chunks, |(ur, vr)| {
+        let mut ctx = workers.worker();
+        let u = ctx.relation_from_keys("U", &u_keys[ur], 8);
+        let v = ctx.relation_from_keys("V", &v_keys[vr], 8);
+        let ((pu, pv), stats) = ctx.measure(|c| {
+            let pu = ops::radix::radix_partition(c, &u, bits, 1, "Up");
+            let pv = ops::radix::radix_partition(c, &v, bits, 1, "Vp");
+            (pu, pv)
+        });
+        let buckets = |p: &ops::partition::Partitioned| -> Buckets {
+            (0..m).map(|j| keys_of(&ctx, &p.part(j))).collect()
+        };
+        (
+            buckets(&pu),
+            buckets(&pv),
+            stats.total_ns(per_op_ns),
+            stats.ops,
+        )
     });
     let p1_ns: Vec<f64> = phase1.iter().map(|p| p.2).collect();
     let p1_wall = p1_ns.iter().copied().fold(0.0, f64::max);
@@ -453,46 +334,31 @@ pub fn par_hash_join_on<W: WorkerContexts>(
 
     // Phase 2: worker t joins its disjoint cluster range.
     let per_thread = (m / dop as u64) as usize;
-    let phase2: Vec<WorkerOut<Vec<u64>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..dop)
-            .map(|t| {
-                let phase1 = &phase1;
-                s.spawn(move || {
-                    let mut ctx = workers.worker();
-                    let mut joined = Vec::new();
-                    let mut ns = 0.0;
-                    let mut ops_count = 0;
-                    for j in t * per_thread..(t + 1) * per_thread {
-                        let gather =
-                            |side: fn(&(Buckets, Buckets, f64, u64)) -> &Buckets| -> Vec<u64> {
-                                phase1
-                                    .iter()
-                                    .flat_map(|p| side(p)[j].iter().copied())
-                                    .collect()
-                            };
-                        let uj = gather(|p| &p.0);
-                        let vj = gather(|p| &p.1);
-                        if uj.is_empty() || vj.is_empty() {
-                            continue;
-                        }
-                        let u = ctx.relation_from_keys("Uj", &uj, 8);
-                        let v = ctx.relation_from_keys("Vj", &vj, 8);
-                        let mut out = None;
-                        let (_, stats) = ctx.measure(|c| {
-                            out = Some(ops::hash::hash_join(c, &u, &v, "W", 16));
-                        });
-                        joined.extend(keys_of(&ctx, &out.expect("join ran")));
-                        ns += stats.total_ns(per_op_ns);
-                        ops_count += stats.ops;
-                    }
-                    (joined, ns, ops_count)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+    let phase2: Vec<WorkerOut<Vec<u64>>> = scoped_map((0..dop).collect(), |t| {
+        let mut ctx = workers.worker();
+        let mut joined = Vec::new();
+        let mut ns = 0.0;
+        let mut ops_count = 0;
+        for j in t * per_thread..(t + 1) * per_thread {
+            let gather = |side: fn(&(Buckets, Buckets, f64, u64)) -> &Buckets| -> Vec<u64> {
+                phase1
+                    .iter()
+                    .flat_map(|p| side(p)[j].iter().copied())
+                    .collect()
+            };
+            let uj = gather(|p| &p.0);
+            let vj = gather(|p| &p.1);
+            if uj.is_empty() || vj.is_empty() {
+                continue;
+            }
+            let u = ctx.relation_from_keys("Uj", &uj, 8);
+            let v = ctx.relation_from_keys("Vj", &vj, 8);
+            let (out, stats) = ctx.measure(|c| ops::hash::hash_join(c, &u, &v, "W", 16));
+            joined.extend(keys_of(&ctx, &out));
+            ns += stats.total_ns(per_op_ns);
+            ops_count += stats.ops;
+        }
+        (joined, ns, ops_count)
     });
     let p2_ns: Vec<f64> = phase2.iter().map(|p| p.1).collect();
     let p2_wall = p2_ns.iter().copied().fold(0.0, f64::max);
@@ -625,7 +491,7 @@ mod tests {
         let spec = presets::tiny_smp(4);
         let keys = Workload::new(91).shuffled_keys(5_000);
         for dop in [1, 2, 4] {
-            let run = par_filter_lt(&spec, &keys, 1_000, dop, PER_OP);
+            let run = par_filter_lt(&SimWorkers::new(&spec, dop), &keys, 1_000, dop, PER_OP);
             assert_eq!(run.out, serial_filter(&keys, 1_000), "dop {dop}");
             assert_eq!(run.thread_ns.len(), dop);
             assert!(run.wall_ns > 0.0 && run.ops > 0);
@@ -636,8 +502,8 @@ mod tests {
     fn parallel_filter_speeds_up_in_simulated_wall_time() {
         let spec = presets::tiny_smp(4);
         let keys = Workload::new(92).shuffled_keys(32_768);
-        let t1 = par_filter_lt(&spec, &keys, 10_000, 1, PER_OP).wall_ns;
-        let t4 = par_filter_lt(&spec, &keys, 10_000, 4, PER_OP).wall_ns;
+        let t1 = par_filter_lt(&SimWorkers::new(&spec, 1), &keys, 10_000, 1, PER_OP).wall_ns;
+        let t4 = par_filter_lt(&SimWorkers::new(&spec, 4), &keys, 10_000, 4, PER_OP).wall_ns;
         let speedup = t1 / t4;
         assert!(
             speedup > 2.5,
@@ -657,7 +523,7 @@ mod tests {
             counts
         };
         for dop in [1, 2, 4] {
-            let run = par_group_count(&spec, &keys, dop, PER_OP);
+            let run = par_group_count(&SimWorkers::new(&spec, dop), &keys, dop, PER_OP);
             let mut got: Vec<(u64, u64)> = run.out.clone();
             got.sort_unstable();
             let mut want: Vec<(u64, u64)> = serial.iter().map(|(&k, &c)| (k, c)).collect();
@@ -672,7 +538,7 @@ mod tests {
         let mut wl = Workload::new(94);
         let (uk, vk) = wl.join_pair(3_000);
         for dop in [1, 2, 4] {
-            let run = par_hash_join(&spec, &uk, &vk, 4, dop, PER_OP);
+            let run = par_hash_join(&SimWorkers::new(&spec, dop), &uk, &vk, 4, dop, PER_OP);
             let mut got = run.out.clone();
             got.sort_unstable();
             assert_eq!(got, (0..3_000).collect::<Vec<u64>>(), "dop {dop}");
@@ -680,7 +546,7 @@ mod tests {
         // Partial matches too.
         let uk = wl.uniform_keys_bounded(1_000, 300);
         let vk = wl.uniform_keys_bounded(400, 300);
-        let par = par_hash_join(&spec, &uk, &vk, 4, 4, PER_OP);
+        let par = par_hash_join(&SimWorkers::new(&spec, 4), &uk, &vk, 4, 4, PER_OP);
         let mut got = par.out.clone();
         got.sort_unstable();
         let mut want = Vec::new();
@@ -705,7 +571,7 @@ mod tests {
         let mut wl = Workload::new(95);
         let uk = wl.zipf_keys(32_768, 4_096, 1.8);
         let vk = wl.shuffled_keys(4_096);
-        let run = par_hash_join(&spec, &uk, &vk, 4, 4, PER_OP);
+        let run = par_hash_join(&SimWorkers::new(&spec, 4), &uk, &vk, 4, 4, PER_OP);
         let max = run.thread_ns.iter().copied().fold(0.0, f64::max);
         let min = run.thread_ns.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(
@@ -715,7 +581,7 @@ mod tests {
         );
         // Balanced (uniform, distinct) keys stay near-even.
         let (uu, vv) = wl.join_pair(16_384);
-        let even = par_hash_join(&spec, &uu, &vv, 4, 4, PER_OP);
+        let even = par_hash_join(&SimWorkers::new(&spec, 4), &uu, &vv, 4, 4, PER_OP);
         let emax = even.thread_ns.iter().copied().fold(0.0, f64::max);
         let emin = even.thread_ns.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(emax < 1.3 * emin, "uniform keys: {:?}", even.thread_ns);
@@ -731,7 +597,7 @@ mod tests {
         let mut wl = Workload::new(96);
         let (uk, vk) = wl.join_pair(16_384);
         for dop in [1usize, 2, 4] {
-            let run = par_hash_join(&spec, &uk, &vk, 4, dop, PER_OP);
+            let run = par_hash_join(&SimWorkers::new(&spec, dop), &uk, &vk, 4, dop, PER_OP);
             let u = Region::new("U", uk.len() as u64, 8);
             let v = Region::new("V", vk.len() as u64, 8);
             let w = Region::new("W", uk.len() as u64, 16);
@@ -757,14 +623,14 @@ mod tests {
         let spec = presets::tiny_smp(4);
         let keys = Workload::new(97).zipf_keys(4_000, 300, 1.0);
         for dop in [1, 2, 4] {
-            let sim = par_filter_lt(&spec, &keys, 150, dop, PER_OP);
-            let native = par_filter_lt_native(&keys, 150, dop);
+            let sim = par_filter_lt(&SimWorkers::new(&spec, dop), &keys, 150, dop, PER_OP);
+            let native = par_filter_lt(&NativeWorkers, &keys, 150, dop, 0.0);
             assert_eq!(sim.out, native.out, "filter dop {dop}");
             assert!(native.wall_ns > 0.0, "wall clock must advance");
             assert_eq!(native.thread_ns.len(), dop);
 
-            let sim_g = par_group_count(&spec, &keys, dop, PER_OP);
-            let native_g = par_group_count_native(&keys, dop);
+            let sim_g = par_group_count(&SimWorkers::new(&spec, dop), &keys, dop, PER_OP);
+            let native_g = par_group_count(&NativeWorkers, &keys, dop, 0.0);
             let sort = |mut v: Vec<(u64, u64)>| {
                 v.sort_unstable();
                 v
@@ -774,32 +640,14 @@ mod tests {
         let mut wl = Workload::new(98);
         let (uk, vk) = wl.join_pair(2_000);
         for dop in [1, 2, 4] {
-            let sim = par_hash_join(&spec, &uk, &vk, 4, dop, PER_OP);
-            let native = par_hash_join_native(&uk, &vk, 4, dop);
+            let sim = par_hash_join(&SimWorkers::new(&spec, dop), &uk, &vk, 4, dop, PER_OP);
+            let native = par_hash_join(&NativeWorkers, &uk, &vk, 4, dop, 0.0);
             let sort = |mut v: Vec<u64>| {
                 v.sort_unstable();
                 v
             };
             assert_eq!(sort(sim.out), sort(native.out), "join dop {dop}");
             assert_eq!(native.ops, sim.ops, "identical logical work");
-        }
-    }
-
-    #[test]
-    fn worker_spans_cover_every_thread() {
-        let spec = presets::tiny_smp(4);
-        let keys = Workload::new(99).shuffled_keys(2_000);
-        let recorder = gcm_obs::SpanRecorder::new();
-        let mut sink = recorder.sink();
-        let t0 = sink.now_ns();
-        let run = par_filter_lt(&spec, &keys, 500, 4, PER_OP);
-        record_worker_spans(&mut sink, "filter", t0, &run);
-        let spans = recorder.drain();
-        assert_eq!(spans.len(), 4);
-        for (i, s) in spans.iter().enumerate() {
-            assert_eq!(s.name, format!("filter/worker{i}"));
-            assert!(s.elapsed_ns > 0.0);
-            assert!(s.end_ns >= s.start_ns);
         }
     }
 

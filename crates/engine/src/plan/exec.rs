@@ -18,6 +18,7 @@ use crate::planner::JoinAlgorithm;
 use crate::relation::Relation;
 use gcm_core::{Pattern, Region};
 use gcm_obs::span::{Span, SpanKind, SpanSink};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Result of executing a plan: the real output plus the compound
@@ -71,26 +72,14 @@ impl BuildSource for NoPrebuilt {
 /// Execute `plan` over the catalog `tables` (indexed by the plan's scan
 /// nodes). Every operator runs for real over the simulated memory of
 /// `ctx`; sorts (including the sort phases of merge joins) act in place
-/// on their input.
+/// on their input. This is [`execute_traced`] with no shared builds and
+/// no tracer.
 pub fn execute<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     plan: &PhysicalPlan,
     tables: &[Relation],
 ) -> Result<PlanRun, PlanError> {
-    execute_with_builds(ctx, plan, tables, &NoPrebuilt)
-}
-
-/// [`execute`] with a [`BuildSource`]: hash joins over base tables the
-/// source covers skip their build phase and probe the shared layout —
-/// same results bit for bit (the layout is a pure function of the base
-/// table), build cost charged to nobody in the batch.
-pub fn execute_with_builds<B: MemoryBackend>(
-    ctx: &mut ExecContext<B>,
-    plan: &PhysicalPlan,
-    tables: &[Relation],
-    builds: &dyn BuildSource,
-) -> Result<PlanRun, PlanError> {
-    execute_traced(ctx, plan, tables, builds, &mut NoTrace)
+    execute_traced(ctx, plan, tables, &NoPrebuilt, &mut NoTrace)
 }
 
 /// Observer of per-node execution: [`execute_traced`] reports every
@@ -124,8 +113,7 @@ pub trait ExecTracer<B: MemoryBackend> {
     );
 }
 
-/// The inert tracer: [`execute`]/[`execute_with_builds`] are
-/// [`execute_traced`] with this.
+/// The inert tracer: [`execute`] is [`execute_traced`] with this.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoTrace;
 
@@ -189,10 +177,13 @@ impl<B: MemoryBackend> ExecTracer<B> for SpanTracer<'_> {
     }
 }
 
-/// [`execute_with_builds`] reporting every operator node to `tracer` —
-/// the entry point `EXPLAIN ANALYZE` and the span-recording service
-/// executor share. With an inactive tracer this is exactly the
-/// untraced path.
+/// The one plan executor. Hash joins over base tables that `builds`
+/// covers skip their build phase and probe the shared layout — same
+/// results bit for bit (the layout is a pure function of the base
+/// table), build cost charged to nobody in the batch — and every
+/// operator node is reported to `tracer`: the entry point
+/// `EXPLAIN ANALYZE` and the span-recording service executor share.
+/// With an inactive tracer this is exactly the untraced path.
 pub fn execute_traced<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     plan: &PhysicalPlan,
@@ -209,9 +200,9 @@ pub fn execute_traced<B: MemoryBackend>(
     })
 }
 
-/// A base table by value: the backend-agnostic catalog entry for
-/// [`run_on`], used when the caller has not materialized [`Relation`]s
-/// into a context yet.
+/// A base table by value: the backend-agnostic catalog entry, held by
+/// callers that have not materialized [`Relation`]s into a context yet
+/// ([`run_on`], the query service's registered tables).
 #[derive(Debug, Clone)]
 pub struct TableDef {
     /// Region/relation display name.
@@ -233,10 +224,34 @@ impl TableDef {
     }
 }
 
+/// Materialize the tables `plan` references into `ctx`'s memory
+/// (host-side, uncharged — setup, not measured work). Catalog slots the
+/// plan never scans become empty placeholders, so scan indices stay
+/// valid without copying data nobody reads.
+pub fn materialize_tables<B: MemoryBackend, T: Borrow<TableDef>>(
+    ctx: &mut ExecContext<B>,
+    plan: &PhysicalPlan,
+    tables: &[T],
+) -> Vec<Relation> {
+    let referenced = plan.tables();
+    tables
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let t = t.borrow();
+            if referenced.contains(&i) {
+                ctx.relation_from_keys(&t.name, &t.keys, t.w)
+            } else {
+                ctx.relation(&t.name, 0, t.w)
+            }
+        })
+        .collect()
+}
+
 /// Lowering picks the backend: materialize `tables` into `ctx`'s memory
-/// (host-side setup) and execute `plan` there, measuring the run. The
-/// same call works on a simulated context ([`ExecContext::new`] — per-
-/// level misses and charged time) and a native one
+/// ([`materialize_tables`]) and execute `plan` there, measuring the run.
+/// The same call works on a simulated context ([`ExecContext::new`] —
+/// per-level misses and charged time) and a native one
 /// ([`ExecContext::native`](crate::native) — real buffers and wall-clock
 /// time); results are byte-identical across backends.
 pub fn run_on<B: MemoryBackend>(
@@ -244,10 +259,7 @@ pub fn run_on<B: MemoryBackend>(
     plan: &PhysicalPlan,
     tables: &[TableDef],
 ) -> Result<(PlanRun, RunStats<B>), PlanError> {
-    let rels: Vec<Relation> = tables
-        .iter()
-        .map(|t| ctx.relation_from_keys(&t.name, &t.keys, t.w))
-        .collect();
+    let rels = materialize_tables(ctx, plan, tables);
     let (run, stats) = ctx.measure(|c| execute(c, plan, &rels));
     run.map(|r| (r, stats))
 }
@@ -258,15 +270,45 @@ fn next_name(seq: &mut u64) -> String {
     name
 }
 
-/// The base-table index a subtree binds directly (through `Parallel`
-/// wrappers), if it is a bare scan — the only build sides eligible for
-/// sharing: anything with operators in between (selects, joins) is
-/// query-specific data.
-fn base_scan(plan: &PhysicalPlan) -> Option<usize> {
-    match plan {
-        PhysicalPlan::Scan { table } => Some(*table),
-        PhysicalPlan::Parallel { input, .. } => base_scan(input),
+/// The base table whose shared build a join may probe instead of
+/// building: only hash joins qualify, and only when the build (inner)
+/// side binds a base table directly (through `Parallel` wrappers) —
+/// anything with operators in between (selects, joins) is
+/// query-specific data. The one statement of the eligibility rule: the
+/// executor consults a [`BuildSource`] for exactly these joins, and
+/// [`shared_build_tables`] lists them for whoever attaches the builds.
+fn shared_build_table(algorithm: &JoinAlgorithm, build_side: &PhysicalPlan) -> Option<usize> {
+    match (algorithm, build_side) {
+        (JoinAlgorithm::Hash, PhysicalPlan::Scan { table }) => Some(*table),
+        (JoinAlgorithm::Hash, PhysicalPlan::Parallel { input, .. }) => {
+            shared_build_table(algorithm, input)
+        }
         _ => None,
+    }
+}
+
+/// Catalog indices of every join in `plan` a shared build can serve
+/// (hash joins over a bare base-table scan), one entry per join
+/// occurrence, in execution order.
+pub fn shared_build_tables(plan: &PhysicalPlan) -> Vec<usize> {
+    match plan {
+        PhysicalPlan::Scan { .. } => Vec::new(),
+        PhysicalPlan::Select { input, .. }
+        | PhysicalPlan::Aggregate { input }
+        | PhysicalPlan::Sort { input }
+        | PhysicalPlan::Dedup { input }
+        | PhysicalPlan::Partition { input, .. }
+        | PhysicalPlan::Parallel { input, .. } => shared_build_tables(input),
+        PhysicalPlan::Join {
+            left,
+            right,
+            algorithm,
+        } => {
+            let mut out = shared_build_tables(left);
+            out.extend(shared_build_tables(right));
+            out.extend(shared_build_table(algorithm, right));
+            out
+        }
     }
 }
 
@@ -301,7 +343,7 @@ fn run_traced<B: MemoryBackend, T>(
 /// The display label and stable class of a join algorithm (shared
 /// builds change the label, not the class: drift statistics should not
 /// split on an execution detail).
-fn join_names(algorithm: &JoinAlgorithm, shared: bool) -> (&'static str, &'static str) {
+pub(super) fn join_names(algorithm: &JoinAlgorithm, shared: bool) -> (&'static str, &'static str) {
     match algorithm {
         JoinAlgorithm::NestedLoop => ("join[nl]", "join_nl"),
         JoinAlgorithm::Merge { .. } => ("join[merge]", "join_merge"),
@@ -352,12 +394,7 @@ fn exec_node<B: MemoryBackend>(
         } => {
             let u = exec_node(ctx, left, tables, builds, phases, seq, tracer)?;
             let v = exec_node(ctx, right, tables, builds, phases, seq, tracer)?;
-            // Shared builds only apply to hash joins whose build side
-            // is the base table itself.
-            let prebuilt = match algorithm {
-                JoinAlgorithm::Hash => base_scan(right).and_then(|t| builds.prebuilt(t)),
-                _ => None,
-            };
+            let prebuilt = shared_build_table(algorithm, right).and_then(|t| builds.prebuilt(t));
             let (label, class) = join_names(algorithm, prebuilt.is_some());
             run_traced(ctx, phases, tracer, label, class, |ctx, phases| {
                 exec_join(ctx, &u, &v, algorithm, prebuilt, phases, seq)
@@ -741,7 +778,7 @@ mod tests {
                 layout: Arc::new(ops::hash::build_layout(&star.dims[0])),
             };
             let r = if shared {
-                execute_with_builds(&mut ctx, &plan, &tables, &source).unwrap()
+                execute_traced(&mut ctx, &plan, &tables, &source, &mut NoTrace).unwrap()
             } else {
                 execute(&mut ctx, &plan, &tables).unwrap()
             };

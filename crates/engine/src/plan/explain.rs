@@ -24,12 +24,11 @@
 //! which is how a mis-calibrated CPU parameter surfaces as a
 //! recalibration flag.
 
-use super::exec::{self, BuildSource, ExecTracer, NoPrebuilt};
+use super::exec::{self, ExecTracer, NoPrebuilt};
 use super::optimizer::PlanError;
 use super::physical::PhysicalPlan;
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
-use crate::planner::JoinAlgorithm;
 use crate::relation::Relation;
 use gcm_core::{CacheState, CostModel, CpuCost, Pattern};
 use gcm_hardware::{HardwareSpec, LevelKind};
@@ -295,34 +294,12 @@ pub fn explain_analyze<B: MemoryBackend>(
     cpu: &CpuCost,
     measured_per_op_ns: f64,
 ) -> Result<(exec::PlanRun, ExplainReport), PlanError> {
-    explain_analyze_with_builds(
-        ctx,
-        plan,
-        tables,
-        &NoPrebuilt,
-        model,
-        cpu,
-        measured_per_op_ns,
-    )
-}
-
-/// [`explain_analyze`] with a shared-build source (the service
-/// executor's flavour).
-pub fn explain_analyze_with_builds<B: MemoryBackend>(
-    ctx: &mut ExecContext<B>,
-    plan: &PhysicalPlan,
-    tables: &[Relation],
-    builds: &dyn BuildSource,
-    model: &CostModel,
-    cpu: &CpuCost,
-    measured_per_op_ns: f64,
-) -> Result<(exec::PlanRun, ExplainReport), PlanError> {
     let mut tracer = Collect::<B> {
         records: Vec::new(),
         per_op_ns: measured_per_op_ns,
         _backend: std::marker::PhantomData,
     };
-    let run = exec::execute_traced(ctx, plan, tables, builds, &mut tracer)?;
+    let run = exec::execute_traced(ctx, plan, tables, &NoPrebuilt, &mut tracer)?;
 
     // Price each node's pattern in execution order, threading one
     // hierarchy state so Eq 5.2 carry between producer and consumer
@@ -483,12 +460,7 @@ pub fn plan_classes(plan: &PhysicalPlan) -> Vec<&'static str> {
             } => {
                 walk(left, out);
                 walk(right, out);
-                out.push(match algorithm {
-                    JoinAlgorithm::NestedLoop => "join_nl",
-                    JoinAlgorithm::Merge { .. } => "join_merge",
-                    JoinAlgorithm::Hash => "join_hash",
-                    JoinAlgorithm::PartitionedHash { .. } => "join_part_hash",
-                });
+                out.push(exec::join_names(algorithm, false).1);
             }
             PhysicalPlan::Parallel { input, .. } => walk(input, out),
         }
@@ -501,6 +473,7 @@ pub fn plan_classes(plan: &PhysicalPlan) -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::JoinAlgorithm;
     use gcm_hardware::presets;
     use gcm_workload::Workload;
 

@@ -79,8 +79,8 @@ pub const OUT_TUPLE_BYTES: u64 = 16;
 
 pub use catalog::{StatsCatalog, StatsSnapshot};
 pub use exec::{
-    execute, execute_traced, execute_with_builds, run_on, BuildSource, ExecTracer, NoPrebuilt,
-    NoTrace, PlanRun, PrebuiltBuild, SpanTracer, TableDef,
+    execute, execute_traced, materialize_tables, run_on, shared_build_tables, BuildSource,
+    ExecTracer, NoPrebuilt, NoTrace, PlanRun, PrebuiltBuild, SpanTracer, TableDef,
 };
 pub use explain::{explain_analyze, plan_classes, ExplainNode, ExplainReport};
 pub use logical::LogicalPlan;

@@ -47,6 +47,12 @@ pub enum PlanError {
     /// A node produced no physical candidate (e.g. no admissible
     /// partition fan-out on a degenerate hierarchy).
     NoCandidates,
+    /// A batch worker thread panicked while executing its member; the
+    /// whole batch is refused (its other members were still joined).
+    WorkerPanicked {
+        /// Batch position of the member whose worker panicked.
+        member: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -56,6 +62,9 @@ impl fmt::Display for PlanError {
                 write!(f, "plan references table {table} but only {tables} exist")
             }
             PlanError::NoCandidates => write!(f, "a plan node has no physical candidate"),
+            PlanError::WorkerPanicked { member } => {
+                write!(f, "the worker of batch member {member} panicked")
+            }
         }
     }
 }

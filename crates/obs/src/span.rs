@@ -33,8 +33,6 @@ pub enum SpanKind {
     Build,
     /// One physical plan node's execution.
     Execute,
-    /// One worker thread's share of a parallel operator.
-    Worker,
     /// Anything else.
     Other,
 }
@@ -47,7 +45,6 @@ impl SpanKind {
             SpanKind::Admission => "admission",
             SpanKind::Build => "build",
             SpanKind::Execute => "execute",
-            SpanKind::Worker => "worker",
             SpanKind::Other => "other",
         }
     }
@@ -309,17 +306,22 @@ impl SpanRecorder {
     pub fn drain(&self) -> Vec<Span> {
         let mut lanes = self.inner.lanes.lock().unwrap();
         let mut out = Vec::new();
-        for lane in lanes.iter() {
-            lane.drain_into(&mut out);
-        }
         lanes.retain(|lane| {
-            if Arc::strong_count(lane) > 1 {
-                return true;
+            // Judge abandonment *before* draining: a producer that
+            // pushes its last spans and exits between a drain and a
+            // later count check would have them reclaimed unread. The
+            // fence pairs with the Release decrement in the sink's
+            // `Arc` drop, so a lane seen abandoned has published every
+            // push.
+            let abandoned = Arc::strong_count(lane) == 1;
+            std::sync::atomic::fence(Ordering::Acquire);
+            lane.drain_into(&mut out);
+            if abandoned {
+                self.inner
+                    .reclaimed_dropped
+                    .fetch_add(lane.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
             }
-            self.inner
-                .reclaimed_dropped
-                .fetch_add(lane.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
-            false
+            !abandoned
         });
         out
     }

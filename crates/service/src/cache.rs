@@ -11,21 +11,19 @@
 //! unreachable, and the next lookup re-optimizes against the fresh
 //! statistics.
 //!
-//! The cache is shared by the executor-pool threads, so it must be
-//! concurrency-correct **and** contention-free on the hot path. Entries
-//! live in a [`gcm_trie::TrieMap`]: a hit is a wait-free snapshot read
-//! (no mutex at all — the structure that made lookups a serialization
-//! point at high reader counts is gone; see the `plan_cache_contention`
-//! bench), while a miss takes the trie's writer path once to install a
-//! per-key [`OnceLock`] slot. The slot guarantees that many threads
-//! racing on one key run the optimizer **once** and everyone else
-//! blocks until the winner's result is published — never a deadlock,
-//! never a duplicated optimization (asserted by the
-//! [`PlanCache::optimizer_runs`] counter in the property tests).
-//!
-//! The pre-trie implementation is kept as `MutexPlanCache` behind the
-//! `mutex-baseline` feature, solely so the contention bench can measure
-//! what was replaced.
+//! Entries live in a [`gcm_trie::TrieMap`]: a hit is a snapshot read
+//! that takes no lock, while a miss takes the trie's writer path once to
+//! install a per-key [`OnceLock`] slot. The slot guarantees that many
+//! threads racing on one key run the optimizer **once** and everyone
+//! else blocks until the winner's result is published — never a
+//! deadlock, never a duplicated optimization (asserted by the
+//! [`PlanCache::optimizer_runs`] counter in the property tests). The
+//! only production caller today is the single thread that owns the
+//! [`QueryService`](crate::QueryService); the trie is kept because
+//! [`StatsCatalog`](gcm_engine::plan::StatsCatalog) needs its consistent
+//! snapshots anyway and a second container type would be more code, not
+//! because lookups were measured to contend (DESIGN.md, "Snapshot reads
+//! on the serving path").
 
 use gcm_engine::plan::{LogicalPlan, PlanError, PlannedQuery};
 use gcm_trie::TrieMap;
@@ -157,65 +155,6 @@ impl PlanCache {
         } else {
             0.0
         }
-    }
-}
-
-/// The pre-trie plan cache: every lookup — hit or miss — serializes on
-/// one mutex around a `HashMap`. Kept only as the baseline the
-/// `plan_cache_contention` bench measures [`PlanCache`] against; not
-/// part of the serving path.
-#[cfg(feature = "mutex-baseline")]
-#[derive(Debug, Default)]
-pub struct MutexPlanCache {
-    entries: std::sync::Mutex<std::collections::HashMap<PlanKey, Slot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    optimizer_runs: AtomicU64,
-}
-
-#[cfg(feature = "mutex-baseline")]
-impl MutexPlanCache {
-    /// An empty cache.
-    pub fn new() -> MutexPlanCache {
-        MutexPlanCache::default()
-    }
-
-    /// Mutex-serialized equivalent of [`PlanCache::get_or_optimize`]
-    /// (identical slot protocol, contended entry map).
-    pub fn get_or_optimize(
-        &self,
-        key: PlanKey,
-        plan: &LogicalPlan,
-        optimize: impl FnOnce() -> Result<PlannedQuery, PlanError>,
-    ) -> Result<Arc<PlannedQuery>, PlanError> {
-        let slot: Slot = {
-            let mut entries = self.entries.lock().expect("plan cache poisoned");
-            entries.entry(key).or_default().clone()
-        };
-        let mut optimize = Some(optimize);
-        let mut ran = false;
-        let (stored, result) = slot.get_or_init(|| {
-            ran = true;
-            self.optimizer_runs.fetch_add(1, Ordering::Relaxed);
-            let f = optimize.take().expect("init closure runs once");
-            (plan.clone(), f().map(Arc::new))
-        });
-        if ran {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else if stored != plan {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.optimizer_runs.fetch_add(1, Ordering::Relaxed);
-            let f = optimize.take().expect("closure unused on this path");
-            return f().map(Arc::new);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        result.clone()
-    }
-
-    /// Lookups that found a published entry.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
     }
 }
 

@@ -1,10 +1,16 @@
 //! The executor pool: running an admitted batch on real worker
-//! threads, each query over its own simulated hierarchy view.
+//! threads, one generic path for every backend.
 //!
 //! Mirrors the measured side of the multi-core model
 //! ([`gcm_engine::parallel`]): a batch of `d` queries runs as `d`
-//! [`std::thread::scope`] workers, each executing its physical plan
-//! through the serial plan executor over an [`ExecContext`] on its own
+//! [`std::thread::scope`] workers ([`execute_batch`]), each executing its
+//! physical plan through the one plan executor
+//! ([`gcm_engine::plan::execute_traced`]) over the [`ExecContext`] a
+//! per-member factory hands it. Builds and tracing are arguments, not
+//! forks: every member probes the shared builds admission priced for it
+//! and reports its operators to its own span sink, on any backend.
+//!
+//! On the **simulator** the factory yields a context on the member's own
 //! view of the machine — full private levels, plus the slice of every
 //! shared level the scheduler *allocated* to it. Allocations are
 //! footprint-proportional ([`member_views`]), i.e. the service enforces
@@ -15,19 +21,30 @@
 //! warrants. A query's measured latency is its charged memory time
 //! plus the per-op CPU charge (Eq 6.1), and the batch's measured wall
 //! is the slowest member, which is what the `⊙` composition predicted.
+//! On the **host** the factory yields a pre-sized native arena: real
+//! buffers, real loads, wall-clock latency, and no views (the hardware
+//! shares its caches itself).
+//!
+//! The two [`QueryService`] methods over this path keep only their own
+//! bookkeeping: [`QueryService::execute_batch`] (simulator: records,
+//! drift, the recalibration pump) and
+//! [`QueryService::execute_batch_native_observed`] (host: wall-scale
+//! EWMA, per-class histograms).
 
 use crate::builds::SharedBuild;
+use crate::metrics::{BatchRecord, QueryRecord};
+use crate::queue::Batch;
+use crate::QueryService;
 use gcm_core::{
     footprint_lines, footprint_lines_excluding, references_region, Geometry, Pattern, Region,
     RegionId,
 };
 use gcm_engine::plan::{
-    self, BuildSource, ExecTracer, NoPrebuilt, NoTrace, PhysicalPlan, PlanError, PrebuiltBuild,
-    SpanTracer,
+    self, plan_classes, BuildSource, PhysicalPlan, PlanError, PrebuiltBuild, SpanTracer, TableDef,
 };
-use gcm_engine::{ExecContext, MemoryBackend, NativeBackend, Relation};
+use gcm_engine::{ExecContext, MemoryBackend};
 use gcm_hardware::{HardwareSpec, Sharing};
-use gcm_obs::SpanRecorder;
+use gcm_obs::SpanSink;
 use std::sync::Arc;
 
 /// The builds one batch member may reuse, as a [`BuildSource`] for the
@@ -57,18 +74,6 @@ impl BuildSource for MemberBuilds {
     }
 }
 
-/// One registered table's data: the key column the per-worker contexts
-/// materialize into their simulated memories.
-#[derive(Debug, Clone)]
-pub struct TableData {
-    /// Region/relation display name.
-    pub name: String,
-    /// The key column.
-    pub keys: Vec<u64>,
-    /// Tuple width in bytes.
-    pub w: u64,
-}
-
 /// One query's measured execution inside a batch.
 #[derive(Debug, Clone)]
 pub struct ExecutedQuery {
@@ -79,8 +84,10 @@ pub struct ExecutedQuery {
     /// byte for byte iff their hashes agree (with or without shared
     /// builds, on any backend).
     pub output_hash: u64,
-    /// Measured elapsed time: charged (simulated) memory latency plus
-    /// `per_op_ns ×` logical ops (Eq 6.1), ns.
+    /// Measured elapsed time
+    /// ([`RunStats::total_ns`](gcm_engine::RunStats::total_ns)): charged
+    /// memory latency plus `per_op_ns ×` logical ops on the simulator
+    /// (Eq 6.1), wall time over the plan execution alone on the host, ns.
     pub measured_ns: f64,
     /// Logical CPU operations the query performed.
     pub ops: u64,
@@ -100,21 +107,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The per-member machine views of a batch: each member keeps every
 /// [`Private`](Sharing::Private) level whole and receives, at every
 /// [`Shared`](Sharing::Shared) level, a capacity slice proportional to
-/// its pattern's footprint there — the allocation rule of Eq 5.3, which
-/// is also what the admission controller's
-/// [`batch_cost`](gcm_core::CostModel::batch_cost) priced. A singleton
-/// batch sees the whole machine.
-pub fn member_views(spec: &HardwareSpec, patterns: &[&Pattern]) -> Vec<HardwareSpec> {
-    member_views_shared(spec, patterns, &[])
-}
-
-/// [`member_views`] with *shared data*: regions in `shared` (immutable
-/// builds several members probe) are counted once in each shared level's
-/// allocation denominator, mirroring the pricing rule of
-/// [`gcm_core::CostModel::batch_cost_shared`] — so the enforcement stays
-/// exactly what the admission controller priced. A member's own claim
-/// (numerator) keeps its full footprint, clamped at the whole level.
-pub fn member_views_shared(
+/// its pattern's footprint there — the allocation rule of Eq 5.3. A
+/// singleton batch sees the whole machine.
+///
+/// Regions in `shared` (immutable builds several members probe) are
+/// counted once in each shared level's allocation denominator, mirroring
+/// the pricing rule of [`gcm_core::CostModel::batch_cost_shared`] — so
+/// the enforcement stays exactly what the admission controller priced. A
+/// member's own claim (numerator) keeps its full footprint, clamped at
+/// the whole level.
+pub fn member_views(
     spec: &HardwareSpec,
     patterns: &[&Pattern],
     shared: &[Region],
@@ -189,222 +191,272 @@ pub fn member_views_shared(
         .collect()
 }
 
-/// One batch member's run on any backend: materialize the tables the
-/// plan references into the worker's context (host-side, before the
-/// measured interval — the service owns the data; unreferenced catalog
-/// slots become empty placeholders so scan indices stay valid), then
-/// execute the plan through [`gcm_engine::plan::execute`] and measure.
-fn run_member<B: MemoryBackend>(
-    ctx: &mut ExecContext<B>,
-    tables: &[Arc<TableData>],
-    plan: &PhysicalPlan,
-    builds: &dyn BuildSource,
-    tracer: &mut dyn ExecTracer<B>,
-) -> Result<(u64, u64, gcm_engine::RunStats<B>), PlanError> {
-    let referenced = plan.tables();
-    let rels: Vec<Relation> = tables
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            if referenced.contains(&i) {
-                ctx.relation_from_keys(&t.name, &t.keys, t.w)
-            } else {
-                ctx.relation(&t.name, 0, t.w)
-            }
-        })
-        .collect();
-    let (run, stats) = ctx.measure(|c| plan::execute_traced(c, plan, &rels, builds, tracer));
-    run.map(|r| {
-        let hash = fnv1a(&ctx.relation_bytes(&r.output));
-        (r.output.n(), hash, stats)
-    })
-}
-
-/// Execute `plans` as one batch of `plans.len()` concurrent workers,
-/// each on its own footprint-proportional view ([`member_views`], built
-/// from `patterns` — the members' whole-plan patterns in batch order).
-/// Each worker materializes the tables its plan scans into its own
-/// simulated memory (host-side, uncharged; a worker's view simulates
-/// its core's caches, not a private copy of the database) and runs its
-/// plan (`run_member`). Results come back in batch order.
-pub fn execute_batch(
-    spec: &HardwareSpec,
-    tables: &[Arc<TableData>],
+/// Execute `plans` as one batch of `plans.len()` concurrent workers on
+/// backend `B`. Worker `i` obtains its context from `member_ctx(i)`
+/// (called on the worker's own thread), materializes the tables its
+/// plan scans into it (host-side, before the measured interval — the
+/// service owns the data; a worker's view simulates its core's caches,
+/// not a private copy of the database), and runs its plan through
+/// [`plan::execute_traced`] with `builds[i]` as the shared-build source
+/// and `sinks[i]` as the span lane: one
+/// [`Execute`](gcm_obs::SpanKind::Execute) span per physical operator
+/// while the sink's recorder is enabled, nothing (and no counter
+/// snapshots) while it is not. Tracing and shared builds never change
+/// results. Results come back in batch order.
+///
+/// Every worker is joined before any is judged: a panicking worker
+/// turns the batch into [`PlanError::WorkerPanicked`] instead of taking
+/// the caller's thread down with it.
+pub fn execute_batch<B: MemoryBackend>(
+    member_ctx: impl Fn(usize) -> ExecContext<B> + Sync,
+    tables: &[Arc<TableDef>],
     plans: &[&PhysicalPlan],
-    patterns: &[&Pattern],
-    per_op_ns: f64,
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    let no_builds: Vec<MemberBuilds> = plans.iter().map(|_| MemberBuilds::default()).collect();
-    execute_batch_shared(spec, tables, plans, patterns, per_op_ns, &no_builds, &[])
-}
-
-/// [`execute_batch`] with shared build sides: `builds[i]` is member
-/// `i`'s [`MemberBuilds`] (the immutable hash-join builds its plan may
-/// probe instead of building), and `shared` the canonical regions of
-/// every build referenced by the batch — the member views allocate the
-/// shared levels with those regions counted once
-/// ([`member_views_shared`]), enforcing exactly what
-/// [`gcm_core::CostModel::batch_cost_shared`] priced at admission.
-pub fn execute_batch_shared(
-    spec: &HardwareSpec,
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-    patterns: &[&Pattern],
-    per_op_ns: f64,
     builds: &[MemberBuilds],
-    shared: &[Region],
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    execute_batch_observed(
-        spec, tables, plans, patterns, per_op_ns, builds, shared, None,
-    )
-}
-
-/// [`execute_batch_shared`] with span tracing: when `spans` holds an
-/// enabled [`SpanRecorder`], every worker registers its own lane and
-/// records one [`Execute`](gcm_obs::SpanKind::Execute) span per
-/// physical operator it runs (via [`SpanTracer`]), carrying the
-/// operator's charged-time and per-level miss counter deltas. Tracing
-/// never changes results — the traced and untraced paths run the same
-/// operators on the same data (`observability_tracing_is_free` in the
-/// service tests pins byte identity).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_batch_observed(
-    spec: &HardwareSpec,
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-    patterns: &[&Pattern],
     per_op_ns: f64,
-    builds: &[MemberBuilds],
-    shared: &[Region],
-    spans: Option<&SpanRecorder>,
+    sinks: &mut [SpanSink],
 ) -> Result<Vec<ExecutedQuery>, PlanError> {
-    assert_eq!(plans.len(), patterns.len());
     assert_eq!(plans.len(), builds.len());
-    let views = member_views_shared(spec, patterns, shared);
-    let results: Vec<Result<ExecutedQuery, PlanError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plans
-            .iter()
-            .zip(views)
-            .zip(builds)
-            .map(|((plan, view), member)| {
-                s.spawn(move || {
-                    let mut ctx = ExecContext::new(view);
-                    let run = match spans {
-                        // The enabled check keeps the disabled path free
-                        // of lane registration, not just span stores.
-                        Some(rec) if rec.enabled() => {
-                            let mut sink = rec.sink();
-                            let mut tracer = SpanTracer::new(&mut sink);
-                            run_member(&mut ctx, tables, plan, member, &mut tracer)
-                        }
-                        _ => run_member(&mut ctx, tables, plan, member, &mut NoTrace),
-                    };
-                    run.map(|(output_n, output_hash, stats)| ExecutedQuery {
-                        output_n,
-                        output_hash,
-                        measured_ns: stats.total_ns(per_op_ns),
-                        ops: stats.ops,
+    assert!(sinks.len() >= plans.len(), "one span sink per member");
+    let member_ctx = &member_ctx;
+    let joined: Vec<std::thread::Result<Result<ExecutedQuery, PlanError>>> =
+        std::thread::scope(|s| {
+            let handles: Vec<_> = plans
+                .iter()
+                .zip(builds)
+                .zip(sinks.iter_mut())
+                .enumerate()
+                .map(|(i, ((plan, member), sink))| {
+                    s.spawn(move || {
+                        let mut ctx = member_ctx(i);
+                        let rels = plan::materialize_tables(&mut ctx, plan, tables);
+                        let mut tracer = SpanTracer::new(sink);
+                        let (run, stats) = ctx
+                            .measure(|c| plan::execute_traced(c, plan, &rels, member, &mut tracer));
+                        run.map(|r| ExecutedQuery {
+                            output_n: r.output.n(),
+                            output_hash: fnv1a(&ctx.relation_bytes(&r.output)),
+                            measured_ns: stats.total_ns(per_op_ns),
+                            ops: stats.ops,
+                        })
                     })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("service worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+    joined
+        .into_iter()
+        .enumerate()
+        .map(|(member, run)| run.unwrap_or(Err(PlanError::WorkerPanicked { member })))
+        .collect()
 }
 
-/// Execute `plans` as one batch of concurrent workers on the **host's
-/// real memory**: each query runs through the same plan executor over an
-/// [`ExecContext::native`] — real buffers, real loads, wall-clock
-/// latency. No member views are constructed (the hardware shares its
-/// caches itself; the footprint-proportional allocation the simulated
-/// pool enforces is exactly what the model *predicts* real hardware
-/// contention to look like), so comparing these latencies against the
-/// admission controller's `⊙` prices is the service-level
-/// calibrate → model → measure check. Results are byte-identical to the
-/// simulated pool's; `measured_ns` is wall time over the plan execution
-/// only (table materialization happens before the measured interval,
-/// like the simulated pool's uncharged setup) — but it still contains
-/// the in-plan host-side oracle passes, output allocation, and CPU
-/// work, so compare against predictions with generous bounds.
-pub fn execute_batch_native(
-    tables: &[Arc<TableData>],
-    plans: &[&PhysicalPlan],
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    // Pre-size each worker's arena from the catalog footprint so the
-    // measured interval contains no growth reallocations: inputs plus
-    // headroom for partitions/hash tables/outputs (≈4× input bytes
-    // covers every plan shape the planner emits).
-    let table_bytes: u64 = tables.iter().map(|t| t.keys.len() as u64 * t.w).sum();
-    let arena = (4 * table_bytes).clamp(1 << 16, 1 << 30) as usize;
-    let results: Vec<Result<ExecutedQuery, PlanError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = plans
+impl QueryService {
+    /// Run `batch` on the one executor path, on whatever backend
+    /// `member_ctx` builds: every member gets the shared builds
+    /// admission attached to it and one of the service's reusable span
+    /// lanes (grown to the largest batch seen, so an undrained trace
+    /// costs a bounded ring per worker slot that drops and counts).
+    fn run_batch<B: MemoryBackend>(
+        &mut self,
+        batch: &Batch,
+        member_ctx: impl Fn(usize) -> ExecContext<B> + Sync,
+    ) -> Result<Vec<ExecutedQuery>, PlanError> {
+        let builds: Vec<MemberBuilds> = batch
+            .entries
             .iter()
-            .map(|plan| {
-                s.spawn(move || {
-                    let mut ctx = ExecContext::native_with_capacity(arena);
-                    run_member(&mut ctx, tables, plan, &NoPrebuilt, &mut NoTrace).map(
-                        |(output_n, output_hash, stats)| ExecutedQuery {
-                            output_n,
-                            output_hash,
-                            measured_ns: NativeBackend::elapsed_ns(&stats.mem),
-                            ops: stats.ops,
-                        },
-                    )
-                })
-            })
+            .map(|p| MemberBuilds::new(p.builds.clone()))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("native service worker panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
+        while self.worker_sinks.len() < batch.size() {
+            self.worker_sinks.push(self.spans.sink());
+        }
+        execute_batch(
+            member_ctx,
+            &self.tables,
+            &batch.plans(),
+            &builds,
+            self.cfg.per_op_ns,
+            &mut self.worker_sinks,
+        )
+    }
+
+    /// Execute an admitted batch on the **simulated** pool — each member
+    /// on its footprint-proportional [`member_views`] slice of the
+    /// machine — and record its metrics. Returns the index of the new
+    /// [`BatchRecord`](crate::ServiceMetrics::batches).
+    pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
+        let patterns: Vec<&Pattern> = batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
+        let views = member_views(&self.spec, &patterns, &batch.shared_regions());
+        let runs = self.run_batch(&batch, |i| ExecContext::new(views[i].clone()))?;
+        let batch_idx = self.metrics.batches.len();
+        // The simulator cannot measure dispatch (it is host-side thread
+        // bring-up, not simulated memory traffic), so the batch wall
+        // carries the same per-worker constant the admission predicate
+        // charged — both sides account dispatch identically and the
+        // accuracy ratio reflects model quality, not bookkeeping.
+        let measured_wall_ns = runs.iter().map(|r| r.measured_ns).fold(0.0, f64::max)
+            + self.cfg.dispatch_ns * batch.size() as f64;
+        for ((pending, run), predicted_ns) in
+            batch.entries.iter().zip(&runs).zip(&batch.per_query_ns)
+        {
+            // Service-level drift: the whole-query measured/predicted
+            // ratio, attributed to every operator class the plan
+            // contains (once per class). Coarser than the per-node
+            // attribution of `explain_analyze` — here a stale class
+            // shows up on every plan shape that uses it, which is the
+            // signal the recalibration flag needs.
+            let mut classes = plan_classes(&pending.planned.plan);
+            classes.sort_unstable();
+            classes.dedup();
+            for class in classes {
+                self.drift.observe(class, run.measured_ns, *predicted_ns);
+            }
+            self.metrics.record_query(QueryRecord {
+                id: pending.id,
+                plan: pending.plan.to_string(),
+                batch: batch_idx,
+                predicted_ns: *predicted_ns,
+                measured_ns: run.measured_ns,
+                output_n: run.output_n,
+                output_hash: run.output_hash,
+            });
+        }
+        self.metrics.record_batch(BatchRecord {
+            ids: batch.ids(),
+            predicted_wall_ns: batch.predicted_wall_ns,
+            predicted_serial_ns: batch.predicted_serial_ns,
+            measured_wall_ns,
+        });
+        self.observe_wall_scale(measured_wall_ns, batch.predicted_wall_ns);
+        // Close the drift loop without stalling the serving path: a
+        // raised flag starts a background probe, and any probe that
+        // finished since the last batch is applied now.
+        self.pump_recalibration(false);
+        self.sync_cache_counters();
+        Ok(batch_idx)
+    }
+
+    /// Execute an admitted batch on the **host's real memory**:
+    /// identical results, wall-clock latencies, each run paired with
+    /// its query id for response routing. Native runs are returned
+    /// rather than folded into the per-query
+    /// [`ServiceMetrics`](crate::ServiceMetrics) records — those compare
+    /// the model against the *simulator*, whose charged clock shares the
+    /// model's units. What the serving path does keep: the batch's wall
+    /// clock is folded into the model-ns → wall-ns EWMA the shed
+    /// projection uses ([`next_batch_at`](QueryService::next_batch_at)),
+    /// and per-class native latency histograms and batch counters land
+    /// in the registry.
+    pub fn execute_batch_native_observed(
+        &mut self,
+        batch: Batch,
+    ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
+        // Pre-size each worker's arena from the catalog footprint so the
+        // measured interval contains no growth reallocations: inputs plus
+        // headroom for partitions/hash tables/outputs (≈4× input bytes
+        // covers every plan shape the planner emits).
+        let table_bytes: u64 = self.tables.iter().map(|t| t.keys.len() as u64 * t.w).sum();
+        let arena = (4 * table_bytes).clamp(1 << 16, 1 << 30) as usize;
+        let t0 = std::time::Instant::now();
+        let runs = self.run_batch(&batch, |_| ExecContext::native_with_capacity(arena))?;
+        let wall_ns = t0.elapsed().as_nanos() as f64;
+        self.observe_wall_scale(wall_ns, batch.predicted_wall_ns);
+        let r = &self.metrics.registry;
+        r.inc("gcm_service_native_batches_total", 1);
+        r.observe_ns("gcm_service_native_batch_wall_ns", wall_ns);
+        for (p, run) in batch.entries.iter().zip(&runs) {
+            if let Some(class) = p.class {
+                r.observe_ns(
+                    &gcm_obs::registry::labeled(
+                        "gcm_service_native_query_ns",
+                        &[("class", class.label())],
+                    ),
+                    run.measured_ns,
+                );
+            }
+        }
+        Ok(batch.entries.iter().map(|p| p.id).zip(runs).collect())
+    }
+
+    /// Drain the queue: form and execute batches until nothing is
+    /// pending.
+    pub fn run(&mut self) -> Result<(), PlanError> {
+        while let Some(batch) = self.next_batch() {
+            self.execute_batch(batch)?;
+        }
+        self.sync_cache_counters();
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{drain_on, submit_joins, Backend};
+    use crate::ServiceConfig;
+    use gcm_engine::plan::LogicalPlan;
     use gcm_engine::planner::JoinAlgorithm;
     use gcm_hardware::presets;
+    use gcm_obs::{SpanKind, SpanRecorder};
     use gcm_workload::Workload;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn catalog() -> Vec<Arc<TableData>> {
+    const PER_OP: f64 = 4.0;
+
+    fn catalog() -> Vec<Arc<TableDef>> {
         let mut wl = Workload::new(61);
         let star = wl.star_scenario(2_000, 400, 1);
         vec![
-            Arc::new(TableData {
-                name: "F".into(),
-                keys: star.fact,
-                w: 8,
-            }),
-            Arc::new(TableData {
-                name: "D".into(),
-                keys: star.dims[0].clone(),
-                w: 8,
-            }),
+            Arc::new(TableDef::new("F", star.fact, 8)),
+            Arc::new(TableDef::new("D", star.dims[0].clone(), 8)),
         ]
+    }
+
+    /// `plans` as one batch with no shared builds and a disabled trace,
+    /// each member on the context `member_ctx` builds.
+    fn run_plain<B: MemoryBackend>(
+        member_ctx: impl Fn(usize) -> ExecContext<B> + Sync,
+        tables: &[Arc<TableDef>],
+        plans: &[&PhysicalPlan],
+    ) -> Result<Vec<ExecutedQuery>, PlanError> {
+        let no_builds: Vec<MemberBuilds> = plans.iter().map(|_| MemberBuilds::default()).collect();
+        let rec = SpanRecorder::with_capacity(1);
+        rec.set_enabled(false);
+        let mut sinks: Vec<SpanSink> = plans.iter().map(|_| rec.sink()).collect();
+        execute_batch(member_ctx, tables, plans, &no_builds, PER_OP, &mut sinks)
+    }
+
+    /// [`run_plain`] on the simulated pool: zero-footprint patterns, so
+    /// the members split the shared levels evenly.
+    fn run_sim(
+        spec: &HardwareSpec,
+        tables: &[Arc<TableDef>],
+        plans: &[&PhysicalPlan],
+    ) -> Result<Vec<ExecutedQuery>, PlanError> {
+        let eps = Pattern::empty();
+        let views = member_views(spec, &vec![&eps; plans.len()], &[]);
+        run_plain(|i| ExecContext::new(views[i].clone()), tables, plans)
+    }
+
+    fn select_and_join() -> (PhysicalPlan, PhysicalPlan) {
+        let select = PhysicalPlan::scan(0).select_lt(100);
+        let join = PhysicalPlan::scan(0)
+            .select_lt(200)
+            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
+            .group_count();
+        (select, join)
     }
 
     #[test]
     fn batch_members_agree_with_serial_execution() {
         let spec = presets::tiny_smp(4);
         let tables = catalog();
-        let select = PhysicalPlan::scan(0).select_lt(100);
-        let join = PhysicalPlan::scan(0)
-            .select_lt(200)
-            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
-            .group_count();
-        let eps = Pattern::empty();
-        let batch = execute_batch(&spec, &tables, &[&select, &join], &[&eps, &eps], 4.0).unwrap();
+        let (select, join) = select_and_join();
+        let batch = run_sim(&spec, &tables, &[&select, &join]).unwrap();
         assert_eq!(batch.len(), 2);
         // Each member's result matches its own serial run (results
         // never depend on co-runners — only timings do).
         for (plan, got) in [&select, &join].into_iter().zip(&batch) {
-            let solo = execute_batch(&spec, &tables, &[plan], &[&eps], 4.0).unwrap();
+            let solo = run_sim(&spec, &tables, &[plan]).unwrap();
             assert_eq!(solo[0].output_n, got.output_n);
             assert_eq!(solo[0].output_hash, got.output_hash);
             assert_eq!(solo[0].ops, got.ops);
@@ -422,16 +474,8 @@ mod tests {
         let join = PhysicalPlan::scan(0)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
             .group_count();
-        let eps = Pattern::empty();
-        let solo = execute_batch(&spec, &tables, &[&join], &[&eps], 4.0).unwrap()[0].measured_ns;
-        let four = execute_batch(
-            &spec,
-            &tables,
-            &[&join, &join, &join, &join],
-            &[&eps, &eps, &eps, &eps],
-            4.0,
-        )
-        .unwrap();
+        let solo = run_sim(&spec, &tables, &[&join]).unwrap()[0].measured_ns;
+        let four = run_sim(&spec, &tables, &[&join, &join, &join, &join]).unwrap();
         for q in &four {
             assert!(
                 q.measured_ns >= solo * 0.999,
@@ -443,11 +487,10 @@ mod tests {
 
     #[test]
     fn member_views_split_shared_levels_by_footprint() {
-        use gcm_core::Region;
         let spec = presets::tiny_smp(4); // L2 shared (16 KB), L1/TLB private
         let big = Pattern::r_trav(Region::new("B", 3_000, 8)); // 24 KB
         let small = Pattern::r_trav(Region::new("S", 1_000, 8)); // 8 KB
-        let views = member_views(&spec, &[&big, &small]);
+        let views = member_views(&spec, &[&big, &small], &[]);
         assert_eq!(views.len(), 2);
         // Private levels stay whole.
         for v in &views {
@@ -463,11 +506,11 @@ mod tests {
         let full = spec.level("L2").unwrap().capacity;
         assert!(total <= full && total >= full / 2, "split covers the level");
         // A singleton sees the whole machine.
-        let solo = member_views(&spec, &[&big]);
+        let solo = member_views(&spec, &[&big], &[]);
         assert_eq!(l2(&solo[0]), full);
         // Zero-footprint members fall back to an even split.
         let eps = Pattern::empty();
-        let even = member_views(&spec, &[&eps, &eps]);
+        let even = member_views(&spec, &[&eps, &eps], &[]);
         assert_eq!(l2(&even[0]), l2(&even[1]));
     }
 
@@ -477,14 +520,9 @@ mod tests {
         // the simulated pool, real wall-clock latencies.
         let spec = presets::tiny_smp(4);
         let tables = catalog();
-        let select = PhysicalPlan::scan(0).select_lt(100);
-        let join = PhysicalPlan::scan(0)
-            .select_lt(200)
-            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
-            .group_count();
-        let eps = Pattern::empty();
-        let sim = execute_batch(&spec, &tables, &[&select, &join], &[&eps, &eps], 4.0).unwrap();
-        let native = execute_batch_native(&tables, &[&select, &join]).unwrap();
+        let (select, join) = select_and_join();
+        let sim = run_sim(&spec, &tables, &[&select, &join]).unwrap();
+        let native = run_plain(|_| ExecContext::native(), &tables, &[&select, &join]).unwrap();
         assert_eq!(native.len(), 2);
         for (s, n) in sim.iter().zip(&native) {
             assert_eq!(s.output_n, n.output_n);
@@ -502,8 +540,112 @@ mod tests {
         let spec = presets::tiny_smp(2);
         let tables = catalog();
         let bad = PhysicalPlan::scan(7);
-        let eps = Pattern::empty();
-        let err = execute_batch(&spec, &tables, &[&bad], &[&eps], 4.0).unwrap_err();
+        let err = run_sim(&spec, &tables, &[&bad]).unwrap_err();
         assert!(matches!(err, PlanError::UnknownTable { table: 7, .. }));
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_batch_not_the_caller() {
+        let spec = presets::tiny_smp(2);
+        let tables = catalog();
+        let (select, join) = select_and_join();
+        let survivor_ran = AtomicBool::new(false);
+        let err = run_plain(
+            |i| {
+                if i == 0 {
+                    panic!("injected: member 0 cannot get a context");
+                }
+                survivor_ran.store(true, Ordering::SeqCst);
+                ExecContext::new(spec.thread_view(1))
+            },
+            &tables,
+            &[&select, &join],
+        )
+        .unwrap_err();
+        assert_eq!(err, PlanError::WorkerPanicked { member: 0 });
+        // The call returned, so the scope joined member 1's thread too —
+        // and it did its work rather than being torn down.
+        assert!(survivor_ran.load(Ordering::SeqCst));
+        // The same tables serve the next batch normally.
+        let again = run_sim(&spec, &tables, &[&select, &join]).unwrap();
+        assert_eq!(again.len(), 2);
+        assert!(again.iter().all(|q| q.output_n > 0));
+    }
+
+    #[test]
+    fn native_members_probe_the_shared_builds_admission_priced() {
+        // Three joins over the same dimension: the first registers the
+        // build and keeps its build phase, the other two were priced as
+        // sharers — and must execute as sharers on the host too, with
+        // the answers the simulator gives.
+        // (Sized so the optimizer picks the plain hash join the registry
+        // shares.)
+        let star = Workload::new(314).star_scenario(8_000, 1_000, 1);
+        let service = || {
+            let mut svc = QueryService::new(presets::modern_smp(4));
+            svc.register_table("F", star.fact.clone(), 8);
+            svc.register_table("D", star.dims[0].clone(), 8);
+            submit_joins(&mut svc, &[120, 240, 360]);
+            assert_eq!(svc.builds().reused(), 2);
+            svc
+        };
+        let mut native = service();
+        let got = drain_on(&mut native, Backend::Native);
+        let batches = native
+            .metrics()
+            .registry
+            .counter("gcm_service_native_batches_total");
+        assert_eq!(batches, Some(1), "the three joins co-run as one batch");
+        let labels: Vec<String> = native
+            .spans()
+            .drain()
+            .into_iter()
+            .filter(|s| s.name.starts_with("join["))
+            .map(|s| s.name)
+            .collect();
+        let shared = labels.iter().filter(|l| *l == "join[hash,shared]").count();
+        assert_eq!((labels.len(), shared), (3, 2), "{labels:?}");
+        assert_eq!(got, drain_on(&mut service(), Backend::Sim));
+        assert!(got.iter().all(|r| r.1 > 0));
+    }
+
+    #[test]
+    fn undrained_tracing_reuses_one_lane_per_worker_slot() {
+        // 50 two-member batches with nobody draining: the spans must sit
+        // on the control lane plus one lane per worker slot, not on a
+        // fresh lane per executed query.
+        let mut svc = QueryService::with_config(
+            presets::tiny_smp(4),
+            ServiceConfig {
+                max_batch: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        let keys = Workload::new(7).shuffled_keys(512);
+        svc.register_table("F", keys, 8);
+        for _ in 0..50 {
+            for cut in [100, 200] {
+                svc.submit(LogicalPlan::scan(0).select_lt(cut)).unwrap();
+            }
+            let batch = svc.next_batch().unwrap();
+            assert_eq!(batch.size(), 2);
+            svc.execute_batch(batch).unwrap();
+        }
+        let spans = svc.spans().drain();
+        let mut lanes: Vec<usize> = spans.iter().map(|s| s.lane).collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert!(lanes.len() <= 1 + 2, "lanes {lanes:?}");
+        let mut ids: Vec<(usize, u64)> = spans.iter().map(|s| (s.lane, s.seq)).collect();
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), n, "(lane, seq) must stay unique");
+        assert_eq!(
+            spans.iter().filter(|s| s.kind == SpanKind::Execute).count(),
+            100,
+            "one select span per executed query, none lost"
+        );
+        assert_eq!(svc.spans().dropped(), 0);
     }
 }

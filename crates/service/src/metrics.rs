@@ -11,6 +11,7 @@
 //! *aggregated* view a scrape reads in O(1) space; the vectors are the
 //! exact trace a test asserts on.
 
+use crate::QueryService;
 use gcm_obs::registry::labeled;
 use gcm_obs::{Histogram, MetricsRegistry};
 use gcm_workload::TenantClass;
@@ -268,6 +269,50 @@ impl fmt::Display for ServiceMetrics {
             self.predicted_serial_total_ns() / 1e6,
             self.mean_query_error() * 100.0,
         )
+    }
+}
+
+impl QueryService {
+    /// The accumulated report.
+    pub fn metrics(&mut self) -> &ServiceMetrics {
+        self.sync_cache_counters();
+        &self.metrics
+    }
+
+    /// Copy the counters owned by other components (plan cache, build
+    /// registry, span recorder, recalibration loop, queue, drift
+    /// monitor) into the report and its registry.
+    pub(crate) fn sync_cache_counters(&mut self) {
+        self.metrics.cache_hits = self.cache.hits();
+        self.metrics.cache_misses = self.cache.misses();
+        self.metrics.optimizer_runs = self.cache.optimizer_runs();
+        self.metrics.cache_retired = self.cache.retired();
+        self.metrics.builds_built = self.builds.built();
+        self.metrics.builds_reused = self.builds.reused();
+        let r = &self.metrics.registry;
+        r.set_counter("gcm_service_cache_hits_total", self.metrics.cache_hits);
+        r.set_counter("gcm_service_cache_misses_total", self.metrics.cache_misses);
+        r.set_counter(
+            "gcm_service_optimizer_runs_total",
+            self.metrics.optimizer_runs,
+        );
+        r.set_counter(
+            "gcm_service_cache_retired_total",
+            self.metrics.cache_retired,
+        );
+        r.set_counter("gcm_service_builds_built_total", self.metrics.builds_built);
+        r.set_counter(
+            "gcm_service_builds_reused_total",
+            self.metrics.builds_reused,
+        );
+        r.set_counter("gcm_service_spans_dropped_total", self.spans.dropped());
+        r.set_counter("gcm_service_recalibrations_total", self.recalibrations);
+        r.set_gauge("gcm_service_cpu_per_op_ns", self.cfg.per_op_ns);
+        let depth = self.queue.len() as f64;
+        r.set_gauge(QUEUE_DEPTH, depth);
+        r.gauge_max(QUEUE_DEPTH_PEAK, depth);
+        // Per-class drift ratios + stale count + flag, as gauges.
+        self.drift.export_gauges(r, "gcm_service_drift");
     }
 }
 

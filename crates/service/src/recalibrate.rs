@@ -18,7 +18,13 @@
 //! tests pin the control loop deterministically; production
 //! constructors run the real host probes from `gcm-engine` /
 //! `gcm-calibrate`.
+//!
+//! The service's side of the loop lives here too: pumping the
+//! recalibrator after each batch, swapping a result in, and the
+//! model-ns → wall-ns EWMA the shed projection scales by.
 
+use crate::QueryService;
+use gcm_core::CostModel;
 use gcm_hardware::HardwareSpec;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -143,6 +149,90 @@ impl Recalibrator {
             }
             Err(_) => None,
         }
+    }
+}
+
+impl QueryService {
+    /// Install the auto-recalibration loop: from now on a raised drift
+    /// flag triggers `recal`'s probe on a background thread, and each
+    /// completed probe atomically updates the CPU calibration (and the
+    /// spec, when the probe refreshes it), force-bumps the statistics
+    /// epoch so every cached plan re-prices, and resets the drift
+    /// monitor.
+    pub fn set_recalibrator(&mut self, recal: Recalibrator) {
+        self.recal = Some(recal);
+    }
+
+    /// Completed recalibrations applied to this service.
+    pub fn recalibrations(&self) -> u64 {
+        self.recalibrations
+    }
+
+    /// Synchronously drive the recalibration loop: trigger a probe if
+    /// the drift flag is raised (or collect the one already running),
+    /// block until it finishes, and apply it. Returns `true` when a
+    /// recalibration was applied. The asynchronous path is automatic —
+    /// [`execute_batch`](QueryService::execute_batch) pumps the loop
+    /// without blocking; this entry point is for tests and shutdown
+    /// paths that must observe the swap.
+    pub fn recalibrate_now(&mut self) -> bool {
+        self.pump_recalibration(true)
+    }
+
+    /// One turn of the recalibration loop. `block` waits for the probe
+    /// thread; otherwise only a finished probe is collected. Returns
+    /// `true` when a result was applied.
+    pub(crate) fn pump_recalibration(&mut self, block: bool) -> bool {
+        let stale = self.drift.stale_classes();
+        let Some(recal) = self.recal.as_mut() else {
+            return false;
+        };
+        if !stale.is_empty() {
+            recal.trigger(&stale);
+        }
+        let done = if block { recal.wait() } else { recal.poll() };
+        match done {
+            Some((_, result)) => {
+                self.apply_recalibration(result);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Atomically swap a probe result into the serving path: replace
+    /// the CPU calibration (and models/spec when the probe refreshed
+    /// the hierarchy), force-bump the statistics epoch so every cached
+    /// plan and shared build re-prices under the new parameters, and
+    /// reset the drift monitor to judge the new calibration from
+    /// scratch.
+    fn apply_recalibration(&mut self, r: Recalibration) {
+        self.cfg.per_op_ns = r.per_op_ns;
+        if let Some(spec) = r.spec {
+            self.plan_model = CostModel::new(spec.thread_view(1));
+            self.batch_model = CostModel::new(spec.clone());
+            self.spec = spec;
+        }
+        let epoch = self.catalog.force_epoch_bump();
+        self.cache.retire_epochs_before(epoch);
+        self.builds.retire_epochs_before(epoch);
+        self.drift.reset();
+        self.recalibrations += 1;
+    }
+
+    /// Fold one measured/predicted batch-wall ratio into the
+    /// [`wall_scale`](QueryService::wall_scale) EWMA (seeded by the
+    /// first observation, clamped to keep one outlier batch from
+    /// poisoning the projection).
+    pub(crate) fn observe_wall_scale(&mut self, measured_wall_ns: f64, predicted_wall_ns: f64) {
+        let ratio = measured_wall_ns / predicted_wall_ns.max(1.0);
+        self.wall_scale = if self.wall_scale_seeded {
+            0.8 * self.wall_scale + 0.2 * ratio
+        } else {
+            ratio
+        };
+        self.wall_scale_seeded = true;
+        self.wall_scale = self.wall_scale.clamp(1e-4, 1e4);
     }
 }
 

@@ -1,0 +1,496 @@
+//! Façade-level tests: each drives [`QueryService`] through its public
+//! surface (submit → schedule → execute → report), so they stay in one
+//! crate-root module rather than with any single stage. Tests of one
+//! stage's internals live in that stage's module.
+
+use super::*;
+use gcm_hardware::presets;
+use gcm_workload::Workload;
+use std::sync::Mutex;
+
+/// A service on `tiny_smp(4)` over a seeded star pair: fact table 0,
+/// dimension table 1.
+fn star_service(cfg: ServiceConfig, seed: u64, fact_n: usize, dim_n: usize) -> QueryService {
+    let mut svc = QueryService::with_config(presets::tiny_smp(4), cfg);
+    let star = Workload::new(seed).star_scenario(fact_n, dim_n, 1);
+    svc.register_table("F", star.fact, 8);
+    svc.register_table("D", star.dims[0].clone(), 8);
+    svc
+}
+
+fn service() -> QueryService {
+    star_service(ServiceConfig::default(), 42, 3_000, 500)
+}
+
+/// A 3,000 × 500 service whose measured CPU charge is `per_op_ns`, one
+/// query per batch (so predicted == the serial per-query price).
+fn calibrated_service(per_op_ns: f64) -> QueryService {
+    let cfg = ServiceConfig {
+        max_batch: 1,
+        per_op_ns,
+        ..ServiceConfig::default()
+    };
+    star_service(cfg, 45, 3_000, 500)
+}
+
+/// The two backends the one executor path serves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Backend {
+    Sim,
+    Native,
+}
+
+/// Drain the queue on `backend`, returning every executed query's
+/// `(id, output_n, output_hash)`, sorted by id.
+pub(crate) fn drain_on(svc: &mut QueryService, backend: Backend) -> Vec<(u64, u64, u64)> {
+    let mut out = Vec::new();
+    while let (_, Some(batch)) = svc.next_batch_at(0) {
+        match backend {
+            Backend::Sim => {
+                let seen = svc.metrics().queries.len();
+                svc.execute_batch(batch).unwrap();
+                let ran = &svc.metrics().queries[seen..];
+                out.extend(ran.iter().map(|q| (q.id, q.output_n, q.output_hash)));
+            }
+            Backend::Native => {
+                let runs = svc.execute_batch_native_observed(batch).unwrap();
+                out.extend(runs.iter().map(|(id, r)| (*id, r.output_n, r.output_hash)));
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Submit `σ(F < cut) → count` once per cut-off.
+fn submit_counts(svc: &mut QueryService, cuts: impl IntoIterator<Item = u64>) {
+    for cut in cuts {
+        svc.submit(LogicalPlan::scan(0).select_lt(cut).group_count())
+            .unwrap();
+    }
+}
+
+/// Submit `σ(F < cut) ⋈ D → count` once per cut-off.
+pub(crate) fn submit_joins(svc: &mut QueryService, cuts: &[u64]) {
+    for &cut in cuts {
+        svc.submit(
+            LogicalPlan::scan(0)
+                .select_lt(cut)
+                .join(LogicalPlan::scan(1))
+                .group_count(),
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn derive_stats_reads_the_data() {
+    let s = derive_stats(&[3, 1, 4, 1, 5], 8);
+    assert_eq!(s.n, 5);
+    assert_eq!(s.key_bound, 6);
+    assert_eq!(s.distinct, 4.0);
+    assert!(!s.sorted);
+    let sorted = derive_stats(&[1, 2, 3], 16);
+    assert!(sorted.sorted);
+    assert_eq!(sorted.w, 16);
+    let empty = derive_stats(&[], 8);
+    assert_eq!(empty.key_bound, 1);
+}
+
+#[test]
+fn submit_caches_repeated_plans() {
+    let mut svc = service();
+    let plan = LogicalPlan::scan(0).select_lt(100).group_count();
+    for _ in 0..5 {
+        svc.submit(plan.clone()).unwrap();
+    }
+    assert_eq!(svc.queue_len(), 5);
+    assert_eq!(svc.cache().optimizer_runs(), 1);
+    assert_eq!(svc.cache().hits(), 4);
+}
+
+#[test]
+fn run_drains_the_queue_and_records_metrics() {
+    let mut svc = service();
+    submit_counts(&mut svc, [100, 200, 100, 200]);
+    svc.run().unwrap();
+    assert_eq!(svc.queue_len(), 0);
+    let m = svc.metrics();
+    assert_eq!(m.queries.len(), 4);
+    assert!(!m.batches.is_empty());
+    assert!((m.hit_rate() - 0.5).abs() < 1e-9);
+    // Ids cover every submission exactly once.
+    let mut ids: Vec<u64> = m.queries.iter().map(|q| q.id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec![0, 1, 2, 3]);
+    // Measured latencies are real.
+    assert!(m.queries.iter().all(|q| q.measured_ns > 0.0));
+}
+
+#[test]
+fn scan_mix_batches_above_one() {
+    let mut svc = service();
+    // Four identical broad scans: streaming footprints must batch.
+    submit_counts(&mut svc, [400; 4]);
+    let batch = svc.next_batch().unwrap();
+    assert!(batch.size() > 1, "scan batch size {}", batch.size());
+    assert!(batch.predicted_speedup() > 1.0);
+    svc.execute_batch(batch).unwrap();
+    assert!(svc.metrics().max_batch_size() > 1);
+}
+
+#[test]
+fn stats_drift_retires_cached_plans() {
+    let mut svc = service();
+    let plan = LogicalPlan::scan(0).select_lt(100).group_count();
+    svc.submit(plan.clone()).unwrap();
+    assert_eq!(svc.cache().optimizer_runs(), 1);
+    // Small drift: same epoch, cache still hot.
+    let mut wl = Workload::new(43);
+    let same = wl.star_scenario(3_100, 500, 1);
+    assert!(!svc.update_table(0, same.fact));
+    svc.submit(plan.clone()).unwrap();
+    assert_eq!(svc.cache().optimizer_runs(), 1);
+    // Past-threshold drift: epoch bumps, next submit re-optimizes.
+    let big = wl.star_scenario(9_000, 500, 1);
+    assert!(svc.update_table(0, big.fact));
+    assert_eq!(svc.catalog().epoch(), 1);
+    svc.submit(plan).unwrap();
+    assert_eq!(svc.cache().optimizer_runs(), 2);
+    svc.run().unwrap();
+}
+
+#[test]
+fn unknown_table_submission_errors() {
+    let mut svc = service();
+    let err = svc.submit(LogicalPlan::scan(5)).unwrap_err();
+    assert!(matches!(err, PlanError::UnknownTable { table: 5, .. }));
+    assert_eq!(svc.queue_len(), 0);
+}
+
+#[test]
+fn spans_cover_the_whole_query_lifecycle() {
+    for backend in [Backend::Sim, Backend::Native] {
+        let mut svc = service();
+        submit_joins(&mut svc, &[100, 200]);
+        drain_on(&mut svc, backend);
+        let spans = svc.spans().drain();
+        let kind_count = |k: SpanKind| spans.iter().filter(|s| s.kind == k).count();
+        assert_eq!(kind_count(SpanKind::Optimize), 2, "{backend:?}");
+        assert_eq!(kind_count(SpanKind::Build), 2, "{backend:?}");
+        assert!(kind_count(SpanKind::Admission) >= 1, "{backend:?}");
+        // Per-operator execute spans: each query ran select + join +
+        // aggregate at least.
+        assert!(
+            kind_count(SpanKind::Execute) >= 6,
+            "{backend:?}: {spans:#?}"
+        );
+        // Execute spans carry the sim backend's per-level miss deltas;
+        // the host (no PMU attached here) honestly reports none.
+        assert!(spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Execute)
+            .all(|s| s.level_misses.is_empty() == (backend == Backend::Native)));
+        assert_eq!(svc.spans().dropped(), 0);
+    }
+}
+
+#[test]
+fn tracing_off_is_byte_identical_and_spanless() {
+    let run_with = |backend: Backend, tracing: bool| -> (Vec<(u64, u64, u64)>, usize) {
+        let mut svc = service();
+        svc.set_tracing(tracing);
+        submit_joins(&mut svc, &[50, 150]);
+        let out = drain_on(&mut svc, backend);
+        let n_spans = svc.spans().drain().len();
+        (out, n_spans)
+    };
+    for backend in [Backend::Sim, Backend::Native] {
+        let (on, spans_on) = run_with(backend, true);
+        let (off, spans_off) = run_with(backend, false);
+        assert_eq!(on, off, "{backend:?}: tracing must not change results");
+        assert_eq!(spans_off, 0, "{backend:?}");
+        assert!(spans_on > 0, "{backend:?}");
+    }
+}
+
+#[test]
+fn drift_monitor_flags_a_miscalibrated_cpu_charge() {
+    // Same queue twice: once with the calibration the planner
+    // predicts with, once with the measured CPU charge lowballed
+    // 4× under it — the monitor must stay quiet on the honest run
+    // and raise the flag on the skewed one.
+    let run_with = |per_op_ns: f64| -> (bool, Vec<String>) {
+        let mut svc = calibrated_service(per_op_ns);
+        submit_counts(&mut svc, (0..10).map(|i| 100 + 10 * i));
+        svc.run().unwrap();
+        (
+            svc.drift().needs_recalibration(),
+            svc.drift().stale_classes(),
+        )
+    };
+    let honest = CpuCost::DEFAULT_PLANNER_PER_OP_NS;
+    let (flag_honest, stale_honest) = run_with(honest);
+    assert!(!flag_honest, "honest calibration flagged: {stale_honest:?}");
+    let (flag_skewed, stale_skewed) = run_with(honest * 64.0);
+    assert!(flag_skewed, "64× CPU skew must flag");
+    assert!(
+        stale_skewed
+            .iter()
+            .any(|c| c == "select" || c == "aggregate"),
+        "{stale_skewed:?}"
+    );
+}
+
+#[test]
+fn explain_analyze_records_into_the_flight_ring() {
+    let mut svc = service();
+    assert!(svc.flight().is_empty());
+    let q1 = LogicalPlan::scan(0).select_lt(100).group_count();
+    let q2 = LogicalPlan::scan(0).select_lt(300).group_count();
+    let (report, pmu) = svc.explain_analyze(&q1).unwrap();
+    let root = report.root.measured.as_ref().expect("operator root");
+    assert!(root.ops > 0, "{report:?}");
+    if !pmu.is_available() {
+        // Host without perf counters: rows must be honestly absent.
+        assert!(root.level_misses.is_empty());
+    }
+    svc.explain_analyze(&q2).unwrap();
+    assert_eq!(svc.flight().len(), 2);
+    let dump = svc.flight().dump_json_lines();
+    assert_eq!(dump.lines().count(), 2);
+    assert!(dump.contains("\"plan\""), "{dump}");
+    assert!(
+        dump.contains(&format!("fp{:016x}", q1.fingerprint())),
+        "{dump}"
+    );
+}
+
+#[test]
+fn drift_flag_triggers_recalibration_that_updates_cpu_cost() {
+    // The full closed loop, pinned: a 64× CPU miscalibration raises
+    // the drift flag mid-run, the installed recalibrator probes on
+    // a background thread (a fake probe here, so the test is
+    // deterministic), and applying the result swaps the honest
+    // charge back in, bumps the stats epoch so cached plans
+    // re-price, and resets the monitor.
+    let honest = CpuCost::DEFAULT_PLANNER_PER_OP_NS;
+    let mut svc = calibrated_service(honest * 64.0);
+    let probed = Arc::new(Mutex::new(Vec::<String>::new()));
+    let probed2 = Arc::clone(&probed);
+    svc.set_recalibrator(Recalibrator::new(move |stale| {
+        probed2.lock().unwrap().extend(stale.iter().cloned());
+        Recalibration {
+            per_op_ns: CpuCost::DEFAULT_PLANNER_PER_OP_NS,
+            spec: None,
+        }
+    }));
+    let epoch_before = svc.catalog().epoch();
+    submit_counts(&mut svc, (0..10).map(|i| 100 + 10 * i));
+    svc.run().unwrap();
+    // The async pump may have landed the swap already; flush any
+    // probe still in flight so the assertion is deterministic.
+    if svc.recalibrations() == 0 {
+        assert!(svc.recalibrate_now(), "drift flag never raised a probe");
+    }
+    assert!(svc.recalibrations() >= 1);
+    assert_eq!(
+        svc.cpu_per_op_ns(),
+        honest,
+        "recalibration must replace the optimizer's CpuCost charge"
+    );
+    assert!(
+        svc.catalog().epoch() > epoch_before,
+        "epoch must bump so cached plans re-price"
+    );
+    assert!(
+        !svc.drift().needs_recalibration(),
+        "monitor resets after the swap"
+    );
+    let probed = probed.lock().unwrap();
+    assert!(
+        probed.iter().any(|c| c == "select" || c == "aggregate"),
+        "probe must receive the stale classes: {probed:?}"
+    );
+    let prom = svc.metrics().to_prometheus();
+    assert!(prom.contains("gcm_service_recalibrations_total"), "{prom}");
+}
+
+#[test]
+fn metrics_export_prometheus_and_json() {
+    let mut svc = service();
+    submit_counts(&mut svc, [100, 200, 300]);
+    svc.run().unwrap();
+    let m = svc.metrics();
+    let (p50, p99, p999) = m.latency_quantiles().unwrap();
+    assert!(p50 > 0 && p50 <= p99 && p99 <= p999);
+    let prom = m.to_prometheus();
+    assert!(
+        prom.contains("# TYPE gcm_service_query_latency_ns summary"),
+        "{prom}"
+    );
+    assert!(prom.contains("gcm_service_queries_total 3"), "{prom}");
+    assert!(prom.contains("gcm_service_spans_dropped_total 0"), "{prom}");
+    let json = m.to_json_lines();
+    assert!(json.lines().count() >= 5, "{json}");
+}
+
+fn classed_service(slo: SloPolicy) -> (QueryService, TenantTables) {
+    let cfg = ServiceConfig {
+        slo: Some(slo),
+        ..ServiceConfig::default()
+    };
+    let tables = TenantTables {
+        fact: 0,
+        dim: 1,
+        key_bound: 500,
+    };
+    (star_service(cfg, 42, 3_000, 500), tables)
+}
+
+/// The class's first-bucket plan, as tenant 0 would send it.
+fn class_plan(class: TenantClass, t: &TenantTables) -> LogicalPlan {
+    let request = gcm_workload::QueryRequest {
+        tenant: 0,
+        class,
+        selectivity: class.selectivity_buckets()[0],
+    };
+    plan_for(&request, t)
+}
+
+/// Submit [`class_plan`] on the class's behalf, arriving at `arrival_ns`.
+fn submit_class(
+    svc: &mut QueryService,
+    t: &TenantTables,
+    class: TenantClass,
+    arrival_ns: u64,
+) -> u64 {
+    svc.submit_classed(class_plan(class, t), class, arrival_ns)
+        .unwrap()
+}
+
+#[test]
+fn shed_pass_sheds_the_class_whose_budget_is_blown() {
+    // Joins get an impossible budget, point lookups an unlimited
+    // one: the join sheds, the point lookup is served.
+    let (mut svc, t) = classed_service(SloPolicy {
+        point_lookup_ns: f64::MAX,
+        scan_heavy_ns: f64::MAX,
+        join_heavy_ns: 1.0,
+    });
+    let point = submit_class(&mut svc, &t, TenantClass::PointLookup, 0);
+    let join = submit_class(&mut svc, &t, TenantClass::JoinHeavy, 0);
+    let (shed, batch) = svc.next_batch_at(100);
+    assert_eq!(shed.len(), 1);
+    assert_eq!(shed[0].id, join);
+    assert_eq!(shed[0].class, TenantClass::JoinHeavy);
+    assert!(shed[0].projected_ns > shed[0].budget_ns);
+    let batch = batch.unwrap();
+    assert!(batch.ids().contains(&point));
+    assert!(!batch.ids().contains(&join));
+    // The record and the labeled counter both landed.
+    let m = svc.metrics();
+    assert_eq!(m.shed_total(), 1);
+    assert_eq!(m.shed_for_class(TenantClass::JoinHeavy), 1);
+    assert_eq!(
+        m.registry
+            .counter("gcm_service_shed_total{class=\"join_heavy\"}"),
+        Some(1)
+    );
+    assert_eq!(m.registry.gauge("gcm_service_queue_depth"), Some(0.0));
+    assert!(m.registry.gauge("gcm_service_queue_depth_peak").unwrap() >= 2.0);
+}
+
+#[test]
+fn unclassed_submissions_never_shed() {
+    // A zero budget sheds every classed query instantly — but a
+    // plain submit is exempt no matter how stale it is.
+    let (mut svc, t) = classed_service(SloPolicy::uniform(0.0));
+    let plain = svc.submit(class_plan(TenantClass::ScanHeavy, &t)).unwrap();
+    let classed = submit_class(&mut svc, &t, TenantClass::JoinHeavy, 0);
+    let (shed, batch) = svc.next_batch_at(1_000_000);
+    assert_eq!(shed.len(), 1);
+    assert_eq!(shed[0].id, classed);
+    let ids = batch.unwrap().ids();
+    assert_eq!(ids, vec![plain]);
+}
+
+#[test]
+fn priority_order_serves_point_lookups_before_joins() {
+    // Joins arrive first but point lookups outrank them: the batch
+    // head (admission always admits the first candidate) must be
+    // the point lookup.
+    let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
+    let join = submit_class(&mut svc, &t, TenantClass::JoinHeavy, 0);
+    let point = submit_class(&mut svc, &t, TenantClass::PointLookup, 5);
+    let (shed, batch) = svc.next_batch_at(10);
+    assert!(shed.is_empty());
+    let ids = batch.unwrap().ids();
+    assert_eq!(ids[0], point, "{ids:?}");
+    // The join is either in this batch behind the point lookup or
+    // still queued — never lost.
+    assert!(ids.contains(&join) || svc.queue_len() == 1);
+}
+
+#[test]
+fn without_slo_next_batch_at_is_plain_next_batch() {
+    let mut svc = service();
+    submit_counts(&mut svc, [100]);
+    let (shed, batch) = svc.next_batch_at(u64::MAX);
+    assert!(shed.is_empty());
+    assert_eq!(batch.unwrap().size(), 1);
+}
+
+#[test]
+fn native_observed_execution_routes_ids_and_seeds_wall_scale() {
+    let run = |backend: Backend| -> Vec<(u64, u64, u64)> {
+        let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
+        for class in [TenantClass::PointLookup, TenantClass::ScanHeavy] {
+            submit_class(&mut svc, &t, class, 0);
+        }
+        drain_on(&mut svc, backend)
+    };
+    let native = run(Backend::Native);
+    assert_eq!(
+        native.iter().map(|r| r.0).collect::<Vec<_>>(),
+        [0, 1],
+        "every run comes back under its own query id"
+    );
+    assert_eq!(
+        native,
+        run(Backend::Sim),
+        "the host must answer what the simulator answers, id for id"
+    );
+    // The EWMA seeds off the first observed batch.
+    let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
+    assert_eq!(svc.wall_scale(), 1.0);
+    submit_class(&mut svc, &t, TenantClass::ScanHeavy, 0);
+    let (_, batch) = svc.next_batch_at(0);
+    svc.execute_batch_native_observed(batch.unwrap()).unwrap();
+    assert!(svc.wall_scale() > 0.0 && svc.wall_scale() != 1.0);
+    let m = svc.metrics();
+    assert_eq!(
+        m.registry.counter("gcm_service_native_batches_total"),
+        Some(1)
+    );
+    assert!(m
+        .registry
+        .histogram("gcm_service_native_query_ns{class=\"scan_heavy\"}")
+        .is_some());
+}
+
+#[test]
+fn results_match_between_batched_and_serial_scheduling() {
+    // The same queue drained with batching and with max_batch 1
+    // must produce identical per-query outputs.
+    let run_with = |max_batch: usize| -> Vec<(u64, u64, u64)> {
+        let cfg = ServiceConfig {
+            max_batch,
+            ..ServiceConfig::default()
+        };
+        let mut svc = star_service(cfg, 44, 2_000, 400);
+        submit_joins(&mut svc, &[50, 150, 250]);
+        drain_on(&mut svc, Backend::Sim)
+    };
+    assert_eq!(run_with(4), run_with(1));
+}

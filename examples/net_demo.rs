@@ -70,7 +70,8 @@ fn main() {
                 .expect("plan");
         }
         while let Some(batch) = svc.next_batch() {
-            svc.execute_batch_native(batch).expect("native execution");
+            svc.execute_batch_native_observed(batch)
+                .expect("native execution");
         }
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
         qps = REQUESTS as f64 / elapsed;

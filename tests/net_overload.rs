@@ -79,8 +79,10 @@ fn oracle_hashes(seed: u64, requests: usize) -> HashMap<(u32, u8, u64), (u64, u6
         let plan = plan_for(req, &tenants[req.tenant]);
         svc.submit(plan).expect("oracle plan must optimize");
         let batch = svc.next_batch().expect("oracle batch");
-        let runs = svc.execute_batch_native(batch).expect("oracle execution");
-        out.insert(key, (runs[0].output_n, runs[0].output_hash));
+        let runs = svc
+            .execute_batch_native_observed(batch)
+            .expect("oracle execution");
+        out.insert(key, (runs[0].1.output_n, runs[0].1.output_hash));
     }
     out
 }
@@ -120,14 +122,14 @@ fn measure_capacity(probe: usize) -> (f64, f64) {
         svc.submit(plan_for(req, &tenants[req.tenant])).unwrap();
     }
     while let Some(batch) = svc.next_batch() {
-        svc.execute_batch_native(batch).unwrap();
+        svc.execute_batch_native_observed(batch).unwrap();
     }
     let t0 = Instant::now();
     for req in &mix {
         svc.submit(plan_for(req, &tenants[req.tenant])).unwrap();
     }
     while let Some(batch) = svc.next_batch() {
-        svc.execute_batch_native(batch).unwrap();
+        svc.execute_batch_native_observed(batch).unwrap();
     }
     let elapsed = t0.elapsed().as_secs_f64().max(1e-6);
     let qps = probe as f64 / elapsed;

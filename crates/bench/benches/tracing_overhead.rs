@@ -47,7 +47,7 @@ fn main() {
         TableStats::key_column(2_000, 8, false),
         TableStats::key_column(2_000, 8, false),
     ];
-    let model = gcm_core::CostModel::new(spec.thread_view(1));
+    let model = gcm_core::CostModel::new(spec.clone());
     let planned = Optimizer::new(&model)
         .optimize(&logical, &stats)
         .expect("plan optimizes");

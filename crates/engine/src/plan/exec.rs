@@ -86,10 +86,9 @@ pub fn execute<B: MemoryBackend>(
 /// operator node once, post-order (children before parents), with the
 /// phases the node pushed, the backend counter delta across its
 /// execution, and its logical-op delta. Scan nodes bind tables without
-/// doing work and are not reported; `Parallel` wrappers are
-/// transparent. Tracing never changes what executes — counter
-/// snapshots are uncharged reads — so traced and untraced runs produce
-/// byte-identical results.
+/// doing work and are not reported. Tracing never changes what
+/// executes — counter snapshots are uncharged reads — so traced and
+/// untraced runs produce byte-identical results.
 pub trait ExecTracer<B: MemoryBackend> {
     /// Whether node reports will actually be consumed. `false` lets
     /// the executor skip counter snapshots entirely — the
@@ -272,17 +271,14 @@ fn next_name(seq: &mut u64) -> String {
 
 /// The base table whose shared build a join may probe instead of
 /// building: only hash joins qualify, and only when the build (inner)
-/// side binds a base table directly (through `Parallel` wrappers) —
-/// anything with operators in between (selects, joins) is
-/// query-specific data. The one statement of the eligibility rule: the
-/// executor consults a [`BuildSource`] for exactly these joins, and
-/// [`shared_build_tables`] lists them for whoever attaches the builds.
+/// side binds a base table directly — anything with operators in
+/// between (selects, joins) is query-specific data. The one statement
+/// of the eligibility rule: the executor consults a [`BuildSource`]
+/// for exactly these joins, and [`shared_build_tables`] lists them for
+/// whoever attaches the builds.
 fn shared_build_table(algorithm: &JoinAlgorithm, build_side: &PhysicalPlan) -> Option<usize> {
     match (algorithm, build_side) {
         (JoinAlgorithm::Hash, PhysicalPlan::Scan { table }) => Some(*table),
-        (JoinAlgorithm::Hash, PhysicalPlan::Parallel { input, .. }) => {
-            shared_build_table(algorithm, input)
-        }
         _ => None,
     }
 }
@@ -297,8 +293,7 @@ pub fn shared_build_tables(plan: &PhysicalPlan) -> Vec<usize> {
         | PhysicalPlan::Aggregate { input }
         | PhysicalPlan::Sort { input }
         | PhysicalPlan::Dedup { input }
-        | PhysicalPlan::Partition { input, .. }
-        | PhysicalPlan::Parallel { input, .. } => shared_build_tables(input),
+        | PhysicalPlan::Partition { input, .. } => shared_build_tables(input),
         PhysicalPlan::Join {
             left,
             right,
@@ -478,13 +473,6 @@ fn exec_node<B: MemoryBackend>(
                     parts.rel
                 },
             ))
-        }
-        // The cache simulator is single-core: a DOP annotation changes
-        // scheduling and pricing, never results, so this executor runs
-        // the wrapped operator serially. The multi-threaded realisation
-        // lives in [`crate::parallel`].
-        PhysicalPlan::Parallel { input, .. } => {
-            exec_node(ctx, input, tables, builds, phases, seq, tracer)
         }
     }
 }
@@ -714,31 +702,6 @@ mod tests {
             (0.3..3.0).contains(&ratio),
             "L2 misses: measured {measured}, predicted {predicted}"
         );
-    }
-
-    #[test]
-    fn parallel_wrapper_preserves_results() {
-        let (mut ctx, tables) = setup(82, 800, 200);
-        let serial = PhysicalPlan::scan(0)
-            .select_lt(100)
-            .join_with(
-                PhysicalPlan::scan(1),
-                JoinAlgorithm::PartitionedHash { m: 4 },
-            )
-            .group_count();
-        let wrapped = PhysicalPlan::scan(0)
-            .select_lt(100)
-            .parallel(4)
-            .join_with(
-                PhysicalPlan::scan(1),
-                JoinAlgorithm::PartitionedHash { m: 4 },
-            )
-            .parallel(2)
-            .group_count();
-        let a = execute(&mut ctx, &serial, &tables).unwrap();
-        let b = execute(&mut ctx, &wrapped, &tables).unwrap();
-        assert_eq!(a.output.n(), b.output.n());
-        assert_eq!(a.pattern.to_string(), b.pattern.to_string());
     }
 
     #[test]

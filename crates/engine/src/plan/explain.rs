@@ -71,8 +71,7 @@ pub struct NodePredict {
 }
 
 /// One node of the annotated plan tree. Scan nodes are bindings (no
-/// work) and `parallel` wrappers are scheduling annotations; both carry
-/// no measurement or prediction.
+/// work) and carry no measurement or prediction.
 #[derive(Debug, Clone)]
 pub struct ExplainNode {
     /// Display label, e.g. `"join[hash]"`.
@@ -414,16 +413,6 @@ fn attach(
             let r = attach(right, records, priced, next);
             operator(records, priced, next, vec![l, r])
         }
-        PhysicalPlan::Parallel { input, dop } => {
-            let child = attach(input, records, priced, next);
-            ExplainNode {
-                label: format!("parallel({dop})"),
-                class: "parallel".into(),
-                children: vec![child],
-                measured: None,
-                predicted: None,
-            }
-        }
     }
 }
 
@@ -462,7 +451,6 @@ pub fn plan_classes(plan: &PhysicalPlan) -> Vec<&'static str> {
                 walk(right, out);
                 out.push(exec::join_names(algorithm, false).1);
             }
-            PhysicalPlan::Parallel { input, .. } => walk(input, out),
         }
     }
     let mut out = Vec::new();

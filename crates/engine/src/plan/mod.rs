@@ -16,19 +16,15 @@
 //!   any number of base relations.
 //! * [`physical`] — the executable tree ([`PhysicalPlan`]): every join
 //!   node carries a [`JoinAlgorithm`](crate::planner::JoinAlgorithm),
-//!   every partition node a concrete fan-out, and any parallelisable
-//!   node may be wrapped in a `Parallel` annotation carrying its degree
-//!   of parallelism.
+//!   every partition node a concrete fan-out. A plan names no degree
+//!   of parallelism: one query runs on one core, and `⊙` across cores
+//!   is applied between the queries of a batch
+//!   ([`gcm_core::CostModel::batch_cost`]), never inside a plan.
 //! * [`optimizer`] — enumerates physical alternatives per node (via the
 //!   per-node costing engine in [`crate::planner`]), prices each
-//!   complete tree stage by stage, and ranks them ([`Optimizer`]). On a
-//!   multi-core machine it also enumerates a DOP per parallelisable
-//!   stage, pricing a DOP-`d` stage as the `⊙`-composition of `d`
-//!   per-thread patterns on shared cache levels
-//!   ([`gcm_core::CostModel::advance_parallel`]) — so a stage backs off
-//!   to a lower DOP when the composed footprint overruns the shared
-//!   level, and to DOP 1 when the thread-spawn charge cannot be
-//!   amortised.
+//!   complete tree stage by stage, and ranks them ([`Optimizer`]). The
+//!   machine's core count does not enter: the same statistics give the
+//!   same plans at the same prices on 1 core and on 8.
 //! * [`exec`] — lowers a physical plan onto the real operators in
 //!   [`crate::ops`], returning the actual result *and* the compound
 //!   pattern with actual intermediate cardinalities ([`execute`]).

@@ -21,18 +21,10 @@ use super::logical::LogicalPlan;
 use super::physical::PhysicalPlan;
 use super::OUT_TUPLE_BYTES;
 use crate::ops;
-use crate::parallel;
 use crate::planner::{self, JoinInputs};
 use gcm_core::distinct::expected_distinct;
 use gcm_core::{CacheState, CostModel, CpuCost, Pattern, Region};
 use std::fmt;
-
-/// Default charge for putting one worker thread to work on a stage
-/// (spawn/wake + scheduling + result hand-off), in nanoseconds. This is
-/// what makes the optimizer keep cache-resident operators serial: a
-/// stage only earns a DOP > 1 when the time it saves exceeds the
-/// threads it has to pay for.
-pub const DEFAULT_THREAD_SPAWN_NS: f64 = 25_000.0;
 
 /// Why a plan could not be produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,20 +139,14 @@ struct NodeStats {
 pub struct PlannedQuery {
     /// The executable plan.
     pub plan: PhysicalPlan,
-    /// The whole-plan composed pattern (estimated cardinalities); the
-    /// per-thread patterns of a DOP-`d` stage appear `⊙`-composed.
+    /// The whole-plan composed pattern (estimated cardinalities).
     pub pattern: Pattern,
     /// Predicted elapsed memory time, ns: Eq 3.1 threaded stage by stage
-    /// (Eq 5.2), with every DOP-`d` stage priced as the `⊙`-composition
-    /// of its `d` per-thread patterns on shared levels and charged at
-    /// its slowest thread.
+    /// (Eq 5.2).
     pub mem_ns: f64,
-    /// Predicted elapsed CPU time (Eq 6.1; parallel stages divide their
-    /// logical ops across threads and pay the per-thread spawn charge),
-    /// ns.
+    /// Predicted elapsed CPU time (Eq 6.1), ns.
     pub cpu_ns: f64,
-    /// Estimated logical operations across all nodes (total work, not
-    /// elapsed).
+    /// Estimated logical operations across all nodes.
     pub ops: u64,
 }
 
@@ -171,36 +157,12 @@ impl PlannedQuery {
     }
 }
 
-/// One stage of a physical alternative: the per-thread patterns of one
-/// operator (a serial operator has exactly one) plus its logical-op
-/// estimate. `threads.len()` *is* the stage's degree of parallelism.
+/// One stage of a physical alternative: one operator's pattern plus its
+/// logical-op estimate.
 #[derive(Debug, Clone)]
 struct Stage {
-    threads: Vec<Pattern>,
+    pattern: Pattern,
     ops: u64,
-}
-
-impl Stage {
-    fn serial(pattern: Pattern, ops: u64) -> Stage {
-        Stage {
-            threads: vec![pattern],
-            ops,
-        }
-    }
-
-    fn dop(&self) -> u64 {
-        self.threads.len().max(1) as u64
-    }
-
-    /// The stage as one pattern for display/analysis: the per-thread
-    /// patterns of a parallel stage are `⊙`-composed.
-    fn as_pattern(&self) -> Pattern {
-        match self.threads.len() {
-            0 => Pattern::empty(),
-            1 => self.threads[0].clone(),
-            _ => Pattern::Conc(self.threads.clone()),
-        }
-    }
 }
 
 /// One in-progress alternative for a subtree.
@@ -232,30 +194,21 @@ pub struct Optimizer<'a> {
     cpu: CpuCost,
     beam: usize,
     initial_state: CacheState,
-    spawn_ns: f64,
 }
 
 impl<'a> Optimizer<'a> {
     /// An optimizer over the given machine model, with the default CPU
     /// calibration, a beam width of 8 alternatives per node, and cold
-    /// starting caches. On a multi-core machine
-    /// ([`gcm_hardware::HardwareSpec::cores`] > 1) it also enumerates a
-    /// degree of parallelism per parallelisable stage.
+    /// starting caches. The machine's core count plays no part: a plan
+    /// runs on one core, and cores are shared *between* queries
+    /// ([`CostModel::batch_cost`]).
     pub fn new(model: &'a CostModel) -> Optimizer<'a> {
         Optimizer {
             model,
             cpu: CpuCost::default_planner(),
             beam: 8,
             initial_state: CacheState::cold(),
-            spawn_ns: DEFAULT_THREAD_SPAWN_NS,
         }
-    }
-
-    /// Use a different per-worker-thread charge (see
-    /// [`DEFAULT_THREAD_SPAWN_NS`]).
-    pub fn with_spawn_ns(mut self, spawn_ns: f64) -> Optimizer<'a> {
-        self.spawn_ns = spawn_ns.max(0.0);
-        self
     }
 
     /// Use a calibrated CPU cost instead of the default per-op
@@ -308,7 +261,7 @@ impl<'a> Optimizer<'a> {
                 let ops = a.total_ops();
                 PlannedQuery {
                     plan: a.plan,
-                    pattern: Pattern::seq(a.stages.iter().map(Stage::as_pattern).collect()),
+                    pattern: Pattern::seq(a.stages.iter().map(|s| s.pattern.clone()).collect()),
                     mem_ns,
                     cpu_ns,
                     ops,
@@ -320,48 +273,23 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Elapsed memory time of a stage list: states threaded level by
-    /// level across stages (Eq 5.2); DOP-`d` stages priced by the
-    /// ⊙-across-cores rule at their slowest thread.
+    /// level across stages (Eq 5.2).
     fn price_mem(&self, stages: &[Stage]) -> f64 {
         let mut st = self.model.staged(&self.initial_state);
         let mut mem = 0.0;
         for stage in stages {
-            if stage.threads.len() <= 1 {
-                if let Some(p) = stage.threads.first() {
-                    mem += self.model.advance(p, &mut st).mem_ns;
-                }
-            } else {
-                mem += self.model.advance_parallel(&stage.threads, &mut st).wall_ns;
-            }
+            mem += self.model.advance(&stage.pattern, &mut st).mem_ns;
         }
         mem
     }
 
-    /// Elapsed CPU time: every stage's logical ops divided by its DOP,
-    /// plus the spawn charge for every worker a parallel stage employs.
+    /// Elapsed CPU time of a stage list (Eq 6.1).
     fn price_cpu(&self, stages: &[Stage]) -> f64 {
         let mut ns = self.cpu.fixed_ns;
         for stage in stages {
-            let d = stage.dop();
-            ns += self.cpu.per_op_ns * stage.ops as f64 / d as f64;
-            if d > 1 {
-                ns += self.spawn_ns * d as f64;
-            }
+            ns += self.cpu.per_op_ns * stage.ops as f64;
         }
         ns
-    }
-
-    /// Candidate degrees of parallelism: 1, then every power of two up
-    /// to the machine's core count.
-    fn dop_candidates(&self) -> Vec<u64> {
-        let cores = u64::from(self.model.spec().cores());
-        let mut out = vec![1];
-        let mut d = 2;
-        while d <= cores {
-            out.push(d);
-            d *= 2;
-        }
-        out
     }
 
     /// The cheapest complete plan by whole-plan predicted cost.
@@ -407,7 +335,7 @@ impl<'a> Optimizer<'a> {
             LogicalPlan::Select { input, threshold } => self
                 .alts(input, tables, regions)?
                 .into_iter()
-                .flat_map(|a| self.apply_select(a, *threshold))
+                .map(|a| self.apply_select(a, *threshold))
                 .collect(),
             LogicalPlan::Join { left, right } => {
                 let ls = self.alts(left, tables, regions)?;
@@ -423,7 +351,7 @@ impl<'a> Optimizer<'a> {
             LogicalPlan::Aggregate { input } => self
                 .alts(input, tables, regions)?
                 .into_iter()
-                .flat_map(|a| self.apply_aggregate(a))
+                .map(|a| self.apply_aggregate(a))
                 .collect(),
             LogicalPlan::Sort { input } => self
                 .alts(input, tables, regions)?
@@ -469,44 +397,33 @@ impl<'a> Optimizer<'a> {
         priced.into_iter().map(|(_, a)| a).collect()
     }
 
-    fn apply_select(&self, input: Alt, threshold: u64) -> Vec<Alt> {
-        let s = input.stats.clone();
+    fn apply_select(&self, input: Alt, threshold: u64) -> Alt {
+        let s = input.stats;
         let ratio = if s.key_bound == 0 {
             0.0
         } else {
             (threshold as f64 / s.key_bound as f64).min(1.0)
         };
         let out_n = (s.n as f64 * ratio).round() as u64;
-        self.dop_candidates()
-            .into_iter()
-            .map(|dop| {
-                let region = Region::new("S", out_n, s.w);
-                let mut stages = input.stages.clone();
-                stages.push(if dop == 1 {
-                    Stage::serial(ops::scan::select_pattern(&s.region, &region), s.n)
-                } else {
-                    Stage {
-                        threads: parallel::par_select_patterns(&s.region, &region, dop),
-                        ops: s.n,
-                    }
-                });
-                Alt {
-                    priced_mem: None,
-                    plan: input.plan.clone().select_lt(threshold).parallel(dop),
-                    stats: NodeStats {
-                        n: out_n,
-                        w: s.w,
-                        key_bound: s.key_bound.min(threshold),
-                        // A parallel filter keeps chunk order, so
-                        // sortedness survives any DOP.
-                        distinct: (s.distinct * ratio).min(out_n as f64),
-                        sorted: s.sorted,
-                        region,
-                    },
-                    stages,
-                }
-            })
-            .collect()
+        let region = Region::new("S", out_n, s.w);
+        let mut stages = input.stages;
+        stages.push(Stage {
+            pattern: ops::scan::select_pattern(&s.region, &region),
+            ops: s.n,
+        });
+        Alt {
+            priced_mem: None,
+            plan: input.plan.select_lt(threshold),
+            stats: NodeStats {
+                n: out_n,
+                w: s.w,
+                key_bound: s.key_bound.min(threshold),
+                distinct: (s.distinct * ratio).min(out_n as f64),
+                sorted: s.sorted,
+                region,
+            },
+            stages,
+        }
     }
 
     fn apply_join(&self, left: &Alt, right: &Alt) -> Vec<Alt> {
@@ -539,110 +456,55 @@ impl<'a> Optimizer<'a> {
             };
             let mut stages = left.stages.clone();
             stages.extend(right.stages.iter().cloned());
-            // The partition-parallel hash join is the one algorithm with
-            // a DOP dimension: every worker partitions a 1/d chunk of
-            // both inputs, then owns a disjoint m/d cluster range.
-            let dops = match cand.algorithm {
-                planner::JoinAlgorithm::PartitionedHash { .. } => self.dop_candidates(),
-                _ => vec![1],
-            };
-            for dop in dops {
-                let mut stages = stages.clone();
-                // Threads need cluster ranges of their own: lift the
-                // fan-out to at least the DOP. The emitted algorithm
-                // carries the *lifted* fan-out, so the plan is exactly
-                // what was priced (and what the parallel executor can
-                // realise: dop divides m, both powers of two).
-                let (stage, algorithm) = match cand.algorithm {
-                    planner::JoinAlgorithm::PartitionedHash { m } if dop > 1 => {
-                        let m = m.max(dop);
-                        let up = Region::new("Up", l.n, l.w);
-                        let vp = Region::new("Vp", r.n, r.w);
-                        (
-                            Stage {
-                                threads: parallel::par_hash_join_patterns(
-                                    &l.region,
-                                    &r.region,
-                                    &out_region,
-                                    &up,
-                                    &vp,
-                                    m,
-                                    dop,
-                                ),
-                                ops: cand.ops,
-                            },
-                            planner::JoinAlgorithm::PartitionedHash { m },
-                        )
-                    }
-                    _ => (
-                        Stage::serial(cand.pattern.clone(), cand.ops),
-                        cand.algorithm.clone(),
-                    ),
-                };
-                stages.push(stage);
-                out.push(Alt {
-                    priced_mem: None,
-                    plan: left
-                        .plan
-                        .clone()
-                        .join_with(right.plan.clone(), algorithm)
-                        .parallel(dop),
-                    stages,
-                    stats: stats.clone(),
-                });
-            }
+            stages.push(Stage {
+                pattern: cand.pattern,
+                ops: cand.ops,
+            });
+            out.push(Alt {
+                priced_mem: None,
+                plan: left
+                    .plan
+                    .clone()
+                    .join_with(right.plan.clone(), cand.algorithm),
+                stages,
+                stats,
+            });
         }
         out
     }
 
-    fn apply_aggregate(&self, input: Alt) -> Vec<Alt> {
-        let s = input.stats.clone();
+    fn apply_aggregate(&self, input: Alt) -> Alt {
+        let s = input.stats;
         let out_n = (s.distinct.round() as u64).min(s.n);
-        self.dop_candidates()
-            .into_iter()
-            .map(|dop| {
-                let region = Region::new("G", out_n, OUT_TUPLE_BYTES);
-                let mut stages = input.stages.clone();
-                if dop == 1 {
-                    let h = Region::new("H", ops::hash::table_slots(out_n), ops::hash::ENTRY_BYTES);
-                    stages.push(Stage::serial(
-                        ops::aggregate::hash_group_pattern(&s.region, &h, &region),
-                        2 * s.n + out_n,
-                    ));
-                } else {
-                    // Parallel partials + sequential merge: two stages.
-                    let (threads, merge) =
-                        parallel::par_group_patterns(&s.region, out_n, &region, dop);
-                    stages.push(Stage {
-                        threads,
-                        ops: 2 * s.n,
-                    });
-                    stages.push(Stage::serial(merge, (2 * dop + 1) * out_n));
-                }
-                Alt {
-                    priced_mem: None,
-                    plan: input.plan.clone().group_count().parallel(dop),
-                    stats: NodeStats {
-                        n: out_n,
-                        w: OUT_TUPLE_BYTES,
-                        key_bound: s.key_bound,
-                        distinct: out_n as f64,
-                        sorted: false,
-                        region,
-                    },
-                    stages,
-                }
-            })
-            .collect()
+        let region = Region::new("G", out_n, OUT_TUPLE_BYTES);
+        let h = Region::new("H", ops::hash::table_slots(out_n), ops::hash::ENTRY_BYTES);
+        let mut stages = input.stages;
+        stages.push(Stage {
+            pattern: ops::aggregate::hash_group_pattern(&s.region, &h, &region),
+            ops: 2 * s.n + out_n,
+        });
+        Alt {
+            priced_mem: None,
+            plan: input.plan.group_count(),
+            stats: NodeStats {
+                n: out_n,
+                w: OUT_TUPLE_BYTES,
+                key_bound: s.key_bound,
+                distinct: out_n as f64,
+                sorted: false,
+                region,
+            },
+            stages,
+        }
     }
 
     fn apply_sort(&self, input: Alt) -> Alt {
         let s = input.stats;
         let mut stages = input.stages;
-        stages.push(Stage::serial(
-            ops::sort::quick_sort_pattern(&s.region),
-            ops::sort::quick_sort_expected_ops(s.n),
-        ));
+        stages.push(Stage {
+            pattern: ops::sort::quick_sort_pattern(&s.region),
+            ops: ops::sort::quick_sort_expected_ops(s.n),
+        });
         Alt {
             priced_mem: None,
             plan: input.plan.sort(),
@@ -656,10 +518,10 @@ impl<'a> Optimizer<'a> {
         let out_n = (s.distinct.round() as u64).min(s.n);
         let region = Region::new("D", out_n, s.w);
         let mut stages = input.stages;
-        stages.push(Stage::serial(
-            ops::aggregate::sort_dedup_pattern(&s.region, &region),
-            ops::sort::quick_sort_expected_ops(s.n) + s.n + out_n,
-        ));
+        stages.push(Stage {
+            pattern: ops::aggregate::sort_dedup_pattern(&s.region, &region),
+            ops: ops::sort::quick_sort_expected_ops(s.n) + s.n + out_n,
+        });
         Alt {
             priced_mem: None,
             plan: input.plan.dedup(),
@@ -686,10 +548,10 @@ impl<'a> Optimizer<'a> {
             .map(|m| {
                 let region = Region::new("P", s.n, s.w);
                 let mut stages = input.stages.clone();
-                stages.push(Stage::serial(
-                    ops::partition::partition_pattern(&s.region, &region, m),
-                    s.n,
-                ));
+                stages.push(Stage {
+                    pattern: ops::partition::partition_pattern(&s.region, &region, m),
+                    ops: s.n,
+                });
                 Alt {
                     priced_mem: None,
                     plan: input.plan.clone().partition(m),
@@ -940,119 +802,40 @@ mod tests {
     }
 
     #[test]
-    fn multicore_parallelises_the_big_join_but_not_the_resident_one() {
-        // The DOP acceptance pair on a 4-core preset: a partition-
-        // parallel hash join over tables far beyond the shared L2 earns
-        // DOP > 1; a cache-resident join stays serial because the spawn
-        // charge cannot be amortised.
-        let m = CostModel::new(presets::tiny_smp(4));
-        let q = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
-        let join_stats = |n: u64| {
+    fn core_count_does_not_change_the_plan() {
+        // A plan runs on one core; cores are shared between queries
+        // (`CostModel::batch_cost`), so the same statistics must give
+        // the same plans at the same prices whatever the core count.
+        let join = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
+        let keys = |n: u64| {
             vec![
                 TableStats::key_column(n, 8, false),
                 TableStats::key_column(n, 8, false),
             ]
         };
-        let big = Optimizer::new(&m)
-            .optimize(&q, &join_stats(65_536))
-            .unwrap();
-        assert!(
-            big.plan.max_dop() > 1,
-            "big join should parallelise: {}",
-            big.plan
-        );
-        assert!(
-            matches!(
-                big.plan.join_algorithms()[0],
-                JoinAlgorithm::PartitionedHash { .. }
+        let cases = [
+            (
+                LogicalPlan::scan(0).select_lt(500_000),
+                vec![TableStats::uniform(1_000_000, 8, 1_000_000, false)],
             ),
-            "expected a partition-parallel hash join, got {}",
-            big.plan
-        );
-        let small = Optimizer::new(&m).optimize(&q, &join_stats(256)).unwrap();
-        assert_eq!(
-            small.plan.max_dop(),
-            1,
-            "cache-resident join must stay serial: {}",
-            small.plan
-        );
-    }
-
-    #[test]
-    fn parallel_join_plans_carry_the_priced_fanout() {
-        // The emitted plan must be what was priced: whenever a Parallel
-        // wrapper sits on a partitioned-hash join, the fan-out in the
-        // plan is the (possibly DOP-lifted) one the per-thread patterns
-        // used, so dop divides m and the parallel executor can realise
-        // it. Small inputs make the planner's native fan-outs (2, 4)
-        // fall below the 4-way DOP candidates.
-        let m = CostModel::new(presets::tiny_smp(4));
-        let q = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
-        for n in [1_024u64, 3_000, 8_192, 65_536] {
-            let stats = vec![
-                TableStats::key_column(n, 8, false),
-                TableStats::key_column(n, 8, false),
-            ];
-            let plans = Optimizer::new(&m)
-                .with_beam(16)
-                .enumerate(&q, &stats)
-                .unwrap();
-            for p in &plans {
-                if let PhysicalPlan::Parallel { input, dop } = &p.plan {
-                    if let PhysicalPlan::Join {
-                        algorithm: JoinAlgorithm::PartitionedHash { m },
-                        ..
-                    } = input.as_ref()
-                    {
-                        assert!(
-                            *m >= *dop && m % dop == 0,
-                            "n={n}: dop {dop} must divide the emitted fan-out {m}: {}",
-                            p.plan
-                        );
-                    }
+            (join.clone(), keys(65_536)),
+            (join.clone(), keys(256)),
+            (join.group_count(), keys(65_536)),
+        ];
+        for smp in [presets::tiny_smp(4), presets::modern_smp(8)] {
+            let one = CostModel::new(smp.clone().with_cores(1).unwrap());
+            let many = CostModel::new(smp);
+            for (q, stats) in &cases {
+                let a = Optimizer::new(&one).enumerate(q, stats).unwrap();
+                let b = Optimizer::new(&many).enumerate(q, stats).unwrap();
+                assert_eq!(a.len(), b.len(), "{q}");
+                for (a, b) in a.iter().zip(&b) {
+                    assert_eq!(a.plan, b.plan, "{q}");
+                    assert_eq!(a.mem_ns.to_bits(), b.mem_ns.to_bits(), "{}", a.plan);
+                    assert_eq!(a.cpu_ns.to_bits(), b.cpu_ns.to_bits(), "{}", a.plan);
                 }
             }
         }
-    }
-
-    #[test]
-    fn single_core_machines_never_parallelise() {
-        // cores = 1 (every pre-existing preset): the DOP dimension
-        // degenerates and enumeration is exactly the serial one.
-        let m = model(); // origin2000, 1 core
-        let plans = Optimizer::new(&m)
-            .enumerate(&star_query(6000), &star_stats(48_000, 12_000))
-            .unwrap();
-        for p in &plans {
-            assert_eq!(p.plan.max_dop(), 1, "{}", p.plan);
-        }
-    }
-
-    #[test]
-    fn parallel_stage_pays_for_its_threads() {
-        // With an exorbitant spawn charge even the big join stays
-        // serial — the knob the DOP decision hinges on.
-        let m = CostModel::new(presets::tiny_smp(4));
-        let q = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
-        let stats = vec![
-            TableStats::key_column(65_536, 8, false),
-            TableStats::key_column(65_536, 8, false),
-        ];
-        let best = Optimizer::new(&m)
-            .with_spawn_ns(1e12)
-            .optimize(&q, &stats)
-            .unwrap();
-        assert_eq!(best.plan.max_dop(), 1, "{}", best.plan);
-    }
-
-    #[test]
-    fn big_scans_parallelise_with_chunk_order_preserved() {
-        let m = CostModel::new(presets::tiny_smp(4));
-        let q = LogicalPlan::scan(0).select_lt(500_000).group_count();
-        let stats = vec![TableStats::uniform(1_000_000, 8, 1_000_000, false)];
-        let best = Optimizer::new(&m).optimize(&q, &stats).unwrap();
-        // The filter stage parallelises; execution order is select, agg.
-        assert!(best.plan.dops()[0] > 1, "{}", best.plan);
     }
 
     #[test]

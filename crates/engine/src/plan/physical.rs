@@ -1,6 +1,8 @@
 //! The physical plan tree: a [`LogicalPlan`](super::LogicalPlan) with
 //! every choice made — each join node carries a concrete
-//! [`JoinAlgorithm`], each partition node a concrete fan-out.
+//! [`JoinAlgorithm`], each partition node a concrete fan-out. There is
+//! no degree-of-parallelism node: what the optimizer prices is exactly
+//! what [`super::execute`] runs, one operator after another on one core.
 
 use crate::planner::JoinAlgorithm;
 use std::fmt;
@@ -53,20 +55,6 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         /// The chosen fan-out.
         m: u64,
-    },
-    /// The wrapped operator's degree of parallelism — the plan's DOP
-    /// dimension. The optimizer prices it via the ⊙-across-cores rule
-    /// ([`gcm_core::CostModel::advance_parallel`]); the plan executor
-    /// ([`super::execute`]) runs the wrapped operator serially on its
-    /// single-core simulator (results never depend on DOP). The
-    /// multi-threaded realisations of the annotated operators are the
-    /// standalone [`crate::parallel`] functions, which report the
-    /// per-worker measured times the annotation promises.
-    Parallel {
-        /// The operator to run partition-parallel.
-        input: Box<PhysicalPlan>,
-        /// Number of worker threads (> 1; DOP-1 plans omit the wrapper).
-        dop: u64,
     },
 }
 
@@ -123,23 +111,6 @@ impl PhysicalPlan {
         }
     }
 
-    /// Run `self` partition-parallel with `dop` worker threads
-    /// (`dop <= 1` is the serial plan: no wrapper). Re-wrapping an
-    /// already-parallel node replaces its DOP instead of nesting, so a
-    /// plan's structure always matches what [`PhysicalPlan::dops`]
-    /// reports.
-    pub fn parallel(self, dop: u64) -> PhysicalPlan {
-        let input = match self {
-            PhysicalPlan::Parallel { input, .. } => input,
-            other => Box::new(other),
-        };
-        if dop <= 1 {
-            *input
-        } else {
-            PhysicalPlan::Parallel { input, dop }
-        }
-    }
-
     /// Catalog indices of every base relation the tree scans, sorted
     /// and deduplicated (a self-join references its table once here).
     pub fn tables(&self) -> Vec<usize> {
@@ -157,8 +128,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Aggregate { input }
             | PhysicalPlan::Sort { input }
             | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. }
-            | PhysicalPlan::Parallel { input, .. } => input.collect_tables(out),
+            | PhysicalPlan::Partition { input, .. } => input.collect_tables(out),
             PhysicalPlan::Join { left, right, .. } => {
                 left.collect_tables(out);
                 right.collect_tables(out);
@@ -181,8 +151,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Aggregate { input }
             | PhysicalPlan::Sort { input }
             | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. }
-            | PhysicalPlan::Parallel { input, .. } => input.collect_joins(out),
+            | PhysicalPlan::Partition { input, .. } => input.collect_joins(out),
             PhysicalPlan::Join {
                 left,
                 right,
@@ -193,51 +162,6 @@ impl PhysicalPlan {
                 out.push(algorithm);
             }
         }
-    }
-
-    /// The degrees of parallelism chosen along the tree, in execution
-    /// order (1 for every unwrapped operator).
-    pub fn dops(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.collect_dops(&mut out);
-        out
-    }
-
-    fn collect_dops(&self, out: &mut Vec<u64>) {
-        match self {
-            PhysicalPlan::Scan { .. } => {}
-            PhysicalPlan::Parallel { input, dop } => {
-                // The wrapped operator's own entry carries the DOP. A
-                // wrapper around a work-free subtree (a bare scan is a
-                // binding, not work) is a no-op annotation — consistent
-                // with the executor, which ignores it.
-                let before = out.len();
-                input.collect_dops(out);
-                if out.len() > before {
-                    if let Some(last) = out.last_mut() {
-                        *last = *dop;
-                    }
-                }
-            }
-            PhysicalPlan::Select { input, .. }
-            | PhysicalPlan::Aggregate { input }
-            | PhysicalPlan::Sort { input }
-            | PhysicalPlan::Dedup { input }
-            | PhysicalPlan::Partition { input, .. } => {
-                input.collect_dops(out);
-                out.push(1);
-            }
-            PhysicalPlan::Join { left, right, .. } => {
-                left.collect_dops(out);
-                right.collect_dops(out);
-                out.push(1);
-            }
-        }
-    }
-
-    /// The largest degree of parallelism anywhere in the tree.
-    pub fn max_dop(&self) -> u64 {
-        self.dops().into_iter().max().unwrap_or(1)
     }
 }
 
@@ -259,7 +183,6 @@ impl fmt::Display for PhysicalPlan {
             PhysicalPlan::Sort { input } => write!(f, "sort({input})"),
             PhysicalPlan::Dedup { input } => write!(f, "dedup({input})"),
             PhysicalPlan::Partition { input, m } => write!(f, "partition<{m}>({input})"),
-            PhysicalPlan::Parallel { input, dop } => write!(f, "par<{dop}>({input})"),
         }
     }
 }
@@ -303,61 +226,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_wrapper_renders_and_reports_dop() {
-        let p = PhysicalPlan::scan(0)
-            .select_lt(10)
-            .parallel(4)
-            .join_with(
-                PhysicalPlan::scan(1),
-                JoinAlgorithm::PartitionedHash { m: 8 },
-            )
-            .parallel(2)
-            .group_count();
-        assert_eq!(
-            p.to_string(),
-            "group_count(par<2>(join[partitioned hash join (m = 8)](\
-             par<4>(select_lt<10>(scan(0))), scan(1))))"
-        );
-        // dops in execution order: select (4), join (2), aggregate (1).
-        assert_eq!(p.dops(), vec![4, 2, 1]);
-        assert_eq!(p.max_dop(), 4);
-        // Joins are still found through the wrapper.
-        assert_eq!(p.join_algorithms().len(), 1);
-        // dop <= 1 adds no wrapper.
-        let serial = PhysicalPlan::scan(0).select_lt(10).parallel(1);
-        assert_eq!(serial.to_string(), "select_lt<10>(scan(0))");
-        assert_eq!(serial.max_dop(), 1);
-    }
-
-    #[test]
-    fn parallel_around_a_bare_scan_is_a_noop_annotation() {
-        // A scan is a binding, not work (the executor ignores the
-        // wrapper too): it contributes no dops entry, and it must not
-        // steal the DOP slot of an unrelated preceding operator.
-        let p = PhysicalPlan::scan(0)
-            .select_lt(10)
-            .join_with(PhysicalPlan::scan(1).parallel(2), JoinAlgorithm::Hash);
-        assert_eq!(p.dops(), vec![1, 1]); // select, join — both serial
-        assert_eq!(p.max_dop(), 1);
-        assert_eq!(PhysicalPlan::scan(0).parallel(4).dops(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn rewrapping_replaces_the_dop_instead_of_nesting() {
-        let p = PhysicalPlan::scan(0).select_lt(10).parallel(2).parallel(4);
-        assert_eq!(p.to_string(), "par<4>(select_lt<10>(scan(0)))");
-        assert_eq!(p.dops(), vec![4]);
-        // Re-wrapping down to 1 unwraps entirely.
-        let serial = PhysicalPlan::scan(0).select_lt(10).parallel(4).parallel(1);
-        assert_eq!(serial.to_string(), "select_lt<10>(scan(0))");
-    }
-
-    #[test]
     fn tables_lists_referenced_scans() {
         let p = PhysicalPlan::scan(3)
             .select_lt(64)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
-            .parallel(2)
             .group_count();
         assert_eq!(p.tables(), vec![1, 3]);
         // A self-join references its table once.

@@ -65,7 +65,7 @@ impl HardwareSpec {
     /// concurrent-execution rule applied across cores with equal shares.
     ///
     /// The view is a single-core machine; it is the substrate the
-    /// partition-parallel executor runs each worker thread on.
+    /// service's batch executor runs each member's simulated context on.
     pub fn thread_view(&self, dop: u32) -> HardwareSpec {
         let dop = dop.max(1);
         let levels = self

@@ -17,8 +17,10 @@
 //!
 //! Storage is a [`TrieMap`] keyed by (table, epoch): lookups on the
 //! submit path are wait-free snapshot reads, concurrent registrations
-//! collapse to one build per key, and a statistics-epoch bump retires
-//! stale builds the same way the plan cache retires stale plans.
+//! collapse to one build per key, a statistics-epoch bump retires
+//! stale builds the same way the plan cache retires stale plans, and
+//! replacing a table's data retires that table's builds even when its
+//! statistics (and so the epoch) did not move.
 
 use gcm_core::{Pattern, Region, RegionId};
 use gcm_engine::ops::hash::{self, ENTRY_BYTES};
@@ -167,6 +169,13 @@ impl BuildRegistry {
         self.entries.retain(|(_, e), _| *e >= epoch) as u64
     }
 
+    /// Drop every build of `table`, whatever its epoch: its data was
+    /// replaced, and a layout is a function of the keys, not of the
+    /// statistics that decide the epoch. Returns how many were retired.
+    pub fn retire_table(&self, table: usize) -> u64 {
+        self.entries.retain(|(t, _), _| *t != table) as u64
+    }
+
     /// Number of builds currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -233,6 +242,10 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert!(!reg.is_empty());
         assert_eq!(reg.retire_epochs_before(1), 0);
+        // A table's builds go at every epoch; other tables' stay.
+        reg.get_or_build(1, 1, &keys);
+        assert_eq!(reg.retire_table(0), 1);
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]

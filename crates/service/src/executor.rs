@@ -1,10 +1,10 @@
 //! The executor pool: running an admitted batch on real worker
 //! threads, one generic path for every backend.
 //!
-//! Mirrors the measured side of the multi-core model
-//! ([`gcm_engine::parallel`]): a batch of `d` queries runs as `d`
-//! [`std::thread::scope`] workers ([`execute_batch`]), each executing its
-//! physical plan through the one plan executor
+//! The measured side of the multi-core model, and the workspace's one
+//! thread-spawn site for query execution: a batch of `d` queries runs
+//! as `d` [`std::thread::scope`] workers ([`execute_batch`]), each
+//! executing its physical plan through the one plan executor
 //! ([`gcm_engine::plan::execute_traced`]) over the [`ExecContext`] a
 //! per-member factory hands it. Builds and tracing are arguments, not
 //! forks: every member probes the shared builds admission priced for it
@@ -285,7 +285,7 @@ impl QueryService {
     /// [`BatchRecord`](crate::ServiceMetrics::batches).
     pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
         let patterns: Vec<&Pattern> = batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
-        let views = member_views(&self.spec, &patterns, &batch.shared_regions());
+        let views = member_views(self.spec(), &patterns, &batch.shared_regions());
         let runs = self.run_batch(&batch, |i| ExecContext::new(views[i].clone()))?;
         let batch_idx = self.metrics.batches.len();
         // The simulator cannot measure dispatch (it is host-side thread

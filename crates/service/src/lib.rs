@@ -1,11 +1,11 @@
 //! # gcm-service — a cache-contention-aware query service
 //!
 //! The paper's `⊙` operator (§5.2, Eq 5.3) prices access patterns that
-//! *coexist* in one cache hierarchy. PR 3 applied it to the threads of
-//! a single query; this crate applies it **between queries**: a
-//! concurrent service that accepts logical plans over registered
-//! relations and lets the cost model itself decide how the machine is
-//! shared. Three cooperating components:
+//! *coexist* in one cache hierarchy. This crate applies it **between
+//! queries** — the one place the repo spends cores: a concurrent
+//! service that accepts logical plans over registered relations,
+//! plans each for one core, and lets the cost model itself decide how
+//! many run side by side. Three cooperating components:
 //!
 //! * a **plan cache** ([`cache::PlanCache`]) memoizing
 //!   [`optimize_and_lower`] per (plan fingerprint, statistics epoch) —
@@ -16,7 +16,7 @@
 //!   only while the `⊙`-composed batch wall time
 //!   ([`gcm_core::CostModel::batch_cost`]) beats appending the query
 //!   serially — the model decides the concurrency degree across
-//!   queries exactly the way the optimizer decides DOP within one;
+//!   queries;
 //! * an **executor pool** ([`executor`]) of [`std::thread::scope`]
 //!   workers behind one generic entry point
 //!   ([`executor::execute_batch`]): each worker runs one admitted query
@@ -89,8 +89,8 @@ use gcm_core::{CostModel, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
     catalog::DEFAULT_DRIFT_THRESHOLD, explain_analyze, materialize_tables, optimize_and_lower,
-    optimizer::DEFAULT_THREAD_SPAWN_NS, shared_build_tables, ExplainReport, LogicalPlan, PlanError,
-    PlannedQuery, StatsCatalog, TableDef, TableStats,
+    shared_build_tables, ExplainReport, LogicalPlan, PlanError, PlannedQuery, StatsCatalog,
+    TableDef, TableStats,
 };
 use gcm_engine::ExecContext;
 use gcm_hardware::HardwareSpec;
@@ -100,6 +100,11 @@ use gcm_workload::TenantClass;
 use queue::Pending;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Default charge for putting one batch worker to work on a member
+/// (spawn/wake + scheduling + result hand-off), in nanoseconds — what
+/// keeps admission from batching queries too small to amortise it.
+const DEFAULT_DISPATCH_NS: f64 = 25_000.0;
 
 /// Service knobs.
 #[derive(Debug, Clone, Copy)]
@@ -125,7 +130,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_batch: 0,
             per_op_ns: CpuCost::DEFAULT_PLANNER_PER_OP_NS,
-            dispatch_ns: DEFAULT_THREAD_SPAWN_NS,
+            dispatch_ns: DEFAULT_DISPATCH_NS,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             slo: None,
         }
@@ -137,14 +142,11 @@ impl Default for ServiceConfig {
 /// See the [crate docs](crate) for the architecture.
 #[derive(Debug)]
 pub struct QueryService {
-    spec: HardwareSpec,
-    /// Prices batches: the shared machine with its `Sharing`
-    /// attributes (the `⊙`-across-cores rule needs them).
-    batch_model: CostModel,
-    /// Prices and optimizes single plans: one core's full-capacity
-    /// view. The service spends its concurrency budget *across*
-    /// queries, so plans are optimized serial (one core per query).
-    plan_model: CostModel,
+    /// The shared machine's cost model. It optimizes and prices single
+    /// plans (one core per query) and, through the levels' `Sharing`
+    /// attributes, prices batches with the `⊙`-across-cores rule — the
+    /// service spends its cores *across* queries, never inside one.
+    model: CostModel,
     catalog: StatsCatalog,
     tables: Vec<Arc<TableDef>>,
     cache: Arc<PlanCache>,
@@ -198,14 +200,10 @@ impl QueryService {
 
     /// A service with explicit knobs.
     pub fn with_config(spec: HardwareSpec, cfg: ServiceConfig) -> QueryService {
-        let plan_model = CostModel::new(spec.thread_view(1));
-        let batch_model = CostModel::new(spec.clone());
         let spans = SpanRecorder::with_capacity(QueryService::SPAN_LANE_CAPACITY);
         let ctl = spans.sink();
         QueryService {
-            spec,
-            batch_model,
-            plan_model,
+            model: CostModel::new(spec),
             catalog: StatsCatalog::new(Vec::new()).with_drift_threshold(cfg.drift_threshold),
             tables: Vec::new(),
             cache: Arc::new(PlanCache::new()),
@@ -271,11 +269,14 @@ impl QueryService {
 
     /// Replace a registered relation's data, refreshing its statistics.
     /// Returns `true` when the stats drifted past the threshold and
-    /// bumped the epoch (stale plan-cache entries are retired).
+    /// bumped the epoch (stale plan-cache entries are retired). The
+    /// table's shared builds are retired either way: they were laid out
+    /// from the old keys.
     pub fn update_table(&mut self, idx: usize, keys: Vec<u64>) -> bool {
         let w = self.tables[idx].w;
         let stats = derive_stats(&keys, w);
         self.tables[idx] = Arc::new(TableDef::new(self.tables[idx].name.clone(), keys, w));
+        self.builds.retire_table(idx);
         let bumped = self.catalog.update(idx, stats);
         if bumped {
             let epoch = self.catalog.epoch();
@@ -318,7 +319,7 @@ impl QueryService {
         let key = (plan.fingerprint(), snap.epoch());
         let t0 = self.ctl.now_ns();
         let planned = self.cache.get_or_optimize(key, &plan, || {
-            optimize_and_lower(&self.plan_model, &plan, snap.tables())
+            optimize_and_lower(&self.model, &plan, snap.tables())
         })?;
         let t1 = self.ctl.now_ns();
         let (pattern, cpu_ns, builds) = self.attach_shared_builds(&planned, snap.epoch());
@@ -427,7 +428,7 @@ impl QueryService {
 
     /// The machine the service runs on.
     pub fn spec(&self) -> &HardwareSpec {
-        &self.spec
+        self.model.spec()
     }
 
     /// The span trace: drain with
@@ -478,7 +479,7 @@ impl QueryService {
         plan: &LogicalPlan,
     ) -> Result<(ExplainReport, PmuStatus), PlanError> {
         let snap = self.catalog.snapshot();
-        let planned = optimize_and_lower(&self.plan_model, plan, snap.tables())?;
+        let planned = optimize_and_lower(&self.model, plan, snap.tables())?;
         let mut ctx = ExecContext::native();
         let pmu = ctx.mem.attach_pmu();
         let rels = materialize_tables(&mut ctx, &planned.plan, &self.tables);
@@ -487,7 +488,7 @@ impl QueryService {
             &mut ctx,
             &planned.plan,
             &rels,
-            &self.plan_model,
+            &self.model,
             &cpu,
             self.cfg.per_op_ns,
         )?;

@@ -250,13 +250,13 @@ impl QueryService {
         let shared = shared_regions(self.queue.iter());
         let cfg = AdmissionConfig {
             max_batch: if self.cfg.max_batch == 0 {
-                self.spec.cores() as usize
+                self.spec().cores() as usize
             } else {
                 self.cfg.max_batch
             },
             dispatch_ns: self.cfg.dispatch_ns,
         };
-        let decision = admission::next_batch(&self.batch_model, &candidates, &cfg, &shared)?;
+        let decision = admission::next_batch(&self.model, &candidates, &cfg, &shared)?;
         // `admitted` indexes into `order`; map back to queue indices,
         // remove back to front so earlier indices stay valid, then
         // restore admission order.

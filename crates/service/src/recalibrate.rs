@@ -201,7 +201,7 @@ impl QueryService {
     }
 
     /// Atomically swap a probe result into the serving path: replace
-    /// the CPU calibration (and models/spec when the probe refreshed
+    /// the CPU calibration (and the model when the probe refreshed
     /// the hierarchy), force-bump the statistics epoch so every cached
     /// plan and shared build re-prices under the new parameters, and
     /// reset the drift monitor to judge the new calibration from
@@ -209,9 +209,7 @@ impl QueryService {
     fn apply_recalibration(&mut self, r: Recalibration) {
         self.cfg.per_op_ns = r.per_op_ns;
         if let Some(spec) = r.spec {
-            self.plan_model = CostModel::new(spec.thread_view(1));
-            self.batch_model = CostModel::new(spec.clone());
-            self.spec = spec;
+            self.model = CostModel::new(spec);
         }
         let epoch = self.catalog.force_epoch_bump();
         self.cache.retire_epochs_before(epoch);

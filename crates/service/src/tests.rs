@@ -161,6 +161,47 @@ fn stats_drift_retires_cached_plans() {
 }
 
 #[test]
+fn a_sub_threshold_update_retires_the_tables_shared_build() {
+    // A build is a function of the table's keys, not of its statistics:
+    // replacing a tenth of the dimension's keys stays under the drift
+    // threshold (same epoch, cached plan kept), and the next join must
+    // still probe a layout built from the new keys.
+    let star = Workload::new(11).star_scenario(16_000, 2_000, 1);
+    let max = *star.dims[0].iter().max().unwrap();
+    let dim2: Vec<u64> = star.dims[0]
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| if i % 10 == 0 { max - k % 7 } else { k })
+        .collect();
+    let service_over = |dim: &[u64]| {
+        let mut svc = QueryService::new(presets::modern_smp(2));
+        svc.register_table("F", star.fact.clone(), 8);
+        svc.register_table("D", dim.to_vec(), 8);
+        svc
+    };
+    let join_twice = |svc: &mut QueryService, backend: Backend| -> Vec<(u64, u64)> {
+        for _ in 0..2 {
+            svc.submit(LogicalPlan::scan(0).join(LogicalPlan::scan(1)))
+                .unwrap();
+        }
+        let runs = drain_on(svc, backend);
+        runs.iter().map(|&(_, n, hash)| (n, hash)).collect()
+    };
+    for backend in [Backend::Sim, Backend::Native] {
+        let mut svc = service_over(&star.dims[0]);
+        let before = join_twice(&mut svc, backend);
+        assert!(
+            !svc.update_table(1, dim2.clone()),
+            "the update must stay under the drift threshold"
+        );
+        let after = join_twice(&mut svc, backend);
+        let fresh = join_twice(&mut service_over(&dim2), backend);
+        assert_ne!(before, fresh, "the update must change the answer");
+        assert_eq!(after, fresh, "{backend:?}: joins probed a stale build");
+    }
+}
+
+#[test]
 fn unknown_table_submission_errors() {
     let mut svc = service();
     let err = svc.submit(LogicalPlan::scan(5)).unwrap_err();

@@ -43,7 +43,7 @@ fn main() {
         TableStats::key_column(2_000, 8, false),
     ];
 
-    let model = CostModel::new(spec.thread_view(1));
+    let model = CostModel::new(spec.clone());
     let planned = Optimizer::new(&model)
         .optimize(&logical, &stats)
         .expect("plan optimizes");

@@ -21,7 +21,7 @@
 //! validated against the *actual* machine (§6), not only the simulator.
 
 use gcm_core::CpuCost;
-use gcm_sim::{Addr, MemorySystem, MissTrace};
+use gcm_sim::{Addr, MemorySystem};
 
 /// The simulated backend: the deterministic measurement substrate the
 /// validation experiments use (bit-for-bit the engine's historical
@@ -208,29 +208,6 @@ pub trait MemoryBackend {
         Vec::new()
     }
 
-    /// Attach a bounded miss trace of `capacity` events, replacing any
-    /// existing one. Returns whether the backend records traces at all
-    /// — `false` (the default) on backends without observable misses,
-    /// where attach/take are documented no-ops.
-    fn attach_miss_trace(&mut self, capacity: usize) -> bool {
-        let _ = capacity;
-        false
-    }
-
-    /// Detach and return the miss trace. Check
-    /// [`MissTrace::dropped`] before trusting it: a full ring drops
-    /// (and counts) events rather than growing.
-    fn take_miss_trace(&mut self) -> Option<MissTrace> {
-        None
-    }
-
-    /// Events dropped by the currently attached trace, if one exists —
-    /// exposed separately so truncation can be monitored without
-    /// detaching the trace.
-    fn miss_trace_dropped(&self) -> Option<u64> {
-        None
-    }
-
     /// Measured total time of an interval under a per-op CPU calibration
     /// — the engine-side Eq 6.1 (`T = T_mem + T_cpu`), routed through
     /// [`CpuCost::eq61_ns`]. Backends whose elapsed time already
@@ -317,19 +294,6 @@ impl MemoryBackend for MemorySystem {
             .zip(&c.levels)
             .map(|(level, stats)| (level.name.clone(), stats.misses()))
             .collect()
-    }
-
-    fn attach_miss_trace(&mut self, capacity: usize) -> bool {
-        MemorySystem::attach_trace(self, capacity);
-        true
-    }
-
-    fn take_miss_trace(&mut self) -> Option<MissTrace> {
-        MemorySystem::take_trace(self)
-    }
-
-    fn miss_trace_dropped(&self) -> Option<u64> {
-        self.trace().map(|t| t.dropped())
     }
 
     fn cold_caches(&mut self) {

@@ -10,20 +10,13 @@
 //! the substrate underneath — and therefore the *measurement* — differs.
 //!
 //! What native can and cannot count (see the table in
-//! [`crate::backend`]): by default it measures wall time plus logical
-//! access/line totals — wall time includes CPU work, host-side oracle
-//! passes, and allocation, so comparisons against the model use
-//! generous documented bounds, while *result* comparisons against the
-//! sim backend are exact. On a perf-capable Linux host,
-//! [`NativeBackend::attach_pmu`] additionally opens the hardware
-//! counter group of [`gcm_obs::pmu`]: counter snapshots then carry
-//! real L1D/LLC/dTLB miss counts, and
-//! [`MemoryBackend::counter_level_misses`] reports them as per-level
-//! rows (`"L1d"`, `"LLC"`, `"dTLB"`) — the measured side of the
-//! paper's Eq 6.1 *miss* predictions on real silicon. Where the
-//! kernel or platform forbids counting the attach reports
-//! [`PmuStatus::Unavailable`] and snapshots simply carry no PMU block;
-//! absence of rows means "not observable", never "zero misses".
+//! [`crate::backend`]): it measures wall time plus logical access/line
+//! totals — wall time includes CPU work, host-side oracle passes, and
+//! allocation, so comparisons against the model use generous
+//! documented bounds, while *result* comparisons against the sim
+//! backend are exact. Per-level misses are not observable:
+//! [`MemoryBackend::counter_level_misses`] keeps its empty default,
+//! which consumers read as "not observable", never "zero misses".
 //!
 //! Charged accesses go through [`std::hint::black_box`] so the optimizer
 //! cannot elide the loads the access-pattern language describes;
@@ -35,7 +28,6 @@ use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::kernels;
 use gcm_hardware::stride;
-use gcm_obs::pmu::{PmuGroup, PmuSample, PmuStatus};
 use gcm_sim::Addr;
 use std::hint::black_box;
 use std::time::Instant;
@@ -54,13 +46,9 @@ const DEFAULT_WIPE_BYTES: usize = 32 << 20;
 
 /// Interval counters of a native run.
 ///
-/// Always counts elapsed wall time plus the logical access/line totals
-/// the operators drove through the charged interface (useful to
-/// confirm two backends performed the same logical work). With a PMU
-/// group attached ([`NativeBackend::attach_pmu`]) each snapshot also
-/// carries the cumulative hardware sample, so interval diffs expose
-/// real per-level miss counts; without one the field is `None` —
-/// honestly unobservable, not zero.
+/// Counts elapsed wall time plus the logical access/line totals the
+/// operators drove through the charged interface (useful to confirm
+/// two backends performed the same logical work).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NativeCounters {
     /// Elapsed wall-clock nanoseconds.
@@ -70,10 +58,6 @@ pub struct NativeCounters {
     /// Cache lines touched by charged accesses (with re-touches; this is
     /// traffic, not a miss count).
     pub lines: u64,
-    /// Hardware counter sample (cumulative in [`MemoryBackend::counters`]
-    /// snapshots, interval in [`MemoryBackend::counters_since`] diffs)
-    /// when a PMU group is attached and readable.
-    pub pmu: Option<PmuSample>,
 }
 
 /// Real host memory behind the engine's backend interface.
@@ -91,10 +75,6 @@ pub struct NativeBackend {
     use_kernels: bool,
     /// N-ahead software-prefetch distance advertised to operators.
     prefetch_dist: u64,
-    /// Hardware counter group, when [`NativeBackend::attach_pmu`]
-    /// succeeded on this thread. Enabled for its whole lifetime;
-    /// snapshots read cumulative values and diffs scope them.
-    pmu: Option<PmuGroup>,
 }
 
 impl Default for NativeBackend {
@@ -117,7 +97,6 @@ impl NativeBackend {
             wipe: Vec::new(),
             use_kernels: true,
             prefetch_dist: kernels::DEFAULT_PREFETCH_DISTANCE,
-            pmu: None,
         }
     }
 
@@ -162,39 +141,6 @@ impl NativeBackend {
     /// Total bytes allocated so far.
     pub fn allocated(&self) -> u64 {
         self.next - NATIVE_BASE
-    }
-
-    /// Attach the standard hardware counter group
-    /// ([`gcm_obs::pmu::PMU_EVENTS`]) to **this thread** and start it
-    /// counting; subsequent counter snapshots carry a [`PmuSample`]
-    /// and [`MemoryBackend::counter_level_misses`] reports real
-    /// per-level miss rows. Returns the attach outcome: on
-    /// [`PmuStatus::Unavailable`] (paranoid kernel, no PMU in this
-    /// VM, non-Linux platform) the backend simply stays in the
-    /// wall-clock-only mode and the reason says why.
-    pub fn attach_pmu(&mut self) -> PmuStatus {
-        match PmuGroup::standard() {
-            Ok(group) => {
-                group.enable();
-                self.pmu = Some(group);
-                PmuStatus::Available
-            }
-            Err(status) => {
-                self.pmu = None;
-                status
-            }
-        }
-    }
-
-    /// Close the attached counter group (snapshots stop carrying PMU
-    /// samples). A no-op when none is attached.
-    pub fn detach_pmu(&mut self) {
-        self.pmu = None;
-    }
-
-    /// Whether a hardware counter group is currently attached.
-    pub fn pmu_attached(&self) -> bool {
-        self.pmu.is_some()
     }
 
     #[inline]
@@ -473,7 +419,6 @@ impl MemoryBackend for NativeBackend {
             elapsed_ns: self.t0.elapsed().as_secs_f64() * 1e9,
             accesses: self.accesses,
             lines: self.lines,
-            pmu: self.pmu.as_ref().and_then(|g| g.read()),
         }
     }
 
@@ -483,13 +428,6 @@ impl MemoryBackend for NativeBackend {
             elapsed_ns: now.elapsed_ns - earlier.elapsed_ns,
             accesses: now.accesses - earlier.accesses,
             lines: now.lines - earlier.lines,
-            // A group attached mid-interval has no baseline: its full
-            // cumulative reading IS the interval.
-            pmu: match (now.pmu, earlier.pmu) {
-                (Some(a), Some(b)) => Some(a.since(&b)),
-                (Some(a), None) => Some(a),
-                _ => None,
-            },
         }
     }
 
@@ -499,31 +437,6 @@ impl MemoryBackend for NativeBackend {
 
     fn counter_accesses(c: &NativeCounters) -> Option<u64> {
         Some(c.accesses)
-    }
-
-    /// Real per-level miss rows from the attached PMU group — the
-    /// hardware's answer to the question the sim backend answers
-    /// exactly. Without an attached (and readable) group this is
-    /// empty, which every consumer treats as "not observable".
-    fn counter_level_misses(&self, c: &NativeCounters) -> Vec<(String, u64)> {
-        match &c.pmu {
-            Some(s) => s
-                .level_misses()
-                .iter()
-                .map(|(name, misses)| (name.to_string(), *misses))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Documented no-op: real hardware does not expose *which access*
-    /// missed at which level, so native memory cannot record a
-    /// per-access miss trace (aggregate per-level counts are a
-    /// different story — see [`NativeBackend::attach_pmu`]). Attach
-    /// reports `false`, take yields `None`, and trace consumers fall
-    /// back to wall-clock-only attribution.
-    fn attach_miss_trace(&mut self, _capacity: usize) -> bool {
-        false
     }
 
     /// The wall clock already includes every nanosecond of CPU work:
@@ -657,6 +570,8 @@ mod tests {
         assert_eq!(d.lines, 64);
         assert_eq!(d.accesses, 1);
         assert!(d.elapsed_ns >= 0.0);
+        // Per-level misses are not observable: no rows, never zero rows.
+        assert!(m.counter_level_misses(&d).is_empty());
     }
 
     #[test]
@@ -680,7 +595,6 @@ mod tests {
             elapsed_ns: 500.0,
             accesses: 1,
             lines: 1,
-            pmu: None,
         };
         assert_eq!(NativeBackend::total_ns(&c, 1_000_000, 100.0), 500.0);
     }
@@ -793,71 +707,6 @@ mod tests {
             run_wide(&mut NativeBackend::new()),
             run_wide(&mut NativeBackend::scalar_reference())
         );
-    }
-
-    #[test]
-    fn pmu_attach_is_honest_about_availability() {
-        let mut m = NativeBackend::new();
-        assert!(!m.pmu_attached());
-        // Without a group, snapshots carry no PMU block and per-level
-        // misses are "not observable" (empty), never zero rows.
-        let c = m.counters();
-        assert_eq!(c.pmu, None);
-        assert!(m.counter_level_misses(&c).is_empty());
-        match m.attach_pmu() {
-            PmuStatus::Available => {
-                assert!(m.pmu_attached());
-                let before = m.counters();
-                assert!(before.pmu.is_some());
-                let a = MemoryBackend::alloc(&mut m, 1 << 20, 64);
-                MemoryBackend::touch(&mut m, a, 1 << 20);
-                let d = m.counters_since(&before);
-                let rows = m.counter_level_misses(&d);
-                let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
-                assert_eq!(names, ["L1d", "LLC", "dTLB"]);
-                m.detach_pmu();
-                assert_eq!(m.counters().pmu, None);
-            }
-            PmuStatus::Unavailable { reason } => {
-                eprintln!(
-                    "SKIPPED pmu_attach_is_honest_about_availability: pmu unavailable: {reason}"
-                );
-                println!(
-                    "SKIPPED pmu_attach_is_honest_about_availability: pmu unavailable: {reason}"
-                );
-                assert!(!m.pmu_attached());
-                assert_eq!(m.counters().pmu, None);
-            }
-        }
-    }
-
-    #[test]
-    fn counters_since_adopts_a_mid_interval_pmu_attach() {
-        // Synthetic check of the diff rule: (Some, None) keeps the
-        // cumulative sample as the interval.
-        let sample = gcm_obs::pmu::PmuSample {
-            l1d_miss: 7,
-            ..Default::default()
-        };
-        let before = NativeCounters {
-            elapsed_ns: 0.0,
-            accesses: 0,
-            lines: 0,
-            pmu: None,
-        };
-        let now = NativeCounters {
-            elapsed_ns: 10.0,
-            accesses: 1,
-            lines: 1,
-            pmu: Some(sample),
-        };
-        // Reuse the same arithmetic counters_since applies.
-        let d_pmu = match (now.pmu, before.pmu) {
-            (Some(a), Some(b)) => Some(a.since(&b)),
-            (Some(a), None) => Some(a),
-            _ => None,
-        };
-        assert_eq!(d_pmu.unwrap().l1d_miss, 7);
     }
 
     #[test]

@@ -11,13 +11,7 @@
 //! like the composed whole-plan pattern. The result is an annotated
 //! tree: predicted Eq 6.1 cost next to measured per node, with
 //! per-level miss breakdowns on the sim backend and wall-ns on native,
-//! rendered as pretty text and JSON. On a native backend with a PMU
-//! group attached ([`crate::NativeBackend::attach_pmu`]) the measured
-//! rows are *hardware* miss counts (`"L1d"`, `"LLC"`, `"dTLB"`), and
-//! the predicted rows are remapped onto those names (first cache level
-//! → L1d, last cache level → LLC, TLB level → dTLB) so the table shape
-//! matches what the sim already gets — the paper's miss predictions
-//! against real silicon.
+//! rendered as pretty text and JSON.
 //!
 //! Per-node measured/predicted pairs can be streamed into a
 //! [`gcm_obs::DriftMonitor`] ([`ExplainReport::feed`]),
@@ -31,7 +25,6 @@ use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::relation::Relation;
 use gcm_core::{CacheState, CostModel, CpuCost, Pattern};
-use gcm_hardware::{HardwareSpec, LevelKind};
 use gcm_obs::json::{Arr, Obj};
 use gcm_obs::DriftMonitor;
 
@@ -48,9 +41,7 @@ pub struct NodeMeasure {
     /// Charged accesses, when the backend counts them.
     pub accesses: Option<u64>,
     /// Per-level `(name, misses)`: spec-named exact counts on the sim
-    /// backend, PMU-named hardware counts (`"L1d"`/`"LLC"`/`"dTLB"`)
-    /// on a native backend with counters attached; empty = not
-    /// observable.
+    /// backend; empty = not observable (native).
     pub level_misses: Vec<(String, u64)>,
     /// Logical CPU operations the node performed.
     pub ops: u64,
@@ -307,27 +298,15 @@ pub fn explain_analyze<B: MemoryBackend>(
     let mut priced = Vec::with_capacity(tracer.records.len());
     for rec in &tracer.records {
         let (report, total_ns) = model.advance_total(&rec.pattern, &mut st, cpu, rec.measure.ops);
-        let mut level_misses: Vec<(String, f64)> = report
-            .levels
-            .iter()
-            .map(|l| (l.name.clone(), l.misses()))
-            .collect();
-        // Hardware counters report misses under PMU names, not the
-        // spec's level names; remap the predictions so the render can
-        // pair pred/meas rows by name, same table shape as the sim.
-        if rec
-            .measure
-            .level_misses
-            .iter()
-            .any(|(n, _)| n == "L1d" || n == "LLC" || n == "dTLB")
-        {
-            level_misses = align_predicted_to_pmu(model.spec(), &level_misses);
-        }
         priced.push(NodePredict {
             total_ns,
             mem_ns: report.mem_ns,
             cpu_ns: cpu.ns(rec.measure.ops),
-            level_misses,
+            level_misses: report
+                .levels
+                .iter()
+                .map(|l| (l.name.clone(), l.misses()))
+                .collect(),
         });
     }
 
@@ -337,35 +316,6 @@ pub fn explain_analyze<B: MemoryBackend>(
     let root = attach(plan, &tracer.records, &priced, &mut next);
     debug_assert_eq!(next, tracer.records.len(), "every record attached");
     Ok((run, ExplainReport { root }))
-}
-
-/// Remap spec-named predicted miss rows onto the PMU's counter names:
-/// the first `Cache` level's misses are the model's L1d-miss estimate,
-/// the last `Cache` level's misses its LLC-miss estimate (the same
-/// level when the spec has a single cache), and the first `Tlb`
-/// level's misses its dTLB estimate. `rows` is in spec level order
-/// (the order every `CostReport` emits).
-fn align_predicted_to_pmu(spec: &HardwareSpec, rows: &[(String, f64)]) -> Vec<(String, f64)> {
-    let cache: Vec<usize> = spec
-        .levels()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.kind == LevelKind::Cache)
-        .map(|(i, _)| i)
-        .collect();
-    let tlb = spec.levels().iter().position(|l| l.kind == LevelKind::Tlb);
-    let miss_at = |i: usize| rows.get(i).map(|(_, m)| *m).unwrap_or(0.0);
-    let mut out = Vec::with_capacity(3);
-    if let Some(&first) = cache.first() {
-        out.push(("L1d".to_string(), miss_at(first)));
-    }
-    if let Some(&last) = cache.last() {
-        out.push(("LLC".to_string(), miss_at(last)));
-    }
-    if let Some(t) = tlb {
-        out.push(("dTLB".to_string(), miss_at(t)));
-    }
-    out
 }
 
 /// Walk `plan` in the executor's order (children first), consuming one
@@ -604,62 +554,6 @@ mod tests {
             plan_classes(&plan),
             vec!["select", "join_hash", "aggregate"]
         );
-    }
-
-    #[test]
-    fn predicted_rows_remap_onto_pmu_counter_names() {
-        let spec = presets::tiny(); // L1, L2 (caches), TLB
-        let rows = vec![
-            ("L1".to_string(), 10.0),
-            ("L2".to_string(), 4.0),
-            ("TLB".to_string(), 2.0),
-        ];
-        let aligned = align_predicted_to_pmu(&spec, &rows);
-        assert_eq!(
-            aligned,
-            vec![
-                ("L1d".to_string(), 10.0),
-                ("LLC".to_string(), 4.0),
-                ("dTLB".to_string(), 2.0),
-            ]
-        );
-    }
-
-    #[test]
-    fn native_explain_carries_pmu_rows_or_an_honest_nothing() {
-        // EXPLAIN ANALYZE on the native backend: without PMU counters
-        // the nodes carry no miss rows at all (fallback); with them,
-        // measured and predicted rows share the PMU names so the text
-        // render pairs them like the sim's table.
-        let mut ctx = ExecContext::native();
-        let status = ctx.mem.attach_pmu();
-        let keys = Workload::new(7).shuffled_keys(4_000);
-        let tables = vec![ctx.relation_from_keys("F", &keys, 8)];
-        let plan = PhysicalPlan::scan(0).select_lt(2_000).group_count();
-        let model = CostModel::new(presets::tiny());
-        let cpu = CpuCost::default_planner();
-        let (run, report) =
-            explain_analyze(&mut ctx, &plan, &tables, &model, &cpu, cpu.per_op_ns).unwrap();
-        assert!(run.output.n() > 0);
-        let agg = &report.root;
-        let m = agg.measured.as_ref().unwrap();
-        match status {
-            gcm_obs::PmuStatus::Available => {
-                let names: Vec<&str> = m.level_misses.iter().map(|(n, _)| n.as_str()).collect();
-                assert_eq!(names, ["L1d", "LLC", "dTLB"]);
-                let p = agg.predicted.as_ref().unwrap();
-                let pnames: Vec<&str> = p.level_misses.iter().map(|(n, _)| n.as_str()).collect();
-                assert_eq!(pnames, ["L1d", "LLC", "dTLB"]);
-                let text = report.to_text();
-                assert!(text.contains("L1d pred="), "{text}");
-            }
-            gcm_obs::PmuStatus::Unavailable { reason } => {
-                eprintln!("SKIPPED native_explain_carries_pmu_rows (fallback asserted): {reason}");
-                println!("SKIPPED native_explain_carries_pmu_rows (fallback asserted): {reason}");
-                assert!(m.level_misses.is_empty());
-                assert!(!report.to_text().contains("[misses:"));
-            }
-        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! queue simply stops the shard reading, which closes the TCP window.
 //!
 //! Everything is dependency-free: epoll, pipes, and CPU affinity are
-//! raw `extern "C"` shims ([`sys`]) following the
-//! `gcm_obs::pmu` precedent, so the crate builds offline with plain
-//! std. The event-loop modules are Linux-only; [`wire`] and
-//! [`loadgen`]'s schedule math are portable.
+//! raw `extern "C"` shims ([`sys`]) against the libc the Rust runtime
+//! already links, so the crate builds offline with plain std. The
+//! event-loop modules are Linux-only; [`wire`] and [`loadgen`]'s
+//! schedule math are portable.
 
 #[cfg(target_os = "linux")]
 pub mod sys;

@@ -1,9 +1,9 @@
 //! Raw epoll / pipe / CPU-affinity shims — the event loop's kernel
 //! interface without the `libc` crate.
 //!
-//! Follows the `perf_event_open` precedent in `gcm_obs::pmu`: the
-//! handful of symbols the poll loop needs (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `pipe2`, `read`, `write`, `close`,
+//! The workspace's raw-syscall precedent lives here: the handful of
+//! symbols the poll loop needs (`epoll_create1`, `epoll_ctl`,
+//! `epoll_wait`, `pipe2`, `read`, `write`, `close`,
 //! `sched_setaffinity`) are declared `extern "C"` against the libc the
 //! Rust runtime already links, so the workspace stays dependency-free.
 //! This module is Linux-only (gated at the crate root); the wire codec

@@ -1,12 +1,11 @@
 //! A flight recorder for EXPLAIN ANALYZE reports.
 //!
-//! PMU-backed explain runs are only useful after the fact: when a
-//! drift flag fires or a latency regression lands, the question is
-//! "what did the last few plans *actually* do to the memory
-//! hierarchy?". This ring keeps the most recent N reports (rendered
-//! JSON plus a label) behind a mutex, evicting the oldest, so a
-//! service or bench can dump them as JSON-lines post-hoc without ever
-//! growing unboundedly.
+//! Explain runs are most useful after the fact: when a drift flag
+//! fires or a latency regression lands, the question is "what did the
+//! last few plans *actually* cost, node by node?". This ring keeps the
+//! most recent N reports (rendered JSON plus a label) behind a mutex,
+//! evicting the oldest, so a service or bench can dump them as
+//! JSON-lines post-hoc without ever growing unboundedly.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

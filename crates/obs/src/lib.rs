@@ -7,7 +7,7 @@
 //! same plan nodes the model priced and (b) notice when the two
 //! diverge.
 //!
-//! Four pieces, each usable on its own:
+//! Five pieces, each usable on its own:
 //!
 //! - [`span`] — per-thread lock-free span recording with backend
 //!   counter deltas (charged accesses and per-level misses on the sim
@@ -19,10 +19,6 @@
 //!   JSON-lines and Prometheus text exporters.
 //! - [`drift`] — per-operator-class EWMA of measured/predicted ratios
 //!   that raises a recalibration flag when calibration goes stale.
-//! - [`pmu`] — hardware ground truth: a dependency-free
-//!   `perf_event_open` reader (L1D/LLC/dTLB misses, instructions,
-//!   cycles) with an honest `Unavailable` fallback where the kernel or
-//!   platform forbids counting.
 //! - [`flight`] — a bounded ring of recent `EXPLAIN ANALYZE` reports
 //!   for post-hoc dumps.
 //!
@@ -37,13 +33,11 @@ pub mod drift;
 pub mod flight;
 pub mod hist;
 pub mod json;
-pub mod pmu;
 pub mod registry;
 pub mod span;
 
 pub use drift::{ClassDrift, DriftMonitor};
 pub use flight::{FlightEntry, FlightRecorder};
 pub use hist::Histogram;
-pub use pmu::{PmuGroup, PmuSample, PmuStatus};
 pub use registry::{Metric, MetricsRegistry};
 pub use span::{Span, SpanKind, SpanRecorder, SpanSink};

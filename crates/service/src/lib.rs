@@ -94,7 +94,6 @@ use gcm_engine::plan::{
 };
 use gcm_engine::ExecContext;
 use gcm_hardware::HardwareSpec;
-use gcm_obs::pmu::PmuStatus;
 use gcm_obs::{DriftMonitor, FlightRecorder, Span, SpanKind, SpanRecorder, SpanSink};
 use gcm_workload::TenantClass;
 use queue::Pending;
@@ -463,25 +462,17 @@ impl QueryService {
     }
 
     /// EXPLAIN ANALYZE `plan` against the service's registered tables
-    /// on **host memory**, with PMU counters attached when the host
-    /// allows them — per-node predicted-vs-measured miss rows, the
-    /// ground truth the simulator's charged counters approximate (see
-    /// [`NativeBackend::attach_pmu`](gcm_engine::native::NativeBackend::attach_pmu)).
-    /// The report is recorded into the [`flight`](QueryService::flight)
-    /// ring and returned alongside the PMU status the run observed
-    /// (`Unavailable` means the rows are honestly absent, never zero).
+    /// on **host memory**: per-node predicted cost against measured
+    /// wall-ns. The report is recorded into the
+    /// [`flight`](QueryService::flight) ring and returned.
     ///
     /// This is a diagnostic run outside the serving path: it executes
     /// the plan once on the caller's thread, unbatched and without
     /// shared builds, priced with the calibration currently in force.
-    pub fn explain_analyze(
-        &mut self,
-        plan: &LogicalPlan,
-    ) -> Result<(ExplainReport, PmuStatus), PlanError> {
+    pub fn explain_analyze(&mut self, plan: &LogicalPlan) -> Result<ExplainReport, PlanError> {
         let snap = self.catalog.snapshot();
         let planned = optimize_and_lower(&self.model, plan, snap.tables())?;
         let mut ctx = ExecContext::native();
-        let pmu = ctx.mem.attach_pmu();
         let rels = materialize_tables(&mut ctx, &planned.plan, &self.tables);
         let cpu = CpuCost::per_op(self.cfg.per_op_ns);
         let (_run, report) = explain_analyze(
@@ -494,7 +485,7 @@ impl QueryService {
         )?;
         self.flight
             .record(&format!("fp{:016x}", plan.fingerprint()), &report.to_json());
-        Ok((report, pmu))
+        Ok(report)
     }
 
     /// The CPU calibration currently in force (the `CpuCost::per_op`

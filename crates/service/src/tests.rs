@@ -227,7 +227,7 @@ fn spans_cover_the_whole_query_lifecycle() {
             "{backend:?}: {spans:#?}"
         );
         // Execute spans carry the sim backend's per-level miss deltas;
-        // the host (no PMU attached here) honestly reports none.
+        // host memory honestly reports none.
         assert!(spans
             .iter()
             .filter(|s| s.kind == SpanKind::Execute)
@@ -289,13 +289,27 @@ fn explain_analyze_records_into_the_flight_ring() {
     assert!(svc.flight().is_empty());
     let q1 = LogicalPlan::scan(0).select_lt(100).group_count();
     let q2 = LogicalPlan::scan(0).select_lt(300).group_count();
-    let (report, pmu) = svc.explain_analyze(&q1).unwrap();
+    let report = svc.explain_analyze(&q1).unwrap();
     let root = report.root.measured.as_ref().expect("operator root");
     assert!(root.ops > 0, "{report:?}");
-    if !pmu.is_available() {
-        // Host without perf counters: rows must be honestly absent.
-        assert!(root.level_misses.is_empty());
-    }
+    // Host memory has no per-level miss counters: the measured rows are
+    // honestly absent (never zero rows), so the text carries none...
+    assert!(root.level_misses.is_empty(), "{report:?}");
+    assert!(!report.to_text().contains("[misses:"), "{report:?}");
+    // ...while the prediction still names the spec's levels.
+    let predicted = report.root.predicted.as_ref().expect("priced root");
+    let names: Vec<&str> = predicted
+        .level_misses
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .collect();
+    let spec_names: Vec<&str> = svc
+        .spec()
+        .levels()
+        .iter()
+        .map(|l| l.name.as_str())
+        .collect();
+    assert_eq!(names, spec_names);
     svc.explain_analyze(&q2).unwrap();
     assert_eq!(svc.flight().len(), 2);
     let dump = svc.flight().dump_json_lines();

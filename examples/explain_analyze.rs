@@ -10,12 +10,9 @@
 //! same report also feeds a model-drift monitor and serializes to
 //! JSON.
 //!
-//! On the native backend the measured column is wall-clock ns, and the
-//! miss rows hold real hardware counter readings (`L1d`/`LLC`/`dTLB`)
-//! when the host exposes a PMU (`perf_event_paranoid` ≤ 2 or
-//! `CAP_PERFMON`, and a hypervisor with a vPMU) — where it does not,
-//! the rows are honestly absent and the run says why. Either way the
-//! report lands in a flight-recorder ring for post-hoc dumping.
+//! On the native backend the measured column is wall-clock ns and the
+//! miss rows are absent: host memory has no per-level counters. Both
+//! reports land in a flight-recorder ring for post-hoc dumping.
 //!
 //!     cargo run --release --example explain_analyze
 
@@ -80,12 +77,10 @@ fn main() {
 
     println!("\nJSON form:\n{}", report.to_json());
 
-    // The same EXPLAIN on host memory, with hardware performance
-    // counters attached where the host allows them: the miss rows stop
-    // being simulated and become PMU ground truth.
+    // The same EXPLAIN on host memory: the measured column becomes
+    // wall-clock ns.
+    println!("\nnative backend:");
     let mut native = ExecContext::native();
-    let status = native.mem.attach_pmu();
-    println!("\nnative backend, PMU: {status}");
     let native_tables = [
         native.relation_from_keys("F", &star.fact, 8),
         native.relation_from_keys("D0", &star.dims[0], 8),

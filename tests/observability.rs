@@ -12,10 +12,6 @@
 //! - `EXPLAIN ANALYZE` golden: the redacted text of a two-join plan is
 //!   pinned byte-for-byte, so the report's tree shape, labels, and row
 //!   layout cannot drift silently.
-//!
-//! Plus the satellite-a check that the bounded miss trace is reachable
-//! through the `MemoryBackend` trait rather than only through the
-//! simulator's concrete type.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use gcm::core::{CostModel, CpuCost};
 use gcm::engine::plan::{explain_analyze, PhysicalPlan};
 use gcm::engine::planner::JoinAlgorithm;
-use gcm::engine::{ExecContext, MemoryBackend, NativeBackend};
+use gcm::engine::ExecContext;
 use gcm::hardware::presets;
 use gcm::obs::hist::QUANTILE_REL_ERROR;
 use gcm::obs::{Histogram, Span, SpanKind, SpanRecorder};
@@ -229,48 +225,4 @@ fn explain_analyze_two_join_redacted_text_matches_golden() {
         "redacted EXPLAIN ANALYZE drifted from the pinned golden.\n\
          --- actual ---\n{redacted}\n--- end actual ---"
     );
-}
-
-// ---------------------------------------------------------------------
-// Satellite a: the miss trace travels through the MemoryBackend trait
-// ---------------------------------------------------------------------
-
-#[test]
-fn miss_trace_is_reachable_through_the_backend_trait() {
-    fn attach<B: MemoryBackend>(mem: &mut B, capacity: usize) -> bool {
-        mem.attach_miss_trace(capacity)
-    }
-
-    let mut ctx = ExecContext::new(presets::tiny());
-    assert!(
-        attach(&mut ctx.mem, 16),
-        "the simulator records miss traces"
-    );
-    // A cold sequential scan of 4k tuples pushes far more than 16 miss
-    // events through the bounded ring: the trace must stay at capacity
-    // and count the overflow instead of growing.
-    let keys: Vec<u64> = (0..4_000).collect();
-    let rel = ctx.relation_from_keys("t", &keys, 8);
-    ctx.cold_caches();
-    for i in 0..keys.len() as u64 {
-        ctx.read_tuple(&rel, i);
-    }
-
-    let dropped_live = ctx.mem.miss_trace_dropped().expect("trace is attached");
-    let trace = ctx.mem.take_miss_trace().expect("trace detaches");
-    assert!(trace.len() <= 16, "ring must stay bounded");
-    assert_eq!(trace.events().count(), trace.len());
-    assert!(!trace.is_empty(), "a cold 4k-tuple stream must miss");
-    assert!(trace.dropped() > 0, "overflow must be counted, not ignored");
-    assert_eq!(trace.dropped(), dropped_live);
-    // Detached means gone: a second take yields nothing.
-    assert!(ctx.mem.take_miss_trace().is_none());
-    assert!(ctx.mem.miss_trace_dropped().is_none());
-
-    // Native memory has no observable misses: attach reports that
-    // honestly instead of handing back an empty-but-plausible trace.
-    let mut native = NativeBackend::new();
-    assert!(!native.attach_miss_trace(16));
-    assert!(native.take_miss_trace().is_none());
-    assert!(native.miss_trace_dropped().is_none());
 }

@@ -14,8 +14,16 @@
 //! |---------------------------|----------------------|-------------------|
 //! | per-level miss counters   | exact                | not observable    |
 //! | elapsed time              | charged (Eq 3.1)     | wall clock        |
-//! | `host_*` setup accesses   | free (uncounted)     | real, timed       |
+//! | `host_*` accesses         | free (uncounted)     | real, timed       |
+//! | output cardinality        | charged pass's count | same              |
 //! | cold caches               | exact flush          | eviction sweep    |
+//!
+//! Inside a measured operator the `host_*` accesses are the key reads
+//! that ride along with a charged [`touch`](MemoryBackend::touch) of the
+//! same tuple, plus the one sizing sweep group-count needs for its table
+//! (a distinct count). No operator runs a separate counting pass to size
+//! an output it writes densely: it allocates at an upper bound and seals
+//! to what the charged pass wrote ([`MemoryBackend::set_high_water`]).
 //!
 //! This closes the paper's loop: the cost model is calibrated on and
 //! validated against the *actual* machine (§6), not only the simulator.
@@ -33,10 +41,10 @@ pub type SimBackend = MemorySystem;
 /// *Charged* accesses ([`touch`](MemoryBackend::touch),
 /// [`read_u64`](MemoryBackend::read_u64), …) are part of the algorithm
 /// and must be accounted (simulated or actually performed); `host_*`
-/// accesses are setup/oracle bookkeeping that the simulator leaves
-/// uncounted (on native memory they are real accesses like any other —
-/// wall clock cannot be told to ignore them, which is documented
-/// per-measurement).
+/// accesses are setup bookkeeping, or the value half of an access whose
+/// charge is a separate `touch`, and the simulator leaves them uncounted
+/// (on native memory they are real accesses like any other — wall clock
+/// cannot be told to ignore them).
 pub trait MemoryBackend {
     /// Interval counters of one run: per-level [`gcm_sim::Snapshot`] for
     /// the simulator, elapsed wall time for native memory.
@@ -44,6 +52,14 @@ pub trait MemoryBackend {
 
     /// Allocate `bytes` zeroed bytes aligned to `align` (a power of two).
     fn alloc(&mut self, bytes: u64, align: u64) -> Addr;
+
+    /// Move the bump pointer to `end`, growing or shrinking the last
+    /// allocation in place, and return the previous end. Both arenas
+    /// never write past the pointer, so the bytes a shrink hands back are
+    /// zero for whichever allocation reuses them. This is how an output
+    /// allocated at an upper bound is sealed to its real size (the
+    /// engine's `ExecContext::tail_output`).
+    fn set_high_water(&mut self, end: Addr) -> Addr;
 
     /// Preferred relation alignment (the largest cache line the backend
     /// knows about).
@@ -228,6 +244,10 @@ impl MemoryBackend for MemorySystem {
 
     fn alloc(&mut self, bytes: u64, align: u64) -> Addr {
         MemorySystem::alloc(self, bytes, align)
+    }
+
+    fn set_high_water(&mut self, end: Addr) -> Addr {
+        self.host_mut().set_high_water(end)
     }
 
     fn line_align(&self) -> u64 {

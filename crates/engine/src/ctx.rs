@@ -13,7 +13,38 @@
 use crate::backend::{MemoryBackend, SimBackend};
 use crate::relation::Relation;
 use gcm_hardware::HardwareSpec;
-use gcm_sim::MemorySystem;
+use gcm_sim::{Addr, MemorySystem};
+
+/// An output whose cardinality is known only once the one charged pass
+/// writing it ends: allocated at an upper bound as the arena's last
+/// allocation ([`ExecContext::tail_output`]), written densely, then
+/// [sealed](ExecContext::seal) to the count the pass produced. Nothing
+/// else may allocate while it is open.
+#[derive(Debug)]
+pub(crate) struct TailOutput {
+    base: Addr,
+    cap: u64,
+    w: u64,
+}
+
+impl TailOutput {
+    /// Base address of the first tuple.
+    pub(crate) fn base(&self) -> Addr {
+        self.base
+    }
+
+    /// Address of tuple `i` (below the current capacity).
+    #[inline]
+    pub(crate) fn tuple(&self, i: u64) -> Addr {
+        debug_assert!(i < self.cap, "tuple index {i} out of {}", self.cap);
+        self.base + i * self.w
+    }
+
+    /// The arena's bump pointer while this output is open.
+    fn end(&self) -> Addr {
+        self.base + (self.cap * self.w).max(1)
+    }
+}
 
 /// Measured counters of one operator run on backend `B`.
 pub struct RunStats<B: MemoryBackend = SimBackend> {
@@ -101,6 +132,50 @@ impl<B: MemoryBackend> ExecContext<B> {
         Relation::new(name, base, n, w)
     }
 
+    /// Open a [`TailOutput`] of up to `bound` `w`-byte tuples, placed
+    /// exactly where [`relation`](ExecContext::relation) would place it.
+    pub(crate) fn tail_output(&mut self, bound: u64, w: u64) -> TailOutput {
+        let align = self.mem.line_align();
+        let base = self.mem.alloc((bound * w).max(1), align);
+        TailOutput {
+            base,
+            cap: bound,
+            w,
+        }
+    }
+
+    /// Write tuple `i` of an open tail output entirely (charged write of
+    /// all `w` bytes), with the given key and zero payload. A write past
+    /// the capacity first doubles the allocation in place, which stays
+    /// the last one.
+    #[inline]
+    pub(crate) fn write_tail(&mut self, out: &mut TailOutput, i: u64, key: u64) {
+        if i >= out.cap {
+            let end = out.end();
+            out.cap = (2 * out.cap).max(i + 1);
+            let prev = self.mem.set_high_water(out.end());
+            assert_eq!(prev, end, "a tail output must stay the last allocation");
+        }
+        let addr = out.tuple(i);
+        self.mem.touch(addr, out.w);
+        self.mem.host_write_u64(addr, key);
+    }
+
+    /// Close a tail output at `n` tuples: the bump pointer moves to
+    /// `base + max(1, n·w)`, exactly where an exact-sized
+    /// [`relation`](ExecContext::relation) would have left it, so every
+    /// later address is the same as if `n` had been known up front.
+    pub(crate) fn seal(&mut self, out: TailOutput, name: &str, n: u64) -> Relation {
+        assert!(n <= out.cap, "sealed {n} tuples into {} slots", out.cap);
+        let prev = self.mem.set_high_water(out.base + (n * out.w).max(1));
+        assert_eq!(
+            prev,
+            out.end(),
+            "a tail output must stay the last allocation"
+        );
+        Relation::new(name, out.base, n, out.w)
+    }
+
     /// Allocate a relation and fill its keys host-side (setup data does
     /// not perturb the simulator's counters; payload bytes stay zero).
     pub fn relation_from_keys(&mut self, name: &str, keys: &[u64], w: u64) -> Relation {
@@ -141,15 +216,6 @@ impl<B: MemoryBackend> ExecContext<B> {
         let addr = rel.tuple(i);
         self.mem.touch(addr, rel.w());
         self.mem.host_read_u64(addr)
-    }
-
-    /// Write tuple `i` entirely (charged write of all `w` bytes), with
-    /// the given key and zero payload.
-    #[inline]
-    pub fn write_tuple(&mut self, rel: &Relation, i: u64, key: u64) {
-        let addr = rel.tuple(i);
-        self.mem.touch(addr, rel.w());
-        self.mem.host_write_u64(addr, key);
     }
 
     /// Copy tuple `src_i` of `src` to `dst_i` of `dst` (charged).

@@ -11,10 +11,12 @@
 //!
 //! What native can and cannot count (see the table in
 //! [`crate::backend`]): it measures wall time plus logical access/line
-//! totals — wall time includes CPU work, host-side oracle passes, and
-//! allocation, so comparisons against the model use generous
-//! documented bounds, while *result* comparisons against the sim
-//! backend are exact. Per-level misses are not observable:
+//! totals. Wall time includes CPU work and allocation (first-touch
+//! zeroing of fresh pages, including an output's upper-bound tail),
+//! but no separate counting pass: operators size their outputs from
+//! the charged pass itself. Comparisons against the model therefore
+//! use generous documented bounds, while *result* comparisons against
+//! the sim backend are exact. Per-level misses are not observable:
 //! [`MemoryBackend::counter_level_misses`] keeps its empty default,
 //! which consumers read as "not observable", never "zero misses".
 //!
@@ -171,13 +173,21 @@ impl MemoryBackend for NativeBackend {
     fn alloc(&mut self, bytes: u64, align: u64) -> Addr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let addr = (self.next + align - 1) & !(align - 1);
-        self.next = addr + bytes;
+        self.set_high_water(addr + bytes);
+        addr
+    }
+
+    fn set_high_water(&mut self, end: Addr) -> Addr {
+        assert!(
+            end >= NATIVE_BASE,
+            "high-water mark {end} below native base"
+        );
         // Pad past the last line so per-line 8-byte reads stay in bounds.
-        let needed = (self.next - NATIVE_BASE) as usize + NATIVE_LINE as usize;
+        let needed = (end - NATIVE_BASE) as usize + NATIVE_LINE as usize;
         if self.data.len() < needed {
             self.data.resize(needed, 0);
         }
-        addr
+        std::mem::replace(&mut self.next, end)
     }
 
     fn line_align(&self) -> u64 {
@@ -558,6 +568,20 @@ mod tests {
                 "alloc({bytes}, {align})"
             );
         }
+    }
+
+    #[test]
+    fn set_high_water_mirrors_the_sim_arena() {
+        use gcm_sim::Arena;
+        let mut native = NativeBackend::new();
+        let mut sim = Arena::new();
+        let a = MemoryBackend::alloc(&mut native, 64, 64);
+        assert_eq!(a, sim.alloc(64, 64));
+        for end in [a + 4096, a + 8, a + 200] {
+            assert_eq!(native.set_high_water(end), sim.set_high_water(end));
+        }
+        assert_eq!(native.allocated(), sim.allocated());
+        assert_eq!(MemoryBackend::alloc(&mut native, 8, 64), sim.alloc(8, 64));
     }
 
     #[test]

@@ -5,27 +5,23 @@
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::ops::hash::{HashTable, EMPTY};
+use crate::ops::mix;
 use crate::ops::sort::quick_sort;
 use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 
 /// Hash-based group-by count: returns a relation of `(group_key, count)`
 /// pairs (width 16), in table order.
+///
+/// The table is sized from an exact [`distinct_count`] of the input:
+/// its capacity fixes the slot layout, hence the emit order and the
+/// priced `H` region, so an upper bound would not do here.
 pub fn hash_group_count<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     input: &Relation,
     out_name: &str,
 ) -> Relation {
-    // Host-side distinct count (cardinality oracle) to size table/output.
-    let mut distinct = 0u64;
-    {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..input.n() {
-            if seen.insert(ctx.mem.host_read_u64(input.tuple(i))) {
-                distinct += 1;
-            }
-        }
-    }
+    let distinct = distinct_count(input.n(), |i| ctx.mem.host_read_u64(input.tuple(i)));
     let table = HashTable::alloc(ctx, &format!("H({out_name})"), distinct.max(1));
     // Aggregate: probe; on hit increment the count in place, else insert
     // 1. The upsert's random table line N tuples ahead is
@@ -36,8 +32,7 @@ pub fn hash_group_count<B: MemoryBackend>(
     for i in 0..input.n() {
         if dist > 0 && i + dist < input.n() {
             let ahead = ctx.mem.host_read_u64(input.tuple(i + dist));
-            ctx.mem
-                .prefetch_write(table.slot_addr(crate::ops::mix(ahead) & mask));
+            ctx.mem.prefetch_write(table.slot_addr(mix(ahead) & mask));
         }
         let key = ctx.read_tuple(input, i);
         ctx.count_ops(1);
@@ -47,7 +42,7 @@ pub fn hash_group_count<B: MemoryBackend>(
     let out = ctx.relation(out_name, distinct, 16);
     let mut cursor = 0u64;
     for s in 0..table.capacity() {
-        let addr = table_slot_addr(&table, s);
+        let addr = table.slot_addr(s);
         let key = ctx.mem.read_u64(addr);
         if key != EMPTY {
             let count = ctx.mem.read_u64(addr + 8);
@@ -62,40 +57,92 @@ pub fn hash_group_count<B: MemoryBackend>(
     out
 }
 
-fn table_slot_addr(table: &HashTable, slot: u64) -> gcm_sim::Addr {
-    table.slot_addr(slot)
-}
-
+/// Add one to `key`'s count in a counting hash table, inserting the
+/// key if absent (simulated accesses; linear probing).
 fn upsert_count<B: MemoryBackend>(ctx: &mut ExecContext<B>, table: &HashTable, key: u64) {
-    upsert_add(ctx, table, key, 1);
-}
-
-/// Add `delta` to `key`'s count in a counting hash table, inserting the
-/// key if absent (simulated accesses; linear probing). Also the merge
-/// primitive of the parallel aggregation's per-thread partials
-/// ([`crate::parallel`]).
-pub(crate) fn upsert_add<B: MemoryBackend>(
-    ctx: &mut ExecContext<B>,
-    table: &HashTable,
-    key: u64,
-    delta: u64,
-) {
     let mask = table.capacity() - 1;
-    let mut slot = crate::ops::mix(key) & mask;
+    let mut slot = mix(key) & mask;
     loop {
-        let addr = table_slot_addr(table, slot);
+        let addr = table.slot_addr(slot);
         let resident = ctx.mem.read_u64(addr);
         ctx.count_ops(1);
         if resident == key {
             let c = ctx.mem.read_u64(addr + 8);
-            ctx.mem.write_u64(addr + 8, c + delta);
+            ctx.mem.write_u64(addr + 8, c + 1);
             return;
         }
         if resident == EMPTY {
             ctx.mem.touch(addr, 16);
             ctx.mem.host_write_u64(addr, key);
-            ctx.mem.host_write_u64(addr + 8, delta);
+            ctx.mem.host_write_u64(addr + 8, 1);
             return;
+        }
+        slot = (slot + 1) & mask;
+    }
+}
+
+/// Key span per input tuple up to which [`distinct_count`] uses a
+/// bitmap: at most `64·n` bits, i.e. one word per input tuple.
+pub const BITMAP_SPAN_PER_KEY: u64 = 64;
+
+/// Exact number of distinct values among `key(0), …, key(n−1)` (keys
+/// other than [`EMPTY`]), read host-side: the sizing sweep of
+/// [`hash_group_count`]. Which of two exact counts runs follows from the
+/// input alone. When the key span `max − min` is at most
+/// [`BITMAP_SPAN_PER_KEY`]`·n`, a min/max sweep and a test-and-set sweep
+/// over a bitmap of the span; otherwise an open-addressing set over
+/// [`mix`], doubled at load ½.
+pub fn distinct_count(n: u64, key: impl Fn(u64) -> u64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    let (mut min, mut max) = (u64::MAX, 0u64);
+    for i in 0..n {
+        let k = key(i);
+        min = min.min(k);
+        max = max.max(k);
+    }
+    let span = max - min;
+    if span <= BITMAP_SPAN_PER_KEY.saturating_mul(n) {
+        let mut bits = vec![0u64; (span / 64 + 1) as usize];
+        let mut distinct = 0u64;
+        for i in 0..n {
+            let off = key(i) - min;
+            let (word, bit) = (&mut bits[(off / 64) as usize], 1u64 << (off % 64));
+            distinct += u64::from(*word & bit == 0);
+            *word |= bit;
+        }
+        return distinct;
+    }
+    let mut slots = vec![EMPTY; 16];
+    let mut distinct = 0u64;
+    for i in 0..n {
+        if 2 * (distinct + 1) > slots.len() as u64 {
+            let grown = vec![EMPTY; 2 * slots.len()];
+            let old = std::mem::replace(&mut slots, grown);
+            for k in old.into_iter().filter(|&k| k != EMPTY) {
+                set_insert(&mut slots, k);
+            }
+        }
+        distinct += u64::from(set_insert(&mut slots, key(i)));
+    }
+    distinct
+}
+
+/// Insert `key` into an open-addressing set of `EMPTY`-filled slots
+/// (linear probing, power-of-two length); true if it was absent.
+fn set_insert(slots: &mut [u64], key: u64) -> bool {
+    debug_assert_ne!(key, EMPTY);
+    let mask = slots.len() as u64 - 1;
+    let mut slot = mix(key) & mask;
+    loop {
+        let resident = &mut slots[slot as usize];
+        if *resident == key {
+            return false;
+        }
+        if *resident == EMPTY {
+            *resident = key;
+            return true;
         }
         slot = (slot + 1) & mask;
     }
@@ -115,31 +162,21 @@ pub fn sort_dedup<B: MemoryBackend>(
     out_name: &str,
 ) -> Relation {
     quick_sort(ctx, input);
-    // Distinct count, host-side.
-    let mut distinct = 0u64;
-    {
-        let mut prev = None;
-        for i in 0..input.n() {
-            let k = ctx.mem.host_read_u64(input.tuple(i));
-            if prev != Some(k) {
-                distinct += 1;
-                prev = Some(k);
-            }
-        }
-    }
-    let out = ctx.relation(out_name, distinct, input.w());
+    // At most one output tuple per input tuple: allocate at `|U|` and
+    // seal to the distinct count the emitting pass produces.
+    let out = ctx.tail_output(input.n(), input.w());
     let mut cursor = 0u64;
     let mut prev = None;
     for i in 0..input.n() {
         let k = ctx.read_tuple(input, i);
         ctx.count_ops(1);
         if prev != Some(k) {
-            ctx.copy_tuple(input, i, &out, cursor);
+            ctx.mem.copy(input.tuple(i), out.tuple(cursor), input.w());
             cursor += 1;
             prev = Some(k);
         }
     }
-    out
+    ctx.seal(out, out_name, cursor)
 }
 
 /// Pattern of [`sort_dedup`]: `quick_sort(U) ⊕ s_trav(U) ⊙ s_trav(W)`.

@@ -246,7 +246,10 @@ pub fn hash_join<B: MemoryBackend>(
     hash_join_with_table(ctx, u, &table, out_name, out_w)
 }
 
-/// The probe phase only, against a pre-built table.
+/// The probe phase only, against a pre-built table. The output is
+/// allocated at `|U|` tuples, grown in place by doubling when duplicate
+/// build keys push the matches past that, and sealed to the match count
+/// the one charged probe pass produces.
 pub fn hash_join_with_table<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     u: &Relation,
@@ -254,37 +257,14 @@ pub fn hash_join_with_table<B: MemoryBackend>(
     out_name: &str,
     out_w: u64,
 ) -> Relation {
-    // Cardinality oracle: host-side count of matches. The oracle's
-    // random table reads are real loads on native memory, so it gets
-    // the same N-ahead hint as the charged probe below (uncharged, and
-    // skipped entirely at the simulator's distance of 0).
-    let dist = ctx.mem.prefetch_distance();
-    let mut matches = 0u64;
-    for i in 0..u.n() {
-        if dist > 0 && i + dist < u.n() {
-            let ahead = ctx.mem.host_read_u64(u.tuple(i + dist));
-            ctx.mem
-                .prefetch_read(table.slots.tuple(mix(ahead) & table.mask));
-        }
-        let key = ctx.mem.host_read_u64(u.tuple(i));
-        let mut slot = mix(key) & table.mask;
-        loop {
-            let resident = ctx.mem.host_read_u64(table.slots.tuple(slot));
-            if resident == EMPTY {
-                break;
-            }
-            if resident == key {
-                matches += 1;
-            }
-            slot = (slot + 1) & table.mask;
-        }
-    }
-    let out = ctx.relation(out_name, matches, out_w);
+    let mut out = ctx.tail_output(u.n(), out_w);
     let mut cursor = 0u64;
     // Probe with N-ahead software prefetch of the home slot of the key
     // `dist` tuples ahead: the probe's dependent random table loads are
     // exactly what the paper prices as `r_acc(H)`, and the hint is what
-    // lets an out-of-order core overlap them.
+    // lets an out-of-order core overlap them (uncharged, and skipped
+    // entirely at the simulator's distance of 0).
+    let dist = ctx.mem.prefetch_distance();
     for i in 0..u.n() {
         if dist > 0 && i + dist < u.n() {
             let ahead = ctx.mem.host_read_u64(u.tuple(i + dist));
@@ -293,13 +273,12 @@ pub fn hash_join_with_table<B: MemoryBackend>(
         }
         let key = ctx.read_tuple(u, i);
         HashTable::probe_all(ctx, table, key, |ctx, _v| {
-            ctx.write_tuple(&out, cursor, key);
+            ctx.write_tail(&mut out, cursor, key);
             ctx.count_ops(1);
             cursor += 1;
         });
     }
-    debug_assert_eq!(cursor, matches);
-    out
+    ctx.seal(out, out_name, cursor)
 }
 
 /// Pattern of [`build_hash`]: `s_trav(V) ⊙ r_trav(H)`.

@@ -33,10 +33,10 @@ pub fn merge_join<B: MemoryBackend>(
          or plan a Merge join with sort_v = true)",
         v.region().name()
     );
-    // Cardinality oracle (host-side): count matches to size the output.
-    let matches = count_matches_host(ctx, u, v);
-    let out = ctx.relation(out_name, matches, out_w);
-
+    // The output starts at `|U|` tuples, doubles in place if duplicate
+    // inner keys push the matches past that, and is sealed to the count
+    // the merge pass below produces.
+    let mut out = ctx.tail_output(u.n(), out_w);
     let (mut i, mut j, mut o) = (0u64, 0u64, 0u64);
     while i < u.n() && j < v.n() {
         let ku = ctx.read_key(u, i);
@@ -51,7 +51,7 @@ pub fn merge_join<B: MemoryBackend>(
             let j_start = j;
             let mut jj = j_start;
             while jj < v.n() && ctx.read_key(v, jj) == ku {
-                ctx.write_tuple(&out, o, ku);
+                ctx.write_tail(&mut out, o, ku);
                 ctx.count_ops(1);
                 o += 1;
                 jj += 1;
@@ -63,8 +63,7 @@ pub fn merge_join<B: MemoryBackend>(
             }
         }
     }
-    debug_assert_eq!(o, matches);
-    out
+    ctx.seal(out, out_name, o)
 }
 
 /// Host-side sortedness check backing the debug assertions above
@@ -72,31 +71,6 @@ pub fn merge_join<B: MemoryBackend>(
 fn is_sorted_host<B: MemoryBackend>(ctx: &ExecContext<B>, rel: &Relation) -> bool {
     (1..rel.n())
         .all(|i| ctx.mem.host_read_u64(rel.tuple(i - 1)) <= ctx.mem.host_read_u64(rel.tuple(i)))
-}
-
-fn count_matches_host<B: MemoryBackend>(ctx: &ExecContext<B>, u: &Relation, v: &Relation) -> u64 {
-    let (mut i, mut j, mut m) = (0u64, 0u64, 0u64);
-    let host = &ctx.mem;
-    while i < u.n() && j < v.n() {
-        let ku = host.host_read_u64(u.tuple(i));
-        let kv = host.host_read_u64(v.tuple(j));
-        if ku < kv {
-            i += 1;
-        } else if ku > kv {
-            j += 1;
-        } else {
-            let mut jj = j;
-            while jj < v.n() && host.host_read_u64(v.tuple(jj)) == ku {
-                m += 1;
-                jj += 1;
-            }
-            i += 1;
-            if i >= u.n() || host.host_read_u64(u.tuple(i)) != ku {
-                j = jj;
-            }
-        }
-    }
-    m
 }
 
 /// Pattern of [`merge_join`]: `s_trav(U) ⊙ s_trav(V) ⊙ s_trav(W)`.

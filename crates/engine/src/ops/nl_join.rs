@@ -8,7 +8,9 @@ use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 
 /// Join `u ⋈ v` by scanning `v` once per tuple of `u`. Quadratic: use
-/// only as the model's baseline comparator.
+/// only as the model's baseline comparator. The output starts at `|U|`
+/// tuples, doubles in place past that, and is sealed to the match count
+/// of the one charged pass.
 pub fn nested_loop_join<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     u: &Relation,
@@ -16,17 +18,7 @@ pub fn nested_loop_join<B: MemoryBackend>(
     out_name: &str,
     out_w: u64,
 ) -> Relation {
-    // Cardinality oracle.
-    let mut matches = 0u64;
-    for i in 0..u.n() {
-        let ku = ctx.mem.host_read_u64(u.tuple(i));
-        for j in 0..v.n() {
-            if ctx.mem.host_read_u64(v.tuple(j)) == ku {
-                matches += 1;
-            }
-        }
-    }
-    let out = ctx.relation(out_name, matches, out_w);
+    let mut out = ctx.tail_output(u.n(), out_w);
     let mut cursor = 0u64;
     for i in 0..u.n() {
         let ku = ctx.read_tuple(u, i);
@@ -34,12 +26,12 @@ pub fn nested_loop_join<B: MemoryBackend>(
             let kv = ctx.read_tuple(v, j);
             ctx.count_ops(1);
             if kv == ku {
-                ctx.write_tuple(&out, cursor, ku);
+                ctx.write_tail(&mut out, cursor, ku);
                 cursor += 1;
             }
         }
     }
-    out
+    ctx.seal(out, out_name, cursor)
 }
 
 /// Pattern of [`nested_loop_join`]:

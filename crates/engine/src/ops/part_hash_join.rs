@@ -45,9 +45,9 @@ pub fn join_partitions<B: MemoryBackend>(
 ) -> Relation {
     assert_eq!(pu.m(), pv.m(), "fan-outs must match");
     let m = pu.m();
-    // Join each partition pair into per-partition outputs, then expose
-    // them as one relation. Output sizes come from the per-pair joins; we
-    // first compute total matches host-side to allocate the output once.
+    // Join each partition pair into per-partition outputs (each sized by
+    // its own probe), then expose them as one relation whose size is the
+    // sum of theirs.
     let mut results: Vec<Relation> = Vec::with_capacity(m as usize);
     let dist = ctx.mem.prefetch_distance();
     for j in 0..m {

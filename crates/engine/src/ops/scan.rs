@@ -29,33 +29,26 @@ pub fn scan_pattern(input: &Region, u: u64) -> Pattern {
     Pattern::s_trav_u(input.clone(), u.clamp(lo, input.w.max(lo)))
 }
 
-/// Select tuples with `key < threshold` into a fresh output relation
-/// (exact-sized; the qualifying count is precomputed host-side, which
-/// costs no simulated accesses — mirroring an exact-cardinality oracle,
-/// as the paper assumes for the logical cost component, §1).
+/// Select tuples with `key < threshold` into a fresh output relation.
+/// The output is allocated at the input's size and sealed to the hit
+/// count the one charged pass returns (`ExecContext::seal`): exactly
+/// the relation, addresses and bytes an exact-sized allocation gives,
+/// with no extra pass over the input.
 pub fn select_lt<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     rel: &Relation,
     threshold: u64,
     out_name: &str,
 ) -> Relation {
-    // Host-side count (cardinality oracle).
-    let mut hits = 0u64;
-    for i in 0..rel.n() {
-        if ctx.mem.host_read_u64(rel.tuple(i)) < threshold {
-            hits += 1;
-        }
-    }
-    let out = ctx.relation(out_name, hits, rel.w());
+    let out = ctx.tail_output(rel.n(), rel.w());
     // Charged pass through the backend's bulk filter: the default is
     // the historical per-tuple touch-then-copy loop; the native backend
     // vectorizes the predicate. Logical ops: one per input tuple.
-    let copied =
-        ctx.mem
-            .select_lt_bulk(rel.base(), rel.n(), rel.w(), threshold, out.base(), out.w());
+    let hits = ctx
+        .mem
+        .select_lt_bulk(rel.base(), rel.n(), rel.w(), threshold, out.base(), rel.w());
     ctx.count_ops(rel.n());
-    debug_assert_eq!(copied, hits, "oracle and charged pass must agree");
-    out
+    ctx.seal(out, out_name, hits)
 }
 
 /// Pattern of [`select_lt`]: `s_trav(U) ⊙ s_trav(W)`.

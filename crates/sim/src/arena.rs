@@ -33,11 +33,7 @@ impl Arena {
     pub fn alloc(&mut self, bytes: u64, align: u64) -> Addr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let addr = (self.next + align - 1) & !(align - 1);
-        self.next = addr + bytes;
-        let needed = (self.next - ARENA_BASE) as usize;
-        if self.data.len() < needed {
-            self.data.resize(needed, 0);
-        }
+        self.set_high_water(addr + bytes);
         addr
     }
 
@@ -60,6 +56,20 @@ impl Arena {
     /// First address past the allocated space.
     pub fn high_water(&self) -> Addr {
         self.next
+    }
+
+    /// Move the bump pointer to `end`, resizing the last allocation in
+    /// place; returns the previous high-water mark. Bytes past the
+    /// pointer are never written (every write lands inside an
+    /// allocation), so bytes a shrink hands back are still zero when a
+    /// later allocation or a regrowth reuses them.
+    pub fn set_high_water(&mut self, end: Addr) -> Addr {
+        assert!(end >= ARENA_BASE, "high-water mark {end} below arena base");
+        let needed = (end - ARENA_BASE) as usize;
+        if self.data.len() < needed {
+            self.data.resize(needed, 0);
+        }
+        std::mem::replace(&mut self.next, end)
     }
 
     #[inline]
@@ -187,5 +197,20 @@ mod tests {
         a.alloc(100, 1);
         assert_eq!(a.allocated(), 100);
         assert_eq!(a.high_water(), ARENA_BASE + 100);
+    }
+
+    #[test]
+    fn set_high_water_resizes_the_last_allocation() {
+        let mut a = Arena::new();
+        let p = a.alloc(64, 64);
+        assert_eq!(a.set_high_water(p + 256), p + 64);
+        a.write_u64(p + 8, 9);
+        assert_eq!(a.set_high_water(p + 16), p + 256);
+        // The next allocation starts where an exact 16-byte one would,
+        // over zeroed bytes; the kept prefix is intact.
+        let q = a.alloc(8, 8);
+        assert_eq!(q, p + 16);
+        assert_eq!((a.read_u64(q), a.read_u64(p + 8)), (0, 9));
+        assert_eq!(a.allocated(), 24);
     }
 }

@@ -184,3 +184,99 @@ proptest! {
         }
     }
 }
+
+/// Group-count's table is sized by an exact distinct count that takes a
+/// bitmap over dense key spans (`max − min ≤ 64·n`) and a hash set over
+/// sparse ones. Both must agree with `std`'s `HashSet` everywhere; the
+/// benchmark's workloads are all dense, so these cases are the only
+/// coverage of the hash-set path.
+mod distinct_count {
+    use super::*;
+    use ops::aggregate::{distinct_count, BITMAP_SPAN_PER_KEY};
+    use std::collections::HashSet;
+
+    fn counted(keys: &[u64]) -> u64 {
+        distinct_count(keys.len() as u64, |i| keys[i as usize])
+    }
+
+    fn reference(keys: &[u64]) -> u64 {
+        keys.iter().collect::<HashSet<_>>().len() as u64
+    }
+
+    /// `n` keys spanning exactly `span`: both ends present, the rest
+    /// drawn from `fill` folded into the span.
+    fn spanning(base: u64, span: u64, fill: &[u64]) -> Vec<u64> {
+        let mut keys = vec![base + span, base];
+        keys.extend(fill.iter().map(|f| base + f % (span + 1)));
+        keys
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn dense_keys_match_a_hash_set(
+            base in 0u64..u64::MAX / 2,
+            offsets in proptest::collection::vec(0u64..4_096, 64..400),
+        ) {
+            let keys: Vec<u64> = offsets.iter().map(|o| base + o).collect();
+            prop_assert_eq!(counted(&keys), reference(&keys));
+        }
+
+        #[test]
+        fn sparse_keys_match_a_hash_set(
+            pool in proptest::collection::vec(0u64..u64::MAX - 1, 2..60),
+            picks in proptest::collection::vec(0usize..60, 1..400),
+        ) {
+            let keys: Vec<u64> = picks.iter().map(|p| pool[p % pool.len()]).collect();
+            prop_assert_eq!(counted(&keys), reference(&keys));
+        }
+
+        #[test]
+        fn spans_at_and_past_the_threshold_match_a_hash_set(
+            base in 0u64..u64::MAX / 2,
+            fill in proptest::collection::vec(0u64..u64::MAX, 0..300),
+        ) {
+            let n = fill.len() as u64 + 2;
+            for span in [BITMAP_SPAN_PER_KEY * n, BITMAP_SPAN_PER_KEY * n + 1] {
+                let keys = spanning(base, span, &fill);
+                prop_assert_eq!(counted(&keys), reference(&keys), "span {}", span);
+            }
+        }
+
+        #[test]
+        fn sparse_group_counts_match_a_reference(
+            pool in proptest::collection::vec(0u64..u64::MAX - 1, 2..40),
+            picks in proptest::collection::vec(0usize..40, 1..250),
+        ) {
+            let keys: Vec<u64> = picks.iter().map(|p| pool[p % pool.len()]).collect();
+            let mut want: HashMap<u64, u64> = HashMap::new();
+            for &k in &keys {
+                *want.entry(k).or_default() += 1;
+            }
+            let mut c = ctx();
+            let input = c.relation_from_keys("U", &keys, 8);
+            let out = ops::aggregate::hash_group_count(&mut c, &input, "G");
+            let got: HashMap<u64, u64> = (0..out.n())
+                .map(|i| {
+                    let at = out.tuple(i);
+                    (c.mem.host().read_u64(at), c.mem.host().read_u64(at + 8))
+                })
+                .collect();
+            prop_assert_eq!(out.n(), want.len() as u64);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn extreme_keys_and_tiny_inputs() {
+        let (lo, hi) = (0, u64::MAX - 1);
+        assert_eq!(counted(&[]), 0);
+        assert_eq!(counted(&[lo]), 1);
+        assert_eq!(counted(&[hi]), 1);
+        assert_eq!(counted(&[lo, hi]), 2);
+        assert_eq!(counted(&[hi, lo, hi, 5, lo, hi - 1]), 4);
+        // The top of the key space inside a dense span.
+        assert_eq!(counted(&[hi, hi - 3, hi - 64, hi - 3]), 3);
+    }
+}

@@ -16,9 +16,9 @@
 //! ## Bounds (explicit and documented)
 //!
 //! Wall-clock measurements on a shared, possibly virtualized CI machine
-//! include host-side oracle passes, allocator work, and scheduling
-//! noise that neither the model nor the simulator prices, and the
-//! timing-only calibration cannot see line sizes. The *enforced*
+//! include allocator work (first-touch zeroing of outputs) and
+//! scheduling noise that neither the model nor the simulator prices,
+//! and the timing-only calibration cannot see line sizes. The *enforced*
 //! assertion pins predicted and measured totals within a factor of
 //! [`GENEROUS_BOUND`] (10×) of each other — tightened from the
 //! pre-kernel 25× now that (a) calibration also recovers the host TLB
@@ -29,8 +29,8 @@
 //! (4×) for runs on a quiet machine
 //! (`cargo test --release -- --ignored native_strict`); observed
 //! release-mode ratios on a quiet host are ~0.3–0.6 (residual
-//! underprediction comes from the host-side cardinality-oracle passes
-//! and output allocation, which the pattern language deliberately does
+//! underprediction comes from output allocation and group-count's
+//! distinct-count sweep, which the pattern language deliberately does
 //! not describe).
 
 use gcm_calibrate::calibrate_host;

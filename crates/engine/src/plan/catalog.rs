@@ -49,7 +49,6 @@ pub struct StatsCatalog {
     /// when the `(tables, epoch)` pair is coherent again.
     seq: AtomicU64,
     epoch: AtomicU64,
-    drift_threshold: f64,
     write: Mutex<()>,
 }
 
@@ -102,16 +101,8 @@ impl StatsCatalog {
             entries,
             seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             write: Mutex::new(()),
         }
-    }
-
-    /// Use a different drift threshold (clamped to ≥ 0; 0 makes every
-    /// update bump the epoch).
-    pub fn with_drift_threshold(mut self, threshold: f64) -> StatsCatalog {
-        self.drift_threshold = threshold.max(0.0);
-        self
     }
 
     /// A consistent `(epoch, tables)` snapshot. Readers never take the
@@ -198,7 +189,7 @@ impl StatsCatalog {
             .get(&idx)
             .unwrap_or_else(|| panic!("table index {idx} out of range"));
         let drift = drift(&entry.baseline, &stats);
-        let bumped = drift > self.drift_threshold;
+        let bumped = drift > DEFAULT_DRIFT_THRESHOLD;
         let next = TableEntry {
             baseline: if bumped {
                 stats.clone()
@@ -214,37 +205,6 @@ impl StatsCatalog {
         }
         self.seq.fetch_add(1, Ordering::SeqCst);
         bumped
-    }
-
-    /// Unconditionally advance the epoch — the invalidation a
-    /// *model-side* change needs. Statistics drift is not the only
-    /// reason cached plans go stale: when the cost parameters they
-    /// were priced under are replaced (a recalibration swapping in a
-    /// fresh `CpuCost`/spec), every cached plan must re-price even
-    /// though no table changed. Resets every table's drift baseline to
-    /// its current stats (the new epoch re-prices everything, so
-    /// accumulated drift is spent) and returns the new epoch.
-    pub fn force_epoch_bump(&self) -> u64 {
-        let _guard = self.lock_write();
-        let keys: Vec<usize> = {
-            let trie = self.entries.snapshot();
-            trie.iter().map(|(idx, _)| *idx).collect()
-        };
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        for idx in keys {
-            if let Some(entry) = self.entries.get(&idx) {
-                self.entries.insert(
-                    idx,
-                    TableEntry {
-                        baseline: entry.stats.clone(),
-                        stats: entry.stats,
-                    },
-                );
-            }
-        }
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        epoch
     }
 }
 
@@ -293,6 +253,10 @@ mod tests {
         assert_eq!(c.epoch(), 1);
         // The other table is untouched.
         assert_eq!(c.snapshot().tables()[1].n, 1_000);
+        // A byte-identical refresh never bumps (drift 0 is not past any
+        // threshold).
+        assert!(!c.update(0, TableStats::uniform(20_000, 8, 1_000, false)));
+        assert_eq!(c.epoch(), 1);
     }
 
     #[test]
@@ -317,16 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threshold_bumps_on_any_change() {
-        let c = catalog().with_drift_threshold(0.0);
-        assert!(c.update(0, TableStats::uniform(10_001, 8, 1_000, false)));
-        // A byte-identical refresh still does not bump (drift 0 is not
-        // > 0).
-        assert!(!c.update(0, TableStats::uniform(10_001, 8, 1_000, false)));
-        assert_eq!(c.epoch(), 1);
-    }
-
-    #[test]
     fn len_and_empty() {
         let c = catalog();
         assert_eq!(c.len(), 2);
@@ -345,24 +299,6 @@ mod tests {
         // A pushed table participates in drift tracking like any other.
         assert!(c.update(0, TableStats::key_column(500, 8, false)));
         assert_eq!(c.epoch(), 1);
-    }
-
-    #[test]
-    fn force_bump_advances_the_epoch_and_spends_drift() {
-        let c = catalog();
-        // Accumulate sub-threshold drift, then force-bump (as a
-        // recalibration would): the epoch advances with no stats
-        // change, and the drift baseline resets to current stats.
-        assert!(!c.update(0, TableStats::uniform(11_900, 8, 1_000, false)));
-        assert_eq!(c.force_epoch_bump(), 1);
-        assert_eq!(c.epoch(), 1);
-        assert_eq!(c.snapshot().epoch(), 1);
-        assert_eq!(c.snapshot().tables()[0].n, 11_900);
-        // Pre-bump accumulated drift was spent: another small step
-        // relative to the *new* baseline does not bump.
-        assert!(!c.update(0, TableStats::uniform(13_000, 8, 1_000, false)));
-        assert_eq!(c.epoch(), 1);
-        assert_eq!(c.force_epoch_bump(), 2);
     }
 
     #[test]

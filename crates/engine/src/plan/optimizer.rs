@@ -191,31 +191,23 @@ impl Alt {
 #[derive(Debug)]
 pub struct Optimizer<'a> {
     model: &'a CostModel,
-    cpu: CpuCost,
     beam: usize,
     initial_state: CacheState,
 }
 
 impl<'a> Optimizer<'a> {
-    /// An optimizer over the given machine model, with the default CPU
-    /// calibration, a beam width of 8 alternatives per node, and cold
-    /// starting caches. The machine's core count plays no part: a plan
+    /// An optimizer over the given machine model, with a beam width of 8
+    /// alternatives per node and cold starting caches. CPU is priced with
+    /// [`CpuCost::default_planner`], the one CPU term every layer
+    /// charges. The machine's core count plays no part: a plan
     /// runs on one core, and cores are shared *between* queries
     /// ([`CostModel::batch_cost`]).
     pub fn new(model: &'a CostModel) -> Optimizer<'a> {
         Optimizer {
             model,
-            cpu: CpuCost::default_planner(),
             beam: 8,
             initial_state: CacheState::cold(),
         }
-    }
-
-    /// Use a calibrated CPU cost instead of the default per-op
-    /// constant.
-    pub fn with_cpu(mut self, cpu: CpuCost) -> Optimizer<'a> {
-        self.cpu = cpu;
-        self
     }
 
     /// Keep at most `beam` alternatives per node (≥ 1). Wider beams
@@ -285,9 +277,10 @@ impl<'a> Optimizer<'a> {
 
     /// Elapsed CPU time of a stage list (Eq 6.1).
     fn price_cpu(&self, stages: &[Stage]) -> f64 {
-        let mut ns = self.cpu.fixed_ns;
+        let cpu = CpuCost::default_planner();
+        let mut ns = cpu.fixed_ns;
         for stage in stages {
-            ns += self.cpu.per_op_ns * stage.ops as f64;
+            ns += cpu.per_op_ns * stage.ops as f64;
         }
         ns
     }

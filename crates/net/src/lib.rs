@@ -1,6 +1,6 @@
 //! # gcm-net — thread-per-core ingress with ⊙-priced load shedding
 //!
-//! The network front end of the serving stack: a pinned acceptor plus
+//! The network front end of the serving stack: an acceptor thread plus
 //! one epoll poll-loop thread per core ([`shard`]), a compact
 //! length-prefixed wire protocol ([`wire`]), bounded per-shard ingress
 //! queues feeding the [`gcm_service::QueryService`] batch scheduler
@@ -18,8 +18,8 @@
 //! socket is the complementary half: queues are bounded, and a full
 //! queue simply stops the shard reading, which closes the TCP window.
 //!
-//! Everything is dependency-free: epoll, pipes, and CPU affinity are
-//! raw `extern "C"` shims ([`sys`]) against the libc the Rust runtime
+//! Everything is dependency-free: epoll and pipes are raw
+//! `extern "C"` shims ([`sys`]) against the libc the Rust runtime
 //! already links, so the crate builds offline with plain std. The
 //! event-loop modules are Linux-only; [`wire`] and [`loadgen`]'s
 //! schedule math are portable.

@@ -57,9 +57,6 @@ pub struct NetConfig {
     /// Per-shard ingress queue bound — beyond it the read-readiness
     /// gate closes and back-pressure reaches the socket.
     pub ingress_capacity: usize,
-    /// Pin the acceptor to core 0 and shard `i` to core `1 + i`
-    /// (best-effort; refused pins are ignored).
-    pub pin_threads: bool,
 }
 
 impl Default for NetConfig {
@@ -67,7 +64,6 @@ impl Default for NetConfig {
         NetConfig {
             shards: 0,
             ingress_capacity: 1024,
-            pin_threads: false,
         }
     }
 }
@@ -152,12 +148,11 @@ impl NetServer {
             let shared = Arc::clone(shared);
             let signal = Arc::clone(&signal);
             let registry = Arc::clone(&metrics);
-            let pin = cfg.pin_threads.then_some(1 + i);
             shard_handles.push(
                 std::thread::Builder::new()
                     .name(format!("gcm-net-shard-{i}"))
                     .spawn(move || {
-                        run_shard(i, &shared, &signal, &registry, pin, move || clock.now_ns())
+                        run_shard(i, &shared, &signal, &registry, move || clock.now_ns())
                     })?,
             );
         }
@@ -165,10 +160,9 @@ impl NetServer {
         let acceptor = {
             let shards = shards.clone();
             let stop = Arc::clone(&stop);
-            let pin = cfg.pin_threads.then_some(0usize);
             std::thread::Builder::new()
                 .name("gcm-net-acceptor".into())
-                .spawn(move || accept_loop(listener, &shards, &stop, pin))?
+                .spawn(move || accept_loop(listener, &shards, &stop))?
         };
 
         let scheduler = {
@@ -224,15 +218,7 @@ impl NetServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shards: &[Arc<SharedShard>],
-    stop: &AtomicBool,
-    pin: Option<usize>,
-) {
-    if let Some(core) = pin {
-        crate::sys::pin_to_core(core);
-    }
+fn accept_loop(listener: TcpListener, shards: &[Arc<SharedShard>], stop: &AtomicBool) {
     let mut next = 0usize;
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {

@@ -34,7 +34,7 @@ use std::sync::{Condvar, Mutex};
 use gcm_obs::registry::labeled;
 use gcm_obs::MetricsRegistry;
 
-use crate::sys::{pin_to_core, Event, Poller, WakePipe, EPOLLIN, EPOLLOUT};
+use crate::sys::{Event, Poller, WakePipe, EPOLLIN, EPOLLOUT};
 use crate::wire::{encode_response, Frame, FrameDecoder, ResponseFrame, SubmitFrame};
 
 /// Frames received over the wire.
@@ -153,12 +153,8 @@ pub fn run_shard(
     shared: &SharedShard,
     signal: &SchedSignal,
     metrics: &MetricsRegistry,
-    pin: Option<usize>,
     now_ns: impl Fn() -> u64,
 ) -> std::io::Result<()> {
-    if let Some(core) = pin {
-        pin_to_core(core);
-    }
     let poller = Poller::new()?;
     poller.add(shared.wake.read_fd(), WAKE_TOKEN, EPOLLIN)?;
 

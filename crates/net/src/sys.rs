@@ -1,11 +1,11 @@
-//! Raw epoll / pipe / CPU-affinity shims — the event loop's kernel
-//! interface without the `libc` crate.
+//! Raw epoll / pipe shims — the event loop's kernel interface without
+//! the `libc` crate.
 //!
 //! The workspace's raw-syscall precedent lives here: the handful of
 //! symbols the poll loop needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `pipe2`, `read`, `write`, `close`,
-//! `sched_setaffinity`) are declared `extern "C"` against the libc the
-//! Rust runtime already links, so the workspace stays dependency-free.
+//! `epoll_wait`, `pipe2`, `read`, `write`, `close`) are declared
+//! `extern "C"` against the libc the Rust runtime already links, so the
+//! workspace stays dependency-free.
 //! This module is Linux-only (gated at the crate root); the wire codec
 //! and load-generator math compile everywhere.
 //!
@@ -71,7 +71,6 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
-    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
     fn __errno_location() -> *mut i32;
 }
 
@@ -227,19 +226,6 @@ impl Drop for WakePipe {
 unsafe impl Send for WakePipe {}
 unsafe impl Sync for WakePipe {}
 
-/// Best-effort: pin the calling thread to one CPU. Returns whether the
-/// kernel accepted the mask (sandboxes and cpuset-restricted hosts may
-/// refuse; the caller keeps running unpinned).
-pub fn pin_to_core(core: usize) -> bool {
-    let mut mask = [0u64; 16]; // 1024-bit cpu_set_t
-    let (word, bit) = (core / 64, core % 64);
-    if word >= mask.len() {
-        return false;
-    }
-    mask[word] = 1u64 << bit;
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,12 +270,5 @@ mod tests {
         poller.modify(pipe.read_fd(), 1, EPOLLIN).unwrap();
         poller.wait(&mut events, 1_000).unwrap();
         assert_eq!(events.len(), 1);
-    }
-
-    #[test]
-    fn pin_to_core_is_best_effort() {
-        // Accepting or refusing are both fine; crashing is not.
-        let _ = pin_to_core(0);
-        assert!(!pin_to_core(usize::MAX), "absurd core must be refused");
     }
 }

@@ -31,13 +31,11 @@ impl ClassDrift {
     }
 }
 
-/// Per-operator-class EWMA drift tracker. Thread-safe; shared by
-/// reference from the service layer.
+/// Per-operator-class EWMA drift tracker with the `DEFAULT_*`
+/// smoothing, threshold and minimum sample count below. Thread-safe;
+/// shared by reference from the service layer.
 #[derive(Debug)]
 pub struct DriftMonitor {
-    alpha: f64,
-    threshold_log2: f64,
-    min_samples: u64,
     classes: Mutex<BTreeMap<String, ClassDrift>>,
 }
 
@@ -57,19 +55,11 @@ impl Default for DriftMonitor {
 }
 
 impl DriftMonitor {
-    /// A monitor with the default alpha/threshold/min-samples.
+    /// A monitor flagging a class once its smoothed measured/predicted
+    /// ratio leaves `[1/DEFAULT_THRESHOLD, DEFAULT_THRESHOLD]` after
+    /// [`DEFAULT_MIN_SAMPLES`] observations.
     pub fn new() -> DriftMonitor {
-        DriftMonitor::with_params(DEFAULT_ALPHA, DEFAULT_THRESHOLD, DEFAULT_MIN_SAMPLES)
-    }
-
-    /// A monitor flagging when the smoothed measured/predicted ratio
-    /// leaves `[1/threshold, threshold]` after `min_samples`
-    /// observations of a class.
-    pub fn with_params(alpha: f64, threshold: f64, min_samples: u64) -> DriftMonitor {
         DriftMonitor {
-            alpha: alpha.clamp(0.0, 1.0),
-            threshold_log2: threshold.max(1.0).log2(),
-            min_samples: min_samples.max(1),
             classes: Mutex::new(BTreeMap::new()),
         }
     }
@@ -94,7 +84,7 @@ impl DriftMonitor {
         if entry.samples == 0 {
             entry.ewma_log2 = sample;
         } else {
-            entry.ewma_log2 += self.alpha * (sample - entry.ewma_log2);
+            entry.ewma_log2 += DEFAULT_ALPHA * (sample - entry.ewma_log2);
         }
         entry.samples += 1;
     }
@@ -110,7 +100,7 @@ impl DriftMonitor {
     }
 
     fn is_stale(&self, d: &ClassDrift) -> bool {
-        d.samples >= self.min_samples && d.ewma_log2.abs() > self.threshold_log2
+        d.samples >= DEFAULT_MIN_SAMPLES && d.ewma_log2.abs() > DEFAULT_THRESHOLD.log2()
     }
 
     /// Classes whose smoothed ratio has crossed the threshold.
@@ -132,11 +122,6 @@ impl DriftMonitor {
             .unwrap()
             .values()
             .any(|d| self.is_stale(d))
-    }
-
-    /// Reset all state (e.g. after re-running the calibrator).
-    pub fn reset(&self) {
-        self.classes.lock().unwrap().clear();
     }
 
     /// Mirror the monitor into a [`MetricsRegistry`](crate::MetricsRegistry):
@@ -244,18 +229,6 @@ mod tests {
         m.observe("x", 1.0, 0.0);
         m.observe("x", f64::NAN, 1.0);
         m.observe("x", 1.0, f64::INFINITY);
-        assert!(m.status().is_empty());
-    }
-
-    #[test]
-    fn reset_clears_the_flag() {
-        let m = DriftMonitor::new();
-        for _ in 0..10 {
-            m.observe("scan", 8000.0, 1000.0);
-        }
-        assert!(m.needs_recalibration());
-        m.reset();
-        assert!(!m.needs_recalibration());
         assert!(m.status().is_empty());
     }
 

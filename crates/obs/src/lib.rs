@@ -11,8 +11,8 @@
 //!
 //! - [`span`] — per-thread lock-free span recording with backend
 //!   counter deltas (charged accesses and per-level misses on the sim
-//!   backend, wall-ns on native); compiled to a no-op without the
-//!   `span-tracing` feature.
+//!   backend, wall-ns on native), switched off at runtime with one
+//!   relaxed atomic load per would-be span.
 //! - [`hist`] — log-linear histograms with bounded quantile error, the
 //!   p50/p99/p999 story for service latency.
 //! - [`registry`] — named counters / gauges / histograms with

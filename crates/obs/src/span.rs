@@ -12,11 +12,9 @@
 //! blocking the traced work — the `dropped` counter makes truncation
 //! visible, mirroring how `MissTrace` reports its own overflow.
 //!
-//! Two off switches, with different costs:
-//! - runtime: [`SpanRecorder::set_enabled`]`(false)` — one relaxed
-//!   atomic load per span (the `tracing_overhead` bench guards this);
-//! - compile time: build without the `span-tracing` feature — `record`
-//!   becomes an empty inline function and drains return nothing.
+//! One off switch: [`SpanRecorder::set_enabled`]`(false)` at runtime
+//! costs one relaxed atomic load per would-be span (the
+//! `tracing_overhead` bench guards this).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -103,7 +101,6 @@ impl Span {
     }
 }
 
-#[cfg(feature = "span-tracing")]
 mod ring {
     use super::*;
     use std::cell::UnsafeCell;
@@ -176,7 +173,6 @@ mod ring {
     }
 }
 
-#[cfg(feature = "span-tracing")]
 struct Inner {
     enabled: AtomicBool,
     epoch: Instant,
@@ -188,12 +184,6 @@ struct Inner {
     /// Drop counts carried over from reclaimed lanes, so
     /// [`SpanRecorder::dropped`] never under-reports.
     reclaimed_dropped: AtomicU64,
-}
-
-#[cfg(not(feature = "span-tracing"))]
-struct Inner {
-    enabled: AtomicBool,
-    epoch: Instant,
 }
 
 /// Shared handle to the trace: hands out per-thread [`SpanSink`]s and
@@ -229,7 +219,6 @@ impl SpanRecorder {
     }
 
     /// A recorder whose lanes hold `capacity` spans each.
-    #[cfg(feature = "span-tracing")]
     pub fn with_capacity(capacity: usize) -> SpanRecorder {
         SpanRecorder {
             inner: Arc::new(Inner {
@@ -239,17 +228,6 @@ impl SpanRecorder {
                 lanes: Mutex::new(Vec::new()),
                 next_lane: AtomicU64::new(0),
                 reclaimed_dropped: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// A recorder whose lanes hold `capacity` spans each.
-    #[cfg(not(feature = "span-tracing"))]
-    pub fn with_capacity(_capacity: usize) -> SpanRecorder {
-        SpanRecorder {
-            inner: Arc::new(Inner {
-                enabled: AtomicBool::new(true),
-                epoch: Instant::now(),
             }),
         }
     }
@@ -273,7 +251,6 @@ impl SpanRecorder {
 
     /// Register a new lane and return its single-producer sink. Each
     /// writer thread gets its own.
-    #[cfg(feature = "span-tracing")]
     pub fn sink(&self) -> SpanSink {
         let lane = Arc::new(ring::Lane::new(self.inner.capacity));
         let mut lanes = self.inner.lanes.lock().unwrap();
@@ -286,15 +263,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Register a new lane and return its single-producer sink. Each
-    /// writer thread gets its own.
-    #[cfg(not(feature = "span-tracing"))]
-    pub fn sink(&self) -> SpanSink {
-        SpanSink {
-            recorder: self.clone(),
-        }
-    }
-
     /// Harvest every completed span from every lane, in lane order.
     /// The lane-registry lock makes this the single consumer. Lanes
     /// whose producer sink has been dropped are reclaimed after
@@ -302,7 +270,6 @@ impl SpanRecorder {
     /// only by the registry can never fill again) — a long-running
     /// service that hands a sink to every batch worker stays at
     /// O(live writers) memory instead of O(all writers ever).
-    #[cfg(feature = "span-tracing")]
     pub fn drain(&self) -> Vec<Span> {
         let mut lanes = self.inner.lanes.lock().unwrap();
         let mut out = Vec::new();
@@ -326,14 +293,7 @@ impl SpanRecorder {
         out
     }
 
-    /// Harvest every completed span from every lane, in lane order.
-    #[cfg(not(feature = "span-tracing"))]
-    pub fn drain(&self) -> Vec<Span> {
-        Vec::new()
-    }
-
     /// Total spans dropped across all lanes because a ring was full.
-    #[cfg(feature = "span-tracing")]
     pub fn dropped(&self) -> u64 {
         let lanes = self.inner.lanes.lock().unwrap();
         self.inner.reclaimed_dropped.load(Ordering::Relaxed)
@@ -342,12 +302,6 @@ impl SpanRecorder {
                 .map(|l| l.dropped.load(Ordering::Relaxed))
                 .sum::<u64>()
     }
-
-    /// Total spans dropped across all lanes because a ring was full.
-    #[cfg(not(feature = "span-tracing"))]
-    pub fn dropped(&self) -> u64 {
-        0
-    }
 }
 
 /// A single writer thread's handle into the trace. Not `Clone`: one
@@ -355,11 +309,8 @@ impl SpanRecorder {
 /// so worker threads can carry theirs across a spawn.
 pub struct SpanSink {
     recorder: SpanRecorder,
-    #[cfg(feature = "span-tracing")]
     lane: Arc<ring::Lane>,
-    #[cfg(feature = "span-tracing")]
     lane_idx: usize,
-    #[cfg(feature = "span-tracing")]
     seq: u64,
 }
 
@@ -373,7 +324,7 @@ impl SpanSink {
     /// Whether a record call would actually store a span. Callers use
     /// this to skip collecting counter deltas when tracing is off.
     pub fn active(&self) -> bool {
-        cfg!(feature = "span-tracing") && self.recorder.enabled()
+        self.recorder.enabled()
     }
 
     /// Nanoseconds since the recorder's epoch.
@@ -382,7 +333,6 @@ impl SpanSink {
     }
 
     /// Record one completed span. `lane` and `seq` are filled in here.
-    #[cfg(feature = "span-tracing")]
     pub fn record(&mut self, mut span: Span) {
         if !self.recorder.enabled() {
             return;
@@ -392,11 +342,6 @@ impl SpanSink {
         self.seq += 1;
         self.lane.push(span);
     }
-
-    /// Record one completed span (compiled out).
-    #[cfg(not(feature = "span-tracing"))]
-    #[inline(always)]
-    pub fn record(&mut self, _span: Span) {}
 }
 
 #[cfg(test)]
@@ -419,7 +364,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "span-tracing")]
     fn record_and_drain_roundtrip() {
         let rec = SpanRecorder::with_capacity(8);
         let mut sink = rec.sink();
@@ -435,7 +379,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "span-tracing")]
     fn drain_reclaims_abandoned_lanes_and_keeps_drop_counts() {
         let rec = SpanRecorder::with_capacity(2);
         for i in 0..10 {
@@ -459,7 +402,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "span-tracing")]
     fn full_lane_counts_drops() {
         let rec = SpanRecorder::with_capacity(2);
         let mut sink = rec.sink();
@@ -474,7 +416,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "span-tracing")]
     fn disabled_recorder_stores_nothing() {
         let rec = SpanRecorder::new();
         rec.set_enabled(false);
@@ -486,17 +427,6 @@ mod tests {
         assert!(sink.active());
         sink.record(span("b"));
         assert_eq!(rec.drain().len(), 1);
-    }
-
-    #[test]
-    #[cfg(not(feature = "span-tracing"))]
-    fn compiled_out_recorder_is_inert() {
-        let rec = SpanRecorder::new();
-        let mut sink = rec.sink();
-        assert!(!sink.active());
-        sink.record(span("a"));
-        assert!(rec.drain().is_empty());
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]

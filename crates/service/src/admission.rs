@@ -1,9 +1,8 @@
 //! ⊙-priced admission control: deciding which pending queries may run
 //! together.
 //!
-//! PR 3 let the cost model decide the degree of parallelism *within*
-//! one query; here the same `⊙`-across-cores rule
-//! ([`CostModel::batch_cost`]) decides concurrency *across* queries. A
+//! The `⊙`-across-cores rule ([`CostModel::batch_cost`]) decides
+//! concurrency *across* queries — a plan itself runs on one core. A
 //! batch of queries running on separate cores composes their whole
 //! compound patterns on every shared cache level (footprint-
 //! proportional shares, Eq 5.3), so the model predicts exactly the
@@ -80,15 +79,12 @@ pub struct Candidate<'a> {
     pub cpu_ns: f64,
 }
 
-/// Scheduler knobs (see [`crate::ServiceConfig`] for the defaults).
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Hard cap on batch size (the machine's core budget).
-    pub max_batch: usize,
-    /// Per-worker dispatch charge, ns — what a batch pays to put one
-    /// more worker thread to work.
-    pub dispatch_ns: f64,
-}
+/// The charge for putting one batch worker to work on a member
+/// (spawn/wake + scheduling + result hand-off), in nanoseconds — what
+/// keeps admission from batching queries too small to amortise it. The
+/// simulator's measured batch wall carries the same charge
+/// ([`QueryService::execute_batch`](crate::QueryService::execute_batch)).
+pub(crate) const DEFAULT_DISPATCH_NS: f64 = 25_000.0;
 
 /// The scheduler's verdict for one batch: which candidates (by index)
 /// run together, and the prices the decision was based on.
@@ -128,7 +124,6 @@ fn price(
     model: &CostModel,
     patterns: &[Pattern],
     cpus: &[f64],
-    cfg: &AdmissionConfig,
     shared: &[Region],
 ) -> (f64, f64, Vec<f64>) {
     let batch = model.batch_cost_shared(patterns, &CacheState::cold(), shared);
@@ -139,19 +134,20 @@ fn price(
         .map(|(mem, cpu)| mem + cpu)
         .collect();
     let wall =
-        per_query.iter().copied().fold(0.0, f64::max) + cfg.dispatch_ns * patterns.len() as f64;
+        per_query.iter().copied().fold(0.0, f64::max) + DEFAULT_DISPATCH_NS * patterns.len() as f64;
     let serial = batch
         .solo_ns
         .iter()
         .zip(cpus)
-        .map(|(mem, cpu)| mem + cpu + cfg.dispatch_ns)
+        .map(|(mem, cpu)| mem + cpu + DEFAULT_DISPATCH_NS)
         .sum();
     (wall, serial, per_query)
 }
 
-/// Greedily form the next batch from `candidates` (the pending queue in
-/// arrival order). Returns `None` on an empty queue. `shared` lists the
-/// canonical regions of data candidates may *share* (immutable build
+/// Greedily form the next batch of at most `max_batch` members (the
+/// machine's core budget; 0 counts as 1) from `candidates` (the
+/// pending queue in arrival order). Returns `None` on an empty queue.
+/// `shared` lists the canonical regions of data candidates may *share* (immutable build
 /// sides from the [`BuildRegistry`](crate::builds::BuildRegistry)):
 /// pricing counts each such region once across the forming batch
 /// (Eq 5.3 with shared data), so two queries probing the same build
@@ -160,27 +156,27 @@ fn price(
 pub fn next_batch(
     model: &CostModel,
     candidates: &[Candidate<'_>],
-    cfg: &AdmissionConfig,
+    max_batch: usize,
     shared: &[Region],
 ) -> Option<BatchDecision> {
     if candidates.is_empty() {
         return None;
     }
-    let max_batch = cfg.max_batch.max(1);
+    let max_batch = max_batch.max(1);
     // The forming batch, grown in place: each trial clones only the
     // candidate's pattern (popped again on rejection), never the
     // already-admitted members'.
     let mut patterns = vec![candidates[0].pattern.clone()];
     let mut cpus = vec![candidates[0].cpu_ns];
     let mut admitted = vec![0usize];
-    let (mut wall, mut serial, mut per_query) = price(model, &patterns, &cpus, cfg, shared);
+    let (mut wall, mut serial, mut per_query) = price(model, &patterns, &cpus, shared);
     for (idx, cand) in candidates.iter().enumerate().skip(1) {
         if patterns.len() >= max_batch {
             break;
         }
         patterns.push(cand.pattern.clone());
         cpus.push(cand.cpu_ns);
-        let (t_wall, t_serial, t_per_query) = price(model, &patterns, &cpus, cfg, shared);
+        let (t_wall, t_serial, t_per_query) = price(model, &patterns, &cpus, shared);
         // solo(q): the candidate's own serial contribution is the
         // difference of the serial sums (solo mem + cpu + dispatch).
         let solo = t_serial - serial;
@@ -206,13 +202,6 @@ mod tests {
     use gcm_core::Region;
     use gcm_hardware::presets;
 
-    fn cfg(max_batch: usize) -> AdmissionConfig {
-        AdmissionConfig {
-            max_batch,
-            dispatch_ns: 25_000.0,
-        }
-    }
-
     #[test]
     fn slo_policy_budgets_per_class() {
         let slo = SloPolicy {
@@ -232,7 +221,7 @@ mod tests {
     #[test]
     fn empty_queue_has_no_batch() {
         let model = CostModel::new(presets::tiny_smp(4));
-        assert!(next_batch(&model, &[], &cfg(4), &[]).is_none());
+        assert!(next_batch(&model, &[], 4, &[]).is_none());
     }
 
     #[test]
@@ -248,7 +237,7 @@ mod tests {
                 cpu_ns: 10_000.0,
             })
             .collect();
-        let d = next_batch(&model, &candidates, &cfg(4), &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(d.admitted, vec![0, 1, 2, 3], "core budget caps at 4");
         assert!(d.predicted_speedup() > 2.0, "{}", d.predicted_speedup());
         assert!(d.predicted_wall_ns < d.predicted_serial_ns);
@@ -270,7 +259,7 @@ mod tests {
                 cpu_ns: 0.0,
             })
             .collect();
-        let d = next_batch(&model, &candidates, &cfg(4), &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(d.admitted, vec![0], "contending pair must serialize");
     }
 
@@ -297,9 +286,9 @@ mod tests {
                 cpu_ns: 0.0,
             })
             .collect();
-        let private = next_batch(&model, &candidates, &cfg(4), &[]).unwrap();
+        let private = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(private.admitted, vec![0], "private builds must serialize");
-        let shared = next_batch(&model, &candidates, &cfg(4), &[h]).unwrap();
+        let shared = next_batch(&model, &candidates, 4, &[h]).unwrap();
         assert_eq!(shared.admitted, vec![0, 1], "shared build must batch");
         assert!(shared.predicted_speedup() > 1.0);
     }
@@ -321,7 +310,7 @@ mod tests {
                 cpu_ns: 0.0,
             })
             .collect();
-        let d = next_batch(&model, &candidates, &cfg(4), &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert!(d.admitted.contains(&0));
         assert!(!d.admitted.contains(&1), "twin must be skipped");
         assert!(d.admitted.contains(&2) && d.admitted.contains(&3));
@@ -337,7 +326,7 @@ mod tests {
             pattern: &p,
             cpu_ns: 5_000.0,
         }];
-        let d = next_batch(&model, &candidates, &cfg(4), &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(d.admitted, vec![0]);
         assert!((d.predicted_wall_ns - d.predicted_serial_ns).abs() < 1e-9);
         assert!((d.predicted_speedup() - 1.0).abs() < 1e-9);
@@ -353,7 +342,7 @@ mod tests {
                 cpu_ns: 0.0,
             },
         ];
-        let d1 = next_batch(&model, &two, &cfg(1), &[]).unwrap();
+        let d1 = next_batch(&model, &two, 1, &[]).unwrap();
         assert_eq!(d1.admitted, vec![0]);
     }
 }

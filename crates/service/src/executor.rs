@@ -19,25 +19,28 @@
 //! admitted queries) — so a batch the model admitted cannot be wrecked
 //! by a co-runner grabbing more of the shared level than its footprint
 //! warrants. A query's measured latency is its charged memory time
-//! plus the per-op CPU charge (Eq 6.1), and the batch's measured wall
-//! is the slowest member, which is what the `⊙` composition predicted.
+//! plus the planner's per-op CPU charge (Eq 6.1,
+//! [`CpuCost::default_planner`] — the same term the optimizer priced
+//! it with), and the batch's measured wall is the slowest member, which
+//! is what the `⊙` composition predicted.
 //! On the **host** the factory yields a pre-sized native arena: real
 //! buffers, real loads, wall-clock latency, and no views (the hardware
 //! shares its caches itself).
 //!
 //! The two [`QueryService`] methods over this path keep only their own
 //! bookkeeping: [`QueryService::execute_batch`] (simulator: records,
-//! drift, the recalibration pump) and
-//! [`QueryService::execute_batch_native_observed`] (host: wall-scale
-//! EWMA, per-class histograms).
+//! drift) and [`QueryService::execute_batch_native_observed`] (host:
+//! per-class histograms). Both fold their batch wall into the shed
+//! gate's wall-scale EWMA.
 
+use crate::admission::DEFAULT_DISPATCH_NS;
 use crate::builds::SharedBuild;
 use crate::metrics::{BatchRecord, QueryRecord};
 use crate::queue::Batch;
 use crate::QueryService;
 use gcm_core::{
-    footprint_lines, footprint_lines_excluding, references_region, Geometry, Pattern, Region,
-    RegionId,
+    footprint_lines, footprint_lines_excluding, references_region, CpuCost, Geometry, Pattern,
+    Region, RegionId,
 };
 use gcm_engine::plan::{
     self, plan_classes, BuildSource, PhysicalPlan, PlanError, PrebuiltBuild, SpanTracer, TableDef,
@@ -85,8 +88,9 @@ pub struct ExecutedQuery {
     /// builds, on any backend).
     pub output_hash: u64,
     /// Measured elapsed time
-    /// ([`RunStats::total_ns`](gcm_engine::RunStats::total_ns)): charged
-    /// memory latency plus `per_op_ns ×` logical ops on the simulator
+    /// ([`RunStats::total_ns`](gcm_engine::RunStats::total_ns) at the
+    /// planner's CPU charge): charged memory latency plus
+    /// [`CpuCost::default_planner`] × logical ops on the simulator
     /// (Eq 6.1), wall time over the plan execution alone on the host, ns.
     pub measured_ns: f64,
     /// Logical CPU operations the query performed.
@@ -212,7 +216,6 @@ pub fn execute_batch<B: MemoryBackend>(
     tables: &[Arc<TableDef>],
     plans: &[&PhysicalPlan],
     builds: &[MemberBuilds],
-    per_op_ns: f64,
     sinks: &mut [SpanSink],
 ) -> Result<Vec<ExecutedQuery>, PlanError> {
     assert_eq!(plans.len(), builds.len());
@@ -235,7 +238,7 @@ pub fn execute_batch<B: MemoryBackend>(
                         run.map(|r| ExecutedQuery {
                             output_n: r.output.n(),
                             output_hash: fnv1a(&ctx.relation_bytes(&r.output)),
-                            measured_ns: stats.total_ns(per_op_ns),
+                            measured_ns: stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS),
                             ops: stats.ops,
                         })
                     })
@@ -274,7 +277,6 @@ impl QueryService {
             &self.tables,
             &batch.plans(),
             &builds,
-            self.cfg.per_op_ns,
             &mut self.worker_sinks,
         )
     }
@@ -294,7 +296,7 @@ impl QueryService {
         // charged — both sides account dispatch identically and the
         // accuracy ratio reflects model quality, not bookkeeping.
         let measured_wall_ns = runs.iter().map(|r| r.measured_ns).fold(0.0, f64::max)
-            + self.cfg.dispatch_ns * batch.size() as f64;
+            + DEFAULT_DISPATCH_NS * batch.size() as f64;
         for ((pending, run), predicted_ns) in
             batch.entries.iter().zip(&runs).zip(&batch.per_query_ns)
         {
@@ -302,8 +304,7 @@ impl QueryService {
             // ratio, attributed to every operator class the plan
             // contains (once per class). Coarser than the per-node
             // attribution of `explain_analyze` — here a stale class
-            // shows up on every plan shape that uses it, which is the
-            // signal the recalibration flag needs.
+            // shows up on every plan shape that uses it.
             let mut classes = plan_classes(&pending.planned.plan);
             classes.sort_unstable();
             classes.dedup();
@@ -327,10 +328,6 @@ impl QueryService {
             measured_wall_ns,
         });
         self.observe_wall_scale(measured_wall_ns, batch.predicted_wall_ns);
-        // Close the drift loop without stalling the serving path: a
-        // raised flag starts a background probe, and any probe that
-        // finished since the last batch is applied now.
-        self.pump_recalibration(false);
         self.sync_cache_counters();
         Ok(batch_idx)
     }
@@ -377,6 +374,21 @@ impl QueryService {
         Ok(batch.entries.iter().map(|p| p.id).zip(runs).collect())
     }
 
+    /// Fold one measured/predicted batch-wall ratio into the
+    /// [`wall_scale`](QueryService::wall_scale) EWMA (seeded by the
+    /// first observation, clamped to keep one outlier batch from
+    /// poisoning the projection).
+    fn observe_wall_scale(&mut self, measured_wall_ns: f64, predicted_wall_ns: f64) {
+        let ratio = measured_wall_ns / predicted_wall_ns.max(1.0);
+        self.wall_scale = if self.wall_scale_seeded {
+            0.8 * self.wall_scale + 0.2 * ratio
+        } else {
+            ratio
+        };
+        self.wall_scale_seeded = true;
+        self.wall_scale = self.wall_scale.clamp(1e-4, 1e4);
+    }
+
     /// Drain the queue: form and execute batches until nothing is
     /// pending.
     pub fn run(&mut self) -> Result<(), PlanError> {
@@ -400,8 +412,6 @@ mod tests {
     use gcm_workload::Workload;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    const PER_OP: f64 = 4.0;
-
     fn catalog() -> Vec<Arc<TableDef>> {
         let mut wl = Workload::new(61);
         let star = wl.star_scenario(2_000, 400, 1);
@@ -422,7 +432,7 @@ mod tests {
         let rec = SpanRecorder::with_capacity(1);
         rec.set_enabled(false);
         let mut sinks: Vec<SpanSink> = plans.iter().map(|_| rec.sink()).collect();
-        execute_batch(member_ctx, tables, plans, &no_builds, PER_OP, &mut sinks)
+        execute_batch(member_ctx, tables, plans, &no_builds, &mut sinks)
     }
 
     /// [`run_plain`] on the simulated pool: zero-footprint patterns, so

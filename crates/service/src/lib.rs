@@ -27,10 +27,16 @@
 //!   [`ServiceMetrics`]) or a native arena on the host's real memory
 //!   ([`QueryService::execute_batch_native_observed`]).
 //!
+//! Every price the service uses — the optimizer's, admission's, the
+//! simulator clock's and EXPLAIN ANALYZE's — charges the one CPU term
+//! [`CpuCost::default_planner`]: calibration is an input to the model
+//! (paper §2.3), not something the service re-probes while serving.
+//! The [`DriftMonitor`] reports how far measurement has wandered from
+//! it, per operator class.
+//!
 //! [`QueryService`] itself is a façade: this file holds construction,
 //! table registration, `submit*` and the accessors; batch formation and
-//! shedding live in [`queue`], execution in [`executor`], the
-//! drift → recalibration control loop in [`recalibrate`], and the
+//! shedding live in [`queue`], execution in [`executor`], and the
 //! counters in [`metrics`].
 //!
 //! ```
@@ -72,25 +78,22 @@ pub mod executor;
 pub mod metrics;
 pub mod mix;
 pub mod queue;
-pub mod recalibrate;
 #[cfg(test)]
 mod tests;
 
-pub use admission::{AdmissionConfig, BatchDecision, SloPolicy};
+pub use admission::{BatchDecision, SloPolicy};
 pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
 pub use cache::{PlanCache, PlanKey};
 pub use executor::{ExecutedQuery, MemberBuilds};
 pub use metrics::{BatchRecord, QueryRecord, ServiceMetrics, ShedRecord};
 pub use mix::{plan_for, TenantTables};
 pub use queue::Batch;
-pub use recalibrate::{Recalibration, Recalibrator};
 
 use gcm_core::{CostModel, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
-    catalog::DEFAULT_DRIFT_THRESHOLD, explain_analyze, materialize_tables, optimize_and_lower,
-    shared_build_tables, ExplainReport, LogicalPlan, PlanError, PlannedQuery, StatsCatalog,
-    TableDef, TableStats,
+    explain_analyze, materialize_tables, optimize_and_lower, shared_build_tables, ExplainReport,
+    LogicalPlan, PlanError, PlannedQuery, StatsCatalog, TableDef, TableStats,
 };
 use gcm_engine::ExecContext;
 use gcm_hardware::HardwareSpec;
@@ -100,40 +103,19 @@ use queue::Pending;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Default charge for putting one batch worker to work on a member
-/// (spawn/wake + scheduling + result hand-off), in nanoseconds — what
-/// keeps admission from batching queries too small to amortise it.
-const DEFAULT_DISPATCH_NS: f64 = 25_000.0;
-
-/// Service knobs.
-#[derive(Debug, Clone, Copy)]
+/// Service knobs. The CPU charge, the per-worker dispatch charge and
+/// the statistics drift threshold are constants, not settings:
+/// [`CpuCost::default_planner`], the admission module's dispatch
+/// charge, and [`DEFAULT_DRIFT_THRESHOLD`](gcm_engine::plan::catalog::DEFAULT_DRIFT_THRESHOLD).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceConfig {
-    /// Hard cap on batch size; 0 means "the machine's core count".
+    /// Hard cap on batch size; 0 (the default) means "the machine's
+    /// core count".
     pub max_batch: usize,
-    /// CPU calibration: nanoseconds per logical operation (used both
-    /// for predictions and for scoring measured runs, Eq 6.1).
-    pub per_op_ns: f64,
-    /// Per-worker dispatch charge, ns (see [`AdmissionConfig`]).
-    pub dispatch_ns: f64,
-    /// Statistics drift fraction beyond which cached plans go stale
-    /// (see [`StatsCatalog`]).
-    pub drift_threshold: f64,
     /// Per-class sojourn budgets turning admission into overload
     /// shedding ([`QueryService::next_batch_at`]); `None` (the
     /// default) never sheds.
     pub slo: Option<SloPolicy>,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> ServiceConfig {
-        ServiceConfig {
-            max_batch: 0,
-            per_op_ns: CpuCost::DEFAULT_PLANNER_PER_OP_NS,
-            dispatch_ns: DEFAULT_DISPATCH_NS,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
-            slo: None,
-        }
-    }
 }
 
 /// The query service: registered relations on one shared machine, a
@@ -166,15 +148,9 @@ pub struct QueryService {
     /// ([`executor::execute_batch`]) — a trace nobody drains costs these
     /// bounded rings, not a lane per executed query.
     worker_sinks: Vec<SpanSink>,
-    /// Per-operator-class measured/predicted drift
-    /// ([`DriftMonitor::needs_recalibration`] asks for a re-calibrate).
+    /// Per-operator-class measured/predicted drift of the simulated
+    /// batches, exported as gauges by [`QueryService::metrics`].
     drift: DriftMonitor,
-    /// Closes the drift loop when installed
-    /// ([`QueryService::set_recalibrator`]): a raised flag triggers a
-    /// background probe run whose result is swapped in atomically.
-    recal: Option<Recalibrator>,
-    /// Completed recalibrations applied to this service.
-    recalibrations: u64,
     /// Post-hoc debugging ring: the last
     /// [`FLIGHT_CAPACITY`](QueryService::FLIGHT_CAPACITY) EXPLAIN
     /// ANALYZE reports ([`QueryService::explain_analyze`]).
@@ -203,7 +179,7 @@ impl QueryService {
         let ctl = spans.sink();
         QueryService {
             model: CostModel::new(spec),
-            catalog: StatsCatalog::new(Vec::new()).with_drift_threshold(cfg.drift_threshold),
+            catalog: StatsCatalog::new(Vec::new()),
             tables: Vec::new(),
             cache: Arc::new(PlanCache::new()),
             builds: Arc::new(BuildRegistry::new()),
@@ -215,8 +191,6 @@ impl QueryService {
             ctl,
             worker_sinks: Vec::new(),
             drift: DriftMonitor::new(),
-            recal: None,
-            recalibrations: 0,
             flight: FlightRecorder::new(QueryService::FLIGHT_CAPACITY),
             drain_speedup: 1.0,
             wall_scale: 1.0,
@@ -443,12 +417,12 @@ impl QueryService {
         self.spans.set_enabled(on);
     }
 
-    /// The per-operator-class model-drift monitor. When
-    /// [`needs_recalibration`](DriftMonitor::needs_recalibration)
-    /// reports `true` and a [`Recalibrator`] is installed, the service
-    /// re-probes and swaps the refreshed calibration in on its own;
-    /// without one, re-run the calibrate workflow manually and rebuild
-    /// the service with the refreshed `per_op_ns` / hardware spec.
+    /// The per-operator-class model-drift monitor, fed by every query
+    /// [`execute_batch`](QueryService::execute_batch) runs on the
+    /// simulator. It reports; it changes nothing. When
+    /// [`needs_recalibration`](DriftMonitor::needs_recalibration) says
+    /// `true`, re-run the calibrate workflow and build a new service on
+    /// the refreshed hardware spec.
     pub fn drift(&self) -> &DriftMonitor {
         &self.drift
     }
@@ -468,31 +442,24 @@ impl QueryService {
     ///
     /// This is a diagnostic run outside the serving path: it executes
     /// the plan once on the caller's thread, unbatched and without
-    /// shared builds, priced with the calibration currently in force.
+    /// shared builds, priced with the planner's CPU charge.
     pub fn explain_analyze(&mut self, plan: &LogicalPlan) -> Result<ExplainReport, PlanError> {
         let snap = self.catalog.snapshot();
         let planned = optimize_and_lower(&self.model, plan, snap.tables())?;
         let mut ctx = ExecContext::native();
         let rels = materialize_tables(&mut ctx, &planned.plan, &self.tables);
-        let cpu = CpuCost::per_op(self.cfg.per_op_ns);
+        let cpu = CpuCost::default_planner();
         let (_run, report) = explain_analyze(
             &mut ctx,
             &planned.plan,
             &rels,
             &self.model,
             &cpu,
-            self.cfg.per_op_ns,
+            cpu.per_op_ns,
         )?;
         self.flight
             .record(&format!("fp{:016x}", plan.fingerprint()), &report.to_json());
         Ok(report)
-    }
-
-    /// The CPU calibration currently in force (the `CpuCost::per_op`
-    /// parameter measured runs are scored with). Changes when a
-    /// recalibration lands.
-    pub fn cpu_per_op_ns(&self) -> f64 {
-        self.cfg.per_op_ns
     }
 }
 

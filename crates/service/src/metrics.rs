@@ -280,8 +280,8 @@ impl QueryService {
     }
 
     /// Copy the counters owned by other components (plan cache, build
-    /// registry, span recorder, recalibration loop, queue, drift
-    /// monitor) into the report and its registry.
+    /// registry, span recorder, queue, drift monitor) into the report
+    /// and its registry.
     pub(crate) fn sync_cache_counters(&mut self) {
         self.metrics.cache_hits = self.cache.hits();
         self.metrics.cache_misses = self.cache.misses();
@@ -306,8 +306,6 @@ impl QueryService {
             self.metrics.builds_reused,
         );
         r.set_counter("gcm_service_spans_dropped_total", self.spans.dropped());
-        r.set_counter("gcm_service_recalibrations_total", self.recalibrations);
-        r.set_gauge("gcm_service_cpu_per_op_ns", self.cfg.per_op_ns);
         let depth = self.queue.len() as f64;
         r.set_gauge(QUEUE_DEPTH, depth);
         r.gauge_max(QUEUE_DEPTH_PEAK, depth);

@@ -8,7 +8,7 @@
 //! controller ([`crate::admission`]). Batch formation and shedding are
 //! decided nowhere else.
 
-use crate::admission::{self, AdmissionConfig};
+use crate::admission;
 use crate::builds::SharedBuild;
 use crate::metrics::{self, ShedRecord};
 use crate::QueryService;
@@ -248,15 +248,12 @@ impl QueryService {
             })
             .collect();
         let shared = shared_regions(self.queue.iter());
-        let cfg = AdmissionConfig {
-            max_batch: if self.cfg.max_batch == 0 {
-                self.spec().cores() as usize
-            } else {
-                self.cfg.max_batch
-            },
-            dispatch_ns: self.cfg.dispatch_ns,
+        let max_batch = if self.cfg.max_batch == 0 {
+            self.spec().cores() as usize
+        } else {
+            self.cfg.max_batch
         };
-        let decision = admission::next_batch(&self.model, &candidates, &cfg, &shared)?;
+        let decision = admission::next_batch(&self.model, &candidates, max_batch, &shared)?;
         // `admitted` indexes into `order`; map back to queue indices,
         // remove back to front so earlier indices stay valid, then
         // restore admission order.

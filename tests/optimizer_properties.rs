@@ -4,7 +4,7 @@
 //! alternative. (The model may mis-rank near-ties; it must not pick a
 //! loser.)
 
-use gcm::core::{CostModel, CpuCost};
+use gcm::core::CostModel;
 use gcm::engine::plan::{execute, LogicalPlan, Optimizer, TableStats};
 use gcm::engine::planner::DEFAULT_PLANNER_PER_OP_NS;
 use gcm::engine::ExecContext;
@@ -44,7 +44,6 @@ proptest! {
             TableStats::key_column(dim_n as u64, 8, false),
         ];
         let plans = Optimizer::new(&model)
-            .with_cpu(CpuCost::default_planner())
             .with_beam(6)
             .enumerate(&logical, &stats)
             .expect("plans enumerate");

@@ -25,9 +25,17 @@
 //! an output it writes densely: it allocates at an upper bound and seals
 //! to what the charged pass wrote ([`MemoryBackend::set_high_water`]).
 //!
+//! The operators' hot loops enter the backend through six bulk entry
+//! points (scan, select, partition scatter, hash build, hash probe,
+//! group-count). Each default is the scalar per-tuple loop over the
+//! charged interface, so the simulator counts exactly what it always
+//! did; the native backend overrides them with kernels that charge the
+//! same totals.
+//!
 //! This closes the paper's loop: the cost model is calibrated on and
 //! validated against the *actual* machine (§6), not only the simulator.
 
+use crate::relation::Relation;
 use gcm_core::CpuCost;
 use gcm_sim::{Addr, MemorySystem};
 
@@ -184,6 +192,56 @@ pub trait MemoryBackend {
             self.copy(from, dst + cursors[b] * w, w);
             cursors[b] += 1;
         }
+    }
+
+    /// Charged bulk hash build: insert every tuple `i` of `input` as
+    /// `key → i` into the open-addressing table whose `[key, value]`
+    /// slots are `table` (a power-of-two count of
+    /// [`ENTRY_BYTES`](crate::ops::hash::ENTRY_BYTES)-wide tuples), and
+    /// return the logical ops counted (one per slot probed). The default
+    /// is the scalar build loop `ops::hash::build_scalar`
+    /// (per-tuple full-width [`touch`](MemoryBackend::touch), one charged
+    /// [`read_u64`](MemoryBackend::read_u64) per slot probed, a charged
+    /// touch of the slot filled); overrides must preserve that
+    /// accounting.
+    fn hash_build_bulk(&mut self, input: &Relation, table: &Relation) -> u64 {
+        crate::ops::hash::build_scalar(self, input, table)
+    }
+
+    /// Charged bulk hash probe: look up every tuple of `input` in the
+    /// table whose slots are `table`, writing one `out_w`-byte tuple
+    /// (the key, zero payload) per match into the open tail output at
+    /// `out` that has room for `cap` tuples. Returns
+    /// `(matches, capacity, ops)`: when the matches overrun `cap` the
+    /// output grows in place by doubling
+    /// ([`set_high_water`](MemoryBackend::set_high_water)) and must stay
+    /// the arena's last allocation. The default is the scalar probe loop
+    /// `ops::hash::probe_scalar` (per-tuple full-width touch,
+    /// one charged read per slot visited, per match a charged read of
+    /// the value word and a full-width touch of the output tuple);
+    /// overrides must preserve that accounting.
+    fn hash_probe_bulk(
+        &mut self,
+        input: &Relation,
+        table: &Relation,
+        out: Addr,
+        out_w: u64,
+        cap: u64,
+    ) -> (u64, u64, u64) {
+        crate::ops::hash::probe_scalar(self, input, table, out, out_w, cap)
+    }
+
+    /// Charged bulk group-count: add one to the count of each tuple's
+    /// key in the counting table whose slots are `table`, inserting
+    /// absent keys with count 1, and return the logical ops counted
+    /// (one per tuple plus one per slot probed). The default is the
+    /// scalar upsert loop `ops::aggregate::group_count_scalar`
+    /// (per-tuple full-width touch, one charged read per slot probed,
+    /// then a charged read and write of the count on a hit or a charged
+    /// touch of the slot filled); overrides must preserve that
+    /// accounting.
+    fn group_count_bulk(&mut self, input: &Relation, table: &Relation) -> u64 {
+        crate::ops::aggregate::group_count_scalar(self, input, table)
     }
 
     /// Uncharged (setup/oracle) read of a `u64`.

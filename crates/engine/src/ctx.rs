@@ -42,8 +42,58 @@ impl TailOutput {
 
     /// The arena's bump pointer while this output is open.
     fn end(&self) -> Addr {
-        self.base + (self.cap * self.w).max(1)
+        tail_end(self.base, self.w, self.cap)
     }
+}
+
+/// The bump pointer of an open tail output of `cap` `w`-byte tuples.
+fn tail_end(base: Addr, w: u64, cap: u64) -> Addr {
+    base + (cap * w).max(1)
+}
+
+/// Make room for tuple `i` in the open tail output at `base` holding
+/// `cap` `w`-byte tuples, and return the new capacity: a write past the
+/// capacity doubles the allocation in place, which must still be the
+/// arena's last one. Shared by [`ExecContext::write_tail`] and the hash
+/// probe's bulk entry point, which writes the same kind of output.
+pub(crate) fn grow_tail<B: MemoryBackend + ?Sized>(
+    mem: &mut B,
+    base: Addr,
+    w: u64,
+    cap: u64,
+    i: u64,
+) -> u64 {
+    if i < cap {
+        return cap;
+    }
+    let grown = (2 * cap).max(i + 1);
+    let prev = mem.set_high_water(tail_end(base, w, grown));
+    assert_eq!(
+        prev,
+        tail_end(base, w, cap),
+        "a tail output must stay the last allocation"
+    );
+    grown
+}
+
+/// Write tuple `i` of the open tail output at `base` (`cap` tuples of
+/// `w` bytes) entirely — a charged write of all `w` bytes with the given
+/// key and zero payload, growing the output first if `i` is past its
+/// capacity — and return the capacity.
+#[inline]
+pub(crate) fn write_tail_at<B: MemoryBackend + ?Sized>(
+    mem: &mut B,
+    base: Addr,
+    w: u64,
+    cap: u64,
+    i: u64,
+    key: u64,
+) -> u64 {
+    let cap = grow_tail(mem, base, w, cap, i);
+    let addr = base + i * w;
+    mem.touch(addr, w);
+    mem.host_write_u64(addr, key);
+    cap
 }
 
 /// Measured counters of one operator run on backend `B`.
@@ -150,15 +200,26 @@ impl<B: MemoryBackend> ExecContext<B> {
     /// the last one.
     #[inline]
     pub(crate) fn write_tail(&mut self, out: &mut TailOutput, i: u64, key: u64) {
-        if i >= out.cap {
-            let end = out.end();
-            out.cap = (2 * out.cap).max(i + 1);
-            let prev = self.mem.set_high_water(out.end());
-            assert_eq!(prev, end, "a tail output must stay the last allocation");
-        }
-        let addr = out.tuple(i);
-        self.mem.touch(addr, out.w);
-        self.mem.host_write_u64(addr, key);
+        out.cap = write_tail_at(&mut self.mem, out.base, out.w, out.cap, i, key);
+    }
+
+    /// Probe the hash table whose slots are `table` with every tuple of
+    /// `input` through [`MemoryBackend::hash_probe_bulk`], writing one
+    /// tuple per match into the open tail output `out` (grown as
+    /// [`write_tail`](ExecContext::write_tail) would grow it) and
+    /// counting the probe's logical ops. Returns the match count.
+    pub(crate) fn probe_into_tail(
+        &mut self,
+        input: &Relation,
+        table: &Relation,
+        out: &mut TailOutput,
+    ) -> u64 {
+        let (matches, cap, ops) = self
+            .mem
+            .hash_probe_bulk(input, table, out.base, out.w, out.cap);
+        out.cap = cap;
+        self.ops += ops;
+        matches
     }
 
     /// Close a tail output at `n` tuples: the bump pointer moves to

@@ -16,13 +16,19 @@
 //!   written so the autovectorizer can widen it. Both paths fold with
 //!   wrapping addition, which is associative and commutative, so every
 //!   dispatch returns **bit-identical** results.
-//! * **Software prefetch** for the cache-hostile operators (hash probe,
-//!   radix/hash scatter): operators ask the backend for an N-ahead
-//!   distance ([`MemoryBackend::prefetch_distance`]) and hint the line
-//!   they will need N items from now. The distance comes from the
-//!   calibrated latency/bandwidth ratio
+//! * **Software prefetch** for the cache-hostile operators (hash build,
+//!   probe and group-count upsert, radix/hash scatter): the backend's
+//!   N-ahead distance ([`MemoryBackend::prefetch_distance`]) says how
+//!   many items ahead to hint the line that will be needed. The
+//!   distance comes from the calibrated latency/bandwidth ratio
 //!   ([`gcm_hardware::stride::prefetch_distance`]): a miss is hidden
 //!   when it is issued `latency × bandwidth / item` items early.
+//! * **Hash loops** (build, probe, group-count) need no SIMD: what
+//!   slows them on native memory is the charged per-access interface,
+//!   so `NativeBackend` overrides the bulk hash entry points of
+//!   [`MemoryBackend`] with loops over its slab that keep the access,
+//!   line and op counts in registers. They live in `crate::native`, next
+//!   to the slab they index.
 //!
 //! Kernels operate on raw byte slices (the native backend's slab is a
 //! `Vec<u8>` with no 8-byte alignment guarantee), reading keys with

@@ -20,6 +20,14 @@
 //! [`MemoryBackend::counter_level_misses`] keeps its empty default,
 //! which consumers read as "not observable", never "zero misses".
 //!
+//! Dense bulk operations run kernels instead of the per-access
+//! interface: the SIMD scan and filter of [`crate::kernels`], a
+//! prefetched scatter, and the hash build, probe and group-count loops,
+//! which index the slab directly and add the accesses, lines and logical
+//! ops they charge once per call. Each override charges exactly what
+//! the trait's scalar default charges; [`NativeBackend::scalar_reference`]
+//! runs those defaults.
+//!
 //! Charged accesses go through [`std::hint::black_box`] so the optimizer
 //! cannot elide the loads the access-pattern language describes;
 //! [`NativeBackend::cold_caches`] approximates the paper's "initially
@@ -27,8 +35,11 @@
 //! LLC we expect to meet.
 
 use crate::backend::MemoryBackend;
-use crate::ctx::ExecContext;
+use crate::ctx::{grow_tail, ExecContext};
 use crate::kernels;
+use crate::ops::hash::{EMPTY, ENTRY_BYTES};
+use crate::ops::{aggregate, hash, mix};
+use crate::relation::Relation;
 use gcm_hardware::stride;
 use gcm_sim::Addr;
 use std::hint::black_box;
@@ -71,9 +82,10 @@ pub struct NativeBackend {
     accesses: u64,
     lines: u64,
     wipe: Vec<u8>,
-    /// Route dense bulk operations through the vectorized kernels of
-    /// [`crate::kernels`] (on by default). Off = the per-tuple scalar
-    /// reference path, byte-identical in results and counters.
+    /// Route bulk operations through the kernels — the SIMD ones of
+    /// [`crate::kernels`] and the hash loops below (on by default). Off =
+    /// the per-tuple scalar reference path, byte-identical in results and
+    /// counters.
     use_kernels: bool,
     /// N-ahead software-prefetch distance advertised to operators.
     prefetch_dist: u64,
@@ -151,20 +163,66 @@ impl NativeBackend {
         (addr - NATIVE_BASE) as usize
     }
 
-    /// One real 8-byte load per touched line, via the shared
-    /// [`stride::sweep_fold`] walk (the very loop the calibrator times),
-    /// black-boxed so the loads cannot be elided.
+    /// One real 8-byte load per line of `[addr, addr+len)`, via the
+    /// shared [`stride::sweep_fold`] walk (the very loop the calibrator
+    /// times), black-boxed so the loads cannot be elided. Returns the
+    /// lines loaded.
     #[inline]
-    fn touch_lines(&mut self, addr: Addr, len: u64) {
+    fn load_lines(&self, addr: Addr, len: u64) -> u64 {
         let first = (addr & !(NATIVE_LINE - 1)).max(NATIVE_BASE);
         let last = (addr + len - 1) & !(NATIVE_LINE - 1);
         let lo = self.idx(first);
         let hi = self.idx(last) + 8; // alloc pads a line past the end
         let (acc, steps) = stride::sweep_fold(&self.data[lo..hi], NATIVE_LINE as usize);
         black_box(acc);
-        self.lines += steps;
+        steps
+    }
+
+    /// A charged touch: [`load_lines`](Self::load_lines), counted.
+    #[inline]
+    fn touch_lines(&mut self, addr: Addr, len: u64) {
+        self.lines += self.load_lines(addr, len);
         self.accesses += 1;
     }
+
+    /// The lines a charged touch of the `w`-byte tuple at `addr` counts.
+    /// A tuple inside one line is loaded by the caller's own access to
+    /// its key word; a wider one is loaded line by line here, as
+    /// [`touch`](MemoryBackend::touch) would.
+    #[inline]
+    fn tuple_lines(&self, addr: Addr, w: u64) -> u64 {
+        if (addr ^ (addr + w - 1)) < NATIVE_LINE {
+            1
+        } else {
+            self.load_lines(addr, w)
+        }
+    }
+
+    /// Software-prefetch the home slot, in the hash table whose slots
+    /// start at slab index `t0`, of the key stored at `key_addr`: its
+    /// line and the line of the fourth slot of its run, which is the
+    /// same line when the home slot opens one (a linear-probing run at
+    /// load factor ½ is short, but often crosses into the next line).
+    #[inline]
+    fn prefetch_home_slot(&self, t0: usize, mask: u64, key_addr: Addr) {
+        let key = word(&self.data, self.idx(key_addr));
+        let at = t0 + ((mix(key) & mask) * ENTRY_BYTES) as usize;
+        let slab = self.data.as_ptr();
+        stride::prefetch_read(slab.wrapping_add(at));
+        stride::prefetch_read(slab.wrapping_add(at + 3 * ENTRY_BYTES as usize));
+    }
+}
+
+/// The little-endian word at slab index `i`.
+#[inline]
+fn word(data: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(data[i..i + 8].try_into().expect("8 bytes"))
+}
+
+/// Store `v` as the little-endian word at slab index `i`.
+#[inline]
+fn put_word(data: &mut [u8], i: usize, v: u64) {
+    data[i..i + 8].copy_from_slice(&v.to_le_bytes());
 }
 
 impl MemoryBackend for NativeBackend {
@@ -202,20 +260,17 @@ impl MemoryBackend for NativeBackend {
     }
 
     fn read_u64(&mut self, addr: Addr) -> u64 {
-        let i = self.idx(addr);
         self.accesses += 1;
         // An 8-byte access straddling a line boundary touches two lines.
         self.lines += stride::lines_touched(addr, 8, NATIVE_LINE);
-        black_box(u64::from_le_bytes(
-            self.data[i..i + 8].try_into().expect("8 bytes"),
-        ))
+        black_box(word(&self.data, self.idx(addr)))
     }
 
     fn write_u64(&mut self, addr: Addr, v: u64) {
         let i = self.idx(addr);
         self.accesses += 1;
         self.lines += stride::lines_touched(addr, 8, NATIVE_LINE);
-        self.data[i..i + 8].copy_from_slice(&v.to_le_bytes());
+        put_word(&mut self.data, i, v);
     }
 
     fn prefetch_read(&mut self, addr: Addr) {
@@ -378,6 +433,165 @@ impl MemoryBackend for NativeBackend {
         }
     }
 
+    /// The build loop of `ops::hash::build_scalar` over the slab, with
+    /// the home slot of the key `dist` tuples ahead prefetched; counters
+    /// kept in locals and added once. It charges what the scalar loop
+    /// charges: per tuple one access of the lines it spans and one
+    /// access/line for the slot it fills, plus one access/line (and one
+    /// op) per slot probed (slots are 16-byte aligned, so a slot never
+    /// straddles a line).
+    fn hash_build_bulk(&mut self, input: &Relation, table: &Relation) -> u64 {
+        if !self.use_kernels || !table.base().is_multiple_of(ENTRY_BYTES) {
+            return hash::build_scalar(self, input, table);
+        }
+        let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
+        let t0 = self.idx(table.base());
+        let dist = self.prefetch_dist;
+        let (mut probes, mut lines) = (0u64, 0u64);
+        for i in 0..n {
+            if dist > 0 && i + dist < n {
+                self.prefetch_home_slot(t0, mask, input.tuple(i + dist));
+            }
+            let addr = input.tuple(i);
+            let key = word(&self.data, self.idx(addr));
+            lines += self.tuple_lines(addr, w);
+            let mut slot = mix(key) & mask;
+            loop {
+                let at = t0 + (slot * ENTRY_BYTES) as usize;
+                probes += 1;
+                if word(&self.data, at) == EMPTY {
+                    put_word(&mut self.data, at, key);
+                    put_word(&mut self.data, at + 8, i);
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        self.accesses += 2 * n + probes;
+        self.lines += lines + n + probes;
+        probes
+    }
+
+    /// The probe loop of `ops::hash::probe_scalar` over the slab, with
+    /// the home slot of the key `dist` tuples ahead prefetched; counters
+    /// kept in locals and added once. Per tuple it charges one access of
+    /// the lines the tuple spans, per slot visited one access/line and
+    /// one op, and per match a read of the value word (one access/line;
+    /// the values are folded into one black-boxed word), one access of
+    /// the lines the output tuple spans and one op. The output grows
+    /// exactly as the scalar loop grows it.
+    ///
+    /// When no output tuple straddles a line, a match takes no branch:
+    /// every visit stores the key at the output cursor and the cursor
+    /// advances on a match, so the one data-dependent branch left is the
+    /// end of the walk. Only the tuple at the final cursor can keep such
+    /// a store, and it is cleared at the end.
+    fn hash_probe_bulk(
+        &mut self,
+        input: &Relation,
+        table: &Relation,
+        out: Addr,
+        out_w: u64,
+        mut cap: u64,
+    ) -> (u64, u64, u64) {
+        if !self.use_kernels || !table.base().is_multiple_of(ENTRY_BYTES) {
+            return hash::probe_scalar(self, input, table, out, out_w, cap);
+        }
+        let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
+        let (t0, o0) = (self.idx(table.base()), self.idx(out));
+        let dist = self.prefetch_dist;
+        let flat = NATIVE_LINE.is_multiple_of(out_w) && out.is_multiple_of(out_w);
+        let (mut visits, mut matches, mut lines, mut values) = (0u64, 0u64, 0u64, 0u64);
+        for i in 0..n {
+            if dist > 0 && i + dist < n {
+                self.prefetch_home_slot(t0, mask, input.tuple(i + dist));
+            }
+            let addr = input.tuple(i);
+            let key = word(&self.data, self.idx(addr));
+            lines += self.tuple_lines(addr, w);
+            let mut slot = mix(key) & mask;
+            loop {
+                let at = t0 + (slot * ENTRY_BYTES) as usize;
+                visits += 1;
+                let resident = word(&self.data, at);
+                if resident == EMPTY {
+                    break;
+                }
+                let hit = resident == key;
+                if flat && matches < cap {
+                    values ^= word(&self.data, at + 8) & u64::from(hit).wrapping_neg();
+                    put_word(&mut self.data, o0 + (matches * out_w) as usize, key);
+                    matches += u64::from(hit);
+                    lines += u64::from(hit);
+                } else if hit {
+                    values ^= word(&self.data, at + 8);
+                    cap = grow_tail(self, out, out_w, cap, matches);
+                    let to = out + matches * out_w;
+                    lines += self.tuple_lines(to, out_w);
+                    let o = self.idx(to);
+                    put_word(&mut self.data, o, key);
+                    matches += 1;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        black_box(values);
+        if flat && matches < cap {
+            put_word(&mut self.data, o0 + (matches * out_w) as usize, 0);
+        }
+        self.accesses += n + visits + 2 * matches;
+        self.lines += lines + visits + matches;
+        (matches, cap, visits + matches)
+    }
+
+    /// The upsert loop of `ops::aggregate::group_count_scalar` over the
+    /// slab, with the home slot of the key `dist` tuples ahead
+    /// prefetched; counters kept in locals and added once. Per tuple it
+    /// charges one access of the lines the tuple spans and one op, per
+    /// slot probed one access/line and one op, then either a read and a
+    /// write of the count (two accesses/lines) or one access/line for
+    /// the slot it fills.
+    fn group_count_bulk(&mut self, input: &Relation, table: &Relation) -> u64 {
+        if !self.use_kernels || !table.base().is_multiple_of(ENTRY_BYTES) {
+            return aggregate::group_count_scalar(self, input, table);
+        }
+        let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
+        let t0 = self.idx(table.base());
+        let dist = self.prefetch_dist;
+        let (mut probes, mut hits, mut lines) = (0u64, 0u64, 0u64);
+        for i in 0..n {
+            if dist > 0 && i + dist < n {
+                self.prefetch_home_slot(t0, mask, input.tuple(i + dist));
+            }
+            let addr = input.tuple(i);
+            let key = word(&self.data, self.idx(addr));
+            lines += self.tuple_lines(addr, w);
+            let mut slot = mix(key) & mask;
+            loop {
+                let at = t0 + (slot * ENTRY_BYTES) as usize;
+                probes += 1;
+                let resident = word(&self.data, at);
+                if resident == key {
+                    let c = word(&self.data, at + 8);
+                    put_word(&mut self.data, at + 8, c + 1);
+                    hits += 1;
+                    break;
+                }
+                if resident == EMPTY {
+                    put_word(&mut self.data, at, key);
+                    put_word(&mut self.data, at + 8, 1);
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        // A hit reads and writes the count; a miss fills one slot.
+        let charged = n + probes + 2 * hits + (n - hits);
+        self.accesses += charged;
+        self.lines += charged - n + lines;
+        n + probes
+    }
+
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) {
         let s = self.idx(src);
         let d = self.idx(dst);
@@ -405,13 +619,12 @@ impl MemoryBackend for NativeBackend {
     }
 
     fn host_read_u64(&self, addr: Addr) -> u64 {
-        let i = self.idx(addr);
-        u64::from_le_bytes(self.data[i..i + 8].try_into().expect("8 bytes"))
+        word(&self.data, self.idx(addr))
     }
 
     fn host_write_u64(&mut self, addr: Addr, v: u64) {
         let i = self.idx(addr);
-        self.data[i..i + 8].copy_from_slice(&v.to_le_bytes());
+        put_word(&mut self.data, i, v);
     }
 
     fn host_read_bytes(&self, addr: Addr, buf: &mut [u8]) {
@@ -731,6 +944,92 @@ mod tests {
             run_wide(&mut NativeBackend::new()),
             run_wide(&mut NativeBackend::scalar_reference())
         );
+    }
+
+    /// Run the three hash entry points on `backend`: build over `build`,
+    /// probe with `probe` into a `|probe|`-tuple tail output of
+    /// `out_w`-byte tuples, group-count `probe`. Returns, per entry point,
+    /// the result bytes, the returned values and the access/line deltas.
+    fn hash_entry_points(
+        backend: NativeBackend,
+        build: &[u64],
+        probe: &[u64],
+        w: u64,
+        out_w: u64,
+    ) -> Vec<(Vec<u8>, Vec<u64>, u64, u64)> {
+        let mut ctx = ExecContext::with_backend(backend);
+        let v = ctx.relation_from_keys("V", build, w);
+        let u = ctx.relation_from_keys("U", probe, w);
+        let mut runs = Vec::new();
+        let mut record = |ctx: &ExecContext<NativeBackend>, bytes, values, c0| {
+            let d = ctx.mem.counters_since(&c0);
+            runs.push((bytes, values, d.accesses, d.lines));
+        };
+
+        let table = ops::hash::HashTable::alloc(&mut ctx, "H", v.n());
+        let c0 = ctx.mem.counters();
+        let ops = ctx.mem.hash_build_bulk(&v, table.slots());
+        record(&ctx, ctx.relation_bytes(table.slots()), vec![ops], c0);
+
+        let cap = u.n();
+        let out = MemoryBackend::alloc(&mut ctx.mem, (cap * out_w).max(1), 64);
+        let c0 = ctx.mem.counters();
+        let (matches, cap, ops) = ctx.mem.hash_probe_bulk(&u, table.slots(), out, out_w, cap);
+        // The whole capacity: bytes past the matches must stay zero.
+        let written = Relation::new("W", out, cap, out_w);
+        record(
+            &ctx,
+            ctx.relation_bytes(&written),
+            vec![matches, cap, ops],
+            c0,
+        );
+        ctx.mem.set_high_water(out + (matches * out_w).max(1));
+
+        let distinct = ops::aggregate::distinct_count(u.n(), |i| probe[i as usize]);
+        let groups = ops::hash::HashTable::alloc(&mut ctx, "G", distinct.max(1));
+        let c0 = ctx.mem.counters();
+        let ops = ctx.mem.group_count_bulk(&u, groups.slots());
+        record(&ctx, ctx.relation_bytes(groups.slots()), vec![ops], c0);
+        runs
+    }
+
+    #[test]
+    fn hash_kernels_match_the_scalar_reference_exactly() {
+        let mut wl = Workload::new(17);
+        let dim = wl.shuffled_keys(300);
+        let skewed = wl.zipf_keys(4000, 300, 1.1);
+        // Every probe key matches three build tuples: 3·|U| matches
+        // overrun the |U|-tuple output twice, so the in-kernel growth
+        // path runs.
+        let dup_build: Vec<u64> = (0..3).flat_map(|_| 0..40u64).collect();
+        let dup_probe: Vec<u64> = (0..200).map(|i| i % 40).collect();
+        // Half the probes miss, and the last one walks an occupied run
+        // before it does: the output ends below its capacity, right
+        // after a visit that matched nothing.
+        let half = &dim[..150];
+        let layout = ops::hash::build_layout(half);
+        let mask = (layout.len() / 2 - 1) as u64;
+        let last = (1000u64..)
+            .find(|&k| layout[2 * (ops::mix(k) & mask) as usize] != ops::hash::EMPTY)
+            .expect("an occupied home slot");
+        let partial: Vec<u64> = skewed.iter().copied().chain([last]).collect();
+        let cases: [(&[u64], &[u64], u64, u64); 5] = [
+            (&dup_build, &dup_probe, 8, 16),
+            (&dim, &skewed, 16, 16),
+            // Tuples and output tuples straddling lines.
+            (&dim, &skewed, 24, 24),
+            (half, &partial, 8, 16),
+            (&[], &[], 8, 16),
+        ];
+        for (build, probe, w, out_w) in cases {
+            let kernel = hash_entry_points(NativeBackend::new(), build, probe, w, out_w);
+            let scalar =
+                hash_entry_points(NativeBackend::scalar_reference(), build, probe, w, out_w);
+            assert_eq!(kernel, scalar, "w = {w}, out_w = {out_w}");
+        }
+        let dup = hash_entry_points(NativeBackend::new(), &dup_build, &dup_probe, 8, 16);
+        assert_eq!(dup[1].1[0], 600, "three matches per probe");
+        assert!(dup[1].1[1] >= 600, "the output grew past |U|");
     }
 
     #[test]

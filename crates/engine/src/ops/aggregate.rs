@@ -1,10 +1,13 @@
 //! Aggregation and duplicate elimination (paper §3.2: "usually
 //! implemented using sorting or hashing; thus, they perform the
 //! respective patterns").
+//!
+//! Hash group-count's aggregating pass is one call into the backend
+//! ([`MemoryBackend::group_count_bulk`]); its scalar loop lives here.
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
-use crate::ops::hash::{HashTable, EMPTY};
+use crate::ops::hash::{HashTable, EMPTY, ENTRY_BYTES};
 use crate::ops::mix;
 use crate::ops::sort::quick_sort;
 use crate::relation::Relation;
@@ -15,7 +18,12 @@ use gcm_core::{library, Pattern, Region};
 ///
 /// The table is sized from an exact [`distinct_count`] of the input:
 /// its capacity fixes the slot layout, hence the emit order and the
-/// priced `H` region, so an upper bound would not do here.
+/// priced `H` region, so an upper bound would not do here. The
+/// aggregating pass is the backend's
+/// [`group_count_bulk`](MemoryBackend::group_count_bulk):
+/// `group_count_scalar` on the simulator, the same loop over the slab
+/// on native memory, where the upsert's random table line N tuples ahead
+/// is software-prefetched for write.
 pub fn hash_group_count<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     input: &Relation,
@@ -23,21 +31,8 @@ pub fn hash_group_count<B: MemoryBackend>(
 ) -> Relation {
     let distinct = distinct_count(input.n(), |i| ctx.mem.host_read_u64(input.tuple(i)));
     let table = HashTable::alloc(ctx, &format!("H({out_name})"), distinct.max(1));
-    // Aggregate: probe; on hit increment the count in place, else insert
-    // 1. The upsert's random table line N tuples ahead is
-    // software-prefetched for write (uncharged hint; distance 0 on the
-    // simulator skips it).
-    let dist = ctx.mem.prefetch_distance();
-    let mask = table.capacity() - 1;
-    for i in 0..input.n() {
-        if dist > 0 && i + dist < input.n() {
-            let ahead = ctx.mem.host_read_u64(input.tuple(i + dist));
-            ctx.mem.prefetch_write(table.slot_addr(mix(ahead) & mask));
-        }
-        let key = ctx.read_tuple(input, i);
-        ctx.count_ops(1);
-        upsert_count(ctx, &table, key);
-    }
+    let ops = ctx.mem.group_count_bulk(input, table.slots());
+    ctx.count_ops(ops);
     // Emit: sweep the table, writing occupied slots out sequentially.
     let out = ctx.relation(out_name, distinct, 16);
     let mut cursor = 0u64;
@@ -57,28 +52,44 @@ pub fn hash_group_count<B: MemoryBackend>(
     out
 }
 
-/// Add one to `key`'s count in a counting hash table, inserting the
-/// key if absent (simulated accesses; linear probing).
-fn upsert_count<B: MemoryBackend>(ctx: &mut ExecContext<B>, table: &HashTable, key: u64) {
-    let mask = table.capacity() - 1;
-    let mut slot = mix(key) & mask;
-    loop {
-        let addr = table.slot_addr(slot);
-        let resident = ctx.mem.read_u64(addr);
-        ctx.count_ops(1);
-        if resident == key {
-            let c = ctx.mem.read_u64(addr + 8);
-            ctx.mem.write_u64(addr + 8, c + 1);
-            return;
+/// The scalar aggregating loop, the default of
+/// [`MemoryBackend::group_count_bulk`] and the native scalar reference:
+/// touch each tuple of `input` entirely, then add one to its key's count
+/// in the counting table whose slots are `slots`, inserting the key with
+/// count 1 if absent (linear probing). Returns the logical ops counted:
+/// one per tuple and one per slot probed.
+pub(crate) fn group_count_scalar<B: MemoryBackend + ?Sized>(
+    mem: &mut B,
+    input: &Relation,
+    slots: &Relation,
+) -> u64 {
+    let mask = slots.n() - 1;
+    let mut ops = 0u64;
+    for i in 0..input.n() {
+        let addr = input.tuple(i);
+        mem.touch(addr, input.w());
+        let key = mem.host_read_u64(addr);
+        ops += 1;
+        let mut slot = mix(key) & mask;
+        loop {
+            let at = slots.tuple(slot);
+            let resident = mem.read_u64(at);
+            ops += 1;
+            if resident == key {
+                let c = mem.read_u64(at + 8);
+                mem.write_u64(at + 8, c + 1);
+                break;
+            }
+            if resident == EMPTY {
+                mem.touch(at, ENTRY_BYTES);
+                mem.host_write_u64(at, key);
+                mem.host_write_u64(at + 8, 1);
+                break;
+            }
+            slot = (slot + 1) & mask;
         }
-        if resident == EMPTY {
-            ctx.mem.touch(addr, 16);
-            ctx.mem.host_write_u64(addr, key);
-            ctx.mem.host_write_u64(addr + 8, 1);
-            return;
-        }
-        slot = (slot + 1) & mask;
     }
+    ops
 }
 
 /// Key span per input tuple up to which [`distinct_count`] uses a

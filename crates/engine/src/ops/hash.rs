@@ -10,12 +10,18 @@
 //! hash_join(U, V) = s_trav(V) ⊙ r_trav(H)            (build)
 //!                 ⊕ s_trav(U) ⊙ r_acc(H, U.n) ⊙ s_trav(W)   (probe)
 //! ```
+//!
+//! Build and probe each run as one call into the backend
+//! ([`MemoryBackend::hash_build_bulk`], [`MemoryBackend::hash_probe_bulk`]);
+//! this module holds their scalar loops, which are the simulator's
+//! execution and the native backend's reference path.
 
 use crate::backend::MemoryBackend;
-use crate::ctx::ExecContext;
+use crate::ctx::{write_tail_at, ExecContext};
 use crate::ops::mix;
 use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
+use gcm_sim::Addr;
 
 /// Sentinel key marking an empty slot. Workload keys must differ from it.
 pub const EMPTY: u64 = u64::MAX;
@@ -70,8 +76,14 @@ impl HashTable {
     }
 
     /// Address of slot `slot` (for operators updating entries in place).
-    pub fn slot_addr(&self, slot: u64) -> gcm_sim::Addr {
+    pub fn slot_addr(&self, slot: u64) -> Addr {
         self.slots.tuple(slot)
+    }
+
+    /// The slot array, `capacity` entries of [`ENTRY_BYTES`] each — what
+    /// the backend's bulk hash entry points walk.
+    pub(crate) fn slots(&self) -> &Relation {
+        &self.slots
     }
 
     /// Insert `key → value` (simulated accesses; linear probing).
@@ -82,20 +94,8 @@ impl HashTable {
         key: u64,
         value: u64,
     ) {
-        debug_assert_ne!(key, EMPTY);
-        let mut slot = mix(key) & table.mask;
-        loop {
-            let addr = table.slots.tuple(slot);
-            let resident = ctx.mem.read_u64(addr);
-            ctx.count_ops(1);
-            if resident == EMPTY {
-                ctx.mem.touch(addr, ENTRY_BYTES);
-                ctx.mem.host_write_u64(addr, key);
-                ctx.mem.host_write_u64(addr + 8, value);
-                return;
-            }
-            slot = (slot + 1) & table.mask;
-        }
+        let ops = insert_scalar(&mut ctx.mem, &table.slots, key, value);
+        ctx.count_ops(ops);
     }
 
     /// Probe for `key`; returns the first matching value (simulated).
@@ -114,30 +114,6 @@ impl HashTable {
             }
             if resident == EMPTY {
                 return None;
-            }
-            slot = (slot + 1) & table.mask;
-        }
-    }
-
-    /// Probe for `key`, visiting *all* matches (duplicate build keys) via
-    /// `visit(value)` (simulated).
-    pub fn probe_all<B: MemoryBackend>(
-        ctx: &mut ExecContext<B>,
-        table: &HashTable,
-        key: u64,
-        mut visit: impl FnMut(&mut ExecContext<B>, u64),
-    ) {
-        let mut slot = mix(key) & table.mask;
-        loop {
-            let addr = table.slots.tuple(slot);
-            let resident = ctx.mem.read_u64(addr);
-            ctx.count_ops(1);
-            if resident == EMPTY {
-                return;
-            }
-            if resident == key {
-                let v = ctx.mem.read_u64(addr + 8);
-                visit(ctx, v);
             }
             slot = (slot + 1) & table.mask;
         }
@@ -206,31 +182,66 @@ impl HashTable {
 }
 
 /// Build a hash table over `v` (value = tuple index), reading the full
-/// inner tuples sequentially.
-///
-/// On backends that advertise a prefetch distance, the home slot of the
-/// key N tuples ahead is software-prefetched before each insert — the
-/// build's table stores land at effectively random lines, so the hint
-/// overlaps their misses with the current insert's work. (Peeking the
-/// future key is an uncharged hint computation; the charged accesses
-/// are unchanged, and the simulator's distance of 0 skips it entirely.)
+/// inner tuples sequentially, through the backend's
+/// [`hash_build_bulk`](MemoryBackend::hash_build_bulk): the simulator
+/// runs `build_scalar`; the native backend runs the same loop over its
+/// slab, with the home slot of the key N tuples ahead software-prefetched
+/// (the build's table stores land at effectively random lines).
 pub fn build_hash<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     v: &Relation,
     name: &str,
 ) -> HashTable {
     let table = HashTable::alloc(ctx, name, v.n());
-    let dist = ctx.mem.prefetch_distance();
-    for i in 0..v.n() {
-        if dist > 0 && i + dist < v.n() {
-            let ahead = ctx.mem.host_read_u64(v.tuple(i + dist));
-            ctx.mem
-                .prefetch_write(table.slots.tuple(mix(ahead) & table.mask));
-        }
-        let key = ctx.read_tuple(v, i);
-        HashTable::insert(ctx, &table, key, i);
-    }
+    let ops = ctx.mem.hash_build_bulk(v, &table.slots);
+    ctx.count_ops(ops);
     table
+}
+
+/// Insert `key → value` into the table whose slots are `slots` (charged
+/// accesses, linear probing; duplicate keys take separate slots), and
+/// return the logical ops counted: one per slot probed.
+fn insert_scalar<B: MemoryBackend + ?Sized>(
+    mem: &mut B,
+    slots: &Relation,
+    key: u64,
+    value: u64,
+) -> u64 {
+    debug_assert_ne!(key, EMPTY);
+    let mask = slots.n() - 1;
+    let mut slot = mix(key) & mask;
+    let mut ops = 0u64;
+    loop {
+        let addr = slots.tuple(slot);
+        let resident = mem.read_u64(addr);
+        ops += 1;
+        if resident == EMPTY {
+            mem.touch(addr, ENTRY_BYTES);
+            mem.host_write_u64(addr, key);
+            mem.host_write_u64(addr + 8, value);
+            return ops;
+        }
+        slot = (slot + 1) & mask;
+    }
+}
+
+/// The scalar build loop, the default of
+/// [`MemoryBackend::hash_build_bulk`] and the native scalar reference:
+/// touch each tuple of `input` entirely and insert its key with the
+/// tuple index as value. Returns the logical ops counted.
+pub(crate) fn build_scalar<B: MemoryBackend + ?Sized>(
+    mem: &mut B,
+    input: &Relation,
+    slots: &Relation,
+) -> u64 {
+    let mut ops = 0u64;
+    for i in 0..input.n() {
+        let addr = input.tuple(i);
+        mem.touch(addr, input.w());
+        let key = mem.host_read_u64(addr);
+        ops += insert_scalar(mem, slots, key, i);
+    }
+    ops
 }
 
 /// Hash-join `u ⋈ v` (equal keys): builds on `v`, probes with `u`, writes
@@ -249,7 +260,13 @@ pub fn hash_join<B: MemoryBackend>(
 /// The probe phase only, against a pre-built table. The output is
 /// allocated at `|U|` tuples, grown in place by doubling when duplicate
 /// build keys push the matches past that, and sealed to the match count
-/// the one charged probe pass produces.
+/// the one charged probe pass produces. The pass is the backend's
+/// [`hash_probe_bulk`](MemoryBackend::hash_probe_bulk): `probe_scalar`
+/// on the simulator, the same loop over the slab on native memory, where
+/// the home slot of the key N tuples ahead is software-prefetched — the
+/// probe's dependent random table loads are exactly what the paper
+/// prices as `r_acc(H)`, and the hint lets an out-of-order core overlap
+/// them.
 pub fn hash_join_with_table<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     u: &Relation,
@@ -258,27 +275,49 @@ pub fn hash_join_with_table<B: MemoryBackend>(
     out_w: u64,
 ) -> Relation {
     let mut out = ctx.tail_output(u.n(), out_w);
-    let mut cursor = 0u64;
-    // Probe with N-ahead software prefetch of the home slot of the key
-    // `dist` tuples ahead: the probe's dependent random table loads are
-    // exactly what the paper prices as `r_acc(H)`, and the hint is what
-    // lets an out-of-order core overlap them (uncharged, and skipped
-    // entirely at the simulator's distance of 0).
-    let dist = ctx.mem.prefetch_distance();
-    for i in 0..u.n() {
-        if dist > 0 && i + dist < u.n() {
-            let ahead = ctx.mem.host_read_u64(u.tuple(i + dist));
-            ctx.mem
-                .prefetch_read(table.slots.tuple(mix(ahead) & table.mask));
+    let matches = ctx.probe_into_tail(u, &table.slots, &mut out);
+    ctx.seal(out, out_name, matches)
+}
+
+/// The scalar probe loop, the default of
+/// [`MemoryBackend::hash_probe_bulk`] and the native scalar reference:
+/// touch each tuple of `input` entirely, walk its key's slot run to the
+/// first empty slot, and for every match read the value word and write
+/// the key as tuple `matches` of the open tail output at `out` (`cap`
+/// tuples of `out_w` bytes, grown by doubling past that). Returns
+/// `(matches, capacity, ops)`, one op per slot visited and per match.
+pub(crate) fn probe_scalar<B: MemoryBackend + ?Sized>(
+    mem: &mut B,
+    input: &Relation,
+    slots: &Relation,
+    out: Addr,
+    out_w: u64,
+    mut cap: u64,
+) -> (u64, u64, u64) {
+    let mask = slots.n() - 1;
+    let (mut matches, mut ops) = (0u64, 0u64);
+    for i in 0..input.n() {
+        let addr = input.tuple(i);
+        mem.touch(addr, input.w());
+        let key = mem.host_read_u64(addr);
+        let mut slot = mix(key) & mask;
+        loop {
+            let at = slots.tuple(slot);
+            let resident = mem.read_u64(at);
+            ops += 1;
+            if resident == EMPTY {
+                break;
+            }
+            if resident == key {
+                mem.read_u64(at + 8);
+                cap = write_tail_at(mem, out, out_w, cap, matches, key);
+                ops += 1;
+                matches += 1;
+            }
+            slot = (slot + 1) & mask;
         }
-        let key = ctx.read_tuple(u, i);
-        HashTable::probe_all(ctx, table, key, |ctx, _v| {
-            ctx.write_tail(&mut out, cursor, key);
-            ctx.count_ops(1);
-            cursor += 1;
-        });
     }
-    ctx.seal(out, out_name, cursor)
+    (matches, cap, ops)
 }
 
 /// Pattern of [`build_hash`]: `s_trav(V) ⊙ r_trav(H)`.
@@ -342,14 +381,18 @@ mod tests {
 
     #[test]
     fn duplicate_keys_all_visited() {
+        // Three build tuples share key 5: each probe of 5 emits three
+        // matches, which overruns the `|U|`-tuple output and grows it.
         let mut c = ctx();
-        let t = HashTable::alloc(&mut c, "H", 8);
-        HashTable::insert(&mut c, &t, 5, 10);
-        HashTable::insert(&mut c, &t, 5, 11);
-        let mut seen = Vec::new();
-        HashTable::probe_all(&mut c, &t, 5, |_, v| seen.push(v));
-        seen.sort_unstable();
-        assert_eq!(seen, [10, 11]);
+        let v = c.relation_from_keys("V", &[5, 7, 5, 5], 8);
+        let t = build_hash(&mut c, &v, "H");
+        let u = c.relation_from_keys("U", &[5, 6, 5], 8);
+        let out = hash_join_with_table(&mut c, &u, &t, "W", 16);
+        assert_eq!(out.n(), 6);
+        for i in 0..out.n() {
+            assert_eq!(c.mem.host().read_u64(out.tuple(i)), 5);
+            assert_eq!(c.mem.host().read_u64(out.tuple(i) + 8), 0);
+        }
     }
 
     #[test]

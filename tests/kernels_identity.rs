@@ -61,7 +61,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every join algorithm, kernel path vs scalar reference: identical
-    /// bytes, ops, and charged counters.
+    /// bytes, ops, and charged counters. The fact keys are Zipf-skewed
+    /// with exponent `fact_theta` (0 is uniform), so hot keys run long
+    /// upsert and probe chains through the hash kernels.
     #[test]
     fn kernel_and_scalar_paths_are_byte_identical(
         seed in 0u64..1_000,
@@ -69,8 +71,9 @@ proptest! {
         dim_n in 50usize..250,
         threshold_pct in 10u64..100,
         algo_idx in 0usize..4,
+        fact_theta in 0.0f64..1.5,
     ) {
-        let star = Workload::new(seed).star_scenario(fact_n, dim_n, 1);
+        let star = Workload::new(seed).skewed_star_scenario(fact_n, dim_n, 1, fact_theta);
         let threshold = (dim_n as u64 * threshold_pct) / 100;
         let plan = PhysicalPlan::scan(0)
             .select_lt(threshold)

@@ -33,11 +33,17 @@ impl LevelComparison {
     /// with fewer than `abs_floor` measured misses (tiny counts are
     /// dominated by edge effects the model deliberately averages away).
     pub fn within(&self, rel: f64, abs_floor: f64) -> bool {
+        self.rel_err(abs_floor) <= rel
+    }
+
+    /// The relative error [`within`](Self::within) bounds: zero when
+    /// both counts are below `abs_floor`, else
+    /// `|predicted − measured| / max(measured, abs_floor)`.
+    pub fn rel_err(&self, abs_floor: f64) -> f64 {
         if self.measured < abs_floor && self.predicted < abs_floor {
-            return true;
+            return 0.0;
         }
-        let denom = self.measured.max(abs_floor);
-        ((self.predicted - self.measured) / denom).abs() <= rel
+        ((self.predicted - self.measured) / self.measured.max(abs_floor)).abs()
     }
 }
 

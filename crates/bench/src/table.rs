@@ -28,22 +28,6 @@ impl Series {
         self.rows.push(values.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Access a column by name.
-    pub fn column(&self, name: &str) -> Option<Vec<f64>> {
-        let idx = self.columns.iter().position(|c| c == name)?;
-        Some(self.rows.iter().map(|r| r[idx]).collect())
-    }
-
     /// Render the paper-style table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -74,24 +58,6 @@ impl Series {
     }
 }
 
-/// Geometric-mean ratio of two columns (prediction quality summary).
-pub fn geomean_ratio(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let mut acc = 0.0;
-    let mut n = 0usize;
-    for (&x, &y) in a.iter().zip(b) {
-        if x > 0.0 && y > 0.0 {
-            acc += (x / y).ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        1.0
-    } else {
-        (acc / n as f64).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,23 +71,7 @@ mod tests {
         assert!(out.contains("demo"));
         assert!(out.contains("measured"));
         assert!(out.contains("105"));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn column_extraction() {
-        let mut s = Series::new("demo", &["x", "y"]);
-        s.row(&[1.0, 10.0]);
-        s.row(&[2.0, 20.0]);
-        assert_eq!(s.column("y").unwrap(), vec![10.0, 20.0]);
-        assert!(s.column("z").is_none());
-    }
-
-    #[test]
-    fn geomean() {
-        let g = geomean_ratio(&[2.0, 8.0], &[1.0, 2.0]);
-        assert!((g - (2.0f64 * 4.0).sqrt()).abs() < 1e-12);
-        assert_eq!(geomean_ratio(&[], &[]), 1.0);
+        assert!(out.contains("210"));
     }
 
     #[test]

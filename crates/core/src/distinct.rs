@@ -15,7 +15,8 @@
 //! implements the closed form (numerically robust for the huge `n`, `r`
 //! the experiments use); [`expected_distinct_stirling`] implements the
 //! paper's sum directly and is used by the test suite to confirm the two
-//! agree (see also the `ablation_distinct` bench).
+//! agree (the `paper` bench's `ablation_distinct` rows also compare both
+//! against an empirical count).
 
 /// Expected number of distinct items after `r` uniform random draws (with
 /// replacement) from `n` items — closed form.

@@ -237,6 +237,48 @@ mod tests {
             partition(u, w, 64).to_string(),
             "s_trav(U) ⊙ nest(W, 64, s_trav, rnd)"
         );
+
+        // The rest of Table 2, on a 1M-tuple workload.
+        let n = 1_000_000;
+        let u = reg("U", n, 8);
+        let v = reg("V", n, 8);
+        let h = reg("H", (2 * n).next_power_of_two(), 16);
+        let w = reg("W", n, 8);
+        let w16 = reg("W", n, 16);
+        let sort = "s_trav(U) ⊙ s_trav(U) ⊕ 2 × (s_trav(U) ⊙ s_trav(U)) \
+                    ⊕ 4 × (s_trav(U) ⊙ s_trav(U)) ⊕ 8 × (s_trav(U) ⊙ s_trav(U))";
+        assert_eq!(
+            project(u.clone(), 8, w.clone()).to_string(),
+            "s_trav(U) ⊙ s_trav(W)"
+        );
+        assert_eq!(
+            build_hash(v.clone(), h).to_string(),
+            "s_trav(V) ⊙ r_trav(H)"
+        );
+        assert_eq!(
+            nested_loop_join(u.clone(), v.clone(), w16.clone()).to_string(),
+            "s_trav(U) ⊙ rs_trav(1000000, uni, V) ⊙ s_trav(W)"
+        );
+        assert_eq!(quick_sort(reg("U", 16, 8)).to_string(), sort);
+        assert_eq!(
+            range_partition(u.clone(), w.clone(), 64).to_string(),
+            "s_trav(U) ⊙ nest(W, 64, s_trav, seq/bi)"
+        );
+        let part = |j: u64| {
+            format!("s_trav(V) ⊙ r_trav(H{j}) ⊕ s_trav(U) ⊙ r_acc(H{j}, 250000) ⊙ s_trav(W)")
+        };
+        assert_eq!(
+            partitioned_hash_join_uniform(u.clone(), v, w16, 4, 16).to_string(),
+            (0..4).map(part).collect::<Vec<_>>().join(" ⊕ ")
+        );
+        assert_eq!(
+            hash_aggregate(u, reg("G", 1000, 16), w.clone()).to_string(),
+            "s_trav(U) ⊙ r_acc(G, 1000000) ⊕ s_trav(G) ⊙ s_trav(W)"
+        );
+        assert_eq!(
+            sort_aggregate(reg("U", 16, 8), w).to_string(),
+            format!("{sort} ⊕ s_trav(U) ⊙ s_trav(W)")
+        );
     }
 
     #[test]

@@ -86,16 +86,6 @@ pub struct JoinInputs {
     pub v_sorted: bool,
 }
 
-/// Default CPU calibration per logical operation (the paper calibrates
-/// `T_cpu` per algorithm — the per-algorithm op counts in
-/// [`join_candidates`] play that role). Callers with a calibrated
-/// machine thread their own [`CpuCost`] via [`rank_joins_with`]. The
-/// value lives in [`CpuCost::DEFAULT_PLANNER_PER_OP_NS`] so every layer
-/// of the planner stack shares one calibration
-/// ([`CpuCost::default_planner`]); this alias keeps the planner-local
-/// name the experiments use.
-pub const DEFAULT_PLANNER_PER_OP_NS: f64 = CpuCost::DEFAULT_PLANNER_PER_OP_NS;
-
 /// One join algorithm's physical description: its access pattern over
 /// the given input/output regions plus its logical-operation estimate.
 /// This is the per-node currency the whole-plan optimizer composes.

@@ -10,7 +10,7 @@
 //! cargo run --release --example join_planner
 //! ```
 
-use gcm::core::{CostModel, Region};
+use gcm::core::{CostModel, CpuCost, Region};
 use gcm::engine::planner::{rank_joins, JoinAlgorithm, JoinInputs};
 use gcm::engine::{ops, ExecContext};
 use gcm::hardware::presets;
@@ -79,7 +79,7 @@ fn main() {
             }
             JoinAlgorithm::NestedLoop => unreachable!("never ranks top-2 at this size"),
         });
-        let measured_ms = stats.total_ns(4.0) / 1e6;
+        let measured_ms = stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS) / 1e6;
         println!(
             "  {:<42} predicted {:>8.1} ms   measured {:>8.1} ms",
             choice.algorithm.to_string(),

@@ -16,9 +16,8 @@
 //! cargo run --release --example optimize_query
 //! ```
 
-use gcm::core::CostModel;
+use gcm::core::{CostModel, CpuCost};
 use gcm::engine::plan::{execute, LogicalPlan, Optimizer, TableStats};
-use gcm::engine::planner::DEFAULT_PLANNER_PER_OP_NS;
 use gcm::engine::ExecContext;
 use gcm::hardware::presets;
 use gcm::workload::Workload;
@@ -82,7 +81,7 @@ fn main() {
             });
             (out.unwrap(), s)
         };
-        let measured = stats.total_ns(DEFAULT_PLANNER_PER_OP_NS);
+        let measured = stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS);
         measured_ns.push(measured);
         println!(
             "  [{i}]{} predicted {:>9.2} ms   measured {:>9.2} ms   ({} groups out)",

@@ -12,7 +12,8 @@ use gcm_sim::MemorySystem;
 use gcm_workload::Workload;
 
 /// Fully-associative variant of the modern machine (the model predicts
-/// no conflict misses; see the `ablation_assoc` bench for that error).
+/// no conflict misses; the `paper` bench's `ablation_assoc` rows
+/// measure that error).
 fn modern_fa() -> HardwareSpec {
     let base = presets::modern_commodity();
     let levels = base

@@ -17,7 +17,7 @@
 //! happened to batch ([`OVERLOAD_REQUESTS`]), and no two tests here run
 //! at once ([`ONE_SERVER`]). The strict ratios (5× fail-fast, 5×
 //! protection) are wall-clock claims a test cannot hold on a shared
-//! box; the `ingress_throughput` bench records them in `BENCH_net.json`.
+//! box, so nothing here or in CI asserts them.
 
 #![cfg(target_os = "linux")]
 

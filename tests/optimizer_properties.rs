@@ -4,9 +4,8 @@
 //! alternative. (The model may mis-rank near-ties; it must not pick a
 //! loser.)
 
-use gcm::core::CostModel;
+use gcm::core::{CostModel, CpuCost};
 use gcm::engine::plan::{execute, LogicalPlan, Optimizer, TableStats};
-use gcm::engine::planner::DEFAULT_PLANNER_PER_OP_NS;
 use gcm::engine::ExecContext;
 use gcm::hardware::presets;
 use gcm::workload::Workload;
@@ -62,7 +61,7 @@ proptest! {
             let (_, stats) = ctx.measure(|c| {
                 out_n = execute(c, &planned.plan, &tables).expect("plan executes").output.n();
             });
-            measured.push(stats.total_ns(DEFAULT_PLANNER_PER_OP_NS));
+            measured.push(stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS));
             outputs.push(out_n);
         }
 
@@ -136,7 +135,7 @@ proptest! {
             let (_, stats) = ctx.measure(|c| {
                 out_n = execute(c, &planned.plan, &tables).expect("plan executes").output.n();
             });
-            measured.push(stats.total_ns(DEFAULT_PLANNER_PER_OP_NS));
+            measured.push(stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS));
             outputs.push(out_n);
         }
         for (o, p) in outputs.iter().zip(&plans) {

@@ -35,7 +35,7 @@
 //! This closes the paper's loop: the cost model is calibrated on and
 //! validated against the *actual* machine (§6), not only the simulator.
 
-use crate::relation::Relation;
+use crate::relation::{Relation, Segment};
 use gcm_core::CpuCost;
 use gcm_sim::{Addr, MemorySystem};
 
@@ -68,6 +68,18 @@ pub trait MemoryBackend {
     /// allocated at an upper bound is sealed to its real size (the
     /// engine's `ExecContext::tail_output`).
     fn set_high_water(&mut self, end: Addr) -> Addr;
+
+    /// Address `seg` read-only where it is and return its base, or
+    /// `None` when this backend cannot address memory it does not own;
+    /// the caller then copies the image in host-side
+    /// ([`ExecContext::bind`](crate::ExecContext::bind)). A mapped
+    /// segment is never written and takes no room in the arena. The
+    /// simulator keeps the default: its arena is the address space it
+    /// simulates, so every byte it charges must live there.
+    fn map_segment(&mut self, seg: &Segment) -> Option<Addr> {
+        let _ = seg;
+        None
+    }
 
     /// Preferred relation alignment (the largest cache line the backend
     /// knows about).

@@ -11,7 +11,7 @@
 //! `T_cpu`, see [`MemoryBackend::total_ns`]).
 
 use crate::backend::{MemoryBackend, SimBackend};
-use crate::relation::Relation;
+use crate::relation::{Relation, Segment};
 use gcm_hardware::HardwareSpec;
 use gcm_sim::{Addr, MemorySystem};
 
@@ -53,11 +53,13 @@ fn tail_end(base: Addr, w: u64, cap: u64) -> Addr {
 
 /// Make room for tuple `i` in the open tail output at `base` holding
 /// `cap` `w`-byte tuples, and return the new capacity: a write past the
-/// capacity doubles the allocation in place, which must still be the
-/// arena's last one. Shared by [`ExecContext::write_tail`] and the hash
-/// probe's bulk entry point, which writes the same kind of output.
-pub(crate) fn grow_tail<B: MemoryBackend + ?Sized>(
-    mem: &mut B,
+/// capacity doubles the allocation in place through `set_high_water`
+/// (the backend's [`MemoryBackend::set_high_water`]), and the output
+/// must still be the arena's last allocation. Shared by
+/// [`ExecContext::write_tail`] and the hash probe's bulk entry point,
+/// which writes the same kind of output.
+pub(crate) fn grow_tail(
+    set_high_water: impl FnOnce(Addr) -> Addr,
     base: Addr,
     w: u64,
     cap: u64,
@@ -67,7 +69,7 @@ pub(crate) fn grow_tail<B: MemoryBackend + ?Sized>(
         return cap;
     }
     let grown = (2 * cap).max(i + 1);
-    let prev = mem.set_high_water(tail_end(base, w, grown));
+    let prev = set_high_water(tail_end(base, w, grown));
     assert_eq!(
         prev,
         tail_end(base, w, cap),
@@ -89,7 +91,7 @@ pub(crate) fn write_tail_at<B: MemoryBackend + ?Sized>(
     i: u64,
     key: u64,
 ) -> u64 {
-    let cap = grow_tail(mem, base, w, cap, i);
+    let cap = grow_tail(|end| mem.set_high_water(end), base, w, cap, i);
     let addr = base + i * w;
     mem.touch(addr, w);
     mem.host_write_u64(addr, key);
@@ -243,6 +245,31 @@ impl<B: MemoryBackend> ExecContext<B> {
         let rel = self.relation(name, keys.len() as u64, w);
         for (i, &k) in keys.iter().enumerate() {
             self.mem.host_write_u64(rel.tuple(i as u64), k);
+        }
+        rel
+    }
+
+    /// Bind `seg`, an image of `n` `w`-byte tuples, as a relation: mapped
+    /// read-only in place where the backend can address it
+    /// ([`MemoryBackend::map_segment`]), else copied in host-side
+    /// ([`relation_from_segment`](ExecContext::relation_from_segment)).
+    /// The bytes are the same either way; only a copy may be written.
+    pub fn bind(&mut self, name: &str, seg: &Segment, n: u64, w: u64) -> Relation {
+        debug_assert_eq!(seg.len(), n * w, "image of {n} × {w} bytes");
+        match self.mem.map_segment(seg) {
+            Some(base) => Relation::new(name, base, n, w),
+            None => self.relation_from_segment(name, seg, n, w),
+        }
+    }
+
+    /// Allocate a relation of `n` `w`-byte tuples and fill it host-side
+    /// with the image `seg`: a private, writable copy, placed and filled
+    /// exactly as [`relation_from_keys`](ExecContext::relation_from_keys)
+    /// would place and fill it.
+    pub fn relation_from_segment(&mut self, name: &str, seg: &Segment, n: u64, w: u64) -> Relation {
+        let rel = self.relation(name, n, w);
+        if !seg.is_empty() {
+            self.mem.host_write_bytes(rel.base(), seg.bytes());
         }
         rel
     }

@@ -53,4 +53,4 @@ pub mod relation;
 pub use backend::{MemoryBackend, SimBackend};
 pub use ctx::{ExecContext, RunStats};
 pub use native::{NativeBackend, NativeCounters};
-pub use relation::Relation;
+pub use relation::{Relation, Segment};

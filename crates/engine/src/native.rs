@@ -28,6 +28,16 @@
 //! the trait's scalar default charges; [`NativeBackend::scalar_reference`]
 //! runs those defaults.
 //!
+//! The arena is meant to live as long as its worker. [`NativeBackend::reset`]
+//! starts the next job by moving the bump pointer back: the slab is
+//! never freed or faulted again, and the bytes an earlier job dirtied
+//! are zeroed only where a later allocation hands them out, so
+//! [`MemoryBackend::alloc`] still returns zeroed bytes. Immutable
+//! [`Segment`]s — published base tables and shared hash builds — are
+//! mapped read-only above the arena ([`MemoryBackend::map_segment`]) and
+//! read in place: the kernels resolve each read-only operand once per
+//! call, to a mapped segment or to the arena.
+//!
 //! Charged accesses go through [`std::hint::black_box`] so the optimizer
 //! cannot elide the loads the access-pattern language describes;
 //! [`NativeBackend::cold_caches`] approximates the paper's "initially
@@ -39,7 +49,7 @@ use crate::ctx::{grow_tail, ExecContext};
 use crate::kernels;
 use crate::ops::hash::{EMPTY, ENTRY_BYTES};
 use crate::ops::{aggregate, hash, mix};
-use crate::relation::Relation;
+use crate::relation::{Relation, Segment};
 use gcm_hardware::stride;
 use gcm_sim::Addr;
 use std::hint::black_box;
@@ -53,6 +63,21 @@ const NATIVE_BASE: Addr = 4096;
 /// Line granularity of charged accesses (one real load per line), the
 /// ubiquitous 64-byte cache line of current hardware.
 const NATIVE_LINE: u64 = 64;
+
+/// Where mapped segments start: far above any arena address, so one
+/// comparison tells a mapped address from an arena one.
+const MAPPED_BASE: Addr = 1 << 46;
+
+/// Mapped segment `k` starts at `MAPPED_BASE + (k << MAPPED_SLOT_BITS)`,
+/// so an address names its segment with a shift (a segment is smaller
+/// than a slot).
+const MAPPED_SLOT_BITS: u32 = 40;
+
+/// The least the slab's reservation grows by. Capacity nobody touched
+/// costs address space only, and a reservation this large is mapped by
+/// the allocator on its own and grown in place, so an arena that lives
+/// as long as its worker leaves no freed copy of itself resident.
+const SLAB_STEP: usize = 64 << 20;
 
 /// Default eviction-sweep size: comfortably past typical LLCs.
 const DEFAULT_WIPE_BYTES: usize = 32 << 20;
@@ -73,11 +98,76 @@ pub struct NativeCounters {
     pub lines: u64,
 }
 
+/// The bump-allocated slab: addresses `[NATIVE_BASE, next)` are live.
+#[derive(Debug)]
+struct Arena {
+    data: Vec<u8>,
+    next: Addr,
+    /// The highest bump pointer of the current job. Every byte in
+    /// `[next, job_hi)` is zero: the engine never writes past the
+    /// pointer it seals an output at.
+    job_hi: Addr,
+    /// Bytes in `[job_hi, dirty)` may still hold what an earlier job
+    /// wrote; an allocation reaching into them zeroes them first.
+    dirty: Addr,
+}
+
+impl Arena {
+    fn new() -> Arena {
+        Arena {
+            data: Vec::new(),
+            next: NATIVE_BASE,
+            job_hi: NATIVE_BASE,
+            dirty: NATIVE_BASE,
+        }
+    }
+
+    /// [`MemoryBackend::set_high_water`] over the slab.
+    fn set_high_water(&mut self, end: Addr) -> Addr {
+        assert!(
+            end >= NATIVE_BASE,
+            "high-water mark {end} below native base"
+        );
+        // Pad past the last line so per-line 8-byte reads stay in bounds.
+        let needed = (end - NATIVE_BASE) as usize + NATIVE_LINE as usize;
+        if self.data.len() < needed {
+            if needed > self.data.capacity() {
+                let grow = (needed - self.data.len()).max(SLAB_STEP);
+                self.data.reserve_exact(grow);
+            }
+            self.data.resize(needed, 0);
+        }
+        if end > self.next {
+            let lo = self.next.max(self.job_hi);
+            let hi = end.min(self.dirty);
+            if lo < hi {
+                self.data[(lo - NATIVE_BASE) as usize..(hi - NATIVE_BASE) as usize].fill(0);
+            }
+            self.job_hi = self.job_hi.max(end);
+        }
+        std::mem::replace(&mut self.next, end)
+    }
+
+    /// Move the bump pointer back to the base. What the finished job
+    /// wrote lies below its final pointer; if it allocated past every
+    /// byte an earlier job left dirty, that pointer is the new dirty
+    /// bound, else the old bound stands.
+    fn reset(&mut self) {
+        if self.job_hi >= self.dirty {
+            self.dirty = self.next;
+        }
+        self.next = NATIVE_BASE;
+        self.job_hi = NATIVE_BASE;
+    }
+}
+
 /// Real host memory behind the engine's backend interface.
 #[derive(Debug)]
 pub struct NativeBackend {
-    data: Vec<u8>,
-    next: Addr,
+    arena: Arena,
+    /// Segments mapped read-only, one slot each above [`MAPPED_BASE`],
+    /// in mapping order.
+    mapped: Vec<Segment>,
     t0: Instant,
     accesses: u64,
     lines: u64,
@@ -103,8 +193,8 @@ impl NativeBackend {
     /// distance ([`kernels::DEFAULT_PREFETCH_DISTANCE`]).
     pub fn new() -> NativeBackend {
         NativeBackend {
-            data: Vec::new(),
-            next: NATIVE_BASE,
+            arena: Arena::new(),
+            mapped: Vec::new(),
             t0: Instant::now(),
             accesses: 0,
             lines: 0,
@@ -119,7 +209,7 @@ impl NativeBackend {
     /// of their own pages — as any real allocator would).
     pub fn with_capacity(bytes: usize) -> NativeBackend {
         let mut b = NativeBackend::new();
-        b.data.reserve(bytes);
+        b.arena.data.reserve(bytes);
         b
     }
 
@@ -154,13 +244,51 @@ impl NativeBackend {
 
     /// Total bytes allocated so far.
     pub fn allocated(&self) -> u64 {
-        self.next - NATIVE_BASE
+        self.arena.next - NATIVE_BASE
     }
 
+    /// Start the next job on this address space: unmap every segment and
+    /// move the bump pointer back to the base, so allocation addresses
+    /// repeat from the start. The slab keeps its pages; the bytes the
+    /// finished job wrote are zeroed when an allocation hands them out
+    /// again, and only those.
+    pub fn reset(&mut self) {
+        self.arena.reset();
+        self.mapped.clear();
+    }
+
+    /// Slab index of the arena address `addr` (mapped segments are
+    /// read-only and have none).
     #[inline]
     fn idx(&self, addr: Addr) -> usize {
-        debug_assert!(addr >= NATIVE_BASE, "address {addr} below native base");
+        debug_assert!(
+            (NATIVE_BASE..MAPPED_BASE).contains(&addr),
+            "address {addr} is not in the arena"
+        );
         (addr - NATIVE_BASE) as usize
+    }
+
+    /// The bytes holding `addr` and its index in them: a mapped segment
+    /// (with its pad) or the arena.
+    #[inline]
+    fn view(&self, addr: Addr) -> (&[u8], usize) {
+        let (seg, i) = operand(&self.mapped, addr);
+        (seg.unwrap_or(&self.arena.data), i)
+    }
+
+    /// Where a prefetch hint for `addr` points, if any memory holds it
+    /// (hints may name any address and must stay harmless).
+    fn hint_target(&self, addr: Addr) -> Option<*const u8> {
+        let (bytes, i) = if addr >= MAPPED_BASE {
+            let (k, i) = slot(addr);
+            (self.mapped.get(k)?.padded(), i)
+        } else {
+            (
+                &self.arena.data[..],
+                addr.checked_sub(NATIVE_BASE)? as usize,
+            )
+        };
+        (i < bytes.len()).then(|| bytes.as_ptr().wrapping_add(i))
     }
 
     /// One real 8-byte load per line of `[addr, addr+len)`, via the
@@ -169,11 +297,14 @@ impl NativeBackend {
     /// lines loaded.
     #[inline]
     fn load_lines(&self, addr: Addr, len: u64) -> u64 {
-        let first = (addr & !(NATIVE_LINE - 1)).max(NATIVE_BASE);
+        // Arena and segments both start line-aligned, so line boundaries
+        // are the same measured from either.
+        let first = addr & !(NATIVE_LINE - 1);
         let last = (addr + len - 1) & !(NATIVE_LINE - 1);
-        let lo = self.idx(first);
-        let hi = self.idx(last) + 8; // alloc pads a line past the end
-        let (acc, steps) = stride::sweep_fold(&self.data[lo..hi], NATIVE_LINE as usize);
+        let (bytes, i) = self.view(addr);
+        let lo = i - (addr - first) as usize;
+        let hi = lo + (last - first) as usize + 8;
+        let (acc, steps) = stride::sweep_fold(&bytes[lo..hi], NATIVE_LINE as usize);
         black_box(acc);
         steps
     }
@@ -197,20 +328,39 @@ impl NativeBackend {
             self.load_lines(addr, w)
         }
     }
+}
 
-    /// Software-prefetch the home slot, in the hash table whose slots
-    /// start at slab index `t0`, of the key stored at `key_addr`: its
-    /// line and the line of the fourth slot of its run, which is the
-    /// same line when the home slot opens one (a linear-probing run at
-    /// load factor ½ is short, but often crosses into the next line).
-    #[inline]
-    fn prefetch_home_slot(&self, t0: usize, mask: u64, key_addr: Addr) {
-        let key = word(&self.data, self.idx(key_addr));
-        let at = t0 + ((mix(key) & mask) * ENTRY_BYTES) as usize;
-        let slab = self.data.as_ptr();
-        stride::prefetch_read(slab.wrapping_add(at));
-        stride::prefetch_read(slab.wrapping_add(at + 3 * ENTRY_BYTES as usize));
+/// The mapped slot `addr` lies in and its offset there.
+#[inline]
+fn slot(addr: Addr) -> (usize, usize) {
+    let k = (addr - MAPPED_BASE) >> MAPPED_SLOT_BITS;
+    (k as usize, (addr & ((1 << MAPPED_SLOT_BITS) - 1)) as usize)
+}
+
+/// A read-only operand of a kernel: the mapped segment (with its pad)
+/// holding `addr`, or `None` for the arena, and the index of `addr` in
+/// it. Borrowing only the mapping table lets a kernel hold its inputs
+/// while it writes the arena.
+#[inline]
+fn operand(mapped: &[Segment], addr: Addr) -> (Option<&[u8]>, usize) {
+    if addr < MAPPED_BASE {
+        return (None, (addr - NATIVE_BASE) as usize);
     }
+    let (k, i) = slot(addr);
+    (Some(mapped[k].padded()), i)
+}
+
+/// Software-prefetch the home slot of `key` in the hash table whose
+/// slots start at index `t0` of `slab`: its line and the line of the
+/// fourth slot of its run, which is the same line when the home slot
+/// opens one (a linear-probing run at load factor ½ is short, but often
+/// crosses into the next line).
+#[inline]
+fn prefetch_home_slot(slab: &[u8], t0: usize, mask: u64, key: u64) {
+    let at = t0 + ((mix(key) & mask) * ENTRY_BYTES) as usize;
+    let p = slab.as_ptr();
+    stride::prefetch_read(p.wrapping_add(at));
+    stride::prefetch_read(p.wrapping_add(at + 3 * ENTRY_BYTES as usize));
 }
 
 /// The little-endian word at slab index `i`.
@@ -230,22 +380,22 @@ impl MemoryBackend for NativeBackend {
 
     fn alloc(&mut self, bytes: u64, align: u64) -> Addr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let addr = (self.next + align - 1) & !(align - 1);
+        let addr = (self.arena.next + align - 1) & !(align - 1);
         self.set_high_water(addr + bytes);
         addr
     }
 
     fn set_high_water(&mut self, end: Addr) -> Addr {
-        assert!(
-            end >= NATIVE_BASE,
-            "high-water mark {end} below native base"
-        );
-        // Pad past the last line so per-line 8-byte reads stay in bounds.
-        let needed = (end - NATIVE_BASE) as usize + NATIVE_LINE as usize;
-        if self.data.len() < needed {
-            self.data.resize(needed, 0);
-        }
-        std::mem::replace(&mut self.next, end)
+        self.arena.set_high_water(end)
+    }
+
+    /// Map `seg` at the start of the next free slot. It stays mapped
+    /// until [`reset`](NativeBackend::reset).
+    fn map_segment(&mut self, seg: &Segment) -> Option<Addr> {
+        assert!(seg.len() < 1 << MAPPED_SLOT_BITS, "segment exceeds a slot");
+        let base = MAPPED_BASE + ((self.mapped.len() as u64) << MAPPED_SLOT_BITS);
+        self.mapped.push(seg.clone());
+        Some(base)
     }
 
     fn line_align(&self) -> u64 {
@@ -263,31 +413,26 @@ impl MemoryBackend for NativeBackend {
         self.accesses += 1;
         // An 8-byte access straddling a line boundary touches two lines.
         self.lines += stride::lines_touched(addr, 8, NATIVE_LINE);
-        black_box(word(&self.data, self.idx(addr)))
+        let (bytes, i) = self.view(addr);
+        black_box(word(bytes, i))
     }
 
     fn write_u64(&mut self, addr: Addr, v: u64) {
         let i = self.idx(addr);
         self.accesses += 1;
         self.lines += stride::lines_touched(addr, 8, NATIVE_LINE);
-        put_word(&mut self.data, i, v);
+        put_word(&mut self.arena.data, i, v);
     }
 
     fn prefetch_read(&mut self, addr: Addr) {
-        if addr >= NATIVE_BASE {
-            let i = (addr - NATIVE_BASE) as usize;
-            if i < self.data.len() {
-                stride::prefetch_read(self.data.as_ptr().wrapping_add(i));
-            }
+        if let Some(p) = self.hint_target(addr) {
+            stride::prefetch_read(p);
         }
     }
 
     fn prefetch_write(&mut self, addr: Addr) {
-        if addr >= NATIVE_BASE {
-            let i = (addr - NATIVE_BASE) as usize;
-            if i < self.data.len() {
-                stride::prefetch_write(self.data.as_ptr().wrapping_add(i));
-            }
+        if let Some(p) = self.hint_target(addr) {
+            stride::prefetch_write(p);
         }
     }
 
@@ -307,9 +452,8 @@ impl MemoryBackend for NativeBackend {
     /// straddles, so the dense path is one line per tuple).
     fn scan_sum_bulk(&mut self, base: Addr, n: u64, w: u64, u: u64) -> u64 {
         if self.use_kernels && w == 8 && u == 8 && base.is_multiple_of(8) && n > 0 {
-            let lo = self.idx(base);
-            let hi = lo + (n * 8) as usize;
-            let sum = kernels::sum_words(&self.data[lo..hi]);
+            let (src, lo) = self.view(base);
+            let sum = kernels::sum_words(&src[lo..lo + (n * 8) as usize]);
             self.accesses += n;
             self.lines += n;
             return sum;
@@ -348,17 +492,19 @@ impl MemoryBackend for NativeBackend {
             && src.is_multiple_of(8)
             && dst.is_multiple_of(8)
         {
+            let (input, s0) = operand(&self.mapped, src);
+            let d0 = self.idx(dst);
             let mut hits = 0u64;
             let mut i = 0u64;
             while i < n {
                 let chunk = (n - i).min(64);
-                let s = self.idx(src + i * 8);
-                let mut m = kernels::lt_mask(&self.data[s..s + (chunk * 8) as usize], threshold);
+                let s = s0 + (i * 8) as usize;
+                let keys = &input.unwrap_or(&self.arena.data)[s..s + (chunk * 8) as usize];
+                let mut m = kernels::lt_mask(keys, threshold);
                 while m != 0 {
-                    let j = m.trailing_zeros() as u64;
-                    let from = s + (j * 8) as usize;
-                    let to = self.idx(dst + hits * 8);
-                    self.data.copy_within(from..from + 8, to);
+                    let j = m.trailing_zeros() as usize;
+                    let key = word(input.unwrap_or(&self.arena.data), s + j * 8);
+                    put_word(&mut self.arena.data, d0 + (hits * 8) as usize, key);
                     hits += 1;
                     m &= m - 1;
                 }
@@ -405,19 +551,19 @@ impl MemoryBackend for NativeBackend {
         debug_assert_eq!(buckets.len() as u64, n);
         if self.use_kernels && w == 8 && src.is_multiple_of(8) && dst.is_multiple_of(8) {
             let dist = self.prefetch_dist as usize;
-            let s0 = self.idx(src);
+            let (input, s0) = operand(&self.mapped, src);
             let d0 = self.idx(dst);
             for i in 0..n as usize {
                 if dist > 0 && i + dist < n as usize {
                     let ba = buckets[i + dist] as usize;
                     let di = d0 + cursors[ba] as usize * 8;
-                    if di < self.data.len() {
-                        stride::prefetch_write(self.data.as_ptr().wrapping_add(di));
+                    if di < self.arena.data.len() {
+                        stride::prefetch_write(self.arena.data.as_ptr().wrapping_add(di));
                     }
                 }
                 let b = buckets[i] as usize;
-                let to = d0 + cursors[b] as usize * 8;
-                self.data.copy_within(s0 + i * 8..s0 + i * 8 + 8, to);
+                let key = word(input.unwrap_or(&self.arena.data), s0 + i * 8);
+                put_word(&mut self.arena.data, d0 + cursors[b] as usize * 8, key);
                 cursors[b] += 1;
             }
             self.accesses += 3 * n;
@@ -445,23 +591,25 @@ impl MemoryBackend for NativeBackend {
             return hash::build_scalar(self, input, table);
         }
         let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
+        let (keys, k0) = operand(&self.mapped, input.base());
+        let key_at = |data: &[u8], i: u64| word(keys.unwrap_or(data), k0 + (i * w) as usize);
         let t0 = self.idx(table.base());
         let dist = self.prefetch_dist;
         let (mut probes, mut lines) = (0u64, 0u64);
         for i in 0..n {
             if dist > 0 && i + dist < n {
-                self.prefetch_home_slot(t0, mask, input.tuple(i + dist));
+                let ahead = key_at(&self.arena.data, i + dist);
+                prefetch_home_slot(&self.arena.data, t0, mask, ahead);
             }
-            let addr = input.tuple(i);
-            let key = word(&self.data, self.idx(addr));
-            lines += self.tuple_lines(addr, w);
+            let key = key_at(&self.arena.data, i);
+            lines += self.tuple_lines(input.tuple(i), w);
             let mut slot = mix(key) & mask;
             loop {
                 let at = t0 + (slot * ENTRY_BYTES) as usize;
                 probes += 1;
-                if word(&self.data, at) == EMPTY {
-                    put_word(&mut self.data, at, key);
-                    put_word(&mut self.data, at + 8, i);
+                if word(&self.arena.data, at) == EMPTY {
+                    put_word(&mut self.arena.data, at, key);
+                    put_word(&mut self.arena.data, at + 8, i);
                     break;
                 }
                 slot = (slot + 1) & mask;
@@ -479,7 +627,8 @@ impl MemoryBackend for NativeBackend {
     /// one op, and per match a read of the value word (one access/line;
     /// the values are folded into one black-boxed word), one access of
     /// the lines the output tuple spans and one op. The output grows
-    /// exactly as the scalar loop grows it.
+    /// exactly as the scalar loop grows it. The table may be a mapped
+    /// shared build: it is only read.
     ///
     /// When no output tuple straddles a line, a match takes no branch:
     /// every visit stores the key at the output cursor and the cursor
@@ -498,38 +647,48 @@ impl MemoryBackend for NativeBackend {
             return hash::probe_scalar(self, input, table, out, out_w, cap);
         }
         let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
-        let (t0, o0) = (self.idx(table.base()), self.idx(out));
+        let (keys, k0) = operand(&self.mapped, input.base());
+        let key_at = |data: &[u8], i: u64| word(keys.unwrap_or(data), k0 + (i * w) as usize);
+        let (slots, t0) = operand(&self.mapped, table.base());
+        let o0 = self.idx(out);
         let dist = self.prefetch_dist;
         let flat = NATIVE_LINE.is_multiple_of(out_w) && out.is_multiple_of(out_w);
         let (mut visits, mut matches, mut lines, mut values) = (0u64, 0u64, 0u64, 0u64);
         for i in 0..n {
             if dist > 0 && i + dist < n {
-                self.prefetch_home_slot(t0, mask, input.tuple(i + dist));
+                let ahead = key_at(&self.arena.data, i + dist);
+                prefetch_home_slot(slots.unwrap_or(&self.arena.data), t0, mask, ahead);
             }
-            let addr = input.tuple(i);
-            let key = word(&self.data, self.idx(addr));
-            lines += self.tuple_lines(addr, w);
+            let key = key_at(&self.arena.data, i);
+            lines += self.tuple_lines(input.tuple(i), w);
             let mut slot = mix(key) & mask;
             loop {
                 let at = t0 + (slot * ENTRY_BYTES) as usize;
                 visits += 1;
-                let resident = word(&self.data, at);
+                let resident = word(slots.unwrap_or(&self.arena.data), at);
                 if resident == EMPTY {
                     break;
                 }
                 let hit = resident == key;
                 if flat && matches < cap {
-                    values ^= word(&self.data, at + 8) & u64::from(hit).wrapping_neg();
-                    put_word(&mut self.data, o0 + (matches * out_w) as usize, key);
+                    let value = word(slots.unwrap_or(&self.arena.data), at + 8);
+                    values ^= value & u64::from(hit).wrapping_neg();
+                    put_word(&mut self.arena.data, o0 + (matches * out_w) as usize, key);
                     matches += u64::from(hit);
                     lines += u64::from(hit);
                 } else if hit {
-                    values ^= word(&self.data, at + 8);
-                    cap = grow_tail(self, out, out_w, cap, matches);
+                    values ^= word(slots.unwrap_or(&self.arena.data), at + 8);
+                    cap = grow_tail(
+                        |end| self.arena.set_high_water(end),
+                        out,
+                        out_w,
+                        cap,
+                        matches,
+                    );
                     let to = out + matches * out_w;
                     lines += self.tuple_lines(to, out_w);
                     let o = self.idx(to);
-                    put_word(&mut self.data, o, key);
+                    put_word(&mut self.arena.data, o, key);
                     matches += 1;
                 }
                 slot = (slot + 1) & mask;
@@ -537,7 +696,7 @@ impl MemoryBackend for NativeBackend {
         }
         black_box(values);
         if flat && matches < cap {
-            put_word(&mut self.data, o0 + (matches * out_w) as usize, 0);
+            put_word(&mut self.arena.data, o0 + (matches * out_w) as usize, 0);
         }
         self.accesses += n + visits + 2 * matches;
         self.lines += lines + visits + matches;
@@ -556,30 +715,32 @@ impl MemoryBackend for NativeBackend {
             return aggregate::group_count_scalar(self, input, table);
         }
         let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
+        let (keys, k0) = operand(&self.mapped, input.base());
+        let key_at = |data: &[u8], i: u64| word(keys.unwrap_or(data), k0 + (i * w) as usize);
         let t0 = self.idx(table.base());
         let dist = self.prefetch_dist;
         let (mut probes, mut hits, mut lines) = (0u64, 0u64, 0u64);
         for i in 0..n {
             if dist > 0 && i + dist < n {
-                self.prefetch_home_slot(t0, mask, input.tuple(i + dist));
+                let ahead = key_at(&self.arena.data, i + dist);
+                prefetch_home_slot(&self.arena.data, t0, mask, ahead);
             }
-            let addr = input.tuple(i);
-            let key = word(&self.data, self.idx(addr));
-            lines += self.tuple_lines(addr, w);
+            let key = key_at(&self.arena.data, i);
+            lines += self.tuple_lines(input.tuple(i), w);
             let mut slot = mix(key) & mask;
             loop {
                 let at = t0 + (slot * ENTRY_BYTES) as usize;
                 probes += 1;
-                let resident = word(&self.data, at);
+                let resident = word(&self.arena.data, at);
                 if resident == key {
-                    let c = word(&self.data, at + 8);
-                    put_word(&mut self.data, at + 8, c + 1);
+                    let c = word(&self.arena.data, at + 8);
+                    put_word(&mut self.arena.data, at + 8, c + 1);
                     hits += 1;
                     break;
                 }
                 if resident == EMPTY {
-                    put_word(&mut self.data, at, key);
-                    put_word(&mut self.data, at + 8, 1);
+                    put_word(&mut self.arena.data, at, key);
+                    put_word(&mut self.arena.data, at + 8, 1);
                     break;
                 }
                 slot = (slot + 1) & mask;
@@ -593,9 +754,12 @@ impl MemoryBackend for NativeBackend {
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) {
-        let s = self.idx(src);
         let d = self.idx(dst);
-        self.data.copy_within(s..s + len as usize, d);
+        let len_us = len as usize;
+        match operand(&self.mapped, src) {
+            (Some(seg), s) => self.arena.data[d..d + len_us].copy_from_slice(&seg[s..s + len_us]),
+            (None, s) => self.arena.data.copy_within(s..s + len_us, d),
+        }
         self.accesses += 2;
         self.lines += 2 * len.div_ceil(NATIVE_LINE).max(1);
     }
@@ -612,29 +776,30 @@ impl MemoryBackend for NativeBackend {
         let (ai, bi) = (self.idx(a), self.idx(b));
         let (lo, hi) = if ai < bi { (ai, bi) } else { (bi, ai) };
         assert!(lo + w as usize <= hi, "tuples overlap");
-        let (front, back) = self.data.split_at_mut(hi);
+        let (front, back) = self.arena.data.split_at_mut(hi);
         front[lo..lo + w as usize].swap_with_slice(&mut back[..w as usize]);
         self.accesses += 2;
         self.lines += 2 * w.div_ceil(NATIVE_LINE).max(1);
     }
 
     fn host_read_u64(&self, addr: Addr) -> u64 {
-        word(&self.data, self.idx(addr))
+        let (bytes, i) = self.view(addr);
+        word(bytes, i)
     }
 
     fn host_write_u64(&mut self, addr: Addr, v: u64) {
         let i = self.idx(addr);
-        put_word(&mut self.data, i, v);
+        put_word(&mut self.arena.data, i, v);
     }
 
     fn host_read_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        let i = self.idx(addr);
-        buf.copy_from_slice(&self.data[i..i + buf.len()]);
+        let (bytes, i) = self.view(addr);
+        buf.copy_from_slice(&bytes[i..i + buf.len()]);
     }
 
     fn host_write_bytes(&mut self, addr: Addr, buf: &[u8]) {
         let i = self.idx(addr);
-        self.data[i..i + buf.len()].copy_from_slice(buf);
+        self.arena.data[i..i + buf.len()].copy_from_slice(buf);
     }
 
     fn counters(&self) -> NativeCounters {
@@ -950,16 +1115,29 @@ mod tests {
     /// probe with `probe` into a `|probe|`-tuple tail output of
     /// `out_w`-byte tuples, group-count `probe`. Returns, per entry point,
     /// the result bytes, the returned values and the access/line deltas.
+    ///
+    /// With `mapped`, the inputs are mapped segments read in place and
+    /// the probe runs against the mapped shared layout of `build`
+    /// instead of the table built in the arena.
     fn hash_entry_points(
         backend: NativeBackend,
         build: &[u64],
         probe: &[u64],
         w: u64,
         out_w: u64,
+        mapped: bool,
     ) -> Vec<(Vec<u8>, Vec<u64>, u64, u64)> {
         let mut ctx = ExecContext::with_backend(backend);
-        let v = ctx.relation_from_keys("V", build, w);
-        let u = ctx.relation_from_keys("U", probe, w);
+        let input = |ctx: &mut ExecContext<NativeBackend>, name: &str, keys: &[u64]| {
+            let n = keys.len() as u64;
+            if mapped {
+                ctx.bind(name, &Segment::from_keys(keys, w), n, w)
+            } else {
+                ctx.relation_from_keys(name, keys, w)
+            }
+        };
+        let v = input(&mut ctx, "V", build);
+        let u = input(&mut ctx, "U", probe);
         let mut runs = Vec::new();
         let mut record = |ctx: &ExecContext<NativeBackend>, bytes, values, c0| {
             let d = ctx.mem.counters_since(&c0);
@@ -970,6 +1148,12 @@ mod tests {
         let c0 = ctx.mem.counters();
         let ops = ctx.mem.hash_build_bulk(&v, table.slots());
         record(&ctx, ctx.relation_bytes(table.slots()), vec![ops], c0);
+        let table = if mapped {
+            let layout = Segment::from_keys(&ops::hash::build_layout(build), 8);
+            ops::hash::HashTable::from_layout(&mut ctx, "Hm", &layout)
+        } else {
+            table
+        };
 
         let cap = u.n();
         let out = MemoryBackend::alloc(&mut ctx.mem, (cap * out_w).max(1), 64);
@@ -1022,12 +1206,24 @@ mod tests {
             (&[], &[], 8, 16),
         ];
         for (build, probe, w, out_w) in cases {
-            let kernel = hash_entry_points(NativeBackend::new(), build, probe, w, out_w);
-            let scalar =
-                hash_entry_points(NativeBackend::scalar_reference(), build, probe, w, out_w);
-            assert_eq!(kernel, scalar, "w = {w}, out_w = {out_w}");
+            let run = |backend, mapped| hash_entry_points(backend, build, probe, w, out_w, mapped);
+            let scalar = run(NativeBackend::scalar_reference(), false);
+            // Mapped operands (inputs and a shared layout read in place)
+            // change neither bytes nor accounting, on either path.
+            for (kernel, mapped) in [(true, false), (true, true), (false, true)] {
+                let backend = if kernel {
+                    NativeBackend::new()
+                } else {
+                    NativeBackend::scalar_reference()
+                };
+                assert_eq!(
+                    run(backend, mapped),
+                    scalar,
+                    "w = {w}, out_w = {out_w}, kernel = {kernel}, mapped = {mapped}"
+                );
+            }
         }
-        let dup = hash_entry_points(NativeBackend::new(), &dup_build, &dup_probe, 8, 16);
+        let dup = hash_entry_points(NativeBackend::new(), &dup_build, &dup_probe, 8, 16, true);
         assert_eq!(dup[1].1[0], 600, "three matches per probe");
         assert!(dup[1].1[1] >= 600, "the output grew past |U|");
     }
@@ -1038,5 +1234,136 @@ mod tests {
         let rel = ctx.relation_from_keys("R", &[42], 8);
         ctx.cold_caches();
         assert_eq!(ctx.mem.host_read_u64(rel.tuple(0)), 42);
+    }
+
+    /// Whether the `len` bytes at `addr` are all zero.
+    fn zeroed(m: &NativeBackend, addr: Addr, len: u64) -> bool {
+        let mut buf = vec![1u8; len as usize];
+        m.host_read_bytes(addr, &mut buf);
+        buf.iter().all(|&b| b == 0)
+    }
+
+    #[test]
+    fn native_arena_hands_out_zeroed_bytes_across_resets() {
+        // A dirtied allocation, reset, allocated over: zero again, at
+        // the same address.
+        let mut m = NativeBackend::new();
+        let a = MemoryBackend::alloc(&mut m, 4096, 64);
+        m.host_write_bytes(a, &[0xAB; 4096]);
+        m.reset();
+        assert_eq!(m.allocated(), 0);
+        let b = MemoryBackend::alloc(&mut m, 8192, 64);
+        assert_eq!(a, b, "addresses repeat from the base");
+        assert!(zeroed(&m, b, 8192), "a reused allocation must be zero");
+
+        // A tail output written and sealed, then after a reset a smaller
+        // one at the same base that grows over it tuple by tuple.
+        let mut ctx = ExecContext::with_backend(NativeBackend::new());
+        let mut out = ctx.tail_output(16, 8);
+        for i in 0..64 {
+            ctx.write_tail(&mut out, i, 0xCD00 + i);
+        }
+        let sealed = ctx.seal(out, "W", 64);
+        ctx.mem.reset();
+        let base = ctx.tail_output(4, 8).base();
+        assert_eq!(base, sealed.base());
+        let mut cap = 4;
+        for i in 0..64 {
+            cap = grow_tail(|e| ctx.mem.set_high_water(e), base, 8, cap, i);
+            assert_eq!(ctx.mem.host_read_u64(base + 8 * i), 0, "tuple {i}");
+        }
+
+        // Allocations reaching past every earlier high-water mark: job 1
+        // dirties 8 KiB, job 2 only 1 KiB of it, job 3 reaches past both.
+        let mut m = NativeBackend::new();
+        let a = MemoryBackend::alloc(&mut m, 8192, 64);
+        m.host_write_bytes(a, &[0x11; 8192]);
+        m.reset();
+        let a = MemoryBackend::alloc(&mut m, 1024, 64);
+        m.host_write_bytes(a, &[0x22; 1024]);
+        m.reset();
+        let a = MemoryBackend::alloc(&mut m, 64, 64);
+        let b = MemoryBackend::alloc(&mut m, 64 << 10, 64);
+        assert!(zeroed(&m, a, 64) && zeroed(&m, b, 64 << 10));
+    }
+
+    #[test]
+    fn native_mapped_segments_are_read_in_place() {
+        use crate::plan::{execute_traced, run_on, NoPrebuilt, NoTrace, PhysicalPlan, TableDef};
+        use crate::planner::JoinAlgorithm;
+        let star = Workload::new(5).star_scenario(3_000, 500, 1);
+        let tables = [
+            TableDef::new("F", &star.fact, 8),
+            TableDef::new("D", &star.dims[0], 8),
+        ];
+        let plan = PhysicalPlan::scan(0)
+            .select_lt(300)
+            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
+            .group_count();
+        let mut sim = ExecContext::new(gcm_hardware::presets::tiny());
+        let (run, _) = run_on(&mut sim, &plan, &tables).unwrap();
+        let expected = sim.relation_bytes(&run.output);
+
+        let mut native = ExecContext::native();
+        let rels = crate::plan::materialize_tables(&mut native, &plan, &tables);
+        assert!(rels.iter().all(|r| r.base() >= MAPPED_BASE), "{rels:?}");
+        let run = execute_traced(&mut native, &plan, &rels, &NoPrebuilt, &mut NoTrace).unwrap();
+        assert_eq!(native.relation_bytes(&run.output), expected);
+
+        // Again on the same arena after a reset, with the dimension's
+        // build shared: the layout is probed where it is.
+        struct Shared(crate::plan::PrebuiltBuild);
+        impl crate::plan::BuildSource for Shared {
+            fn prebuilt(&self, table: usize) -> Option<crate::plan::PrebuiltBuild> {
+                (table == 1).then(|| self.0.clone())
+            }
+        }
+        let layout = ops::hash::build_layout(&star.dims[0]);
+        let shared = Shared(crate::plan::PrebuiltBuild {
+            region: gcm_core::Region::new("H#D", layout.len() as u64 / 2, 16),
+            layout: Segment::from_keys(&layout, 8),
+        });
+        native.mem.reset();
+        let rels = crate::plan::materialize_tables(&mut native, &plan, &tables);
+        let run = execute_traced(&mut native, &plan, &rels, &shared, &mut NoTrace).unwrap();
+        assert_eq!(native.relation_bytes(&run.output), expected);
+    }
+
+    #[test]
+    fn native_sorts_a_private_copy_of_a_mapped_table() {
+        use crate::plan::{run_on, PhysicalPlan, TableDef};
+        use crate::planner::JoinAlgorithm;
+        let (fact, dim) = (
+            Workload::new(6).shuffled_keys(1_000),
+            Workload::new(7).shuffled_keys(300),
+        );
+        let tables = [TableDef::new("F", &fact, 8), TableDef::new("D", &dim, 8)];
+        let merge = JoinAlgorithm::Merge {
+            sort_u: true,
+            sort_v: true,
+        };
+        let plans = [
+            PhysicalPlan::scan(0).sort(),
+            PhysicalPlan::scan(0).dedup(),
+            PhysicalPlan::scan(0).join_with(PhysicalPlan::scan(1), merge),
+        ];
+        for plan in &plans {
+            let mut sim = ExecContext::new(gcm_hardware::presets::tiny());
+            let (run, _) = run_on(&mut sim, plan, &tables).unwrap();
+            let expected = sim.relation_bytes(&run.output);
+            let mut native = ExecContext::native();
+            let (run, _) = run_on(&mut native, plan, &tables).unwrap();
+            assert_eq!(native.relation_bytes(&run.output), expected, "{plan}");
+        }
+        assert!(tables[0].keys().eq(fact.iter().copied()), "F untouched");
+        assert!(tables[1].keys().eq(dim.iter().copied()), "D untouched");
+    }
+
+    #[test]
+    #[should_panic]
+    fn native_mapped_segments_are_read_only() {
+        let mut m = NativeBackend::new();
+        let at = m.map_segment(&Segment::from_keys(&[1, 2], 8)).unwrap();
+        m.write_u64(at, 3);
     }
 }

@@ -19,7 +19,7 @@
 use crate::backend::MemoryBackend;
 use crate::ctx::{write_tail_at, ExecContext};
 use crate::ops::mix;
-use crate::relation::Relation;
+use crate::relation::{Relation, Segment};
 use gcm_core::{library, Pattern, Region};
 use gcm_sim::Addr;
 
@@ -157,23 +157,20 @@ pub fn build_layout(keys: &[u64]) -> Vec<u64> {
 }
 
 impl HashTable {
-    /// Materialize a pre-computed [`build_layout`] into memory as
-    /// host-side setup — the reuse path of a shared build: no charged
-    /// build accesses, identical bytes to what [`build_hash`] would
-    /// have produced.
+    /// Bind a pre-computed [`build_layout`], published as an image
+    /// ([`Segment::from_keys`] over the slot words), as a table — the
+    /// reuse path of a shared build: no charged build accesses,
+    /// identical bytes to what [`build_hash`] would have produced. A
+    /// backend that maps segments probes the image where it is; the
+    /// simulator gets a host-side copy ([`ExecContext::bind`]).
     pub fn from_layout<B: MemoryBackend>(
         ctx: &mut ExecContext<B>,
         name: &str,
-        layout: &[u64],
+        layout: &Segment,
     ) -> HashTable {
-        let capacity = (layout.len() / 2) as u64;
+        let capacity = layout.len() / ENTRY_BYTES;
         debug_assert!(capacity.is_power_of_two());
-        let slots = ctx.relation(name, capacity, ENTRY_BYTES);
-        for (i, pair) in layout.chunks_exact(2).enumerate() {
-            let addr = slots.tuple(i as u64);
-            ctx.mem.host_write_u64(addr, pair[0]);
-            ctx.mem.host_write_u64(addr + 8, pair[1]);
-        }
+        let slots = ctx.bind(name, layout, capacity, ENTRY_BYTES);
         HashTable {
             slots,
             mask: capacity - 1,
@@ -472,7 +469,7 @@ mod tests {
         let keys = wl.shuffled_keys(1_000);
         let v = c.relation_from_keys("V", &keys, 8);
         let built = build_hash(&mut c, &v, "H");
-        let layout = build_layout(&keys);
+        let layout = Segment::from_keys(&build_layout(&keys), 8);
         let shared = HashTable::from_layout(&mut c, "Hs", &layout);
         assert_eq!(built.capacity(), shared.capacity());
         assert_eq!(

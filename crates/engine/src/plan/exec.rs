@@ -15,11 +15,10 @@ use crate::backend::MemoryBackend;
 use crate::ctx::{ExecContext, RunStats};
 use crate::ops;
 use crate::planner::JoinAlgorithm;
-use crate::relation::Relation;
+use crate::relation::{Relation, Segment};
 use gcm_core::{Pattern, Region};
 use gcm_obs::span::{Span, SpanKind, SpanSink};
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 /// Result of executing a plan: the real output plus the compound
 /// pattern describing everything that was executed.
@@ -42,17 +41,17 @@ pub struct PrebuiltBuild {
     /// identity, which is what lets Eq 5.3 footprints count the build
     /// once across a batch.
     pub region: Region,
-    /// The open-addressing slot array ([`ops::hash::build_layout`]):
-    /// byte-identical to what a charged build over the same base table
-    /// would produce.
-    pub layout: Arc<Vec<u64>>,
+    /// The open-addressing slot array ([`ops::hash::build_layout`]) as
+    /// an image: byte-identical to what a charged build over the same
+    /// base table would produce.
+    pub layout: Segment,
 }
 
 /// Provider of shared build sides during plan execution. `prebuilt`
 /// is consulted for every hash join whose build side is a direct base-
 /// table scan; returning `Some` replaces the charged build phase with
-/// host-side materialization of the shared layout (probe-only
-/// execution and pattern).
+/// the shared layout, bound uncharged (probe-only execution and
+/// pattern).
 pub trait BuildSource {
     /// The shared build over base table `table`, if one exists.
     fn prebuilt(&self, table: usize) -> Option<PrebuiltBuild>;
@@ -200,51 +199,121 @@ pub fn execute_traced<B: MemoryBackend>(
 }
 
 /// A base table by value: the backend-agnostic catalog entry, held by
-/// callers that have not materialized [`Relation`]s into a context yet
-/// ([`run_on`], the query service's registered tables).
+/// callers that have not bound [`Relation`]s into a context yet
+/// ([`run_on`], the query service's registered tables). Its tuples are
+/// one immutable [`Segment`], laid out once and shared by every clone:
+/// a backend that maps segments reads the table where it is.
 #[derive(Debug, Clone)]
 pub struct TableDef {
     /// Region/relation display name.
     pub name: String,
-    /// The key column.
-    pub keys: Vec<u64>,
     /// Tuple width in bytes.
     pub w: u64,
+    image: Segment,
 }
 
 impl TableDef {
     /// A `w`-byte-tuple table over the given key column.
-    pub fn new(name: impl Into<String>, keys: Vec<u64>, w: u64) -> TableDef {
+    pub fn new(name: impl Into<String>, keys: impl AsRef<[u64]>, w: u64) -> TableDef {
         TableDef {
             name: name.into(),
-            keys,
             w,
+            image: Segment::from_keys(keys.as_ref(), w),
         }
+    }
+
+    /// Tuple count.
+    pub fn n(&self) -> u64 {
+        self.image.len() / self.w
+    }
+
+    /// The key column, read from the image.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.n()).map(|i| self.image.word(i * self.w))
+    }
+
+    /// The table's tuples as one immutable image.
+    pub fn image(&self) -> &Segment {
+        &self.image
     }
 }
 
-/// Materialize the tables `plan` references into `ctx`'s memory
-/// (host-side, uncharged — setup, not measured work). Catalog slots the
-/// plan never scans become empty placeholders, so scan indices stay
-/// valid without copying data nobody reads.
+/// Bind the tables `plan` references into `ctx` (uncharged — setup, not
+/// measured work): mapped read-only in place where the backend can
+/// address a [`Segment`] ([`ExecContext::bind`]), copied in host-side
+/// where it cannot, and always copied when the plan sorts the table in
+/// place (a sort or dedup over it, a merge join's sort phase) — a sort
+/// never writes the shared image. Catalog slots the plan never scans
+/// become empty placeholders, so scan indices stay valid without
+/// binding data nobody reads.
 pub fn materialize_tables<B: MemoryBackend, T: Borrow<TableDef>>(
     ctx: &mut ExecContext<B>,
     plan: &PhysicalPlan,
     tables: &[T],
 ) -> Vec<Relation> {
     let referenced = plan.tables();
+    let sorted = tables_sorted_in_place(plan);
     tables
         .iter()
         .enumerate()
         .map(|(i, t)| {
             let t = t.borrow();
-            if referenced.contains(&i) {
-                ctx.relation_from_keys(&t.name, &t.keys, t.w)
-            } else {
+            if !referenced.contains(&i) {
                 ctx.relation(&t.name, 0, t.w)
+            } else if sorted.contains(&i) {
+                ctx.relation_from_segment(&t.name, t.image(), t.n(), t.w)
+            } else {
+                ctx.bind(&t.name, t.image(), t.n(), t.w)
             }
         })
         .collect()
+}
+
+/// The base table a node's output *is*: a scan, or a sort of one (a
+/// sort hands back its input, sorted in place).
+fn base_table(plan: &PhysicalPlan) -> Option<usize> {
+    match plan {
+        PhysicalPlan::Scan { table } => Some(*table),
+        PhysicalPlan::Sort { input } => base_table(input),
+        _ => None,
+    }
+}
+
+/// Catalog indices of the base tables `plan` sorts in place: the input
+/// of a sort or a dedup, or a merge join's side with its sort flag set,
+/// when that input is a base table.
+fn tables_sorted_in_place(plan: &PhysicalPlan) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut visit = vec![plan];
+    while let Some(node) = visit.pop() {
+        match node {
+            PhysicalPlan::Scan { .. } => {}
+            PhysicalPlan::Sort { input } | PhysicalPlan::Dedup { input } => {
+                out.extend(base_table(input));
+                visit.push(input);
+            }
+            PhysicalPlan::Select { input, .. }
+            | PhysicalPlan::Aggregate { input }
+            | PhysicalPlan::Partition { input, .. } => visit.push(input),
+            PhysicalPlan::Join {
+                left,
+                right,
+                algorithm,
+            } => {
+                if let JoinAlgorithm::Merge { sort_u, sort_v } = algorithm {
+                    if *sort_u {
+                        out.extend(base_table(left));
+                    }
+                    if *sort_v {
+                        out.extend(base_table(right));
+                    }
+                }
+                visit.push(left);
+                visit.push(right);
+            }
+        }
+    }
+    out
 }
 
 /// Lowering picks the backend: materialize `tables` into `ctx`'s memory
@@ -516,13 +585,13 @@ fn exec_join<B: MemoryBackend>(
         }
         JoinAlgorithm::Hash => {
             if let Some(pre) = prebuilt {
-                // Shared build: materialize the layout host-side
-                // (uncharged — the build belongs to the registry, not
-                // this query) and run probe-only. Identical output to a
-                // charged build: the layout is deterministic.
+                // Shared build: bind the layout uncharged (the build
+                // belongs to the registry, not this query) and run
+                // probe-only. Identical output to a charged build: the
+                // layout is deterministic.
                 debug_assert_eq!(
-                    pre.layout.len() as u64,
-                    2 * ops::hash::table_slots(v.n()),
+                    pre.layout.len(),
+                    ops::hash::table_slots(v.n()) * ops::hash::ENTRY_BYTES,
                     "shared layout sized for this build side"
                 );
                 let table =
@@ -711,13 +780,13 @@ mod tests {
         // phase from its pattern.
         struct DimBuild {
             region: Region,
-            layout: Arc<Vec<u64>>,
+            layout: Segment,
         }
         impl BuildSource for DimBuild {
             fn prebuilt(&self, table: usize) -> Option<PrebuiltBuild> {
                 (table == 1).then(|| PrebuiltBuild {
                     region: self.region.clone(),
-                    layout: Arc::clone(&self.layout),
+                    layout: self.layout.clone(),
                 })
             }
         }
@@ -738,7 +807,7 @@ mod tests {
                     ops::hash::table_slots(star.dims[0].len() as u64),
                     ops::hash::ENTRY_BYTES,
                 ),
-                layout: Arc::new(ops::hash::build_layout(&star.dims[0])),
+                layout: Segment::from_keys(&ops::hash::build_layout(&star.dims[0]), 8),
             };
             let r = if shared {
                 execute_traced(&mut ctx, &plan, &tables, &source, &mut NoTrace).unwrap()

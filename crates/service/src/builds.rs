@@ -24,6 +24,8 @@
 
 use gcm_core::{Pattern, Region, RegionId};
 use gcm_engine::ops::hash::{self, ENTRY_BYTES};
+use gcm_engine::plan::TableDef;
+use gcm_engine::Segment;
 use gcm_trie::TrieMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,10 +113,11 @@ pub struct SharedBuild {
     /// reusing this build substitutes this region (same id) into its
     /// probe pattern, so ⊙-pricing recognizes the data as shared.
     pub region: Region,
-    /// The slot array ([`hash::build_layout`]): `[key, value]` pairs,
-    /// EMPTY-keyed in vacant slots. Workers materialize it host-side
-    /// ([`gcm_engine::plan::PrebuiltBuild`]) without charged accesses.
-    pub layout: Arc<Vec<u64>>,
+    /// The slot array ([`hash::build_layout`]) as one immutable image:
+    /// `[key, value]` pairs, EMPTY-keyed in vacant slots. Native workers
+    /// probe it where it is; the simulator copies it in host-side
+    /// ([`gcm_engine::plan::PrebuiltBuild`]). Neither charges an access.
+    pub layout: Segment,
 }
 
 /// Registry of shared builds keyed by (table, epoch).
@@ -139,7 +142,12 @@ impl BuildRegistry {
     /// skip the build. The hit path is a wait-free snapshot read; two
     /// concurrent first requests may both compute the layout but publish
     /// (and hand out) exactly one build.
-    pub fn get_or_build(&self, table: usize, epoch: u64, keys: &[u64]) -> (Arc<SharedBuild>, bool) {
+    pub fn get_or_build(
+        &self,
+        table: usize,
+        epoch: u64,
+        data: &TableDef,
+    ) -> (Arc<SharedBuild>, bool) {
         if let Some(b) = self.entries.snapshot().get(&(table, epoch)) {
             self.reused.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(b), false);
@@ -147,12 +155,13 @@ impl BuildRegistry {
         let mut computed = false;
         let b = self.entries.get_or_insert_with((table, epoch), || {
             computed = true;
+            let keys: Vec<u64> = data.keys().collect();
             let slots = hash::table_slots(keys.len() as u64);
             Arc::new(SharedBuild {
                 table,
                 epoch,
                 region: Region::new(format!("H#{table}@{epoch}"), slots, ENTRY_BYTES),
-                layout: Arc::new(hash::build_layout(keys)),
+                layout: Segment::from_keys(&hash::build_layout(&keys), 8),
             })
         });
         if computed {
@@ -201,10 +210,15 @@ impl BuildRegistry {
 mod tests {
     use super::*;
 
+    /// A registered table over `keys`.
+    fn table(keys: &[u64]) -> TableDef {
+        TableDef::new("T", keys, 8)
+    }
+
     #[test]
     fn same_key_returns_the_same_build() {
         let reg = BuildRegistry::new();
-        let keys: Vec<u64> = (0..500).map(|i| (i * 7) % 400).collect();
+        let keys = table(&(0..500).map(|i| (i * 7) % 400).collect::<Vec<u64>>());
         let (a, first) = reg.get_or_build(0, 0, &keys);
         let (b, second) = reg.get_or_build(0, 0, &keys);
         assert!(first, "first request computes");
@@ -224,9 +238,10 @@ mod tests {
     fn layout_matches_the_pure_function() {
         let reg = BuildRegistry::new();
         let keys: Vec<u64> = (0..300).map(|i| (i * 13) % 250).collect();
-        let (b, _) = reg.get_or_build(2, 5, &keys);
-        assert_eq!(*b.layout, hash::build_layout(&keys));
-        assert_eq!(b.region.bytes(), b.layout.len() as u64 * 8);
+        let (b, _) = reg.get_or_build(2, 5, &table(&keys));
+        let layout = hash::build_layout(&keys);
+        assert_eq!(b.layout.bytes(), Segment::from_keys(&layout, 8).bytes());
+        assert_eq!(b.region.bytes(), b.layout.len());
         assert_eq!(b.table, 2);
         assert_eq!(b.epoch, 5);
     }
@@ -234,7 +249,7 @@ mod tests {
     #[test]
     fn retire_drops_stale_epochs_only() {
         let reg = BuildRegistry::new();
-        let keys = vec![1, 2, 3];
+        let keys = table(&[1, 2, 3]);
         reg.get_or_build(0, 0, &keys);
         reg.get_or_build(1, 0, &keys);
         reg.get_or_build(0, 1, &keys);
@@ -284,7 +299,7 @@ mod tests {
     #[test]
     fn concurrent_requests_share_one_build() {
         let reg = Arc::new(BuildRegistry::new());
-        let keys: Vec<u64> = (0..200).collect();
+        let keys = table(&(0..200).collect::<Vec<u64>>());
         let builds: Vec<Arc<SharedBuild>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

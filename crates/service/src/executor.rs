@@ -1,18 +1,23 @@
-//! The executor pool: running an admitted batch on real worker
-//! threads, one generic path for every backend.
+//! The executor pool: long-lived workers that run admitted batches, one
+//! generic path for every backend.
 //!
-//! The measured side of the multi-core model, and the workspace's one
-//! thread-spawn site for query execution: a batch of `d` queries runs
-//! as `d` [`std::thread::scope`] workers ([`execute_batch`]), each
-//! executing its physical plan through the one plan executor
-//! ([`gcm_engine::plan::execute_traced`]) over the [`ExecContext`] a
-//! per-member factory hands it. Builds and tracing are arguments, not
-//! forks: every member probes the shared builds admission priced for it
-//! and reports its operators to its own span sink, on any backend.
+//! The measured side of the multi-core model. The pool is owned by the
+//! [`QueryService`] and is the service's only spawn site: a batch of
+//! `d` queries is `d` jobs, member 0 run on the calling thread (which
+//! would otherwise only wait) and members `1..d` on worker threads that
+//! the pool grows to the largest batch seen. Every worker — the
+//! caller's slot included — lives as long as the service, keeping its
+//! span lane and one native arena the whole time. Each job runs its
+//! physical plan through the one plan executor
+//! ([`gcm_engine::plan::execute_traced`]) with the shared builds
+//! admission priced for it, reporting its operators to the worker's
+//! lane. Jobs own what they read — `Arc`s to the plan, to the
+//! table versions the query was admitted with, and to its builds — so a
+//! table replaced while a query waits never changes its answer.
 //!
-//! On the **simulator** the factory yields a context on the member's own
-//! view of the machine — full private levels, plus the slice of every
-//! shared level the scheduler *allocated* to it. Allocations are
+//! On the **simulator** a job builds a context on the member's own view
+//! of the machine — full private levels, plus the slice of every shared
+//! level the scheduler *allocated* to it. Allocations are
 //! footprint-proportional ([`member_views`]), i.e. the service enforces
 //! exactly the Eq 5.3 shares the admission controller priced (the way
 //! a real serving system partitions its buffer pool or LLC ways among
@@ -23,9 +28,12 @@
 //! [`CpuCost::default_planner`] — the same term the optimizer priced
 //! it with), and the batch's measured wall is the slowest member, which
 //! is what the `⊙` composition predicted.
-//! On the **host** the factory yields a pre-sized native arena: real
-//! buffers, real loads, wall-clock latency, and no views (the hardware
-//! shares its caches itself).
+//! On the **host** a job runs on its worker's resident arena: reset,
+//! not rebuilt, so no page is faulted twice; base tables and shared
+//! builds are mapped read-only and read where they are, and only a
+//! table the plan sorts in place is copied in. Real buffers, real
+//! loads, wall-clock latency, and no views (the hardware shares its
+//! caches itself).
 //!
 //! The two [`QueryService`] methods over this path keep only their own
 //! bookkeeping: [`QueryService::execute_batch`] (simulator: records,
@@ -36,19 +44,28 @@
 use crate::admission::DEFAULT_DISPATCH_NS;
 use crate::builds::SharedBuild;
 use crate::metrics::{BatchRecord, QueryRecord};
-use crate::queue::Batch;
+use crate::queue::{Batch, Pending};
 use crate::QueryService;
 use gcm_core::{
     footprint_lines, footprint_lines_excluding, references_region, CpuCost, Geometry, Pattern,
     Region, RegionId,
 };
 use gcm_engine::plan::{
-    self, plan_classes, BuildSource, PhysicalPlan, PlanError, PrebuiltBuild, SpanTracer, TableDef,
+    self, plan_classes, BuildSource, PlanError, PlannedQuery, PrebuiltBuild, SpanTracer, TableDef,
 };
-use gcm_engine::{ExecContext, MemoryBackend};
+use gcm_engine::{ExecContext, MemoryBackend, NativeBackend};
 use gcm_hardware::{HardwareSpec, Sharing};
-use gcm_obs::SpanSink;
+use gcm_obs::{SpanRecorder, SpanSink};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// One version of the whole catalog: the tables as a query was admitted
+/// with them. [`QueryService::update_table`] publishes a new version
+/// and leaves this one to whoever still holds it.
+pub(crate) type Tables = Arc<Vec<Arc<TableDef>>>;
 
 /// The builds one batch member may reuse, as a [`BuildSource`] for the
 /// plan executor: `prebuilt(t)` answers with the member's shared build
@@ -72,7 +89,7 @@ impl BuildSource for MemberBuilds {
             .find(|b| b.table == table)
             .map(|b| PrebuiltBuild {
                 region: b.region.clone(),
-                layout: Arc::clone(&b.layout),
+                layout: b.layout.clone(),
             })
     }
 }
@@ -195,90 +212,218 @@ pub fn member_views(
         .collect()
 }
 
-/// Execute `plans` as one batch of `plans.len()` concurrent workers on
-/// backend `B`. Worker `i` obtains its context from `member_ctx(i)`
-/// (called on the worker's own thread), materializes the tables its
-/// plan scans into it (host-side, before the measured interval — the
-/// service owns the data; a worker's view simulates its core's caches,
-/// not a private copy of the database), and runs its plan through
-/// [`plan::execute_traced`] with `builds[i]` as the shared-build source
-/// and `sinks[i]` as the span lane: one
-/// [`Execute`](gcm_obs::SpanKind::Execute) span per physical operator
-/// while the sink's recorder is enabled, nothing (and no counter
-/// snapshots) while it is not. Tracing and shared builds never change
-/// results. Results come back in batch order.
-///
-/// Every worker is joined before any is judged: a panicking worker
-/// turns the batch into [`PlanError::WorkerPanicked`] instead of taking
-/// the caller's thread down with it.
-pub fn execute_batch<B: MemoryBackend>(
-    member_ctx: impl Fn(usize) -> ExecContext<B> + Sync,
-    tables: &[Arc<TableDef>],
-    plans: &[&PhysicalPlan],
-    builds: &[MemberBuilds],
-    sinks: &mut [SpanSink],
-) -> Result<Vec<ExecutedQuery>, PlanError> {
-    assert_eq!(plans.len(), builds.len());
-    assert!(sinks.len() >= plans.len(), "one span sink per member");
-    let member_ctx = &member_ctx;
-    let joined: Vec<std::thread::Result<Result<ExecutedQuery, PlanError>>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = plans
-                .iter()
-                .zip(builds)
-                .zip(sinks.iter_mut())
-                .enumerate()
-                .map(|(i, ((plan, member), sink))| {
-                    s.spawn(move || {
-                        let mut ctx = member_ctx(i);
-                        let rels = plan::materialize_tables(&mut ctx, plan, tables);
-                        let mut tracer = SpanTracer::new(sink);
-                        let (run, stats) = ctx
-                            .measure(|c| plan::execute_traced(c, plan, &rels, member, &mut tracer));
-                        run.map(|r| ExecutedQuery {
-                            output_n: r.output.n(),
-                            output_hash: fnv1a(&ctx.relation_bytes(&r.output)),
-                            measured_ns: stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS),
-                            ops: stats.ops,
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-    joined
-        .into_iter()
-        .enumerate()
-        .map(|(member, run)| run.unwrap_or(Err(PlanError::WorkerPanicked { member })))
-        .collect()
+/// One batch member as its worker runs it: the plan, the table versions
+/// it was admitted with, and the shared builds admission priced for it.
+pub(crate) struct Member {
+    planned: Arc<PlannedQuery>,
+    tables: Tables,
+    builds: MemberBuilds,
+}
+
+impl Member {
+    /// The member a pending query becomes.
+    fn of(p: &Pending) -> Member {
+        Member {
+            planned: Arc::clone(&p.planned),
+            tables: Arc::clone(&p.tables),
+            builds: MemberBuilds::new(p.builds.clone()),
+        }
+    }
+
+    /// Bind the tables the plan scans into `ctx` (uncharged, before the
+    /// measured interval) and run the plan there, one
+    /// [`Execute`](gcm_obs::SpanKind::Execute) span per physical operator
+    /// into `lane` while its recorder is enabled (nothing, and no
+    /// counter snapshots, while it is not). Tracing and shared builds
+    /// never change results.
+    fn run<B: MemoryBackend>(
+        &self,
+        ctx: &mut ExecContext<B>,
+        lane: &mut SpanSink,
+    ) -> Result<ExecutedQuery, PlanError> {
+        let plan = &self.planned.plan;
+        let rels = plan::materialize_tables(ctx, plan, &self.tables);
+        let mut tracer = SpanTracer::new(lane);
+        let (run, stats) =
+            ctx.measure(|c| plan::execute_traced(c, plan, &rels, &self.builds, &mut tracer));
+        run.map(|r| ExecutedQuery {
+            output_n: r.output.n(),
+            output_hash: fnv1a(&ctx.relation_bytes(&r.output)),
+            measured_ns: stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS),
+            ops: stats.ops,
+        })
+    }
+}
+
+/// What a pool worker keeps from one job to the next.
+pub(crate) struct Worker {
+    lane: SpanSink,
+    /// The resident native arena: made by the first native job, reset by
+    /// every later one, dropped when a job panics.
+    arena: Option<ExecContext<NativeBackend>>,
+}
+
+impl Worker {
+    fn new(spans: &SpanRecorder) -> Worker {
+        Worker {
+            lane: spans.sink(),
+            arena: None,
+        }
+    }
+
+    /// Run `m` on the simulated machine `view`, in a context of its own.
+    fn run_sim(&mut self, m: &Member, view: HardwareSpec) -> Result<ExecutedQuery, PlanError> {
+        m.run(&mut ExecContext::new(view), &mut self.lane)
+    }
+
+    /// Run `m` on this worker's resident native arena.
+    fn run_native(&mut self, m: &Member) -> Result<ExecutedQuery, PlanError> {
+        let ctx = self.arena.get_or_insert_with(ExecContext::native);
+        ctx.mem.reset();
+        m.run(ctx, &mut self.lane)
+    }
+
+    /// Run `job` as batch member `member`. A panic becomes
+    /// [`PlanError::WorkerPanicked`], and the arena the job may have
+    /// left mid-write is dropped: the next job starts on a fresh one.
+    fn run_caught(&mut self, member: usize, job: Job) -> Result<ExecutedQuery, PlanError> {
+        panic::catch_unwind(AssertUnwindSafe(|| job(self))).unwrap_or_else(|_| {
+            self.arena = None;
+            Err(PlanError::WorkerPanicked { member })
+        })
+    }
+}
+
+/// One member's work, run on a pool worker with that worker's state.
+pub(crate) type Job = Box<dyn FnOnce(&mut Worker) -> Result<ExecutedQuery, PlanError> + Send>;
+
+/// Where a worker reports member `i`'s result.
+type Done = Sender<(usize, Result<ExecutedQuery, PlanError>)>;
+
+/// A running worker: its job queue and its thread.
+struct WorkerThread {
+    jobs: Sender<(usize, Job, Done)>,
+    thread: JoinHandle<()>,
+}
+
+/// The service's executor. Member 0 of every batch runs on the calling
+/// thread, which would otherwise only wait, with the pool's own worker
+/// state; members 1.. run on long-lived worker threads, grown to the
+/// largest batch seen and joined when the pool is dropped. Waking one
+/// parked worker per extra member, rather than handing every member to
+/// a thread, keeps a short batch from queueing behind its own wake-ups.
+pub(crate) struct Pool {
+    /// Hands each worker its span lane.
+    spans: SpanRecorder,
+    /// Member 0's worker state, used by whichever thread calls
+    /// [`run`](Pool::run).
+    caller: Option<Worker>,
+    /// Worker `i` runs member `i + 1`.
+    workers: Vec<WorkerThread>,
+    /// Worker threads still running: each counts itself out as it exits.
+    running: Arc<AtomicUsize>,
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool")
+            .field("threads", &self.workers.len())
+            .finish()
+    }
+}
+
+impl Pool {
+    /// An empty pool whose workers record spans into `spans`.
+    pub(crate) fn new(spans: SpanRecorder) -> Pool {
+        Pool {
+            spans,
+            caller: None,
+            workers: Vec::new(),
+            running: Arc::new(AtomicUsize::new(0)),
+        }
+    }
+
+    fn spawn(&self) -> WorkerThread {
+        let (jobs, queue) = mpsc::channel::<(usize, Job, Done)>();
+        let mut worker = Worker::new(&self.spans);
+        let running = Arc::clone(&self.running);
+        running.fetch_add(1, Ordering::SeqCst);
+        let thread = std::thread::Builder::new()
+            .name(format!("gcm-exec-{}", self.workers.len() + 1))
+            .spawn(move || {
+                for (member, job, done) in queue {
+                    let _ = done.send((member, worker.run_caught(member, job)));
+                }
+                running.fetch_sub(1, Ordering::SeqCst);
+            })
+            .expect("spawn an executor worker");
+        WorkerThread { jobs, thread }
+    }
+
+    /// Run job `i` as batch member `i` — job 0 here, job `i > 0` on
+    /// worker thread `i - 1`, growing the pool first — and wait for
+    /// every result. Results come back in job order; the first failed
+    /// member fails the batch, and a panicking job turns into
+    /// [`PlanError::WorkerPanicked`] instead of taking the caller's
+    /// thread down with it.
+    pub(crate) fn run(&mut self, jobs: Vec<Job>) -> Result<Vec<ExecutedQuery>, PlanError> {
+        let n = jobs.len();
+        while self.workers.len() + 1 < n {
+            let w = self.spawn();
+            self.workers.push(w);
+        }
+        let mut jobs = jobs.into_iter();
+        let Some(first) = jobs.next() else {
+            return Ok(Vec::new());
+        };
+        let (done, results) = mpsc::channel();
+        for ((member, job), w) in (1..).zip(jobs).zip(&self.workers) {
+            // A worker only stops when the pool drops its queue, so a
+            // failed send leaves this member's result missing, which is
+            // reported as a panic below.
+            let _ = w.jobs.send((member, job, done.clone()));
+        }
+        drop(done);
+        let spans = &self.spans;
+        let caller = self.caller.get_or_insert_with(|| Worker::new(spans));
+        let mut out: Vec<Option<Result<ExecutedQuery, PlanError>>> = (0..n).map(|_| None).collect();
+        out[0] = Some(caller.run_caught(0, first));
+        for (member, result) in results {
+            out[member] = Some(result);
+        }
+        out.into_iter()
+            .enumerate()
+            .map(|(member, r)| r.unwrap_or(Err(PlanError::WorkerPanicked { member })))
+            .collect()
+    }
+}
+
+impl Drop for Pool {
+    /// Close every worker's queue and join its thread.
+    fn drop(&mut self) {
+        for w in self.workers.drain(..) {
+            drop(w.jobs);
+            let _ = w.thread.join();
+        }
+    }
 }
 
 impl QueryService {
-    /// Run `batch` on the one executor path, on whatever backend
-    /// `member_ctx` builds: every member gets the shared builds
-    /// admission attached to it and one of the service's reusable span
-    /// lanes (grown to the largest batch seen, so an undrained trace
-    /// costs a bounded ring per worker slot that drops and counts).
-    fn run_batch<B: MemoryBackend>(
+    /// Run `batch` on the pool: member `i` becomes the job `job(i, m)`
+    /// makes of it, holding the table versions and shared builds
+    /// admission attached to it.
+    fn run_batch(
         &mut self,
         batch: &Batch,
-        member_ctx: impl Fn(usize) -> ExecContext<B> + Sync,
+        job: impl Fn(usize, Member) -> Job,
     ) -> Result<Vec<ExecutedQuery>, PlanError> {
-        let builds: Vec<MemberBuilds> = batch
+        let jobs = batch
             .entries
             .iter()
-            .map(|p| MemberBuilds::new(p.builds.clone()))
+            .enumerate()
+            .map(|(i, p)| job(i, Member::of(p)))
             .collect();
-        while self.worker_sinks.len() < batch.size() {
-            self.worker_sinks.push(self.spans.sink());
-        }
-        execute_batch(
-            member_ctx,
-            &self.tables,
-            &batch.plans(),
-            &builds,
-            &mut self.worker_sinks,
-        )
+        self.pool.run(jobs)
     }
 
     /// Execute an admitted batch on the **simulated** pool — each member
@@ -288,7 +433,10 @@ impl QueryService {
     pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
         let patterns: Vec<&Pattern> = batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
         let views = member_views(self.spec(), &patterns, &batch.shared_regions());
-        let runs = self.run_batch(&batch, |i| ExecContext::new(views[i].clone()))?;
+        let runs = self.run_batch(&batch, |i, m| {
+            let view = views[i].clone();
+            Box::new(move |w: &mut Worker| w.run_sim(&m, view))
+        })?;
         let batch_idx = self.metrics.batches.len();
         // The simulator cannot measure dispatch (it is host-side thread
         // bring-up, not simulated memory traffic), so the batch wall
@@ -347,14 +495,10 @@ impl QueryService {
         &mut self,
         batch: Batch,
     ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
-        // Pre-size each worker's arena from the catalog footprint so the
-        // measured interval contains no growth reallocations: inputs plus
-        // headroom for partitions/hash tables/outputs (≈4× input bytes
-        // covers every plan shape the planner emits).
-        let table_bytes: u64 = self.tables.iter().map(|t| t.keys.len() as u64 * t.w).sum();
-        let arena = (4 * table_bytes).clamp(1 << 16, 1 << 30) as usize;
         let t0 = std::time::Instant::now();
-        let runs = self.run_batch(&batch, |_| ExecContext::native_with_capacity(arena))?;
+        let runs = self.run_batch(&batch, |_, m| {
+            Box::new(move |w: &mut Worker| w.run_native(&m))
+        })?;
         let wall_ns = t0.elapsed().as_nanos() as f64;
         self.observe_wall_scale(wall_ns, batch.predicted_wall_ns);
         let r = &self.metrics.registry;
@@ -405,46 +549,66 @@ mod tests {
     use super::*;
     use crate::tests::{drain_on, submit_joins, Backend};
     use crate::ServiceConfig;
-    use gcm_engine::plan::LogicalPlan;
+    use gcm_engine::plan::{LogicalPlan, PhysicalPlan};
     use gcm_engine::planner::JoinAlgorithm;
     use gcm_hardware::presets;
-    use gcm_obs::{SpanKind, SpanRecorder};
+    use gcm_obs::SpanKind;
     use gcm_workload::Workload;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
 
-    fn catalog() -> Vec<Arc<TableDef>> {
+    fn catalog() -> Tables {
         let mut wl = Workload::new(61);
         let star = wl.star_scenario(2_000, 400, 1);
-        vec![
+        Arc::new(vec![
             Arc::new(TableDef::new("F", star.fact, 8)),
             Arc::new(TableDef::new("D", star.dims[0].clone(), 8)),
-        ]
+        ])
     }
 
-    /// `plans` as one batch with no shared builds and a disabled trace,
-    /// each member on the context `member_ctx` builds.
-    fn run_plain<B: MemoryBackend>(
-        member_ctx: impl Fn(usize) -> ExecContext<B> + Sync,
-        tables: &[Arc<TableDef>],
+    /// `plans` as one batch on a fresh pool with a disabled trace: no
+    /// shared builds, member `i` run by `job(i, member)`.
+    fn run_plain(
+        tables: &Tables,
         plans: &[&PhysicalPlan],
+        job: impl Fn(usize, Member) -> Job,
     ) -> Result<Vec<ExecutedQuery>, PlanError> {
-        let no_builds: Vec<MemberBuilds> = plans.iter().map(|_| MemberBuilds::default()).collect();
-        let rec = SpanRecorder::with_capacity(1);
-        rec.set_enabled(false);
-        let mut sinks: Vec<SpanSink> = plans.iter().map(|_| rec.sink()).collect();
-        execute_batch(member_ctx, tables, plans, &no_builds, &mut sinks)
+        let spans = SpanRecorder::with_capacity(1);
+        spans.set_enabled(false);
+        let jobs = plans
+            .iter()
+            .enumerate()
+            .map(|(i, plan)| {
+                let planned = PlannedQuery {
+                    plan: (*plan).clone(),
+                    pattern: Pattern::empty(),
+                    mem_ns: 0.0,
+                    cpu_ns: 0.0,
+                    ops: 0,
+                };
+                let member = Member {
+                    planned: Arc::new(planned),
+                    tables: Arc::clone(tables),
+                    builds: MemberBuilds::default(),
+                };
+                job(i, member)
+            })
+            .collect();
+        Pool::new(spans).run(jobs)
     }
 
     /// [`run_plain`] on the simulated pool: zero-footprint patterns, so
     /// the members split the shared levels evenly.
     fn run_sim(
         spec: &HardwareSpec,
-        tables: &[Arc<TableDef>],
+        tables: &Tables,
         plans: &[&PhysicalPlan],
     ) -> Result<Vec<ExecutedQuery>, PlanError> {
         let eps = Pattern::empty();
         let views = member_views(spec, &vec![&eps; plans.len()], &[]);
-        run_plain(|i| ExecContext::new(views[i].clone()), tables, plans)
+        run_plain(tables, plans, |i, m| {
+            let view = views[i].clone();
+            Box::new(move |w: &mut Worker| w.run_sim(&m, view))
+        })
     }
 
     fn select_and_join() -> (PhysicalPlan, PhysicalPlan) {
@@ -532,7 +696,10 @@ mod tests {
         let tables = catalog();
         let (select, join) = select_and_join();
         let sim = run_sim(&spec, &tables, &[&select, &join]).unwrap();
-        let native = run_plain(|_| ExecContext::native(), &tables, &[&select, &join]).unwrap();
+        let native = run_plain(&tables, &[&select, &join], |_, m| {
+            Box::new(move |w: &mut Worker| w.run_native(&m))
+        })
+        .unwrap();
         assert_eq!(native.len(), 2);
         for (s, n) in sim.iter().zip(&native) {
             assert_eq!(s.output_n, n.output_n);
@@ -556,30 +723,74 @@ mod tests {
 
     #[test]
     fn a_panicking_worker_fails_the_batch_not_the_caller() {
-        let spec = presets::tiny_smp(2);
-        let tables = catalog();
-        let (select, join) = select_and_join();
-        let survivor_ran = AtomicBool::new(false);
-        let err = run_plain(
-            |i| {
-                if i == 0 {
-                    panic!("injected: member 0 cannot get a context");
-                }
-                survivor_ran.store(true, Ordering::SeqCst);
-                ExecContext::new(spec.thread_view(1))
-            },
-            &tables,
-            &[&select, &join],
-        )
-        .unwrap_err();
+        let star = Workload::new(62).star_scenario(4_000, 500, 1);
+        let service = || {
+            let mut svc = QueryService::new(presets::modern_smp(2));
+            svc.register_table("F", star.fact.clone(), 8);
+            svc.register_table("D", star.dims[0].clone(), 8);
+            svc
+        };
+        let mut svc = service();
+        submit_joins(&mut svc, &[100, 200]);
+        drain_on(&mut svc, Backend::Native);
+        let running = Arc::clone(&svc.pool.running);
+        assert_eq!(
+            running.load(Ordering::SeqCst),
+            1,
+            "member 1's resident worker thread"
+        );
+
+        // Member 0 dirties its arena and panics mid-job, on the caller's
+        // thread.
+        let survivor_ran = Arc::new(AtomicBool::new(false));
+        let ran = Arc::clone(&survivor_ran);
+        let jobs: Vec<Job> = vec![
+            Box::new(|w: &mut Worker| {
+                let ctx = w.arena.as_mut().expect("a resident arena");
+                let at = ctx.mem.alloc(1 << 16, 64);
+                ctx.mem.host_write_bytes(at, &[0xEE; 1 << 16]);
+                panic!("injected: member 0 fails mid-job");
+            }),
+            Box::new(move |_: &mut Worker| {
+                ran.store(true, Ordering::SeqCst);
+                Err(PlanError::UnknownTable {
+                    table: 9,
+                    tables: 2,
+                })
+            }),
+        ];
+        let err = svc.pool.run(jobs).unwrap_err();
         assert_eq!(err, PlanError::WorkerPanicked { member: 0 });
-        // The call returned, so the scope joined member 1's thread too —
-        // and it did its work rather than being torn down.
+        // The call returned with member 1's result too: it did its work
+        // rather than being torn down.
         assert!(survivor_ran.load(Ordering::SeqCst));
-        // The same tables serve the next batch normally.
-        let again = run_sim(&spec, &tables, &[&select, &join]).unwrap();
-        assert_eq!(again.len(), 2);
-        assert!(again.iter().all(|q| q.output_n > 0));
+        // The panicking worker threw its arena away; the other kept its.
+        let has_arena = || -> Job {
+            Box::new(|w: &mut Worker| {
+                Ok(ExecutedQuery {
+                    output_n: u64::from(w.arena.is_some()),
+                    output_hash: 0,
+                    measured_ns: 0.0,
+                    ops: 0,
+                })
+            })
+        };
+        let arenas = svc.pool.run(vec![has_arena(), has_arena()]).unwrap();
+        assert_eq!((arenas[0].output_n, arenas[1].output_n), (0, 1));
+
+        // The same service serves the next native batch as the simulator
+        // would, on the same workers.
+        submit_joins(&mut svc, &[150, 250]);
+        let native = drain_on(&mut svc, Backend::Native);
+        let mut sim = service();
+        submit_joins(&mut sim, &[100, 200, 150, 250]);
+        let sim = drain_on(&mut sim, Backend::Sim);
+        assert_eq!(native, sim[2..]);
+        assert_eq!(running.load(Ordering::SeqCst), 1, "no worker was lost");
+
+        // Dropping the service joins every worker thread.
+        drop(svc);
+        assert_eq!(running.load(Ordering::SeqCst), 0, "worker threads leaked");
     }
 
     #[test]

@@ -17,15 +17,16 @@
 //!   ([`gcm_core::CostModel::batch_cost`]) beats appending the query
 //!   serially — the model decides the concurrency degree across
 //!   queries;
-//! * an **executor pool** ([`executor`]) of [`std::thread::scope`]
-//!   workers behind one generic entry point
-//!   ([`executor::execute_batch`]): each worker runs one admitted query
-//!   — with the shared builds admission priced for it, and span tracing
-//!   when it is on — over the context a per-member factory hands it: its
-//!   own simulated hierarchy view ([`QueryService::execute_batch`],
-//!   reporting per-query latency and predicted-vs-measured error into
-//!   [`ServiceMetrics`]) or a native arena on the host's real memory
-//!   ([`QueryService::execute_batch_native_observed`]).
+//! * an **executor pool** ([`executor`]): the calling thread and
+//!   long-lived worker threads, grown to the largest batch seen and
+//!   joined when the service is dropped, each run one admitted query
+//!   per batch — with the shared builds admission priced for it, over
+//!   the table versions it was submitted with, and span tracing when it
+//!   is on — either on its own simulated hierarchy view
+//!   ([`QueryService::execute_batch`], reporting per-query latency and
+//!   predicted-vs-measured error into [`ServiceMetrics`]) or on the
+//!   worker's resident native arena, with tables and shared builds
+//!   mapped read-only ([`QueryService::execute_batch_native_observed`]).
 //!
 //! Every price the service uses — the optimizer's, admission's, the
 //! simulator clock's and EXPLAIN ANALYZE's — charges the one CPU term
@@ -89,6 +90,7 @@ pub use metrics::{BatchRecord, QueryRecord, ServiceMetrics, ShedRecord};
 pub use mix::{plan_for, TenantTables};
 pub use queue::Batch;
 
+use executor::{Pool, Tables};
 use gcm_core::{CostModel, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
@@ -129,7 +131,10 @@ pub struct QueryService {
     /// service spends its cores *across* queries, never inside one.
     model: CostModel,
     catalog: StatsCatalog,
-    tables: Vec<Arc<TableDef>>,
+    /// The current catalog version, published whole: a submitted query
+    /// pins the version it was admitted with, and
+    /// [`update_table`](QueryService::update_table) publishes the next.
+    tables: Tables,
     cache: Arc<PlanCache>,
     builds: Arc<BuildRegistry>,
     queue: VecDeque<Pending>,
@@ -143,11 +148,12 @@ pub struct QueryService {
     /// The control path's own span lane (submit / next_batch run on the
     /// caller's thread — one writer, one lane).
     ctl: SpanSink,
-    /// One reusable span lane per batch worker slot, grown to the
-    /// largest batch executed and lent to the workers by `&mut`
-    /// ([`executor::execute_batch`]) — a trace nobody drains costs these
-    /// bounded rings, not a lane per executed query.
-    worker_sinks: Vec<SpanSink>,
+    /// The executor's long-lived workers, grown to the largest batch
+    /// executed; each keeps one span lane and one native arena for its
+    /// whole life, so a trace nobody drains costs one bounded ring per
+    /// worker, not a lane per executed query. Dropping the service
+    /// joins them.
+    pool: Pool,
     /// Per-operator-class measured/predicted drift of the simulated
     /// batches, exported as gauges by [`QueryService::metrics`].
     drift: DriftMonitor,
@@ -180,16 +186,16 @@ impl QueryService {
         QueryService {
             model: CostModel::new(spec),
             catalog: StatsCatalog::new(Vec::new()),
-            tables: Vec::new(),
+            tables: Tables::default(),
             cache: Arc::new(PlanCache::new()),
             builds: Arc::new(BuildRegistry::new()),
             queue: VecDeque::new(),
             cfg,
             next_id: 0,
             metrics: ServiceMetrics::default(),
+            pool: Pool::new(spans.clone()),
             spans,
             ctl,
-            worker_sinks: Vec::new(),
             drift: DriftMonitor::new(),
             flight: FlightRecorder::new(QueryService::FLIGHT_CAPACITY),
             drain_speedup: 1.0,
@@ -231,24 +237,28 @@ impl QueryService {
     }
 
     /// Register a relation (a key column of `w`-byte tuples), deriving
-    /// its [`TableStats`] from the data. Returns the catalog index
+    /// its [`TableStats`] from the data and publishing its tuples once
+    /// as an immutable image ([`TableDef`]). Returns the catalog index
     /// submitted plans reference.
     pub fn register_table(&mut self, name: &str, keys: Vec<u64>, w: u64) -> usize {
         let stats = derive_stats(&keys, w);
         let idx = self.catalog.push(stats);
-        self.tables.push(Arc::new(TableDef::new(name, keys, w)));
+        Arc::make_mut(&mut self.tables).push(Arc::new(TableDef::new(name, keys, w)));
         idx
     }
 
-    /// Replace a registered relation's data, refreshing its statistics.
-    /// Returns `true` when the stats drifted past the threshold and
-    /// bumped the epoch (stale plan-cache entries are retired). The
-    /// table's shared builds are retired either way: they were laid out
-    /// from the old keys.
+    /// Replace a registered relation's data, refreshing its statistics
+    /// and publishing a new catalog version; queries already queued keep
+    /// answering from the version they were admitted with. Returns
+    /// `true` when the stats drifted past the threshold and bumped the
+    /// epoch (stale plan-cache entries are retired). The table's shared
+    /// builds are retired either way: they were laid out from the old
+    /// keys.
     pub fn update_table(&mut self, idx: usize, keys: Vec<u64>) -> bool {
         let w = self.tables[idx].w;
         let stats = derive_stats(&keys, w);
-        self.tables[idx] = Arc::new(TableDef::new(self.tables[idx].name.clone(), keys, w));
+        let table = Arc::new(TableDef::new(self.tables[idx].name.clone(), keys, w));
+        Arc::make_mut(&mut self.tables)[idx] = table;
         self.builds.retire_table(idx);
         let bumped = self.catalog.update(idx, stats);
         if bumped {
@@ -312,6 +322,7 @@ impl QueryService {
             id,
             plan,
             planned,
+            tables: Arc::clone(&self.tables),
             pattern,
             cpu_ns,
             builds,
@@ -352,13 +363,13 @@ impl QueryService {
             let Some(data) = self.tables.get(t) else {
                 continue;
             };
-            let (b, computed) = self.builds.get_or_build(t, epoch, &data.keys);
+            let (b, computed) = self.builds.get_or_build(t, epoch, data);
             if computed {
                 continue;
             }
             if let Some(stripped) = strip_build_phase(&pattern, &format!("T{t}"), &b.region) {
                 pattern = stripped;
-                cpu_ns -= CpuCost::default_planner().ns(build_ops(data.keys.len() as u64));
+                cpu_ns -= CpuCost::default_planner().ns(build_ops(data.n()));
                 builds.push(b);
             }
         }

@@ -10,6 +10,7 @@
 
 use crate::admission;
 use crate::builds::SharedBuild;
+use crate::executor::Tables;
 use crate::metrics::{self, ShedRecord};
 use crate::QueryService;
 use gcm_core::{Pattern, Region};
@@ -24,6 +25,9 @@ pub(crate) struct Pending {
     pub(crate) id: u64,
     pub(crate) plan: LogicalPlan,
     pub(crate) planned: Arc<PlannedQuery>,
+    /// The catalog version the query was admitted with: it executes
+    /// over exactly these tables, whatever was published since.
+    pub(crate) tables: Tables,
     /// The pattern the admission controller prices: the planned pattern
     /// with every shared build phase stripped and the probe redirected
     /// at the build's canonical region

@@ -192,6 +192,66 @@ fn a_sub_threshold_update_retires_the_tables_shared_build() {
 }
 
 #[test]
+fn queued_queries_answer_from_their_admitted_versions_native_and_sim() {
+    // Two joins queued, then both tables replaced below the drift
+    // threshold, dimension first. The tables went (old, old) →
+    // (old F, new D) → (new, new); the queued joins were admitted at
+    // (old, old) and must answer exactly what a fresh service over those
+    // tables answers — never the (new F, old D) that never existed.
+    let star = Workload::new(12).star_scenario(16_000, 2_000, 1);
+    let max = *star.dims[0].iter().max().unwrap();
+    let dim2: Vec<u64> = star.dims[0]
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| if i % 10 == 0 { max - k % 7 } else { k })
+        .collect();
+    let fact2: Vec<u64> = star
+        .fact
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| if i % 10 == 0 { k / 2 } else { k })
+        .collect();
+    let service_over = |fact: &[u64], dim: &[u64]| {
+        let mut svc = QueryService::new(presets::modern_smp(2));
+        svc.register_table("F", fact.to_vec(), 8);
+        svc.register_table("D", dim.to_vec(), 8);
+        svc
+    };
+    let submit_two = |svc: &mut QueryService| {
+        for _ in 0..2 {
+            svc.submit(LogicalPlan::scan(0).join(LogicalPlan::scan(1)))
+                .unwrap();
+        }
+    };
+    let answers = |runs: Vec<(u64, u64, u64)>| -> Vec<(u64, u64)> {
+        runs.iter().map(|&(_, n, hash)| (n, hash)).collect()
+    };
+    for backend in [Backend::Sim, Backend::Native] {
+        let mut svc = service_over(&star.fact, &star.dims[0]);
+        submit_two(&mut svc);
+        assert!(
+            !svc.update_table(1, dim2.clone()),
+            "D stays under the threshold"
+        );
+        assert!(
+            !svc.update_table(0, fact2.clone()),
+            "F stays under the threshold"
+        );
+        let queued = answers(drain_on(&mut svc, backend));
+        let mut old = service_over(&star.fact, &star.dims[0]);
+        submit_two(&mut old);
+        let mut new = service_over(&fact2, &dim2);
+        submit_two(&mut new);
+        let new = answers(drain_on(&mut new, backend));
+        assert_eq!(queued, answers(drain_on(&mut old, backend)), "{backend:?}");
+        assert_ne!(queued, new, "the updates must change the answer");
+        // Queries admitted after the updates see the new versions.
+        submit_two(&mut svc);
+        assert_eq!(answers(drain_on(&mut svc, backend)), new, "{backend:?}");
+    }
+}
+
+#[test]
 fn unknown_table_submission_errors() {
     let mut svc = service();
     let err = svc.submit(LogicalPlan::scan(5)).unwrap_err();

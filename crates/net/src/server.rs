@@ -1,24 +1,42 @@
 //! The ingress server: acceptor + shard threads in front of one
-//! [`QueryService`] scheduler.
+//! [`QueryService`] scheduler and its executor pool.
 //!
-//! Thread layout (`N` = [`NetConfig::shards`]):
+//! Thread layout (`N` = [`NetConfig::shards`], `C` = the service's
+//! cores):
 //!
 //! ```text
-//! acceptor ──round-robin──▶ shard 0 ─┐  bounded          ┌─▶ batch → native exec
-//!                           shard 1 ─┼─ ingress ─▶ sched ┤
-//!                           shard N ─┘  queues           └─▶ shed → fail-fast reply
-//!                              ▲                   │
-//!                              └──── responses ────┘
+//!                                                       ┌─▶ dispatch ─▶ exec 1..C ─┐
+//! acceptor ──round-robin──▶ shard 0 ─┐  bounded         │                          │ completion
+//!                           shard 1 ─┼─ ingress ─▶ sched┤◀──── ring + collect ─────┘ queue
+//!                           shard N ─┘  queues          └─▶ shed → fail-fast reply
+//!                              ▲                  │
+//!                              └─── responses ────┘
 //! ```
 //!
 //! The scheduler thread owns the [`QueryService`] outright — no lock
-//! around planning or execution. Each drain cycle it empties every
-//! shard's ingress queue into the service (stamping arrivals with the
-//! server's epoch clock), asks [`QueryService::next_batch_at`] for the
-//! shed set and the next ⊙-priced batch, answers shed queries
-//! immediately (that is the fail-fast promise: a shed reply costs one
-//! frame, not one execution), executes the batch against real memory,
-//! and routes each result back to the shard/connection it came from.
+//! around planning or admission — and never waits for an execution.
+//! Each cycle it
+//!
+//! 1. empties every shard's ingress queue into the service (stamping
+//!    arrivals with the server's epoch clock);
+//! 2. answers every batch member that completed since the last cycle
+//!    ([`QueryService::completions`]), routing each result back to the
+//!    shard/connection it came from;
+//! 3. while fewer members are in flight than the service's cores, asks
+//!    [`QueryService::next_batch_at`] for the shed set and the next
+//!    ⊙-priced batch — which gets only the free slots and is priced
+//!    together with the members still running — answers shed queries
+//!    at once (that is the fail-fast promise: a shed reply costs one
+//!    frame, not one execution), and hands the batch to the executor
+//!    pool ([`QueryService::dispatch_native`]);
+//! 4. sleeps on the [`SchedSignal`] doorbell, which the shards ring on
+//!    new work and the executor threads on every completed member.
+//!
+//! So a point lookup batched with a long join is answered when it
+//! finishes, not when the join does, and the core it ran on takes the
+//! next query meanwhile. A member that fails (a plan error or a panic)
+//! fails only itself: it is answered `SHED`, the rest of its batch is
+//! served.
 //!
 //! On start the scheduler runs a *warmup*: one query per tenant ×
 //! class × selectivity bucket pushed through the full native path with
@@ -26,6 +44,11 @@
 //! the model-ns → wall-ns [`wall_scale`](QueryService::wall_scale)
 //! EWMA. Without it the first real projection would compare model
 //! nanoseconds against wall budgets and shed everything in sight.
+//!
+//! On [`shutdown`](NetServer::shutdown) the scheduler keeps cycling
+//! until the ingress queues, the service's queue and the executor are
+//! all empty — every accepted request answered — and joins the
+//! executor threads before it hands the service back.
 
 use std::collections::HashMap;
 use std::io;
@@ -199,9 +222,10 @@ impl NetServer {
         &self.metrics
     }
 
-    /// Stop accepting, drain queued work (every accepted submission is
-    /// answered — served or shed), flush responses, and hand the
-    /// [`QueryService`] back for inspection.
+    /// Stop accepting, drain queued and running work (every accepted
+    /// submission is answered — served or shed), join the executor
+    /// threads, flush responses, and hand the [`QueryService`] back for
+    /// inspection.
     pub fn shutdown(self) -> QueryService {
         self.stop.store(true, Ordering::Release);
         self.signal.notify();
@@ -271,8 +295,21 @@ fn schedule_loop(
     metrics: Arc<MetricsRegistry>,
     clock: Clock,
 ) -> QueryService {
+    let reply = Replies {
+        shards: &shards,
+        metrics: &metrics,
+        clock,
+    };
+    let cores = svc.spec().cores() as usize;
     let mut routes: HashMap<u64, Route> = HashMap::new();
+    {
+        let signal = Arc::clone(&signal);
+        svc.on_completion(move || signal.notify());
+    }
     loop {
+        // Read before draining: whatever was accepted before the stop
+        // is in a queue this cycle empties.
+        let stopping = stop.load(Ordering::Acquire);
         // Pull everything the shards decoded, then wake them so gated
         // connections see the freed capacity.
         let mut drained: Vec<IngressItem> = Vec::new();
@@ -282,7 +319,8 @@ fn schedule_loop(
                 drained.extend(q.drain(..));
             }
         }
-        if !drained.is_empty() {
+        let mut progressed = !drained.is_empty();
+        if progressed {
             for shared in &shards {
                 shared.wake.wake();
             }
@@ -295,126 +333,106 @@ fn schedule_loop(
                 selectivity: item.frame.selectivity(),
             };
             let plan = plan_for(&req, &tenants[tenant]);
+            let route = Route {
+                shard: item.shard,
+                conn: item.conn,
+                client_id: item.frame.id,
+                class: item.frame.class,
+                arrival_ns: item.arrival_ns,
+            };
             match svc.submit_classed(plan, item.frame.class, item.arrival_ns) {
                 Ok(qid) => {
-                    routes.insert(
-                        qid,
-                        Route {
-                            shard: item.shard,
-                            conn: item.conn,
-                            client_id: item.frame.id,
-                            class: item.frame.class,
-                            arrival_ns: item.arrival_ns,
-                        },
-                    );
+                    routes.insert(qid, route);
                 }
-                Err(_) => {
-                    // Unplannable request: fail fast, like a shed.
-                    respond(
-                        &shards,
-                        &metrics,
-                        item.shard,
-                        item.conn,
-                        item.frame.class,
-                        ResponseFrame::Shed {
-                            id: item.frame.id,
-                            sojourn_ns: clock.now_ns().saturating_sub(item.arrival_ns),
-                        },
-                    );
-                }
+                // Unplannable request: fail fast, like a shed.
+                Err(_) => reply.shed(&route),
             }
         }
 
-        if svc.queue_len() == 0 {
-            if stop.load(Ordering::Acquire) {
-                let empty = shards.iter().all(|s| s.ingress.lock().unwrap().is_empty());
-                if empty {
-                    return svc;
-                }
+        // Answer every member that finished, then fill the free slots.
+        for (qid, result) in svc.completions() {
+            progressed = true;
+            let Some(route) = routes.remove(&qid) else {
                 continue;
+            };
+            match result {
+                Ok(run) => reply.served(&route, run.output_n, run.output_hash),
+                // A failed member (a plan error or a panic) fails only
+                // itself: answered fast rather than stranding its client.
+                Err(_) => reply.shed(&route),
             }
-            signal.wait(Duration::from_millis(1));
+        }
+        while svc.queue_len() > 0 && svc.in_flight() < cores {
+            let (shed, batch) = svc.next_batch_at(clock.now_ns());
+            for record in shed {
+                if let Some(route) = routes.remove(&record.id) {
+                    reply.shed(&route);
+                }
+            }
+            let Some(batch) = batch else { break };
+            svc.dispatch_native(batch);
+            progressed = true;
+        }
+
+        if stopping && svc.queue_len() == 0 && svc.in_flight() == 0 {
+            let empty = shards.iter().all(|s| s.ingress.lock().unwrap().is_empty());
+            if empty {
+                svc.join_executor();
+                return svc;
+            }
             continue;
         }
-
-        let (shed, batch) = svc.next_batch_at(clock.now_ns());
-        for record in shed {
-            if let Some(route) = routes.remove(&record.id) {
-                respond(
-                    &shards,
-                    &metrics,
-                    route.shard,
-                    route.conn,
-                    route.class,
-                    ResponseFrame::Shed {
-                        id: route.client_id,
-                        sojourn_ns: clock.now_ns().saturating_sub(route.arrival_ns),
-                    },
-                );
-            }
-        }
-        let Some(batch) = batch else { continue };
-        let member_ids = batch.ids();
-        match svc.execute_batch_native_observed(batch) {
-            Ok(runs) => {
-                for (qid, run) in runs {
-                    if let Some(route) = routes.remove(&qid) {
-                        respond(
-                            &shards,
-                            &metrics,
-                            route.shard,
-                            route.conn,
-                            route.class,
-                            ResponseFrame::Served {
-                                id: route.client_id,
-                                output_n: run.output_n,
-                                output_hash: run.output_hash,
-                                sojourn_ns: clock.now_ns().saturating_sub(route.arrival_ns),
-                            },
-                        );
-                    }
-                }
-            }
-            Err(_) => {
-                // Execution refused the whole batch (a planning-layer
-                // inconsistency, not per-query data): fail its members
-                // fast rather than stranding the clients.
-                for qid in member_ids {
-                    if let Some(route) = routes.remove(&qid) {
-                        respond(
-                            &shards,
-                            &metrics,
-                            route.shard,
-                            route.conn,
-                            route.class,
-                            ResponseFrame::Shed {
-                                id: route.client_id,
-                                sojourn_ns: clock.now_ns().saturating_sub(route.arrival_ns),
-                            },
-                        );
-                    }
-                }
-            }
+        if !progressed {
+            signal.wait(Duration::from_millis(1));
         }
     }
 }
 
-fn respond(
-    shards: &[Arc<SharedShard>],
-    metrics: &MetricsRegistry,
-    shard: usize,
-    conn: u64,
-    class: TenantClass,
-    frame: ResponseFrame,
-) {
-    let (kind, sojourn_ns) = match frame {
-        ResponseFrame::Served { sojourn_ns, .. } => ("served", sojourn_ns),
-        ResponseFrame::Shed { sojourn_ns, .. } => ("shed", sojourn_ns),
-    };
-    metrics.inc(&labeled(RESPONSES_TOTAL, &[("kind", kind)]), 1);
-    metrics.observe_ns(
-        &labeled(SOJOURN_NS, &[("class", class.label()), ("kind", kind)]),
-        sojourn_ns as f64,
-    );
-    shards[shard].send_response(conn, frame);
+/// Where the scheduler's answers go: back to the client's shard, counted
+/// and timed per class.
+struct Replies<'a> {
+    shards: &'a [Arc<SharedShard>],
+    metrics: &'a MetricsRegistry,
+    clock: Clock,
+}
+
+impl Replies<'_> {
+    fn served(&self, route: &Route, output_n: u64, output_hash: u64) {
+        self.send(
+            route,
+            ResponseFrame::Served {
+                id: route.client_id,
+                output_n,
+                output_hash,
+                sojourn_ns: self.clock.now_ns().saturating_sub(route.arrival_ns),
+            },
+        );
+    }
+
+    fn shed(&self, route: &Route) {
+        self.send(
+            route,
+            ResponseFrame::Shed {
+                id: route.client_id,
+                sojourn_ns: self.clock.now_ns().saturating_sub(route.arrival_ns),
+            },
+        );
+    }
+
+    fn send(&self, route: &Route, frame: ResponseFrame) {
+        let (kind, sojourn_ns) = match frame {
+            ResponseFrame::Served { sojourn_ns, .. } => ("served", sojourn_ns),
+            ResponseFrame::Shed { sojourn_ns, .. } => ("shed", sojourn_ns),
+        };
+        self.metrics
+            .inc(&labeled(RESPONSES_TOTAL, &[("kind", kind)]), 1);
+        self.metrics.observe_ns(
+            &labeled(
+                SOJOURN_NS,
+                &[("class", route.class.label()), ("kind", kind)],
+            ),
+            sojourn_ns as f64,
+        );
+        self.shards[route.shard].send_response(route.conn, frame);
+    }
 }

@@ -98,29 +98,34 @@ impl SharedShard {
     }
 }
 
-/// Doorbell the shards ring when new work lands in an ingress queue,
-/// so the scheduler thread can sleep instead of polling.
+/// Doorbell the scheduler thread sleeps on: the shards ring it when new
+/// work lands in an ingress queue and the executor threads when a batch
+/// member completes, so the scheduler can sleep instead of polling. A
+/// ring is kept until the next [`wait`](SchedSignal::wait) consumes it,
+/// so one that comes while the scheduler is busy is not lost.
 #[derive(Default)]
 pub struct SchedSignal {
-    seq: Mutex<u64>,
+    rung: Mutex<bool>,
     cv: Condvar,
 }
 
 impl SchedSignal {
     /// Ring the doorbell.
     pub fn notify(&self) {
-        *self.seq.lock().unwrap() += 1;
-        self.cv.notify_all();
+        *self.rung.lock().unwrap() = true;
+        self.cv.notify_one();
     }
 
-    /// Wait until rung or `timeout` elapses.
+    /// Wait until rung — at once if it was rung since the last wait — or
+    /// `timeout` elapses.
     pub fn wait(&self, timeout: std::time::Duration) {
-        let seq = self.seq.lock().unwrap();
-        let before = *seq;
-        let _unused = self
+        let rung = self.rung.lock().unwrap();
+        let mut rung = self
             .cv
-            .wait_timeout_while(seq, timeout, |s| *s == before)
-            .unwrap();
+            .wait_timeout_while(rung, timeout, |r| !*r)
+            .unwrap()
+            .0;
+        *rung = false;
     }
 }
 
@@ -307,7 +312,8 @@ fn service_conn(
             }
             Ok(n) => {
                 conn.decoder.push(&buf[..n]);
-                loop {
+                let mut fed = false;
+                let decoded = loop {
                     match conn.decoder.next() {
                         Ok(Some(Frame::Submit(frame))) => {
                             metrics.inc(FRAMES_RX_TOTAL, 1);
@@ -323,25 +329,26 @@ fn service_conn(
                                     &labeled(INGRESS_DEPTH_PEAK, &[("shard", shard_label)]),
                                     q.len() as f64,
                                 );
-                                drop(q);
-                                signal.notify();
+                                fed = true;
                             } else {
-                                drop(q);
                                 conn.pending.push_back(frame);
                             }
                         }
-                        Ok(Some(Frame::Response(_))) => {
-                            // Clients must not send responses.
+                        // Bytes that do not decode, or a response —
+                        // which clients must not send.
+                        Ok(Some(Frame::Response(_))) | Err(_) => {
                             metrics.inc(WIRE_ERRORS_TOTAL, 1);
-                            return Err(());
+                            break Err(());
                         }
-                        Ok(None) => break,
-                        Err(_e) => {
-                            metrics.inc(WIRE_ERRORS_TOTAL, 1);
-                            return Err(());
-                        }
+                        Ok(None) => break Ok(()),
                     }
+                };
+                // One ring per read: the frames one read carried reach the
+                // scheduler together, and it wakes once for them.
+                if fed {
+                    signal.notify();
                 }
+                decoded?;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,

@@ -2,18 +2,39 @@
 //! generic path for every backend.
 //!
 //! The measured side of the multi-core model. The pool is owned by the
-//! [`QueryService`] and is the service's only spawn site: a batch of
-//! `d` queries is `d` jobs, member 0 run on the calling thread (which
-//! would otherwise only wait) and members `1..d` on worker threads that
-//! the pool grows to the largest batch seen. Every worker — the
-//! caller's slot included — lives as long as the service, keeping its
-//! span lane and one native arena the whole time. Each job runs its
-//! physical plan through the one plan executor
-//! ([`gcm_engine::plan::execute_traced`]) with the shared builds
-//! admission priced for it, reporting its operators to the worker's
-//! lane. Jobs own what they read — `Arc`s to the plan, to the
-//! table versions the query was admitted with, and to its builds — so a
-//! table replaced while a query waits never changes its answer.
+//! [`QueryService`] and is the service's only spawn site. A batch of
+//! `d` queries is `d` jobs on one job queue; worker threads take them
+//! in order and put each member's result on one completion queue the
+//! moment it finishes. The pool grows so that every queued job has a
+//! thread — to the most members ever in flight at once — and every
+//! worker lives as long as the service, keeping its span lane and one
+//! native arena the whole time. Each job runs its physical plan
+//! through the one plan executor ([`gcm_engine::plan::execute_traced`])
+//! with the shared builds admission priced for it, reporting its
+//! operators to the worker's lane. Jobs own what they read — `Arc`s to
+//! the plan, to the table versions the query was admitted with, and to
+//! its builds — so a table replaced while a query waits never changes
+//! its answer.
+//!
+//! There is one way in and two ways to wait:
+//!
+//! * [`QueryService::dispatch_native`] hands a batch to the pool and
+//!   returns at once; [`QueryService::completions`] collects each
+//!   member's `(query id, result)` as it finishes. A server's scheduler
+//!   answers a member as soon as it completes and refills the free
+//!   cores meanwhile: batches formed while members run get only the
+//!   slots left and are priced `⊙` together with them.
+//! * [`QueryService::execute_batch`] (simulator) and
+//!   [`QueryService::execute_batch_native_observed`] (host) are the same
+//!   dispatch followed by a wait for that batch, in which the calling
+//!   thread runs member 0 itself and then any member no worker has
+//!   taken yet — so an in-process caller pays no hand-off for a
+//!   singleton and never idles while its own batch is queued.
+//!
+//! When a batch's last member completes, its bookkeeping runs: on the
+//! host the batch wall folds into the shed gate's wall-scale EWMA and
+//! the registry's batch counter and histograms; on the simulator the
+//! caller records per-query records and drift.
 //!
 //! On the **simulator** a job builds a context on the member's own view
 //! of the machine — full private levels, plus the slice of every shared
@@ -34,12 +55,6 @@
 //! table the plan sorts in place is copied in. Real buffers, real
 //! loads, wall-clock latency, and no views (the hardware shares its
 //! caches itself).
-//!
-//! The two [`QueryService`] methods over this path keep only their own
-//! bookkeeping: [`QueryService::execute_batch`] (simulator: records,
-//! drift) and [`QueryService::execute_batch_native_observed`] (host:
-//! per-class histograms). Both fold their batch wall into the shed
-//! gate's wall-scale EWMA.
 
 use crate::admission::DEFAULT_DISPATCH_NS;
 use crate::builds::SharedBuild;
@@ -56,11 +71,12 @@ use gcm_engine::plan::{
 use gcm_engine::{ExecContext, MemoryBackend, NativeBackend};
 use gcm_hardware::{HardwareSpec, Sharing};
 use gcm_obs::{SpanRecorder, SpanSink};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// One version of the whole catalog: the tables as a query was admitted
 /// with them. [`QueryService::update_table`] publishes a new version
@@ -297,37 +313,99 @@ impl Worker {
 /// One member's work, run on a pool worker with that worker's state.
 pub(crate) type Job = Box<dyn FnOnce(&mut Worker) -> Result<ExecutedQuery, PlanError> + Send>;
 
-/// Where a worker reports member `i`'s result.
-type Done = Sender<(usize, Result<ExecutedQuery, PlanError>)>;
+/// Rung after every member the pool finishes — how a caller that sleeps
+/// on its own doorbell learns there is something to collect.
+pub(crate) type CompletionNotify = Arc<dyn Fn() + Send + Sync>;
 
-/// A running worker: its job queue and its thread.
-struct WorkerThread {
-    jobs: Sender<(usize, Job, Done)>,
-    thread: JoinHandle<()>,
+/// One finished batch member, as the pool reports it.
+#[derive(Debug)]
+pub(crate) struct Done {
+    /// The batch it belongs to.
+    pub(crate) ticket: u64,
+    /// Its position in that batch.
+    pub(crate) member: usize,
+    pub(crate) result: Result<ExecutedQuery, PlanError>,
+    /// When it finished.
+    pub(crate) at: Instant,
 }
 
-/// The service's executor. Member 0 of every batch runs on the calling
-/// thread, which would otherwise only wait, with the pool's own worker
-/// state; members 1.. run on long-lived worker threads, grown to the
-/// largest batch seen and joined when the pool is dropped. Waking one
-/// parked worker per extra member, rather than handing every member to
-/// a thread, keeps a short batch from queueing behind its own wake-ups.
+/// The two queues every thread of the pool shares.
+#[derive(Default)]
+struct Queues {
+    /// Members waiting for a thread: `(ticket, member, job)`.
+    jobs: VecDeque<(u64, usize, Job)>,
+    /// Members finished and not yet collected, in completion order.
+    done: VecDeque<Done>,
+    /// Jobs queued or running on worker threads: the pool keeps at
+    /// least this many threads, so no queued job waits for a thread
+    /// while another job holds it.
+    busy: usize,
+    /// Set while the pool joins its threads: each finishes the queue
+    /// and exits.
+    closing: bool,
+    /// Rung after every completion is published.
+    notify: Option<CompletionNotify>,
+}
+
+/// The queues and the two places threads park on them.
+#[derive(Default)]
+struct Shared {
+    queues: Mutex<Queues>,
+    /// Worker threads wait here for a job.
+    work: Condvar,
+    /// A waiting caller waits here for a completion.
+    finished: Condvar,
+}
+
+impl Shared {
+    /// The queues. Nothing panics while holding them (jobs run outside
+    /// the lock, inside `catch_unwind`), so a poisoned lock still holds
+    /// consistent queues.
+    fn lock(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publish a finished member: onto the completion queue, then wake a
+    /// waiting caller and ring the notify hook. `worker` says whether a
+    /// worker thread ran it (and so leaves `busy`).
+    fn finish(&self, done: Done, worker: bool) {
+        let notify = {
+            let mut q = self.lock();
+            q.done.push_back(done);
+            if worker {
+                q.busy -= 1;
+            }
+            q.notify.clone()
+        };
+        self.finished.notify_one();
+        if let Some(notify) = notify {
+            notify();
+        }
+    }
+}
+
+/// The service's executor: one job queue, one completion queue, and
+/// long-lived worker threads that take jobs in order, grown so that
+/// every queued job has a thread and joined when the pool is dropped.
+/// Any thread may run a job: the caller runs the members it keeps
+/// ([`run_here`](Pool::run_here)) and, while it waits
+/// ([`wait_done`](Pool::wait_done)), the jobs no worker has taken yet,
+/// so a short batch never queues behind its own wake-ups.
 pub(crate) struct Pool {
     /// Hands each worker its span lane.
     spans: SpanRecorder,
-    /// Member 0's worker state, used by whichever thread calls
-    /// [`run`](Pool::run).
+    /// The worker state of whichever thread owns the pool.
     caller: Option<Worker>,
-    /// Worker `i` runs member `i + 1`.
-    workers: Vec<WorkerThread>,
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
     /// Worker threads still running: each counts itself out as it exits.
-    running: Arc<AtomicUsize>,
+    pub(crate) running: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
-            .field("threads", &self.workers.len())
+            .field("threads", &self.threads.len())
             .finish()
     }
 }
@@ -338,94 +416,298 @@ impl Pool {
         Pool {
             spans,
             caller: None,
-            workers: Vec::new(),
+            shared: Arc::default(),
+            threads: Vec::new(),
             running: Arc::new(AtomicUsize::new(0)),
         }
     }
 
-    fn spawn(&self) -> WorkerThread {
-        let (jobs, queue) = mpsc::channel::<(usize, Job, Done)>();
+    fn spawn(&self) -> JoinHandle<()> {
         let mut worker = Worker::new(&self.spans);
+        let shared = Arc::clone(&self.shared);
         let running = Arc::clone(&self.running);
         running.fetch_add(1, Ordering::SeqCst);
-        let thread = std::thread::Builder::new()
-            .name(format!("gcm-exec-{}", self.workers.len() + 1))
-            .spawn(move || {
-                for (member, job, done) in queue {
-                    let _ = done.send((member, worker.run_caught(member, job)));
-                }
-                running.fetch_sub(1, Ordering::SeqCst);
+        std::thread::Builder::new()
+            .name(format!("gcm-exec-{}", self.threads.len() + 1))
+            .spawn(move || loop {
+                let (ticket, member, job) = {
+                    let mut q = shared.lock();
+                    loop {
+                        if let Some(job) = q.jobs.pop_front() {
+                            break job;
+                        }
+                        if q.closing {
+                            drop(q);
+                            running.fetch_sub(1, Ordering::SeqCst);
+                            return;
+                        }
+                        q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+                    }
+                };
+                let result = worker.run_caught(member, job);
+                let at = Instant::now();
+                shared.finish(
+                    Done {
+                        ticket,
+                        member,
+                        result,
+                        at,
+                    },
+                    true,
+                );
             })
-            .expect("spawn an executor worker");
-        WorkerThread { jobs, thread }
+            .expect("spawn an executor worker")
     }
 
-    /// Run job `i` as batch member `i` — job 0 here, job `i > 0` on
-    /// worker thread `i - 1`, growing the pool first — and wait for
-    /// every result. Results come back in job order; the first failed
-    /// member fails the batch, and a panicking job turns into
-    /// [`PlanError::WorkerPanicked`] instead of taking the caller's
-    /// thread down with it.
-    pub(crate) fn run(&mut self, jobs: Vec<Job>) -> Result<Vec<ExecutedQuery>, PlanError> {
+    /// Queue `jobs` — `(ticket, member, job)` — for the worker threads,
+    /// growing the pool first so that each has a thread, and wake one
+    /// parked worker per job.
+    pub(crate) fn submit(&mut self, jobs: Vec<(u64, usize, Job)>) {
+        if jobs.is_empty() {
+            return;
+        }
         let n = jobs.len();
-        while self.workers.len() + 1 < n {
-            let w = self.spawn();
-            self.workers.push(w);
-        }
-        let mut jobs = jobs.into_iter();
-        let Some(first) = jobs.next() else {
-            return Ok(Vec::new());
+        let busy = {
+            let mut q = self.shared.lock();
+            q.jobs.extend(jobs);
+            q.busy += n;
+            q.busy
         };
-        let (done, results) = mpsc::channel();
-        for ((member, job), w) in (1..).zip(jobs).zip(&self.workers) {
-            // A worker only stops when the pool drops its queue, so a
-            // failed send leaves this member's result missing, which is
-            // reported as a panic below.
-            let _ = w.jobs.send((member, job, done.clone()));
+        while self.threads.len() < busy {
+            let t = self.spawn();
+            self.threads.push(t);
         }
-        drop(done);
+        for _ in 0..n {
+            self.shared.work.notify_one();
+        }
+    }
+
+    /// Run `job` as member `member` of batch `ticket` on the calling
+    /// thread, with the pool's caller-side worker state. Its completion
+    /// joins the queue like any other.
+    pub(crate) fn run_here(&mut self, ticket: u64, member: usize, job: Job) {
         let spans = &self.spans;
         let caller = self.caller.get_or_insert_with(|| Worker::new(spans));
-        let mut out: Vec<Option<Result<ExecutedQuery, PlanError>>> = (0..n).map(|_| None).collect();
-        out[0] = Some(caller.run_caught(0, first));
-        for (member, result) in results {
-            out[member] = Some(result);
+        let result = caller.run_caught(member, job);
+        let at = Instant::now();
+        self.shared.finish(
+            Done {
+                ticket,
+                member,
+                result,
+                at,
+            },
+            false,
+        );
+    }
+
+    /// The oldest finished member not yet collected, if any.
+    pub(crate) fn try_done(&self) -> Option<Done> {
+        self.shared.lock().done.pop_front()
+    }
+
+    /// The oldest finished member not yet collected, waiting for one if
+    /// there is none — and rather than idle while a job is still queued,
+    /// running it here. Only call it while a member is outstanding.
+    pub(crate) fn wait_done(&mut self) -> Done {
+        let mut q = self.shared.lock();
+        loop {
+            if let Some(done) = q.done.pop_front() {
+                return done;
+            }
+            if let Some((ticket, member, job)) = q.jobs.pop_front() {
+                q.busy -= 1;
+                drop(q);
+                self.run_here(ticket, member, job);
+                q = self.shared.lock();
+                continue;
+            }
+            q = self
+                .shared
+                .finished
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        out.into_iter()
-            .enumerate()
-            .map(|(member, r)| r.unwrap_or(Err(PlanError::WorkerPanicked { member })))
-            .collect()
+    }
+
+    /// Ring `notify` after every member the pool finishes.
+    pub(crate) fn set_notify(&self, notify: CompletionNotify) {
+        self.shared.lock().notify = Some(notify);
+    }
+
+    /// Let every worker thread finish the queue, then join it. The pool
+    /// grows again on the next [`submit`](Pool::submit).
+    pub(crate) fn join(&mut self) {
+        self.shared.lock().closing = true;
+        self.shared.work.notify_all();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+        self.shared.lock().closing = false;
     }
 }
 
 impl Drop for Pool {
-    /// Close every worker's queue and join its thread.
     fn drop(&mut self) {
-        for w in self.workers.drain(..) {
-            drop(w.jobs);
-            let _ = w.thread.join();
+        self.join();
+    }
+}
+
+/// A dispatched batch with members still out.
+#[derive(Debug)]
+pub(crate) struct Running {
+    ticket: u64,
+    batch: Batch,
+    /// Whether it runs on the host (its last completion folds the
+    /// batch wall into the native bookkeeping) or on the simulator.
+    native: bool,
+    started: Instant,
+    /// Which members are still running.
+    unfinished: Vec<bool>,
+    failed: bool,
+}
+
+impl Running {
+    /// How many members are still running.
+    fn left(&self) -> usize {
+        self.unfinished.iter().filter(|u| **u).count()
+    }
+
+    /// The members still running.
+    pub(crate) fn members(&self) -> impl Iterator<Item = &Pending> {
+        self.batch
+            .entries
+            .iter()
+            .zip(&self.unfinished)
+            .filter(|(_, unfinished)| **unfinished)
+            .map(|(p, _)| p)
+    }
+}
+
+/// A member's query id and outcome, as [`QueryService::completions`]
+/// hands it out.
+pub type Completion = (u64, Result<ExecutedQuery, PlanError>);
+
+impl QueryService {
+    /// Hand `batch` to the pool and return its ticket. Member `i`
+    /// becomes the job `job(i, m)` makes of it, holding the table
+    /// versions and shared builds admission attached to it. With
+    /// `first_here`, member 0 runs on the calling thread before this
+    /// returns; every other member queues for the worker threads.
+    fn dispatch(
+        &mut self,
+        batch: Batch,
+        native: bool,
+        job: impl Fn(usize, Member) -> Job,
+        first_here: bool,
+    ) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        let mut queued: Vec<(u64, usize, Job)> = batch
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let job = if self.faulty_plan == Some(p.plan.fingerprint()) {
+                    Box::new(|_: &mut Worker| -> Result<ExecutedQuery, PlanError> {
+                        panic!("injected member fault")
+                    })
+                } else {
+                    job(i, Member::of(p))
+                };
+                (ticket, i, job)
+            })
+            .collect();
+        let first = (first_here && !queued.is_empty()).then(|| queued.remove(0));
+        let n = batch.size();
+        self.running.push(Running {
+            ticket,
+            batch,
+            native,
+            started: Instant::now(),
+            unfinished: vec![true; n],
+            failed: false,
+        });
+        self.pool.submit(queued);
+        if let Some((_, i, job)) = first {
+            self.pool.run_here(ticket, i, job);
+        }
+        ticket
+    }
+
+    /// Account one finished member against its batch: on the host a
+    /// member that succeeded adds its per-class latency sample. When it
+    /// was the batch's last, the batch leaves the running set — on the
+    /// host with its bookkeeping, unless a member failed: the batch wall
+    /// (dispatch to last completion) folded into the wall-scale EWMA,
+    /// and the native batch counter and wall histogram. Returns the
+    /// member's query id and, for a batch's last member, the batch.
+    fn complete(&mut self, done: &Done) -> (u64, Option<Batch>) {
+        let at = self
+            .running
+            .iter()
+            .position(|r| r.ticket == done.ticket)
+            .expect("a completion belongs to a running batch");
+        let r = &mut self.running[at];
+        r.unfinished[done.member] = false;
+        r.failed |= done.result.is_err();
+        let entry = &r.batch.entries[done.member];
+        let qid = entry.id;
+        if let (true, Some(class), Ok(run)) = (r.native, entry.class, &done.result) {
+            self.metrics.registry.observe_ns(
+                &gcm_obs::registry::labeled(
+                    "gcm_service_native_query_ns",
+                    &[("class", class.label())],
+                ),
+                run.measured_ns,
+            );
+        }
+        if r.left() > 0 {
+            return (qid, None);
+        }
+        let r = self.running.swap_remove(at);
+        if r.native && !r.failed {
+            let wall_ns = done.at.duration_since(r.started).as_nanos() as f64;
+            self.observe_wall_scale(wall_ns, r.batch.predicted_wall_ns);
+            let reg = &self.metrics.registry;
+            reg.inc("gcm_service_native_batches_total", 1);
+            reg.observe_ns("gcm_service_native_batch_wall_ns", wall_ns);
+        }
+        (qid, Some(r.batch))
+    }
+
+    /// Wait for every member of batch `ticket`, running queued jobs on
+    /// this thread meanwhile; returns the batch and its members'
+    /// results in member order. Completions of other batches are kept
+    /// for [`completions`](QueryService::completions).
+    fn wait(&mut self, ticket: u64) -> (Batch, Vec<Result<ExecutedQuery, PlanError>>) {
+        let n = self
+            .running
+            .iter()
+            .find(|r| r.ticket == ticket)
+            .map_or(0, |r| r.unfinished.len());
+        let mut results: Vec<Option<Result<ExecutedQuery, PlanError>>> =
+            (0..n).map(|_| None).collect();
+        loop {
+            let done = self.pool.wait_done();
+            let (qid, finished) = self.complete(&done);
+            if done.ticket != ticket {
+                self.ready.push_back((qid, done.result));
+                continue;
+            }
+            results[done.member] = Some(done.result);
+            if let Some(batch) = finished {
+                let results = results
+                    .into_iter()
+                    .map(|r| r.expect("every member reported"))
+                    .collect();
+                return (batch, results);
+            }
         }
     }
 }
 
 impl QueryService {
-    /// Run `batch` on the pool: member `i` becomes the job `job(i, m)`
-    /// makes of it, holding the table versions and shared builds
-    /// admission attached to it.
-    fn run_batch(
-        &mut self,
-        batch: &Batch,
-        job: impl Fn(usize, Member) -> Job,
-    ) -> Result<Vec<ExecutedQuery>, PlanError> {
-        let jobs = batch
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, p)| job(i, Member::of(p)))
-            .collect();
-        self.pool.run(jobs)
-    }
-
     /// Execute an admitted batch on the **simulated** pool — each member
     /// on its footprint-proportional [`member_views`] slice of the
     /// machine — and record its metrics. Returns the index of the new
@@ -433,13 +715,20 @@ impl QueryService {
     pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
         let patterns: Vec<&Pattern> = batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
         let views = member_views(self.spec(), &patterns, &batch.shared_regions());
-        let runs = self.run_batch(&batch, |i, m| {
-            let view = views[i].clone();
-            Box::new(move |w: &mut Worker| w.run_sim(&m, view))
-        })?;
+        let ticket = self.dispatch(
+            batch,
+            false,
+            |i, m| {
+                let view = views[i].clone();
+                Box::new(move |w: &mut Worker| w.run_sim(&m, view))
+            },
+            true,
+        );
+        let (batch, runs) = self.wait(ticket);
+        let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
         let batch_idx = self.metrics.batches.len();
         // The simulator cannot measure dispatch (it is host-side thread
-        // bring-up, not simulated memory traffic), so the batch wall
+        // hand-off, not simulated memory traffic), so the batch wall
         // carries the same per-worker constant the admission predicate
         // charged — both sides account dispatch identically and the
         // accuracy ratio reflects model quality, not bookkeeping.
@@ -480,42 +769,92 @@ impl QueryService {
         Ok(batch_idx)
     }
 
-    /// Execute an admitted batch on the **host's real memory**:
-    /// identical results, wall-clock latencies, each run paired with
-    /// its query id for response routing. Native runs are returned
-    /// rather than folded into the per-query
+    /// Execute an admitted batch on the **host's real memory** and wait
+    /// for it: [`dispatch_native`](QueryService::dispatch_native)
+    /// followed by a wait in which this thread runs member 0 and any
+    /// member no worker has taken yet. Identical results, wall-clock
+    /// latencies, each run paired with its query id for response
+    /// routing; the first failed member fails the call. Native runs are
+    /// returned rather than folded into the per-query
     /// [`ServiceMetrics`](crate::ServiceMetrics) records — those compare
     /// the model against the *simulator*, whose charged clock shares the
-    /// model's units. What the serving path does keep: the batch's wall
-    /// clock is folded into the model-ns → wall-ns EWMA the shed
-    /// projection uses ([`next_batch_at`](QueryService::next_batch_at)),
-    /// and per-class native latency histograms and batch counters land
-    /// in the registry.
+    /// model's units. What the serving path does keep is the bookkeeping
+    /// [`dispatch_native`](QueryService::dispatch_native) describes.
     pub fn execute_batch_native_observed(
         &mut self,
         batch: Batch,
     ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
-        let t0 = std::time::Instant::now();
-        let runs = self.run_batch(&batch, |_, m| {
-            Box::new(move |w: &mut Worker| w.run_native(&m))
-        })?;
-        let wall_ns = t0.elapsed().as_nanos() as f64;
-        self.observe_wall_scale(wall_ns, batch.predicted_wall_ns);
-        let r = &self.metrics.registry;
-        r.inc("gcm_service_native_batches_total", 1);
-        r.observe_ns("gcm_service_native_batch_wall_ns", wall_ns);
-        for (p, run) in batch.entries.iter().zip(&runs) {
-            if let Some(class) = p.class {
-                r.observe_ns(
-                    &gcm_obs::registry::labeled(
-                        "gcm_service_native_query_ns",
-                        &[("class", class.label())],
-                    ),
-                    run.measured_ns,
-                );
-            }
+        let ids = batch.ids();
+        let ticket = self.dispatch(batch, true, native_job, true);
+        let (_, runs) = self.wait(ticket);
+        let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+        Ok(ids.into_iter().zip(runs).collect())
+    }
+
+    /// Hand an admitted batch to the executor pool on the **host's real
+    /// memory** and return without waiting for it: its members run on
+    /// the pool's worker threads, and each one's result is collected by
+    /// [`completions`](QueryService::completions) as soon as that
+    /// member finishes. Until then the members count
+    /// [`in_flight`](QueryService::in_flight): batches formed meanwhile
+    /// get only the slots left and are priced `⊙` together with them
+    /// ([`next_batch_at`](QueryService::next_batch_at)).
+    ///
+    /// When a batch's last member completes, its bookkeeping runs: the
+    /// batch wall, from dispatch to that completion, is folded into the
+    /// model-ns → wall-ns EWMA the shed projection uses
+    /// ([`wall_scale`](QueryService::wall_scale)), and the native batch
+    /// counter and wall histogram land in the registry, as does one
+    /// per-class latency sample for each member as it completes. A
+    /// batch with a failed member (a plan error or a panic, reported as
+    /// that member's result) records no wall.
+    pub fn dispatch_native(&mut self, batch: Batch) {
+        self.dispatch(batch, true, native_job, false);
+    }
+
+    /// Every member finished since the last call, as `(query id,
+    /// result)` in completion order. Never blocks; runs the bookkeeping
+    /// of every batch whose last member is among them.
+    pub fn completions(&mut self) -> Vec<Completion> {
+        let mut out: Vec<Completion> = self.ready.drain(..).collect();
+        while let Some(done) = self.pool.try_done() {
+            let (qid, _) = self.complete(&done);
+            out.push((qid, done.result));
         }
-        Ok(batch.entries.iter().map(|p| p.id).zip(runs).collect())
+        out
+    }
+
+    /// Members dispatched whose results have not been collected yet.
+    pub fn in_flight(&self) -> usize {
+        self.running.iter().map(Running::left).sum()
+    }
+
+    /// Ring `notify` after every member the executor finishes — for a
+    /// caller that sleeps on a doorbell of its own between
+    /// [`completions`](QueryService::completions) calls.
+    pub fn on_completion(&mut self, notify: impl Fn() + Send + Sync + 'static) {
+        self.pool.set_notify(Arc::new(notify));
+    }
+
+    /// Let the members still running finish, then join every executor
+    /// thread. Their results stay collectable; the pool grows again on
+    /// the next batch.
+    pub fn join_executor(&mut self) {
+        self.pool.join();
+    }
+
+    /// Executor threads alive: each counts itself in when spawned and
+    /// out when it exits.
+    pub fn executor_threads(&self) -> usize {
+        self.pool.running.load(Ordering::SeqCst)
+    }
+
+    /// Fault injection for tests: every member whose logical plan has
+    /// this fingerprint panics on its executor thread instead of
+    /// running. `None` turns it off.
+    #[doc(hidden)]
+    pub fn inject_member_panic(&mut self, fingerprint: Option<u64>) {
+        self.faulty_plan = fingerprint;
     }
 
     /// Fold one measured/predicted batch-wall ratio into the
@@ -544,6 +883,11 @@ impl QueryService {
     }
 }
 
+/// Member `m` as a host job: run on its worker's resident arena.
+fn native_job(_: usize, m: Member) -> Job {
+    Box::new(move |w: &mut Worker| w.run_native(&m))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,6 +907,39 @@ mod tests {
             Arc::new(TableDef::new("F", star.fact, 8)),
             Arc::new(TableDef::new("D", star.dims[0].clone(), 8)),
         ])
+    }
+
+    /// `jobs` as one batch on `pool`, the way the service runs a batch
+    /// it waits for: member 0 on this thread, the rest queued; results
+    /// in member order.
+    fn run_jobs(pool: &mut Pool, jobs: Vec<Job>) -> Vec<Result<ExecutedQuery, PlanError>> {
+        let n = jobs.len();
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        pool.submit((1..).zip(jobs).map(|(i, job)| (0, i, job)).collect());
+        if let Some(job) = first {
+            pool.run_here(0, 0, job);
+        }
+        let mut out: Vec<Option<Result<ExecutedQuery, PlanError>>> = (0..n).map(|_| None).collect();
+        for _ in 0..n {
+            let done = pool.wait_done();
+            out[done.member] = Some(done.result);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every member reported"))
+            .collect()
+    }
+
+    /// `job` on a pool worker thread: queued, and polled for rather than
+    /// waited for, so this thread never takes it.
+    fn on_worker(pool: &mut Pool, job: Job) -> Result<ExecutedQuery, PlanError> {
+        pool.submit(vec![(0, 0, job)]);
+        loop {
+            if let Some(done) = pool.try_done() {
+                return done.result;
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// `plans` as one batch on a fresh pool with a disabled trace: no
@@ -593,7 +970,7 @@ mod tests {
                 job(i, member)
             })
             .collect();
-        Pool::new(spans).run(jobs)
+        run_jobs(&mut Pool::new(spans), jobs).into_iter().collect()
     }
 
     /// [`run_plain`] on the simulated pool: zero-footprint patterns, so
@@ -759,13 +1136,32 @@ mod tests {
                 })
             }),
         ];
-        let err = svc.pool.run(jobs).unwrap_err();
-        assert_eq!(err, PlanError::WorkerPanicked { member: 0 });
-        // The call returned with member 1's result too: it did its work
+        let results = run_jobs(&mut svc.pool, jobs);
+        assert_eq!(
+            results[0].as_ref().unwrap_err(),
+            &PlanError::WorkerPanicked { member: 0 }
+        );
+        // The wait returned with member 1's result too: it did its work
         // rather than being torn down.
+        assert!(matches!(
+            results[1],
+            Err(PlanError::UnknownTable { table: 9, .. })
+        ));
         assert!(survivor_ran.load(Ordering::SeqCst));
-        // The panicking worker threw its arena away; the other kept its.
+        // The panicking worker state threw its arena away; the worker
+        // thread's own arena is untouched.
         let has_arena = || -> Job {
+            Box::new(|w: &mut Worker| {
+                w.arena.get_or_insert_with(ExecContext::native);
+                Ok(ExecutedQuery {
+                    output_n: 0,
+                    output_hash: 0,
+                    measured_ns: 0.0,
+                    ops: 0,
+                })
+            })
+        };
+        let peek = || -> Job {
             Box::new(|w: &mut Worker| {
                 Ok(ExecutedQuery {
                     output_n: u64::from(w.arena.is_some()),
@@ -775,8 +1171,11 @@ mod tests {
                 })
             })
         };
-        let arenas = svc.pool.run(vec![has_arena(), has_arena()]).unwrap();
-        assert_eq!((arenas[0].output_n, arenas[1].output_n), (0, 1));
+        on_worker(&mut svc.pool, has_arena()).unwrap();
+        svc.pool.run_here(0, 0, peek());
+        let here = svc.pool.wait_done().result.unwrap().output_n;
+        let worker = on_worker(&mut svc.pool, peek()).unwrap().output_n;
+        assert_eq!((here, worker), (0, 1));
 
         // The same service serves the next native batch as the simulator
         // would, on the same workers.

@@ -17,16 +17,20 @@
 //!   ([`gcm_core::CostModel::batch_cost`]) beats appending the query
 //!   serially — the model decides the concurrency degree across
 //!   queries;
-//! * an **executor pool** ([`executor`]): the calling thread and
-//!   long-lived worker threads, grown to the largest batch seen and
-//!   joined when the service is dropped, each run one admitted query
-//!   per batch — with the shared builds admission priced for it, over
-//!   the table versions it was submitted with, and span tracing when it
-//!   is on — either on its own simulated hierarchy view
+//! * an **executor pool** ([`executor`]): one job queue, one completion
+//!   queue, and long-lived worker threads — grown to the most members
+//!   ever in flight and joined when the service is dropped — that run
+//!   each admitted query with the shared builds admission priced for
+//!   it, over the table versions it was submitted with, and span
+//!   tracing when it is on: either on its own simulated hierarchy view
 //!   ([`QueryService::execute_batch`], reporting per-query latency and
 //!   predicted-vs-measured error into [`ServiceMetrics`]) or on the
 //!   worker's resident native arena, with tables and shared builds
-//!   mapped read-only ([`QueryService::execute_batch_native_observed`]).
+//!   mapped read-only. On the host a batch is either waited for
+//!   ([`QueryService::execute_batch_native_observed`], the caller
+//!   running queued members itself) or dispatched without waiting
+//!   ([`QueryService::dispatch_native`]), each member's result then
+//!   collected as it completes ([`QueryService::completions`]).
 //!
 //! Every price the service uses — the optimizer's, admission's, the
 //! simulator clock's and EXPLAIN ANALYZE's — charges the one CPU term
@@ -85,12 +89,12 @@ mod tests;
 pub use admission::{BatchDecision, SloPolicy};
 pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
 pub use cache::{PlanCache, PlanKey};
-pub use executor::{ExecutedQuery, MemberBuilds};
+pub use executor::{Completion, ExecutedQuery, MemberBuilds};
 pub use metrics::{BatchRecord, QueryRecord, ServiceMetrics, ShedRecord};
 pub use mix::{plan_for, TenantTables};
 pub use queue::Batch;
 
-use executor::{Pool, Tables};
+use executor::{Pool, Running, Tables};
 use gcm_core::{CostModel, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
@@ -111,8 +115,9 @@ use std::sync::Arc;
 /// charge, and [`DEFAULT_DRIFT_THRESHOLD`](gcm_engine::plan::catalog::DEFAULT_DRIFT_THRESHOLD).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceConfig {
-    /// Hard cap on batch size; 0 (the default) means "the machine's
-    /// core count".
+    /// Hard cap on batch size — and on members in flight, since a batch
+    /// formed while others run gets only the slots they leave; 0 (the
+    /// default) means "the machine's core count".
     pub max_batch: usize,
     /// Per-class sojourn budgets turning admission into overload
     /// shedding ([`QueryService::next_batch_at`]); `None` (the
@@ -148,12 +153,22 @@ pub struct QueryService {
     /// The control path's own span lane (submit / next_batch run on the
     /// caller's thread — one writer, one lane).
     ctl: SpanSink,
-    /// The executor's long-lived workers, grown to the largest batch
-    /// executed; each keeps one span lane and one native arena for its
-    /// whole life, so a trace nobody drains costs one bounded ring per
-    /// worker, not a lane per executed query. Dropping the service
+    /// The executor's long-lived workers, grown to the most members
+    /// ever in flight; each keeps one span lane and one native arena for
+    /// its whole life, so a trace nobody drains costs one bounded ring
+    /// per worker, not a lane per executed query. Dropping the service
     /// joins them.
     pool: Pool,
+    /// Dispatched batches with members still running, oldest first.
+    running: Vec<Running>,
+    /// Ticket of the next dispatched batch.
+    next_ticket: u64,
+    /// Completions of other batches a waiting caller collected, kept
+    /// for [`completions`](QueryService::completions).
+    ready: VecDeque<Completion>,
+    /// [`inject_member_panic`](QueryService::inject_member_panic)'s
+    /// plan fingerprint.
+    faulty_plan: Option<u64>,
     /// Per-operator-class measured/predicted drift of the simulated
     /// batches, exported as gauges by [`QueryService::metrics`].
     drift: DriftMonitor,
@@ -165,9 +180,8 @@ pub struct QueryService {
     /// the ⊙-informed drain rate the shed projection divides the
     /// backlog by.
     drain_speedup: f64,
-    /// EWMA of measured-wall / predicted-wall from
-    /// [`QueryService::execute_batch_native_observed`] (and the sim
-    /// path): the bridge from model nanoseconds to the caller's clock
+    /// EWMA of measured-wall / predicted-wall of every native batch
+    /// (and of the sim path): the bridge from model nanoseconds to the caller's clock
     /// in the shed projection. Seeded by the first observed batch.
     wall_scale: f64,
     wall_scale_seeded: bool,
@@ -194,6 +208,10 @@ impl QueryService {
             next_id: 0,
             metrics: ServiceMetrics::default(),
             pool: Pool::new(spans.clone()),
+            running: Vec::new(),
+            next_ticket: 0,
+            ready: VecDeque::new(),
+            faulty_plan: None,
             spans,
             ctl,
             drift: DriftMonitor::new(),

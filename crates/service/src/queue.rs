@@ -57,9 +57,21 @@ pub(crate) struct Pending {
     pub(crate) committed: bool,
 }
 
+impl Pending {
+    /// The query as the admission controller prices it.
+    fn candidate(&self) -> admission::Candidate<'_> {
+        admission::Candidate {
+            pattern: &self.pattern,
+            cpu_ns: self.cpu_ns,
+        }
+    }
+}
+
 /// An admitted batch, ready to execute. Produced by
 /// [`QueryService::next_batch`], consumed by
-/// [`QueryService::execute_batch`].
+/// [`QueryService::execute_batch`],
+/// [`QueryService::execute_batch_native_observed`] or
+/// [`QueryService::dispatch_native`].
 #[derive(Debug, Clone)]
 pub struct Batch {
     pub(crate) entries: Vec<Pending>,
@@ -120,9 +132,10 @@ fn shared_regions<'a>(entries: impl Iterator<Item = &'a Pending>) -> Vec<Region>
 
 impl QueryService {
     /// Ask the admission controller for the next batch, removing the
-    /// admitted queries from the queue. `None` when the queue is empty.
-    /// The decision is pure pricing — callers may inspect the batch
-    /// (sizes, predicted times) without executing it.
+    /// admitted queries from the queue. `None` when the queue is empty
+    /// or every slot is taken by members still in flight. The decision
+    /// is pure pricing — callers may inspect the batch (sizes,
+    /// predicted times) without executing it.
     pub fn next_batch(&mut self) -> Option<Batch> {
         let order: Vec<usize> = (0..self.queue.len()).collect();
         self.form_batch(&order)
@@ -134,7 +147,8 @@ impl QueryService {
     /// next batch from the surviving queue in class-priority order.
     /// Returns the queries shed this turn — the caller owes each a
     /// fail-fast response — and the batch (`None` when the queue is
-    /// empty).
+    /// empty or no slot is free; see
+    /// [`next_batch`](QueryService::next_batch)).
     ///
     /// The shed predicate is a ⊙ sojourn projection. Walking the queue
     /// in ([`TenantClass::priority`], arrival) order and keeping a
@@ -146,8 +160,9 @@ impl QueryService {
     /// ```
     ///
     /// where `speedup` is the EWMA of the admission controller's
-    /// ⊙-priced batch speedup (how much faster than serial the service
-    /// drains when the model lets queries coexist) and `scale` the
+    /// ⊙-priced speedup of each new batch together with the members it
+    /// joins (how much faster than serial the service drains when the
+    /// model lets queries coexist) and `scale` the
     /// EWMA of measured-wall / predicted-wall (model nanoseconds →
     /// caller-clock nanoseconds). Unclassed queries never shed but
     /// their work still counts toward the backlog.
@@ -238,26 +253,28 @@ impl QueryService {
     }
 
     /// Form a batch from the queue considered in `order` (indices into
-    /// the queue), removing the admitted queries.
+    /// the queue), removing the admitted queries. The batch gets the
+    /// slots the members still running leave free — `None` when there
+    /// are none — and is priced `⊙` together with those members, the
+    /// set it will really co-run with.
     fn form_batch(&mut self, order: &[usize]) -> Option<Batch> {
-        let t0 = self.ctl.now_ns();
-        let candidates: Vec<admission::Candidate<'_>> = order
-            .iter()
-            .map(|&i| {
-                let p = &self.queue[i];
-                admission::Candidate {
-                    pattern: &p.pattern,
-                    cpu_ns: p.cpu_ns,
-                }
-            })
-            .collect();
-        let shared = shared_regions(self.queue.iter());
-        let max_batch = if self.cfg.max_batch == 0 {
+        let slots = if self.cfg.max_batch == 0 {
             self.spec().cores() as usize
         } else {
             self.cfg.max_batch
         };
-        let decision = admission::next_batch(&self.model, &candidates, max_batch, &shared)?;
+        let free = slots.saturating_sub(self.in_flight());
+        if free == 0 {
+            return None;
+        }
+        let t0 = self.ctl.now_ns();
+        let candidates: Vec<admission::Candidate<'_>> =
+            order.iter().map(|&i| self.queue[i].candidate()).collect();
+        let running: Vec<&Pending> = self.running.iter().flat_map(|r| r.members()).collect();
+        let corunners: Vec<admission::Candidate<'_>> =
+            running.iter().map(|p| p.candidate()).collect();
+        let shared = shared_regions(self.queue.iter().chain(running.iter().copied()));
+        let decision = admission::next_batch(&self.model, &corunners, &candidates, free, &shared)?;
         // `admitted` indexes into `order`; map back to queue indices,
         // remove back to front so earlier indices stay valid, then
         // restore admission order.
@@ -278,9 +295,9 @@ impl QueryService {
                 removed.swap_remove(pos).1
             })
             .collect();
-        // Fold the decision's ⊙ speedup into the drain-rate EWMA the
-        // shed projection divides by.
-        self.drain_speedup = 0.7 * self.drain_speedup + 0.3 * decision.predicted_speedup();
+        // Fold the ⊙ speedup of everything that will co-run into the
+        // drain-rate EWMA the shed projection divides by.
+        self.drain_speedup = 0.7 * self.drain_speedup + 0.3 * decision.corun_speedup;
         self.metrics
             .registry
             .set_gauge(metrics::QUEUE_DEPTH, self.queue.len() as f64);

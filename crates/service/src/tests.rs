@@ -556,3 +556,59 @@ fn results_match_between_batched_and_serial_scheduling() {
     };
     assert_eq!(run_with(4), run_with(1));
 }
+
+#[test]
+fn a_dispatched_point_completes_before_its_batchs_join() {
+    // A join over a 1 Mi-row fact table and a point lookup, admitted as
+    // one native batch and dispatched without waiting: the point's
+    // result must come out of the completion queue first — it does not
+    // wait for the join — and both must answer what the simulator does.
+    let star = Workload::new(91).star_scenario(1 << 20, 2_048, 1);
+    let service = || {
+        let mut svc = QueryService::new(presets::modern_smp(2));
+        svc.register_table("F", star.fact.clone(), 8);
+        svc.register_table("D", star.dims[0].clone(), 8);
+        let join = svc
+            .submit(
+                LogicalPlan::scan(0)
+                    .select_lt(1_024)
+                    .join(LogicalPlan::scan(1))
+                    .group_count(),
+            )
+            .unwrap();
+        let point = svc.submit(LogicalPlan::scan(1).select_lt(2)).unwrap();
+        (svc, join, point)
+    };
+    let (mut svc, join, point) = service();
+    let batch = svc.next_batch().unwrap();
+    assert_eq!(batch.ids(), [join, point], "one batch, the join first");
+    svc.dispatch_native(batch);
+    assert_eq!(svc.in_flight(), 2);
+    // Both cores are taken: a query queued meanwhile waits for a slot.
+    svc.submit(LogicalPlan::scan(1).select_lt(3)).unwrap();
+    assert!(svc.next_batch().is_none(), "no free slot");
+    let mut order = Vec::new();
+    let mut native = Vec::new();
+    while native.len() < 2 {
+        for (qid, run) in svc.completions() {
+            let run = run.unwrap();
+            order.push(qid);
+            native.push((qid, run.output_n, run.output_hash));
+        }
+        std::thread::yield_now();
+    }
+    assert_eq!(order, [point, join], "the point must not wait for the join");
+    assert_eq!(svc.in_flight(), 0);
+    assert_eq!(svc.next_batch().map(|b| b.size()), Some(1));
+    native.sort_unstable();
+    let (mut sim, ..) = service();
+    assert_eq!(native, drain_on(&mut sim, Backend::Sim));
+    assert!(native.iter().all(|r| r.1 > 0));
+    assert_eq!(
+        svc.metrics()
+            .registry
+            .counter("gcm_service_native_batches_total"),
+        Some(1),
+        "the batch's bookkeeping ran once, at its last completion"
+    );
+}

@@ -22,10 +22,10 @@
 //! 2. answers every batch member that completed since the last cycle
 //!    ([`QueryService::completions`]), routing each result back to the
 //!    shard/connection it came from;
-//! 3. while fewer members are in flight than the service's cores, asks
+//! 3. while the service has [free slots](QueryService::free_slots)
+//!    (by default: fewer members in flight than cores), asks
 //!    [`QueryService::next_batch_at`] for the shed set and the next
-//!    ⊙-priced batch — which gets only the free slots and is priced
-//!    together with the members still running — answers shed queries
+//!    ⊙-priced batch — which gets at most the free slots — answers shed queries
 //!    at once (that is the fail-fast promise: a shed reply costs one
 //!    frame, not one execution), and hands the batch to the executor
 //!    pool ([`QueryService::dispatch_native`]);
@@ -300,7 +300,6 @@ fn schedule_loop(
         metrics: &metrics,
         clock,
     };
-    let cores = svc.spec().cores() as usize;
     let mut routes: HashMap<u64, Route> = HashMap::new();
     {
         let signal = Arc::clone(&signal);
@@ -362,7 +361,7 @@ fn schedule_loop(
                 Err(_) => reply.shed(&route),
             }
         }
-        while svc.queue_len() > 0 && svc.in_flight() < cores {
+        while svc.queue_len() > 0 && svc.free_slots() > 0 {
             let (shed, batch) = svc.next_batch_at(clock.now_ns());
             for record in shed {
                 if let Some(route) = routes.remove(&record.id) {

@@ -316,8 +316,10 @@ fn service_conn(
                 let decoded = loop {
                     match conn.decoder.next() {
                         Ok(Some(Frame::Submit(frame))) => {
-                            metrics.inc(FRAMES_RX_TOTAL, 1);
                             let mut q = shared.ingress.lock().unwrap();
+                            // Counted once queued, under the ingress
+                            // lock: whoever reads the count can rely on
+                            // the frame being in a queue.
                             if q.len() < shared.ingress_cap {
                                 q.push_back(IngressItem {
                                     shard: shard_id,
@@ -333,6 +335,7 @@ fn service_conn(
                             } else {
                                 conn.pending.push_back(frame);
                             }
+                            metrics.inc(FRAMES_RX_TOTAL, 1);
                         }
                         // Bytes that do not decode, or a response —
                         // which clients must not send.

@@ -101,11 +101,6 @@ pub struct BatchDecision {
     /// Predicted elapsed time of running the admitted members one
     /// after the other instead, ns.
     pub predicted_serial_ns: f64,
-    /// Predicted speedup over serial execution of everything that will
-    /// co-run: the admitted members and the running ones they join.
-    /// Equal to [`predicted_speedup`](BatchDecision::predicted_speedup)
-    /// when nothing was running.
-    pub corun_speedup: f64,
     /// Per-admitted-member predicted time inside the batch (composed
     /// memory + CPU), ns — the per-query latency forecast.
     pub per_query_ns: Vec<f64>,
@@ -123,18 +118,15 @@ impl BatchDecision {
     }
 }
 
-/// Price a forming batch next to the members still `running` (the
-/// first `running` of `patterns`/`cpus`): everything `⊙`-composed, and
-/// for the forming members their per-query memory plus CPU, the wall
-/// as the slowest of them plus dispatch, and the serial fallback as the
-/// sum of their solo times.
+/// Price a forming batch: `⊙`-composed per-query memory plus each
+/// member's CPU, the wall as the slowest member plus dispatch, and the
+/// serial fallback as the sum of solo times.
 fn price(
     model: &CostModel,
-    running: usize,
     patterns: &[Pattern],
     cpus: &[f64],
     shared: &[Region],
-) -> Priced {
+) -> (f64, f64, Vec<f64>) {
     let batch = model.batch_cost_shared(patterns, &CacheState::cold(), shared);
     let per_query: Vec<f64> = batch
         .per_query_ns
@@ -142,90 +134,56 @@ fn price(
         .zip(cpus)
         .map(|(mem, cpu)| mem + cpu)
         .collect();
-    let solo: Vec<f64> = batch
+    let wall =
+        per_query.iter().copied().fold(0.0, f64::max) + DEFAULT_DISPATCH_NS * patterns.len() as f64;
+    let serial = batch
         .solo_ns
         .iter()
         .zip(cpus)
         .map(|(mem, cpu)| mem + cpu + DEFAULT_DISPATCH_NS)
-        .collect();
-    let wall_of = |from: usize| {
-        per_query[from..].iter().copied().fold(0.0, f64::max)
-            + DEFAULT_DISPATCH_NS * (patterns.len() - from) as f64
-    };
-    let wall = wall_of(running);
-    let corun_wall = wall_of(0);
-    let serial = solo[running..].iter().sum();
-    let corun_serial: f64 = solo.iter().sum();
-    Priced {
-        wall,
-        serial,
-        corun_speedup: if corun_wall > 0.0 {
-            corun_serial / corun_wall
-        } else {
-            1.0
-        },
-        per_query: per_query[running..].to_vec(),
-    }
-}
-
-/// One trial's prices (see [`price`]).
-struct Priced {
-    wall: f64,
-    serial: f64,
-    corun_speedup: f64,
-    per_query: Vec<f64>,
+        .sum();
+    (wall, serial, per_query)
 }
 
 /// Greedily form the next batch of at most `max_batch` members (the
-/// free cores; 0 counts as 1) from `candidates` (the pending queue in
-/// arrival order), next to the members still `running` from earlier
-/// batches. Returns `None` on an empty queue.
-///
-/// The running members are priced into every composition but are not
-/// the batch's: they take their share of every shared level, so a
-/// candidate that contends with them looks as expensive as it will be,
-/// while the batch's wall, serial fallback and per-query forecasts
-/// cover its own members only. `shared` lists the canonical regions of
-/// data candidates may *share* (immutable build sides from the
-/// [`BuildRegistry`](crate::builds::BuildRegistry)): pricing counts
-/// each such region once across the composition (Eq 5.3 with shared
-/// data), so two queries probing the same build look as cheap together
-/// as the composition they actually are. Pass `&[]` when nothing is
-/// running or nothing is shared.
+/// machine's core budget; 0 counts as 1) from `candidates` (the
+/// pending queue in arrival order). Returns `None` on an empty queue.
+/// `shared` lists the canonical regions of data candidates may *share* (immutable build
+/// sides from the [`BuildRegistry`](crate::builds::BuildRegistry)):
+/// pricing counts each such region once across the forming batch
+/// (Eq 5.3 with shared data), so two queries probing the same build
+/// look as cheap together as the composition they actually are. Pass
+/// `&[]` when nothing is shared.
 pub fn next_batch(
     model: &CostModel,
-    running: &[Candidate<'_>],
     candidates: &[Candidate<'_>],
     max_batch: usize,
     shared: &[Region],
 ) -> Option<BatchDecision> {
-    let first = candidates.first()?;
+    if candidates.is_empty() {
+        return None;
+    }
     let max_batch = max_batch.max(1);
-    let r = running.len();
-    // The composition, grown in place: each trial clones only the
+    // The forming batch, grown in place: each trial clones only the
     // candidate's pattern (popped again on rejection), never the
-    // running or already-admitted members'.
-    let mut patterns: Vec<Pattern> = running
-        .iter()
-        .chain([first])
-        .map(|c| c.pattern.clone())
-        .collect();
-    let mut cpus: Vec<f64> = running.iter().chain([first]).map(|c| c.cpu_ns).collect();
+    // already-admitted members'.
+    let mut patterns = vec![candidates[0].pattern.clone()];
+    let mut cpus = vec![candidates[0].cpu_ns];
     let mut admitted = vec![0usize];
-    let mut priced = price(model, r, &patterns, &cpus, shared);
+    let (mut wall, mut serial, mut per_query) = price(model, &patterns, &cpus, shared);
     for (idx, cand) in candidates.iter().enumerate().skip(1) {
-        if admitted.len() >= max_batch {
+        if patterns.len() >= max_batch {
             break;
         }
         patterns.push(cand.pattern.clone());
         cpus.push(cand.cpu_ns);
-        let trial = price(model, r, &patterns, &cpus, shared);
+        let (t_wall, t_serial, t_per_query) = price(model, &patterns, &cpus, shared);
         // solo(q): the candidate's own serial contribution is the
         // difference of the serial sums (solo mem + cpu + dispatch).
-        let solo = trial.serial - priced.serial;
-        if trial.wall < priced.wall + solo {
+        let solo = t_serial - serial;
+        if t_wall < wall + solo {
             admitted.push(idx);
-            priced = trial;
+            (wall, serial, per_query) = (t_wall, t_serial, t_per_query);
         } else {
             patterns.pop();
             cpus.pop();
@@ -233,10 +191,9 @@ pub fn next_batch(
     }
     Some(BatchDecision {
         admitted,
-        predicted_wall_ns: priced.wall,
-        predicted_serial_ns: priced.serial,
-        corun_speedup: priced.corun_speedup,
-        per_query_ns: priced.per_query,
+        predicted_wall_ns: wall,
+        predicted_serial_ns: serial,
+        per_query_ns: per_query,
     })
 }
 
@@ -265,7 +222,7 @@ mod tests {
     #[test]
     fn empty_queue_has_no_batch() {
         let model = CostModel::new(presets::tiny_smp(4));
-        assert!(next_batch(&model, &[], &[], 4, &[]).is_none());
+        assert!(next_batch(&model, &[], 4, &[]).is_none());
     }
 
     #[test]
@@ -281,7 +238,7 @@ mod tests {
                 cpu_ns: 10_000.0,
             })
             .collect();
-        let d = next_batch(&model, &[], &candidates, 4, &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(d.admitted, vec![0, 1, 2, 3], "core budget caps at 4");
         assert!(d.predicted_speedup() > 2.0, "{}", d.predicted_speedup());
         assert!(d.predicted_wall_ns < d.predicted_serial_ns);
@@ -303,7 +260,7 @@ mod tests {
                 cpu_ns: 0.0,
             })
             .collect();
-        let d = next_batch(&model, &[], &candidates, 4, &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(d.admitted, vec![0], "contending pair must serialize");
     }
 
@@ -330,44 +287,11 @@ mod tests {
                 cpu_ns: 0.0,
             })
             .collect();
-        let private = next_batch(&model, &[], &candidates, 4, &[]).unwrap();
+        let private = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(private.admitted, vec![0], "private builds must serialize");
-        let shared = next_batch(&model, &[], &candidates, 4, &[h]).unwrap();
+        let shared = next_batch(&model, &candidates, 4, &[h]).unwrap();
         assert_eq!(shared.admitted, vec![0, 1], "shared build must batch");
         assert!(shared.predicted_speedup() > 1.0);
-    }
-
-    #[test]
-    fn running_members_are_priced_into_the_batch_but_not_part_of_it() {
-        // A random traversal that thrashes the shared L2 with its twin is
-        // still running: the twin formed beside it is priced with that
-        // contention, while the batch's members and serial fallback stay
-        // its own.
-        let model = CostModel::new(presets::tiny_smp(4));
-        let running = Pattern::rr_trav(Region::new("R", 1_500, 8), 8, 64);
-        let twin = Pattern::rr_trav(Region::new("T", 1_500, 8), 8, 64);
-        let corunner = [Candidate {
-            pattern: &running,
-            cpu_ns: 0.0,
-        }];
-        let cand = [Candidate {
-            pattern: &twin,
-            cpu_ns: 0.0,
-        }];
-        let alone = next_batch(&model, &[], &cand, 4, &[]).unwrap();
-        let beside = next_batch(&model, &corunner, &cand, 4, &[]).unwrap();
-        assert_eq!(beside.admitted, vec![0]);
-        assert_eq!(beside.per_query_ns.len(), 1);
-        assert!(
-            beside.per_query_ns[0] > alone.per_query_ns[0],
-            "{} vs {}",
-            beside.per_query_ns[0],
-            alone.per_query_ns[0]
-        );
-        assert!(beside.predicted_wall_ns > alone.predicted_wall_ns);
-        assert_eq!(beside.predicted_serial_ns, alone.predicted_serial_ns);
-        assert_eq!(alone.corun_speedup, alone.predicted_speedup());
-        assert_ne!(beside.corun_speedup, beside.predicted_speedup());
     }
 
     #[test]
@@ -387,7 +311,7 @@ mod tests {
                 cpu_ns: 0.0,
             })
             .collect();
-        let d = next_batch(&model, &[], &candidates, 4, &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert!(d.admitted.contains(&0));
         assert!(!d.admitted.contains(&1), "twin must be skipped");
         assert!(d.admitted.contains(&2) && d.admitted.contains(&3));
@@ -403,7 +327,7 @@ mod tests {
             pattern: &p,
             cpu_ns: 5_000.0,
         }];
-        let d = next_batch(&model, &[], &candidates, 4, &[]).unwrap();
+        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(d.admitted, vec![0]);
         assert!((d.predicted_wall_ns - d.predicted_serial_ns).abs() < 1e-9);
         assert!((d.predicted_speedup() - 1.0).abs() < 1e-9);
@@ -419,7 +343,7 @@ mod tests {
                 cpu_ns: 0.0,
             },
         ];
-        let d1 = next_batch(&model, &[], &two, 1, &[]).unwrap();
+        let d1 = next_batch(&model, &two, 1, &[]).unwrap();
         assert_eq!(d1.admitted, vec![0]);
     }
 }

@@ -572,16 +572,6 @@ impl Running {
     fn left(&self) -> usize {
         self.unfinished.iter().filter(|u| **u).count()
     }
-
-    /// The members still running.
-    pub(crate) fn members(&self) -> impl Iterator<Item = &Pending> {
-        self.batch
-            .entries
-            .iter()
-            .zip(&self.unfinished)
-            .filter(|(_, unfinished)| **unfinished)
-            .map(|(p, _)| p)
-    }
 }
 
 /// A member's query id and outcome, as [`QueryService::completions`]
@@ -608,7 +598,7 @@ impl QueryService {
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let job = if self.faulty_plan == Some(p.plan.fingerprint()) {
+                let job = if self.faulty_plan.is_some_and(|f| f == p.plan.fingerprint()) {
                     Box::new(|_: &mut Worker| -> Result<ExecutedQuery, PlanError> {
                         panic!("injected member fault")
                     })
@@ -827,6 +817,19 @@ impl QueryService {
     /// Members dispatched whose results have not been collected yet.
     pub fn in_flight(&self) -> usize {
         self.running.iter().map(Running::left).sum()
+    }
+
+    /// How many more members the executor takes now: the batch cap
+    /// ([`ServiceConfig::max_batch`](crate::ServiceConfig::max_batch),
+    /// by default the machine's core count) less the members in flight.
+    /// A batch formed now gets at most this many.
+    pub fn free_slots(&self) -> usize {
+        let slots = if self.cfg.max_batch == 0 {
+            self.spec().cores() as usize
+        } else {
+            self.cfg.max_batch
+        };
+        slots.saturating_sub(self.in_flight())
     }
 
     /// Ring `notify` after every member the executor finishes — for a
@@ -1117,6 +1120,20 @@ mod tests {
             "member 1's resident worker thread"
         );
 
+        // The worker thread holds an arena going into the batch.
+        let has_arena = || -> Job {
+            Box::new(|w: &mut Worker| {
+                w.arena.get_or_insert_with(ExecContext::native);
+                Ok(ExecutedQuery {
+                    output_n: 0,
+                    output_hash: 0,
+                    measured_ns: 0.0,
+                    ops: 0,
+                })
+            })
+        };
+        on_worker(&mut svc.pool, has_arena()).unwrap();
+
         // Member 0 dirties its arena and panics mid-job, on the caller's
         // thread.
         let survivor_ran = Arc::new(AtomicBool::new(false));
@@ -1149,18 +1166,7 @@ mod tests {
         ));
         assert!(survivor_ran.load(Ordering::SeqCst));
         // The panicking worker state threw its arena away; the worker
-        // thread's own arena is untouched.
-        let has_arena = || -> Job {
-            Box::new(|w: &mut Worker| {
-                w.arena.get_or_insert_with(ExecContext::native);
-                Ok(ExecutedQuery {
-                    output_n: 0,
-                    output_hash: 0,
-                    measured_ns: 0.0,
-                    ops: 0,
-                })
-            })
-        };
+        // thread kept the arena it held across the panic.
         let peek = || -> Job {
             Box::new(|w: &mut Worker| {
                 Ok(ExecutedQuery {
@@ -1171,7 +1177,6 @@ mod tests {
                 })
             })
         };
-        on_worker(&mut svc.pool, has_arena()).unwrap();
         svc.pool.run_here(0, 0, peek());
         let here = svc.pool.wait_done().result.unwrap().output_n;
         let worker = on_worker(&mut svc.pool, peek()).unwrap().output_n;

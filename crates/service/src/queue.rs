@@ -57,16 +57,6 @@ pub(crate) struct Pending {
     pub(crate) committed: bool,
 }
 
-impl Pending {
-    /// The query as the admission controller prices it.
-    fn candidate(&self) -> admission::Candidate<'_> {
-        admission::Candidate {
-            pattern: &self.pattern,
-            cpu_ns: self.cpu_ns,
-        }
-    }
-}
-
 /// An admitted batch, ready to execute. Produced by
 /// [`QueryService::next_batch`], consumed by
 /// [`QueryService::execute_batch`],
@@ -160,9 +150,8 @@ impl QueryService {
     /// ```
     ///
     /// where `speedup` is the EWMA of the admission controller's
-    /// ⊙-priced speedup of each new batch together with the members it
-    /// joins (how much faster than serial the service drains when the
-    /// model lets queries coexist) and `scale` the
+    /// ⊙-priced batch speedup (how much faster than serial the service
+    /// drains when the model lets queries coexist) and `scale` the
     /// EWMA of measured-wall / predicted-wall (model nanoseconds →
     /// caller-clock nanoseconds). Unclassed queries never shed but
     /// their work still counts toward the backlog.
@@ -253,28 +242,27 @@ impl QueryService {
     }
 
     /// Form a batch from the queue considered in `order` (indices into
-    /// the queue), removing the admitted queries. The batch gets the
-    /// slots the members still running leave free — `None` when there
-    /// are none — and is priced `⊙` together with those members, the
-    /// set it will really co-run with.
+    /// the queue), removing the admitted queries. The batch gets at
+    /// most the [`free_slots`](QueryService::free_slots) — `None` when
+    /// there are none.
     fn form_batch(&mut self, order: &[usize]) -> Option<Batch> {
-        let slots = if self.cfg.max_batch == 0 {
-            self.spec().cores() as usize
-        } else {
-            self.cfg.max_batch
-        };
-        let free = slots.saturating_sub(self.in_flight());
+        let free = self.free_slots();
         if free == 0 {
             return None;
         }
         let t0 = self.ctl.now_ns();
-        let candidates: Vec<admission::Candidate<'_>> =
-            order.iter().map(|&i| self.queue[i].candidate()).collect();
-        let running: Vec<&Pending> = self.running.iter().flat_map(|r| r.members()).collect();
-        let corunners: Vec<admission::Candidate<'_>> =
-            running.iter().map(|p| p.candidate()).collect();
-        let shared = shared_regions(self.queue.iter().chain(running.iter().copied()));
-        let decision = admission::next_batch(&self.model, &corunners, &candidates, free, &shared)?;
+        let candidates: Vec<admission::Candidate<'_>> = order
+            .iter()
+            .map(|&i| {
+                let p = &self.queue[i];
+                admission::Candidate {
+                    pattern: &p.pattern,
+                    cpu_ns: p.cpu_ns,
+                }
+            })
+            .collect();
+        let shared = shared_regions(self.queue.iter());
+        let decision = admission::next_batch(&self.model, &candidates, free, &shared)?;
         // `admitted` indexes into `order`; map back to queue indices,
         // remove back to front so earlier indices stay valid, then
         // restore admission order.
@@ -295,9 +283,9 @@ impl QueryService {
                 removed.swap_remove(pos).1
             })
             .collect();
-        // Fold the ⊙ speedup of everything that will co-run into the
-        // drain-rate EWMA the shed projection divides by.
-        self.drain_speedup = 0.7 * self.drain_speedup + 0.3 * decision.corun_speedup;
+        // Fold the decision's ⊙ speedup into the drain-rate EWMA the
+        // shed projection divides by.
+        self.drain_speedup = 0.7 * self.drain_speedup + 0.3 * decision.predicted_speedup();
         self.metrics
             .registry
             .set_gauge(metrics::QUEUE_DEPTH, self.queue.len() as f64);

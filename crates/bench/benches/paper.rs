@@ -22,8 +22,8 @@ use gcm_core::misses::lines_per_item;
 use gcm_core::{eval, CacheState, CostModel, CostReport, CpuCost, Geometry, MissPair, Pattern};
 use gcm_core::{library, Region};
 use gcm_engine::ops::btree::BTree;
-use gcm_engine::plan::{execute, LogicalPlan, Optimizer, TableStats};
-use gcm_engine::query::{Pipeline, Stage};
+use gcm_engine::plan::{execute, LogicalPlan, Optimizer, PhysicalPlan, TableStats};
+use gcm_engine::planner::JoinAlgorithm;
 use gcm_engine::{ops, ExecContext, RunStats};
 use gcm_hardware::{presets, Associativity, HardwareSpec, LevelKind};
 use gcm_sim::MemorySystem;
@@ -781,13 +781,16 @@ fn extension_query(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let n = size / 8;
         let mut ctx = ExecContext::new(spec.clone());
         let (uk, vk) = Workload::new(size).join_pair(n as usize);
-        let u = ctx.relation_from_keys("U", &uk, 8);
-        let v = ctx.relation_from_keys("V", &vk, 8);
-        let pipeline = Pipeline::new()
-            .stage(Stage::SelectLt(n / 2))
-            .stage(Stage::HashJoin(v.clone()))
-            .stage(Stage::GroupCount);
-        let (run, stats) = ctx.measure(|c| pipeline.run(c, &u));
+        let tables = [
+            ctx.relation_from_keys("U", &uk, 8),
+            ctx.relation_from_keys("V", &vk, 8),
+        ];
+        let plan = PhysicalPlan::scan(0)
+            .select_lt(n / 2)
+            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
+            .group_count();
+        let (run, stats) =
+            ctx.measure(|c| execute(c, &plan, &tables).expect("tables 0 and 1 exist"));
         fig7_rows(
             gate,
             "extension_query",

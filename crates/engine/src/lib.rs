@@ -47,7 +47,6 @@ pub mod native;
 pub mod ops;
 pub mod plan;
 pub mod planner;
-pub mod query;
 pub mod relation;
 
 pub use backend::{MemoryBackend, SimBackend};

@@ -15,19 +15,18 @@
 //! (Eq 5.3 via [`gcm_core::CostModel::batch_cost_shared`]) instead of
 //! once per member.
 //!
-//! Storage is a [`TrieMap`] keyed by (table, epoch): lookups on the
-//! submit path are wait-free snapshot reads, concurrent registrations
-//! collapse to one build per key, a statistics-epoch bump retires
-//! stale builds the same way the plan cache retires stale plans, and
-//! replacing a table's data retires that table's builds even when its
-//! statistics (and so the epoch) did not move.
+//! Storage is a plain [`HashMap`] keyed by (table, epoch), owned by the
+//! [`QueryService`](crate::QueryService) and changed through
+//! `&mut self` on the submit path. A statistics-epoch bump retires stale
+//! builds the same way the plan cache retires stale plans, and replacing
+//! a table's data retires that table's builds even when its statistics
+//! (and so the epoch) did not move.
 
 use gcm_core::{Pattern, Region, RegionId};
 use gcm_engine::ops::hash::{self, ENTRY_BYTES};
 use gcm_engine::plan::TableDef;
 use gcm_engine::Segment;
-use gcm_trie::TrieMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Rewrite a whole-plan pattern for a query reusing a shared build over
@@ -123,9 +122,9 @@ pub struct SharedBuild {
 /// Registry of shared builds keyed by (table, epoch).
 #[derive(Debug, Default)]
 pub struct BuildRegistry {
-    entries: TrieMap<(usize, u64), Arc<SharedBuild>>,
-    built: AtomicU64,
-    reused: AtomicU64,
+    entries: HashMap<(usize, u64), Arc<SharedBuild>>,
+    built: u64,
+    reused: u64,
 }
 
 impl BuildRegistry {
@@ -139,50 +138,51 @@ impl BuildRegistry {
     /// requester (`true`) has just registered the layout — it still owes
     /// the build work itself, so its own pattern keeps the charged build
     /// phase; later requesters (`false`) probe the registered layout and
-    /// skip the build. The hit path is a wait-free snapshot read; two
-    /// concurrent first requests may both compute the layout but publish
-    /// (and hand out) exactly one build.
+    /// skip the build.
     pub fn get_or_build(
-        &self,
+        &mut self,
         table: usize,
         epoch: u64,
         data: &TableDef,
     ) -> (Arc<SharedBuild>, bool) {
-        if let Some(b) = self.entries.snapshot().get(&(table, epoch)) {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(b), false);
+        match self.entries.entry((table, epoch)) {
+            Entry::Occupied(e) => {
+                self.reused += 1;
+                (Arc::clone(e.get()), false)
+            }
+            Entry::Vacant(v) => {
+                let keys: Vec<u64> = data.keys().collect();
+                let slots = hash::table_slots(keys.len() as u64);
+                let b = v.insert(Arc::new(SharedBuild {
+                    table,
+                    epoch,
+                    region: Region::new(format!("H#{table}@{epoch}"), slots, ENTRY_BYTES),
+                    layout: Segment::from_keys(&hash::build_layout(&keys), 8),
+                }));
+                self.built += 1;
+                (Arc::clone(b), true)
+            }
         }
-        let mut computed = false;
-        let b = self.entries.get_or_insert_with((table, epoch), || {
-            computed = true;
-            let keys: Vec<u64> = data.keys().collect();
-            let slots = hash::table_slots(keys.len() as u64);
-            Arc::new(SharedBuild {
-                table,
-                epoch,
-                region: Region::new(format!("H#{table}@{epoch}"), slots, ENTRY_BYTES),
-                layout: Segment::from_keys(&hash::build_layout(&keys), 8),
-            })
-        });
-        if computed {
-            self.built.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.reused.fetch_add(1, Ordering::Relaxed);
-        }
-        (b, computed)
     }
 
     /// Drop builds from statistics epochs before `epoch` (their tables'
     /// data changed). Returns how many were retired.
-    pub fn retire_epochs_before(&self, epoch: u64) -> u64 {
-        self.entries.retain(|(_, e), _| *e >= epoch) as u64
+    pub fn retire_epochs_before(&mut self, epoch: u64) -> u64 {
+        self.retire(|&(_, e)| e >= epoch)
     }
 
     /// Drop every build of `table`, whatever its epoch: its data was
     /// replaced, and a layout is a function of the keys, not of the
     /// statistics that decide the epoch. Returns how many were retired.
-    pub fn retire_table(&self, table: usize) -> u64 {
-        self.entries.retain(|(t, _), _| *t != table) as u64
+    pub fn retire_table(&mut self, table: usize) -> u64 {
+        self.retire(|&(t, _)| t != table)
+    }
+
+    /// Keep the builds whose key passes `keep`; returns how many went.
+    fn retire(&mut self, keep: impl Fn(&(usize, u64)) -> bool) -> u64 {
+        let before = self.entries.len();
+        self.entries.retain(|k, _| keep(k));
+        (before - self.entries.len()) as u64
     }
 
     /// Number of builds currently held.
@@ -197,12 +197,12 @@ impl BuildRegistry {
 
     /// Builds computed (registry misses).
     pub fn built(&self) -> u64 {
-        self.built.load(Ordering::Relaxed)
+        self.built
     }
 
     /// Requests served from an existing build (reuses).
     pub fn reused(&self) -> u64 {
-        self.reused.load(Ordering::Relaxed)
+        self.reused
     }
 }
 
@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn same_key_returns_the_same_build() {
-        let reg = BuildRegistry::new();
+        let mut reg = BuildRegistry::new();
         let keys = table(&(0..500).map(|i| (i * 7) % 400).collect::<Vec<u64>>());
         let (a, first) = reg.get_or_build(0, 0, &keys);
         let (b, second) = reg.get_or_build(0, 0, &keys);
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn layout_matches_the_pure_function() {
-        let reg = BuildRegistry::new();
+        let mut reg = BuildRegistry::new();
         let keys: Vec<u64> = (0..300).map(|i| (i * 13) % 250).collect();
         let (b, _) = reg.get_or_build(2, 5, &table(&keys));
         let layout = hash::build_layout(&keys);
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn retire_drops_stale_epochs_only() {
-        let reg = BuildRegistry::new();
+        let mut reg = BuildRegistry::new();
         let keys = table(&[1, 2, 3]);
         reg.get_or_build(0, 0, &keys);
         reg.get_or_build(1, 0, &keys);
@@ -294,27 +294,5 @@ mod tests {
         // A mis-sized canonical region (stale layout) refuses to match.
         let wrong = Region::new("H#1@0", 8, ENTRY_BYTES);
         assert!(strip_build_phase(&pattern, "T1", &wrong).is_none());
-    }
-
-    #[test]
-    fn concurrent_requests_share_one_build() {
-        let reg = Arc::new(BuildRegistry::new());
-        let keys = table(&(0..200).collect::<Vec<u64>>());
-        let builds: Vec<Arc<SharedBuild>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let reg = Arc::clone(&reg);
-                    let keys = keys.clone();
-                    s.spawn(move || reg.get_or_build(3, 7, &keys).0)
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let first = &builds[0];
-        for b in &builds {
-            assert!(Arc::ptr_eq(first, b), "all threads must get one build");
-        }
-        assert_eq!(reg.len(), 1);
-        assert_eq!(reg.built() + reg.reused(), 8);
     }
 }

@@ -11,41 +11,29 @@
 //! unreachable, and the next lookup re-optimizes against the fresh
 //! statistics.
 //!
-//! Entries live in a [`gcm_trie::TrieMap`]: a hit is a snapshot read
-//! that takes no lock, while a miss takes the trie's writer path once to
-//! install a per-key [`OnceLock`] slot. The slot guarantees that many
-//! threads racing on one key run the optimizer **once** and everyone
-//! else blocks until the winner's result is published — never a
-//! deadlock, never a duplicated optimization (asserted by the
-//! [`PlanCache::optimizer_runs`] counter in the property tests). The
-//! only production caller today is the single thread that owns the
-//! [`QueryService`](crate::QueryService); the trie is kept because
-//! [`StatsCatalog`](gcm_engine::plan::StatsCatalog) needs its consistent
-//! snapshots anyway and a second container type would be more code, not
-//! because lookups were measured to contend (DESIGN.md, "Snapshot reads
-//! on the serving path").
+//! The cache is a plain [`HashMap`] with plain counters, changed
+//! through `&mut self`: its one owner is the
+//! [`QueryService`](crate::QueryService), and the thread that owns the
+//! service is the only one that submits, so lookups need no lock and no
+//! single-flight (DESIGN.md, "Owned maps on the serving path").
 
 use gcm_engine::plan::{LogicalPlan, PlanError, PlannedQuery};
-use gcm_trie::TrieMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 /// A plan-cache key: the logical plan's structural fingerprint
 /// ([`LogicalPlan::fingerprint`](gcm_engine::plan::LogicalPlan::fingerprint))
 /// paired with the statistics epoch it was optimized under.
 pub type PlanKey = (u64, u64);
 
-type Slot = Arc<OnceLock<(LogicalPlan, Result<Arc<PlannedQuery>, PlanError>)>>;
-
-/// A concurrent memo table from [`PlanKey`] to optimized plans, with
-/// wait-free hit-path lookups over trie snapshots.
+/// A memo table from [`PlanKey`] to optimized plans (or the error the
+/// optimizer returned), each stored with the logical plan it answers.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: TrieMap<PlanKey, Slot>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    optimizer_runs: AtomicU64,
-    retired: AtomicU64,
+    entries: HashMap<PlanKey, (LogicalPlan, Result<Arc<PlannedQuery>, PlanError>)>,
+    hits: u64,
+    misses: u64,
+    retired: u64,
 }
 
 impl PlanCache {
@@ -55,11 +43,9 @@ impl PlanCache {
     }
 
     /// Look `key` up, running `optimize` to fill the entry on a miss.
-    /// Concurrent callers of the same key never run `optimize` twice:
-    /// one thread optimizes, the rest block on the slot and share the
-    /// result. Errors are cached too (a plan that cannot be optimized
-    /// under this epoch's statistics will not be re-attempted until the
-    /// epoch moves).
+    /// Errors are cached too (a plan that cannot be optimized under this
+    /// epoch's statistics will not be re-attempted until the epoch
+    /// moves).
     ///
     /// `plan` is the logical plan the key's fingerprint half was
     /// computed from; the entry stores it, and a hit whose stored plan
@@ -67,84 +53,73 @@ impl PlanCache {
     /// uncached optimization instead of silently returning the wrong
     /// plan.
     pub fn get_or_optimize(
-        &self,
+        &mut self,
         key: PlanKey,
         plan: &LogicalPlan,
         optimize: impl FnOnce() -> Result<PlannedQuery, PlanError>,
     ) -> Result<Arc<PlannedQuery>, PlanError> {
-        // Hit path: a wait-free snapshot read, no lock anywhere. Only a
-        // vacant key takes the trie's writer path to install its slot.
-        let slot: Slot = match self.entries.snapshot().get(&key) {
-            Some(slot) => slot.clone(),
-            None => self.entries.get_or_insert_with(key, Slot::default),
-        };
-        // No trie lock is held while optimizing: a long optimization
-        // must never serialize lookups or installs of other keys.
-        let mut optimize = Some(optimize);
-        let mut ran = false;
-        let (stored, result) = slot.get_or_init(|| {
-            ran = true;
-            self.optimizer_runs.fetch_add(1, Ordering::Relaxed);
-            let f = optimize.take().expect("init closure runs once");
-            (plan.clone(), f().map(Arc::new))
-        });
-        if ran {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else if stored != plan {
-            // Fingerprint collision: two distinct trees share the key.
-            // Serve the loser uncached — correctness over memoization.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.optimizer_runs.fetch_add(1, Ordering::Relaxed);
-            let f = optimize.take().expect("closure unused on this path");
-            return f().map(Arc::new);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        match self.entries.entry(key) {
+            Entry::Occupied(e) if e.get().0 == *plan => {
+                self.hits += 1;
+                e.get().1.clone()
+            }
+            Entry::Occupied(_) => {
+                // Fingerprint collision: two distinct trees share the
+                // key. Serve the loser uncached — correctness over
+                // memoization.
+                self.misses += 1;
+                optimize().map(Arc::new)
+            }
+            Entry::Vacant(v) => {
+                self.misses += 1;
+                let result = optimize().map(Arc::new);
+                v.insert((plan.clone(), result.clone()));
+                result
+            }
         }
-        result.clone()
     }
 
     /// Drop every entry whose epoch predates `epoch`. Called after a
     /// stats-drift epoch bump: the stale keys can never be looked up
     /// again, so this only bounds memory, it is not needed for
-    /// correctness. The survivors are published as one new trie root;
-    /// readers mid-lookup keep whatever snapshot they pinned.
-    pub fn retire_epochs_before(&self, epoch: u64) -> usize {
-        let removed = self.entries.retain(|(_, e), _| *e >= epoch);
-        self.retired.fetch_add(removed as u64, Ordering::Relaxed);
+    /// correctness.
+    pub fn retire_epochs_before(&mut self, epoch: u64) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|(_, e), _| *e >= epoch);
+        let removed = before - self.entries.len();
+        self.retired += removed as u64;
         removed
     }
 
-    /// Number of cached entries (including in-flight slots).
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
-    /// Lookups that found a published entry (or joined an in-flight
-    /// optimization).
+    /// Lookups served from a cached entry.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Lookups that had to optimize.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
-    /// Times the optimizer actually ran — equals [`PlanCache::misses`];
-    /// kept separate so tests can assert the single-optimization
-    /// guarantee directly against the closure invocations.
+    /// Times the optimizer ran. Every miss runs it exactly once, so
+    /// this equals [`PlanCache::misses`].
     pub fn optimizer_runs(&self) -> u64 {
-        self.optimizer_runs.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Entries dropped by [`PlanCache::retire_epochs_before`] so far.
     pub fn retired(&self) -> u64 {
-        self.retired.load(Ordering::Relaxed)
+        self.retired
     }
 
     /// Hit fraction of all lookups so far (0 when none).
@@ -180,7 +155,7 @@ mod tests {
     #[test]
     fn second_lookup_hits_and_returns_the_same_plan() {
         let (model, plan, stats) = setup();
-        let cache = PlanCache::new();
+        let mut cache = PlanCache::new();
         let key = (plan.fingerprint(), 0);
         let a = cache
             .get_or_optimize(key, &plan, || optimize_and_lower(&model, &plan, &stats))
@@ -198,7 +173,7 @@ mod tests {
     #[test]
     fn epochs_partition_the_key_space() {
         let (model, plan, stats) = setup();
-        let cache = PlanCache::new();
+        let mut cache = PlanCache::new();
         let f = plan.fingerprint();
         cache
             .get_or_optimize((f, 0), &plan, || optimize_and_lower(&model, &plan, &stats))
@@ -219,7 +194,7 @@ mod tests {
     #[test]
     fn errors_are_cached_per_epoch() {
         let (model, _, stats) = setup();
-        let cache = PlanCache::new();
+        let mut cache = PlanCache::new();
         let bad = LogicalPlan::scan(9);
         let key = (bad.fingerprint(), 0);
         let err = cache
@@ -241,7 +216,7 @@ mod tests {
         // and optimize the loser fresh instead of returning the wrong
         // plan.
         let (model, plan, stats) = setup();
-        let cache = PlanCache::new();
+        let mut cache = PlanCache::new();
         let key = (plan.fingerprint(), 0);
         cache
             .get_or_optimize(key, &plan, || optimize_and_lower(&model, &plan, &stats))
@@ -264,11 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn lookups_keep_hitting_across_a_concurrent_retire() {
-        // A reader that pinned its snapshot before a retire keeps
-        // resolving against it; afterwards the key is simply gone.
+    fn retired_keys_reoptimize_and_survivors_keep_hitting() {
+        // A retire drops the old epoch's key and leaves the new one.
         let (model, plan, stats) = setup();
-        let cache = PlanCache::new();
+        let mut cache = PlanCache::new();
         let old_key = (plan.fingerprint(), 0);
         let new_key = (plan.fingerprint(), 1);
         cache

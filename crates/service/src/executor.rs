@@ -23,7 +23,7 @@
 //!   member's `(query id, result)` as it finishes. A server's scheduler
 //!   answers a member as soon as it completes and refills the free
 //!   cores meanwhile: batches formed while members run get only the
-//!   slots left and are priced `⊙` together with them.
+//!   slots left, and each is priced `⊙` on its own.
 //! * [`QueryService::execute_batch`] (simulator) and
 //!   [`QueryService::execute_batch_native_observed`] (host) are the same
 //!   dispatch followed by a wait for that batch, in which the calling
@@ -787,7 +787,7 @@ impl QueryService {
     /// [`completions`](QueryService::completions) as soon as that
     /// member finishes. Until then the members count
     /// [`in_flight`](QueryService::in_flight): batches formed meanwhile
-    /// get only the slots left and are priced `⊙` together with them
+    /// get only the slots left, and each is priced `⊙` on its own
     /// ([`next_batch_at`](QueryService::next_batch_at)).
     ///
     /// When a batch's last member completes, its bookkeeping runs: the

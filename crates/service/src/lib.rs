@@ -140,8 +140,8 @@ pub struct QueryService {
     /// pins the version it was admitted with, and
     /// [`update_table`](QueryService::update_table) publishes the next.
     tables: Tables,
-    cache: Arc<PlanCache>,
-    builds: Arc<BuildRegistry>,
+    cache: PlanCache,
+    builds: BuildRegistry,
     queue: VecDeque<Pending>,
     cfg: ServiceConfig,
     next_id: u64,
@@ -201,8 +201,8 @@ impl QueryService {
             model: CostModel::new(spec),
             catalog: StatsCatalog::new(Vec::new()),
             tables: Tables::default(),
-            cache: Arc::new(PlanCache::new()),
-            builds: Arc::new(BuildRegistry::new()),
+            cache: PlanCache::new(),
+            builds: BuildRegistry::new(),
             queue: VecDeque::new(),
             cfg,
             next_id: 0,
@@ -288,7 +288,7 @@ impl QueryService {
     }
 
     /// Submit a logical plan: optimize it (through the plan cache,
-    /// against a consistent statistics snapshot) and append it to the
+    /// against the current statistics epoch) and append it to the
     /// pending queue, attaching the shared build side of every hash
     /// join over a base table ([`BuildRegistry`]). Returns the query id.
     pub fn submit(&mut self, plan: LogicalPlan) -> Result<u64, PlanError> {
@@ -316,14 +316,14 @@ impl QueryService {
         class: Option<TenantClass>,
         arrival_ns: u64,
     ) -> Result<u64, PlanError> {
-        let snap = self.catalog.snapshot();
-        let key = (plan.fingerprint(), snap.epoch());
+        let epoch = self.catalog.epoch();
+        let key = (plan.fingerprint(), epoch);
         let t0 = self.ctl.now_ns();
         let planned = self.cache.get_or_optimize(key, &plan, || {
-            optimize_and_lower(&self.model, &plan, snap.tables())
+            optimize_and_lower(&self.model, &plan, self.catalog.tables())
         })?;
         let t1 = self.ctl.now_ns();
-        let (pattern, cpu_ns, builds) = self.attach_shared_builds(&planned, snap.epoch());
+        let (pattern, cpu_ns, builds) = self.attach_shared_builds(&planned, epoch);
         let t2 = self.ctl.now_ns();
         let id = self.next_id;
         self.next_id += 1;
@@ -370,7 +370,7 @@ impl QueryService {
     /// charged). A rewrite that does not match keeps the planned pattern
     /// for that join, so prediction and execution never disagree.
     fn attach_shared_builds(
-        &self,
+        &mut self,
         planned: &PlannedQuery,
         epoch: u64,
     ) -> (Arc<Pattern>, f64, Vec<Arc<SharedBuild>>) {
@@ -413,13 +413,13 @@ impl QueryService {
         std::mem::replace(&mut self.cfg.slo, slo)
     }
 
-    /// The shared plan cache.
-    pub fn cache(&self) -> &Arc<PlanCache> {
+    /// The plan cache.
+    pub fn cache(&self) -> &PlanCache {
         &self.cache
     }
 
     /// The shared build-side registry.
-    pub fn builds(&self) -> &Arc<BuildRegistry> {
+    pub fn builds(&self) -> &BuildRegistry {
         &self.builds
     }
 
@@ -473,8 +473,7 @@ impl QueryService {
     /// the plan once on the caller's thread, unbatched and without
     /// shared builds, priced with the planner's CPU charge.
     pub fn explain_analyze(&mut self, plan: &LogicalPlan) -> Result<ExplainReport, PlanError> {
-        let snap = self.catalog.snapshot();
-        let planned = optimize_and_lower(&self.model, plan, snap.tables())?;
+        let planned = optimize_and_lower(&self.model, plan, self.catalog.tables())?;
         let mut ctx = ExecContext::native();
         let rels = materialize_tables(&mut ctx, &planned.plan, &self.tables);
         let cpu = CpuCost::default_planner();

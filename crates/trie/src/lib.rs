@@ -1,9 +1,8 @@
-//! # gcm-trie — a snapshot-readable 8-ary hash-trie for the serving path
+//! # gcm-trie — a snapshot-readable 8-ary hash-trie
 //!
-//! [`TrieMap`] is the concurrency core behind the service layer's plan
-//! cache, stats catalog, and shared-build registry: an 8-ary hash-trie
-//! (3 hash bits per level) with **copy-on-write nodes** and an **atomic
-//! root swap**.
+//! [`TrieMap`] is an 8-ary hash-trie (3 hash bits per level) with
+//! **copy-on-write nodes** and an **atomic root swap**. No other crate
+//! in the workspace uses it.
 //!
 //! * **Readers never block.** [`TrieMap::snapshot`] pins the current
 //!   root with a wait-free reader count (no mutex, no CAS retry loop on

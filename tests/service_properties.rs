@@ -4,9 +4,8 @@
 //!   produced (same physical plan, same predicted cost, same pattern);
 //! * statistics drift past the catalog threshold forces
 //!   re-optimization, small drift does not;
-//! * concurrent lookups of one key from the executor pool neither
-//!   deadlock nor double-optimize (single optimizer invocation per
-//!   key, asserted via the cache's run counter).
+//! * queries sharing a hash-join build produce the same bytes as
+//!   queries that build their own.
 
 use gcm::core::CostModel;
 use gcm::engine::plan::{optimize_and_lower, LogicalPlan, StatsCatalog, TableStats};
@@ -46,7 +45,7 @@ proptest! {
     fn cache_hits_return_byte_identical_plans(seed in 0u64..1_000) {
         let model = CostModel::new(presets::tiny_smp(2));
         let (plan, stats) = scenario(seed);
-        let cache = PlanCache::new();
+        let mut cache = PlanCache::new();
         let key = (plan.fingerprint(), 0);
         let cached = cache
             .get_or_optimize(key, &plan, || optimize_and_lower(&model, &plan, &stats))
@@ -74,32 +73,29 @@ proptest! {
     fn drift_past_threshold_forces_reoptimization(seed in 0u64..1_000) {
         let model = CostModel::new(presets::tiny_smp(2));
         let (plan, stats) = scenario(seed);
-        let catalog = StatsCatalog::new(stats);
-        let cache = PlanCache::new();
-        let lookup = |cache: &PlanCache, catalog: &StatsCatalog| {
-            // One transactional read pairs the epoch with the stats the
-            // optimizer sees — a mid-lookup drift update cannot tear it.
-            let snap = catalog.snapshot();
+        let mut catalog = StatsCatalog::new(stats);
+        let mut cache = PlanCache::new();
+        let lookup = |cache: &mut PlanCache, catalog: &StatsCatalog| {
             cache
-                .get_or_optimize((plan.fingerprint(), snap.epoch()), &plan, || {
-                    optimize_and_lower(&model, &plan, snap.tables())
+                .get_or_optimize((plan.fingerprint(), catalog.epoch()), &plan, || {
+                    optimize_and_lower(&model, &plan, catalog.tables())
                 })
                 .unwrap()
         };
-        lookup(&cache, &catalog);
+        lookup(&mut cache, &catalog);
         prop_assert_eq!(cache.optimizer_runs(), 1);
         // A +10% refresh stays under the 20% threshold: same epoch,
         // cached plan reused.
-        let t0 = catalog.snapshot().tables()[0].clone();
+        let t0 = catalog.tables()[0].clone();
         let small = TableStats::uniform(t0.n + t0.n / 10, t0.w, t0.key_bound, t0.sorted);
         prop_assert!(!catalog.update(0, small));
-        lookup(&cache, &catalog);
+        lookup(&mut cache, &catalog);
         prop_assert_eq!(cache.optimizer_runs(), 1);
         // A 3× blowup drifts past it: new epoch, fresh optimization.
-        let t0 = catalog.snapshot().tables()[0].clone();
+        let t0 = catalog.tables()[0].clone();
         let big = TableStats::uniform(t0.n * 3, t0.w, t0.key_bound, t0.sorted);
         prop_assert!(catalog.update(0, big));
-        lookup(&cache, &catalog);
+        lookup(&mut cache, &catalog);
         prop_assert_eq!(cache.optimizer_runs(), 2);
         // Retiring the stale epoch leaves exactly the live entry.
         cache.retire_epochs_before(catalog.epoch());
@@ -107,132 +103,7 @@ proptest! {
     }
 }
 
-/// (c) Concurrent lookups of the same key: one optimizer run, no
-/// deadlock, everyone shares the published plan.
-#[test]
-fn concurrent_lookups_never_double_optimize() {
-    let model = CostModel::new(presets::tiny_smp(4));
-    let (plan, stats) = scenario(7);
-    let cache = Arc::new(PlanCache::new());
-    let key = (plan.fingerprint(), 0);
-    let plans: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let (model, plan, stats) = (&model, &plan, &stats);
-                s.spawn(move || {
-                    cache
-                        .get_or_optimize(key, plan, || {
-                            // Widen the race window: the first thread
-                            // holds the slot while the others arrive.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            optimize_and_lower(model, plan, stats)
-                        })
-                        .unwrap()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no deadlock, no panic"))
-            .collect()
-    });
-    assert_eq!(cache.optimizer_runs(), 1, "exactly one optimization");
-    assert_eq!(cache.hits() + cache.misses(), 8);
-    for p in &plans[1..] {
-        assert!(Arc::ptr_eq(&plans[0], p), "all callers share one plan");
-    }
-    // Distinct keys optimize independently (and still exactly once).
-    let (other, other_stats) = scenario(8);
-    let other_key = (other.fingerprint(), 0);
-    assert_ne!(key, other_key);
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let cache = Arc::clone(&cache);
-            let (model, other, other_stats) = (&model, &other, &other_stats);
-            s.spawn(move || {
-                cache
-                    .get_or_optimize(other_key, other, || {
-                        optimize_and_lower(model, other, other_stats)
-                    })
-                    .unwrap();
-            });
-        }
-    });
-    assert_eq!(cache.optimizer_runs(), 2);
-}
-
-/// (d) 8-thread stress on the trie-backed cache with inserts, lookups,
-/// and epoch retirement racing: the outcome must be *linearizable* —
-/// every lookup of a live key returns the one published plan for it,
-/// per-key optimization counts stay exact (1 for never-retired keys,
-/// ≥ 1 for keys raced by the retirer), and the global counters balance.
-#[test]
-fn concurrent_insert_lookup_retire_linearizes() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    let model = CostModel::new(presets::tiny_smp(4));
-    let scenarios: Vec<_> = (0..4).map(|i| scenario(100 + i)).collect();
-    let cache = Arc::new(PlanCache::new());
-    // Per-(plan, epoch) optimizer-run counts, indexed [plan][epoch].
-    let runs: Vec<[AtomicU64; 2]> = (0..4)
-        .map(|_| [AtomicU64::new(0), AtomicU64::new(0)])
-        .collect();
-    const ROUNDS: usize = 40;
-    std::thread::scope(|s| {
-        for t in 0..8 {
-            let cache = Arc::clone(&cache);
-            let (model, scenarios, runs) = (&model, &scenarios, &runs);
-            s.spawn(move || {
-                for r in 0..ROUNDS {
-                    let i = (t + r) % scenarios.len();
-                    let epoch = ((t / 2 + r) % 2) as u64;
-                    let (plan, stats) = &scenarios[i];
-                    let got = cache
-                        .get_or_optimize((plan.fingerprint(), epoch), plan, || {
-                            runs[i][epoch as usize].fetch_add(1, Ordering::Relaxed);
-                            optimize_and_lower(model, plan, stats)
-                        })
-                        .unwrap();
-                    // Any published plan for this key is the right one.
-                    let fresh = optimize_and_lower(model, plan, stats).unwrap();
-                    assert_eq!(fresh.plan, got.plan);
-                    assert_eq!(fresh.mem_ns, got.mem_ns);
-                }
-            });
-        }
-        // The retirer races everyone: epoch-0 entries keep getting
-        // dropped mid-flight, epoch-1 entries must never be touched.
-        let cache = Arc::clone(&cache);
-        s.spawn(move || {
-            for _ in 0..20 {
-                cache.retire_epochs_before(1);
-                std::thread::yield_now();
-            }
-        });
-    });
-    // Counters balance: every lookup was a hit or a miss, every miss ran
-    // the optimizer exactly once, and the per-key counts add up.
-    assert_eq!(cache.hits() + cache.misses(), (8 * ROUNDS) as u64);
-    let total_runs: u64 = runs
-        .iter()
-        .flat_map(|by_epoch| by_epoch.iter())
-        .map(|c| c.load(Ordering::Relaxed))
-        .sum();
-    assert_eq!(cache.optimizer_runs(), total_runs);
-    assert_eq!(cache.misses(), total_runs);
-    for by_epoch in &runs {
-        // Epoch-1 keys survive every retirement: exactly one run each.
-        assert_eq!(by_epoch[1].load(Ordering::Relaxed), 1);
-        // Epoch-0 keys may be retired and re-optimized, never skipped.
-        assert!(by_epoch[0].load(Ordering::Relaxed) >= 1);
-    }
-    // A final retirement leaves exactly the four epoch-1 entries.
-    cache.retire_epochs_before(1);
-    assert_eq!(cache.len(), 4);
-}
-
-/// (e) Build-side sharing is invisible in the results: a service where
+/// (c) Build-side sharing is invisible in the results: a service where
 /// later queries reuse the first query's hash-join build produces
 /// byte-identical output (same FNV over the output relation's bytes) to
 /// fresh one-query-per-service runs where sharing cannot engage.

@@ -1,5 +1,5 @@
-//! TrieMap correctness properties (the concurrent snapshot map under
-//! the plan cache, stats catalog, and build registry):
+//! TrieMap correctness properties (the concurrent snapshot map of the
+//! `gcm-trie` crate):
 //!
 //! * sequential model-equivalence: any interleaving of insert / remove /
 //!   update / get behaves exactly like `HashMap`;

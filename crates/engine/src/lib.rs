@@ -47,6 +47,8 @@ pub mod native;
 pub mod ops;
 pub mod plan;
 pub mod planner;
+#[cfg(test)]
+mod query;
 pub mod relation;
 
 pub use backend::{MemoryBackend, SimBackend};

@@ -1,123 +1,15 @@
-//! Whole-query costing (paper §6: "Extension to further operations and
-//! whole queries, however, is straight forward, as it just means
-//! applying the same techniques to combine access patterns and derive
-//! their cost functions").
-//!
-//! A [`Pipeline`] chains operators; executing it yields both the real
-//! result (every stage runs over the simulator) and the end-to-end
-//! compound pattern `stage₁ ⊕ stage₂ ⊕ …` with the *actual* intermediate
-//! cardinalities (the paper assumes a perfect logical-cost oracle, §1 —
-//! execution provides one).
-//!
-//! `Pipeline` is a convenience front-end: it is a thin builder over the
-//! plan-tree IR in [`crate::plan`], lowering each stage onto a
-//! [`PhysicalPlan`] node with the algorithm fixed by the stage (use the
-//! [`crate::plan::Optimizer`] when the algorithm choice should be
-//! cost-based).
-
-use crate::backend::MemoryBackend;
-use crate::ctx::ExecContext;
-use crate::plan::{self, PhysicalPlan};
-use crate::planner::JoinAlgorithm;
-use crate::relation::Relation;
-use gcm_core::Pattern;
-
-/// One pipeline stage.
-#[derive(Debug, Clone)]
-pub enum Stage {
-    /// Keep tuples with `key < threshold`.
-    SelectLt(u64),
-    /// Sort in place by key.
-    Sort,
-    /// Hash-join against a second relation (the build side).
-    HashJoin(Relation),
-    /// Merge-join against a second (sorted) relation.
-    MergeJoin(Relation),
-    /// Hash partition `m` ways.
-    Partition(u64),
-    /// Group by key, counting.
-    GroupCount,
-    /// Eliminate duplicates via sort.
-    Dedup,
-}
-
-/// A left-deep operator chain over one driving input.
-#[derive(Debug, Default)]
-pub struct Pipeline {
-    stages: Vec<Stage>,
-}
-
-/// Result of running a pipeline: the final relation plus the compound
-/// access pattern describing everything that was executed.
-#[derive(Debug)]
-pub struct QueryRun {
-    /// The final output.
-    pub output: Relation,
-    /// `stage₁ ⊕ stage₂ ⊕ …` with actual intermediate cardinalities.
-    pub pattern: Pattern,
-}
-
-impl Pipeline {
-    /// An empty pipeline (identity).
-    pub fn new() -> Pipeline {
-        Pipeline::default()
-    }
-
-    /// Append a stage.
-    pub fn stage(mut self, s: Stage) -> Pipeline {
-        self.stages.push(s);
-        self
-    }
-
-    /// Lower the stage chain onto the plan-tree IR: the driving input
-    /// is table 0, each join build side becomes a further catalog
-    /// entry, and every stage fixes its node's algorithm.
-    fn lower(&self, input: &Relation) -> (PhysicalPlan, Vec<Relation>) {
-        let mut tables = vec![input.clone()];
-        let mut node = PhysicalPlan::scan(0);
-        for stage in &self.stages {
-            node = match stage {
-                Stage::SelectLt(threshold) => node.select_lt(*threshold),
-                Stage::Sort => node.sort(),
-                Stage::HashJoin(build_side) => {
-                    tables.push(build_side.clone());
-                    node.join_with(PhysicalPlan::scan(tables.len() - 1), JoinAlgorithm::Hash)
-                }
-                Stage::MergeJoin(other) => {
-                    tables.push(other.clone());
-                    node.join_with(
-                        PhysicalPlan::scan(tables.len() - 1),
-                        JoinAlgorithm::Merge {
-                            sort_u: false,
-                            sort_v: false,
-                        },
-                    )
-                }
-                Stage::Partition(m) => node.partition(*m),
-                Stage::GroupCount => node.group_count(),
-                Stage::Dedup => node.dedup(),
-            };
-        }
-        (node, tables)
-    }
-
-    /// Execute over `input`, producing the output relation and the
-    /// end-to-end pattern.
-    pub fn run<B: MemoryBackend>(&self, ctx: &mut ExecContext<B>, input: &Relation) -> QueryRun {
-        let (node, tables) = self.lower(input);
-        let run = plan::execute(ctx, &node, &tables)
-            .expect("pipeline lowering references only its own tables");
-        QueryRun {
-            output: run.output,
-            pattern: run.pattern,
-        }
-    }
-}
+//! End-to-end query tests: operator chains built with the
+//! [`PhysicalPlan`](crate::plan::PhysicalPlan) builder, run by
+//! [`plan::execute`](crate::plan::execute) and checked for their output,
+//! their pattern and, on the simulator, the model's agreement with the
+//! measured misses.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use gcm_core::CostModel;
+    use crate::plan::{self, PhysicalPlan};
+    use crate::planner::JoinAlgorithm;
+    use crate::ExecContext;
+    use gcm_core::{CostModel, Pattern};
     use gcm_hardware::presets;
     use gcm_workload::Workload;
 
@@ -127,14 +19,16 @@ mod tests {
         let mut ctx = ExecContext::new(spec.clone());
         let n = 4096usize;
         let (uk, vk) = Workload::new(42).join_pair(n);
-        let u = ctx.relation_from_keys("U", &uk, 8);
-        let v = ctx.relation_from_keys("V", &vk, 8);
+        let tables = vec![
+            ctx.relation_from_keys("U", &uk, 8),
+            ctx.relation_from_keys("V", &vk, 8),
+        ];
 
-        let pipeline = Pipeline::new()
-            .stage(Stage::SelectLt(2048)) // half qualify
-            .stage(Stage::HashJoin(v.clone()))
-            .stage(Stage::GroupCount);
-        let (run, stats) = ctx.measure(|c| pipeline.run(c, &u));
+        let query = PhysicalPlan::scan(0)
+            .select_lt(2048) // half qualify
+            .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
+            .group_count();
+        let (run, stats) = ctx.measure(|c| plan::execute(c, &query, &tables).unwrap());
 
         // Correctness: 2048 qualifying keys, each joins once, distinct.
         assert_eq!(run.output.n(), 2048);
@@ -163,13 +57,20 @@ mod tests {
         let mut ctx = ExecContext::new(spec.clone());
         let keys = Workload::new(43).shuffled_keys(1024);
         let sorted: Vec<u64> = (0..1024).collect();
-        let u = ctx.relation_from_keys("U", &keys, 8);
-        let v = ctx.relation_from_keys("V", &sorted, 8);
+        let tables = vec![
+            ctx.relation_from_keys("U", &keys, 8),
+            ctx.relation_from_keys("V", &sorted, 8),
+        ];
 
-        let pipeline = Pipeline::new()
-            .stage(Stage::Sort)
-            .stage(Stage::MergeJoin(v.clone()));
-        let (run, _) = ctx.measure(|c| pipeline.run(c, &u));
+        // An explicit sort below a merge join that sorts neither input.
+        let query = PhysicalPlan::scan(0).sort().join_with(
+            PhysicalPlan::scan(1),
+            JoinAlgorithm::Merge {
+                sort_u: false,
+                sort_v: false,
+            },
+        );
+        let (run, _) = ctx.measure(|c| plan::execute(c, &query, &tables).unwrap());
         assert_eq!(run.output.n(), 1024);
         for i in 1..1024 {
             let a = ctx.mem.host().read_u64(run.output.tuple(i - 1));
@@ -183,40 +84,24 @@ mod tests {
         let spec = presets::tiny();
         let mut ctx = ExecContext::new(spec.clone());
         let keys = Workload::new(44).uniform_keys_bounded(2000, 300);
-        let u = ctx.relation_from_keys("U", &keys, 8);
-        let pipeline = Pipeline::new()
-            .stage(Stage::Partition(8))
-            .stage(Stage::Dedup);
-        let (run, _) = ctx.measure(|c| pipeline.run(c, &u));
+        let tables = vec![ctx.relation_from_keys("U", &keys, 8)];
+        let query = PhysicalPlan::scan(0).partition(8).dedup();
+        let (run, _) = ctx.measure(|c| plan::execute(c, &query, &tables).unwrap());
         // ≤ 300 distinct keys survive.
         assert!(run.output.n() <= 300);
         assert!(run.output.n() > 200, "most keys should appear");
-    }
-
-    #[test]
-    fn pipeline_lowers_to_a_plan_tree() {
-        let spec = presets::tiny();
-        let mut ctx = ExecContext::new(spec);
-        let u = ctx.relation_from_keys("U", &[1, 2, 3], 8);
-        let v = ctx.relation_from_keys("V", &[1, 2], 8);
-        let pipeline = Pipeline::new()
-            .stage(Stage::SelectLt(5))
-            .stage(Stage::HashJoin(v))
-            .stage(Stage::GroupCount);
-        let (node, tables) = pipeline.lower(&u);
-        assert_eq!(tables.len(), 2);
-        assert_eq!(
-            node.to_string(),
-            "group_count(join[hash join](select_lt<5>(scan(0)), scan(1)))"
-        );
+        // Exactly one tuple per distinct key.
+        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
+        assert_eq!(run.output.n(), distinct.len() as u64);
     }
 
     #[test]
     fn empty_pipeline_is_identity() {
+        // A bare scan returns its input and executes no phase.
         let spec = presets::tiny();
         let mut ctx = ExecContext::new(spec.clone());
-        let u = ctx.relation_from_keys("U", &[1, 2, 3], 8);
-        let run = Pipeline::new().run(&mut ctx, &u);
+        let tables = vec![ctx.relation_from_keys("U", &[1, 2, 3], 8)];
+        let run = plan::execute(&mut ctx, &PhysicalPlan::scan(0), &tables).unwrap();
         assert_eq!(run.output.n(), 3);
         assert!(matches!(run.pattern, Pattern::Seq(ref v) if v.is_empty()));
     }

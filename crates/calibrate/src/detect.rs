@@ -58,12 +58,6 @@ pub struct CalibrationReport {
     pub caches: Vec<DetectedCache>,
     /// The TLB, if one was detected.
     pub tlb: Option<DetectedTlb>,
-    /// Sustained sequential bandwidth in bytes/ns per cache level
-    /// (aligned with `caches`), measured with interleaved independent
-    /// streams — the ceiling the overlap model prices sequential
-    /// misses at. Empty when not probed (the simulated pipeline
-    /// charges fixed latencies, so there is nothing to sustain).
-    pub sustained_bw: Vec<f64>,
     /// Best software-prefetch look-ahead (in items) found by the
     /// gather probe; 0 when not probed or when prefetching did not
     /// help.
@@ -83,9 +77,6 @@ impl CalibrationReport {
                 .u64("line_bytes", c.line)
                 .num("seq_miss_ns", c.seq_miss_ns)
                 .num("rand_miss_ns", c.rand_miss_ns);
-            if let Some(bw) = self.sustained_bw.get(i) {
-                o.num("sustained_bytes_per_ns", *bw);
-            }
             caches.raw(&o.finish());
         }
         let mut top = gcm_obs::json::Obj::new();
@@ -141,7 +132,6 @@ impl Calibrator {
         CalibrationReport {
             caches,
             tlb,
-            sustained_bw: Vec::new(),
             prefetch_depth: 0,
         }
     }
@@ -432,7 +422,6 @@ mod tests {
                 page: 4096,
                 miss_ns: 20.0,
             }),
-            sustained_bw: vec![16.0],
             prefetch_depth: 8,
         };
         let json = r.to_json();

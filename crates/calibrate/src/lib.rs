@@ -32,8 +32,7 @@ pub mod native;
 
 pub use detect::{CalibrationReport, Calibrator, DetectedCache, DetectedTlb};
 pub use native::{
-    calibrate_host, calibrate_prefetch_depth, chase_ns_per_step, detect_host_tlb,
-    sustained_bytes_per_ns, sweep_ns_per_byte,
+    calibrate_host, calibrate_prefetch_depth, chase_ns_per_step, detect_host_tlb, sweep_ns_per_byte,
 };
 
 use gcm_hardware::{Associativity, CacheLevel, HardwareSpec, LevelKind, Sharing};
@@ -80,18 +79,6 @@ impl CalibrationReport {
             });
         }
         HardwareSpec::new(name, cpu_mhz, levels)
-    }
-
-    /// Overlap parameters for the bandwidth-aware extension of Eq 6.1,
-    /// priced from this report's sustained-bandwidth probe: sequential
-    /// misses at each calibrated cache level cost `line / bandwidth`
-    /// instead of the latency-bound `l_s`. Levels beyond the probed
-    /// vector (the TLB appended by [`to_spec`](Self::to_spec)) keep
-    /// their latency pricing. `alpha` is the residual serialization
-    /// factor (0 = perfect memory/compute overlap, 1 = none — exactly
-    /// Eq 6.1 when no bandwidths were probed).
-    pub fn overlap_params(&self, alpha: f64) -> gcm_core::OverlapParams {
-        gcm_core::OverlapParams::new(alpha, self.sustained_bw.clone())
     }
 }
 
@@ -173,7 +160,6 @@ mod tests {
                 page: 1024,
                 miss_ns: 100.0,
             }),
-            sustained_bw: vec![6.4],
             prefetch_depth: 8,
         };
         let table = comparison_table(&presets::tiny(), &report);

@@ -113,44 +113,6 @@ pub fn sweep_ns_per_byte(bytes: u64) -> f64 {
     best
 }
 
-/// Number of interleaved sequential streams in the sustained-bandwidth
-/// probe. One thread issues all of them, so the measured rate is the
-/// single-core sustained bandwidth — the ceiling a vectorized scan can
-/// reach, as opposed to the single-stream latency-bound sweep.
-const STREAMS: usize = 4;
-
-/// Sustained sequential bandwidth (bytes per nanosecond) over `bytes`
-/// of host memory: `STREAMS` independent unit-stride streams
-/// interleaved in one thread, so multiple cache-line fills are in
-/// flight at once. This is the `T_mem_bw` side of the overlap model —
-/// what the memory system delivers when the access pattern exposes
-/// enough parallelism to hide individual miss latencies.
-pub fn sustained_bytes_per_ns(bytes: u64) -> f64 {
-    let chunk = ((bytes / 8) as usize / STREAMS).max(1);
-    let buf = vec![1u64; chunk * STREAMS];
-    let (a, rest) = buf.split_at(chunk);
-    let (b, rest) = rest.split_at(chunk);
-    let (c, d) = rest.split_at(chunk);
-    let sweep = || {
-        let (mut s0, mut s1, mut s2, mut s3) = (0u64, 0u64, 0u64, 0u64);
-        for i in 0..chunk {
-            s0 = s0.wrapping_add(a[i]);
-            s1 = s1.wrapping_add(b[i]);
-            s2 = s2.wrapping_add(c[i]);
-            s3 = s3.wrapping_add(d[i]);
-        }
-        s0 ^ s1 ^ s2 ^ s3
-    };
-    black_box(sweep()); // warm-up
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        black_box(sweep());
-        best_ns = best_ns.min(t0.elapsed().as_secs_f64() * 1e9);
-    }
-    (chunk * STREAMS * 8) as f64 / best_ns.max(1e-9)
-}
-
 /// Find the software-prefetch look-ahead that minimizes a random
 /// gather over `bytes` of host memory. Depth 0 (no prefetch) competes
 /// on equal terms: on hardware where explicit prefetching does not pay
@@ -235,11 +197,8 @@ pub fn detect_host_tlb(max_pages: u64) -> Option<DetectedTlb> {
 /// the R10000's, §6.1); the ubiquitous 64-byte line is assumed.
 ///
 /// Beyond the classic capacity/latency staircase, the report also
-/// carries the kernel-layer extensions: per-level sustained
-/// bandwidths (interleaved-stream sweep), the detected host TLB
-/// (page-stride chase), and the winning software-prefetch depth —
-/// everything [`CalibrationReport::overlap_params`] and the engine's
-/// prefetched kernels need.
+/// carries the detected host TLB (page-stride chase) and the winning
+/// software-prefetch depth the engine's prefetched kernels use.
 ///
 /// The returned report plugs into
 /// [`CalibrationReport::to_spec`] to instantiate the cost model for
@@ -301,9 +260,7 @@ pub fn calibrate_host(max_bytes: u64) -> CalibrationReport {
 
     let line = 64u64;
     let mut caches = Vec::new();
-    let mut sustained_bw = Vec::new();
     let mut inner_per_byte = 0.0;
-    let mut inner_sus_per_byte = 0.0;
     for (idx, &(capacity, rand_ns)) in boundaries.iter().enumerate() {
         let footprint = match boundaries.get(idx + 1) {
             Some(&(next, _)) => (4 * capacity).min(next),
@@ -312,14 +269,6 @@ pub fn calibrate_host(max_bytes: u64) -> CalibrationReport {
         let per_byte = sweep_ns_per_byte(footprint);
         let seq_ns = ((per_byte - inner_per_byte) * line as f64).max(0.01);
         inner_per_byte += seq_ns / line as f64;
-        // Per-level *sustained* sequential cost, derived by the same
-        // inside-out subtraction as `seq_ns` but from the interleaved
-        // multi-stream sweep: line/bw is what a bandwidth-bound scan
-        // pays per line miss at this level.
-        let sus_per_byte = 1.0 / sustained_bytes_per_ns(footprint).max(1e-9);
-        let sus_seq_ns = ((sus_per_byte - inner_sus_per_byte) * line as f64).max(0.01);
-        inner_sus_per_byte += sus_seq_ns / line as f64;
-        sustained_bw.push(line as f64 / sus_seq_ns);
         caches.push(DetectedCache {
             capacity,
             line,
@@ -332,7 +281,6 @@ pub fn calibrate_host(max_bytes: u64) -> CalibrationReport {
     CalibrationReport {
         caches,
         tlb,
-        sustained_bw,
         prefetch_depth,
     }
 }
@@ -372,12 +320,7 @@ mod tests {
             assert!(c.capacity >= 4096, "{c:?}");
             assert!(c.seq_miss_ns > 0.0 && c.rand_miss_ns > 0.0, "{c:?}");
         }
-        // Kernel-layer extensions: one sustained bandwidth per cache
-        // level, each finite and positive; a bounded prefetch depth.
-        assert_eq!(report.sustained_bw.len(), report.caches.len());
-        for &bw in &report.sustained_bw {
-            assert!(bw.is_finite() && bw > 0.0, "{report:?}");
-        }
+        // Kernel-layer extension: a bounded prefetch depth.
         assert!(report.prefetch_depth <= 64, "{report:?}");
         if let Some(t) = &report.tlb {
             assert_eq!(t.page, 4096);
@@ -385,14 +328,6 @@ mod tests {
         }
         let spec = report.to_spec("host", 1000.0).expect("valid spec");
         assert!(!spec.levels().is_empty());
-    }
-
-    #[test]
-    fn sustained_bandwidth_is_positive_and_plausible() {
-        let bw = sustained_bytes_per_ns(4 * 1024 * 1024);
-        // Anything from an ancient VM (0.01 B/ns) to a wide modern core
-        // (hundreds of B/ns) passes; the point is the probe works.
-        assert!(bw > 0.001 && bw < 10_000.0, "{bw} bytes/ns");
     }
 
     #[test]

@@ -123,107 +123,6 @@ impl CpuCost {
     }
 }
 
-/// Parameters of the bandwidth/overlap extension to Eq 6.1.
-///
-/// The paper's Eq 6.1 (`T = T_mem + T_cpu`) assumes scalar,
-/// non-overlapped execution: every miss stalls the CPU for its full
-/// latency. Out-of-order cores running vectorized, software-prefetched
-/// kernels violate both assumptions — sequential misses stream at the
-/// machine's *sustained* bandwidth rather than paying `l_s` each, and
-/// memory time overlaps with compute. The extended total is
-///
-/// ```text
-/// T = max(T_mem_bw, T_cpu) + α · min(T_mem_bw, T_cpu)
-/// ```
-///
-/// where `T_mem_bw` reprices each level's **sequential** misses at a
-/// per-level sustained-bandwidth ceiling (`line_i / bw_i` per miss;
-/// random misses still pay `l_r,i` — a dependent pointer chase cannot
-/// be streamed), and `α ∈ [0, 1]` is the non-overlapped fraction:
-/// `α = 1` means no overlap (the paper's serial addition), `α = 0`
-/// perfect overlap (the slower of the two resources hides the other
-/// entirely).
-///
-/// With `α = 1` and no sustained-bandwidth entries, the extension
-/// degenerates **exactly** (bit-for-bit) to Eq 6.1 — levels without a
-/// calibrated bandwidth charge `l_s,i` per sequential miss, precisely
-/// Eq 3.1's term.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverlapParams {
-    /// Non-overlapped fraction `α ∈ [0, 1]` of the smaller of
-    /// `T_mem_bw` and `T_cpu`.
-    pub alpha: f64,
-    /// Calibrated sustained sequential bandwidth per level, in
-    /// bytes/ns, aligned with the spec's level order. Levels beyond the
-    /// vector's length (or with a non-positive entry) fall back to the
-    /// latency-derived price `l_s,i` — in particular a trailing TLB
-    /// level, which transfers no data and has no meaningful bandwidth.
-    pub sustained_bw: Vec<f64>,
-}
-
-impl OverlapParams {
-    /// The degenerate parameters reproducing Eq 6.1 exactly: `α = 1`,
-    /// no sustained-bandwidth ceilings.
-    pub fn eq61() -> OverlapParams {
-        OverlapParams {
-            alpha: 1.0,
-            sustained_bw: Vec::new(),
-        }
-    }
-
-    /// Overlap parameters with the given non-overlapped fraction and
-    /// per-level sustained bandwidths (bytes/ns, spec level order).
-    pub fn new(alpha: f64, sustained_bw: Vec<f64>) -> OverlapParams {
-        OverlapParams {
-            alpha: alpha.clamp(0.0, 1.0),
-            sustained_bw,
-        }
-    }
-
-    /// The price of one sequential miss at level `idx` with line size
-    /// `line` and latency-derived price `seq_miss_ns`: `line / bw` if a
-    /// sustained bandwidth was calibrated for the level, else exactly
-    /// `seq_miss_ns` (so the fallback cannot drift from Eq 3.1 by
-    /// floating-point round-trips through `seq_bandwidth()`).
-    pub fn seq_unit_ns(&self, idx: usize, line: u64, seq_miss_ns: f64) -> f64 {
-        match self.sustained_bw.get(idx).copied() {
-            Some(bw) if bw > 0.0 => line as f64 / bw,
-            _ => seq_miss_ns,
-        }
-    }
-}
-
-/// The extended total of [`OverlapParams`]: both resource times and the
-/// overlap-combined result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverlapReport {
-    /// Bandwidth-repriced memory time `T_mem_bw`, ns.
-    pub mem_bw_ns: f64,
-    /// CPU time `T_cpu`, ns.
-    pub cpu_ns: f64,
-    /// Non-overlapped fraction used.
-    pub alpha: f64,
-    /// `max(T_mem_bw, T_cpu) + α·min(T_mem_bw, T_cpu)`, ns.
-    pub total_ns: f64,
-}
-
-impl OverlapReport {
-    /// Combine the two resource times under the overlap rule.
-    pub fn combine(mem_bw_ns: f64, cpu_ns: f64, alpha: f64) -> OverlapReport {
-        let (hi, lo) = if mem_bw_ns >= cpu_ns {
-            (mem_bw_ns, cpu_ns)
-        } else {
-            (cpu_ns, mem_bw_ns)
-        };
-        OverlapReport {
-            mem_bw_ns,
-            cpu_ns,
-            alpha,
-            total_ns: hi + alpha * lo,
-        }
-    }
-}
-
 /// Per-level cache states for *staged* pricing: one logical
 /// [`CacheState`] per hierarchy level, threaded across explicit
 /// [`CostModel::advance`] / [`CostModel::advance_parallel`] calls.
@@ -376,38 +275,6 @@ impl CostModel {
     /// (via the shared [`CpuCost::eq61_ns`] helper).
     pub fn total_ns(&self, p: &Pattern, cpu: CpuCost, ops: u64) -> f64 {
         cpu.eq61_ns(self.mem_ns(p), ops)
-    }
-
-    /// `T_mem_bw`: Eq 3.1's miss counts repriced under the per-level
-    /// sustained-bandwidth ceilings of `ov` (see [`OverlapParams`]).
-    /// Sequential misses at a level with a calibrated bandwidth cost
-    /// `line_i / bw_i` each; everything else keeps its Eq 3.1 price, so
-    /// with no calibrated bandwidths this *is* [`CostModel::mem_ns`].
-    pub fn mem_bw_ns(&self, p: &Pattern, ov: &OverlapParams) -> f64 {
-        self.spec
-            .levels()
-            .iter()
-            .zip(self.misses(p))
-            .enumerate()
-            .map(|(i, (lvl, m))| {
-                m.seq * ov.seq_unit_ns(i, lvl.line, lvl.seq_miss_ns) + m.rand * lvl.rand_miss_ns
-            })
-            .sum()
-    }
-
-    /// The bandwidth/overlap extension of Eq 6.1:
-    /// `T = max(T_mem_bw, T_cpu) + α·min(T_mem_bw, T_cpu)` with
-    /// `T_mem_bw` from [`CostModel::mem_bw_ns`] and `T_cpu` from the
-    /// `cpu` calibration. With [`OverlapParams::eq61`] this equals
-    /// [`CostModel::total_ns`] exactly.
-    pub fn overlap_ns(
-        &self,
-        p: &Pattern,
-        cpu: CpuCost,
-        ops: u64,
-        ov: &OverlapParams,
-    ) -> OverlapReport {
-        OverlapReport::combine(self.mem_bw_ns(p, ov), cpu.ns(ops), ov.alpha)
     }
 
     /// Begin a staged pricing pass: every level starts from (a copy of)
@@ -940,74 +807,6 @@ mod tests {
         let warmed = model.batch_cost(&queries, &warm);
         assert!(warmed.wall_ns() < cold.wall_ns());
         assert_eq!(warmed.serial_ns(), 0.0);
-    }
-
-    #[test]
-    fn overlap_with_alpha_one_and_no_bandwidths_is_eq61_exactly() {
-        // The degenerate parameters must reproduce Eq 6.1 bit-for-bit,
-        // on every preset and both memory-heavy and cpu-heavy op counts.
-        for hw in [
-            presets::tiny(),
-            presets::origin2000(),
-            presets::modern_commodity(),
-        ] {
-            let model = CostModel::new(hw);
-            let a = Region::new("A", 10_000, 8);
-            let b = Region::new("B", 3_000, 16);
-            let p = Pattern::seq(vec![Pattern::s_trav(a), Pattern::r_trav(b)]);
-            let cpu = CpuCost::per_op(4.0);
-            for ops in [0u64, 1_000, 50_000_000] {
-                let rep = model.overlap_ns(&p, cpu, ops, &OverlapParams::eq61());
-                assert_eq!(rep.total_ns, model.total_ns(&p, cpu, ops));
-                assert_eq!(rep.mem_bw_ns, model.mem_ns(&p));
-            }
-        }
-    }
-
-    #[test]
-    fn sustained_bandwidth_reprices_sequential_misses_only() {
-        let model = CostModel::new(presets::tiny()); // L1 line 32, l_s 5 ns
-        let a = Region::new("A", 1000, 8); // 8000 B → 250 L1 seq misses
-        let p = Pattern::s_trav(a.clone());
-        // Double the L1 bandwidth (32/5 = 6.4 → 12.8 B/ns): the L1 term
-        // halves, other levels are untouched.
-        let ov = OverlapParams::new(1.0, vec![12.8]);
-        let base = model.mem_ns(&p);
-        let priced = model.mem_bw_ns(&p, &ov);
-        assert!(
-            (base - priced - 250.0 * 2.5).abs() < 1e-9,
-            "{base} vs {priced}"
-        );
-        // Random misses keep their latency price under any bandwidth.
-        let r = Pattern::r_trav(a);
-        let ov_fast = OverlapParams::new(1.0, vec![1e9, 1e9, 1e9]);
-        let rep = model.report(&r);
-        let rand_only: f64 = model
-            .spec()
-            .levels()
-            .iter()
-            .zip(&rep.levels)
-            .map(|(lvl, l)| l.rand_misses * lvl.rand_miss_ns)
-            .sum();
-        assert!((model.mem_bw_ns(&r, &ov_fast) - rand_only).abs() < 1e-6);
-        // Non-positive entries fall back to the latency price.
-        let ov_zero = OverlapParams::new(1.0, vec![0.0, -1.0]);
-        assert_eq!(model.mem_bw_ns(&p, &ov_zero), base);
-    }
-
-    #[test]
-    fn overlap_combines_max_plus_alpha_min() {
-        let r = OverlapReport::combine(100.0, 40.0, 0.5);
-        assert_eq!(r.total_ns, 120.0);
-        // Symmetric in the two resources.
-        assert_eq!(OverlapReport::combine(40.0, 100.0, 0.5).total_ns, 120.0);
-        // α = 0: the slower resource hides the faster one entirely.
-        assert_eq!(OverlapReport::combine(100.0, 40.0, 0.0).total_ns, 100.0);
-        // α = 1: plain addition.
-        assert_eq!(OverlapReport::combine(100.0, 40.0, 1.0).total_ns, 140.0);
-        // Alpha is clamped at construction.
-        assert_eq!(OverlapParams::new(7.0, Vec::new()).alpha, 1.0);
-        assert_eq!(OverlapParams::new(-1.0, Vec::new()).alpha, 0.0);
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub mod pattern;
 pub mod region;
 
 pub use cost::{
-    BatchCost, CostModel, CostReport, CpuCost, HierarchyState, LevelCost, OverlapParams,
-    OverlapReport, ParallelCost,
+    BatchCost, CostModel, CostReport, CpuCost, HierarchyState, LevelCost, ParallelCost,
 };
 pub use eval::{footprint_lines, footprint_lines_excluding, references_region, CacheState};
 pub use misses::{Geometry, MissPair};

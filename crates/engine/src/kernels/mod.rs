@@ -5,8 +5,9 @@
 //! mirrored the model's *accounting* — one black-boxed 8-byte load per
 //! 64-byte line — which makes it instruction-bound where real engines
 //! are bandwidth-bound. This module supplies the "as fast as the
-//! hardware allows" execution the model's bandwidth/overlap extension
-//! (`gcm_core::OverlapParams`) prices:
+//! hardware allows" execution, which the model prices by the same
+//! Eq 6.1 at the kernel-calibrated per-op cost
+//! (`crate::native::calibrate_kernel_per_op_ns`):
 //!
 //! * **SIMD sweeps** ([`sum_words`], [`lt_mask`]) process dense 8-byte
 //!   keys in `u64x8`-style blocks. With the `simd` cargo feature (on by

@@ -890,10 +890,9 @@ pub fn calibrate_per_op_ns() -> f64 {
 
 /// Kernel-path companion of [`calibrate_per_op_ns`]: the same in-cache
 /// probe through the vectorized kernels. This is the per-op CPU charge
-/// of the *fast path* — the value to combine with the overlap
-/// extension of Eq 6.1 when predicting kernelized operators (a logical
-/// op the scalar glue prices at several ns costs a fraction of one
-/// inside a SIMD loop).
+/// of the *fast path* — the `T_cpu` term of Eq 6.1 when predicting
+/// kernelized operators (a logical op the scalar glue prices at several
+/// ns costs a fraction of one inside a SIMD loop).
 pub fn calibrate_kernel_per_op_ns() -> f64 {
     per_op_probe(ExecContext::native())
 }

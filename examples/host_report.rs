@@ -1,8 +1,7 @@
 //! Calibrate the host machine and emit the report as JSON.
 //!
 //! Runs the native calibration probes (cache-capacity/line/latency
-//! sweeps, sustained-bandwidth streams, TLB and prefetch-depth
-//! detection) against the real machine, prints a human-readable
+//! sweeps, TLB and prefetch-depth detection) against the real machine, prints a human-readable
 //! summary, and then the whole [`gcm::calibrate::CalibrationReport`]
 //! through its JSON serializer (`gcm-calibration/v1`, built on
 //! [`gcm::obs::json`]) — the form worth committing next to a bench
@@ -17,12 +16,8 @@ fn main() {
 
     println!("detected {} data-cache level(s):", r.caches.len());
     for (i, c) in r.caches.iter().enumerate() {
-        let bw = r
-            .sustained_bw
-            .get(i)
-            .map_or(String::from("-"), |b| format!("{b:.2} B/ns"));
         println!(
-            "  L{}: {:>8} KiB, {:>3} B lines, seq {:>6.1} ns, rand {:>6.1} ns, sustained {bw}",
+            "  L{}: {:>8} KiB, {:>3} B lines, seq {:>6.1} ns, rand {:>6.1} ns",
             i + 1,
             c.capacity / 1024,
             c.line,

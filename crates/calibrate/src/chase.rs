@@ -52,11 +52,6 @@ impl Chase {
         }
     }
 
-    /// Number of nodes in the cycle.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Run `steps` chase steps (simulated), returning charged nanoseconds
     /// per step.
     pub fn run(&self, mem: &mut MemorySystem, steps: u64) -> f64 {

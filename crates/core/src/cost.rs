@@ -50,11 +50,6 @@ impl CostReport {
     pub fn level(&self, name: &str) -> Option<&LevelCost> {
         self.levels.iter().find(|l| l.name == name)
     }
-
-    /// Total misses across all levels.
-    pub fn total_misses(&self) -> f64 {
-        self.levels.iter().map(LevelCost::misses).sum()
-    }
 }
 
 impl fmt::Display for CostReport {
@@ -125,7 +120,7 @@ impl CpuCost {
 
 /// Per-level cache states for *staged* pricing: one logical
 /// [`CacheState`] per hierarchy level, threaded across explicit
-/// [`CostModel::advance`] / [`CostModel::advance_parallel`] calls.
+/// [`CostModel::advance`] / [`CostModel::advance_parallel_shared`] calls.
 ///
 /// Pricing one compound `⊕` pattern in a single [`CostModel::report`]
 /// call threads the state internally; staged pricing exposes the same
@@ -135,13 +130,6 @@ impl CpuCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyState {
     states: Vec<CacheState>,
-}
-
-impl HierarchyState {
-    /// The state of level `idx` (spec order).
-    pub fn level(&self, idx: usize) -> &CacheState {
-        &self.states[idx]
-    }
 }
 
 /// Cost of a *batch* of coexisting queries (see
@@ -166,27 +154,10 @@ impl BatchCost {
     pub fn wall_ns(&self) -> f64 {
         self.per_query_ns.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Elapsed memory time of running the members one after the other
-    /// instead (each from the same initial state).
-    pub fn serial_ns(&self) -> f64 {
-        self.solo_ns.iter().sum()
-    }
-
-    /// Predicted speedup of batching over serial execution (> 1 means
-    /// the batch wins; heavy shared-level contention pushes it < 1).
-    pub fn speedup(&self) -> f64 {
-        let wall = self.wall_ns();
-        if wall > 0.0 {
-            self.serial_ns() / wall
-        } else {
-            1.0
-        }
-    }
 }
 
 /// Cost of one stage executed by `d` concurrent threads
-/// (see [`CostModel::advance_parallel`]).
+/// (see [`CostModel::advance_parallel_shared`]).
 #[derive(Debug, Clone)]
 pub struct ParallelCost {
     /// Aggregate per-level breakdown: miss counts and memory time summed
@@ -334,12 +305,8 @@ impl CostModel {
     /// has on a partition-parallel operator. Afterwards the state holds
     /// thread 0's residue at private levels and the threads' combined
     /// residue at shared levels.
-    pub fn advance_parallel(&self, threads: &[Pattern], st: &mut HierarchyState) -> ParallelCost {
-        self.advance_parallel_shared(threads, st, &[])
-    }
-
-    /// [`advance_parallel`](CostModel::advance_parallel) with *shared
-    /// data*: regions in `shared` (immutable structures several threads
+    ///
+    /// Regions in `shared` (immutable structures several threads
     /// reference, e.g. one hash-join build probed by co-admitted
     /// queries) are counted **once** in each shared level's capacity
     /// denominator, not once per referencing thread — the threads
@@ -347,9 +314,8 @@ impl CostModel {
     /// one footprint. Each thread's numerator keeps its full footprint
     /// (its claim on the level includes the shared lines it revisits),
     /// so shares can sum above 1; they are clamped at 1 per thread (a
-    /// thread never sees more than the whole level). An empty `shared`
-    /// reproduces [`advance_parallel`](CostModel::advance_parallel)
-    /// exactly.
+    /// thread never sees more than the whole level). With an empty
+    /// `shared` every thread's footprint counts in full.
     pub fn advance_parallel_shared(
         &self,
         threads: &[Pattern],
@@ -450,7 +416,7 @@ impl CostModel {
     /// separate cores of this machine. Shared levels are divided among
     /// the queries by footprint; private levels see one query each
     /// (every core beyond the first starts cold, exactly as in
-    /// [`CostModel::advance_parallel`]). Each query is additionally
+    /// [`CostModel::advance_parallel_shared`]). Each query is additionally
     /// priced *solo* from the same `initial` state, so the caller can
     /// compare the batched wall time against serial execution — the
     /// admission predicate of a batch scheduler.
@@ -608,7 +574,7 @@ mod tests {
         let d = 4;
         let threads: Vec<Pattern> = (0..d).map(|_| Pattern::s_trav(u.slice(d))).collect();
         let mut st = model.staged(&CacheState::cold());
-        let par = model.advance_parallel(&threads, &mut st);
+        let par = model.advance_parallel_shared(&threads, &mut st, &[]);
         assert_eq!(par.per_thread_ns.len(), 4);
         let ratio = par.wall_ns / serial;
         assert!((ratio - 0.25).abs() < 0.01, "wall/serial = {ratio}");
@@ -633,13 +599,13 @@ mod tests {
             .map(|r| Pattern::rr_trav(r.clone(), 8, 4))
             .collect();
         let contended = shared
-            .advance_parallel(&threads, &mut shared.staged(&CacheState::cold()))
+            .advance_parallel_shared(&threads, &mut shared.staged(&CacheState::cold()), &[])
             .report
             .level("L2")
             .unwrap()
             .ns;
         let isolated = private
-            .advance_parallel(&threads, &mut private.staged(&CacheState::cold()))
+            .advance_parallel_shared(&threads, &mut private.staged(&CacheState::cold()), &[])
             .report
             .level("L2")
             .unwrap()
@@ -661,7 +627,8 @@ mod tests {
             Pattern::s_trav(u.slice_items(4_000)),
             Pattern::s_trav(u.slice_items(4_000)),
         ];
-        let par = model.advance_parallel(&threads, &mut model.staged(&CacheState::cold()));
+        let par =
+            model.advance_parallel_shared(&threads, &mut model.staged(&CacheState::cold()), &[]);
         assert!((par.wall_ns - par.per_thread_ns[0]).abs() < 1e-9);
         assert!(par.per_thread_ns[0] > 3.0 * par.per_thread_ns[1]);
         // Balanced threads would finish in ~¼ the aggregate time; the
@@ -677,14 +644,15 @@ mod tests {
         let serial = model
             .advance(&p, &mut model.staged(&CacheState::cold()))
             .mem_ns;
-        let par = model.advance_parallel(
+        let par = model.advance_parallel_shared(
             std::slice::from_ref(&p),
             &mut model.staged(&CacheState::cold()),
+            &[],
         );
         assert_eq!(par.wall_ns, serial);
         assert_eq!(par.per_thread_ns, vec![serial]);
         // Zero threads: a no-op stage.
-        let none = model.advance_parallel(&[], &mut model.staged(&CacheState::cold()));
+        let none = model.advance_parallel_shared(&[], &mut model.staged(&CacheState::cold()), &[]);
         assert_eq!(none.wall_ns, 0.0);
     }
 
@@ -699,12 +667,11 @@ mod tests {
         let batch = model.batch_cost(&queries, &CacheState::cold());
         assert_eq!(batch.per_query_ns.len(), 4);
         assert_eq!(batch.solo_ns.len(), 4);
+        let speedup = batch.solo_ns.iter().sum::<f64>() / batch.wall_ns();
         assert!(
-            batch.speedup() > 2.5,
-            "streaming batch speedup {:.2} should be near-linear",
-            batch.speedup()
+            speedup > 2.5,
+            "streaming batch speedup {speedup:.2} should be near-linear"
         );
-        assert!((batch.serial_ns() - batch.solo_ns.iter().sum::<f64>()).abs() < 1e-9);
     }
 
     #[test]
@@ -718,11 +685,9 @@ mod tests {
             .collect();
         let batch = model.batch_cost(&queries, &CacheState::cold());
         assert!(
-            batch.speedup() < 1.0,
-            "contended batch speedup {:.2} must fall below serial",
-            batch.speedup()
+            batch.wall_ns() > batch.solo_ns.iter().sum::<f64>(),
+            "contended batch must price above serial"
         );
-        assert!(batch.wall_ns() > batch.serial_ns());
     }
 
     #[test]
@@ -787,13 +752,11 @@ mod tests {
             &[Pattern::s_trav(Region::new("A", 1_000, 8))],
             &CacheState::cold(),
         );
-        assert!((solo.wall_ns() - solo.serial_ns()).abs() < 1e-9);
-        assert!((solo.speedup() - 1.0).abs() < 1e-9);
+        assert!((solo.wall_ns() - solo.solo_ns.iter().sum::<f64>()).abs() < 1e-9);
         // An empty batch is a no-op.
         let none = model.batch_cost(&[], &CacheState::cold());
         assert_eq!(none.wall_ns(), 0.0);
-        assert_eq!(none.serial_ns(), 0.0);
-        assert!((none.speedup() - 1.0).abs() < 1e-9);
+        assert_eq!(none.solo_ns.iter().sum::<f64>(), 0.0);
     }
 
     #[test]
@@ -806,7 +769,7 @@ mod tests {
         warm.set(&r, 1.0);
         let warmed = model.batch_cost(&queries, &warm);
         assert!(warmed.wall_ns() < cold.wall_ns());
-        assert_eq!(warmed.serial_ns(), 0.0);
+        assert_eq!(warmed.solo_ns.iter().sum::<f64>(), 0.0);
     }
 
     #[test]

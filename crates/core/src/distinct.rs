@@ -30,29 +30,9 @@ pub fn expected_distinct(n: u64, r: u64) -> f64 {
     nf * (1.0 - miss_p)
 }
 
-/// Stirling numbers of the second kind `S(r, d)` for all `d ≤ r`, by the
-/// triangular recurrence `S(r,d) = d·S(r−1,d) + S(r−1,d−1)`, as `f64`
-/// (sufficient for the cross-validation range).
-pub fn stirling2_row(r: usize) -> Vec<f64> {
-    let mut row = vec![0.0; r + 1];
-    if r == 0 {
-        row[0] = 1.0;
-        return row;
-    }
-    row[0] = 1.0; // S(0,0)
-    let mut prev = row.clone();
-    for i in 1..=r {
-        row = vec![0.0; r + 1];
-        for d in 1..=i {
-            row[d] = d as f64 * prev[d] + prev[d - 1];
-        }
-        prev = row.clone();
-    }
-    row
-}
-
 /// Stirling numbers of the second kind in log space: `ln S(r, d)` for
-/// all `d ≤ r` (`-inf` where `S = 0`). Stable far beyond the `f64`
+/// all `d ≤ r` (`-inf` where `S = 0`), by the triangular recurrence
+/// `S(r,d) = d·S(r−1,d) + S(r−1,d−1)`. Stable far beyond the `f64`
 /// overflow point of the plain recurrence.
 pub fn stirling2_row_ln(r: usize) -> Vec<f64> {
     fn log_add_exp(a: f64, b: f64) -> f64 {
@@ -118,19 +98,20 @@ mod tests {
 
     #[test]
     fn stirling_small_values() {
-        // S(4, ·) = [0, 1, 7, 6, 1]
-        let row = stirling2_row(4);
-        assert_eq!(row[1], 1.0);
-        assert_eq!(row[2], 7.0);
-        assert_eq!(row[3], 6.0);
-        assert_eq!(row[4], 1.0);
+        let row = |r| -> Vec<f64> {
+            stirling2_row_ln(r)
+                .iter()
+                .map(|l| l.exp().round())
+                .collect()
+        };
+        assert_eq!(row(4), [0.0, 1.0, 7.0, 6.0, 1.0]);
         // S(5,3) = 25
-        assert_eq!(stirling2_row(5)[3], 25.0);
+        assert_eq!(row(5)[3], 25.0);
     }
 
     #[test]
     fn stirling_row_zero() {
-        assert_eq!(stirling2_row(0), vec![1.0]);
+        assert_eq!(stirling2_row_ln(0), [0.0]); // S(0,0) = 1
     }
 
     #[test]
@@ -145,14 +126,14 @@ mod tests {
 
     #[test]
     fn log_space_stirling_matches_plain() {
-        let plain = stirling2_row(20);
+        // Closed forms: S(r,1) = S(r,r) = 1, S(r,2) = 2^(r−1) − 1 and
+        // S(r,r−1) = C(r,2).
         let logs = stirling2_row_ln(20);
-        for d in 1..=20 {
+        for (d, plain) in [(1, 1.0), (2, 524_287.0), (19, 190.0), (20, 1.0)] {
             let back = logs[d].exp();
             assert!(
-                (back - plain[d]).abs() / plain[d].max(1.0) < 1e-9,
-                "d={d}: {back} vs {}",
-                plain[d]
+                ((back - plain) / plain).abs() < 1e-9,
+                "d={d}: {back} vs {plain}"
             );
         }
     }

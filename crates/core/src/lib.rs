@@ -38,7 +38,6 @@ pub mod distinct;
 pub mod eval;
 pub mod library;
 pub mod misses;
-pub mod parse;
 pub mod pattern;
 pub mod region;
 

@@ -21,12 +21,6 @@ pub fn select(u: Region, w: Region) -> Pattern {
     Pattern::conc(vec![Pattern::s_trav(u), Pattern::s_trav(w)])
 }
 
-/// `project(U, u_bytes) → W`: sweep the input touching only `u_bytes` of
-/// each tuple, write the projection sequentially.
-pub fn project(u: Region, u_bytes: u64, w: Region) -> Pattern {
-    Pattern::conc(vec![Pattern::s_trav_u(u, u_bytes), Pattern::s_trav(w)])
-}
-
 /// `build_hash(V) → H`: sweep the inner input, hop randomly through the
 /// hash-table region (paper §3.2: a good hash function destroys any
 /// order, so the output cursor is modelled as random).
@@ -119,24 +113,6 @@ pub fn partition(u: Region, w: Region, m: u64) -> Pattern {
                 latency: LatencyClass::Sequential,
             },
             GlobalOrder::Random,
-        ),
-    ])
-}
-
-/// Range (clustered) partitioning: the global cursor visits the output
-/// buffers in storage order, reusing open lines bi-directionally.
-pub fn range_partition(u: Region, w: Region, m: u64) -> Pattern {
-    let item = w.w;
-    Pattern::conc(vec![
-        Pattern::s_trav(u),
-        Pattern::nest(
-            w,
-            m,
-            LocalPattern::SeqTraversal {
-                u: item,
-                latency: LatencyClass::Sequential,
-            },
-            GlobalOrder::Sequential(Direction::Bi),
         ),
     ])
 }
@@ -248,10 +224,6 @@ mod tests {
         let sort = "s_trav(U) ⊙ s_trav(U) ⊕ 2 × (s_trav(U) ⊙ s_trav(U)) \
                     ⊕ 4 × (s_trav(U) ⊙ s_trav(U)) ⊕ 8 × (s_trav(U) ⊙ s_trav(U))";
         assert_eq!(
-            project(u.clone(), 8, w.clone()).to_string(),
-            "s_trav(U) ⊙ s_trav(W)"
-        );
-        assert_eq!(
             build_hash(v.clone(), h).to_string(),
             "s_trav(V) ⊙ r_trav(H)"
         );
@@ -260,10 +232,6 @@ mod tests {
             "s_trav(U) ⊙ rs_trav(1000000, uni, V) ⊙ s_trav(W)"
         );
         assert_eq!(quick_sort(reg("U", 16, 8)).to_string(), sort);
-        assert_eq!(
-            range_partition(u.clone(), w.clone(), 64).to_string(),
-            "s_trav(U) ⊙ nest(W, 64, s_trav, seq/bi)"
-        );
         let part = |j: u64| {
             format!("s_trav(V) ⊙ r_trav(H{j}) ⊕ s_trav(U) ⊙ r_acc(H{j}, 250000) ⊙ s_trav(W)")
         };
@@ -370,9 +338,6 @@ mod tests {
         let below = mk(4);
         let above = mk(4096);
         assert!(above > 3.0 * below, "fan-out cliff: {below} -> {above}");
-        // Range partitioning reuses lines and stays cheaper.
-        let range = m.mem_ns(&range_partition(reg("U", n, 8), reg("W", n, 8), 4096));
-        assert!(range < above);
     }
 
     #[test]

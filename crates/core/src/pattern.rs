@@ -125,32 +125,9 @@ impl Pattern {
         }
     }
 
-    /// `s_trav^r(R, u)`: a sequential sweep whose implementation cannot
-    /// reach sequential latency (paper §4.1).
-    pub fn s_trav_r(r: Region, u: u64) -> Pattern {
-        assert!(u >= 1 && u <= r.w, "need 1 <= u <= R.w");
-        Pattern::STrav {
-            r,
-            u,
-            latency: LatencyClass::Random,
-        }
-    }
-
     /// `rs_trav(k, d, R)` touching all bytes per item.
     pub fn rs_trav(r: Region, k: u64, dir: Direction) -> Pattern {
         let u = r.w;
-        Pattern::RsTrav {
-            r,
-            u,
-            k,
-            dir,
-            latency: LatencyClass::Sequential,
-        }
-    }
-
-    /// `rs_trav(k, d, R, u)`.
-    pub fn rs_trav_u(r: Region, u: u64, k: u64, dir: Direction) -> Pattern {
-        assert!(u >= 1 && u <= r.w, "need 1 <= u <= R.w");
         Pattern::RsTrav {
             r,
             u,
@@ -181,12 +158,6 @@ impl Pattern {
     /// `r_acc(R, q)`: `q` random accesses touching whole items.
     pub fn r_acc(r: Region, accesses: u64) -> Pattern {
         let u = r.w;
-        Pattern::RAcc { r, u, accesses }
-    }
-
-    /// `r_acc(R, q, u)`.
-    pub fn r_acc_u(r: Region, u: u64, accesses: u64) -> Pattern {
-        assert!(u >= 1 && u <= r.w, "need 1 <= u <= R.w");
         Pattern::RAcc { r, u, accesses }
     }
 
@@ -258,16 +229,6 @@ impl Pattern {
                 inner: Box::new(inner),
             }
         }
-    }
-
-    /// `self ⊕ other`.
-    pub fn then(self, other: Pattern) -> Pattern {
-        Pattern::seq(vec![self, other])
-    }
-
-    /// `self ⊙ other`.
-    pub fn with(self, other: Pattern) -> Pattern {
-        Pattern::conc(vec![self, other])
     }
 
     /// True if this is a basic (non-compound) pattern.

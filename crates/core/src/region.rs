@@ -76,11 +76,6 @@ impl Region {
         (self.bytes() as f64 / line as f64).ceil()
     }
 
-    /// Number of items that fit into a cache of `capacity` bytes.
-    pub fn items_fitting(&self, capacity: u64) -> f64 {
-        (capacity as f64 / self.w as f64).floor()
-    }
-
     /// A slice covering `1/denom` of this region's items (same identity,
     /// same root size). Used e.g. by the quick-sort pattern, where each
     /// recursion level runs concurrent traversals over segment halves.
@@ -102,23 +97,6 @@ impl Region {
             name: self.name.clone(),
             n,
             w: self.w,
-            root_bytes: self.root_bytes,
-        }
-    }
-
-    /// Reinterpret the same memory with a different item width (e.g. a
-    /// table of `n` `w`-byte tuples viewed as `n·w/8` 8-byte words). Keeps
-    /// identity and root size; `new_w` must divide the slice size.
-    pub fn reinterpret(&self, new_w: u64) -> Region {
-        assert!(
-            new_w > 0 && self.bytes().is_multiple_of(new_w),
-            "width must tile the region"
-        );
-        Region {
-            id: self.id,
-            name: self.name.clone(),
-            n: self.bytes() / new_w,
-            w: new_w,
             root_bytes: self.root_bytes,
         }
     }
@@ -147,12 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn items_fitting() {
-        let r = Region::new("R", 1000, 16);
-        assert_eq!(r.items_fitting(1024), 64.0);
-    }
-
-    #[test]
     fn identities_are_unique_but_slices_share() {
         let a = Region::new("A", 10, 8);
         let b = Region::new("B", 10, 8);
@@ -170,11 +142,7 @@ mod tests {
         let s = a.slice_items(4);
         assert_eq!(s.n, 4);
         assert_eq!(s.root_bytes(), 256);
-        let v = a.reinterpret(8);
-        assert_eq!(v.n, 32);
-        assert_eq!(v.w, 8);
-        assert_eq!(v.bytes(), a.bytes());
-        assert_eq!(v.id(), a.id());
+        assert_eq!(s.id(), a.id());
     }
 
     #[test]

@@ -291,12 +291,6 @@ impl<B: MemoryBackend> ExecContext<B> {
         self.mem.read_u64(rel.key_addr(i))
     }
 
-    /// Write tuple `i`'s key (charged access).
-    #[inline]
-    pub fn write_key(&mut self, rel: &Relation, i: u64, key: u64) {
-        self.mem.write_u64(rel.key_addr(i), key);
-    }
-
     /// Touch tuple `i` entirely (charged read of all `w` bytes) and
     /// return its key.
     #[inline]

@@ -38,8 +38,6 @@
 //! [`MemoryBackend`]: crate::backend::MemoryBackend
 //! [`MemoryBackend::prefetch_distance`]: crate::backend::MemoryBackend::prefetch_distance
 
-use crate::backend::MemoryBackend;
-
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod simd;
 
@@ -146,24 +144,6 @@ pub fn lt_mask_scalar(buf: &[u8], threshold: u64) -> u64 {
         }
     }
     mask
-}
-
-/// Issue a read prefetch for the tuple `dist` items ahead of `i` in a
-/// strided relation, if one exists — the shared N-ahead helper of the
-/// prefetched operators. No-op when the backend's distance is 0 (the
-/// simulator) or the lookahead runs past the relation.
-#[inline]
-pub fn prefetch_tuple_ahead<B: MemoryBackend>(
-    mem: &mut B,
-    base: gcm_sim::Addr,
-    n: u64,
-    w: u64,
-    i: u64,
-    dist: u64,
-) {
-    if dist > 0 && i + dist < n {
-        mem.prefetch_read(base + (i + dist) * w);
-    }
 }
 
 #[cfg(test)]

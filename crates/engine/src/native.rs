@@ -231,20 +231,10 @@ impl NativeBackend {
         self.use_kernels = on;
     }
 
-    /// Whether the vectorized kernel path is active.
-    pub fn kernels_enabled(&self) -> bool {
-        self.use_kernels
-    }
-
     /// Override the N-ahead prefetch distance (e.g. with a calibrated
     /// value from [`kernels::prefetch_distance_for`]).
     pub fn set_prefetch_distance(&mut self, items: u64) {
         self.prefetch_dist = items;
-    }
-
-    /// Total bytes allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.arena.next - NATIVE_BASE
     }
 
     /// Start the next job on this address space: unmap every segment and
@@ -957,7 +947,6 @@ mod tests {
         for end in [a + 4096, a + 8, a + 200] {
             assert_eq!(native.set_high_water(end), sim.set_high_water(end));
         }
-        assert_eq!(native.allocated(), sim.allocated());
         assert_eq!(MemoryBackend::alloc(&mut native, 8, 64), sim.alloc(8, 64));
     }
 
@@ -1250,7 +1239,7 @@ mod tests {
         let a = MemoryBackend::alloc(&mut m, 4096, 64);
         m.host_write_bytes(a, &[0xAB; 4096]);
         m.reset();
-        assert_eq!(m.allocated(), 0);
+        assert_eq!(m.arena.next, NATIVE_BASE);
         let b = MemoryBackend::alloc(&mut m, 8192, 64);
         assert_eq!(a, b, "addresses repeat from the base");
         assert!(zeroed(&m, b, 8192), "a reused allocation must be zero");

@@ -81,11 +81,6 @@ impl BTree {
         BTree { levels, fanout }
     }
 
-    /// Number of levels (1 = the tree is a single node).
-    pub fn height(&self) -> usize {
-        self.levels.len()
-    }
-
     /// The per-level regions, root first (for pattern construction and
     /// diagnostics).
     pub fn level_regions(&self) -> Vec<Region> {
@@ -94,11 +89,6 @@ impl BTree {
             .rev()
             .map(|l| l.region().clone())
             .collect()
-    }
-
-    /// Total bytes of all levels.
-    pub fn bytes(&self) -> u64 {
-        self.levels.iter().map(Relation::bytes).sum()
     }
 
     /// Look one key up (simulated accesses): descend from the root,
@@ -180,16 +170,16 @@ mod tests {
         let keys: Vec<u64> = (0..4096).collect();
         let narrow = BTree::build(&mut c, &keys, 16, "N"); // 2 keys/node
         let wide = BTree::build(&mut c, &keys, 128, "W"); // 16 keys/node
-        assert!(wide.height() < narrow.height());
-        assert_eq!(narrow.height(), 12); // log2(4096)
-        assert_eq!(wide.height(), 3); // log16(4096)
+        assert!(wide.level_regions().len() < narrow.level_regions().len());
+        assert_eq!(narrow.level_regions().len(), 12); // log2(4096)
+        assert_eq!(wide.level_regions().len(), 3); // log16(4096)
     }
 
     #[test]
     fn single_node_tree() {
         let mut c = ctx();
         let tree = BTree::build(&mut c, &[5, 7], 32, "S");
-        assert_eq!(tree.height(), 1);
+        assert_eq!(tree.level_regions().len(), 1);
         assert!(tree.lookup(&mut c, 5));
         assert!(!tree.lookup(&mut c, 6));
     }

@@ -70,11 +70,6 @@ impl HashTable {
         self.slots.region()
     }
 
-    /// Size in bytes, `||H||`.
-    pub fn bytes(&self) -> u64 {
-        self.slots.bytes()
-    }
-
     /// Address of slot `slot` (for operators updating entries in place).
     pub fn slot_addr(&self, slot: u64) -> Addr {
         self.slots.tuple(slot)
@@ -84,39 +79,6 @@ impl HashTable {
     /// the backend's bulk hash entry points walk.
     pub(crate) fn slots(&self) -> &Relation {
         &self.slots
-    }
-
-    /// Insert `key → value` (simulated accesses; linear probing).
-    /// Duplicate keys are stored in separate slots.
-    pub fn insert<B: MemoryBackend>(
-        ctx: &mut ExecContext<B>,
-        table: &HashTable,
-        key: u64,
-        value: u64,
-    ) {
-        let ops = insert_scalar(&mut ctx.mem, &table.slots, key, value);
-        ctx.count_ops(ops);
-    }
-
-    /// Probe for `key`; returns the first matching value (simulated).
-    pub fn probe<B: MemoryBackend>(
-        ctx: &mut ExecContext<B>,
-        table: &HashTable,
-        key: u64,
-    ) -> Option<u64> {
-        let mut slot = mix(key) & table.mask;
-        loop {
-            let addr = table.slots.tuple(slot);
-            let resident = ctx.mem.read_u64(addr);
-            ctx.count_ops(1);
-            if resident == key {
-                return Some(ctx.mem.read_u64(addr + 8));
-            }
-            if resident == EMPTY {
-                return None;
-            }
-            slot = (slot + 1) & table.mask;
-        }
     }
 }
 
@@ -345,35 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_then_probe() {
-        let mut c = ctx();
-        let t = HashTable::alloc(&mut c, "H", 16);
-        HashTable::insert(&mut c, &t, 42, 7);
-        HashTable::insert(&mut c, &t, 43, 8);
-        assert_eq!(HashTable::probe(&mut c, &t, 42), Some(7));
-        assert_eq!(HashTable::probe(&mut c, &t, 43), Some(8));
-        assert_eq!(HashTable::probe(&mut c, &t, 44), None);
-    }
-
-    #[test]
     fn capacity_is_power_of_two_with_headroom() {
         let mut c = ctx();
         let t = HashTable::alloc(&mut c, "H", 100);
         assert_eq!(t.capacity(), 256);
         assert!(t.capacity().is_power_of_two());
-    }
-
-    #[test]
-    fn many_inserts_all_findable() {
-        let mut c = ctx();
-        let t = HashTable::alloc(&mut c, "H", 1000);
-        for k in 0..1000 {
-            HashTable::insert(&mut c, &t, k, k * 3);
-        }
-        for k in 0..1000 {
-            assert_eq!(HashTable::probe(&mut c, &t, k), Some(k * 3));
-        }
-        assert_eq!(HashTable::probe(&mut c, &t, 1001), None);
     }
 
     #[test]
@@ -442,12 +380,7 @@ mod tests {
             // probes right after building): a fitting table then probes
             // nearly free, an oversized one misses per probe.
             let table = build_hash(&mut c, &v, "H");
-            let (_, stats) = c.measure(|c| {
-                for i in 0..u.n() {
-                    let key = c.read_tuple(&u, i);
-                    HashTable::probe(c, &table, key);
-                }
-            });
+            let (_, stats) = c.measure(|c| hash_join_with_table(c, &u, &table, "W", 16));
             let l2 = c.mem.spec().level_index("L2").unwrap();
             stats.misses_at(l2) as f64 / n as f64
         };
@@ -477,10 +410,6 @@ mod tests {
             c.relation_bytes(&shared.slots),
             "layout must match the charged build byte for byte"
         );
-        // And the layout probes correctly.
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(HashTable::probe(&mut c, &shared, k), Some(i as u64));
-        }
     }
 
     #[test]

@@ -20,7 +20,6 @@ pub mod part_hash_join;
 pub mod partition;
 pub mod radix;
 pub mod scan;
-pub mod set_ops;
 pub mod sort;
 
 /// 64-bit finalizer (SplitMix64's) used as the engine's hash function: a

@@ -56,33 +56,6 @@ pub fn select_pattern(input: &Region, output: &Region) -> Pattern {
     library::select(input.clone(), output.clone())
 }
 
-/// Project the first `u` bytes of every tuple into an output relation of
-/// width `u`.
-pub fn project<B: MemoryBackend>(
-    ctx: &mut ExecContext<B>,
-    rel: &Relation,
-    u: u64,
-    out_name: &str,
-) -> Relation {
-    assert!((8..=rel.w()).contains(&u), "projection width must be 8..=w");
-    let out = ctx.relation(out_name, rel.n(), u);
-    for i in 0..rel.n() {
-        let src = rel.tuple(i);
-        ctx.mem.touch(src, u);
-        let dst = out.tuple(i);
-        ctx.mem.touch(dst, u);
-        let key = ctx.mem.host_read_u64(src);
-        ctx.mem.host_write_u64(dst, key);
-        ctx.count_ops(1);
-    }
-    out
-}
-
-/// Pattern of [`project`]: `s_trav(U, u) ⊙ s_trav(W)`.
-pub fn project_pattern(input: &Region, u: u64, output: &Region) -> Pattern {
-    library::project(input.clone(), u, output.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,17 +107,6 @@ mod tests {
         let rel = c.relation_from_keys("R", &[5, 6], 16);
         let out = select_lt(&mut c, &rel, 0, "W");
         assert_eq!(out.n(), 0);
-    }
-
-    #[test]
-    fn project_copies_keys() {
-        let mut c = ctx();
-        let rel = c.relation_from_keys("R", &[4, 5, 6], 32);
-        let out = project(&mut c, &rel, 8, "P");
-        assert_eq!(out.w(), 8);
-        for i in 0..3 {
-            assert_eq!(c.mem.host().read_u64(out.tuple(i)), 4 + i);
-        }
     }
 
     #[test]

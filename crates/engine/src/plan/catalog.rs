@@ -15,8 +15,8 @@
 //! owner (the query service) reads the epoch and borrows
 //! [`StatsCatalog::tables`] on the same thread that updates them, so
 //! the `(epoch, tables)` pair is coherent by construction.
-//! [`StatsCatalog::snapshot`] copies that pair out for a caller that
-//! wants to keep it across later updates.
+//! [`StatsCatalog::snapshot`] copies the tables out for a caller that
+//! wants to keep them across later updates.
 
 use super::optimizer::TableStats;
 
@@ -37,12 +37,10 @@ pub struct StatsCatalog {
     epoch: u64,
 }
 
-/// An owned `(epoch, statistics)` copy of a [`StatsCatalog`]: the
-/// tables are exactly the ones epoch [`StatsSnapshot::epoch`] was
-/// current for when it was taken, whatever updates land afterwards.
+/// An owned copy of a [`StatsCatalog`]'s statistics: the tables as
+/// they were when it was taken, whatever updates land afterwards.
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
-    epoch: u64,
     tables: Vec<TableStats>,
 }
 
@@ -50,21 +48,6 @@ impl StatsSnapshot {
     /// The statistics, in catalog (registration) order.
     pub fn tables(&self) -> &[TableStats] {
         &self.tables
-    }
-
-    /// The epoch these statistics belong to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of tables in this view.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True when the view holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 }
 
@@ -79,10 +62,9 @@ impl StatsCatalog {
         }
     }
 
-    /// An owned copy of the current `(epoch, tables)` pair.
+    /// An owned copy of the current tables.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            epoch: self.epoch,
             tables: self.tables.clone(),
         }
     }
@@ -98,16 +80,6 @@ impl StatsCatalog {
     /// a plan-cache key.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True when the catalog holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 
     /// Append a table, returning its catalog index. Registration never
@@ -214,21 +186,12 @@ mod tests {
     }
 
     #[test]
-    fn len_and_empty() {
-        let c = catalog();
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
-        assert!(StatsCatalog::new(Vec::new()).is_empty());
-        assert!(StatsCatalog::new(Vec::new()).snapshot().is_empty());
-    }
-
-    #[test]
     fn push_registers_without_bumping() {
         let mut c = StatsCatalog::new(Vec::new());
         assert_eq!(c.push(TableStats::key_column(100, 8, false)), 0);
         assert_eq!(c.push(TableStats::uniform(1_000, 8, 100, false)), 1);
         assert_eq!(c.epoch(), 0);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.tables().len(), 2);
         // A pushed table participates in drift tracking like any other.
         assert!(c.update(0, TableStats::key_column(500, 8, false)));
         assert_eq!(c.epoch(), 1);
@@ -238,16 +201,11 @@ mod tests {
     fn snapshots_pair_epoch_and_stats_coherently() {
         let mut c = catalog();
         let before = c.snapshot();
-        assert_eq!(before.epoch(), 0);
-        assert_eq!(before.len(), 2);
         c.update(0, TableStats::uniform(30_000, 8, 1_000, false));
-        // The old view is a version, not a reference: it still pairs
-        // epoch 0 with the stats epoch 0 was current for.
-        assert_eq!(before.epoch(), 0);
+        // The old view is a version, not a reference: it still holds
+        // the stats epoch 0 was current for.
         assert_eq!(before.tables()[0].n, 10_000);
-        let after = c.snapshot();
-        assert_eq!(after.epoch(), 1);
-        assert_eq!(after.tables()[0].n, 30_000);
+        assert_eq!(c.snapshot().tables()[0].n, 30_000);
         // The borrowed view is the current pair.
         assert_eq!((c.epoch(), c.tables()[0].n), (1, 30_000));
     }

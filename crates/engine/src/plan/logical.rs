@@ -108,20 +108,6 @@ impl LogicalPlan {
         }
     }
 
-    /// Number of operator nodes (scans excluded — a scan is a binding,
-    /// not work).
-    pub fn operators(&self) -> usize {
-        match self {
-            LogicalPlan::Scan { .. } => 0,
-            LogicalPlan::Select { input, .. }
-            | LogicalPlan::Aggregate { input }
-            | LogicalPlan::Sort { input }
-            | LogicalPlan::Dedup { input }
-            | LogicalPlan::Partition { input, .. } => 1 + input.operators(),
-            LogicalPlan::Join { left, right } => 1 + left.operators() + right.operators(),
-        }
-    }
-
     /// Number of join nodes.
     pub fn joins(&self) -> usize {
         match self {
@@ -203,7 +189,6 @@ mod tests {
     #[test]
     fn builders_produce_the_expected_tree() {
         let q = star_query();
-        assert_eq!(q.operators(), 4);
         assert_eq!(q.joins(), 2);
         assert_eq!(q.max_table(), Some(2));
         assert_eq!(
@@ -215,7 +200,6 @@ mod tests {
     #[test]
     fn unary_chain_counts() {
         let q = LogicalPlan::scan(3).sort().dedup().partition(Some(8));
-        assert_eq!(q.operators(), 3);
         assert_eq!(q.joins(), 0);
         assert_eq!(q.max_table(), Some(3));
         assert_eq!(q.to_string(), "partition<8>(dedup(sort(scan(3))))");

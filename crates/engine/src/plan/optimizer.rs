@@ -78,9 +78,6 @@ pub struct TableStats {
     pub distinct: f64,
     /// Whether the relation is key-sorted.
     pub sorted: bool,
-    /// Region identity to use for this table, if pinned (see
-    /// [`TableStats::pinned`]); fresh per enumeration otherwise.
-    pub region: Option<Region>,
 }
 
 impl TableStats {
@@ -94,7 +91,6 @@ impl TableStats {
             key_bound,
             distinct: expected_distinct(key_bound, n),
             sorted,
-            region: None,
         }
     }
 
@@ -107,16 +103,7 @@ impl TableStats {
             key_bound: n,
             distinct: n as f64,
             sorted,
-            region: None,
         }
-    }
-
-    /// Pin the table to an existing region identity — e.g. the region
-    /// of the actual [`crate::Relation`] — so a warm
-    /// [`Optimizer::with_initial_state`] can refer to it.
-    pub fn pinned(mut self, region: &Region) -> TableStats {
-        self.region = Some(region.clone());
-        self
     }
 }
 
@@ -192,7 +179,6 @@ impl Alt {
 pub struct Optimizer<'a> {
     model: &'a CostModel,
     beam: usize,
-    initial_state: CacheState,
 }
 
 impl<'a> Optimizer<'a> {
@@ -203,25 +189,13 @@ impl<'a> Optimizer<'a> {
     /// runs on one core, and cores are shared *between* queries
     /// ([`CostModel::batch_cost`]).
     pub fn new(model: &'a CostModel) -> Optimizer<'a> {
-        Optimizer {
-            model,
-            beam: 8,
-            initial_state: CacheState::cold(),
-        }
+        Optimizer { model, beam: 8 }
     }
 
     /// Keep at most `beam` alternatives per node (≥ 1). Wider beams
     /// enumerate more complete plans at higher optimization cost.
     pub fn with_beam(mut self, beam: usize) -> Optimizer<'a> {
         self.beam = beam.max(1);
-        self
-    }
-
-    /// Price plans as if they start from `state` instead of cold caches
-    /// (Eq 5.2 across *queries*: e.g. a plan running right after
-    /// another one).
-    pub fn with_initial_state(mut self, state: CacheState) -> Optimizer<'a> {
-        self.initial_state = state;
         self
     }
 
@@ -238,11 +212,7 @@ impl<'a> Optimizer<'a> {
         let regions: Vec<Region> = tables
             .iter()
             .enumerate()
-            .map(|(i, t)| {
-                t.region
-                    .clone()
-                    .unwrap_or_else(|| Region::new(format!("T{i}"), t.n, t.w))
-            })
+            .map(|(i, t)| Region::new(format!("T{i}"), t.n, t.w))
             .collect();
         let alts = self.alts(plan, tables, &regions)?;
         let mut out: Vec<PlannedQuery> = alts
@@ -267,7 +237,7 @@ impl<'a> Optimizer<'a> {
     /// Elapsed memory time of a stage list: states threaded level by
     /// level across stages (Eq 5.2).
     fn price_mem(&self, stages: &[Stage]) -> f64 {
-        let mut st = self.model.staged(&self.initial_state);
+        let mut st = self.model.staged(&CacheState::cold());
         let mut mem = 0.0;
         for stage in stages {
             mem += self.model.advance(&stage.pattern, &mut st).mem_ns;
@@ -829,33 +799,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn warm_initial_state_discounts_resident_tables() {
-        // Pricing from a state where the (pinned) inputs are resident
-        // must be cheaper than pricing cold.
-        let m = CostModel::new(presets::tiny());
-        let q = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
-        let fact = Region::new("F", 1_000, 8);
-        let dim = Region::new("D", 500, 8);
-        let stats = vec![
-            TableStats::uniform(1_000, 8, 500, false).pinned(&fact),
-            TableStats::key_column(500, 8, false).pinned(&dim),
-        ];
-        let cold = Optimizer::new(&m).optimize(&q, &stats).unwrap();
-        let mut warm = CacheState::cold();
-        warm.set(&fact, 1.0);
-        warm.set(&dim, 1.0);
-        let warmed = Optimizer::new(&m)
-            .with_initial_state(warm)
-            .optimize(&q, &stats)
-            .unwrap();
-        assert!(
-            warmed.mem_ns < cold.mem_ns,
-            "warm {} vs cold {}",
-            warmed.mem_ns,
-            cold.mem_ns
-        );
     }
 }

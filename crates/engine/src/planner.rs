@@ -225,22 +225,6 @@ pub fn rank_joins(model: &CostModel, inputs: &JoinInputs) -> Vec<PlanChoice> {
     rank_joins_with(model, inputs, CpuCost::default_planner())
 }
 
-/// The cheapest join algorithm for the inputs under the given CPU
-/// calibration, or `None` if no algorithm is applicable.
-pub fn choose_join_with(
-    model: &CostModel,
-    inputs: &JoinInputs,
-    cpu: CpuCost,
-) -> Option<PlanChoice> {
-    rank_joins_with(model, inputs, cpu).into_iter().next()
-}
-
-/// The cheapest join algorithm for the inputs, or `None` if no
-/// algorithm is applicable.
-pub fn choose_join(model: &CostModel, inputs: &JoinInputs) -> Option<PlanChoice> {
-    choose_join_with(model, inputs, CpuCost::default_planner())
-}
-
 /// Price a partitioning fan-out sweep and return `(m, predicted_ns)`
 /// pairs, cheapest-per-tuple fan-outs first — the partition-tuning
 /// use-case of Figure 7d.
@@ -283,7 +267,8 @@ mod tests {
 
     #[test]
     fn sorted_inputs_pick_merge() {
-        let choice = choose_join(&model(), &inputs(1_000_000, true)).expect("candidates exist");
+        let ranked = rank_joins(&model(), &inputs(1_000_000, true));
+        let choice = ranked.first().expect("candidates exist");
         assert!(matches!(
             choice.algorithm,
             JoinAlgorithm::Merge {
@@ -319,7 +304,8 @@ mod tests {
     fn tlb_fitting_table_picks_plain_hash() {
         // H = 1 MB = the TLB reach: hashing stays cheap and beats paying
         // two sorts.
-        let choice = choose_join(&model(), &inputs(30_000, false)).expect("candidates exist");
+        let ranked = rank_joins(&model(), &inputs(30_000, false));
+        let choice = ranked.first().expect("candidates exist");
         assert!(
             matches!(choice.algorithm, JoinAlgorithm::Hash),
             "picked {}",

@@ -22,7 +22,6 @@ pub struct HardwareBuilder {
     name: String,
     cpu_mhz: f64,
     levels: Vec<CacheLevel>,
-    cores: u32,
 }
 
 impl HardwareBuilder {
@@ -32,23 +31,7 @@ impl HardwareBuilder {
             name: name.into(),
             cpu_mhz,
             levels: Vec::new(),
-            cores: 1,
         }
-    }
-
-    /// Declare the machine to have `cores` identical cores.
-    pub fn cores(mut self, cores: u32) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// Mark the most recently appended level as shared across cores
-    /// (levels default to private-per-core).
-    pub fn shared(mut self) -> Self {
-        if let Some(last) = self.levels.last_mut() {
-            last.sharing = Sharing::Shared;
-        }
-        self
     }
 
     /// Append a data-cache level (inside-out order).
@@ -91,33 +74,9 @@ impl HardwareBuilder {
         self
     }
 
-    /// Append a buffer-pool level: `pool` bytes of main memory caching
-    /// `page`-byte disk pages with the given sequential/random page costs.
-    pub fn buffer_pool(
-        mut self,
-        name: impl Into<String>,
-        pool: u64,
-        page: u64,
-        seq_miss_ns: f64,
-        rand_miss_ns: f64,
-    ) -> Self {
-        self.levels.push(CacheLevel {
-            name: name.into(),
-            kind: LevelKind::BufferPool,
-            capacity: pool,
-            line: page,
-            assoc: Associativity::Full,
-            seq_miss_ns,
-            rand_miss_ns,
-            // The buffer pool is main memory: one instance for all cores.
-            sharing: Sharing::Shared,
-        });
-        self
-    }
-
     /// Validate and produce the spec.
     pub fn build(self) -> Result<HardwareSpec, HardwareError> {
-        HardwareSpec::new(self.name, self.cpu_mhz, self.levels)?.with_cores(self.cores)
+        HardwareSpec::new(self.name, self.cpu_mhz, self.levels)
     }
 }
 
@@ -130,28 +89,11 @@ mod tests {
         let hw = HardwareBuilder::new("b", 500.0)
             .cache("L1", 1024, 32, Associativity::DirectMapped, 4.0, 10.0)
             .tlb("TLB", 16, 4096, 80.0)
-            .buffer_pool("BP", 1 << 20, 8192, 80_000.0, 6_000_000.0)
             .build()
             .unwrap();
-        assert_eq!(hw.levels().len(), 3);
+        assert_eq!(hw.levels().len(), 2);
         assert_eq!(hw.level("TLB").unwrap().capacity, 16 * 4096);
-        assert_eq!(hw.level("BP").unwrap().kind, LevelKind::BufferPool);
-    }
-
-    #[test]
-    fn cores_and_shared_levels() {
-        let hw = HardwareBuilder::new("smp", 3000.0)
-            .cores(8)
-            .cache("L1", 32 * 1024, 64, Associativity::Ways(8), 2.0, 4.0)
-            .cache("L3", 32 << 20, 64, Associativity::Ways(16), 25.0, 90.0)
-            .shared()
-            .build()
-            .unwrap();
-        assert_eq!(hw.cores(), 8);
-        assert_eq!(hw.level("L1").unwrap().sharing, Sharing::Private);
-        assert_eq!(hw.level("L3").unwrap().sharing, Sharing::Shared);
-        // shared() on an empty builder is a no-op, not a panic.
-        assert!(HardwareBuilder::new("e", 100.0).shared().build().is_err());
+        assert_eq!(hw.level("TLB").unwrap().kind, LevelKind::Tlb);
     }
 
     #[test]

@@ -140,34 +140,6 @@ impl CacheLevel {
     pub fn rand_bandwidth(&self) -> f64 {
         self.line as f64 / self.rand_miss_ns
     }
-
-    /// Number of sets for the set-associative organisation.
-    pub fn sets(&self) -> u64 {
-        let lines = self.lines().max(1);
-        lines / self.assoc.ways(lines).max(1)
-    }
-
-    /// A scaled copy of this level with only `1/denom` of the capacity (and
-    /// hence of the lines) available. Used by the concurrent-execution rule
-    /// (paper §5.2): patterns executed concurrently divide the cache among
-    /// themselves proportionally to their footprints.
-    ///
-    /// `num/denom` is the fraction of the cache granted; line size,
-    /// associativity and latencies are unchanged.
-    pub fn scaled(&self, num: f64, denom: f64) -> CacheLevel {
-        debug_assert!(num > 0.0 && denom > 0.0);
-        let frac = (num / denom).clamp(0.0, 1.0);
-        let mut scaled = self.clone();
-        // Keep at least one line so the formulas stay well-defined.
-        let cap = ((self.capacity as f64) * frac).round() as u64;
-        scaled.capacity = cap.max(self.line);
-        scaled
-    }
-
-    /// True if this level distinguishes sequential from random miss latency.
-    pub fn distinguishes_seq_rand(&self) -> bool {
-        (self.seq_miss_ns - self.rand_miss_ns).abs() > f64::EPSILON
-    }
 }
 
 impl fmt::Display for CacheLevel {
@@ -208,7 +180,6 @@ mod tests {
     fn derived_quantities() {
         let l = sample();
         assert_eq!(l.lines(), 1024);
-        assert_eq!(l.sets(), 512);
         assert!((l.seq_bandwidth() - 4.0).abs() < 1e-12); // 32 B / 8 ns
         assert!((l.rand_bandwidth() - 32.0 / 24.0).abs() < 1e-12);
     }
@@ -223,22 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn scaling_preserves_line_and_floor() {
-        let l = sample();
-        let half = l.scaled(1.0, 2.0);
-        assert_eq!(half.capacity, 16 * 1024);
-        assert_eq!(half.line, 32);
-        // Scaling far below one line floors at one line.
-        let tiny = l.scaled(1.0, 1e9);
-        assert_eq!(tiny.capacity, 32);
-        assert_eq!(tiny.lines(), 1);
-    }
-
-    #[test]
     fn fully_associative_has_one_set() {
         let mut l = sample();
         l.assoc = Associativity::Full;
-        assert_eq!(l.sets(), 1);
+        assert_eq!(l.assoc.ways(l.lines()), l.lines());
     }
 
     #[test]

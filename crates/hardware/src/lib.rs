@@ -47,13 +47,11 @@ pub mod level;
 pub mod presets;
 pub mod spec;
 pub mod stride;
-pub mod text;
 
 pub use builder::HardwareBuilder;
 pub use error::HardwareError;
 pub use level::{Associativity, CacheLevel, LevelKind, Sharing};
 pub use spec::HardwareSpec;
-pub use text::{spec_from_text, spec_to_text, TextError};
 
 /// Convenience: kibibytes to bytes.
 pub const fn kib(n: u64) -> u64 {
@@ -65,11 +63,6 @@ pub const fn mib(n: u64) -> u64 {
     n * 1024 * 1024
 }
 
-/// Convenience: gibibytes to bytes.
-pub const fn gib(n: u64) -> u64 {
-    n * 1024 * 1024 * 1024
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +71,5 @@ mod tests {
     fn unit_helpers() {
         assert_eq!(kib(32), 32768);
         assert_eq!(mib(4), 4 * 1024 * 1024);
-        assert_eq!(gib(1), 1 << 30);
     }
 }

@@ -59,30 +59,6 @@ pub fn origin2000() -> HardwareSpec {
     .expect("origin2000 preset is valid")
 }
 
-/// The Origin2000 with *fully associative* data caches.
-///
-/// The analytical model ignores conflict misses (it models a fully
-/// associative cache); this preset lets experiments separate capacity from
-/// conflict effects (used by the associativity ablation bench).
-pub fn origin2000_full_assoc() -> HardwareSpec {
-    let base = origin2000();
-    let levels = base
-        .levels()
-        .iter()
-        .cloned()
-        .map(|mut l| {
-            l.assoc = Associativity::Full;
-            l
-        })
-        .collect();
-    HardwareSpec::new(
-        format!("{} [fully associative]", base.name),
-        base.cpu_mhz,
-        levels,
-    )
-    .expect("valid")
-}
-
 /// A small machine for unit tests: cliffs are reachable with kilobytes of
 /// data, so debug-mode tests stay fast.
 ///
@@ -415,9 +391,6 @@ mod tests {
 
     #[test]
     fn full_assoc_variants() {
-        for l in origin2000_full_assoc().levels() {
-            assert_eq!(l.assoc, Associativity::Full);
-        }
         for l in tiny_full_assoc().levels() {
             assert_eq!(l.assoc, Associativity::Full);
         }

@@ -173,26 +173,9 @@ impl HardwareSpec {
         self.levels.iter().position(|l| l.name == name)
     }
 
-    /// Convert CPU cycles to nanoseconds at this machine's clock speed.
-    pub fn cycles_to_ns(&self, cycles: f64) -> f64 {
-        cycles * 1000.0 / self.cpu_mhz
-    }
-
     /// Convert nanoseconds to CPU cycles at this machine's clock speed.
     pub fn ns_to_cycles(&self, ns: f64) -> f64 {
         ns * self.cpu_mhz / 1000.0
-    }
-
-    /// A copy of this spec in which every level's capacity is scaled by
-    /// `num/denom` (see [`CacheLevel::scaled`]). Used by the
-    /// concurrent-execution combinator.
-    pub fn scaled(&self, num: f64, denom: f64) -> HardwareSpec {
-        HardwareSpec {
-            name: self.name.clone(),
-            cpu_mhz: self.cpu_mhz,
-            levels: self.levels.iter().map(|l| l.scaled(num, denom)).collect(),
-            cores: self.cores,
-        }
     }
 
     /// Render the paper's Table 1 / Table 3 style characteristics table.
@@ -339,16 +322,8 @@ mod tests {
         let hw =
             HardwareSpec::new("x", 250.0, vec![lvl("L1", 1024, 32, LevelKind::Cache)]).unwrap();
         // 250 MHz: 1 cycle = 4 ns.
-        assert!((hw.cycles_to_ns(1.0) - 4.0).abs() < 1e-12);
-        assert!((hw.ns_to_cycles(hw.cycles_to_ns(123.0)) - 123.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaled_halves_capacity() {
-        let hw =
-            HardwareSpec::new("x", 100.0, vec![lvl("L1", 1024, 32, LevelKind::Cache)]).unwrap();
-        let half = hw.scaled(1.0, 2.0);
-        assert_eq!(half.levels()[0].capacity, 512);
+        assert!((hw.ns_to_cycles(4.0) - 1.0).abs() < 1e-12);
+        assert!((hw.ns_to_cycles(492.0) - 123.0).abs() < 1e-9);
     }
 
     #[test]

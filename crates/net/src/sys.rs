@@ -75,6 +75,8 @@ extern "C" {
 }
 
 fn errno() -> i32 {
+    // SAFETY: `__errno_location` returns a valid, aligned pointer to the
+    // calling thread's errno, which lives as long as the thread.
     unsafe { *__errno_location() }
 }
 
@@ -91,6 +93,8 @@ pub struct Poller {
 impl Poller {
     /// A fresh epoll instance (close-on-exec).
     pub fn new() -> io::Result<Poller> {
+        // SAFETY: takes one integer flag and touches no caller memory;
+        // failure is reported through the return value.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(last_err("epoll_create1"));
@@ -108,6 +112,9 @@ impl Poller {
         } else {
             &mut ev as *mut EpollEvent
         };
+        // SAFETY: `arg` is null only for `EPOLL_CTL_DEL`, which ignores
+        // it; otherwise it points at `ev`, a live `repr(C)` event on this
+        // frame that the kernel only reads during the call.
         if unsafe { epoll_ctl(self.epfd, op, fd, arg) } < 0 {
             return Err(last_err("epoll_ctl"));
         }
@@ -135,6 +142,8 @@ impl Poller {
     pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
         const MAX_EVENTS: usize = 64;
         let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+        // SAFETY: `buf` holds `MAX_EVENTS` writable events and the kernel
+        // writes at most `maxevents` (= `MAX_EVENTS`) of them.
         let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), MAX_EVENTS as i32, timeout_ms) };
         if n < 0 {
             if errno() == EINTR {
@@ -160,6 +169,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` was opened by `Poller::new`, is owned by this
+        // value alone, and is closed exactly once, here.
         unsafe { close(self.epfd) };
     }
 }
@@ -177,6 +188,8 @@ impl WakePipe {
     /// A fresh pipe pair (both ends nonblocking, close-on-exec).
     pub fn new() -> io::Result<WakePipe> {
         let mut fds = [0i32; 2];
+        // SAFETY: `fds` is a writable array of the two `i32`s `pipe2`
+        // fills.
         if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
             return Err(last_err("pipe2"));
         }
@@ -195,6 +208,8 @@ impl WakePipe {
     /// wake-up, so `EAGAIN` is success.
     pub fn wake(&self) {
         let byte = 1u8;
+        // SAFETY: the kernel reads one byte from `byte`, a live local;
+        // `w` stays open until this pipe is dropped.
         unsafe { write(self.w, &byte, 1) };
     }
 
@@ -202,6 +217,8 @@ impl WakePipe {
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: the kernel writes at most `buf.len()` bytes into the
+            // local `buf`; `r` stays open until this pipe is dropped.
             let n = unsafe { read(self.r, buf.as_mut_ptr(), buf.len()) };
             if n <= 0 {
                 debug_assert!(n > 0 || errno() == EAGAIN || errno() == EINTR || n == 0);
@@ -213,6 +230,8 @@ impl WakePipe {
 
 impl Drop for WakePipe {
     fn drop(&mut self) {
+        // SAFETY: both ends were opened by `WakePipe::new`, are owned by
+        // this value alone, and are closed exactly once, here.
         unsafe {
             close(self.r);
             close(self.w);
@@ -220,10 +239,11 @@ impl Drop for WakePipe {
     }
 }
 
-// Raw fds are plain integers; both ends are used from multiple threads
-// only through atomic syscalls (write ≤ PIPE_BUF, read into local
-// buffers).
+// SAFETY: the pipe is two fd integers with no thread-bound state, so
+// moving it to another thread is sound.
 unsafe impl Send for WakePipe {}
+// SAFETY: a shared pipe only issues syscalls the kernel serializes: a
+// one-byte `write` (≤ PIPE_BUF, atomic) and `read`s into local buffers.
 unsafe impl Sync for WakePipe {}
 
 #[cfg(test)]

@@ -145,27 +145,6 @@ impl DriftMonitor {
         registry.set_gauge(&format!("{prefix}_stale_classes"), stale as f64);
         registry.set_gauge(&format!("{prefix}_flag"), if stale > 0 { 1.0 } else { 0.0 });
     }
-
-    /// The monitor as one JSON object: flag, stale classes, and every
-    /// class's smoothed ratio.
-    pub fn to_json(&self) -> String {
-        let classes = self.classes.lock().unwrap();
-        let mut rows = crate::json::Arr::new();
-        for (name, d) in classes.iter() {
-            let mut o = crate::json::Obj::new();
-            o.str("class", name)
-                .num("ratio", d.ratio())
-                .num("ewma_log2", d.ewma_log2)
-                .u64("samples", d.samples)
-                .bool("stale", self.is_stale(d));
-            rows.raw(&o.finish());
-        }
-        let any_stale = classes.values().any(|d| self.is_stale(d));
-        let mut o = crate::json::Obj::new();
-        o.bool("needs_recalibration", any_stale)
-            .raw("classes", &rows.finish());
-        o.finish()
-    }
 }
 
 #[cfg(test)]
@@ -250,17 +229,5 @@ mod tests {
         // The ratios appear in the Prometheus export, per class.
         let text = r.to_prometheus();
         assert!(text.contains("svc_drift_ratio{class=\"sort\"}"), "{text}");
-    }
-
-    #[test]
-    fn json_reports_flag_and_classes() {
-        let m = DriftMonitor::new();
-        for _ in 0..10 {
-            m.observe("sort", 4000.0, 1000.0);
-        }
-        let json = m.to_json();
-        assert!(json.contains("\"needs_recalibration\":true"), "{json}");
-        assert!(json.contains("\"class\":\"sort\""), "{json}");
-        assert!(json.contains("\"stale\":true"), "{json}");
     }
 }

@@ -11,15 +11,15 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// One retained report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightEntry {
+#[derive(Debug)]
+struct FlightEntry {
     /// Monotone sequence number (1-based, never reused) — survives
     /// eviction, so gaps in a dump reveal how much was dropped.
-    pub seq: u64,
+    seq: u64,
     /// Caller-chosen label (plan name, query id, bench case).
-    pub label: String,
+    label: String,
     /// The report body as a JSON object string.
-    pub json: String,
+    json: String,
 }
 
 /// Fixed-capacity ring of the last N reports. All methods take
@@ -34,7 +34,6 @@ pub struct FlightRecorder {
 struct Inner {
     ring: VecDeque<FlightEntry>,
     next_seq: u64,
-    evicted: u64,
 }
 
 impl FlightRecorder {
@@ -46,14 +45,8 @@ impl FlightRecorder {
             inner: Mutex::new(Inner {
                 ring: VecDeque::new(),
                 next_seq: 1,
-                evicted: 0,
             }),
         }
-    }
-
-    /// Retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Record one report; returns its sequence number. Evicts the
@@ -64,7 +57,6 @@ impl FlightRecorder {
         g.next_seq += 1;
         if g.ring.len() == self.cap {
             g.ring.pop_front();
-            g.evicted += 1;
         }
         g.ring.push_back(FlightEntry {
             seq,
@@ -82,16 +74,6 @@ impl FlightRecorder {
     /// True when nothing has been recorded (or everything evicted).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total reports evicted to make room.
-    pub fn evicted(&self) -> u64 {
-        self.inner.lock().unwrap().evicted
-    }
-
-    /// Snapshot of the retained entries, oldest first.
-    pub fn entries(&self) -> Vec<FlightEntry> {
-        self.inner.lock().unwrap().ring.iter().cloned().collect()
     }
 
     /// The ring as JSON-lines, oldest first: one object per line with
@@ -123,11 +105,11 @@ mod tests {
             fr.record(&format!("q{i}"), &format!("{{\"i\":{i}}}"));
         }
         assert_eq!(fr.len(), 3);
-        assert_eq!(fr.evicted(), 2);
-        let got: Vec<String> = fr.entries().iter().map(|e| e.label.clone()).collect();
+        let g = fr.inner.lock().unwrap();
+        let got: Vec<&str> = g.ring.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(got, ["q2", "q3", "q4"]);
         // Sequence numbers survive eviction: the dump reveals the gap.
-        assert_eq!(fr.entries()[0].seq, 3);
+        assert_eq!(g.ring[0].seq, 3);
     }
 
     #[test]
@@ -145,7 +127,7 @@ mod tests {
     #[test]
     fn capacity_is_clamped_and_shared_access_works() {
         let fr = std::sync::Arc::new(FlightRecorder::new(0));
-        assert_eq!(fr.capacity(), 1);
+        assert_eq!(fr.cap, 1);
         let fr2 = fr.clone();
         let t = std::thread::spawn(move || {
             for _ in 0..100 {
@@ -157,6 +139,5 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(fr.len(), 1);
-        assert_eq!(fr.evicted(), 199);
     }
 }

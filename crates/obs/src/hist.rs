@@ -82,17 +82,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Record a float sample (rounded; negatives and non-finite clamp
-    /// to 0).
-    pub fn record_ns(&mut self, v: f64) {
-        let v = if v.is_finite() {
-            v.max(0.0).round()
-        } else {
-            0.0
-        };
-        self.record(v as u64);
-    }
-
     /// Total samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -259,16 +248,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         let json = h.to_json();
         assert!(json.contains("\"count\":0"), "{json}");
-    }
-
-    #[test]
-    fn record_ns_clamps_garbage() {
-        let mut h = Histogram::new();
-        h.record_ns(-5.0);
-        h.record_ns(f64::NAN);
-        h.record_ns(1.6);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), 2);
     }
 
     #[test]

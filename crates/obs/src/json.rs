@@ -94,13 +94,6 @@ impl Obj {
         self
     }
 
-    /// Add a boolean field.
-    pub fn bool(&mut self, k: &str, v: bool) -> &mut Obj {
-        let s = if v { "true" } else { "false" };
-        self.key(k).push_str(s);
-        self
-    }
-
     /// Add a pre-serialized JSON value (nested object/array).
     pub fn raw(&mut self, k: &str, v: &str) -> &mut Obj {
         let v = v.to_string();
@@ -135,18 +128,6 @@ impl Arr {
         self
     }
 
-    /// Append a string element.
-    pub fn str(&mut self, v: &str) -> &mut Arr {
-        let e = format!("\"{}\"", escape(v));
-        self.raw(&e)
-    }
-
-    /// Append a float element.
-    pub fn num(&mut self, v: f64) -> &mut Arr {
-        let s = num(v);
-        self.raw(&s)
-    }
-
     /// Close the array.
     pub fn finish(&self) -> String {
         format!("[{}]", self.buf)
@@ -177,9 +158,9 @@ mod tests {
         let mut inner = Obj::new();
         inner.str("class", "scan").u64("count", 3);
         let mut arr = Arr::new();
-        arr.raw(&inner.finish()).num(1.5).str("x");
+        arr.raw(&inner.finish()).raw(&num(1.5)).raw("\"x\"");
         let mut o = Obj::new();
-        o.bool("ok", true).raw("rows", &arr.finish());
+        o.raw("ok", "true").raw("rows", &arr.finish());
         assert_eq!(
             o.finish(),
             r#"{"ok":true,"rows":[{"class":"scan","count":3},1.500,"x"]}"#

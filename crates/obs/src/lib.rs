@@ -37,7 +37,7 @@ pub mod registry;
 pub mod span;
 
 pub use drift::{ClassDrift, DriftMonitor};
-pub use flight::{FlightEntry, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use hist::Histogram;
 pub use registry::{Metric, MetricsRegistry};
 pub use span::{Span, SpanKind, SpanRecorder, SpanSink};

@@ -162,11 +162,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Names of all registered metrics, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.inner.lock().unwrap().keys().cloned().collect()
-    }
-
     /// Prometheus text exposition format. Histograms export as
     /// summaries (`{quantile="…"}` series plus `_sum`/`_count`).
     pub fn to_prometheus(&self) -> String {
@@ -350,5 +345,16 @@ mod tests {
         r.inc("n", 5);
         assert_eq!(snap.counter("n"), Some(5));
         assert_eq!(r.counter("n"), Some(10));
+    }
+
+    #[test]
+    fn observe_ns_clamps_garbage() {
+        let r = MetricsRegistry::new();
+        r.observe_ns("h", -5.0);
+        r.observe_ns("h", f64::NAN);
+        r.observe_ns("h", 1.6);
+        let h = r.histogram("h").unwrap();
+        assert_eq!(h.count(), 3);
+        assert_eq!((h.min(), h.max()), (0, 2));
     }
 }

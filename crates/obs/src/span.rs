@@ -10,7 +10,7 @@
 //!
 //! When a lane is full the span is *dropped and counted* rather than
 //! blocking the traced work — the `dropped` counter makes truncation
-//! visible, mirroring how `MissTrace` reports its own overflow.
+//! visible.
 //!
 //! One off switch: [`SpanRecorder::set_enabled`]`(false)` at runtime
 //! costs one relaxed atomic load per would-be span (the
@@ -33,19 +33,6 @@ pub enum SpanKind {
     Execute,
     /// Anything else.
     Other,
-}
-
-impl SpanKind {
-    /// Stable lowercase label (used in exports and metric names).
-    pub fn label(self) -> &'static str {
-        match self {
-            SpanKind::Optimize => "optimize",
-            SpanKind::Admission => "admission",
-            SpanKind::Build => "build",
-            SpanKind::Execute => "execute",
-            SpanKind::Other => "other",
-        }
-    }
 }
 
 /// One completed span: a named interval with the backend counter
@@ -77,30 +64,6 @@ pub struct Span {
     pub seq: u64,
 }
 
-impl Span {
-    /// The span as one JSON object (a JSON-lines row).
-    pub fn to_json(&self) -> String {
-        let mut levels = crate::json::Arr::new();
-        for (name, misses) in &self.level_misses {
-            let mut o = crate::json::Obj::new();
-            o.str("level", name).u64("misses", *misses);
-            levels.raw(&o.finish());
-        }
-        let mut o = crate::json::Obj::new();
-        o.str("name", &self.name)
-            .str("kind", self.kind.label())
-            .u64("start_ns", self.start_ns)
-            .u64("end_ns", self.end_ns)
-            .num("elapsed_ns", self.elapsed_ns)
-            .u64("accesses", self.accesses)
-            .raw("level_misses", &levels.finish())
-            .u64("ops", self.ops)
-            .u64("lane", self.lane as u64)
-            .u64("seq", self.seq);
-        o.finish()
-    }
-}
-
 mod ring {
     use super::*;
     use std::cell::UnsafeCell;
@@ -117,9 +80,11 @@ mod ring {
         pub(super) dropped: AtomicU64,
     }
 
-    // The slot array is shared between exactly one producer and one
-    // consumer, and each slot is touched only in the half-open window
-    // its owner has claimed via the head/tail protocol below.
+    // SAFETY: the slots are shared by exactly one producer (the owning
+    // `SpanSink`) and one consumer (serialized by the recorder's lane
+    // mutex), and each slot is touched only inside the window its owner
+    // has claimed via the head/tail Release/Acquire protocol below, so
+    // no slot is ever accessed by two threads at once.
     unsafe impl Sync for Lane {}
 
     impl Lane {
@@ -427,15 +392,5 @@ mod tests {
         assert!(sink.active());
         sink.record(span("b"));
         assert_eq!(rec.drain().len(), 1);
-    }
-
-    #[test]
-    fn span_json_has_core_fields() {
-        let mut s = span("scan");
-        s.level_misses.push(("L1".into(), 4));
-        let json = s.to_json();
-        assert!(json.contains("\"name\":\"scan\""), "{json}");
-        assert!(json.contains("\"kind\":\"other\""), "{json}");
-        assert!(json.contains("\"level\":\"L1\""), "{json}");
     }
 }

@@ -185,16 +185,6 @@ impl BuildRegistry {
         (before - self.entries.len()) as u64
     }
 
-    /// Number of builds currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no builds are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Builds computed (registry misses).
     pub fn built(&self) -> u64 {
         self.built
@@ -231,7 +221,7 @@ mod tests {
         let (c, _) = reg.get_or_build(0, 1, &keys);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_ne!(a.region.id(), c.region.id());
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.entries.len(), 2);
     }
 
     #[test]
@@ -254,13 +244,12 @@ mod tests {
         reg.get_or_build(1, 0, &keys);
         reg.get_or_build(0, 1, &keys);
         assert_eq!(reg.retire_epochs_before(1), 2);
-        assert_eq!(reg.len(), 1);
-        assert!(!reg.is_empty());
+        assert_eq!(reg.entries.len(), 1);
         assert_eq!(reg.retire_epochs_before(1), 0);
         // A table's builds go at every epoch; other tables' stay.
         reg.get_or_build(1, 1, &keys);
         assert_eq!(reg.retire_table(0), 1);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.entries.len(), 1);
     }
 
     #[test]

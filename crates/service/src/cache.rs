@@ -121,16 +121,6 @@ impl PlanCache {
     pub fn retired(&self) -> u64 {
         self.retired
     }
-
-    /// Hit fraction of all lookups so far (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits() as f64, self.misses() as f64);
-        if h + m > 0.0 {
-            h / (h + m)
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,7 +157,6 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.optimizer_runs(), 1);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

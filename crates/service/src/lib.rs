@@ -507,6 +507,5 @@ pub fn derive_stats(keys: &[u64], w: u64) -> TableStats {
         key_bound,
         distinct,
         sorted,
-        region: None,
     }
 }

@@ -323,10 +323,9 @@ fn drift_monitor_sees_every_class_of_an_honest_run() {
         svc.submit(plan.clone()).unwrap();
     }
     svc.run().unwrap();
-    let snap = svc.catalog().snapshot();
     let status = svc.drift().status();
     for plan in &plans {
-        let planned = optimize_and_lower(&svc.model, plan, snap.tables()).unwrap();
+        let planned = optimize_and_lower(&svc.model, plan, svc.catalog().tables()).unwrap();
         for class in plan_classes(&planned.plan) {
             let samples = status.get(class).map_or(0, |d| d.samples);
             assert!(

@@ -48,16 +48,6 @@ impl Arena {
         base + offset
     }
 
-    /// Total bytes allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next - ARENA_BASE
-    }
-
-    /// First address past the allocated space.
-    pub fn high_water(&self) -> Addr {
-        self.next
-    }
-
     /// Move the bump pointer to `end`, resizing the last allocation in
     /// place; returns the previous high-water mark. Bytes past the
     /// pointer are never written (every write lands inside an
@@ -104,20 +94,6 @@ impl Arena {
         self.data[i..i + 8].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Read a little-endian `u32` at `addr` (host-side).
-    #[inline]
-    pub fn read_u32(&self, addr: Addr) -> u32 {
-        let i = self.idx(addr);
-        u32::from_le_bytes(self.data[i..i + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Write a little-endian `u32` at `addr` (host-side).
-    #[inline]
-    pub fn write_u32(&mut self, addr: Addr, v: u32) {
-        let i = self.idx(addr);
-        self.data[i..i + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     /// Copy `len` bytes from `src` to `dst` within the arena (host-side).
     pub fn copy(&mut self, src: Addr, dst: Addr, len: u64) {
         let s = self.idx(src);
@@ -161,16 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn u32_roundtrip() {
-        let mut a = Arena::new();
-        let p = a.alloc(16, 4);
-        a.write_u32(p, 0x1234_5678);
-        a.write_u32(p + 4, 0x9ABC_DEF0);
-        assert_eq!(a.read_u32(p), 0x1234_5678);
-        assert_eq!(a.read_u32(p + 4), 0x9ABC_DEF0);
-    }
-
-    #[test]
     fn byte_roundtrip_and_copy() {
         let mut a = Arena::new();
         let src = a.alloc(16, 8);
@@ -193,10 +159,9 @@ mod tests {
     #[test]
     fn allocated_tracks_high_water() {
         let mut a = Arena::new();
-        assert_eq!(a.allocated(), 0);
+        assert_eq!(a.next, ARENA_BASE);
         a.alloc(100, 1);
-        assert_eq!(a.allocated(), 100);
-        assert_eq!(a.high_water(), ARENA_BASE + 100);
+        assert_eq!(a.next, ARENA_BASE + 100);
     }
 
     #[test]
@@ -211,6 +176,6 @@ mod tests {
         let q = a.alloc(8, 8);
         assert_eq!(q, p + 16);
         assert_eq!((a.read_u64(q), a.read_u64(p + 8)), (0, 9));
-        assert_eq!(a.allocated(), 24);
+        assert_eq!(a.next, p + 24);
     }
 }

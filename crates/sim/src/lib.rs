@@ -39,16 +39,14 @@
 
 pub mod arena;
 pub mod cache;
-pub mod lru;
+mod lru;
 pub mod memory;
 pub mod stats;
-pub mod trace;
 
 pub use arena::Arena;
 pub use cache::{AccessOutcome, SimCache};
 pub use memory::{MemorySystem, Snapshot};
 pub use stats::{LevelStats, MissClass};
-pub use trace::{MissEvent, MissTrace};
 
 /// A simulated memory address (an offset into the [`Arena`]).
 pub type Addr = u64;

@@ -41,26 +41,6 @@ impl LruSet {
         }
     }
 
-    /// Number of resident tags.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no tags are resident.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum number of resident tags.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True if `tag` is resident (does not update recency).
-    pub fn contains(&self, tag: u64) -> bool {
-        self.map.contains_key(&tag)
-    }
-
     fn unlink(&mut self, idx: u32) {
         let node = self.nodes[idx as usize];
         if node.prev != NIL {
@@ -132,28 +112,22 @@ impl LruSet {
         self.head = NIL;
         self.tail = NIL;
     }
-
-    /// The least-recently-used tag, if any (test/diagnostic helper).
-    pub fn lru_tag(&self) -> Option<u64> {
-        (self.tail != NIL).then(|| self.nodes[self.tail as usize].tag)
-    }
-
-    /// The most-recently-used tag, if any (test/diagnostic helper).
-    pub fn mru_tag(&self) -> Option<u64> {
-        (self.head != NIL).then(|| self.nodes[self.head as usize].tag)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn tag_at(s: &LruSet, idx: u32) -> Option<u64> {
+        (idx != NIL).then(|| s.nodes[idx as usize].tag)
+    }
+
     #[test]
     fn hit_after_insert() {
         let mut s = LruSet::new(4);
         assert!(!s.access(10));
         assert!(s.access(10));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.map.len(), 1);
     }
 
     #[test]
@@ -163,9 +137,9 @@ mod tests {
         s.access(2);
         s.access(1); // 1 is now MRU, 2 is LRU
         assert!(!s.access(3)); // evicts 2
-        assert!(s.contains(1));
-        assert!(!s.contains(2));
-        assert!(s.contains(3));
+        assert!(s.map.contains_key(&1));
+        assert!(!s.map.contains_key(&2));
+        assert!(s.map.contains_key(&3));
     }
 
     #[test]
@@ -174,12 +148,12 @@ mod tests {
         for t in 0..100 {
             s.access(t);
         }
-        assert_eq!(s.len(), 8);
+        assert_eq!(s.map.len(), 8);
         // The last 8 tags are resident.
         for t in 92..100 {
-            assert!(s.contains(t), "tag {t} should be resident");
+            assert!(s.map.contains_key(&t), "tag {t} should be resident");
         }
-        assert!(!s.contains(91));
+        assert!(!s.map.contains_key(&91));
     }
 
     #[test]
@@ -188,11 +162,11 @@ mod tests {
         s.access(1);
         s.access(2);
         s.access(3);
-        assert_eq!(s.mru_tag(), Some(3));
-        assert_eq!(s.lru_tag(), Some(1));
+        assert_eq!(tag_at(&s, s.head), Some(3));
+        assert_eq!(tag_at(&s, s.tail), Some(1));
         s.access(1);
-        assert_eq!(s.mru_tag(), Some(1));
-        assert_eq!(s.lru_tag(), Some(2));
+        assert_eq!(tag_at(&s, s.head), Some(1));
+        assert_eq!(tag_at(&s, s.tail), Some(2));
     }
 
     #[test]
@@ -200,8 +174,8 @@ mod tests {
         let mut s = LruSet::new(2);
         s.access(1);
         s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.lru_tag(), None);
+        assert!(s.map.is_empty());
+        assert_eq!(tag_at(&s, s.tail), None);
         assert!(!s.access(1)); // miss again: compulsory after clear
     }
 

@@ -19,7 +19,6 @@
 use crate::arena::Arena;
 use crate::cache::{AccessOutcome, SimCache};
 use crate::stats::{LevelStats, MissClass};
-use crate::trace::{MissEvent, MissTrace};
 use crate::Addr;
 use gcm_hardware::{HardwareSpec, LevelKind};
 
@@ -67,7 +66,6 @@ pub struct MemorySystem {
     clock_ns: f64,
     arena: Arena,
     chunk: u64,
-    trace: Option<MissTrace>,
 }
 
 impl MemorySystem {
@@ -118,24 +116,7 @@ impl MemorySystem {
             clock_ns: 0.0,
             arena: Arena::new(),
             chunk,
-            trace: None,
         }
-    }
-
-    /// Attach a bounded miss-event trace (see [`MissTrace`]); replaces
-    /// any previous trace.
-    pub fn attach_trace(&mut self, capacity: usize) {
-        self.trace = Some(MissTrace::new(capacity));
-    }
-
-    /// The attached trace, if any.
-    pub fn trace(&self) -> Option<&MissTrace> {
-        self.trace.as_ref()
-    }
-
-    /// Detach and return the trace.
-    pub fn take_trace(&mut self) -> Option<MissTrace> {
-        self.trace.take()
     }
 
     /// The hardware description being simulated.
@@ -168,67 +149,22 @@ impl MemorySystem {
     fn touch_chunk(&mut self, addr: Addr) {
         // TLB probe (page-granular, independent of the data path).
         for &ti in &self.tlb_path {
-            let st = &mut self.stats[ti];
-            st.accesses += 1;
-            match self.caches[ti].access(addr) {
-                AccessOutcome::Hit => st.hits += 1,
-                AccessOutcome::Miss { sequential, class } => {
-                    let lvl = self.caches[ti].level();
-                    let ns = if sequential {
-                        lvl.seq_miss_ns
-                    } else {
-                        lvl.rand_miss_ns
-                    };
-                    if sequential {
-                        st.seq_misses += 1;
-                    } else {
-                        st.rand_misses += 1;
-                    }
-                    record_class(st, class);
-                    st.charged_ns += ns;
-                    self.clock_ns += ns;
-                    if let Some(t) = &mut self.trace {
-                        t.record(MissEvent {
-                            level: ti,
-                            line: self.caches[ti].line_of(addr),
-                            sequential,
-                        });
-                    }
-                }
-            }
+            probe(
+                &mut self.caches[ti],
+                &mut self.stats[ti],
+                &mut self.clock_ns,
+                addr,
+            );
         }
         // Data path: inside-out, stop at first hit.
         for &di in &self.data_path {
-            let st = &mut self.stats[di];
-            st.accesses += 1;
-            match self.caches[di].access(addr) {
-                AccessOutcome::Hit => {
-                    st.hits += 1;
-                    break;
-                }
-                AccessOutcome::Miss { sequential, class } => {
-                    let lvl = self.caches[di].level();
-                    let ns = if sequential {
-                        lvl.seq_miss_ns
-                    } else {
-                        lvl.rand_miss_ns
-                    };
-                    if sequential {
-                        st.seq_misses += 1;
-                    } else {
-                        st.rand_misses += 1;
-                    }
-                    record_class(st, class);
-                    st.charged_ns += ns;
-                    self.clock_ns += ns;
-                    if let Some(t) = &mut self.trace {
-                        t.record(MissEvent {
-                            level: di,
-                            line: self.caches[di].line_of(addr),
-                            sequential,
-                        });
-                    }
-                }
+            if probe(
+                &mut self.caches[di],
+                &mut self.stats[di],
+                &mut self.clock_ns,
+                addr,
+            ) {
+                break;
             }
         }
     }
@@ -279,32 +215,6 @@ impl MemorySystem {
         self.arena.write_u64(addr, v);
     }
 
-    /// Simulated read of a little-endian `u32`.
-    #[inline]
-    pub fn read_u32(&mut self, addr: Addr) -> u32 {
-        self.touch(addr, 4);
-        self.arena.read_u32(addr)
-    }
-
-    /// Simulated write of a little-endian `u32`.
-    #[inline]
-    pub fn write_u32(&mut self, addr: Addr, v: u32) {
-        self.touch(addr, 4);
-        self.arena.write_u32(addr, v);
-    }
-
-    /// Simulated read into `buf`.
-    pub fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.touch(addr, buf.len() as u64);
-        self.arena.read_bytes(addr, buf);
-    }
-
-    /// Simulated write of `buf`.
-    pub fn write_bytes(&mut self, addr: Addr, buf: &[u8]) {
-        self.touch(addr, buf.len() as u64);
-        self.arena.write_bytes(addr, buf);
-    }
-
     /// Simulated copy of `len` bytes (reads source, writes destination).
     pub fn copy(&mut self, src: Addr, dst: Addr, len: u64) {
         self.touch(src, len);
@@ -341,14 +251,6 @@ impl MemorySystem {
         self.snapshot().since(earlier)
     }
 
-    /// Zero all counters and the clock (cache contents are kept).
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            *s = LevelStats::default();
-        }
-        self.clock_ns = 0.0;
-    }
-
     /// Evict everything from every cache (counters are kept). The paper's
     /// experiments "assume initially empty caches" (§4.5); call this
     /// between algorithm runs to restore that state.
@@ -357,13 +259,36 @@ impl MemorySystem {
             c.flush();
         }
     }
+}
 
-    /// True if the line of `addr` is resident at the level called `name`.
-    pub fn is_resident(&self, name: &str, addr: Addr) -> bool {
-        self.spec
-            .level_index(name)
-            .map(|i| self.caches[i].contains(addr))
-            .unwrap_or(false)
+/// Probe one level for `addr`: count the access and, on a miss, charge the
+/// level's sequential or random miss latency to its counters and to
+/// `clock_ns`. Returns true on a hit.
+#[inline]
+fn probe(cache: &mut SimCache, st: &mut LevelStats, clock_ns: &mut f64, addr: Addr) -> bool {
+    st.accesses += 1;
+    match cache.access(addr) {
+        AccessOutcome::Hit => {
+            st.hits += 1;
+            true
+        }
+        AccessOutcome::Miss { sequential, class } => {
+            let lvl = cache.level();
+            let ns = if sequential {
+                lvl.seq_miss_ns
+            } else {
+                lvl.rand_miss_ns
+            };
+            if sequential {
+                st.seq_misses += 1;
+            } else {
+                st.rand_misses += 1;
+            }
+            record_class(st, class);
+            st.charged_ns += ns;
+            *clock_ns += ns;
+            false
+        }
     }
 }
 
@@ -481,15 +406,17 @@ mod tests {
         let mut m = mem();
         let p = m.alloc(64, 64);
         m.read(p, 8);
-        m.reset_stats();
-        assert_eq!(m.clock_ns(), 0.0);
-        assert_eq!(m.stats_for("L1").unwrap().accesses, 0);
-        // Cache still warm: a re-read hits.
+        let l1 = m.spec().level_index("L1").unwrap();
+        // Cache still warm: a re-read hits and charges nothing.
+        let warm = m.snapshot();
         m.read(p, 8);
-        assert_eq!(m.stats_for("L1").unwrap().misses(), 0);
+        let d = m.delta_since(&warm);
+        assert_eq!((d.levels[l1].hits, d.levels[l1].misses()), (1, 0));
+        assert_eq!(d.clock_ns, 0.0);
+        // Flushed: the same read misses again; counters keep counting.
         m.flush_caches();
         m.read(p, 8);
-        assert_eq!(m.stats_for("L1").unwrap().misses(), 1);
+        assert_eq!(m.stats()[l1].misses(), 2);
     }
 
     #[test]
@@ -497,13 +424,9 @@ mod tests {
         let mut m = mem();
         let p = m.alloc(128, 8);
         m.write_u64(p, 77);
-        m.write_u32(p + 8, 11);
+        m.write_u64(p + 8, 11);
         assert_eq!(m.read_u64(p), 77);
-        assert_eq!(m.read_u32(p + 8), 11);
-        let mut buf = [0u8; 4];
-        m.write_bytes(p + 16, &[1, 2, 3, 4]);
-        m.read_bytes(p + 16, &mut buf);
-        assert_eq!(buf, [1, 2, 3, 4]);
+        assert_eq!(m.read_u64(p + 8), 11);
     }
 
     #[test]
@@ -517,16 +440,6 @@ mod tests {
         }
         assert_eq!(m.stats_for("L1").unwrap().misses(), 4);
         assert_eq!(m.stats_for("L2").unwrap().misses(), 1);
-    }
-
-    #[test]
-    fn is_resident_reflects_cache_state() {
-        let mut m = mem();
-        let p = m.alloc(64, 64);
-        assert!(!m.is_resident("L1", p));
-        m.read(p, 8);
-        assert!(m.is_resident("L1", p));
-        assert!(m.is_resident("L2", p));
     }
 
     #[test]
@@ -545,31 +458,6 @@ mod tests {
         assert_eq!(
             l1.compulsory + l1.capacity_misses + l1.conflict_misses,
             l1.misses()
-        );
-    }
-
-    #[test]
-    fn trace_records_misses_with_stream_classification() {
-        let mut m = mem();
-        m.attach_trace(64);
-        let p = m.alloc(1024, 64);
-        for i in 0..32 {
-            m.read(p + i * 32, 8);
-        }
-        let trace = m.trace().unwrap();
-        // L1 index is 0 in the tiny spec; 32 line misses recorded.
-        let l1_events: Vec<_> = trace.events().filter(|e| e.level == 0).collect();
-        assert_eq!(l1_events.len(), 32);
-        // All but the first are stream (sequential) misses.
-        assert!(l1_events[1..].iter().all(|e| e.sequential));
-        let hist = trace.stride_histogram(0);
-        assert_eq!(hist.get(&1), Some(&31));
-        // Detach and reuse.
-        let owned = m.take_trace().unwrap();
-        assert!(m.trace().is_none());
-        assert_eq!(
-            owned.len(),
-            32 + owned.events().filter(|e| e.level != 0).count()
         );
     }
 

@@ -54,24 +54,6 @@ impl LevelStats {
     pub fn misses(&self) -> u64 {
         self.seq_misses + self.rand_misses
     }
-
-    /// Miss rate in `[0, 1]`; zero when the level was never probed.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses() as f64 / self.accesses as f64
-        }
-    }
-
-    /// Hit rate in `[0, 1]`; zero when the level was never probed.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
 }
 
 impl Sub for LevelStats {
@@ -123,15 +105,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.misses(), 3);
-        assert!((s.miss_rate() - 0.3).abs() < 1e-12);
-        assert!((s.hit_rate() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_rates_are_zero() {
-        let s = LevelStats::default();
-        assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]

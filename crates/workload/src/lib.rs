@@ -24,11 +24,6 @@ impl Workload {
         }
     }
 
-    /// `n` uniformly random `u64` keys (duplicates possible).
-    pub fn uniform_keys(&mut self, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.rng.next_u64()).collect()
-    }
-
     /// Uniformly random keys bounded to `[0, bound)`.
     pub fn uniform_keys_bounded(&mut self, n: usize, bound: u64) -> Vec<u64> {
         assert!(bound > 0);
@@ -41,11 +36,6 @@ impl Workload {
         let mut keys: Vec<u64> = (0..n as u64).collect();
         self.shuffle(&mut keys);
         keys
-    }
-
-    /// The keys `0..n`, sorted ascending (merge-join inputs).
-    pub fn sorted_keys(&mut self, n: usize) -> Vec<u64> {
-        (0..n as u64).collect()
     }
 
     /// A pair of columns with a perfect 1:1 match: both contain the keys
@@ -331,10 +321,10 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = Workload::new(42).uniform_keys(100);
-        let b = Workload::new(42).uniform_keys(100);
+        let a = Workload::new(42).uniform_keys_bounded(100, 1 << 40);
+        let b = Workload::new(42).uniform_keys_bounded(100, 1 << 40);
         assert_eq!(a, b);
-        let c = Workload::new(43).uniform_keys(100);
+        let c = Workload::new(43).uniform_keys_bounded(100, 1 << 40);
         assert_ne!(a, c);
     }
 
@@ -372,13 +362,6 @@ mod tests {
         for k in w.uniform_keys_bounded(10_000, 37) {
             assert!(k < 37);
         }
-    }
-
-    #[test]
-    fn sorted_keys_are_sorted() {
-        let mut w = Workload::new(3);
-        let keys = w.sorted_keys(100);
-        assert!(keys.windows(2).all(|p| p[0] <= p[1]));
     }
 
     #[test]

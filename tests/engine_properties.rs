@@ -145,30 +145,6 @@ proptest! {
     }
 
     #[test]
-    fn set_ops_obey_set_algebra(
-        uk in proptest::collection::vec(0u64..40, 0..80),
-        vk in proptest::collection::vec(0u64..40, 0..80),
-    ) {
-        use ops::set_ops::{set_op, SetOp};
-        let mut us: Vec<u64> = uk.clone();
-        let mut vs: Vec<u64> = vk.clone();
-        us.sort_unstable();
-        vs.sort_unstable();
-        let mut c = ctx();
-        let u = c.relation_from_keys("U", &us, 8);
-        let v = c.relation_from_keys("V", &vs, 8);
-        let uni = set_op(&mut c, &u, &v, SetOp::Union, "W1").n();
-        let int = set_op(&mut c, &u, &v, SetOp::Intersect, "W2").n();
-        let diff = set_op(&mut c, &u, &v, SetOp::Difference, "W3").n();
-        let du: std::collections::HashSet<u64> = uk.iter().copied().collect();
-        let dv: std::collections::HashSet<u64> = vk.iter().copied().collect();
-        // |U ∪ V| = |U| + |V| − |U ∩ V|; |U \ V| = |U| − |U ∩ V|.
-        prop_assert_eq!(uni, (du.len() + dv.len()) as u64 - int);
-        prop_assert_eq!(diff, du.len() as u64 - int);
-        prop_assert_eq!(int, du.intersection(&dv).count() as u64);
-    }
-
-    #[test]
     fn btree_agrees_with_binary_search(
         mut keys in proptest::collection::vec(0u64..100_000, 2..300),
         probes in proptest::collection::vec(0u64..100_000, 1..50),

@@ -14,7 +14,6 @@
 //! * empty outputs are covered for every operator.
 
 use gcm_engine::ops::hash::{build_hash, hash_join_with_table};
-use gcm_engine::ops::set_ops::{set_op, SetOp};
 use gcm_engine::ops::{aggregate, merge_join, nl_join, scan};
 use gcm_engine::{ExecContext, MemoryBackend, NativeBackend, Relation, SimBackend};
 use gcm_hardware::presets;
@@ -101,19 +100,8 @@ fn sorted_distinct(keys: impl IntoIterator<Item = u64>) -> Vec<u64> {
     out
 }
 
-fn naive_set(u: &[u64], v: &[u64], op: SetOp) -> Vec<u64> {
-    let from_v: &[u64] = if op == SetOp::Union { v } else { &[] };
-    let keep = |k: &u64| match op {
-        SetOp::Union => true,
-        SetOp::Intersect => v.contains(k),
-        SetOp::Difference => !v.contains(k),
-    };
-    sorted_distinct(u.iter().copied().filter(keep).chain(from_v.iter().copied()))
-}
-
 /// Every sealed operator over key-sorted inputs `u`, `v` (merge join
-/// and the set operations need them so); the selection keeps keys below
-/// `threshold`.
+/// needs them so); the selection keeps keys below `threshold`.
 fn cases<B: MemoryBackend + 'static>(u: &[u64], v: &[u64], threshold: u64) -> Vec<Case<B>> {
     let binary = |name: &str, op: Run<B>, expected, out_w| Case {
         name: name.to_string(),
@@ -133,7 +121,7 @@ fn cases<B: MemoryBackend + 'static>(u: &[u64], v: &[u64], threshold: u64) -> Ve
         expected,
         out_w: WIDE,
     };
-    let mut all = vec![
+    vec![
         Case {
             builds_first: true,
             ..binary(
@@ -168,16 +156,7 @@ fn cases<B: MemoryBackend + 'static>(u: &[u64], v: &[u64], threshold: u64) -> Ve
             Box::new(|c, r| aggregate::sort_dedup(c, &r[0], "W")),
             sorted_distinct(u.iter().copied()),
         ),
-    ];
-    for op in [SetOp::Union, SetOp::Intersect, SetOp::Difference] {
-        all.push(binary(
-            &format!("{op:?}"),
-            Box::new(move |c, r| set_op(c, &r[0], &r[1], op, "W")),
-            naive_set(u, v, op),
-            8,
-        ));
-    }
-    all
+    ]
 }
 
 fn sim() -> ExecContext<SimBackend> {

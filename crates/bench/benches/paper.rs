@@ -464,20 +464,21 @@ fn fig7c(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
     }
 }
 
-/// Figure 7d: hash partitioning of 16 MB (the paper's 96 MB, same cliff
-/// structure) at fan-outs `m` = 2 … `n`.
+/// Figure 7d: single-pass partitioning of 16 MB (the paper's 96 MB, same
+/// cliff structure) at fan-outs `m` = 2 … `n`.
 fn fig7d(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
     let n: u64 = 2 * 1024 * 1024;
-    let mut m = 2u64;
-    while m <= n {
+    for bits in (1..=n.ilog2()).step_by(3) {
+        let m = 1u64 << bits;
         let mut ctx = ExecContext::new(spec.clone());
         let keys = Workload::new(m).shuffled_keys(n as usize);
         let input = ctx.relation_from_keys("U", &keys, 8);
-        let (parts, stats) = ctx.measure(|c| ops::partition::hash_partition(c, &input, m, "W"));
-        let pattern = ops::partition::partition_pattern(input.region(), parts.rel.region(), m);
+        let (parts, stats) =
+            ctx.measure(|c| ops::partition::radix_partition(c, &input, bits, 1, "W"));
+        let pattern =
+            ops::partition::radix_partition_pattern(input.region(), parts.rel.region(), bits, 1);
         // One bucket computation per tuple.
         fig7_rows(gate, "fig7d", m, spec, &stats, &model.report(&pattern), n);
-        m *= 8;
     }
 }
 
@@ -487,17 +488,17 @@ fn fig7d(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
 fn fig7e(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
     let n: u64 = MB;
     let (uk, vk) = Workload::new(77).join_pair(n as usize);
-    let mut m = 1u64;
-    while m <= 16_384 {
+    for bits in (0..=14).step_by(3) {
+        let m = 1u64 << bits;
         let mut ctx = ExecContext::new(spec.clone());
         let u = ctx.relation_from_keys("U", &uk, 8);
         let v = ctx.relation_from_keys("V", &vk, 8);
-        let pu = ops::partition::hash_partition(&mut ctx, &u, m, "Up");
-        let pv = ops::partition::hash_partition(&mut ctx, &v, m, "Vp");
+        let pu = ops::partition::radix_partition(&mut ctx, &u, bits, 1, "Up");
+        let pv = ops::partition::radix_partition(&mut ctx, &v, bits, 1, "Vp");
         ctx.cold_caches();
         let (out, stats) =
             ctx.measure(|c| ops::part_hash_join::join_partitions(c, &pu, &pv, "W", 16));
-        let slots = (2 * n / m).next_power_of_two();
+        let slots = ops::hash::table_slots(n >> bits);
         let parts = (0..m)
             .map(|j| {
                 (
@@ -510,7 +511,6 @@ fn fig7e(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
             .collect();
         let report = model.report(&library::partitioned_hash_join(parts));
         fig7_rows(gate, "fig7e", slots * 16 / KB, spec, &stats, &report, 5 * n);
-        m *= 8;
     }
 }
 
@@ -814,9 +814,10 @@ fn extension_radix(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let mut ctx = ExecContext::new(spec.clone());
         let keys = Workload::new(passes as u64).shuffled_keys(n as usize);
         let input = ctx.relation_from_keys("U", &keys, 8);
-        let (_, stats) = ctx.measure(|c| ops::radix::radix_partition(c, &input, bits, passes, "R"));
+        let (_, stats) =
+            ctx.measure(|c| ops::partition::radix_partition(c, &input, bits, passes, "R"));
         let w = Region::new("W", n, 8);
-        let pattern = ops::radix::radix_partition_pattern(input.region(), &w, bits, passes);
+        let pattern = ops::partition::radix_partition_pattern(input.region(), &w, bits, passes);
         let report = model.report(&pattern);
         let pred_ops = passes as u64 * n;
         fig7_rows(

@@ -18,7 +18,6 @@ pub mod merge_join;
 pub mod nl_join;
 pub mod part_hash_join;
 pub mod partition;
-pub mod radix;
 pub mod scan;
 pub mod sort;
 

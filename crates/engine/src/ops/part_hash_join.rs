@@ -1,6 +1,6 @@
 //! Partitioned hash-join (paper §6.2, Figure 7e).
 //!
-//! Both inputs are hash-partitioned on the join key with the same fan-out;
+//! Both inputs are radix-partitioned on the join key with the same fan-out;
 //! matching partition pairs are then hash-joined independently. Once each
 //! partition's hash table fits in a cache level, the random probe traffic
 //! stays inside that level — the cache-conscious join of
@@ -13,23 +13,23 @@
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
-use crate::ops::hash::{build_hash, hash_join_with_table, ENTRY_BYTES};
-use crate::ops::partition::{hash_partition, partition_pattern};
+use crate::ops::hash::{build_hash, hash_join_with_table, table_slots, ENTRY_BYTES};
+use crate::ops::partition::{radix_partition, radix_partition_pattern, Partitioned};
 use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 
-/// Join `u ⋈ v` via `m`-way partitioning; returns the concatenated match
-/// output (one `out_w`-byte tuple per matching pair).
+/// Join `u ⋈ v` via `2^bits`-way single-pass partitioning; returns the
+/// concatenated match output (one `out_w`-byte tuple per matching pair).
 pub fn part_hash_join<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     u: &Relation,
     v: &Relation,
-    m: u64,
+    bits: u32,
     out_name: &str,
     out_w: u64,
 ) -> Relation {
-    let pu = hash_partition(ctx, u, m, &format!("{out_name}.Up"));
-    let pv = hash_partition(ctx, v, m, &format!("{out_name}.Vp"));
+    let pu = radix_partition(ctx, u, bits, 1, &format!("{out_name}.Up"));
+    let pv = radix_partition(ctx, v, bits, 1, &format!("{out_name}.Vp"));
     join_partitions(ctx, &pu, &pv, out_name, out_w)
 }
 
@@ -38,8 +38,8 @@ pub fn part_hash_join<B: MemoryBackend>(
 /// the partition size with the partitioning cost excluded).
 pub fn join_partitions<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
-    pu: &crate::ops::partition::Partitioned,
-    pv: &crate::ops::partition::Partitioned,
+    pu: &Partitioned,
+    pv: &Partitioned,
     out_name: &str,
     out_w: u64,
 ) -> Relation {
@@ -89,28 +89,28 @@ pub fn join_partitions<B: MemoryBackend>(
 /// `partition(U,m) ⊕ partition(V,m) ⊕ ⊕_j hash_join(U_j, V_j, H_j, W_j)`.
 ///
 /// The per-partition input/output regions are uniform slices of their
-/// parents; each partition's hash table is a fresh region of
-/// `2·V.n/m` 16-byte entries (the engine's load factor ½, rounded to the
-/// model's resolution).
+/// parents, `m = 2^bits` of them; each partition's hash table is a
+/// fresh region sized by [`table_slots`] for `V.n/m` entries.
 pub fn part_hash_join_pattern(
     u: &Region,
     v: &Region,
     w: &Region,
-    m: u64,
+    bits: u32,
     u_parted: &Region,
     v_parted: &Region,
 ) -> Pattern {
     let mut phases = vec![
-        partition_pattern(u, u_parted, m),
-        partition_pattern(v, v_parted, m),
+        radix_partition_pattern(u, u_parted, bits, 1),
+        radix_partition_pattern(v, v_parted, bits, 1),
     ];
-    let table_slots = (2 * (v.n / m.max(1)).max(1)).next_power_of_two();
+    let m = 1u64 << bits;
+    let slots = table_slots(v.n >> bits);
     let parts = (0..m)
         .map(|j| {
             (
                 u_parted.slice(m),
                 v_parted.slice(m),
-                Region::new(format!("H{j}"), table_slots, ENTRY_BYTES),
+                Region::new(format!("H{j}"), slots, ENTRY_BYTES),
                 w.slice(m),
             )
         })
@@ -136,7 +136,7 @@ mod tests {
         let (uk, vk) = Workload::new(20).join_pair(1000);
         let u = c.relation_from_keys("U", &uk, 8);
         let v = c.relation_from_keys("V", &vk, 8);
-        let out = part_hash_join(&mut c, &u, &v, 8, "W", 16);
+        let out = part_hash_join(&mut c, &u, &v, 3, "W", 16);
         assert_eq!(out.n(), 1000);
         let mut keys: Vec<u64> = (0..1000)
             .map(|i| c.mem.host().read_u64(out.tuple(i)))
@@ -153,7 +153,7 @@ mod tests {
         let u = c.relation_from_keys("U", &uk, 8);
         let v = c.relation_from_keys("V", &vk, 8);
         let plain = hash_join(&mut c, &u, &v, "Wp", 16);
-        let parted = part_hash_join(&mut c, &u, &v, 4, "Wq", 16);
+        let parted = part_hash_join(&mut c, &u, &v, 2, "Wq", 16);
         assert_eq!(plain.n(), parted.n());
         let mut a: Vec<u64> = (0..plain.n())
             .map(|i| c.mem.host().read_u64(plain.tuple(i)))
@@ -172,7 +172,7 @@ mod tests {
         let (uk, vk) = Workload::new(23).join_pair(200);
         let u = c.relation_from_keys("U", &uk, 8);
         let v = c.relation_from_keys("V", &vk, 8);
-        let out = part_hash_join(&mut c, &u, &v, 1, "W", 16);
+        let out = part_hash_join(&mut c, &u, &v, 0, "W", 16);
         assert_eq!(out.n(), 200);
     }
 
@@ -181,25 +181,25 @@ mod tests {
         // The headline crossover (Fig 7e): with H ≫ L2, partitioned join
         // takes fewer L2 misses than the plain one.
         let n = 16_384usize; // H = 512 KB vs tiny L2 = 16 KB
-        let l2_misses = |m: Option<u64>| {
+        let l2_misses = |bits: Option<u32>| {
             let mut c = ctx();
             let (uk, vk) = Workload::new(24).join_pair(n);
             let u = c.relation_from_keys("U", &uk, 8);
             let v = c.relation_from_keys("V", &vk, 8);
             c.cold_caches();
-            let (_, stats) = c.measure(|c| match m {
+            let (_, stats) = c.measure(|c| match bits {
                 None => {
                     hash_join(c, &u, &v, "W", 16);
                 }
-                Some(m) => {
-                    part_hash_join(c, &u, &v, m, "W", 16);
+                Some(bits) => {
+                    part_hash_join(c, &u, &v, bits, "W", 16);
                 }
             });
             let l2 = c.mem.spec().level_index("L2").unwrap();
             stats.misses_at(l2)
         };
         let plain = l2_misses(None);
-        let parted = l2_misses(Some(64)); // per-partition H = 8 KB < L2
+        let parted = l2_misses(Some(6)); // 64 ways: per-partition H = 8 KB < L2
         assert!(
             parted < plain,
             "partitioned join must save L2 misses: {parted} vs {plain}"
@@ -218,7 +218,7 @@ mod tests {
             u.region(),
             v.region(),
             w.region(),
-            4,
+            2,
             up.region(),
             vp.region(),
         );
@@ -234,7 +234,7 @@ mod tests {
         let mut c = ctx();
         let u = c.relation("U", 0, 8);
         let v = c.relation("V", 0, 8);
-        let out = part_hash_join(&mut c, &u, &v, 4, "W", 16);
+        let out = part_hash_join(&mut c, &u, &v, 2, "W", 16);
         assert_eq!(out.n(), 0);
     }
 }

@@ -523,7 +523,7 @@ fn exec_node<B: MemoryBackend>(
                 },
             ))
         }
-        PhysicalPlan::Partition { input, m } => {
+        PhysicalPlan::Partition { input, bits } => {
             let current = exec_node(ctx, input, tables, builds, phases, seq, tracer)?;
             Ok(run_traced(
                 ctx,
@@ -533,11 +533,12 @@ fn exec_node<B: MemoryBackend>(
                 "partition",
                 |ctx, phases| {
                     let name = next_name(seq);
-                    let parts = ops::partition::hash_partition(ctx, &current, *m, &name);
-                    phases.push(ops::partition::partition_pattern(
+                    let parts = ops::partition::radix_partition(ctx, &current, *bits, 1, &name);
+                    phases.push(ops::partition::radix_partition_pattern(
                         current.region(),
                         parts.rel.region(),
-                        *m,
+                        *bits,
+                        1,
                     ));
                     parts.rel
                 },
@@ -621,15 +622,15 @@ fn exec_join<B: MemoryBackend>(
             ));
             Ok(out)
         }
-        JoinAlgorithm::PartitionedHash { m } => {
-            let out = ops::part_hash_join::part_hash_join(ctx, u, v, *m, &name, OUT_TUPLE_BYTES);
+        JoinAlgorithm::PartitionedHash { bits } => {
+            let out = ops::part_hash_join::part_hash_join(ctx, u, v, *bits, &name, OUT_TUPLE_BYTES);
             let up = Region::new(format!("Up({name})"), u.n(), u.w());
             let vp = Region::new(format!("Vp({name})"), v.n(), v.w());
             phases.push(ops::part_hash_join::part_hash_join_pattern(
                 u.region(),
                 v.region(),
                 out.region(),
-                *m,
+                *bits,
                 &up,
                 &vp,
             ));
@@ -666,7 +667,7 @@ mod tests {
                 sort_u: true,
                 sort_v: true,
             },
-            JoinAlgorithm::PartitionedHash { m: 4 },
+            JoinAlgorithm::PartitionedHash { bits: 2 },
         ];
         let mut outputs: Vec<Vec<u64>> = Vec::new();
         for algo in algos {

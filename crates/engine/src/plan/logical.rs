@@ -47,13 +47,13 @@ pub enum LogicalPlan {
         /// Producer of the tuples to deduplicate.
         input: Box<LogicalPlan>,
     },
-    /// Hash-partition into `m` buffers; `None` lets the optimizer pick
-    /// the fan-out.
+    /// Radix-partition into `2^bits` buffers; `None` lets the optimizer
+    /// pick the fan-out.
     Partition {
         /// Producer of the tuples to partition.
         input: Box<LogicalPlan>,
-        /// Fan-out, or `None` for optimizer-chosen.
-        m: Option<u64>,
+        /// Radix bits of the fan-out, or `None` for optimizer-chosen.
+        bits: Option<u32>,
     },
 }
 
@@ -100,11 +100,11 @@ impl LogicalPlan {
         }
     }
 
-    /// Hash-partition `m` ways (`None`: the optimizer chooses).
-    pub fn partition(self, m: Option<u64>) -> LogicalPlan {
+    /// Radix-partition `2^bits` ways (`None`: the optimizer chooses).
+    pub fn partition(self, bits: Option<u32>) -> LogicalPlan {
         LogicalPlan::Partition {
             input: Box::new(self),
-            m,
+            bits,
         }
     }
 
@@ -166,10 +166,11 @@ impl fmt::Display for LogicalPlan {
             LogicalPlan::Aggregate { input } => write!(f, "group_count({input})"),
             LogicalPlan::Sort { input } => write!(f, "sort({input})"),
             LogicalPlan::Dedup { input } => write!(f, "dedup({input})"),
-            LogicalPlan::Partition { input, m: Some(m) } => {
-                write!(f, "partition<{m}>({input})")
-            }
-            LogicalPlan::Partition { input, m: None } => write!(f, "partition<?>({input})"),
+            LogicalPlan::Partition {
+                input,
+                bits: Some(bits),
+            } => write!(f, "partition<{}>({input})", 1u64 << bits),
+            LogicalPlan::Partition { input, bits: None } => write!(f, "partition<?>({input})"),
         }
     }
 }
@@ -199,7 +200,7 @@ mod tests {
 
     #[test]
     fn unary_chain_counts() {
-        let q = LogicalPlan::scan(3).sort().dedup().partition(Some(8));
+        let q = LogicalPlan::scan(3).sort().dedup().partition(Some(3));
         assert_eq!(q.joins(), 0);
         assert_eq!(q.max_table(), Some(3));
         assert_eq!(q.to_string(), "partition<8>(dedup(sort(scan(3))))");

@@ -326,10 +326,10 @@ impl<'a> Optimizer<'a> {
                 .into_iter()
                 .map(|a| self.apply_dedup(a))
                 .collect(),
-            LogicalPlan::Partition { input, m } => {
+            LogicalPlan::Partition { input, bits } => {
                 let mut out = Vec::new();
                 for a in self.alts(input, tables, regions)? {
-                    out.extend(self.apply_partition(&a, *m));
+                    out.extend(self.apply_partition(&a, *bits));
                 }
                 out
             }
@@ -500,24 +500,24 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    fn apply_partition(&self, input: &Alt, m: Option<u64>) -> Vec<Alt> {
-        let fanouts: Vec<u64> = match m {
-            Some(m) => vec![m.max(1)],
+    fn apply_partition(&self, input: &Alt, bits: Option<u32>) -> Vec<Alt> {
+        let fanouts: Vec<u32> = match bits {
+            Some(bits) => vec![bits],
             None => self.candidate_fanouts(&input.stats),
         };
         let s = &input.stats;
         fanouts
             .into_iter()
-            .map(|m| {
+            .map(|bits| {
                 let region = Region::new("P", s.n, s.w);
                 let mut stages = input.stages.clone();
                 stages.push(Stage {
-                    pattern: ops::partition::partition_pattern(&s.region, &region, m),
+                    pattern: ops::partition::radix_partition_pattern(&s.region, &region, bits, 1),
                     ops: s.n,
                 });
                 Alt {
                     priced_mem: None,
-                    plan: input.plan.clone().partition(m),
+                    plan: input.plan.clone().partition(bits),
                     stages,
                     stats: NodeStats {
                         n: s.n,
@@ -532,14 +532,14 @@ impl<'a> Optimizer<'a> {
             .collect()
     }
 
-    /// Candidate fan-outs for an open partition node: per cache level,
-    /// the smallest power of two that makes one partition fit the
-    /// level ([`planner::fitting_fanout`]). When the input fits every
-    /// level, a minimal two-way split remains the single candidate (the
-    /// node still has to partition).
-    fn candidate_fanouts(&self, s: &NodeStats) -> Vec<u64> {
+    /// Candidate fan-outs (radix bits) for an open partition node: per
+    /// cache level, the smallest power of two that makes one partition
+    /// fit the level ([`planner::fitting_fanout`]). When the input fits
+    /// every level, a minimal two-way split remains the single candidate
+    /// (the node still has to partition).
+    fn candidate_fanouts(&self, s: &NodeStats) -> Vec<u32> {
         let bytes = s.n.saturating_mul(s.w).max(1);
-        let mut out: Vec<u64> = self
+        let mut out: Vec<u32> = self
             .model
             .spec()
             .data_caches()
@@ -548,7 +548,7 @@ impl<'a> Optimizer<'a> {
         out.sort_unstable();
         out.dedup();
         if out.is_empty() {
-            out.push(2);
+            out.push(1);
         }
         out
     }
@@ -719,13 +719,13 @@ mod tests {
         let mut fanouts = Vec::new();
         for p in &plans {
             match &p.plan {
-                PhysicalPlan::Partition { m, .. } => fanouts.push(*m),
+                PhysicalPlan::Partition { bits, .. } => fanouts.push(*bits),
                 other => panic!("expected partition root, got {other}"),
             }
         }
-        // Fan-outs stay below the TLB entry count (64): the Figure 7d
+        // Fan-outs stay within the TLB entry count (64): the Figure 7d
         // cliff is respected.
-        assert!(fanouts.iter().all(|&m| (2..=64).contains(&m)));
+        assert!(fanouts.iter().all(|&bits| (1..=6).contains(&bits)));
     }
 
     #[test]

@@ -49,12 +49,12 @@ pub enum PhysicalPlan {
         /// Producer of the tuples to deduplicate.
         input: Box<PhysicalPlan>,
     },
-    /// Hash partitioning with a concrete fan-out.
+    /// Single-pass radix partitioning with a concrete fan-out.
     Partition {
         /// Producer of the tuples to partition.
         input: Box<PhysicalPlan>,
-        /// The chosen fan-out.
-        m: u64,
+        /// Radix bits of the chosen fan-out `2^bits`.
+        bits: u32,
     },
 }
 
@@ -103,11 +103,11 @@ impl PhysicalPlan {
         }
     }
 
-    /// Hash-partition `m` ways.
-    pub fn partition(self, m: u64) -> PhysicalPlan {
+    /// Radix-partition `2^bits` ways in one pass.
+    pub fn partition(self, bits: u32) -> PhysicalPlan {
         PhysicalPlan::Partition {
             input: Box::new(self),
-            m,
+            bits,
         }
     }
 
@@ -182,7 +182,9 @@ impl fmt::Display for PhysicalPlan {
             PhysicalPlan::Aggregate { input } => write!(f, "group_count({input})"),
             PhysicalPlan::Sort { input } => write!(f, "sort({input})"),
             PhysicalPlan::Dedup { input } => write!(f, "dedup({input})"),
-            PhysicalPlan::Partition { input, m } => write!(f, "partition<{m}>({input})"),
+            PhysicalPlan::Partition { input, bits } => {
+                write!(f, "partition<{}>({input})", 1u64 << bits)
+            }
         }
     }
 }
@@ -217,12 +219,15 @@ mod tests {
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
             .join_with(
                 PhysicalPlan::scan(2),
-                JoinAlgorithm::PartitionedHash { m: 8 },
+                JoinAlgorithm::PartitionedHash { bits: 3 },
             );
         let algos = p.join_algorithms();
         assert_eq!(algos.len(), 2);
         assert!(matches!(algos[0], JoinAlgorithm::Hash));
-        assert!(matches!(algos[1], JoinAlgorithm::PartitionedHash { m: 8 }));
+        assert!(matches!(
+            algos[1],
+            JoinAlgorithm::PartitionedHash { bits: 3 }
+        ));
     }
 
     #[test]

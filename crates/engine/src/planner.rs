@@ -24,8 +24,9 @@ pub enum JoinAlgorithm {
     Merge { sort_u: bool, sort_v: bool },
     /// Build a hash table on the inner input, probe with the outer.
     Hash,
-    /// Partition both inputs `m` ways, then hash-join partition pairs.
-    PartitionedHash { m: u64 },
+    /// Radix-partition both inputs `m = 2^bits` ways in one pass, then
+    /// hash-join partition pairs.
+    PartitionedHash { bits: u32 },
 }
 
 impl fmt::Display for JoinAlgorithm {
@@ -42,8 +43,8 @@ impl fmt::Display for JoinAlgorithm {
                 }
             }
             JoinAlgorithm::Hash => write!(f, "hash join"),
-            JoinAlgorithm::PartitionedHash { m } => {
-                write!(f, "partitioned hash join (m = {m})")
+            JoinAlgorithm::PartitionedHash { bits } => {
+                write!(f, "partitioned hash join (m = {})", 1u64 << bits)
             }
         }
     }
@@ -154,12 +155,12 @@ pub fn join_candidates(model: &CostModel, inputs: &JoinInputs, w: &Region) -> Ve
     // smallest m that makes a partition's hash table fit that level).
     for lvl in model.spec().data_caches() {
         let table_bytes = ops::hash::table_slots(v.n) * ops::hash::ENTRY_BYTES;
-        let Some(m) = fitting_fanout(model, table_bytes, lvl) else {
+        let Some(bits) = fitting_fanout(model, table_bytes, lvl) else {
             continue;
         };
         if out
             .iter()
-            .any(|c| c.algorithm == (JoinAlgorithm::PartitionedHash { m }))
+            .any(|c| c.algorithm == (JoinAlgorithm::PartitionedHash { bits }))
         {
             // Two levels clamped to the same fan-out: one candidate.
             continue;
@@ -167,8 +168,8 @@ pub fn join_candidates(model: &CostModel, inputs: &JoinInputs, w: &Region) -> Ve
         let up = Region::new("Up", u.n, u.w);
         let vp = Region::new("Vp", v.n, v.w);
         out.push(JoinCandidate {
-            algorithm: JoinAlgorithm::PartitionedHash { m },
-            pattern: ops::part_hash_join::part_hash_join_pattern(u, v, w, m, &up, &vp),
+            algorithm: JoinAlgorithm::PartitionedHash { bits },
+            pattern: ops::part_hash_join::part_hash_join_pattern(u, v, w, bits, &up, &vp),
             ops: 2 * (u.n + v.n) + 4 * v.n + 4 * u.n + inputs.out_n,
         });
     }
@@ -176,17 +177,17 @@ pub fn join_candidates(model: &CostModel, inputs: &JoinInputs, w: &Region) -> Ve
     out
 }
 
-/// The smallest power-of-two fan-out that makes one `bytes`-sized chunk
-/// of data fit cache level `lvl`, clamped below the smallest level's
-/// line count — past that the partitioning itself thrashes, the
-/// Figure 7d cliff (use multi-pass partitioning beyond; see
-/// [`crate::ops::radix`]). `None` when the data already fits (fan-out
-/// below 2), i.e. partitioning buys nothing at this level.
+/// The radix bits of the smallest fan-out `2^bits` that makes one
+/// `bytes`-sized chunk of data fit cache level `lvl`, clamped to at most
+/// the smallest level's line count — past that the partitioning itself
+/// thrashes, the Figure 7d cliff (use multi-pass radix clustering
+/// beyond; see [`crate::ops::partition`]). `None` when the data already
+/// fits (fan-out below 2), i.e. partitioning buys nothing at this level.
 pub fn fitting_fanout(
     model: &CostModel,
     bytes: u64,
     lvl: &gcm_hardware::CacheLevel,
-) -> Option<u64> {
+) -> Option<u32> {
     let min_lines = model
         .spec()
         .levels()
@@ -195,12 +196,13 @@ pub fn fitting_fanout(
         .min()
         .unwrap_or(64)
         .max(2);
-    let m = bytes
+    let bits = bytes
         .div_ceil(lvl.capacity.max(1))
         .max(1)
         .next_power_of_two()
-        .min(min_lines);
-    (m >= 2).then_some(m)
+        .ilog2()
+        .min(min_lines.ilog2());
+    (bits >= 1).then_some(bits)
 }
 
 /// Price all candidate join algorithms in isolation (cold caches) under
@@ -225,20 +227,20 @@ pub fn rank_joins(model: &CostModel, inputs: &JoinInputs) -> Vec<PlanChoice> {
     rank_joins_with(model, inputs, CpuCost::default_planner())
 }
 
-/// Price a partitioning fan-out sweep and return `(m, predicted_ns)`
-/// pairs, cheapest-per-tuple fan-outs first — the partition-tuning
-/// use-case of Figure 7d.
+/// Price a single-pass partitioning sweep over fan-outs `2^bits` and
+/// return `(bits, predicted_ns)` pairs, cheapest-per-tuple fan-outs
+/// first — the partition-tuning use-case of Figure 7d.
 pub fn rank_partition_fanouts(
     model: &CostModel,
     input: &Region,
-    candidates: &[u64],
-) -> Vec<(u64, f64)> {
-    let mut out: Vec<(u64, f64)> = candidates
+    candidates: &[u32],
+) -> Vec<(u32, f64)> {
+    let mut out: Vec<(u32, f64)> = candidates
         .iter()
-        .map(|&m| {
+        .map(|&bits| {
             let w = Region::new("W", input.n, input.w);
-            let p = ops::partition::partition_pattern(input, &w, m);
-            (m, model.mem_ns(&p))
+            let p = ops::partition::radix_partition_pattern(input, &w, bits, 1);
+            (bits, model.mem_ns(&p))
         })
         .collect();
     out.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -285,7 +287,7 @@ mod tests {
         // TLB entry count) recovers part of that, and the sequential-
         // access sort+merge pipeline wins outright — the memory-access
         // economics that motivated the radix-cluster line of work
-        // ([MBK00a]; see ops::radix for the multi-pass answer).
+        // ([MBK00a]; see ops::partition for the multi-pass answer).
         let ranked = rank_joins(&model(), &inputs(4_000_000, false));
         assert!(
             matches!(ranked[0].algorithm, JoinAlgorithm::Merge { .. }),
@@ -326,16 +328,16 @@ mod tests {
     fn fanout_ranking_avoids_the_cliff() {
         let m = model();
         let input = Region::new("U", 2_000_000, 8);
-        let ranked = rank_partition_fanouts(&m, &input, &[2, 16, 64, 512, 4096, 65_536, 1 << 20]);
-        // The cheapest fan-outs stay below the TLB entry count (64).
-        let (best_m, _) = ranked[0];
+        let ranked = rank_partition_fanouts(&m, &input, &[1, 4, 6, 9, 12, 16, 20]);
+        // The cheapest fan-outs stay within the TLB entry count (64).
+        let (best_bits, _) = ranked[0];
         assert!(
-            best_m <= 64,
-            "best fan-out {best_m} should dodge the TLB cliff"
+            best_bits <= 6,
+            "best fan-out 2^{best_bits} should dodge the TLB cliff"
         );
         // The most expensive candidate is far past every cliff.
-        let (worst_m, worst_ns) = *ranked.last().unwrap();
-        assert!(worst_m >= 65_536);
+        let (worst_bits, worst_ns) = *ranked.last().unwrap();
+        assert!(worst_bits >= 16);
         assert!(worst_ns > 2.0 * ranked[0].1);
     }
 
@@ -377,7 +379,10 @@ mod tests {
             .filter(|c| matches!(c.algorithm, JoinAlgorithm::PartitionedHash { .. }))
             .collect();
         assert_eq!(part.len(), 1, "duplicate fan-outs must dedup");
-        assert_eq!(part[0].algorithm, JoinAlgorithm::PartitionedHash { m: 8 });
+        assert_eq!(
+            part[0].algorithm,
+            JoinAlgorithm::PartitionedHash { bits: 3 }
+        );
     }
 
     #[test]
@@ -417,7 +422,7 @@ mod tests {
             "merge join (sort outer)"
         );
         assert_eq!(
-            JoinAlgorithm::PartitionedHash { m: 8 }.to_string(),
+            JoinAlgorithm::PartitionedHash { bits: 3 }.to_string(),
             "partitioned hash join (m = 8)"
         );
     }

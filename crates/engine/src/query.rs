@@ -85,7 +85,7 @@ mod tests {
         let mut ctx = ExecContext::new(spec.clone());
         let keys = Workload::new(44).uniform_keys_bounded(2000, 300);
         let tables = vec![ctx.relation_from_keys("U", &keys, 8)];
-        let query = PhysicalPlan::scan(0).partition(8).dedup();
+        let query = PhysicalPlan::scan(0).partition(3).dedup();
         let (run, _) = ctx.measure(|c| plan::execute(c, &query, &tables).unwrap());
         // ≤ 300 distinct keys survive.
         assert!(run.output.n() <= 300);

@@ -69,8 +69,8 @@ fn main() {
             JoinAlgorithm::Hash => {
                 ops::hash::hash_join(c, &u, &v, "W", 16);
             }
-            JoinAlgorithm::PartitionedHash { m } => {
-                ops::part_hash_join::part_hash_join(c, &u, &v, *m, "W", 16);
+            JoinAlgorithm::PartitionedHash { bits } => {
+                ops::part_hash_join::part_hash_join(c, &u, &v, *bits, "W", 16);
             }
             JoinAlgorithm::Merge { .. } => {
                 ops::sort::quick_sort(c, &u);

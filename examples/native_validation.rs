@@ -65,7 +65,7 @@ fn main() {
             PhysicalPlan::scan(0)
                 .join_with(
                     PhysicalPlan::scan(1),
-                    JoinAlgorithm::PartitionedHash { m: 16 },
+                    JoinAlgorithm::PartitionedHash { bits: 4 },
                 )
                 .group_count(),
         ),

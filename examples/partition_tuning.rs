@@ -8,7 +8,6 @@
 //! ```
 
 use gcm::core::{CostModel, Region};
-use gcm::engine::ops::radix::radix_partition_pattern;
 use gcm::engine::planner::rank_partition_fanouts;
 use gcm::engine::{ops, ExecContext};
 use gcm::hardware::presets;
@@ -21,27 +20,27 @@ fn main() {
     let input = Region::new("U", n, 8);
 
     // 1. Single-pass fan-out sweep, priced by the model.
-    let candidates: Vec<u64> = (1..=20).map(|i| 1u64 << i).collect();
+    let candidates: Vec<u32> = (1..=20).collect();
     println!("single-pass partitioning of a 16 MB table — model prices per fan-out:");
     let ranked = rank_partition_fanouts(&model, &input, &candidates);
-    let mut by_m = ranked.clone();
-    by_m.sort_by_key(|&(m, _)| m);
-    for (m, ns) in &by_m {
-        let marker = match *m {
-            64 => "  <- TLB entries",
-            1024 => "  <- L1 lines",
-            32768 => "  <- L2 lines",
+    let mut by_bits = ranked.clone();
+    by_bits.sort_by_key(|&(bits, _)| bits);
+    for (bits, ns) in &by_bits {
+        let marker = match *bits {
+            6 => "  <- TLB entries",
+            10 => "  <- L1 lines",
+            15 => "  <- L2 lines",
             _ => "",
         };
-        println!("  m = {m:>8}: {:>8.1} ms{marker}", ns / 1e6);
+        println!("  m = {:>8}: {:>8.1} ms{marker}", 1u64 << bits, ns / 1e6);
     }
-    println!("cheapest fan-out: m = {}\n", ranked[0].0);
+    println!("cheapest fan-out: m = {}\n", 1u64 << ranked[0].0);
 
     // 2. Reaching 4096 clusters: one pass (past the cliffs) vs two radix
     //    passes of 64 — model and simulator agree.
     let w = Region::new("W", n, 8);
-    let single = model.mem_ns(&radix_partition_pattern(&input, &w, 12, 1));
-    let multi = model.mem_ns(&radix_partition_pattern(&input, &w, 12, 2));
+    let single = model.mem_ns(&ops::partition::radix_partition_pattern(&input, &w, 12, 1));
+    let multi = model.mem_ns(&ops::partition::radix_partition_pattern(&input, &w, 12, 2));
     println!("reaching 4096 clusters (12 radix bits):");
     println!(
         "  predicted: 1 pass x 4096-way = {:.1} ms, 2 passes x 64-way = {:.1} ms",
@@ -56,7 +55,7 @@ fn main() {
         let mut ctx = ExecContext::new(hw.clone());
         let rel = ctx.relation_from_keys("U", &keys, 8);
         let (_, stats) = ctx.measure(|c| {
-            ops::radix::radix_partition(c, &rel, 12, passes, "R");
+            ops::partition::radix_partition(c, &rel, 12, passes, "R");
         });
         measured.push(stats.mem.clock_ns / 1e6);
     }

@@ -79,12 +79,12 @@ proptest! {
     #[test]
     fn partition_preserves_multiset_any_fanout(
         keys in proptest::collection::vec(0u64..10_000, 1..300),
-        m in 1u64..40,
+        bits in 0u32..=6,
     ) {
         let mut c = ctx();
         let input = c.relation_from_keys("U", &keys, 8);
-        let parts = ops::partition::hash_partition(&mut c, &input, m, "W");
-        prop_assert_eq!(parts.m(), m);
+        let parts = ops::partition::radix_partition(&mut c, &input, bits, 1, "W");
+        prop_assert_eq!(parts.m(), 1 << bits);
         let mut got = keys_of(&c, &parts.rel);
         let mut expect = keys.clone();
         got.sort_unstable();
@@ -98,15 +98,16 @@ proptest! {
     #[test]
     fn radix_equals_single_level_refinement(
         keys in proptest::collection::vec(0u64..100_000, 1..300),
+        bits in 0u32..=6,
         passes in 1u32..4,
     ) {
         // Any pass count yields the same cluster contents.
-        let bits = 6;
         let mut c = ctx();
         let input = c.relation_from_keys("U", &keys, 8);
-        let multi = ops::radix::radix_partition(&mut c, &input, bits, passes.min(bits), "R");
+        let passes = passes.min(bits.max(1));
+        let multi = ops::partition::radix_partition(&mut c, &input, bits, passes, "R");
         let input2 = c.relation_from_keys("U2", &keys, 8);
-        let single = ops::radix::radix_partition(&mut c, &input2, bits, 1, "S");
+        let single = ops::partition::radix_partition(&mut c, &input2, bits, 1, "S");
         prop_assert_eq!(&multi.offsets, &single.offsets);
         prop_assert_eq!(keys_of(&c, &multi.rel), keys_of(&c, &single.rel));
     }
@@ -115,13 +116,13 @@ proptest! {
     fn part_hash_join_equals_hash_join(
         uk in proptest::collection::vec(0u64..64, 0..100),
         vk in proptest::collection::vec(0u64..64, 0..100),
-        m in 1u64..8,
+        bits in 0u32..3,
     ) {
         let mut c = ctx();
         let u = c.relation_from_keys("U", &uk, 8);
         let v = c.relation_from_keys("V", &vk, 8);
         let plain = ops::hash::hash_join(&mut c, &u, &v, "Wp", 16);
-        let parted = ops::part_hash_join::part_hash_join(&mut c, &u, &v, m, "Wq", 16);
+        let parted = ops::part_hash_join::part_hash_join(&mut c, &u, &v, bits, "Wq", 16);
         prop_assert_eq!(plain.n(), parted.n());
         let mut a = keys_of(&c, &plain);
         let mut b = keys_of(&c, &parted);

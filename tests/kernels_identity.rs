@@ -9,7 +9,7 @@
 
 use gcm_engine::plan::{execute, PhysicalPlan};
 use gcm_engine::planner::JoinAlgorithm;
-use gcm_engine::{ExecContext, NativeBackend, Relation};
+use gcm_engine::{ops, ExecContext, NativeBackend, Relation};
 use gcm_workload::Workload;
 use proptest::prelude::*;
 
@@ -34,6 +34,26 @@ fn run_native(
     )
 }
 
+/// Radix-partition `keys` natively, returning the cluster offsets,
+/// result bytes, logical ops, and the charged access/line counters.
+fn radix_native(
+    mut ctx: ExecContext<NativeBackend>,
+    keys: &[u64],
+    bits: u32,
+    passes: u32,
+) -> (Vec<u64>, Vec<u8>, u64, u64, u64) {
+    let input = ctx.relation_from_keys("U", keys, 8);
+    let (parts, stats) =
+        ctx.measure(|c| ops::partition::radix_partition(c, &input, bits, passes, "R"));
+    (
+        parts.offsets,
+        ctx.relation_bytes(&parts.rel),
+        stats.ops,
+        stats.mem.accesses,
+        stats.mem.lines,
+    )
+}
+
 fn algorithms() -> Vec<JoinAlgorithm> {
     vec![
         JoinAlgorithm::Hash,
@@ -42,7 +62,7 @@ fn algorithms() -> Vec<JoinAlgorithm> {
             sort_u: true,
             sort_v: true,
         },
-        JoinAlgorithm::PartitionedHash { m: 4 },
+        JoinAlgorithm::PartitionedHash { bits: 2 },
     ]
 }
 
@@ -80,21 +100,38 @@ proptest! {
         seed in 0u64..1_000,
         fact_n in 300usize..800,
         dim_n in 40usize..160,
-        m in 1u64..9,
+        bits in 0u32..4,
         shape in 0usize..3,
     ) {
         let star = Workload::new(seed).star_scenario(fact_n, dim_n, 2);
         let base = PhysicalPlan::scan(0)
             .select_lt(dim_n as u64 / 2)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
-            .join_with(PhysicalPlan::scan(2), JoinAlgorithm::PartitionedHash { m });
+            .join_with(PhysicalPlan::scan(2), JoinAlgorithm::PartitionedHash { bits });
         let plan = match shape {
             0 => base.group_count(),
             1 => base.sort().dedup(),
-            _ => base.partition(m).group_count(),
+            _ => base.partition(bits).group_count(),
         };
         let kernel = run_native(ExecContext::native(), &plan, &star);
         let scalar = run_native(ExecContext::native_scalar(), &plan, &star);
+        prop_assert_eq!(&kernel, &scalar);
+    }
+
+    /// Every radix-partition pass runs the scatter kernel: one to three
+    /// passes, kernel path vs scalar reference, identical offsets,
+    /// bytes, ops and charged counters.
+    #[test]
+    fn radix_passes_agree_between_kernel_and_scalar_paths(
+        seed in 0u64..1_000,
+        n in 0usize..2_000,
+        bits in 0u32..=8,
+        passes in 1u32..=3,
+    ) {
+        let keys = Workload::new(seed).uniform_keys_bounded(n, 1 << 20);
+        let passes = passes.min(bits.max(1));
+        let kernel = radix_native(ExecContext::native(), &keys, bits, passes);
+        let scalar = radix_native(ExecContext::native_scalar(), &keys, bits, passes);
         prop_assert_eq!(&kernel, &scalar);
     }
 }

@@ -125,15 +125,17 @@ fn partition_cliffs_in_both_worlds() {
     let l1 = spec.level_index("L1").unwrap();
     let tlb = spec.level_index("TLB").unwrap();
     let n = 32_768u64;
-    let run = |m: u64| {
+    let run = |bits: u32| {
         let mut ctx = ExecContext::new(spec.clone());
         let keys = Workload::new(102).shuffled_keys(n as usize);
         let input = ctx.relation_from_keys("U", &keys, 8);
-        let (parts, stats) = ctx.measure(|c| ops::partition::hash_partition(c, &input, m, "W"));
-        let predicted = model.misses(&ops::partition::partition_pattern(
+        let (parts, stats) =
+            ctx.measure(|c| ops::partition::radix_partition(c, &input, bits, 1, "W"));
+        let predicted = model.misses(&ops::partition::radix_partition_pattern(
             input.region(),
             parts.rel.region(),
-            m,
+            bits,
+            1,
         ));
         (
             total_measured(&stats.mem, l1),
@@ -142,9 +144,9 @@ fn partition_cliffs_in_both_worlds() {
             predicted[tlb].total(),
         )
     };
-    let low = run(4);
-    let mid = run(32); // above TLB entries (8), below L1 lines (64)
-    let high = run(512); // above L1 lines
+    let low = run(2); // 4 ways
+    let mid = run(5); // 32 ways: above TLB entries (8), below L1 lines (64)
+    let high = run(9); // 512 ways: above L1 lines
 
     // TLB cliff between low and mid, both worlds.
     assert!(mid.2 > 2.0 * low.2, "measured TLB cliff {low:?} {mid:?}");
@@ -180,19 +182,19 @@ fn partitioned_hash_join_crossover() {
     ));
 
     // Partitioned hash-join with cache-fitting partitions.
-    let m = 128; // per-partition H = 4 KB < L2
+    let bits = 7; // 128 ways: per-partition H = 4 KB < L2
     let mut ctx2 = ExecContext::new(spec.clone());
     let u2 = ctx2.relation_from_keys("U", &uk, 8);
     let v2 = ctx2.relation_from_keys("V", &vk, 8);
     let (out_part, part_stats) =
-        ctx2.measure(|c| ops::part_hash_join::part_hash_join(c, &u2, &v2, m, "W", 16));
+        ctx2.measure(|c| ops::part_hash_join::part_hash_join(c, &u2, &v2, bits, "W", 16));
     let up = Region::new("Up", n, 8);
     let vp = Region::new("Vp", n, 8);
     let part_pred = model.report(&ops::part_hash_join::part_hash_join_pattern(
         u2.region(),
         v2.region(),
         out_part.region(),
-        m,
+        bits,
         &up,
         &vp,
     ));
@@ -260,7 +262,7 @@ fn join_planner_ranks_algorithms_like_measurements() {
                 let u = ctx.relation_from_keys("U", &uk, 8);
                 let v = ctx.relation_from_keys("V", &vk, 8);
                 let (_, s) =
-                    ctx.measure(|c| ops::part_hash_join::part_hash_join(c, &u, &v, 32, "W", 16));
+                    ctx.measure(|c| ops::part_hash_join::part_hash_join(c, &u, &v, 5, "W", 16));
                 s.mem.clock_ns
             }
             "nl" => {
@@ -288,7 +290,7 @@ fn join_planner_ranks_algorithms_like_measurements() {
             "merge" => model.mem_ns(&ops::merge_join::merge_join_pattern(&u, &v, &w)),
             "hash" => model.mem_ns(&ops::hash::hash_join_pattern(&u, &v, &h, &w)),
             "part" => model.mem_ns(&ops::part_hash_join::part_hash_join_pattern(
-                &u, &v, &w, 32, &up, &vp,
+                &u, &v, &w, 5, &up, &vp,
             )),
             "nl" => model.mem_ns(&ops::nl_join::nested_loop_join_pattern(&u, &v, &w)),
             _ => unreachable!(),

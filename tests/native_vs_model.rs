@@ -115,7 +115,7 @@ fn check_plans(bound: f64) {
             PhysicalPlan::scan(0)
                 .join_with(
                     PhysicalPlan::scan(1),
-                    JoinAlgorithm::PartitionedHash { m: 16 },
+                    JoinAlgorithm::PartitionedHash { bits: 4 },
                 )
                 .group_count(),
         ),

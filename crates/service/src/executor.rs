@@ -16,25 +16,32 @@
 //! its builds — so a table replaced while a query waits never changes
 //! its answer.
 //!
-//! There is one way in and two ways to wait:
+//! There is one way in and two ways to wait. [`QueryService::dispatch`]
+//! hands a batch to the pool on either [`Backend`] and returns at once;
+//! then either
 //!
-//! * [`QueryService::dispatch_native`] hands a batch to the pool and
-//!   returns at once; [`QueryService::completions`] collects each
-//!   member's `(query id, result)` as it finishes. A server's scheduler
-//!   answers a member as soon as it completes and refills the free
-//!   cores meanwhile: batches formed while members run get only the
-//!   slots left, and each is priced `⊙` on its own.
+//! * [`QueryService::completions`] collects each member's `(query id,
+//!   result)` as it finishes. A server's scheduler answers a member as
+//!   soon as it completes and refills the free cores meanwhile: batches
+//!   formed while members run get only the slots left, and each is
+//!   priced `⊙` on its own; or
 //! * [`QueryService::execute_batch`] (simulator) and
-//!   [`QueryService::execute_batch_native_observed`] (host) are the same
-//!   dispatch followed by a wait for that batch, in which the calling
-//!   thread runs member 0 itself and then any member no worker has
-//!   taken yet — so an in-process caller pays no hand-off for a
-//!   singleton and never idles while its own batch is queued.
+//!   [`QueryService::execute_batch_native_observed`] (host) wait for the
+//!   batch, the calling thread running member 0 itself and then any
+//!   member no worker has taken yet — so an in-process caller pays no
+//!   hand-off for a singleton and never idles while its own batch is
+//!   queued.
 //!
-//! When a batch's last member completes, its bookkeeping runs: on the
-//! host the batch wall folds into the shed gate's wall-scale EWMA and
-//! the registry's batch counter and histograms; on the simulator the
-//! caller records per-query records and drift.
+//! Every completion, however it is collected, runs the one bookkeeping
+//! both backends share: per member the latency histograms, its class's
+//! latency sample and the per-class drift; per batch the measured wall,
+//! folded into the shed gate's wall-scale EWMA and the registry's batch
+//! counter and histogram, unless a member failed (a plan error or a
+//! panic, reported as that member's result). Only the wall depends on
+//! the backend — on the simulator the slowest member plus the dispatch
+//! charge admission priced, on the host the time from dispatch to the
+//! last completion — and only the simulator, whose charged clock is the
+//! model's, also keeps the exact per-query and per-batch records.
 //!
 //! On the **simulator** a job builds a context on the member's own view
 //! of the machine — full private levels, plus the slice of every shared
@@ -86,21 +93,12 @@ pub(crate) type Tables = Arc<Vec<Arc<TableDef>>>;
 /// The builds one batch member may reuse, as a [`BuildSource`] for the
 /// plan executor: `prebuilt(t)` answers with the member's shared build
 /// over table `t`, if it holds one.
-#[derive(Debug, Default)]
-pub struct MemberBuilds {
-    builds: Vec<Arc<SharedBuild>>,
-}
-
-impl MemberBuilds {
-    /// A source over the given shared builds.
-    pub fn new(builds: Vec<Arc<SharedBuild>>) -> MemberBuilds {
-        MemberBuilds { builds }
-    }
-}
+#[derive(Default)]
+struct MemberBuilds(Vec<Arc<SharedBuild>>);
 
 impl BuildSource for MemberBuilds {
     fn prebuilt(&self, table: usize) -> Option<PrebuiltBuild> {
-        self.builds
+        self.0
             .iter()
             .find(|b| b.table == table)
             .map(|b| PrebuiltBuild {
@@ -242,7 +240,7 @@ impl Member {
         Member {
             planned: Arc::clone(&p.planned),
             tables: Arc::clone(&p.tables),
-            builds: MemberBuilds::new(p.builds.clone()),
+            builds: MemberBuilds(p.builds.clone()),
         }
     }
 
@@ -553,24 +551,33 @@ impl Drop for Pool {
     }
 }
 
+/// Which machine a dispatched batch runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The simulated hierarchy: each member on its footprint-proportional
+    /// [`member_views`] slice of the machine, timed by the charged clock
+    /// the model shares.
+    Sim,
+    /// The host's real memory: each member on its worker's resident
+    /// arena, timed by the wall clock.
+    Native,
+}
+
 /// A dispatched batch with members still out.
 #[derive(Debug)]
 pub(crate) struct Running {
     ticket: u64,
     batch: Batch,
-    /// Whether it runs on the host (its last completion folds the
-    /// batch wall into the native bookkeeping) or on the simulator.
-    native: bool,
+    backend: Backend,
     started: Instant,
-    /// Which members are still running.
-    unfinished: Vec<bool>,
-    failed: bool,
+    /// Each member's result, once it has finished.
+    results: Vec<Option<Result<ExecutedQuery, PlanError>>>,
 }
 
 impl Running {
     /// How many members are still running.
     fn left(&self) -> usize {
-        self.unfinished.iter().filter(|u| **u).count()
+        self.results.iter().filter(|r| r.is_none()).count()
     }
 }
 
@@ -579,44 +586,58 @@ impl Running {
 pub type Completion = (u64, Result<ExecutedQuery, PlanError>);
 
 impl QueryService {
-    /// Hand `batch` to the pool and return its ticket. Member `i`
-    /// becomes the job `job(i, m)` makes of it, holding the table
-    /// versions and shared builds admission attached to it. With
-    /// `first_here`, member 0 runs on the calling thread before this
-    /// returns; every other member queues for the worker threads.
-    fn dispatch(
-        &mut self,
-        batch: Batch,
-        native: bool,
-        job: impl Fn(usize, Member) -> Job,
-        first_here: bool,
-    ) -> u64 {
+    /// Hand an admitted batch to the executor pool on `backend` and
+    /// return without waiting for it: its members run on the pool's
+    /// worker threads, and each one's result is collected by
+    /// [`completions`](QueryService::completions) as soon as that member
+    /// finishes. Until then the members count
+    /// [`in_flight`](QueryService::in_flight): batches formed meanwhile
+    /// get only the slots left, and each is priced `⊙` on its own
+    /// ([`next_batch_at`](QueryService::next_batch_at)). Each
+    /// completion runs the bookkeeping the [module docs](crate::executor)
+    /// describe.
+    pub fn dispatch(&mut self, batch: Batch, backend: Backend) {
+        self.launch(batch, backend, false);
+    }
+
+    /// [`dispatch`](QueryService::dispatch) `batch` and return its
+    /// ticket. With `first_here`, member 0 runs on the calling thread
+    /// before this returns; every other member queues for the worker
+    /// threads.
+    fn launch(&mut self, batch: Batch, backend: Backend, first_here: bool) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
+        let views = (backend == Backend::Sim).then(|| {
+            let patterns: Vec<&Pattern> =
+                batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
+            member_views(self.spec(), &patterns, &batch.shared_regions())
+        });
         let mut queued: Vec<(u64, usize, Job)> = batch
             .entries
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let job = if self.faulty_plan.is_some_and(|f| f == p.plan.fingerprint()) {
+                let m = Member::of(p);
+                let job: Job = if self.faulty_plan == Some(p.plan.fingerprint()) {
                     Box::new(|_: &mut Worker| -> Result<ExecutedQuery, PlanError> {
                         panic!("injected member fault")
                     })
+                } else if let Some(views) = &views {
+                    let view = views[i].clone();
+                    Box::new(move |w: &mut Worker| w.run_sim(&m, view))
                 } else {
-                    job(i, Member::of(p))
+                    Box::new(move |w: &mut Worker| w.run_native(&m))
                 };
                 (ticket, i, job)
             })
             .collect();
         let first = (first_here && !queued.is_empty()).then(|| queued.remove(0));
-        let n = batch.size();
         self.running.push(Running {
             ticket,
+            results: vec![None; batch.size()],
             batch,
-            native,
+            backend,
             started: Instant::now(),
-            unfinished: vec![true; n],
-            failed: false,
         });
         self.pool.submit(queued);
         if let Some((_, i, job)) = first {
@@ -625,186 +646,129 @@ impl QueryService {
         ticket
     }
 
-    /// Account one finished member against its batch: on the host a
-    /// member that succeeded adds its per-class latency sample. When it
-    /// was the batch's last, the batch leaves the running set — on the
-    /// host with its bookkeeping, unless a member failed: the batch wall
-    /// (dispatch to last completion) folded into the wall-scale EWMA,
-    /// and the native batch counter and wall histogram. Returns the
+    /// Account one finished member against its batch: the only place
+    /// execution bookkeeping happens, for both backends. Returns the
     /// member's query id and, for a batch's last member, the batch.
-    fn complete(&mut self, done: &Done) -> (u64, Option<Batch>) {
+    fn complete(&mut self, done: &Done) -> (u64, Option<Running>) {
         let at = self
             .running
             .iter()
             .position(|r| r.ticket == done.ticket)
             .expect("a completion belongs to a running batch");
         let r = &mut self.running[at];
-        r.unfinished[done.member] = false;
-        r.failed |= done.result.is_err();
         let entry = &r.batch.entries[done.member];
-        let qid = entry.id;
-        if let (true, Some(class), Ok(run)) = (r.native, entry.class, &done.result) {
-            self.metrics.registry.observe_ns(
-                &gcm_obs::registry::labeled(
-                    "gcm_service_native_query_ns",
-                    &[("class", class.label())],
-                ),
-                run.measured_ns,
-            );
-        }
-        if r.left() > 0 {
-            return (qid, None);
-        }
-        let r = self.running.swap_remove(at);
-        if r.native && !r.failed {
-            let wall_ns = done.at.duration_since(r.started).as_nanos() as f64;
-            self.observe_wall_scale(wall_ns, r.batch.predicted_wall_ns);
-            let reg = &self.metrics.registry;
-            reg.inc("gcm_service_native_batches_total", 1);
-            reg.observe_ns("gcm_service_native_batch_wall_ns", wall_ns);
-        }
-        (qid, Some(r.batch))
-    }
-
-    /// Wait for every member of batch `ticket`, running queued jobs on
-    /// this thread meanwhile; returns the batch and its members'
-    /// results in member order. Completions of other batches are kept
-    /// for [`completions`](QueryService::completions).
-    fn wait(&mut self, ticket: u64) -> (Batch, Vec<Result<ExecutedQuery, PlanError>>) {
-        let n = self
-            .running
-            .iter()
-            .find(|r| r.ticket == ticket)
-            .map_or(0, |r| r.unfinished.len());
-        let mut results: Vec<Option<Result<ExecutedQuery, PlanError>>> =
-            (0..n).map(|_| None).collect();
-        loop {
-            let done = self.pool.wait_done();
-            let (qid, finished) = self.complete(&done);
-            if done.ticket != ticket {
-                self.ready.push_back((qid, done.result));
-                continue;
-            }
-            results[done.member] = Some(done.result);
-            if let Some(batch) = finished {
-                let results = results
-                    .into_iter()
-                    .map(|r| r.expect("every member reported"))
-                    .collect();
-                return (batch, results);
-            }
-        }
-    }
-}
-
-impl QueryService {
-    /// Execute an admitted batch on the **simulated** pool — each member
-    /// on its footprint-proportional [`member_views`] slice of the
-    /// machine — and record its metrics. Returns the index of the new
-    /// [`BatchRecord`](crate::ServiceMetrics::batches).
-    pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
-        let patterns: Vec<&Pattern> = batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
-        let views = member_views(self.spec(), &patterns, &batch.shared_regions());
-        let ticket = self.dispatch(
-            batch,
-            false,
-            |i, m| {
-                let view = views[i].clone();
-                Box::new(move |w: &mut Worker| w.run_sim(&m, view))
-            },
-            true,
-        );
-        let (batch, runs) = self.wait(ticket);
-        let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let batch_idx = self.metrics.batches.len();
-        // The simulator cannot measure dispatch (it is host-side thread
-        // hand-off, not simulated memory traffic), so the batch wall
-        // carries the same per-worker constant the admission predicate
-        // charged — both sides account dispatch identically and the
-        // accuracy ratio reflects model quality, not bookkeeping.
-        let measured_wall_ns = runs.iter().map(|r| r.measured_ns).fold(0.0, f64::max)
-            + DEFAULT_DISPATCH_NS * batch.size() as f64;
-        for ((pending, run), predicted_ns) in
-            batch.entries.iter().zip(&runs).zip(&batch.per_query_ns)
-        {
+        if let Ok(run) = &done.result {
+            let predicted_ns = r.batch.per_query_ns[done.member];
+            self.metrics
+                .record_query(entry.class, run.measured_ns, predicted_ns);
             // Service-level drift: the whole-query measured/predicted
             // ratio, attributed to every operator class the plan
             // contains (once per class). Coarser than the per-node
             // attribution of `explain_analyze` — here a stale class
             // shows up on every plan shape that uses it.
-            let mut classes = plan_classes(&pending.planned.plan);
+            let mut classes = plan_classes(&entry.planned.plan);
             classes.sort_unstable();
             classes.dedup();
             for class in classes {
-                self.drift.observe(class, run.measured_ns, *predicted_ns);
+                self.drift.observe(class, run.measured_ns, predicted_ns);
             }
-            self.metrics.record_query(QueryRecord {
-                id: pending.id,
-                plan: pending.plan.to_string(),
-                batch: batch_idx,
-                predicted_ns: *predicted_ns,
-                measured_ns: run.measured_ns,
-                output_n: run.output_n,
-                output_hash: run.output_hash,
+        }
+        let qid = entry.id;
+        r.results[done.member] = Some(done.result.clone());
+        if r.left() > 0 {
+            return (qid, None);
+        }
+        let r = self.running.swap_remove(at);
+        let runs: Result<Vec<&ExecutedQuery>, _> =
+            r.results.iter().flatten().map(Result::as_ref).collect();
+        let Ok(runs) = runs else {
+            return (qid, Some(r));
+        };
+        let measured_wall_ns = match r.backend {
+            // The simulator cannot measure dispatch (it is host-side
+            // thread hand-off, not simulated memory traffic), so the
+            // batch wall carries the same per-worker constant the
+            // admission predicate charged — both sides account dispatch
+            // identically and the accuracy ratio reflects model quality,
+            // not bookkeeping.
+            Backend::Sim => {
+                runs.iter().map(|q| q.measured_ns).fold(0.0, f64::max)
+                    + DEFAULT_DISPATCH_NS * r.batch.size() as f64
+            }
+            Backend::Native => done.at.duration_since(r.started).as_nanos() as f64,
+        };
+        if r.backend == Backend::Sim {
+            let batch = self.metrics.batches.len();
+            let members = r.batch.entries.iter().zip(runs);
+            for ((p, run), predicted_ns) in members.zip(&r.batch.per_query_ns) {
+                self.metrics.queries.push(QueryRecord {
+                    id: p.id,
+                    plan: p.plan.to_string(),
+                    batch,
+                    predicted_ns: *predicted_ns,
+                    measured_ns: run.measured_ns,
+                    output_n: run.output_n,
+                    output_hash: run.output_hash,
+                });
+            }
+            self.metrics.batches.push(BatchRecord {
+                ids: r.batch.ids(),
+                predicted_wall_ns: r.batch.predicted_wall_ns,
+                predicted_serial_ns: r.batch.predicted_serial_ns,
+                measured_wall_ns,
             });
         }
-        self.metrics.record_batch(BatchRecord {
-            ids: batch.ids(),
-            predicted_wall_ns: batch.predicted_wall_ns,
-            predicted_serial_ns: batch.predicted_serial_ns,
-            measured_wall_ns,
-        });
-        self.observe_wall_scale(measured_wall_ns, batch.predicted_wall_ns);
-        self.sync_cache_counters();
-        Ok(batch_idx)
+        self.metrics.record_batch(measured_wall_ns);
+        self.observe_wall_scale(measured_wall_ns, r.batch.predicted_wall_ns);
+        (qid, Some(r))
+    }
+
+    /// Wait for every member of batch `ticket`, running queued jobs on
+    /// this thread meanwhile; returns its members' runs in member order,
+    /// or the first failed member's error. Completions of other batches
+    /// are kept for [`completions`](QueryService::completions).
+    fn wait(&mut self, ticket: u64) -> Result<Vec<ExecutedQuery>, PlanError> {
+        loop {
+            let done = self.pool.wait_done();
+            let (qid, finished) = self.complete(&done);
+            if done.ticket != ticket {
+                self.ready.push_back((qid, done.result));
+            } else if let Some(r) = finished {
+                return r.results.into_iter().flatten().collect();
+            }
+        }
+    }
+
+    /// Execute an admitted batch on the **simulated** pool and wait for
+    /// it: [`dispatch`](QueryService::dispatch) on [`Backend::Sim`],
+    /// with this thread running member 0 and any member no worker has
+    /// taken yet. Returns the index of the new
+    /// [`BatchRecord`](crate::ServiceMetrics::batches); the first failed
+    /// member fails the call.
+    pub fn execute_batch(&mut self, batch: Batch) -> Result<usize, PlanError> {
+        let ticket = self.launch(batch, Backend::Sim, true);
+        self.wait(ticket)?;
+        Ok(self.metrics.batches.len() - 1)
     }
 
     /// Execute an admitted batch on the **host's real memory** and wait
-    /// for it: [`dispatch_native`](QueryService::dispatch_native)
-    /// followed by a wait in which this thread runs member 0 and any
+    /// for it: [`dispatch`](QueryService::dispatch) on
+    /// [`Backend::Native`], with this thread running member 0 and any
     /// member no worker has taken yet. Identical results, wall-clock
     /// latencies, each run paired with its query id for response
-    /// routing; the first failed member fails the call. Native runs are
-    /// returned rather than folded into the per-query
-    /// [`ServiceMetrics`](crate::ServiceMetrics) records — those compare
-    /// the model against the *simulator*, whose charged clock shares the
-    /// model's units. What the serving path does keep is the bookkeeping
-    /// [`dispatch_native`](QueryService::dispatch_native) describes.
+    /// routing; the first failed member fails the call.
     pub fn execute_batch_native_observed(
         &mut self,
         batch: Batch,
     ) -> Result<Vec<(u64, ExecutedQuery)>, PlanError> {
         let ids = batch.ids();
-        let ticket = self.dispatch(batch, true, native_job, true);
-        let (_, runs) = self.wait(ticket);
-        let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(ids.into_iter().zip(runs).collect())
-    }
-
-    /// Hand an admitted batch to the executor pool on the **host's real
-    /// memory** and return without waiting for it: its members run on
-    /// the pool's worker threads, and each one's result is collected by
-    /// [`completions`](QueryService::completions) as soon as that
-    /// member finishes. Until then the members count
-    /// [`in_flight`](QueryService::in_flight): batches formed meanwhile
-    /// get only the slots left, and each is priced `⊙` on its own
-    /// ([`next_batch_at`](QueryService::next_batch_at)).
-    ///
-    /// When a batch's last member completes, its bookkeeping runs: the
-    /// batch wall, from dispatch to that completion, is folded into the
-    /// model-ns → wall-ns EWMA the shed projection uses
-    /// ([`wall_scale`](QueryService::wall_scale)), and the native batch
-    /// counter and wall histogram land in the registry, as does one
-    /// per-class latency sample for each member as it completes. A
-    /// batch with a failed member (a plan error or a panic, reported as
-    /// that member's result) records no wall.
-    pub fn dispatch_native(&mut self, batch: Batch) {
-        self.dispatch(batch, true, native_job, false);
+        let ticket = self.launch(batch, Backend::Native, true);
+        Ok(ids.into_iter().zip(self.wait(ticket)?).collect())
     }
 
     /// Every member finished since the last call, as `(query id,
     /// result)` in completion order. Never blocks; runs the bookkeeping
-    /// of every batch whose last member is among them.
+    /// of every member among them.
     pub fn completions(&mut self) -> Vec<Completion> {
         let mut out: Vec<Completion> = self.ready.drain(..).collect();
         while let Some(done) = self.pool.try_done() {
@@ -881,20 +845,14 @@ impl QueryService {
         while let Some(batch) = self.next_batch() {
             self.execute_batch(batch)?;
         }
-        self.sync_cache_counters();
         Ok(())
     }
-}
-
-/// Member `m` as a host job: run on its worker's resident arena.
-fn native_job(_: usize, m: Member) -> Job {
-    Box::new(move |w: &mut Worker| w.run_native(&m))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{drain_on, submit_joins, Backend};
+    use crate::tests::{drain_on, submit_joins};
     use crate::ServiceConfig;
     use gcm_engine::plan::{LogicalPlan, PhysicalPlan};
     use gcm_engine::planner::JoinAlgorithm;
@@ -1112,7 +1070,7 @@ mod tests {
         };
         let mut svc = service();
         submit_joins(&mut svc, &[100, 200]);
-        drain_on(&mut svc, Backend::Native);
+        drain_on(&mut svc, Backend::Native, false);
         let running = Arc::clone(&svc.pool.running);
         assert_eq!(
             running.load(Ordering::SeqCst),
@@ -1185,10 +1143,10 @@ mod tests {
         // The same service serves the next native batch as the simulator
         // would, on the same workers.
         submit_joins(&mut svc, &[150, 250]);
-        let native = drain_on(&mut svc, Backend::Native);
+        let native = drain_on(&mut svc, Backend::Native, false);
         let mut sim = service();
         submit_joins(&mut sim, &[100, 200, 150, 250]);
-        let sim = drain_on(&mut sim, Backend::Sim);
+        let sim = drain_on(&mut sim, Backend::Sim, false);
         assert_eq!(native, sim[2..]);
         assert_eq!(running.load(Ordering::SeqCst), 1, "no worker was lost");
 
@@ -1215,11 +1173,11 @@ mod tests {
             svc
         };
         let mut native = service();
-        let got = drain_on(&mut native, Backend::Native);
+        let got = drain_on(&mut native, Backend::Native, false);
         let batches = native
             .metrics()
             .registry
-            .counter("gcm_service_native_batches_total");
+            .counter(crate::metrics::BATCHES_TOTAL);
         assert_eq!(batches, Some(1), "the three joins co-run as one batch");
         let labels: Vec<String> = native
             .spans()
@@ -1230,7 +1188,7 @@ mod tests {
             .collect();
         let shared = labels.iter().filter(|l| *l == "join[hash,shared]").count();
         assert_eq!((labels.len(), shared), (3, 2), "{labels:?}");
-        assert_eq!(got, drain_on(&mut service(), Backend::Sim));
+        assert_eq!(got, drain_on(&mut service(), Backend::Sim, false));
         assert!(got.iter().all(|r| r.1 > 0));
     }
 

@@ -23,14 +23,17 @@
 //!   each admitted query with the shared builds admission priced for
 //!   it, over the table versions it was submitted with, and span
 //!   tracing when it is on: either on its own simulated hierarchy view
-//!   ([`QueryService::execute_batch`], reporting per-query latency and
-//!   predicted-vs-measured error into [`ServiceMetrics`]) or on the
-//!   worker's resident native arena, with tables and shared builds
-//!   mapped read-only. On the host a batch is either waited for
-//!   ([`QueryService::execute_batch_native_observed`], the caller
-//!   running queued members itself) or dispatched without waiting
-//!   ([`QueryService::dispatch_native`]), each member's result then
-//!   collected as it completes ([`QueryService::completions`]).
+//!   or on the worker's resident native arena, with tables and shared
+//!   builds mapped read-only. A batch enters one way,
+//!   [`QueryService::dispatch`] on a [`Backend`], and each member's
+//!   result is collected as it completes
+//!   ([`QueryService::completions`]) — or the caller waits for the
+//!   batch, running queued members itself
+//!   ([`QueryService::execute_batch`] on the simulator,
+//!   [`QueryService::execute_batch_native_observed`] on the host).
+//!   Either way every completion feeds the same latency histograms,
+//!   per-class drift and wall-scale EWMA; the simulator's also leave
+//!   exact predicted-vs-measured records in [`ServiceMetrics`].
 //!
 //! Every price the service uses — the optimizer's, admission's, the
 //! simulator clock's and EXPLAIN ANALYZE's — charges the one CPU term
@@ -89,7 +92,7 @@ mod tests;
 pub use admission::{BatchDecision, SloPolicy};
 pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
 pub use cache::{PlanCache, PlanKey};
-pub use executor::{Completion, ExecutedQuery, MemberBuilds};
+pub use executor::{Backend, Completion, ExecutedQuery};
 pub use metrics::{BatchRecord, QueryRecord, ServiceMetrics, ShedRecord};
 pub use mix::{plan_for, TenantTables};
 pub use queue::Batch;
@@ -169,8 +172,9 @@ pub struct QueryService {
     /// [`inject_member_panic`](QueryService::inject_member_panic)'s
     /// plan fingerprint.
     faulty_plan: Option<u64>,
-    /// Per-operator-class measured/predicted drift of the simulated
-    /// batches, exported as gauges by [`QueryService::metrics`].
+    /// Per-operator-class measured/predicted drift of every member that
+    /// ran, on either backend, exported as gauges by
+    /// [`QueryService::metrics`].
     drift: DriftMonitor,
     /// Post-hoc debugging ring: the last
     /// [`FLIGHT_CAPACITY`](QueryService::FLIGHT_CAPACITY) EXPLAIN
@@ -180,9 +184,10 @@ pub struct QueryService {
     /// the ⊙-informed drain rate the shed projection divides the
     /// backlog by.
     drain_speedup: f64,
-    /// EWMA of measured-wall / predicted-wall of every native batch
-    /// (and of the sim path): the bridge from model nanoseconds to the caller's clock
-    /// in the shed projection. Seeded by the first observed batch.
+    /// EWMA of measured-wall / predicted-wall of every batch that ran,
+    /// on either backend: the bridge from model nanoseconds to the
+    /// caller's clock in the shed projection. Seeded by the first
+    /// observed batch.
     wall_scale: f64,
     wall_scale_seeded: bool,
 }
@@ -446,9 +451,10 @@ impl QueryService {
         self.spans.set_enabled(on);
     }
 
-    /// The per-operator-class model-drift monitor, fed by every query
-    /// [`execute_batch`](QueryService::execute_batch) runs on the
-    /// simulator. It reports; it changes nothing. When
+    /// The per-operator-class model-drift monitor, fed by every member
+    /// that runs, on either [`Backend`]: on the simulator it judges the
+    /// model against the charged clock, on the host against the wall
+    /// clock. It reports; it changes nothing. When
     /// [`needs_recalibration`](DriftMonitor::needs_recalibration) says
     /// `true`, re-run the calibrate workflow and build a new service on
     /// the refreshed hardware spec.

@@ -1,23 +1,23 @@
 //! Service telemetry: per-query latency, per-batch accuracy, and
 //! plan-cache effectiveness.
 //!
-//! Next to the exact per-query/per-batch record vectors (kept: tests
-//! and the accuracy report read them), every executed query and batch
-//! also lands in a [`MetricsRegistry`] — counters, gauges, and
-//! log-linear latency histograms with bounded-error quantiles
-//! ([`gcm_obs::hist`]) — which is what the exporters
-//! ([`ServiceMetrics::to_prometheus`] /
+//! Every executed query and batch, on either backend, lands in a
+//! [`MetricsRegistry`] — counters, gauges, and log-linear latency
+//! histograms with bounded-error quantiles ([`gcm_obs::hist`]) — which
+//! is what the exporters ([`ServiceMetrics::to_prometheus`] /
 //! [`ServiceMetrics::to_json_lines`]) serialize. The registry is the
-//! *aggregated* view a scrape reads in O(1) space; the vectors are the
-//! exact trace a test asserts on.
+//! *aggregated* view a scrape reads in O(1) space. Next to it,
+//! executions on the simulator also append exact per-query/per-batch
+//! records, which tests and the accuracy report read.
 
 use crate::QueryService;
 use gcm_obs::registry::labeled;
-use gcm_obs::{Histogram, MetricsRegistry};
+use gcm_obs::MetricsRegistry;
 use gcm_workload::TenantClass;
 use std::fmt;
 
-/// Registry name of the per-query measured-latency histogram.
+/// Registry name of the per-query measured-latency histogram, and,
+/// with a `{class="…"}` label, of each tenant class's.
 pub const QUERY_LATENCY: &str = "gcm_service_query_latency_ns";
 /// Registry name of the per-query predicted-latency histogram.
 pub const QUERY_PREDICTED: &str = "gcm_service_query_predicted_ns";
@@ -36,7 +36,7 @@ pub const QUEUE_DEPTH: &str = "gcm_service_queue_depth";
 pub const QUEUE_DEPTH_PEAK: &str = "gcm_service_queue_depth_peak";
 
 /// One executed query's record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     /// The id [`crate::QueryService::submit`] returned.
     pub id: u64,
@@ -65,7 +65,7 @@ impl QueryRecord {
 }
 
 /// One executed batch's record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
     /// Ids of the member queries.
     pub ids: Vec<u64>,
@@ -115,9 +115,14 @@ pub struct ShedRecord {
 /// The service's accumulated report.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceMetrics {
-    /// Every executed query, in execution order.
+    /// Every query executed on the simulator, in the order its batch
+    /// completed and, within it, in member order. Only the simulator's
+    /// charged clock shares the model's units; on the native serving
+    /// path these vectors would grow without bound, so host runs feed
+    /// the [`registry`](ServiceMetrics::registry) alone.
     pub queries: Vec<QueryRecord>,
-    /// Every executed batch, in execution order.
+    /// Every batch executed on the simulator, in completion order (see
+    /// [`queries`](ServiceMetrics::queries)).
     pub batches: Vec<BatchRecord>,
     /// Every shed query, in shed order.
     pub shed: Vec<ShedRecord>,
@@ -142,23 +147,29 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Record one executed query: appends the exact [`QueryRecord`]
-    /// *and* feeds the latency histograms and counters.
-    pub fn record_query(&mut self, q: QueryRecord) {
-        self.registry.observe_ns(QUERY_LATENCY, q.measured_ns);
-        self.registry.observe_ns(QUERY_PREDICTED, q.predicted_ns);
+    /// Count one member that ran, on either backend: the measured and
+    /// predicted latency histograms, the query counter, and — for a
+    /// classed member — its class's `{class="…"}` latency sample.
+    pub(crate) fn record_query(
+        &self,
+        class: Option<TenantClass>,
+        measured_ns: f64,
+        predicted_ns: f64,
+    ) {
+        self.registry.observe_ns(QUERY_LATENCY, measured_ns);
+        self.registry.observe_ns(QUERY_PREDICTED, predicted_ns);
         self.registry.inc(QUERIES_TOTAL, 1);
-        self.queries.push(q);
+        if let Some(class) = class {
+            let name = labeled(QUERY_LATENCY, &[("class", class.label())]);
+            self.registry.observe_ns(&name, measured_ns);
+        }
     }
 
-    /// Record one executed batch: appends the exact [`BatchRecord`]
-    /// *and* feeds the batch-wall histogram and counters.
-    pub fn record_batch(&mut self, b: BatchRecord) {
-        self.registry.observe_ns(BATCH_WALL, b.measured_wall_ns);
+    /// Count one batch every member of which ran, on either backend: the
+    /// batch-wall histogram and the batch counter.
+    pub(crate) fn record_batch(&self, measured_wall_ns: f64) {
+        self.registry.observe_ns(BATCH_WALL, measured_wall_ns);
         self.registry.inc(BATCHES_TOTAL, 1);
-        self.registry
-            .set_gauge("gcm_service_last_batch_size", b.size() as f64);
-        self.batches.push(b);
     }
 
     /// Record one shed query: appends the exact [`ShedRecord`] *and*
@@ -179,17 +190,11 @@ impl ServiceMetrics {
         self.shed.iter().filter(|s| s.class == class).count() as u64
     }
 
-    /// The measured per-query latency histogram, if any query ran.
-    /// Quantiles carry the registry histogram's bounded relative error
-    /// ([`gcm_obs::hist::QUANTILE_REL_ERROR`]).
-    pub fn latency_histogram(&self) -> Option<Histogram> {
-        self.registry.histogram(QUERY_LATENCY)
-    }
-
     /// Measured latency quantiles `(p50, p99, p999)` in ns, `None`
-    /// until a query has executed.
+    /// until a query has executed. They carry the registry histogram's
+    /// bounded relative error ([`gcm_obs::hist::QUANTILE_REL_ERROR`]).
     pub fn latency_quantiles(&self) -> Option<(u64, u64, u64)> {
-        let h = self.latency_histogram()?;
+        let h = self.registry.histogram(QUERY_LATENCY)?;
         Some((h.p50(), h.p99(), h.p999()))
     }
 
@@ -273,16 +278,10 @@ impl fmt::Display for ServiceMetrics {
 }
 
 impl QueryService {
-    /// The accumulated report.
+    /// The accumulated report, with the counters owned by other
+    /// components (plan cache, build registry, span recorder, queue,
+    /// drift monitor) copied into it and its registry first.
     pub fn metrics(&mut self) -> &ServiceMetrics {
-        self.sync_cache_counters();
-        &self.metrics
-    }
-
-    /// Copy the counters owned by other components (plan cache, build
-    /// registry, span recorder, queue, drift monitor) into the report
-    /// and its registry.
-    pub(crate) fn sync_cache_counters(&mut self) {
         self.metrics.cache_hits = self.cache.hits();
         self.metrics.cache_misses = self.cache.misses();
         self.metrics.optimizer_runs = self.cache.optimizer_runs();
@@ -311,6 +310,7 @@ impl QueryService {
         r.gauge_max(QUEUE_DEPTH_PEAK, depth);
         // Per-class drift ratios + stale count + flag, as gauges.
         self.drift.export_gauges(r, "gcm_service_drift");
+        &self.metrics
     }
 }
 
@@ -412,20 +412,18 @@ mod tests {
     }
 
     #[test]
-    fn record_query_feeds_vectors_and_histograms() {
-        let mut m = ServiceMetrics::default();
-        for (p, ms) in [(100.0, 120.0), (200.0, 180.0), (400.0, 4000.0)] {
-            let mut q = record(p, ms);
-            q.id = m.queries.len() as u64;
-            m.record_query(q);
+    fn record_query_and_batch_feed_the_registry() {
+        let m = ServiceMetrics::default();
+        let runs = [
+            (Some(TenantClass::ScanHeavy), 100.0, 120.0),
+            (None, 200.0, 180.0),
+            (None, 400.0, 4000.0),
+        ];
+        for (class, predicted, measured) in runs {
+            m.record_query(class, measured, predicted);
         }
-        m.record_batch(BatchRecord {
-            ids: vec![0, 1, 2],
-            predicted_wall_ns: 500.0,
-            predicted_serial_ns: 700.0,
-            measured_wall_ns: 4100.0,
-        });
-        assert_eq!(m.queries.len(), 3);
+        m.record_batch(4100.0);
+        assert!(m.queries.is_empty() && m.batches.is_empty());
         assert_eq!(m.registry.counter(QUERIES_TOTAL), Some(3));
         assert_eq!(m.registry.counter(BATCHES_TOTAL), Some(1));
         let (p50, p99, p999) = m.latency_quantiles().unwrap();
@@ -433,6 +431,9 @@ mod tests {
         assert!((p50 as f64 - 180.0).abs() / 180.0 <= gcm_obs::hist::QUANTILE_REL_ERROR);
         assert!((p99 as f64 - 4000.0).abs() / 4000.0 <= gcm_obs::hist::QUANTILE_REL_ERROR);
         assert!(p999 >= p99);
+        // Only the classed member lands in its class's series.
+        let scan = labeled(QUERY_LATENCY, &[("class", "scan_heavy")]);
+        assert_eq!(m.registry.histogram(&scan).map(|h| h.count()), Some(1));
         let prom = m.to_prometheus();
         assert!(prom.contains("gcm_service_queries_total 3"), "{prom}");
         assert!(

@@ -59,9 +59,9 @@ pub(crate) struct Pending {
 
 /// An admitted batch, ready to execute. Produced by
 /// [`QueryService::next_batch`], consumed by
-/// [`QueryService::execute_batch`],
-/// [`QueryService::execute_batch_native_observed`] or
-/// [`QueryService::dispatch_native`].
+/// [`QueryService::dispatch`] — or by one of its waiting forms,
+/// [`QueryService::execute_batch`] and
+/// [`QueryService::execute_batch_native_observed`].
 #[derive(Debug, Clone)]
 pub struct Batch {
     pub(crate) entries: Vec<Pending>,

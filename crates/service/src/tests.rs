@@ -7,6 +7,7 @@ use super::*;
 use gcm_engine::plan::plan_classes;
 use gcm_hardware::presets;
 use gcm_obs::drift::DEFAULT_MIN_SAMPLES;
+use gcm_obs::registry::labeled;
 use gcm_workload::Workload;
 
 /// A service on `tiny_smp(4)` over a seeded star pair: fact table 0,
@@ -23,29 +24,35 @@ fn service() -> QueryService {
     star_service(ServiceConfig::default(), 42, 3_000, 500)
 }
 
-/// The two backends the one executor path serves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Backend {
-    Sim,
-    Native,
-}
-
 /// Drain the queue on `backend`, returning every executed query's
-/// `(id, output_n, output_hash)`, sorted by id.
-pub(crate) fn drain_on(svc: &mut QueryService, backend: Backend) -> Vec<(u64, u64, u64)> {
+/// `(id, output_n, output_hash)`, sorted by id. Each batch is either
+/// `dispatched` and collected through [`QueryService::completions`], or
+/// waited for ([`QueryService::execute_batch`] /
+/// [`QueryService::execute_batch_native_observed`]).
+pub(crate) fn drain_on(
+    svc: &mut QueryService,
+    backend: Backend,
+    dispatched: bool,
+) -> Vec<(u64, u64, u64)> {
     let mut out = Vec::new();
     while let (_, Some(batch)) = svc.next_batch_at(0) {
-        match backend {
-            Backend::Sim => {
-                let seen = svc.metrics().queries.len();
-                svc.execute_batch(batch).unwrap();
-                let ran = &svc.metrics().queries[seen..];
-                out.extend(ran.iter().map(|q| (q.id, q.output_n, q.output_hash)));
+        if dispatched {
+            svc.dispatch(batch, backend);
+            while svc.in_flight() > 0 {
+                for (id, run) in svc.completions() {
+                    let run = run.unwrap();
+                    out.push((id, run.output_n, run.output_hash));
+                }
+                std::thread::yield_now();
             }
-            Backend::Native => {
-                let runs = svc.execute_batch_native_observed(batch).unwrap();
-                out.extend(runs.iter().map(|(id, r)| (*id, r.output_n, r.output_hash)));
-            }
+        } else if backend == Backend::Native {
+            let runs = svc.execute_batch_native_observed(batch).unwrap();
+            out.extend(runs.iter().map(|(id, r)| (*id, r.output_n, r.output_hash)));
+        } else {
+            let seen = svc.metrics().queries.len();
+            svc.execute_batch(batch).unwrap();
+            let ran = &svc.metrics().queries[seen..];
+            out.extend(ran.iter().map(|q| (q.id, q.output_n, q.output_hash)));
         }
     }
     out.sort_unstable();
@@ -174,7 +181,7 @@ fn a_sub_threshold_update_retires_the_tables_shared_build() {
             svc.submit(LogicalPlan::scan(0).join(LogicalPlan::scan(1)))
                 .unwrap();
         }
-        let runs = drain_on(svc, backend);
+        let runs = drain_on(svc, backend, false);
         runs.iter().map(|&(_, n, hash)| (n, hash)).collect()
     };
     for backend in [Backend::Sim, Backend::Native] {
@@ -223,10 +230,11 @@ fn queued_queries_answer_from_their_admitted_versions_native_and_sim() {
                 .unwrap();
         }
     };
-    let answers = |runs: Vec<(u64, u64, u64)>| -> Vec<(u64, u64)> {
-        runs.iter().map(|&(_, n, hash)| (n, hash)).collect()
-    };
     for backend in [Backend::Sim, Backend::Native] {
+        let answers = |svc: &mut QueryService| -> Vec<(u64, u64)> {
+            let runs = drain_on(svc, backend, false);
+            runs.iter().map(|&(_, n, hash)| (n, hash)).collect()
+        };
         let mut svc = service_over(&star.fact, &star.dims[0]);
         submit_two(&mut svc);
         assert!(
@@ -237,17 +245,17 @@ fn queued_queries_answer_from_their_admitted_versions_native_and_sim() {
             !svc.update_table(0, fact2.clone()),
             "F stays under the threshold"
         );
-        let queued = answers(drain_on(&mut svc, backend));
+        let queued = answers(&mut svc);
         let mut old = service_over(&star.fact, &star.dims[0]);
         submit_two(&mut old);
         let mut new = service_over(&fact2, &dim2);
         submit_two(&mut new);
-        let new = answers(drain_on(&mut new, backend));
-        assert_eq!(queued, answers(drain_on(&mut old, backend)), "{backend:?}");
+        let new = answers(&mut new);
+        assert_eq!(queued, answers(&mut old), "{backend:?}");
         assert_ne!(queued, new, "the updates must change the answer");
         // Queries admitted after the updates see the new versions.
         submit_two(&mut svc);
-        assert_eq!(answers(drain_on(&mut svc, backend)), new, "{backend:?}");
+        assert_eq!(answers(&mut svc), new, "{backend:?}");
     }
 }
 
@@ -264,7 +272,7 @@ fn spans_cover_the_whole_query_lifecycle() {
     for backend in [Backend::Sim, Backend::Native] {
         let mut svc = service();
         submit_joins(&mut svc, &[100, 200]);
-        drain_on(&mut svc, backend);
+        drain_on(&mut svc, backend, false);
         let spans = svc.spans().drain();
         let kind_count = |k: SpanKind| spans.iter().filter(|s| s.kind == k).count();
         assert_eq!(kind_count(SpanKind::Optimize), 2, "{backend:?}");
@@ -292,7 +300,7 @@ fn tracing_off_is_byte_identical_and_spanless() {
         let mut svc = service();
         svc.set_tracing(tracing);
         submit_joins(&mut svc, &[50, 150]);
-        let out = drain_on(&mut svc, backend);
+        let out = drain_on(&mut svc, backend, false);
         let n_spans = svc.spans().drain().len();
         (out, n_spans)
     };
@@ -305,12 +313,11 @@ fn tracing_off_is_byte_identical_and_spanless() {
     }
 }
 
-#[test]
-fn drift_monitor_sees_every_class_of_an_honest_run() {
-    // Ten count queries, one per batch, measured on the simulator at
-    // the CPU charge the optimizer priced them with: the monitor must
-    // have judged every operator class those plans contain, and flag
-    // none of them.
+/// Ten count queries, one per batch, drained on `backend`: every
+/// operator class those plans contain must have been judged at least
+/// [`DEFAULT_MIN_SAMPLES`] times and exported as a drift ratio gauge.
+/// Returns the service after the run.
+fn drift_after_ten_counts(backend: Backend, dispatched: bool) -> QueryService {
     let cfg = ServiceConfig {
         max_batch: 1,
         ..ServiceConfig::default()
@@ -322,7 +329,7 @@ fn drift_monitor_sees_every_class_of_an_honest_run() {
     for plan in &plans {
         svc.submit(plan.clone()).unwrap();
     }
-    svc.run().unwrap();
+    drain_on(&mut svc, backend, dispatched);
     let status = svc.drift().status();
     for plan in &plans {
         let planned = optimize_and_lower(&svc.model, plan, svc.catalog().tables()).unwrap();
@@ -330,13 +337,32 @@ fn drift_monitor_sees_every_class_of_an_honest_run() {
             let samples = status.get(class).map_or(0, |d| d.samples);
             assert!(
                 samples >= DEFAULT_MIN_SAMPLES,
-                "{class}: {samples} samples in {status:?}"
+                "{backend:?} {class}: {samples} samples in {status:?}"
             );
+            let gauge = labeled("gcm_service_drift_ratio", &[("class", class)]);
+            assert!(svc.metrics().registry.gauge(&gauge).is_some(), "{gauge}");
         }
     }
+    svc
+}
+
+#[test]
+fn drift_monitor_sees_every_class_of_an_honest_run() {
+    // Measured on the simulator at the CPU charge the optimizer priced
+    // them with, the counts judge every class and flag none of them.
+    let mut svc = drift_after_ten_counts(Backend::Sim, false);
+    let status = svc.drift().status();
     assert!(svc.drift().stale_classes().is_empty(), "{status:?}");
     let prom = svc.metrics().to_prometheus();
     assert!(prom.contains("gcm_service_drift_flag 0\n"), "{prom}");
+}
+
+#[test]
+fn native_drift_per_class_reaches_the_registry() {
+    // The same counts dispatched on the host and collected as they
+    // complete reach the same per-class drift. Whether the uncalibrated
+    // host flags a class is not this test's question.
+    drift_after_ten_counts(Backend::Native, true);
 }
 
 #[test]
@@ -504,24 +530,28 @@ fn without_slo_next_batch_at_is_plain_next_batch() {
 
 #[test]
 fn native_observed_execution_routes_ids_and_seeds_wall_scale() {
-    let run = |backend: Backend| -> Vec<(u64, u64, u64)> {
+    let run = |backend: Backend, dispatched: bool| -> Vec<(u64, u64, u64)> {
         let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
         for class in [TenantClass::PointLookup, TenantClass::ScanHeavy] {
             submit_class(&mut svc, &t, class, 0);
         }
-        drain_on(&mut svc, backend)
+        drain_on(&mut svc, backend, dispatched)
     };
-    let native = run(Backend::Native);
+    let sim = run(Backend::Sim, false);
     assert_eq!(
-        native.iter().map(|r| r.0).collect::<Vec<_>>(),
+        sim.iter().map(|r| r.0).collect::<Vec<_>>(),
         [0, 1],
         "every run comes back under its own query id"
     );
-    assert_eq!(
-        native,
-        run(Backend::Sim),
-        "the host must answer what the simulator answers, id for id"
-    );
+    // Every other entry must answer what the simulator answers, id for id.
+    let others = [
+        (Backend::Native, false),
+        (Backend::Native, true),
+        (Backend::Sim, true),
+    ];
+    for (backend, dispatched) in others {
+        assert_eq!(run(backend, dispatched), sim, "{backend:?}, {dispatched}");
+    }
     // The EWMA seeds off the first observed batch.
     let (mut svc, t) = classed_service(SloPolicy::uniform(f64::MAX));
     assert_eq!(svc.wall_scale(), 1.0);
@@ -530,30 +560,33 @@ fn native_observed_execution_routes_ids_and_seeds_wall_scale() {
     svc.execute_batch_native_observed(batch.unwrap()).unwrap();
     assert!(svc.wall_scale() > 0.0 && svc.wall_scale() != 1.0);
     let m = svc.metrics();
-    assert_eq!(
-        m.registry.counter("gcm_service_native_batches_total"),
-        Some(1)
-    );
-    assert!(m
-        .registry
-        .histogram("gcm_service_native_query_ns{class=\"scan_heavy\"}")
-        .is_some());
+    assert_eq!(m.registry.counter(metrics::BATCHES_TOTAL), Some(1));
+    let class = labeled(metrics::QUERY_LATENCY, &[("class", "scan_heavy")]);
+    assert!(m.registry.histogram(&class).is_some());
+    assert!(m.queries.is_empty(), "host runs keep no exact records");
 }
 
 #[test]
 fn results_match_between_batched_and_serial_scheduling() {
-    // The same queue drained with batching and with max_batch 1
-    // must produce identical per-query outputs.
-    let run_with = |max_batch: usize| -> Vec<(u64, u64, u64)> {
+    // The same queue drained with batching and with max_batch 1, each
+    // batch waited for or dispatched, must produce identical per-query
+    // outputs — and a simulator batch collected through `completions()`
+    // must leave exactly the records `execute_batch` leaves.
+    let run_with = |max_batch: usize, dispatched: bool| {
         let cfg = ServiceConfig {
             max_batch,
             ..ServiceConfig::default()
         };
         let mut svc = star_service(cfg, 44, 2_000, 400);
         submit_joins(&mut svc, &[50, 150, 250]);
-        drain_on(&mut svc, Backend::Sim)
+        let out = drain_on(&mut svc, Backend::Sim, dispatched);
+        let m = svc.metrics();
+        (out, m.queries.clone(), m.batches.clone())
     };
-    assert_eq!(run_with(4), run_with(1));
+    let waited = run_with(4, false);
+    assert_eq!(waited.0, run_with(1, false).0);
+    assert_eq!(waited.1.len(), 3);
+    assert_eq!(run_with(4, true), waited);
 }
 
 #[test]
@@ -581,7 +614,7 @@ fn a_dispatched_point_completes_before_its_batchs_join() {
     let (mut svc, join, point) = service();
     let batch = svc.next_batch().unwrap();
     assert_eq!(batch.ids(), [join, point], "one batch, the join first");
-    svc.dispatch_native(batch);
+    svc.dispatch(batch, Backend::Native);
     assert_eq!(svc.in_flight(), 2);
     // Both cores are taken: a query queued meanwhile waits for a slot.
     svc.submit(LogicalPlan::scan(1).select_lt(3)).unwrap();
@@ -601,12 +634,10 @@ fn a_dispatched_point_completes_before_its_batchs_join() {
     assert_eq!(svc.next_batch().map(|b| b.size()), Some(1));
     native.sort_unstable();
     let (mut sim, ..) = service();
-    assert_eq!(native, drain_on(&mut sim, Backend::Sim));
+    assert_eq!(native, drain_on(&mut sim, Backend::Sim, false));
     assert!(native.iter().all(|r| r.1 > 0));
     assert_eq!(
-        svc.metrics()
-            .registry
-            .counter("gcm_service_native_batches_total"),
+        svc.metrics().registry.counter(metrics::BATCHES_TOTAL),
         Some(1),
         "the batch's bookkeeping ran once, at its last completion"
     );

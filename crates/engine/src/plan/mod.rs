@@ -21,10 +21,12 @@
 //!   is applied between the queries of a batch
 //!   ([`gcm_core::CostModel::batch_cost`]), never inside a plan.
 //! * [`optimizer`] — enumerates physical alternatives per node (via the
-//!   per-node costing engine in [`crate::planner`]), prices each
-//!   complete tree stage by stage, and ranks them ([`Optimizer`]). The
-//!   machine's core count does not enter: the same statistics give the
-//!   same plans at the same prices on 1 core and on 8.
+//!   per-node costing engine in [`crate::planner`]), prices complete
+//!   trees stage by stage, and ranks them ([`Optimizer`]), evaluating a
+//!   tree's memory pattern only while its CPU term alone could still
+//!   rank it among the kept alternatives. The machine's core count does
+//!   not enter: the same statistics give the same plans at the same
+//!   prices on 1 core and on 8.
 //! * [`exec`] — lowers a physical plan onto the real operators in
 //!   [`crate::ops`], returning the actual result *and* the compound
 //!   pattern with actual intermediate cardinalities ([`execute`]).
@@ -83,14 +85,16 @@ pub use logical::LogicalPlan;
 pub use optimizer::{Optimizer, PlanError, PlannedQuery, TableStats};
 pub use physical::PhysicalPlan;
 
-/// The reusable optimize-to-executable entry point: enumerate physical
-/// plans for `plan` under `tables` with the default optimizer
-/// configuration (default CPU calibration, beam 8, cold caches) and
-/// return the cheapest one, ready for [`execute`]. This is the single
-/// path a caching layer memoizes — one deterministic function from
-/// (logical plan, statistics) to ([`PhysicalPlan`], predicted cost) —
-/// so a cache hit is guaranteed to return exactly what a fresh
-/// optimization would have produced.
+/// The reusable optimize-to-executable entry point: the cheapest
+/// physical plan for `plan` under `tables` with the default optimizer
+/// configuration (default CPU calibration, beam 8, cold caches), ready
+/// for [`execute`] — [`Optimizer::optimize`], which returns exactly the
+/// first plan [`Optimizer::enumerate`] ranks but does not evaluate the
+/// memory pattern of an alternative whose CPU term alone exceeds the
+/// best total found. This is the single path a caching layer memoizes
+/// — one deterministic function from (logical plan, statistics) to
+/// ([`PhysicalPlan`], predicted cost) — so a cache hit is guaranteed to
+/// return exactly what a fresh optimization would have produced.
 pub fn optimize_and_lower(
     model: &gcm_core::CostModel,
     plan: &LogicalPlan,

@@ -12,6 +12,17 @@
 //! inside each node) decide the ranking, not per-operator cold-cache
 //! sums.
 //!
+//! Ranking prices only what can still win. Eq 6.1 prices an
+//! alternative as `T = T_mem + T_cpu` with `T_mem ≥ 0`, and the CPU term
+//! is a cheap sum of logical operations, while the memory term is a
+//! pattern evaluation (a quick-sort pattern takes tens of µs). So
+//! alternatives are visited in ascending CPU order and the memory term
+//! is evaluated only while the CPU term alone is at most the `k`-th best
+//! total so far (`k` = the beam when pruning a node, 1 in
+//! [`Optimizer::optimize`]); the first alternative past that bound ends
+//! the ranking. The kept set and its order are exactly those of pricing
+//! everything and sorting stably by total.
+//!
 //! The logical-statistics side (cardinalities, key bounds, sortedness)
 //! is the component the paper assumes a perfect oracle for (§1); here
 //! it is propagated from per-table [`TableStats`] under a
@@ -159,8 +170,8 @@ struct Alt {
     /// Stages in execution order.
     stages: Vec<Stage>,
     stats: NodeStats,
-    /// Staged memory price, filled by [`Optimizer::prune`] and reused
-    /// by [`Optimizer::enumerate`] when the subtree is the whole plan.
+    /// Staged memory price, filled by [`Optimizer::rank`] and reused
+    /// by the root-level ranking when the subtree is the whole plan.
     /// Every `apply_*` constructor resets it to `None`, so a stale
     /// subtree price can never leak into a larger tree.
     priced_mem: Option<f64>,
@@ -193,45 +204,105 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Keep at most `beam` alternatives per node (≥ 1). Wider beams
-    /// enumerate more complete plans at higher optimization cost.
+    /// enumerate more complete plans; a node's ranking prices the memory
+    /// term only of alternatives whose CPU term is at most the `beam`-th
+    /// best total so far, so a wider beam prices more of them.
     pub fn with_beam(mut self, beam: usize) -> Optimizer<'a> {
         self.beam = beam.max(1);
         self
     }
 
     /// Enumerate complete physical plans (at most the beam width),
-    /// each priced as one composed pattern, cheapest first.
+    /// each priced as one composed pattern, cheapest first. Unlike
+    /// [`optimize`](Optimizer::optimize) this prices the memory term of
+    /// every root alternative, losers included.
     pub fn enumerate(
         &self,
         plan: &LogicalPlan,
         tables: &[TableStats],
     ) -> Result<Vec<PlannedQuery>, PlanError> {
-        // One region per base table for the whole enumeration: a table
-        // scanned twice (e.g. a self-join) must keep one identity, or
-        // Eq 5.2 cannot price the rescan reuse.
+        let alts = self.root_alts(plan, tables)?;
+        let all = alts.len();
+        Ok(self
+            .rank(alts, all)
+            .into_iter()
+            .map(|a| self.planned(a))
+            .collect())
+    }
+
+    /// The cheapest complete plan by whole-plan predicted cost — always
+    /// [`enumerate`](Optimizer::enumerate)'s first plan, found without
+    /// pricing the memory term of a root alternative whose CPU term
+    /// alone already exceeds the best total seen (Eq 6.1's
+    /// `T = T_mem + T_cpu` with `T_mem ≥ 0`: it cannot win).
+    pub fn optimize(
+        &self,
+        plan: &LogicalPlan,
+        tables: &[TableStats],
+    ) -> Result<PlannedQuery, PlanError> {
+        let alts = self.root_alts(plan, tables)?;
+        self.rank(alts, 1)
+            .pop()
+            .map(|a| self.planned(a))
+            .ok_or(PlanError::NoCandidates)
+    }
+
+    /// The beam-pruned alternatives for the whole plan. One region per
+    /// base table for the whole search: a table scanned twice (e.g. a
+    /// self-join) must keep one identity, or Eq 5.2 cannot price the
+    /// rescan reuse.
+    fn root_alts(&self, plan: &LogicalPlan, tables: &[TableStats]) -> Result<Vec<Alt>, PlanError> {
         let regions: Vec<Region> = tables
             .iter()
             .enumerate()
             .map(|(i, t)| Region::new(format!("T{i}"), t.n, t.w))
             .collect();
-        let alts = self.alts(plan, tables, &regions)?;
-        let mut out: Vec<PlannedQuery> = alts
-            .into_iter()
-            .map(|a| {
-                let mem_ns = a.priced_mem.unwrap_or_else(|| self.price_mem(&a.stages));
-                let cpu_ns = self.price_cpu(&a.stages);
-                let ops = a.total_ops();
-                PlannedQuery {
-                    plan: a.plan,
-                    pattern: Pattern::seq(a.stages.iter().map(|s| s.pattern.clone()).collect()),
-                    mem_ns,
-                    cpu_ns,
-                    ops,
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| a.total_ns().total_cmp(&b.total_ns()));
-        Ok(out)
+        self.alts(plan, tables, &regions)
+    }
+
+    /// A ranked root alternative as a priced complete plan.
+    fn planned(&self, a: Alt) -> PlannedQuery {
+        PlannedQuery {
+            mem_ns: a.priced_mem.expect("ranked alternatives are priced"),
+            cpu_ns: self.price_cpu(&a.stages),
+            ops: a.total_ops(),
+            pattern: Pattern::seq(a.stages.iter().map(|s| s.pattern.clone()).collect()),
+            plan: a.plan,
+        }
+    }
+
+    /// The `keep` cheapest alternatives by `mem + cpu`, cheapest first,
+    /// equal totals in enumeration order (a stable sort's order), each
+    /// with its memory price cached. The CPU term is priced for all of
+    /// them; the memory term only for those visited in ascending CPU
+    /// order while their CPU term is at most the `keep`-th best total so
+    /// far. `T_mem ≥ 0`, so the first alternative past that bound, and
+    /// every one after it, cannot rank among the `keep`.
+    fn rank(&self, alts: Vec<Alt>, keep: usize) -> Vec<Alt> {
+        let cpus: Vec<f64> = alts.iter().map(|a| self.price_cpu(&a.stages)).collect();
+        let mut by_cpu: Vec<usize> = (0..alts.len()).collect();
+        by_cpu.sort_by(|&a, &b| cpus[a].total_cmp(&cpus[b]));
+        let mut alts: Vec<Option<Alt>> = alts.into_iter().map(Some).collect();
+        // The best `keep` so far as (total, enumeration index), ascending.
+        let mut best: Vec<(f64, usize)> = Vec::with_capacity(keep.min(alts.len()) + 1);
+        for i in by_cpu {
+            if best.len() == keep && best.last().is_some_and(|&(bound, _)| cpus[i] > bound) {
+                break;
+            }
+            let a = alts[i].as_mut().expect("each alternative is visited once");
+            let mem = *a
+                .priced_mem
+                .get_or_insert_with(|| self.price_mem(&a.stages));
+            let total = mem + cpus[i];
+            let at = best.partition_point(|&(t, j)| t.total_cmp(&total).then(j.cmp(&i)).is_lt());
+            if at < keep {
+                best.insert(at, (total, i));
+                best.truncate(keep);
+            }
+        }
+        best.into_iter()
+            .map(|(_, i)| alts[i].take().expect("kept once"))
+            .collect()
     }
 
     /// Elapsed memory time of a stage list: states threaded level by
@@ -253,18 +324,6 @@ impl<'a> Optimizer<'a> {
             ns += cpu.per_op_ns * stage.ops as f64;
         }
         ns
-    }
-
-    /// The cheapest complete plan by whole-plan predicted cost.
-    pub fn optimize(
-        &self,
-        plan: &LogicalPlan,
-        tables: &[TableStats],
-    ) -> Result<PlannedQuery, PlanError> {
-        self.enumerate(plan, tables)?
-            .into_iter()
-            .next()
-            .ok_or(PlanError::NoCandidates)
     }
 
     /// Alternatives for a subtree, beam-pruned by composed-subtree
@@ -340,24 +399,14 @@ impl<'a> Optimizer<'a> {
         Ok(self.prune(alts))
     }
 
-    /// Keep the `beam` cheapest alternatives by staged-subtree cost.
-    /// The computed memory price is cached on each survivor, so the
-    /// root-level [`Optimizer::enumerate`] does not price it again.
-    fn prune(&self, mut alts: Vec<Alt>) -> Vec<Alt> {
+    /// Keep the `beam` cheapest alternatives by staged-subtree cost
+    /// ([`Optimizer::rank`]). Each survivor carries its memory price, so
+    /// the root-level ranking does not price it again.
+    fn prune(&self, alts: Vec<Alt>) -> Vec<Alt> {
         if alts.len() <= self.beam {
             return alts;
         }
-        let mut priced: Vec<(f64, Alt)> = alts
-            .drain(..)
-            .map(|mut a| {
-                let mem = self.price_mem(&a.stages);
-                a.priced_mem = Some(mem);
-                (mem + self.price_cpu(&a.stages), a)
-            })
-            .collect();
-        priced.sort_by(|a, b| a.0.total_cmp(&b.0));
-        priced.truncate(self.beam);
-        priced.into_iter().map(|(_, a)| a).collect()
+        self.rank(alts, self.beam)
     }
 
     fn apply_select(&self, input: Alt, threshold: u64) -> Alt {

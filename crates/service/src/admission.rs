@@ -23,6 +23,14 @@
 //! past the serial sum and the scheduler backs off to running them one
 //! after the other. Rejected candidates stay queued and are
 //! reconsidered for the following batch.
+//!
+//! Each pattern is priced once per formation: every candidate the
+//! greedy walk reaches gets its cold solo price once, and each trial
+//! batch of two or more members one `⊙` composition
+//! ([`CostModel::advance_parallel_shared`]). A singleton's in-batch
+//! memory time is its solo price, so the head of the queue costs one
+//! evaluation. Every price is bit-identical to pricing each trial batch
+//! with [`CostModel::batch_cost_shared`].
 
 use gcm_core::{CacheState, CostModel, Pattern, Region};
 use gcm_workload::TenantClass;
@@ -120,29 +128,40 @@ impl BatchDecision {
 
 /// Price a forming batch: `⊙`-composed per-query memory plus each
 /// member's CPU, the wall as the slowest member plus dispatch, and the
-/// serial fallback as the sum of solo times.
+/// serial fallback as the sum of solo times. `solos` holds each
+/// member's cold solo memory price. A singleton's memory inside its
+/// batch *is* its solo price, so only a batch of two or more is
+/// composed.
 fn price(
     model: &CostModel,
     patterns: &[Pattern],
+    solos: &[f64],
     cpus: &[f64],
     shared: &[Region],
 ) -> (f64, f64, Vec<f64>) {
-    let batch = model.batch_cost_shared(patterns, &CacheState::cold(), shared);
-    let per_query: Vec<f64> = batch
-        .per_query_ns
-        .iter()
-        .zip(cpus)
-        .map(|(mem, cpu)| mem + cpu)
-        .collect();
+    let mems = if patterns.len() == 1 {
+        solos.to_vec()
+    } else {
+        let mut cold = model.staged(&CacheState::cold());
+        model
+            .advance_parallel_shared(patterns, &mut cold, shared)
+            .per_thread_ns
+    };
+    let per_query: Vec<f64> = mems.iter().zip(cpus).map(|(mem, cpu)| mem + cpu).collect();
     let wall =
         per_query.iter().copied().fold(0.0, f64::max) + DEFAULT_DISPATCH_NS * patterns.len() as f64;
-    let serial = batch
-        .solo_ns
+    let serial = solos
         .iter()
         .zip(cpus)
         .map(|(mem, cpu)| mem + cpu + DEFAULT_DISPATCH_NS)
         .sum();
     (wall, serial, per_query)
+}
+
+/// A candidate's cold solo memory price: its time running alone on one
+/// worker.
+fn solo_mem(model: &CostModel, pattern: &Pattern) -> f64 {
+    model.report_from(pattern, &CacheState::cold()).mem_ns
 }
 
 /// Greedily form the next batch of at most `max_batch` members (the
@@ -165,19 +184,21 @@ pub fn next_batch(
     }
     let max_batch = max_batch.max(1);
     // The forming batch, grown in place: each trial clones only the
-    // candidate's pattern (popped again on rejection), never the
-    // already-admitted members'.
+    // candidate's pattern and prices only its solo time (both popped
+    // again on rejection), never the already-admitted members'.
     let mut patterns = vec![candidates[0].pattern.clone()];
+    let mut solos = vec![solo_mem(model, candidates[0].pattern)];
     let mut cpus = vec![candidates[0].cpu_ns];
     let mut admitted = vec![0usize];
-    let (mut wall, mut serial, mut per_query) = price(model, &patterns, &cpus, shared);
+    let (mut wall, mut serial, mut per_query) = price(model, &patterns, &solos, &cpus, shared);
     for (idx, cand) in candidates.iter().enumerate().skip(1) {
         if patterns.len() >= max_batch {
             break;
         }
         patterns.push(cand.pattern.clone());
+        solos.push(solo_mem(model, cand.pattern));
         cpus.push(cand.cpu_ns);
-        let (t_wall, t_serial, t_per_query) = price(model, &patterns, &cpus, shared);
+        let (t_wall, t_serial, t_per_query) = price(model, &patterns, &solos, &cpus, shared);
         // solo(q): the candidate's own serial contribution is the
         // difference of the serial sums (solo mem + cpu + dispatch).
         let solo = t_serial - serial;
@@ -186,6 +207,7 @@ pub fn next_batch(
             (wall, serial, per_query) = (t_wall, t_serial, t_per_query);
         } else {
             patterns.pop();
+            solos.pop();
             cpus.pop();
         }
     }
@@ -202,6 +224,119 @@ mod tests {
     use super::*;
     use gcm_core::Region;
     use gcm_hardware::presets;
+
+    /// `next_batch` priced the plain way, every trial batch through
+    /// [`CostModel::batch_cost_shared`] with its solo prices: the
+    /// reference the solo-once pricing must match bit for bit.
+    fn next_batch_reference(
+        model: &CostModel,
+        candidates: &[Candidate<'_>],
+        max_batch: usize,
+        shared: &[Region],
+    ) -> Option<BatchDecision> {
+        let price = |patterns: &[Pattern], cpus: &[f64]| {
+            let batch = model.batch_cost_shared(patterns, &CacheState::cold(), shared);
+            let per_query: Vec<f64> = batch
+                .per_query_ns
+                .iter()
+                .zip(cpus)
+                .map(|(mem, cpu)| mem + cpu)
+                .collect();
+            let wall = per_query.iter().copied().fold(0.0, f64::max)
+                + DEFAULT_DISPATCH_NS * patterns.len() as f64;
+            let serial: f64 = batch
+                .solo_ns
+                .iter()
+                .zip(cpus)
+                .map(|(mem, cpu)| mem + cpu + DEFAULT_DISPATCH_NS)
+                .sum();
+            (wall, serial, per_query)
+        };
+        if candidates.is_empty() {
+            return None;
+        }
+        let max_batch = max_batch.max(1);
+        let mut patterns = vec![candidates[0].pattern.clone()];
+        let mut cpus = vec![candidates[0].cpu_ns];
+        let mut admitted = vec![0usize];
+        let (mut wall, mut serial, mut per_query) = price(&patterns, &cpus);
+        for (idx, cand) in candidates.iter().enumerate().skip(1) {
+            if patterns.len() >= max_batch {
+                break;
+            }
+            patterns.push(cand.pattern.clone());
+            cpus.push(cand.cpu_ns);
+            let (t_wall, t_serial, t_per_query) = price(&patterns, &cpus);
+            if t_wall < wall + (t_serial - serial) {
+                admitted.push(idx);
+                (wall, serial, per_query) = (t_wall, t_serial, t_per_query);
+            } else {
+                patterns.pop();
+                cpus.pop();
+            }
+        }
+        Some(BatchDecision {
+            admitted,
+            predicted_wall_ns: wall,
+            predicted_serial_ns: serial,
+            per_query_ns: per_query,
+        })
+    }
+
+    #[test]
+    fn solo_prices_taken_once_match_the_batch_cost_reference() {
+        // Seeded mixes of streaming, repeated-random and probe patterns,
+        // the probes over one build `h` that is declared shared or not:
+        // every decision and every price must equal the reference's to
+        // the bit.
+        let model = CostModel::new(presets::tiny_smp(4));
+        let h = Region::new("H", 1_500, 8);
+        let mut rng = gcm_workload::rng::SplitMix64::new(40);
+        let mut admitted_pairs = 0;
+        for case in 0..48 {
+            let patterns: Vec<Pattern> = (0..1 + rng.next_below(6))
+                .map(|i| {
+                    let n = 500 + rng.next_below(4_000);
+                    let r = Region::new(format!("Q{case}.{i}"), n, 8);
+                    match rng.next_below(3) {
+                        0 => Pattern::s_trav(r),
+                        1 => Pattern::rr_trav(r, 1 + rng.next_below(8), 64),
+                        _ => Pattern::conc(vec![
+                            Pattern::s_trav(r),
+                            Pattern::r_acc(h.clone(), 1_000 + rng.next_below(200_000)),
+                        ]),
+                    }
+                })
+                .collect();
+            let candidates: Vec<Candidate<'_>> = patterns
+                .iter()
+                .map(|p| Candidate {
+                    pattern: p,
+                    cpu_ns: rng.next_below(20_000) as f64,
+                })
+                .collect();
+            for shared in [&[][..], std::slice::from_ref(&h)] {
+                for max_batch in 1..=4 {
+                    let got = next_batch(&model, &candidates, max_batch, shared).unwrap();
+                    let want =
+                        next_batch_reference(&model, &candidates, max_batch, shared).unwrap();
+                    let ctx = format!("case {case}, max_batch {max_batch}, shared {shared:?}");
+                    assert_eq!(got.admitted, want.admitted, "{ctx}");
+                    let bits = |d: &BatchDecision| {
+                        let per: Vec<u64> = d.per_query_ns.iter().map(|x| x.to_bits()).collect();
+                        (
+                            d.predicted_wall_ns.to_bits(),
+                            d.predicted_serial_ns.to_bits(),
+                            per,
+                        )
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{ctx}");
+                    admitted_pairs += usize::from(got.admitted.len() > 1);
+                }
+            }
+        }
+        assert!(admitted_pairs > 0, "no mix formed a batch");
+    }
 
     #[test]
     fn slo_policy_budgets_per_class() {

@@ -2,8 +2,8 @@
 //! fingerprint, statistics epoch).
 //!
 //! A serving workload sees the same parameterised plan shapes over and
-//! over, and whole-plan optimization (beam search over join algorithms,
-//! fan-outs, and DOPs) is the expensive step — so the service memoizes
+//! over, and whole-plan optimization (beam search over join algorithms
+//! and partition fan-outs) is the expensive step — so the service memoizes
 //! [`optimize_and_lower`](gcm_engine::plan::optimize_and_lower) per
 //! key. The epoch half of the key comes from
 //! [`StatsCatalog`](gcm_engine::plan::StatsCatalog): when statistics

@@ -1,13 +1,15 @@
-//! Property: across seeded random star scenarios, the whole-plan
-//! optimizer's chosen plan — executed for real on the simulator — is
+//! Properties of the whole-plan optimizer. Across seeded random star
+//! scenarios, its chosen plan — executed for real on the simulator — is
 //! never worse than a small constant factor of the best enumerated
 //! alternative. (The model may mis-rank near-ties; it must not pick a
-//! loser.)
+//! loser.) And `optimize`, which prices the memory term only of
+//! alternatives that can still win, returns exactly `enumerate`'s
+//! first plan, which prices all of them.
 
 use gcm::core::{CostModel, CpuCost};
 use gcm::engine::plan::{execute, LogicalPlan, Optimizer, TableStats};
 use gcm::engine::ExecContext;
-use gcm::hardware::presets;
+use gcm::hardware::{presets, HardwareSpec};
 use gcm::workload::Workload;
 use proptest::prelude::*;
 
@@ -148,5 +150,64 @@ proptest! {
             "seed {} (skewed): chosen {} measured {:.0} ns, best {:.0} ns",
             seed, plans[0].plan, chosen, best
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `optimize` ranks with a CPU-term bound and stops early; it must
+    /// still return `enumerate()[0]` to the bit: the same plan, the same
+    /// memory and CPU prices, operation count and composed pattern. The
+    /// shapes cover point and scan queries, one join, a two-join star
+    /// (whose inner join node is pruned to the beam), and the sort,
+    /// dedup and open-partition nodes; the beams run from 1 to 8.
+    #[test]
+    fn optimize_is_the_first_enumerated_plan(
+        preset in 0usize..3,
+        beam in 1usize..=8,
+        fact_log in 7u32..=22,
+        dim_log in 5u32..=18,
+        bound_log in 5u32..=20,
+        sel_pct in 1u64..=100,
+        sorted in 0u8..4,
+    ) {
+        let spec: HardwareSpec = match preset {
+            0 => presets::origin2000(),
+            1 => presets::tiny(),
+            _ => presets::modern_smp(2),
+        };
+        let model = CostModel::new(spec);
+        let (fact_n, dim_n, key_bound) = (1u64 << fact_log, 1u64 << dim_log, 1u64 << bound_log);
+        let threshold = key_bound * sel_pct / 100;
+        let stats = [
+            TableStats::uniform(fact_n, 8, key_bound, sorted & 1 != 0),
+            TableStats::key_column(dim_n, 8, sorted & 2 != 0),
+            TableStats::key_column(dim_n, 16, false),
+        ];
+        let shapes = [
+            LogicalPlan::scan(0).select_lt(threshold),
+            LogicalPlan::scan(0).select_lt(threshold).group_count(),
+            LogicalPlan::scan(0).join(LogicalPlan::scan(1)),
+            LogicalPlan::scan(0)
+                .select_lt(threshold)
+                .join(LogicalPlan::scan(1))
+                .join(LogicalPlan::scan(2))
+                .group_count(),
+            LogicalPlan::scan(0).sort(),
+            LogicalPlan::scan(0).dedup(),
+            LogicalPlan::scan(0).partition(None),
+        ];
+        let optimizer = Optimizer::new(&model).with_beam(beam);
+        for q in &shapes {
+            let best = optimizer.optimize(q, &stats).expect("plan optimizes");
+            let all = optimizer.enumerate(q, &stats).expect("plans enumerate");
+            let first = &all[0];
+            prop_assert_eq!(&best.plan, &first.plan, "{}", q);
+            prop_assert_eq!(best.mem_ns.to_bits(), first.mem_ns.to_bits(), "{}", q);
+            prop_assert_eq!(best.cpu_ns.to_bits(), first.cpu_ns.to_bits(), "{}", q);
+            prop_assert_eq!(best.ops, first.ops, "{}", q);
+            prop_assert_eq!(best.pattern.to_string(), first.pattern.to_string(), "{}", q);
+        }
     }
 }

@@ -22,8 +22,7 @@ use gcm_core::misses::lines_per_item;
 use gcm_core::{eval, CacheState, CostModel, CostReport, CpuCost, Geometry, MissPair, Pattern};
 use gcm_core::{library, Region};
 use gcm_engine::ops::btree::BTree;
-use gcm_engine::plan::{execute, LogicalPlan, Optimizer, PhysicalPlan, TableStats};
-use gcm_engine::planner::JoinAlgorithm;
+use gcm_engine::plan::{execute, JoinAlgorithm, LogicalPlan, Optimizer, PhysicalPlan, TableStats};
 use gcm_engine::{ops, ExecContext, RunStats};
 use gcm_hardware::{presets, Associativity, HardwareSpec, LevelKind};
 use gcm_sim::MemorySystem;

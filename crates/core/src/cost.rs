@@ -67,11 +67,9 @@ impl fmt::Display for CostReport {
 }
 
 /// Pure CPU cost of an algorithm, calibrated in-cache (paper §6.1): a
-/// fixed overhead plus a per-logical-operation cost.
+/// cost per logical operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCost {
-    /// Fixed start-up cost in nanoseconds.
-    pub fixed_ns: f64,
     /// Cost per logical operation in nanoseconds.
     pub per_op_ns: f64,
 }
@@ -81,30 +79,26 @@ impl CpuCost {
     /// (see [`CpuCost::default_planner`]), in nanoseconds.
     pub const DEFAULT_PLANNER_PER_OP_NS: f64 = 4.0;
 
-    /// A calibration with zero fixed cost.
+    /// A calibration charging `per_op_ns` per logical operation.
     pub fn per_op(per_op_ns: f64) -> CpuCost {
-        CpuCost {
-            fixed_ns: 0.0,
-            per_op_ns,
-        }
+        CpuCost { per_op_ns }
     }
 
-    /// The default planner calibration: zero fixed cost,
+    /// The default planner calibration:
     /// [`DEFAULT_PLANNER_PER_OP_NS`](CpuCost::DEFAULT_PLANNER_PER_OP_NS)
     /// per logical operation. The paper calibrates `T_cpu` per algorithm
     /// (§6.1); every costing layer that has not been handed a machine
-    /// calibration uses this single shared default, so the planner, the
-    /// whole-plan optimizer, and the service price CPU identically.
+    /// calibration uses this single shared default, so the whole-plan
+    /// optimizer and the service price CPU identically.
     pub const fn default_planner() -> CpuCost {
         CpuCost {
-            fixed_ns: 0.0,
             per_op_ns: CpuCost::DEFAULT_PLANNER_PER_OP_NS,
         }
     }
 
     /// `T_cpu` for `ops` logical operations.
     pub fn ns(&self, ops: u64) -> f64 {
-        self.fixed_ns + self.per_op_ns * ops as f64
+        self.per_op_ns * ops as f64
     }
 
     /// Eq 6.1, `T = T_mem + T_cpu`, in one place: memory time plus this
@@ -496,12 +490,8 @@ mod tests {
         let model = CostModel::new(presets::tiny());
         let a = Region::new("A", 1000, 8);
         let p = Pattern::s_trav(a);
-        let cpu = CpuCost {
-            fixed_ns: 500.0,
-            per_op_ns: 2.0,
-        };
-        let t = model.total_ns(&p, cpu, 1000);
-        assert!((t - (model.mem_ns(&p) + 2500.0)).abs() < 1e-9);
+        let t = model.total_ns(&p, CpuCost::per_op(2.0), 1000);
+        assert!((t - (model.mem_ns(&p) + 2000.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -776,17 +766,13 @@ mod tests {
     fn cpu_cost_helpers() {
         let c = CpuCost::per_op(3.0);
         assert_eq!(c.ns(10), 30.0);
-        let c2 = CpuCost {
-            fixed_ns: 100.0,
-            per_op_ns: 1.0,
-        };
-        assert_eq!(c2.ns(0), 100.0);
-        // The shared planner default: 4 ns/op, no fixed cost.
+        assert_eq!(c.ns(0), 0.0);
+        // The shared planner default: 4 ns/op.
         let d = CpuCost::default_planner();
         assert_eq!(d, CpuCost::per_op(CpuCost::DEFAULT_PLANNER_PER_OP_NS));
         assert_eq!(d.ns(10), 40.0);
         // The shared Eq 6.1 helper: T = T_mem + T_cpu.
-        assert_eq!(c2.eq61_ns(1000.0, 7), 1000.0 + 107.0);
+        assert_eq!(c.eq61_ns(1000.0, 7), 1000.0 + 21.0);
         assert_eq!(d.eq61_ns(0.0, 3), 12.0);
     }
 }

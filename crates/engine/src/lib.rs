@@ -46,7 +46,6 @@ pub mod kernels;
 pub mod native;
 pub mod ops;
 pub mod plan;
-pub mod planner;
 #[cfg(test)]
 mod query;
 pub mod relation;

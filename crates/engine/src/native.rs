@@ -1277,8 +1277,9 @@ mod tests {
 
     #[test]
     fn native_mapped_segments_are_read_in_place() {
-        use crate::plan::{execute_traced, run_on, NoPrebuilt, NoTrace, PhysicalPlan, TableDef};
-        use crate::planner::JoinAlgorithm;
+        use crate::plan::{
+            execute_traced, run_on, JoinAlgorithm, NoPrebuilt, NoTrace, PhysicalPlan, TableDef,
+        };
         let star = Workload::new(5).star_scenario(3_000, 500, 1);
         let tables = [
             TableDef::new("F", &star.fact, 8),
@@ -1319,8 +1320,7 @@ mod tests {
 
     #[test]
     fn native_sorts_a_private_copy_of_a_mapped_table() {
-        use crate::plan::{run_on, PhysicalPlan, TableDef};
-        use crate::planner::JoinAlgorithm;
+        use crate::plan::{run_on, JoinAlgorithm, PhysicalPlan, TableDef};
         let (fact, dim) = (
             Workload::new(6).shuffled_keys(1_000),
             Workload::new(7).shuffled_keys(300),

@@ -83,7 +83,7 @@ impl HashTable {
 }
 
 /// CPU-operation estimate of the build phase over `items` inner tuples
-/// — the build's share of the planner's hash-join `ops` (read + hash +
+/// — the build's share of the optimizer's hash-join `ops` (read + hash +
 /// probe step + store per tuple). The service subtracts exactly this
 /// share when a query reuses a shared build instead of building.
 pub fn build_ops(items: u64) -> u64 {

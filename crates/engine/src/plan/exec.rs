@@ -9,12 +9,11 @@
 //! same way the Figure-7 experiments close it per operator.
 
 use super::optimizer::PlanError;
-use super::physical::PhysicalPlan;
+use super::physical::{JoinAlgorithm, PhysicalPlan};
 use super::OUT_TUPLE_BYTES;
 use crate::backend::MemoryBackend;
 use crate::ctx::{ExecContext, RunStats};
 use crate::ops;
-use crate::planner::JoinAlgorithm;
 use crate::relation::{Relation, Segment};
 use gcm_core::{Pattern, Region};
 use gcm_obs::span::{Span, SpanKind, SpanSink};

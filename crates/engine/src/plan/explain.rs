@@ -411,7 +411,7 @@ pub fn plan_classes(plan: &PhysicalPlan) -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::JoinAlgorithm;
+    use crate::plan::JoinAlgorithm;
     use gcm_hardware::presets;
     use gcm_workload::Workload;
 

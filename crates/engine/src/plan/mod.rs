@@ -15,13 +15,12 @@
 //!   scan / select / join / aggregate / sort / dedup / partition over
 //!   any number of base relations.
 //! * [`physical`] — the executable tree ([`PhysicalPlan`]): every join
-//!   node carries a [`JoinAlgorithm`](crate::planner::JoinAlgorithm),
-//!   every partition node a concrete fan-out. A plan names no degree
-//!   of parallelism: one query runs on one core, and `⊙` across cores
-//!   is applied between the queries of a batch
-//!   ([`gcm_core::CostModel::batch_cost`]), never inside a plan.
-//! * [`optimizer`] — enumerates physical alternatives per node (via the
-//!   per-node costing engine in [`crate::planner`]), prices complete
+//!   node carries a [`JoinAlgorithm`], every partition node a concrete
+//!   fan-out. A plan names no degree of parallelism: one query runs on
+//!   one core, and `⊙` across cores is applied between the queries of a
+//!   batch ([`gcm_core::CostModel::batch_cost`]), never inside a plan.
+//! * [`optimizer`] — enumerates physical alternatives per node (every
+//!   join algorithm, candidate partition fan-outs), prices complete
 //!   trees stage by stage, and ranks them ([`Optimizer`]), evaluating a
 //!   tree's memory pattern only while its CPU term alone could still
 //!   rank it among the kept alternatives. The machine's core count does
@@ -83,7 +82,7 @@ pub use exec::{
 pub use explain::{explain_analyze, plan_classes, ExplainNode, ExplainReport};
 pub use logical::LogicalPlan;
 pub use optimizer::{Optimizer, PlanError, PlannedQuery, TableStats};
-pub use physical::PhysicalPlan;
+pub use physical::{JoinAlgorithm, PhysicalPlan};
 
 /// The reusable optimize-to-executable entry point: the cheapest
 /// physical plan for `plan` under `tables` with the default optimizer

@@ -1,16 +1,17 @@
 //! The whole-plan cost-based optimizer.
 //!
-//! For each join node the optimizer asks the per-node costing engine
-//! ([`crate::planner::join_candidates`]) for every algorithm's pattern
-//! description; for each open partition node it derives candidate
-//! fan-outs from the cache hierarchy. Alternatives are combined across
-//! the tree (beam-pruned at every node to keep enumeration tractable),
-//! and each surviving *complete* tree is priced as **one** composed
-//! pattern `node₁ ⊕ node₂ ⊕ …` in execution order — so the cache-state
-//! threading of Eq 5.2 (a consumer reading its producer's still-cached
-//! output) and the footprint sharing of Eq 5.3 (concurrent cursors
-//! inside each node) decide the ranking, not per-operator cold-cache
-//! sums.
+//! For each join node the optimizer describes every join algorithm
+//! (nested loop, merge with the sorts it needs, hash, and partitioned
+//! hash at one fan-out per cache level) by its access pattern and
+//! logical-op estimate; for each open partition node it derives
+//! candidate fan-outs from the cache hierarchy. Alternatives are
+//! combined across the tree (beam-pruned at every node to keep
+//! enumeration tractable), and each surviving *complete* tree is priced
+//! as **one** composed pattern `node₁ ⊕ node₂ ⊕ …` in execution order —
+//! so the cache-state threading of Eq 5.2 (a consumer reading its
+//! producer's still-cached output) and the footprint sharing of Eq 5.3
+//! (concurrent cursors inside each node) decide the ranking, not
+//! per-operator cold-cache sums.
 //!
 //! Ranking prices only what can still win. Eq 6.1 prices an
 //! alternative as `T = T_mem + T_cpu` with `T_mem ≥ 0`, and the CPU term
@@ -29,12 +30,12 @@
 //! uniform-independent-keys assumption.
 
 use super::logical::LogicalPlan;
-use super::physical::PhysicalPlan;
+use super::physical::{JoinAlgorithm, PhysicalPlan};
 use super::OUT_TUPLE_BYTES;
 use crate::ops;
-use crate::planner::{self, JoinInputs};
 use gcm_core::distinct::expected_distinct;
 use gcm_core::{CacheState, CostModel, CpuCost, Pattern, Region};
+use gcm_hardware::CacheLevel;
 use std::fmt;
 
 /// Why a plan could not be produced.
@@ -319,7 +320,7 @@ impl<'a> Optimizer<'a> {
     /// Elapsed CPU time of a stage list (Eq 6.1).
     fn price_cpu(&self, stages: &[Stage]) -> f64 {
         let cpu = CpuCost::default_planner();
-        let mut ns = cpu.fixed_ns;
+        let mut ns = 0.0;
         for stage in stages {
             ns += cpu.per_op_ns * stage.ops as f64;
         }
@@ -442,21 +443,13 @@ impl<'a> Optimizer<'a> {
         let (l, r) = (&left.stats, &right.stats);
         let max_bound = l.key_bound.max(r.key_bound).max(1);
         let out_n = (l.n as f64 * r.n as f64 / max_bound as f64).round() as u64;
-        let inputs = JoinInputs {
-            u: l.region.clone(),
-            v: r.region.clone(),
-            out_w: OUT_TUPLE_BYTES,
-            out_n,
-            u_sorted: l.sorted,
-            v_sorted: r.sorted,
-        };
         let out_region = Region::new("J", out_n, OUT_TUPLE_BYTES);
         let mut out = Vec::new();
-        for cand in planner::join_candidates(self.model, &inputs, &out_region) {
-            let sorted = match cand.algorithm {
-                planner::JoinAlgorithm::Merge { .. } => true,
-                planner::JoinAlgorithm::NestedLoop | planner::JoinAlgorithm::Hash => l.sorted,
-                planner::JoinAlgorithm::PartitionedHash { .. } => false,
+        for (algorithm, stage) in self.join_candidates(l, r, &out_region) {
+            let sorted = match algorithm {
+                JoinAlgorithm::Merge { .. } => true,
+                JoinAlgorithm::NestedLoop | JoinAlgorithm::Hash => l.sorted,
+                JoinAlgorithm::PartitionedHash { .. } => false,
             };
             let stats = NodeStats {
                 n: out_n,
@@ -468,19 +461,80 @@ impl<'a> Optimizer<'a> {
             };
             let mut stages = left.stages.clone();
             stages.extend(right.stages.iter().cloned());
-            stages.push(Stage {
-                pattern: cand.pattern,
-                ops: cand.ops,
-            });
+            stages.push(stage);
             out.push(Alt {
                 priced_mem: None,
-                plan: left
-                    .plan
-                    .clone()
-                    .join_with(right.plan.clone(), cand.algorithm),
+                plan: left.plan.clone().join_with(right.plan.clone(), algorithm),
                 stages,
                 stats,
             });
+        }
+        out
+    }
+
+    /// Every candidate algorithm for joining outer `l` with inner `r`,
+    /// each with its stage writing `w` (the region the join's consumer
+    /// reads, so whole-plan costing sees the producer/consumer reuse of
+    /// Eq 5.2). Partitioned hash is offered at one fan-out per cache
+    /// level, in level order.
+    fn join_candidates(
+        &self,
+        l: &NodeStats,
+        r: &NodeStats,
+        w: &Region,
+    ) -> Vec<(JoinAlgorithm, Stage)> {
+        let (u, v) = (&l.region, &r.region);
+        let mut out = vec![(
+            JoinAlgorithm::NestedLoop,
+            Stage {
+                pattern: ops::nl_join::nested_loop_join_pattern(u, v, w),
+                ops: u.n.saturating_mul(v.n),
+            },
+        )];
+
+        // Merge, sorting each unsorted input first.
+        let mut phases = Vec::new();
+        let mut merge_ops = 2 * (u.n + v.n) + w.n;
+        for (input, sorted) in [(u, l.sorted), (v, r.sorted)] {
+            if !sorted {
+                phases.push(gcm_core::library::quick_sort(input.clone()));
+                merge_ops += ops::sort::quick_sort_expected_ops(input.n);
+            }
+        }
+        phases.push(ops::merge_join::merge_join_pattern(u, v, w));
+        out.push((
+            JoinAlgorithm::Merge {
+                sort_u: !l.sorted,
+                sort_v: !r.sorted,
+            },
+            Stage {
+                pattern: Pattern::seq(phases),
+                ops: merge_ops,
+            },
+        ));
+
+        let h = Region::new("H", ops::hash::table_slots(v.n), ops::hash::ENTRY_BYTES);
+        out.push((
+            JoinAlgorithm::Hash,
+            Stage {
+                pattern: ops::hash::hash_join_pattern(u, v, &h, w),
+                // Build share + probe share: kept in sync with the
+                // shared-build CPU adjustment through `ops::hash::build_ops`.
+                ops: ops::hash::build_ops(v.n) + 4 * u.n + w.n,
+            },
+        ));
+
+        let table_bytes = ops::hash::table_slots(v.n) * ops::hash::ENTRY_BYTES;
+        for bits in self.level_fanouts(table_bytes) {
+            let up = Region::new("Up", u.n, u.w);
+            let vp = Region::new("Vp", v.n, v.w);
+            out.push((
+                JoinAlgorithm::PartitionedHash { bits },
+                Stage {
+                    pattern: ops::part_hash_join::part_hash_join_pattern(u, v, w, bits, &up, &vp),
+                    ops: 2 * (u.n + v.n) + 4 * v.n + 4 * u.n + w.n,
+                },
+            ));
         }
         out
     }
@@ -581,32 +635,62 @@ impl<'a> Optimizer<'a> {
             .collect()
     }
 
-    /// Candidate fan-outs (radix bits) for an open partition node: per
-    /// cache level, the smallest power of two that makes one partition
-    /// fit the level ([`planner::fitting_fanout`]). When the input fits
-    /// every level, a minimal two-way split remains the single candidate
-    /// (the node still has to partition).
+    /// Candidate fan-outs (radix bits) for an open partition node:
+    /// [`Optimizer::level_fanouts`] in ascending order. When the input
+    /// fits every level, a minimal two-way split remains the single
+    /// candidate (the node still has to partition).
     fn candidate_fanouts(&self, s: &NodeStats) -> Vec<u32> {
-        let bytes = s.n.saturating_mul(s.w).max(1);
-        let mut out: Vec<u32> = self
-            .model
-            .spec()
-            .data_caches()
-            .filter_map(|lvl| planner::fitting_fanout(self.model, bytes, lvl))
-            .collect();
+        let mut out = self.level_fanouts(s.n.saturating_mul(s.w).max(1));
         out.sort_unstable();
-        out.dedup();
         if out.is_empty() {
             out.push(1);
         }
         out
     }
+
+    /// Per data-cache level, in level order, the fan-out that makes one
+    /// `bytes`-sized chunk fit the level ([`fitting_fanout`]); a fan-out
+    /// two levels clamp to is listed once, at its first level.
+    fn level_fanouts(&self, bytes: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        for lvl in self.model.spec().data_caches() {
+            if let Some(bits) = fitting_fanout(self.model, bytes, lvl) {
+                if !out.contains(&bits) {
+                    out.push(bits);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The radix bits of the smallest fan-out `2^bits` that makes one
+/// `bytes`-sized chunk of data fit cache level `lvl`, clamped to at most
+/// the smallest level's line count — past that the partitioning itself
+/// thrashes, the Figure 7d cliff (use multi-pass radix clustering
+/// beyond; see [`crate::ops::partition`]). `None` when the data already
+/// fits (fan-out below 2), i.e. partitioning buys nothing at this level.
+fn fitting_fanout(model: &CostModel, bytes: u64, lvl: &CacheLevel) -> Option<u32> {
+    let min_lines = model
+        .spec()
+        .levels()
+        .iter()
+        .map(CacheLevel::lines)
+        .min()
+        .unwrap_or(64)
+        .max(2);
+    let bits = bytes
+        .div_ceil(lvl.capacity.max(1))
+        .max(1)
+        .next_power_of_two()
+        .ilog2()
+        .min(min_lines.ilog2());
+    (bits >= 1).then_some(bits)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::JoinAlgorithm;
     use gcm_hardware::presets;
 
     fn model() -> CostModel {
@@ -737,6 +821,121 @@ mod tests {
                 sort_v: false
             }
         ));
+    }
+
+    /// Every plan for joining two `n`-key columns under `m`, cheapest
+    /// first.
+    fn rank_join(m: &CostModel, n: u64, sorted: bool) -> Vec<PlannedQuery> {
+        let q = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
+        let stats = [
+            TableStats::key_column(n, 8, sorted),
+            TableStats::key_column(n, 8, sorted),
+        ];
+        Optimizer::new(m).enumerate(&q, &stats).unwrap()
+    }
+
+    fn algorithm(p: &PlannedQuery) -> &JoinAlgorithm {
+        p.plan.join_algorithms()[0]
+    }
+
+    #[test]
+    fn big_unsorted_inputs_prefer_partitioned_over_plain_hash() {
+        // On the Origin2000, hashing a table beyond the 1 MB TLB reach is
+        // TLB-bound; single-pass partitioning (fan-out capped below the
+        // TLB entry count) recovers part of that, and the sequential-
+        // access sort+merge pipeline wins outright — the memory-access
+        // economics that motivated the radix-cluster line of work
+        // ([MBK00a]; see ops::partition for the multi-pass answer).
+        let ranked = rank_join(&model(), 4_000_000, false);
+        assert!(
+            matches!(algorithm(&ranked[0]), JoinAlgorithm::Merge { .. }),
+            "picked {}",
+            ranked[0].plan
+        );
+        let pos = |pred: fn(&JoinAlgorithm) -> bool| {
+            ranked.iter().position(|p| pred(algorithm(p))).unwrap()
+        };
+        let part = pos(|a| matches!(a, JoinAlgorithm::PartitionedHash { .. }));
+        let hash = pos(|a| matches!(a, JoinAlgorithm::Hash));
+        assert!(part < hash, "partitioned must rank above plain hash");
+    }
+
+    #[test]
+    fn tlb_fitting_table_picks_plain_hash() {
+        // H = 1 MB = the TLB reach: hashing stays cheap and beats paying
+        // two sorts.
+        let ranked = rank_join(&model(), 30_000, false);
+        assert!(
+            matches!(algorithm(&ranked[0]), JoinAlgorithm::Hash),
+            "picked {}",
+            ranked[0].plan
+        );
+    }
+
+    #[test]
+    fn nested_loop_never_wins_at_scale() {
+        let ranked = rank_join(&model(), 100_000, false);
+        let last = ranked.last().unwrap();
+        assert!(matches!(algorithm(last), JoinAlgorithm::NestedLoop));
+    }
+
+    #[test]
+    fn fanout_ranking_avoids_the_cliff() {
+        let m = model();
+        let stats = [TableStats::uniform(2_000_000, 8, 1 << 40, false)];
+        let mut ranked: Vec<(u32, f64)> = [1, 4, 6, 9, 12, 16, 20]
+            .into_iter()
+            .map(|bits| {
+                let q = LogicalPlan::scan(0).partition(Some(bits));
+                (
+                    bits,
+                    Optimizer::new(&m).optimize(&q, &stats).unwrap().mem_ns,
+                )
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        // The cheapest fan-outs stay within the TLB entry count (64).
+        let (best_bits, _) = ranked[0];
+        assert!(
+            best_bits <= 6,
+            "best fan-out 2^{best_bits} should dodge the TLB cliff"
+        );
+        // The most expensive candidate is far past every cliff.
+        let (worst_bits, worst_ns) = *ranked.last().unwrap();
+        assert!(worst_bits >= 16);
+        assert!(worst_ns > 2.0 * ranked[0].1);
+    }
+
+    #[test]
+    fn candidates_carry_patterns_and_ops() {
+        let m = model();
+        let plans = rank_join(&m, 10_000, false);
+        assert!(plans.len() >= 4, "NL, merge, hash, ≥1 partitioned");
+        for p in &plans {
+            assert!(p.ops > 0, "{} has no op estimate", p.plan);
+            assert!(m.mem_ns(&p.pattern) > 0.0, "{} has no pattern", p.plan);
+        }
+        // Unsorted inputs: the merge candidate pays both sorts.
+        assert!(plans.iter().any(|p| matches!(
+            algorithm(p),
+            JoinAlgorithm::Merge {
+                sort_u: true,
+                sort_v: true
+            }
+        )));
+    }
+
+    #[test]
+    fn clamped_fanouts_produce_one_candidate() {
+        // On the tiny machine both data caches clamp to the TLB's 8
+        // lines for a big build side: only one PartitionedHash survives.
+        let plans = rank_join(&CostModel::new(presets::tiny()), 4096, false);
+        let part: Vec<_> = plans
+            .iter()
+            .map(algorithm)
+            .filter(|a| matches!(a, JoinAlgorithm::PartitionedHash { .. }))
+            .collect();
+        assert_eq!(part, [&JoinAlgorithm::PartitionedHash { bits: 3 }]);
     }
 
     #[test]

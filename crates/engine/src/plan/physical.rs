@@ -4,8 +4,43 @@
 //! no degree-of-parallelism node: what the optimizer prices is exactly
 //! what [`super::execute`] runs, one operator after another on one core.
 
-use crate::planner::JoinAlgorithm;
 use std::fmt;
+
+/// A join algorithm, chosen per join node by the optimizer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JoinAlgorithm {
+    /// Scan the inner input once per outer tuple.
+    NestedLoop,
+    /// Merge-join; `sort_u`/`sort_v` record whether an input must be
+    /// sorted first (quick-sort cost is added).
+    Merge { sort_u: bool, sort_v: bool },
+    /// Build a hash table on the inner input, probe with the outer.
+    Hash,
+    /// Radix-partition both inputs `m = 2^bits` ways in one pass, then
+    /// hash-join partition pairs.
+    PartitionedHash { bits: u32 },
+}
+
+impl fmt::Display for JoinAlgorithm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JoinAlgorithm::NestedLoop => write!(f, "nested-loop join"),
+            JoinAlgorithm::Merge { sort_u, sort_v } => {
+                write!(f, "merge join")?;
+                match (sort_u, sort_v) {
+                    (false, false) => Ok(()),
+                    (true, false) => write!(f, " (sort outer)"),
+                    (false, true) => write!(f, " (sort inner)"),
+                    (true, true) => write!(f, " (sort both)"),
+                }
+            }
+            JoinAlgorithm::Hash => write!(f, "hash join"),
+            JoinAlgorithm::PartitionedHash { bits } => {
+                write!(f, "partitioned hash join (m = {})", 1u64 << bits)
+            }
+        }
+    }
+}
 
 /// An executable query plan. Produced by the optimizer
 /// ([`super::Optimizer`]) or built directly (the [`super::exec`]
@@ -192,6 +227,23 @@ impl fmt::Display for PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_names() {
+        assert_eq!(JoinAlgorithm::Hash.to_string(), "hash join");
+        assert_eq!(
+            JoinAlgorithm::Merge {
+                sort_u: true,
+                sort_v: false
+            }
+            .to_string(),
+            "merge join (sort outer)"
+        );
+        assert_eq!(
+            JoinAlgorithm::PartitionedHash { bits: 3 }.to_string(),
+            "partitioned hash join (m = 8)"
+        );
+    }
 
     #[test]
     fn renders_algorithms_inline() {

@@ -6,8 +6,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::plan::{self, PhysicalPlan};
-    use crate::planner::JoinAlgorithm;
+    use crate::plan::{self, JoinAlgorithm, PhysicalPlan};
     use crate::ExecContext;
     use gcm_core::{CostModel, Pattern};
     use gcm_hardware::presets;

@@ -854,8 +854,7 @@ mod tests {
     use super::*;
     use crate::tests::{drain_on, submit_joins};
     use crate::ServiceConfig;
-    use gcm_engine::plan::{LogicalPlan, PhysicalPlan};
-    use gcm_engine::planner::JoinAlgorithm;
+    use gcm_engine::plan::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
     use gcm_hardware::presets;
     use gcm_obs::SpanKind;
     use gcm_workload::Workload;

@@ -370,8 +370,8 @@ impl QueryService {
     /// build phase — somebody has to pay for the build, and it is the
     /// builder. Every later query at the same key reuses: its build
     /// phase is stripped, its probe redirected at the canonical shared
-    /// region, and the planner's build share subtracted from its CPU
-    /// prediction (via [`build_ops`] — the same term the planner
+    /// region, and the optimizer's build share subtracted from its CPU
+    /// prediction (via [`build_ops`] — the same term the optimizer
     /// charged). A rewrite that does not match keeps the planned pattern
     /// for that join, so prediction and execution never disagree.
     fn attach_shared_builds(

@@ -2,42 +2,50 @@
 //! most suitable join algorithm from predicted physical cost.
 //!
 //! Ranks nested-loop, (sort+)merge, hash, and partitioned-hash joins for
-//! a range of input sizes and sortedness, then executes the top two
-//! candidates on the simulator to confirm the model picked the real
-//! winner.
+//! a range of input sizes and sortedness with the whole-plan optimizer,
+//! then executes the top two candidates on the simulator to confirm the
+//! model picked the real winner. Exits non-zero when the simulation
+//! contradicts a ranking the model does not declare a near-tie.
 //!
 //! ```bash
 //! cargo run --release --example join_planner
 //! ```
 
-use gcm::core::{CostModel, CpuCost, Region};
-use gcm::engine::planner::{rank_joins, JoinAlgorithm, JoinInputs};
+use gcm::core::{CostModel, CpuCost};
+use gcm::engine::plan::{JoinAlgorithm, LogicalPlan, Optimizer, PlannedQuery, TableStats};
 use gcm::engine::{ops, ExecContext};
 use gcm::hardware::presets;
 use gcm::workload::Workload;
+
+/// Every plan for joining two `n`-key columns, cheapest first.
+fn rank_joins(model: &CostModel, n: u64, sorted: bool) -> Vec<PlannedQuery> {
+    let join = LogicalPlan::scan(0).join(LogicalPlan::scan(1));
+    let stats = [
+        TableStats::key_column(n, 8, sorted),
+        TableStats::key_column(n, 8, sorted),
+    ];
+    Optimizer::new(model)
+        .enumerate(&join, &stats)
+        .expect("both tables are described")
+}
+
+fn algorithm(p: &PlannedQuery) -> &JoinAlgorithm {
+    p.plan.join_algorithms()[0]
+}
 
 fn main() {
     let hw = presets::origin2000();
     let model = CostModel::new(hw.clone());
 
     for (n, sorted) in [(30_000u64, false), (1_000_000, false), (1_000_000, true)] {
-        let inputs = JoinInputs {
-            u: Region::new("U", n, 8),
-            v: Region::new("V", n, 8),
-            out_w: 16,
-            out_n: n,
-            u_sorted: sorted,
-            v_sorted: sorted,
-        };
         println!(
             "join of two {n}-tuple tables ({}):",
             if sorted { "already sorted" } else { "unsorted" }
         );
-        let ranked = rank_joins(&model, &inputs);
-        for c in &ranked {
+        for c in &rank_joins(&model, n, sorted) {
             println!(
                 "  {:<42} T = {:>9.1} ms  (mem {:>9.1} + cpu {:>8.1})",
-                c.algorithm.to_string(),
+                algorithm(c).to_string(),
                 c.total_ns() / 1e6,
                 c.mem_ns / 1e6,
                 c.cpu_ns / 1e6
@@ -49,15 +57,7 @@ fn main() {
     // Execute the two fastest candidates of the unsorted 256K case and
     // check the model's ranking against simulated reality.
     let n = 262_144u64;
-    let inputs = JoinInputs {
-        u: Region::new("U", n, 8),
-        v: Region::new("V", n, 8),
-        out_w: 16,
-        out_n: n,
-        u_sorted: false,
-        v_sorted: false,
-    };
-    let ranked = rank_joins(&model, &inputs);
+    let ranked = rank_joins(&model, n, false);
     println!("validating the top-2 prediction for n = {n} (unsorted):");
     let (uk, vk) = Workload::new(2).join_pair(n as usize);
     let mut results = Vec::new();
@@ -65,7 +65,7 @@ fn main() {
         let mut ctx = ExecContext::new(hw.clone());
         let u = ctx.relation_from_keys("U", &uk, 8);
         let v = ctx.relation_from_keys("V", &vk, 8);
-        let (_, stats) = ctx.measure(|c| match &choice.algorithm {
+        let (_, stats) = ctx.measure(|c| match algorithm(choice) {
             JoinAlgorithm::Hash => {
                 ops::hash::hash_join(c, &u, &v, "W", 16);
             }
@@ -82,7 +82,7 @@ fn main() {
         let measured_ms = stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS) / 1e6;
         println!(
             "  {:<42} predicted {:>8.1} ms   measured {:>8.1} ms",
-            choice.algorithm.to_string(),
+            algorithm(choice).to_string(),
             choice.total_ns() / 1e6,
             measured_ms
         );
@@ -100,4 +100,7 @@ fn main() {
             (false, false) => "NO",
         }
     );
+    if !agrees && !near_tie {
+        std::process::exit(1);
+    }
 }

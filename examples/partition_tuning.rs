@@ -1,14 +1,15 @@
 //! Tuning the partitioning fan-out with the cost model (the Figure-7d
 //! decision): pick `m` large enough that partitions fit the cache, but
 //! below the TLB/L1 cliffs — and reach for multi-pass radix clustering
-//! when one pass cannot do both.
+//! when one pass cannot do both. Exits non-zero when model or
+//! simulator disagrees that multi-pass clustering wins.
 //!
 //! ```bash
 //! cargo run --release --example partition_tuning
 //! ```
 
 use gcm::core::{CostModel, Region};
-use gcm::engine::planner::rank_partition_fanouts;
+use gcm::engine::plan::{LogicalPlan, Optimizer, TableStats};
 use gcm::engine::{ops, ExecContext};
 use gcm::hardware::presets;
 use gcm::workload::Workload;
@@ -19,12 +20,17 @@ fn main() {
     let n = 2 * 1024 * 1024u64; // 16 MB table
     let input = Region::new("U", n, 8);
 
-    // 1. Single-pass fan-out sweep, priced by the model.
-    let candidates: Vec<u32> = (1..=20).collect();
+    // 1. Single-pass fan-out sweep, priced by the optimizer.
+    let stats = [TableStats::uniform(n, 8, 1 << 40, false)];
+    let by_bits: Vec<(u32, f64)> = (1..=20)
+        .map(|bits| {
+            let planned = Optimizer::new(&model)
+                .optimize(&LogicalPlan::scan(0).partition(Some(bits)), &stats)
+                .expect("the table is described");
+            (bits, planned.mem_ns)
+        })
+        .collect();
     println!("single-pass partitioning of a 16 MB table — model prices per fan-out:");
-    let ranked = rank_partition_fanouts(&model, &input, &candidates);
-    let mut by_bits = ranked.clone();
-    by_bits.sort_by_key(|&(bits, _)| bits);
     for (bits, ns) in &by_bits {
         let marker = match *bits {
             6 => "  <- TLB entries",
@@ -34,7 +40,12 @@ fn main() {
         };
         println!("  m = {:>8}: {:>8.1} ms{marker}", 1u64 << bits, ns / 1e6);
     }
-    println!("cheapest fan-out: m = {}\n", 1u64 << ranked[0].0);
+    // `min_by` keeps the first of equal minima: the smallest fan-out.
+    let (cheapest, _) = by_bits
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("twenty fan-outs");
+    println!("cheapest fan-out: m = {}\n", 1u64 << cheapest);
 
     // 2. Reaching 4096 clusters: one pass (past the cliffs) vs two radix
     //    passes of 64 — model and simulator agree.
@@ -63,12 +74,12 @@ fn main() {
         "  measured ({n_run} tuples): 1 pass = {:.1} ms, 2 passes = {:.1} ms",
         measured[0], measured[1]
     );
+    let confirmed = measured[1] < measured[0] && multi < single;
     println!(
         "  multi-pass radix clustering wins: {}",
-        if measured[1] < measured[0] && multi < single {
-            "confirmed"
-        } else {
-            "NO"
-        }
+        if confirmed { "confirmed" } else { "NO" }
     );
+    if !confirmed {
+        std::process::exit(1);
+    }
 }

@@ -7,8 +7,7 @@
 //! the work happens, never *what* work is charged; that is the contract
 //! that keeps Eq 3.1's miss accounting valid under the fast path.
 
-use gcm_engine::plan::{execute, PhysicalPlan};
-use gcm_engine::planner::JoinAlgorithm;
+use gcm_engine::plan::{execute, JoinAlgorithm, PhysicalPlan};
 use gcm_engine::{ops, ExecContext, NativeBackend, Relation};
 use gcm_workload::Workload;
 use proptest::prelude::*;

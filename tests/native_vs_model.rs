@@ -32,8 +32,7 @@
 use gcm_calibrate::calibrate_host;
 use gcm_core::{CostModel, CpuCost};
 use gcm_engine::native::calibrate_per_op_ns;
-use gcm_engine::plan::{run_on, PhysicalPlan, TableDef};
-use gcm_engine::planner::JoinAlgorithm;
+use gcm_engine::plan::{run_on, JoinAlgorithm, PhysicalPlan, TableDef};
 use gcm_engine::{ExecContext, MemoryBackend, NativeBackend};
 use gcm_workload::Workload;
 use std::sync::{Mutex, MutexGuard};

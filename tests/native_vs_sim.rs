@@ -7,8 +7,7 @@
 //! `gcm-workload`, sweeping fact/dimension sizes, selectivity, the join
 //! algorithm, and the plan shape.
 
-use gcm_engine::plan::{execute, PhysicalPlan};
-use gcm_engine::planner::JoinAlgorithm;
+use gcm_engine::plan::{execute, JoinAlgorithm, PhysicalPlan};
 use gcm_engine::{ops, ExecContext, MemoryBackend, Relation};
 use gcm_hardware::presets;
 use gcm_workload::Workload;

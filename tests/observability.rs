@@ -17,8 +17,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gcm::core::{CostModel, CpuCost};
-use gcm::engine::plan::{explain_analyze, PhysicalPlan};
-use gcm::engine::planner::JoinAlgorithm;
+use gcm::engine::plan::{explain_analyze, JoinAlgorithm, PhysicalPlan};
 use gcm::engine::ExecContext;
 use gcm::hardware::presets;
 use gcm::obs::hist::QUANTILE_REL_ERROR;

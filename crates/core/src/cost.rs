@@ -9,18 +9,19 @@
 //! algorithm in an in-cache setting (paper §6.1); [`CpuCost`] carries that
 //! calibration.
 
-use crate::eval::{self, footprint_lines, CacheState};
+use crate::eval::{CacheState, Compiled};
 use crate::misses::{Geometry, MissPair};
 use crate::pattern::Pattern;
 use crate::region::Region;
 use gcm_hardware::{HardwareSpec, Sharing};
 use std::fmt;
+use std::sync::Arc;
 
 /// Cost contribution of one cache level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelCost {
-    /// Level name (e.g. `"L2"`).
-    pub name: String,
+    /// Level name (e.g. `"L2"`), shared with the model that priced it.
+    pub name: Arc<str>,
     /// Estimated sequential misses `Ms_i`.
     pub seq_misses: f64,
     /// Estimated random misses `Mr_i`.
@@ -48,7 +49,7 @@ pub struct CostReport {
 impl CostReport {
     /// Misses at the level called `name`, if present.
     pub fn level(&self, name: &str) -> Option<&LevelCost> {
-        self.levels.iter().find(|l| l.name == name)
+        self.levels.iter().find(|l| &*l.name == name)
     }
 }
 
@@ -126,6 +127,13 @@ pub struct HierarchyState {
     states: Vec<CacheState>,
 }
 
+impl HierarchyState {
+    /// Each level's current state, in spec order.
+    pub fn levels(&self) -> &[CacheState] {
+        &self.states
+    }
+}
+
 /// Cost of a *batch* of coexisting queries (see
 /// [`CostModel::batch_cost`]): each query's whole compound pattern is
 /// one member of the `⊙`-composition, priced both composed (sharing the
@@ -169,12 +177,16 @@ pub struct ParallelCost {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     spec: HardwareSpec,
+    /// The levels' names, interned once so a report names its levels
+    /// without allocating.
+    names: Vec<Arc<str>>,
 }
 
 impl CostModel {
     /// A cost model for the given machine.
     pub fn new(spec: HardwareSpec) -> CostModel {
-        CostModel { spec }
+        let names = spec.levels().iter().map(|l| Arc::from(&*l.name)).collect();
+        CostModel { spec, names }
     }
 
     /// The machine description.
@@ -184,25 +196,26 @@ impl CostModel {
 
     /// Estimated misses per level (cold caches), in spec order.
     pub fn misses(&self, p: &Pattern) -> Vec<MissPair> {
-        eval::eval(p, self.spec.levels())
+        self.misses_from(p, &CacheState::cold())
     }
 
     /// Estimated misses per level starting from `state` (one shared
     /// logical state, applied per level).
     pub fn misses_from(&self, p: &Pattern, state: &CacheState) -> Vec<MissPair> {
+        let mut c = Compiled::lower([p], [state]);
         self.spec
             .levels()
             .iter()
             .map(|lvl| {
-                let mut st = state.clone();
-                eval::eval_level(p, &Geometry::of(lvl), &mut st)
+                c.load(state);
+                c.level(&Geometry::of(lvl))
             })
             .collect()
     }
 
     /// Full cost report: per-level misses scored with latencies (Eq 3.1).
     pub fn report(&self, p: &Pattern) -> CostReport {
-        self.score(self.misses(p))
+        self.report_from(p, &CacheState::cold())
     }
 
     /// Full cost report starting from a warm [`CacheState`] — the Eq 5.2
@@ -210,24 +223,39 @@ impl CostModel {
     /// *right after* another one (whose residue `state` describes)
     /// instead of against cold caches.
     pub fn report_from(&self, p: &Pattern, state: &CacheState) -> CostReport {
-        self.score(self.misses_from(p, state))
+        let mut c = Compiled::lower([p], [state]);
+        self.score(|_, geo| {
+            c.load(state);
+            c.level(geo)
+        })
     }
 
-    fn score(&self, pairs: Vec<MissPair>) -> CostReport {
+    /// Score the misses `level(i, geometry)` estimates at each level `i`
+    /// with its latencies (Eq 3.1).
+    fn score(&self, mut level: impl FnMut(usize, &Geometry) -> MissPair) -> CostReport {
         let levels: Vec<LevelCost> = self
             .spec
             .levels()
             .iter()
-            .zip(&pairs)
-            .map(|(lvl, m)| LevelCost {
-                name: lvl.name.clone(),
-                seq_misses: m.seq,
-                rand_misses: m.rand,
-                ns: m.seq * lvl.seq_miss_ns + m.rand * lvl.rand_miss_ns,
+            .enumerate()
+            .map(|(i, lvl)| {
+                let m = level(i, &Geometry::of(lvl));
+                self.level_cost(i, m)
             })
             .collect();
         let mem_ns = levels.iter().map(|l| l.ns).sum();
         CostReport { levels, mem_ns }
+    }
+
+    /// Level `i`'s misses `m` scored with its latencies.
+    fn level_cost(&self, i: usize, m: MissPair) -> LevelCost {
+        let lvl = &self.spec.levels()[i];
+        LevelCost {
+            name: Arc::clone(&self.names[i]),
+            seq_misses: m.seq,
+            rand_misses: m.rand,
+            ns: m.seq * lvl.seq_miss_ns + m.rand * lvl.rand_miss_ns,
+        }
     }
 
     /// `T_mem` (Eq 3.1) in nanoseconds.
@@ -254,14 +282,13 @@ impl CostModel {
     /// advancing it. A fold of `advance` over `⊕`-phases reproduces
     /// [`CostModel::report_from`] on the composed pattern exactly.
     pub fn advance(&self, p: &Pattern, st: &mut HierarchyState) -> CostReport {
-        let pairs: Vec<MissPair> = self
-            .spec
-            .levels()
-            .iter()
-            .zip(st.states.iter_mut())
-            .map(|(lvl, state)| eval::eval_level(p, &Geometry::of(lvl), state))
-            .collect();
-        self.score(pairs)
+        let mut c = Compiled::lower([p], &st.states);
+        self.score(|i, geo| {
+            c.load(&st.states[i]);
+            let m = c.level(geo);
+            c.store(&mut st.states[i]);
+            m
+        })
     }
 
     /// Price one plan node end to end from the current staged state:
@@ -310,6 +337,8 @@ impl CostModel {
     /// so shares can sum above 1; they are clamped at 1 per thread (a
     /// thread never sees more than the whole level). With an empty
     /// `shared` every thread's footprint counts in full.
+    /// [`concurrent_shares`](crate::concurrent_shares) returns these
+    /// shares, from the same rule.
     pub fn advance_parallel_shared(
         &self,
         threads: &[Pattern],
@@ -329,71 +358,27 @@ impl CostModel {
                 report,
             };
         }
-        let mut shared_unique: Vec<&Region> = Vec::with_capacity(shared.len());
-        for r in shared {
-            if !shared_unique.iter().any(|s| s.id() == r.id()) {
-                shared_unique.push(r);
-            }
-        }
-        let shared_ids: Vec<crate::region::RegionId> =
-            shared_unique.iter().map(|r| r.id()).collect();
+        let mut c = Compiled::lower(threads, &st.states);
+        let shared = c.mark_shared(shared);
         let mut per_thread_ns = vec![0.0; d];
         let mut levels = Vec::with_capacity(self.spec.levels().len());
-        for (lvl, state) in self.spec.levels().iter().zip(st.states.iter_mut()) {
+        for (i, lvl) in self.spec.levels().iter().enumerate() {
             let geo = Geometry::of(lvl);
-            let mut pairs = Vec::with_capacity(d);
-            if lvl.sharing == Sharing::Shared {
-                let feet: Vec<f64> = threads.iter().map(|t| footprint_lines(t, &geo)).collect();
-                // Capacity denominator: per-thread footprints with the
-                // shared regions excluded, plus each referenced shared
-                // region's lines exactly once.
-                let mut denom: f64 = threads
-                    .iter()
-                    .map(|t| eval::footprint_lines_excluding(t, &geo, &shared_ids))
-                    .sum();
-                for r in &shared_unique {
-                    if threads.iter().any(|t| eval::references_region(t, r.id())) {
-                        denom += r.lines(geo.b as u64).max(1.0);
-                    }
-                }
-                let mut merged = CacheState::cold();
-                for (t, foot) in threads.iter().zip(&feet) {
-                    let share = if denom > 0.0 {
-                        (foot / denom).min(1.0)
-                    } else {
-                        1.0
-                    };
-                    let mut sub = state.clone();
-                    pairs.push(eval::eval_level(t, &geo.scaled(share), &mut sub));
-                    merged.merge_add(&sub);
-                }
-                *state = merged;
-            } else {
-                let mut core0 = None;
-                for (i, t) in threads.iter().enumerate() {
-                    let mut sub = if i == 0 {
-                        state.clone()
-                    } else {
-                        CacheState::cold()
-                    };
-                    pairs.push(eval::eval_level(t, &geo, &mut sub));
-                    if i == 0 {
-                        core0 = Some(sub);
-                    }
-                }
-                *state = core0.expect("d >= 2 threads");
-            }
+            c.load(&st.states[i]);
             let mut sum = MissPair::default();
-            for (t, pair) in pairs.iter().enumerate() {
+            let mut t = 0;
+            let each = |pair: MissPair| {
                 per_thread_ns[t] += pair.seq * lvl.seq_miss_ns + pair.rand * lvl.rand_miss_ns;
-                sum += *pair;
+                sum += pair;
+                t += 1;
+            };
+            if lvl.sharing == Sharing::Shared {
+                c.members_shared(&geo, &shared, each);
+            } else {
+                c.members_private(&geo, each);
             }
-            levels.push(LevelCost {
-                name: lvl.name.clone(),
-                seq_misses: sum.seq,
-                rand_misses: sum.rand,
-                ns: sum.seq * lvl.seq_miss_ns + sum.rand * lvl.rand_miss_ns,
-            });
+            c.store(&mut st.states[i]);
+            levels.push(self.level_cost(i, sum));
         }
         let mem_ns = levels.iter().map(|l| l.ns).sum();
         let wall_ns = per_thread_ns.iter().copied().fold(0.0, f64::max);

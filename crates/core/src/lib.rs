@@ -44,7 +44,7 @@ pub mod region;
 pub use cost::{
     BatchCost, CostModel, CostReport, CpuCost, HierarchyState, LevelCost, ParallelCost,
 };
-pub use eval::{footprint_lines, footprint_lines_excluding, references_region, CacheState};
+pub use eval::{concurrent_shares, footprint_lines, CacheState};
 pub use misses::{Geometry, MissPair};
 pub use pattern::{Direction, GlobalOrder, LatencyClass, LocalPattern, Pattern};
 pub use region::{Region, RegionId};

@@ -4,11 +4,16 @@
 //! segment and sweep towards each other, swapping tuples; at the meeting
 //! point the segment splits and recursion proceeds depth-first. One
 //! recursion level sweeps the whole table once, and there are `⌈log₂ n⌉`
-//! levels:
+//! levels. Recursion depth `i` splits the table into `2^i` segments, each
+//! swept by the two cursors over its halves, so [`quick_sort_pattern`]
+//! (which is [`library::quick_sort`]) prices
 //!
 //! ```text
-//! quick_sort(U) = ⊕_{i=1}^{log n} ( s_trav(U/2) ⊙ s_trav(U/2) )
+//! quick_sort(U) = ⊕_{i=0}^{⌈log n⌉−1} 2^i × ( s_trav(U/2^{i+1}) ⊙ s_trav(U/2^{i+1}) )
 //! ```
+//!
+//! where `k × P` repeats `P` `k` times in sequence and every segment
+//! `U/2^{i+1}` is a slice of `U`, keeping its identity.
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
@@ -84,7 +89,7 @@ pub fn quick_sort<B: MemoryBackend>(ctx: &mut ExecContext<B>, rel: &Relation) {
 }
 
 /// Pattern of [`quick_sort`]:
-/// `⊕_{i=1}^{log n} ( s_trav(U/2) ⊙ s_trav(U/2) )`.
+/// `⊕_{i=0}^{⌈log n⌉−1} 2^i × ( s_trav(U/2^{i+1}) ⊙ s_trav(U/2^{i+1}) )`.
 pub fn quick_sort_pattern(input: &Region) -> Pattern {
     library::quick_sort(input.clone())
 }

@@ -305,7 +305,7 @@ pub fn explain_analyze<B: MemoryBackend>(
             level_misses: report
                 .levels
                 .iter()
-                .map(|l| (l.name.clone(), l.misses()))
+                .map(|l| (l.name.to_string(), l.misses()))
                 .collect(),
         });
     }

@@ -68,10 +68,7 @@ use crate::builds::SharedBuild;
 use crate::metrics::{BatchRecord, QueryRecord};
 use crate::queue::{Batch, Pending};
 use crate::QueryService;
-use gcm_core::{
-    footprint_lines, footprint_lines_excluding, references_region, CpuCost, Geometry, Pattern,
-    Region, RegionId,
-};
+use gcm_core::{concurrent_shares, CpuCost, Pattern, Region};
 use gcm_engine::plan::{
     self, plan_classes, BuildSource, PlanError, PlannedQuery, PrebuiltBuild, SpanTracer, TableDef,
 };
@@ -145,12 +142,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// its pattern's footprint there — the allocation rule of Eq 5.3. A
 /// singleton batch sees the whole machine.
 ///
-/// Regions in `shared` (immutable builds several members probe) are
-/// counted once in each shared level's allocation denominator, mirroring
-/// the pricing rule of [`gcm_core::CostModel::batch_cost_shared`] — so
-/// the enforcement stays exactly what the admission controller priced. A
-/// member's own claim (numerator) keeps its full footprint, clamped at
-/// the whole level.
+/// The shares are [`gcm_core::concurrent_shares`], the rule
+/// [`gcm_core::CostModel::batch_cost_shared`] prices a batch with, so
+/// the enforcement stays exactly what the admission controller priced:
+/// regions in `shared` (immutable builds several members probe) count
+/// once in each shared level's denominator, and a member's own claim
+/// keeps its full footprint, clamped at the whole level. Each view holds
+/// its share rounded down to whole lines (at least one).
 pub fn member_views(
     spec: &HardwareSpec,
     patterns: &[&Pattern],
@@ -160,56 +158,18 @@ pub fn member_views(
     if d <= 1 {
         return patterns.iter().map(|_| spec.thread_view(1)).collect();
     }
-    let mut shared_unique: Vec<&Region> = Vec::with_capacity(shared.len());
-    for r in shared {
-        if !shared_unique.iter().any(|s| s.id() == r.id()) {
-            shared_unique.push(r);
-        }
-    }
-    let shared_ids: Vec<RegionId> = shared_unique.iter().map(|r| r.id()).collect();
-    // Full footprint of every member at every level (its claim), and the
-    // capacity denominator with shared regions counted once.
-    let feet: Vec<Vec<f64>> = patterns
+    concurrent_shares(spec, patterns, shared)
         .iter()
-        .map(|p| {
-            spec.levels()
-                .iter()
-                .map(|lvl| footprint_lines(p, &Geometry::of(lvl)))
-                .collect()
-        })
-        .collect();
-    let denom: Vec<f64> = spec
-        .levels()
-        .iter()
-        .map(|lvl| {
-            let geo = Geometry::of(lvl);
-            let mut total: f64 = patterns
-                .iter()
-                .map(|p| footprint_lines_excluding(p, &geo, &shared_ids))
-                .sum();
-            for r in &shared_unique {
-                if patterns.iter().any(|p| references_region(p, r.id())) {
-                    total += r.lines(geo.b as u64).max(1.0);
-                }
-            }
-            total
-        })
-        .collect();
-    (0..d)
-        .map(|i| {
+        .enumerate()
+        .map(|(i, shares)| {
             let levels = spec
                 .levels()
                 .iter()
-                .enumerate()
-                .map(|(l, lvl)| {
+                .zip(shares)
+                .map(|(lvl, &share)| {
                     if lvl.sharing != Sharing::Shared {
                         return lvl.clone();
                     }
-                    let share = if denom[l] > 0.0 {
-                        (feet[i][l] / denom[l]).min(1.0)
-                    } else {
-                        1.0 / d as f64
-                    };
                     let mut v = lvl.clone();
                     let lines = ((lvl.lines() as f64 * share) as u64).max(1);
                     v.capacity = lines * lvl.line;
@@ -1023,6 +983,47 @@ mod tests {
         let eps = Pattern::empty();
         let even = member_views(&spec, &[&eps, &eps], &[]);
         assert_eq!(l2(&even[0]), l2(&even[1]));
+    }
+
+    #[test]
+    fn member_views_are_the_shares_the_batch_was_priced_with() {
+        // Two probes of one shared 6-line build, each after its own
+        // scan: footprint 6 lines each, the build counted once, so each
+        // member's share of the shared L2 is 6 / (1 + 1 + 6) = 3/4 —
+        // 192 whole lines, so a view can hold exactly the capacity the
+        // price scaled the level to.
+        let spec = presets::tiny_smp(4);
+        let h = Region::new("H", 24, 16);
+        let member = |name: &str| {
+            Pattern::seq(vec![
+                Pattern::s_trav(Region::new(name, 2_000, 8)),
+                Pattern::r_acc(h.clone(), 500),
+            ])
+        };
+        let members = [member("U0"), member("U1")];
+        let refs: Vec<&Pattern> = members.iter().collect();
+        let shared = std::slice::from_ref(&h);
+        let l2 = spec.level_index("L2").unwrap();
+        for shares in concurrent_shares(&spec, &refs, shared) {
+            assert_eq!(shares[l2], 0.75);
+        }
+        let views = member_views(&spec, &refs, shared);
+        let model = gcm_core::CostModel::new(spec.clone());
+        let batch = model.batch_cost_shared(&members, &gcm_core::CacheState::cold(), shared);
+        for (i, view) in views.iter().enumerate() {
+            let full = &spec.levels()[l2];
+            assert_eq!(view.levels()[l2].capacity, full.capacity / 4 * 3);
+            // Alone on its view, cold, a member costs exactly what the
+            // batch priced it at: the view is the share.
+            let alone = gcm_core::CostModel::new(view.clone())
+                .report(&members[i])
+                .mem_ns;
+            assert_eq!(
+                alone.to_bits(),
+                batch.per_query_ns[i].to_bits(),
+                "member {i}"
+            );
+        }
     }
 
     #[test]

@@ -338,16 +338,19 @@ impl CostModel {
     /// thread never sees more than the whole level). With an empty
     /// `shared` every thread's footprint counts in full.
     /// [`concurrent_shares`](crate::concurrent_shares) returns these
-    /// shares, from the same rule.
-    pub fn advance_parallel_shared(
+    /// shares, from the same rule. Both lists are borrowed: `threads`
+    /// may be a `&[Pattern]` or any cloneable exact-size iterator of
+    /// `&Pattern`.
+    pub fn advance_parallel_shared<'p, 'r>(
         &self,
-        threads: &[Pattern],
+        threads: impl IntoIterator<Item = &'p Pattern, IntoIter: Clone + ExactSizeIterator>,
         st: &mut HierarchyState,
-        shared: &[Region],
+        shared: impl IntoIterator<Item = &'r Region>,
     ) -> ParallelCost {
+        let threads = threads.into_iter();
         let d = threads.len();
         if d <= 1 {
-            let report = match threads.first() {
+            let report = match threads.clone().next() {
                 Some(p) => self.advance(p, st),
                 None => self.advance(&Pattern::empty(), st),
             };

@@ -538,8 +538,11 @@ impl<'p> Compiled<'p> {
     /// Mark the regions of `shared` that some lowered pattern references
     /// as counted once across members; returns them, first occurrence
     /// first, duplicates dropped.
-    pub(crate) fn mark_shared<'r>(&mut self, shared: &'r [Region]) -> Vec<&'r Region> {
-        let mut unique: Vec<&Region> = Vec::with_capacity(shared.len());
+    pub(crate) fn mark_shared<'r>(
+        &mut self,
+        shared: impl IntoIterator<Item = &'r Region>,
+    ) -> Vec<&'r Region> {
+        let mut unique: Vec<&Region> = Vec::new();
         for r in shared {
             if unique.iter().any(|s| s.id() == r.id()) {
                 continue;
@@ -706,10 +709,10 @@ pub fn eval_level(p: &Pattern, geo: &Geometry, state: &mut CacheState) -> MissPa
 /// [`CostModel::advance_parallel_shared`](crate::CostModel::advance_parallel_shared)
 /// prices a stage with, so an executor that enforces them runs what was
 /// priced.
-pub fn concurrent_shares(
+pub fn concurrent_shares<'r>(
     spec: &HardwareSpec,
     members: &[&Pattern],
-    shared: &[Region],
+    shared: impl IntoIterator<Item = &'r Region>,
 ) -> Vec<Vec<f64>> {
     let mut c = Compiled::lower(members.iter().copied(), []);
     let shared = c.mark_shared(shared);

@@ -24,13 +24,14 @@
 //! after the other. Rejected candidates stay queued and are
 //! reconsidered for the following batch.
 //!
-//! Each pattern is priced once per formation: every candidate the
-//! greedy walk reaches gets its cold solo price once, and each trial
-//! batch of two or more members one `⊙` composition
-//! ([`CostModel::advance_parallel_shared`]). A singleton's in-batch
-//! memory time is its solo price, so the head of the queue costs one
-//! evaluation. Every price is bit-identical to pricing each trial batch
-//! with [`CostModel::batch_cost_shared`].
+//! Each query has one solo price, taken at submit from the serving
+//! pattern it will run (`Candidate::solo_mem_ns`), and the shed gate
+//! reads the same number; a formation prices no candidate alone. Each
+//! trial batch of two or more members costs one `⊙` composition
+//! ([`CostModel::advance_parallel_shared`]) over borrowed patterns, and
+//! a singleton's in-batch memory time is its solo price, so the head of
+//! the queue costs no evaluation at all. Every price is bit-identical to
+//! pricing each trial batch with [`CostModel::batch_cost_shared`].
 
 use gcm_core::{CacheState, CostModel, Pattern, Region};
 use gcm_workload::TenantClass;
@@ -74,17 +75,20 @@ impl SloPolicy {
     }
 }
 
-/// One pending query, as the admission controller sees it: its
-/// whole-plan compound pattern plus its predicted CPU time (Eq 6.1's
-/// `T_cpu`, which concurrency cannot change — every query runs on its
-/// own core).
+/// One pending query, as the admission controller sees it: the
+/// pattern it will run, its solo memory price, and its predicted CPU
+/// time (Eq 6.1's `T_cpu`, which concurrency cannot change — every
+/// query runs on its own core).
 #[derive(Debug, Clone)]
-pub struct Candidate<'a> {
-    /// The query's whole-plan pattern (from the cached
-    /// [`PlannedQuery`](gcm_engine::plan::PlannedQuery)).
-    pub pattern: &'a Pattern,
+pub(crate) struct Candidate<'a> {
+    /// The query's serving pattern (the planned whole-plan pattern with
+    /// its shared build phases stripped).
+    pub(crate) pattern: &'a Pattern,
+    /// `pattern` priced alone from cold caches, ns — taken once, when
+    /// the query was submitted.
+    pub(crate) solo_mem_ns: f64,
     /// Predicted CPU time, ns.
-    pub cpu_ns: f64,
+    pub(crate) cpu_ns: f64,
 }
 
 /// The charge for putting one executor thread to work on a member
@@ -95,128 +99,107 @@ pub struct Candidate<'a> {
 /// ([`QueryService::execute_batch`](crate::QueryService::execute_batch)).
 pub(crate) const DEFAULT_DISPATCH_NS: f64 = 25_000.0;
 
-/// The scheduler's verdict for one batch: which candidates (by index)
-/// run together, and the prices the decision was based on.
+/// What admission predicts for a batch.
 #[derive(Debug, Clone)]
-pub struct BatchDecision {
-    /// Indices into the candidate slice, in admission order. The first
-    /// candidate is always admitted (a singleton batch *is* serial
-    /// execution).
-    pub admitted: Vec<usize>,
+pub(crate) struct BatchPrice {
     /// Predicted elapsed time of the batch: slowest member's
     /// `⊙`-composed memory time plus CPU, plus dispatch, ns.
-    pub predicted_wall_ns: f64,
-    /// Predicted elapsed time of running the admitted members one
-    /// after the other instead, ns.
-    pub predicted_serial_ns: f64,
-    /// Per-admitted-member predicted time inside the batch (composed
-    /// memory + CPU), ns — the per-query latency forecast.
-    pub per_query_ns: Vec<f64>,
+    pub(crate) wall_ns: f64,
+    /// Predicted elapsed time of running the members one after the
+    /// other instead, ns.
+    pub(crate) serial_ns: f64,
+    /// Per-member predicted time inside the batch (composed memory +
+    /// CPU), ns — the per-query latency forecast.
+    pub(crate) per_query_ns: Vec<f64>,
 }
 
-impl BatchDecision {
+impl BatchPrice {
     /// Predicted speedup of the batch over serial execution (≥ 1 for
     /// any batch the controller forms; exactly 1 for singletons).
-    pub fn predicted_speedup(&self) -> f64 {
-        if self.predicted_wall_ns > 0.0 {
-            self.predicted_serial_ns / self.predicted_wall_ns
+    pub(crate) fn speedup(&self) -> f64 {
+        if self.wall_ns > 0.0 {
+            self.serial_ns / self.wall_ns
         } else {
             1.0
         }
     }
-}
 
-/// Price a forming batch: `⊙`-composed per-query memory plus each
-/// member's CPU, the wall as the slowest member plus dispatch, and the
-/// serial fallback as the sum of solo times. `solos` holds each
-/// member's cold solo memory price. A singleton's memory inside its
-/// batch *is* its solo price, so only a batch of two or more is
-/// composed.
-fn price(
-    model: &CostModel,
-    patterns: &[Pattern],
-    solos: &[f64],
-    cpus: &[f64],
-    shared: &[Region],
-) -> (f64, f64, Vec<f64>) {
-    let mems = if patterns.len() == 1 {
-        solos.to_vec()
-    } else {
-        let mut cold = model.staged(&CacheState::cold());
-        model
-            .advance_parallel_shared(patterns, &mut cold, shared)
-            .per_thread_ns
-    };
-    let per_query: Vec<f64> = mems.iter().zip(cpus).map(|(mem, cpu)| mem + cpu).collect();
-    let wall =
-        per_query.iter().copied().fold(0.0, f64::max) + DEFAULT_DISPATCH_NS * patterns.len() as f64;
-    let serial = solos
-        .iter()
-        .zip(cpus)
-        .map(|(mem, cpu)| mem + cpu + DEFAULT_DISPATCH_NS)
-        .sum();
-    (wall, serial, per_query)
-}
-
-/// A candidate's cold solo memory price: its time running alone on one
-/// worker.
-fn solo_mem(model: &CostModel, pattern: &Pattern) -> f64 {
-    model.report_from(pattern, &CacheState::cold()).mem_ns
+    /// Price a forming batch of `members`: `⊙`-composed per-query memory
+    /// plus each member's CPU, the wall as the slowest member plus
+    /// dispatch, and the serial fallback as the sum of solo times. A
+    /// singleton's memory inside its batch *is* its solo price, so only
+    /// a batch of two or more is composed.
+    fn of(model: &CostModel, members: &[Candidate<'_>], shared: &[&Region]) -> BatchPrice {
+        let mems: Vec<f64> = if let [only] = members {
+            vec![only.solo_mem_ns]
+        } else {
+            let patterns = members.iter().map(|m| m.pattern);
+            let mut cold = model.staged(&CacheState::cold());
+            model
+                .advance_parallel_shared(patterns, &mut cold, shared.iter().copied())
+                .per_thread_ns
+        };
+        let per_query_ns: Vec<f64> = mems
+            .iter()
+            .zip(members)
+            .map(|(mem, m)| mem + m.cpu_ns)
+            .collect();
+        let wall_ns = per_query_ns.iter().copied().fold(0.0, f64::max)
+            + DEFAULT_DISPATCH_NS * members.len() as f64;
+        let serial_ns = members
+            .iter()
+            .map(|m| m.solo_mem_ns + m.cpu_ns + DEFAULT_DISPATCH_NS)
+            .sum();
+        BatchPrice {
+            wall_ns,
+            serial_ns,
+            per_query_ns,
+        }
+    }
 }
 
 /// Greedily form the next batch of at most `max_batch` members (the
 /// machine's core budget; 0 counts as 1) from `candidates` (the
-/// pending queue in arrival order). Returns `None` on an empty queue.
-/// `shared` lists the canonical regions of data candidates may *share* (immutable build
+/// pending queue in the order to consider it). Returns the admitted
+/// indices into `candidates`, in admission order — the first candidate
+/// is always admitted (a singleton batch *is* serial execution) — and
+/// the batch's price; `None` on an empty queue. `shared` lists the
+/// canonical regions of data candidates may *share* (immutable build
 /// sides from the [`BuildRegistry`](crate::builds::BuildRegistry)):
 /// pricing counts each such region once across the forming batch
 /// (Eq 5.3 with shared data), so two queries probing the same build
 /// look as cheap together as the composition they actually are. Pass
 /// `&[]` when nothing is shared.
-pub fn next_batch(
+pub(crate) fn next_batch(
     model: &CostModel,
     candidates: &[Candidate<'_>],
     max_batch: usize,
-    shared: &[Region],
-) -> Option<BatchDecision> {
-    if candidates.is_empty() {
-        return None;
-    }
+    shared: &[&Region],
+) -> Option<(Vec<usize>, BatchPrice)> {
+    let head = candidates.first()?;
     let max_batch = max_batch.max(1);
-    // The forming batch, grown in place: each trial clones only the
-    // candidate's pattern and prices only its solo time (both popped
-    // again on rejection), never the already-admitted members'.
-    let mut patterns = vec![candidates[0].pattern.clone()];
-    let mut solos = vec![solo_mem(model, candidates[0].pattern)];
-    let mut cpus = vec![candidates[0].cpu_ns];
+    // The forming batch, grown in place: a trial pushes the candidate
+    // (popped again on rejection) and composes the borrowed patterns.
+    let mut members = vec![head.clone()];
     let mut admitted = vec![0usize];
-    let (mut wall, mut serial, mut per_query) = price(model, &patterns, &solos, &cpus, shared);
+    let mut price = BatchPrice::of(model, &members, shared);
     for (idx, cand) in candidates.iter().enumerate().skip(1) {
-        if patterns.len() >= max_batch {
+        if members.len() >= max_batch {
             break;
         }
-        patterns.push(cand.pattern.clone());
-        solos.push(solo_mem(model, cand.pattern));
-        cpus.push(cand.cpu_ns);
-        let (t_wall, t_serial, t_per_query) = price(model, &patterns, &solos, &cpus, shared);
+        members.push(cand.clone());
+        let trial = BatchPrice::of(model, &members, shared);
         // solo(q): the candidate's own serial contribution is the
         // difference of the serial sums (solo mem + cpu + dispatch).
-        let solo = t_serial - serial;
-        if t_wall < wall + solo {
+        let solo = trial.serial_ns - price.serial_ns;
+        if trial.wall_ns < price.wall_ns + solo {
             admitted.push(idx);
-            (wall, serial, per_query) = (t_wall, t_serial, t_per_query);
+            price = trial;
         } else {
-            patterns.pop();
-            solos.pop();
-            cpus.pop();
+            members.pop();
         }
     }
-    Some(BatchDecision {
-        admitted,
-        predicted_wall_ns: wall,
-        predicted_serial_ns: serial,
-        per_query_ns: per_query,
-    })
+    Some((admitted, price))
 }
 
 #[cfg(test)]
@@ -225,62 +208,71 @@ mod tests {
     use gcm_core::Region;
     use gcm_hardware::presets;
 
+    /// A candidate for `pattern` with its solo price taken the way
+    /// submit takes it.
+    fn candidate<'a>(model: &CostModel, pattern: &'a Pattern, cpu_ns: f64) -> Candidate<'a> {
+        Candidate {
+            pattern,
+            solo_mem_ns: model.report_from(pattern, &CacheState::cold()).mem_ns,
+            cpu_ns,
+        }
+    }
+
     /// `next_batch` priced the plain way, every trial batch through
-    /// [`CostModel::batch_cost_shared`] with its solo prices: the
-    /// reference the solo-once pricing must match bit for bit.
+    /// [`CostModel::batch_cost_shared`], fed the candidates' stored solo
+    /// prices: the reference the composition-only pricing must match
+    /// bit for bit. Each stored solo price must also be, to the bit, the
+    /// solo price the batch reference computes itself.
     fn next_batch_reference(
         model: &CostModel,
         candidates: &[Candidate<'_>],
         max_batch: usize,
-        shared: &[Region],
-    ) -> Option<BatchDecision> {
-        let price = |patterns: &[Pattern], cpus: &[f64]| {
-            let batch = model.batch_cost_shared(patterns, &CacheState::cold(), shared);
-            let per_query: Vec<f64> = batch
+        shared: &[&Region],
+    ) -> Option<(Vec<usize>, BatchPrice)> {
+        let price = |members: &[&Candidate<'_>]| {
+            let patterns: Vec<Pattern> = members.iter().map(|c| c.pattern.clone()).collect();
+            let shared: Vec<Region> = shared.iter().map(|&r| r.clone()).collect();
+            let batch = model.batch_cost_shared(&patterns, &CacheState::cold(), &shared);
+            for (solo, c) in batch.solo_ns.iter().zip(members) {
+                assert_eq!(solo.to_bits(), c.solo_mem_ns.to_bits(), "stored solo price");
+            }
+            let per_query_ns: Vec<f64> = batch
                 .per_query_ns
                 .iter()
-                .zip(cpus)
-                .map(|(mem, cpu)| mem + cpu)
+                .zip(members)
+                .map(|(mem, c)| mem + c.cpu_ns)
                 .collect();
-            let wall = per_query.iter().copied().fold(0.0, f64::max)
-                + DEFAULT_DISPATCH_NS * patterns.len() as f64;
-            let serial: f64 = batch
-                .solo_ns
+            let wall_ns = per_query_ns.iter().copied().fold(0.0, f64::max)
+                + DEFAULT_DISPATCH_NS * members.len() as f64;
+            let serial_ns: f64 = members
                 .iter()
-                .zip(cpus)
-                .map(|(mem, cpu)| mem + cpu + DEFAULT_DISPATCH_NS)
+                .map(|c| c.solo_mem_ns + c.cpu_ns + DEFAULT_DISPATCH_NS)
                 .sum();
-            (wall, serial, per_query)
+            BatchPrice {
+                wall_ns,
+                serial_ns,
+                per_query_ns,
+            }
         };
-        if candidates.is_empty() {
-            return None;
-        }
+        let head = candidates.first()?;
         let max_batch = max_batch.max(1);
-        let mut patterns = vec![candidates[0].pattern.clone()];
-        let mut cpus = vec![candidates[0].cpu_ns];
+        let mut members = vec![head];
         let mut admitted = vec![0usize];
-        let (mut wall, mut serial, mut per_query) = price(&patterns, &cpus);
+        let mut best = price(&members);
         for (idx, cand) in candidates.iter().enumerate().skip(1) {
-            if patterns.len() >= max_batch {
+            if members.len() >= max_batch {
                 break;
             }
-            patterns.push(cand.pattern.clone());
-            cpus.push(cand.cpu_ns);
-            let (t_wall, t_serial, t_per_query) = price(&patterns, &cpus);
-            if t_wall < wall + (t_serial - serial) {
+            members.push(cand);
+            let trial = price(&members);
+            if trial.wall_ns < best.wall_ns + (trial.serial_ns - best.serial_ns) {
                 admitted.push(idx);
-                (wall, serial, per_query) = (t_wall, t_serial, t_per_query);
+                best = trial;
             } else {
-                patterns.pop();
-                cpus.pop();
+                members.pop();
             }
         }
-        Some(BatchDecision {
-            admitted,
-            predicted_wall_ns: wall,
-            predicted_serial_ns: serial,
-            per_query_ns: per_query,
-        })
+        Some((admitted, best))
     }
 
     #[test]
@@ -310,28 +302,21 @@ mod tests {
                 .collect();
             let candidates: Vec<Candidate<'_>> = patterns
                 .iter()
-                .map(|p| Candidate {
-                    pattern: p,
-                    cpu_ns: rng.next_below(20_000) as f64,
-                })
+                .map(|p| candidate(&model, p, rng.next_below(20_000) as f64))
                 .collect();
-            for shared in [&[][..], std::slice::from_ref(&h)] {
+            for shared in [&[][..], &[&h]] {
                 for max_batch in 1..=4 {
                     let got = next_batch(&model, &candidates, max_batch, shared).unwrap();
                     let want =
                         next_batch_reference(&model, &candidates, max_batch, shared).unwrap();
                     let ctx = format!("case {case}, max_batch {max_batch}, shared {shared:?}");
-                    assert_eq!(got.admitted, want.admitted, "{ctx}");
-                    let bits = |d: &BatchDecision| {
-                        let per: Vec<u64> = d.per_query_ns.iter().map(|x| x.to_bits()).collect();
-                        (
-                            d.predicted_wall_ns.to_bits(),
-                            d.predicted_serial_ns.to_bits(),
-                            per,
-                        )
+                    assert_eq!(got.0, want.0, "{ctx}");
+                    let bits = |p: &BatchPrice| {
+                        let per: Vec<u64> = p.per_query_ns.iter().map(|x| x.to_bits()).collect();
+                        (p.wall_ns.to_bits(), p.serial_ns.to_bits(), per)
                     };
-                    assert_eq!(bits(&got), bits(&want), "{ctx}");
-                    admitted_pairs += usize::from(got.admitted.len() > 1);
+                    assert_eq!(bits(&got.1), bits(&want.1), "{ctx}");
+                    admitted_pairs += usize::from(got.0.len() > 1);
                 }
             }
         }
@@ -368,16 +353,13 @@ mod tests {
             .collect();
         let candidates: Vec<Candidate<'_>> = patterns
             .iter()
-            .map(|p| Candidate {
-                pattern: p,
-                cpu_ns: 10_000.0,
-            })
+            .map(|p| candidate(&model, p, 10_000.0))
             .collect();
-        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
-        assert_eq!(d.admitted, vec![0, 1, 2, 3], "core budget caps at 4");
-        assert!(d.predicted_speedup() > 2.0, "{}", d.predicted_speedup());
-        assert!(d.predicted_wall_ns < d.predicted_serial_ns);
-        assert_eq!(d.per_query_ns.len(), 4);
+        let (admitted, price) = next_batch(&model, &candidates, 4, &[]).unwrap();
+        assert_eq!(admitted, vec![0, 1, 2, 3], "core budget caps at 4");
+        assert!(price.speedup() > 2.0, "{}", price.speedup());
+        assert!(price.wall_ns < price.serial_ns);
+        assert_eq!(price.per_query_ns.len(), 4);
     }
 
     #[test]
@@ -388,15 +370,10 @@ mod tests {
         let patterns: Vec<Pattern> = (0..2)
             .map(|i| Pattern::rr_trav(Region::new(format!("Q{i}"), 1_500, 8), 8, 64))
             .collect();
-        let candidates: Vec<Candidate<'_>> = patterns
-            .iter()
-            .map(|p| Candidate {
-                pattern: p,
-                cpu_ns: 0.0,
-            })
-            .collect();
-        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
-        assert_eq!(d.admitted, vec![0], "contending pair must serialize");
+        let candidates: Vec<Candidate<'_>> =
+            patterns.iter().map(|p| candidate(&model, p, 0.0)).collect();
+        let (admitted, _) = next_batch(&model, &candidates, 4, &[]).unwrap();
+        assert_eq!(admitted, vec![0], "contending pair must serialize");
     }
 
     #[test]
@@ -415,18 +392,13 @@ mod tests {
                 ])
             })
             .collect();
-        let candidates: Vec<Candidate<'_>> = patterns
-            .iter()
-            .map(|p| Candidate {
-                pattern: p,
-                cpu_ns: 0.0,
-            })
-            .collect();
-        let private = next_batch(&model, &candidates, 4, &[]).unwrap();
-        assert_eq!(private.admitted, vec![0], "private builds must serialize");
-        let shared = next_batch(&model, &candidates, 4, &[h]).unwrap();
-        assert_eq!(shared.admitted, vec![0, 1], "shared build must batch");
-        assert!(shared.predicted_speedup() > 1.0);
+        let candidates: Vec<Candidate<'_>> =
+            patterns.iter().map(|p| candidate(&model, p, 0.0)).collect();
+        let (private, _) = next_batch(&model, &candidates, 4, &[]).unwrap();
+        assert_eq!(private, vec![0], "private builds must serialize");
+        let (shared, price) = next_batch(&model, &candidates, 4, &[&h]).unwrap();
+        assert_eq!(shared, vec![0, 1], "shared build must batch");
+        assert!(price.speedup() > 1.0);
     }
 
     #[test]
@@ -439,17 +411,12 @@ mod tests {
         let stream_a = Pattern::s_trav(Region::new("A", 100_000, 8));
         let stream_b = Pattern::s_trav(Region::new("B", 100_000, 8));
         let patterns = [head, twin, stream_a, stream_b];
-        let candidates: Vec<Candidate<'_>> = patterns
-            .iter()
-            .map(|p| Candidate {
-                pattern: p,
-                cpu_ns: 0.0,
-            })
-            .collect();
-        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
-        assert!(d.admitted.contains(&0));
-        assert!(!d.admitted.contains(&1), "twin must be skipped");
-        assert!(d.admitted.contains(&2) && d.admitted.contains(&3));
+        let candidates: Vec<Candidate<'_>> =
+            patterns.iter().map(|p| candidate(&model, p, 0.0)).collect();
+        let (admitted, _) = next_batch(&model, &candidates, 4, &[]).unwrap();
+        assert!(admitted.contains(&0));
+        assert!(!admitted.contains(&1), "twin must be skipped");
+        assert!(admitted.contains(&2) && admitted.contains(&3));
     }
 
     #[test]
@@ -458,27 +425,15 @@ mod tests {
         // equals the serial fallback and the speedup is exactly 1.
         let model = CostModel::new(presets::tiny_smp(4));
         let p = Pattern::s_trav(Region::new("Q", 10_000, 8));
-        let candidates = [Candidate {
-            pattern: &p,
-            cpu_ns: 5_000.0,
-        }];
-        let d = next_batch(&model, &candidates, 4, &[]).unwrap();
-        assert_eq!(d.admitted, vec![0]);
-        assert!((d.predicted_wall_ns - d.predicted_serial_ns).abs() < 1e-9);
-        assert!((d.predicted_speedup() - 1.0).abs() < 1e-9);
+        let candidates = [candidate(&model, &p, 5_000.0)];
+        let (admitted, price) = next_batch(&model, &candidates, 4, &[]).unwrap();
+        assert_eq!(admitted, vec![0]);
+        assert!((price.wall_ns - price.serial_ns).abs() < 1e-9);
+        assert!((price.speedup() - 1.0).abs() < 1e-9);
         // max_batch 1 degenerates to pure serial scheduling.
         let p2 = Pattern::s_trav(Region::new("R", 10_000, 8));
-        let two = [
-            Candidate {
-                pattern: &p,
-                cpu_ns: 0.0,
-            },
-            Candidate {
-                pattern: &p2,
-                cpu_ns: 0.0,
-            },
-        ];
-        let d1 = next_batch(&model, &two, 1, &[]).unwrap();
-        assert_eq!(d1.admitted, vec![0]);
+        let two = [candidate(&model, &p, 0.0), candidate(&model, &p2, 0.0)];
+        let (admitted, _) = next_batch(&model, &two, 1, &[]).unwrap();
+        assert_eq!(admitted, vec![0]);
     }
 }

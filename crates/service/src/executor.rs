@@ -149,10 +149,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// once in each shared level's denominator, and a member's own claim
 /// keeps its full footprint, clamped at the whole level. Each view holds
 /// its share rounded down to whole lines (at least one).
-pub fn member_views(
+pub fn member_views<'r>(
     spec: &HardwareSpec,
     patterns: &[&Pattern],
-    shared: &[Region],
+    shared: impl IntoIterator<Item = &'r Region>,
 ) -> Vec<HardwareSpec> {
     let d = patterns.len();
     if d <= 1 {
@@ -570,7 +570,7 @@ impl QueryService {
         let views = (backend == Backend::Sim).then(|| {
             let patterns: Vec<&Pattern> =
                 batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
-            member_views(self.spec(), &patterns, &batch.shared_regions())
+            member_views(self.spec(), &patterns, batch.shared_regions())
         });
         let mut queued: Vec<(u64, usize, Job)> = batch
             .entries
@@ -618,7 +618,7 @@ impl QueryService {
         let r = &mut self.running[at];
         let entry = &r.batch.entries[done.member];
         if let Ok(run) = &done.result {
-            let predicted_ns = r.batch.per_query_ns[done.member];
+            let predicted_ns = r.batch.price.per_query_ns[done.member];
             self.metrics
                 .record_query(entry.class, run.measured_ns, predicted_ns);
             // Service-level drift: the whole-query measured/predicted
@@ -660,7 +660,7 @@ impl QueryService {
         if r.backend == Backend::Sim {
             let batch = self.metrics.batches.len();
             let members = r.batch.entries.iter().zip(runs);
-            for ((p, run), predicted_ns) in members.zip(&r.batch.per_query_ns) {
+            for ((p, run), predicted_ns) in members.zip(&r.batch.price.per_query_ns) {
                 self.metrics.queries.push(QueryRecord {
                     id: p.id,
                     plan: p.plan.to_string(),
@@ -673,13 +673,13 @@ impl QueryService {
             }
             self.metrics.batches.push(BatchRecord {
                 ids: r.batch.ids(),
-                predicted_wall_ns: r.batch.predicted_wall_ns,
-                predicted_serial_ns: r.batch.predicted_serial_ns,
+                predicted_wall_ns: r.batch.price.wall_ns,
+                predicted_serial_ns: r.batch.price.serial_ns,
                 measured_wall_ns,
             });
         }
         self.metrics.record_batch(measured_wall_ns);
-        self.observe_wall_scale(measured_wall_ns, r.batch.predicted_wall_ns);
+        self.observe_wall_scale(measured_wall_ns, r.batch.price.wall_ns);
         (qid, Some(r))
     }
 

@@ -89,7 +89,7 @@ pub mod queue;
 #[cfg(test)]
 mod tests;
 
-pub use admission::{BatchDecision, SloPolicy};
+pub use admission::SloPolicy;
 pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
 pub use cache::{PlanCache, PlanKey};
 pub use executor::{Backend, Completion, ExecutedQuery};
@@ -98,7 +98,7 @@ pub use mix::{plan_for, TenantTables};
 pub use queue::Batch;
 
 use executor::{Pool, Running, Tables};
-use gcm_core::{CostModel, CpuCost, Pattern};
+use gcm_core::{CacheState, CostModel, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
     explain_analyze, materialize_tables, optimize_and_lower, shared_build_tables, ExplainReport,
@@ -240,13 +240,21 @@ impl QueryService {
     const SPAN_LANE_CAPACITY: usize = 1024;
 
     /// Record a control-path span (optimize / build-attach / admission)
-    /// on the service's own lane. A no-op when tracing is off.
-    fn ctl_span(&mut self, name: String, kind: SpanKind, start_ns: u64, end_ns: u64, ops: u64) {
+    /// on the service's own lane. A no-op when tracing is off, which
+    /// never builds the span's `name`.
+    fn ctl_span(
+        &mut self,
+        name: impl FnOnce() -> String,
+        kind: SpanKind,
+        start_ns: u64,
+        end_ns: u64,
+        ops: u64,
+    ) {
         if !self.ctl.active() {
             return;
         }
         self.ctl.record(Span {
-            name,
+            name: name(),
             kind,
             start_ns,
             end_ns,
@@ -328,30 +336,29 @@ impl QueryService {
             optimize_and_lower(&self.model, &plan, self.catalog.tables())
         })?;
         let t1 = self.ctl.now_ns();
-        let (pattern, cpu_ns, builds) = self.attach_shared_builds(&planned, epoch);
+        let (pattern, solo_mem_ns, cpu_ns, builds) = self.attach_shared_builds(&planned, epoch);
         let t2 = self.ctl.now_ns();
         let id = self.next_id;
         self.next_id += 1;
-        self.ctl_span(format!("optimize q{id}"), SpanKind::Optimize, t0, t1, 0);
+        self.ctl_span(|| format!("optimize q{id}"), SpanKind::Optimize, t0, t1, 0);
         self.ctl_span(
-            format!("attach-builds q{id}"),
+            || format!("attach-builds q{id}"),
             SpanKind::Build,
             t1,
             t2,
             builds.len() as u64,
         );
-        let solo_ns = planned.mem_ns + cpu_ns;
         self.queue.push_back(Pending {
             id,
             plan,
             planned,
             tables: Arc::clone(&self.tables),
             pattern,
+            solo_mem_ns,
             cpu_ns,
             builds,
             class,
             arrival_ns,
-            solo_ns,
             committed: false,
         });
         let depth = self.queue.len() as f64;
@@ -364,8 +371,9 @@ impl QueryService {
 
     /// Register (or reuse) a shared build for every hash join in the
     /// planned query whose build side is a base-table scan, returning
-    /// the query's serving-path pattern, its matching CPU prediction,
-    /// and the builds to hand the executor. The *first* query to request
+    /// the query's serving-path pattern, that pattern's one solo memory
+    /// price (cold caches, one worker), its matching CPU prediction, and
+    /// the builds to hand the executor. The *first* query to request
     /// a (table, epoch) build registers the layout but keeps its charged
     /// build phase — somebody has to pay for the build, and it is the
     /// builder. Every later query at the same key reuses: its build
@@ -378,7 +386,7 @@ impl QueryService {
         &mut self,
         planned: &PlannedQuery,
         epoch: u64,
-    ) -> (Arc<Pattern>, f64, Vec<Arc<SharedBuild>>) {
+    ) -> (Arc<Pattern>, f64, f64, Vec<Arc<SharedBuild>>) {
         let mut pattern = planned.pattern.clone();
         let mut cpu_ns = planned.cpu_ns;
         let mut builds: Vec<Arc<SharedBuild>> = Vec::new();
@@ -396,7 +404,8 @@ impl QueryService {
                 builds.push(b);
             }
         }
-        (Arc::new(pattern), cpu_ns.max(0.0), builds)
+        let solo_mem_ns = self.model.report_from(&pattern, &CacheState::cold()).mem_ns;
+        (Arc::new(pattern), solo_mem_ns, cpu_ns.max(0.0), builds)
     }
 
     /// Number of queries waiting for admission.

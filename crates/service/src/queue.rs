@@ -8,7 +8,7 @@
 //! controller ([`crate::admission`]). Batch formation and shedding are
 //! decided nowhere else.
 
-use crate::admission;
+use crate::admission::{self, BatchPrice};
 use crate::builds::SharedBuild;
 use crate::executor::Tables;
 use crate::metrics::{self, ShedRecord};
@@ -34,6 +34,10 @@ pub(crate) struct Pending {
     /// ([`strip_build_phase`](crate::strip_build_phase)); the planned
     /// pattern unchanged when nothing is shared.
     pub(crate) pattern: Arc<Pattern>,
+    /// `pattern` priced alone from cold caches, ns: the query's one
+    /// solo memory price, taken at submit from the serving pattern. The
+    /// shed gate and admission both read it.
+    pub(crate) solo_mem_ns: f64,
     /// Predicted CPU time matching `pattern`: the planned `cpu_ns`
     /// minus the build share of every stripped build phase.
     pub(crate) cpu_ns: f64,
@@ -46,9 +50,6 @@ pub(crate) struct Pending {
     /// When the query arrived, in the caller's clock (ns) — the sojourn
     /// the shed pass projects starts here.
     pub(crate) arrival_ns: u64,
-    /// Predicted stand-alone time (planned memory + serving-path CPU),
-    /// ns — the query's contribution to the backlog projection.
-    pub(crate) solo_ns: f64,
     /// The shed gate already evaluated this query and kept it. A
     /// committed query is never re-judged — the shed/serve decision is
     /// made exactly once, at arrival cost, which is what makes shed
@@ -65,11 +66,8 @@ pub(crate) struct Pending {
 #[derive(Debug, Clone)]
 pub struct Batch {
     pub(crate) entries: Vec<Pending>,
-    /// Predicted wall time (⊙-composed slowest member + dispatch), ns.
-    pub predicted_wall_ns: f64,
-    /// Predicted serial fallback for the same members, ns.
-    pub predicted_serial_ns: f64,
-    pub(crate) per_query_ns: Vec<f64>,
+    /// What admission predicted for the members, in batch order.
+    pub(crate) price: BatchPrice,
 }
 
 impl Batch {
@@ -91,16 +89,12 @@ impl Batch {
     /// Predicted batching speedup over serial execution (1.0 for a
     /// singleton).
     pub fn predicted_speedup(&self) -> f64 {
-        if self.predicted_wall_ns > 0.0 {
-            self.predicted_serial_ns / self.predicted_wall_ns
-        } else {
-            1.0
-        }
+        self.price.speedup()
     }
 
     /// The canonical regions of every shared build the batch probes,
     /// each exactly once.
-    pub(crate) fn shared_regions(&self) -> Vec<Region> {
+    pub(crate) fn shared_regions(&self) -> Vec<&Region> {
         shared_regions(self.entries.iter())
     }
 }
@@ -108,12 +102,12 @@ impl Batch {
 /// The canonical regions of every shared build attached to `entries`,
 /// each exactly once — the `shared` list for Eq 5.3-with-shared-data
 /// pricing and for the executor's member views.
-fn shared_regions<'a>(entries: impl Iterator<Item = &'a Pending>) -> Vec<Region> {
-    let mut out: Vec<Region> = Vec::new();
+fn shared_regions<'a>(entries: impl Iterator<Item = &'a Pending>) -> Vec<&'a Region> {
+    let mut out: Vec<&Region> = Vec::new();
     for p in entries {
         for b in &p.builds {
             if !out.iter().any(|r| r.id() == b.region.id()) {
-                out.push(b.region.clone());
+                out.push(&b.region);
             }
         }
     }
@@ -149,7 +143,10 @@ impl QueryService {
     /// waited(q) + scale · (cum + solo(q)) / speedup  >  budget(class(q))
     /// ```
     ///
-    /// where `speedup` is the EWMA of the admission controller's
+    /// where `solo(q)` is the query's solo memory price, taken once at
+    /// submit from its serving pattern, plus its CPU — to the bit what
+    /// admission predicts for `q` as a singleton batch — `speedup` is
+    /// the EWMA of the admission controller's
     /// ⊙-priced batch speedup (how much faster than serial the service
     /// drains when the model lets queries coexist) and `scale` the
     /// EWMA of measured-wall / predicted-wall (model nanoseconds →
@@ -171,8 +168,8 @@ impl QueryService {
         if self.cfg.slo.is_none() {
             return (Vec::new(), self.next_batch());
         }
-        let shed = self.shed_pass(now_ns);
-        let order = self.priority_order();
+        let mut order = self.priority_order();
+        let shed = self.shed_pass(now_ns, &mut order);
         let batch = self.form_batch(&order);
         (shed, batch)
     }
@@ -187,9 +184,12 @@ impl QueryService {
 
     /// Shed every classed query whose projected sojourn overruns its
     /// class budget (see [`next_batch_at`](QueryService::next_batch_at)
-    /// for the predicate), removing it from the queue and recording it
-    /// into [`ServiceMetrics`](crate::ServiceMetrics).
-    fn shed_pass(&mut self, now_ns: u64) -> Vec<ShedRecord> {
+    /// for the predicate), walking the queue in `order` (its
+    /// [`priority_order`](QueryService::priority_order)), removing each
+    /// shed query from the queue and recording it into
+    /// [`ServiceMetrics`](crate::ServiceMetrics). `order` is left as the
+    /// surviving queue's indices, still in priority order.
+    fn shed_pass(&mut self, now_ns: u64, order: &mut Vec<usize>) -> Vec<ShedRecord> {
         let Some(slo) = self.cfg.slo else {
             return Vec::new();
         };
@@ -198,21 +198,23 @@ impl QueryService {
         let mut cum = 0.0f64;
         let mut doomed: Vec<usize> = Vec::new();
         let mut records: Vec<ShedRecord> = Vec::new();
-        for i in self.priority_order() {
+        for &i in order.iter() {
             let p = &self.queue[i];
+            // Stand-alone time: exactly admission's price for `p` alone.
+            let solo = p.solo_mem_ns + p.cpu_ns;
             let Some(class) = p.class else {
-                cum += p.solo_ns;
+                cum += solo;
                 continue;
             };
             // Already judged and kept: it counts toward the backlog
             // but is never shed (see the method docs — re-judging is
             // what makes sheds slow).
             if p.committed {
-                cum += p.solo_ns;
+                cum += solo;
                 continue;
             }
             let waited = now_ns.saturating_sub(p.arrival_ns) as f64;
-            let projected = waited + scale * (cum + p.solo_ns) / speedup;
+            let projected = waited + scale * (cum + solo) / speedup;
             let budget = slo.budget_ns(class);
             if projected > budget {
                 doomed.push(i);
@@ -224,12 +226,17 @@ impl QueryService {
                     budget_ns: budget,
                 });
             } else {
-                cum += p.solo_ns;
+                cum += solo;
                 self.queue[i].committed = true;
             }
         }
-        doomed.sort_unstable_by(|a, b| b.cmp(a));
-        for i in doomed {
+        // Survivors keep their order and move down past the shed.
+        doomed.sort_unstable();
+        order.retain(|i| doomed.binary_search(i).is_err());
+        for i in order.iter_mut() {
+            *i -= doomed.partition_point(|&d| d < *i);
+        }
+        for &i in doomed.iter().rev() {
             self.queue.remove(i);
         }
         for r in &records {
@@ -257,51 +264,40 @@ impl QueryService {
                 let p = &self.queue[i];
                 admission::Candidate {
                     pattern: &p.pattern,
+                    solo_mem_ns: p.solo_mem_ns,
                     cpu_ns: p.cpu_ns,
                 }
             })
             .collect();
         let shared = shared_regions(self.queue.iter());
-        let decision = admission::next_batch(&self.model, &candidates, free, &shared)?;
-        // `admitted` indexes into `order`; map back to queue indices,
-        // remove back to front so earlier indices stay valid, then
-        // restore admission order.
-        let chosen: Vec<usize> = decision.admitted.iter().map(|&k| order[k]).collect();
-        let mut by_desc = chosen.clone();
-        by_desc.sort_unstable_by(|a, b| b.cmp(a));
-        let mut removed: Vec<(usize, Pending)> = by_desc
-            .into_iter()
-            .map(|i| (i, self.queue.remove(i).expect("admitted index in queue")))
-            .collect();
-        let entries: Vec<Pending> = chosen
-            .iter()
-            .map(|i| {
-                let pos = removed
-                    .iter()
-                    .position(|(j, _)| j == i)
-                    .expect("admitted exactly once");
-                removed.swap_remove(pos).1
-            })
-            .collect();
+        let (admitted, price) = admission::next_batch(&self.model, &candidates, free, &shared)?;
+        // `admitted` indexes into `order`; map back to queue indices and
+        // take the members out in admission order.
+        let mut chosen: Vec<usize> = admitted.iter().map(|&k| order[k]).collect();
+        let mut entries = Vec::with_capacity(chosen.len());
+        for k in 0..chosen.len() {
+            let i = chosen[k];
+            entries.push(self.queue.remove(i).expect("admitted index in queue"));
+            // The later picks behind `i` moved one slot forward.
+            for j in &mut chosen[k + 1..] {
+                *j -= usize::from(*j > i);
+            }
+        }
         // Fold the decision's ⊙ speedup into the drain-rate EWMA the
         // shed projection divides by.
-        self.drain_speedup = 0.7 * self.drain_speedup + 0.3 * decision.predicted_speedup();
+        self.drain_speedup = 0.7 * self.drain_speedup + 0.3 * price.speedup();
         self.metrics
             .registry
             .set_gauge(metrics::QUEUE_DEPTH, self.queue.len() as f64);
         let t1 = self.ctl.now_ns();
+        let n = entries.len();
         self.ctl_span(
-            format!("admission[{}]", entries.len()),
+            || format!("admission[{n}]"),
             SpanKind::Admission,
             t0,
             t1,
-            entries.len() as u64,
+            n as u64,
         );
-        Some(Batch {
-            entries,
-            predicted_wall_ns: decision.predicted_wall_ns,
-            predicted_serial_ns: decision.predicted_serial_ns,
-            per_query_ns: decision.per_query_ns,
-        })
+        Some(Batch { entries, price })
     }
 }

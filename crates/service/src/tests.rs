@@ -489,6 +489,53 @@ fn shed_pass_sheds_the_class_whose_budget_is_blown() {
 }
 
 #[test]
+fn shed_gate_and_admission_read_one_solo_price() {
+    // A builder join, then a sharer join on the same dimension: the
+    // sharer probes the builder's build, so its serving pattern has no
+    // build phase. Before any formation (scale 1, speedup 1) the sharer
+    // arrives with nothing waited and, once the builder ahead of it is
+    // shed, nothing ahead of it: its projection is exactly its solo
+    // term, which must be, to the bit, what admission predicts for it
+    // as a singleton batch.
+    let star = Workload::new(314).star_scenario(8_000, 1_000, 1);
+    let service = |cfg: ServiceConfig| {
+        let mut svc = QueryService::with_config(presets::modern_smp(4), cfg);
+        svc.register_table("F", star.fact.clone(), 8);
+        svc.register_table("D", star.dims[0].clone(), 8);
+        for cut in [120, 240] {
+            let join = LogicalPlan::scan(0)
+                .select_lt(cut)
+                .join(LogicalPlan::scan(1))
+                .group_count();
+            svc.submit_classed(join, TenantClass::JoinHeavy, 7).unwrap();
+        }
+        assert_eq!(svc.builds().reused(), 1, "the second join shares");
+        svc
+    };
+    let mut gated = service(ServiceConfig {
+        slo: Some(SloPolicy::uniform(1.0)),
+        ..ServiceConfig::default()
+    });
+    let (shed, _) = gated.next_batch_at(7);
+    assert_eq!(shed.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1]);
+    let mut serial = service(ServiceConfig {
+        max_batch: 1,
+        ..ServiceConfig::default()
+    });
+    let builder = serial.next_batch().unwrap();
+    assert_eq!(builder.ids(), [0]);
+    let sharer = serial.next_batch().unwrap();
+    assert_eq!(sharer.ids(), [1]);
+    assert_eq!(
+        shed[1].projected_ns.to_bits(),
+        sharer.price.per_query_ns[0].to_bits(),
+        "shed projection {} vs admission's singleton price {}",
+        shed[1].projected_ns,
+        sharer.price.per_query_ns[0]
+    );
+}
+
+#[test]
 fn unclassed_submissions_never_shed() {
     // A zero budget sheds every classed query instantly — but a
     // plain submit is exempt no matter how stale it is.

@@ -34,7 +34,7 @@
 //! of the measured kernel scan.
 
 use gcm_calibrate::calibrate_host;
-use gcm_core::{CostModel, CpuCost, Pattern, Region};
+use gcm_core::{library, CostModel, CpuCost, Pattern, Region};
 use gcm_engine::native::{calibrate_kernel_per_op_ns, calibrate_per_op_ns};
 use gcm_engine::{kernels, ops, ExecContext, MemoryBackend, NativeBackend, Segment};
 use gcm_workload::Workload;
@@ -217,7 +217,7 @@ fn main() {
         let w = Region::new("W", FACT_N as u64, 16);
         let ops_est = ops::hash::build_ops(DIM_N as u64) + 5 * FACT_N as u64;
         let (modeled_scalar_ns, modeled_kernel_ns) =
-            modeled(&ops::hash::hash_join_pattern(&u, &v, &h, &w), ops_est);
+            modeled(&library::hash_join(u, v, h, w), ops_est);
         cases.push(Case {
             name: "hash_probe",
             bytes: ((FACT_N + DIM_N) * 8) as u64,

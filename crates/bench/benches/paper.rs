@@ -378,7 +378,7 @@ fn fig7a(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let keys = Workload::new(size).shuffled_keys(n as usize);
         let rel = ctx.relation_from_keys("U", &keys, 8);
         let (_, stats) = ctx.measure(|c| ops::sort::quick_sort(c, &rel));
-        let report = model.report(&ops::sort::quick_sort_pattern(rel.region()));
+        let report = model.report(&library::quick_sort(rel.region().clone()));
         let pred_ops = ops::sort::quick_sort_expected_ops(n);
         fig7_rows(gate, "fig7a", size / KB, spec, &stats, &report, pred_ops);
         l2_per_tuple.push(misses(&stats.mem, l2) as f64 / n as f64);
@@ -400,7 +400,8 @@ fn fig7b(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let u = ctx.relation_from_keys("U", &keys, 8);
         let v = ctx.relation_from_keys("V", &keys, 8);
         let (out, stats) = ctx.measure(|c| ops::merge_join::merge_join(c, &u, &v, "W", 16));
-        let pattern = ops::merge_join::merge_join_pattern(u.region(), v.region(), out.region());
+        let pattern =
+            library::merge_join(u.region().clone(), v.region().clone(), out.region().clone());
         // One comparison per cursor advance plus one per output.
         let pred_ops = 2 * n + n;
         fig7_rows(
@@ -439,7 +440,12 @@ fn fig7c(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let v = ctx.relation_from_keys("V", &vk, 8);
         let (out, stats) = ctx.measure(|c| ops::hash::hash_join(c, &u, &v, "W", 16));
         let h = Region::new("H", (2 * n).next_power_of_two(), 16);
-        let pattern = ops::hash::hash_join_pattern(u.region(), v.region(), &h, out.region());
+        let pattern = library::hash_join(
+            u.region().clone(),
+            v.region().clone(),
+            h,
+            out.region().clone(),
+        );
         // ~2 probes per build insert + ~2 per probe + 1 per output.
         fig7_rows(
             gate,
@@ -661,7 +667,12 @@ fn ablation_footprint(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let (out, stats) = ctx.measure(|c| ops::hash::hash_join(c, &u, &v, "W", 16));
         let slots = (2 * n).next_power_of_two();
         let h = Region::new("H", slots, 16);
-        let p = ops::hash::hash_join_pattern(u.region(), v.region(), &h, out.region());
+        let p = library::hash_join(
+            u.region().clone(),
+            v.region().clone(),
+            h,
+            out.region().clone(),
+        );
         let measured = stats.mem.clock_ns / 1e6;
         let (footprint, even) = (model.mem_ns(&p) / 1e6, even_split_ns(spec, &p) / 1e6);
         let x = slots * 16 / KB;
@@ -703,7 +714,12 @@ fn ablation_state(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let v = ctx.relation_from_keys("V", &vk, 8);
         let (out, stats) = ctx.measure(|c| ops::hash::hash_join(c, &u, &v, "W", 16));
         let h = Region::new("H", (2 * n).next_power_of_two(), 16);
-        let p = ops::hash::hash_join_pattern(u.region(), v.region(), &h, out.region());
+        let p = library::hash_join(
+            u.region().clone(),
+            v.region().clone(),
+            h,
+            out.region().clone(),
+        );
         cases.push(("hash_join,H=2MB", stats, p));
     }
     for (x, n, seed) in [
@@ -714,7 +730,7 @@ fn ablation_state(gate: &mut Gate, spec: &HardwareSpec, model: &CostModel) {
         let keys = Workload::new(seed).shuffled_keys(n as usize);
         let rel = ctx.relation_from_keys("U", &keys, 8);
         let (_, stats) = ctx.measure(|c| ops::sort::quick_sort(c, &rel));
-        cases.push((x, stats, ops::sort::quick_sort_pattern(rel.region())));
+        cases.push((x, stats, library::quick_sort(rel.region().clone())));
     }
     for (x, stats, p) in cases {
         let measured = stats.mem.clock_ns / 1e6;

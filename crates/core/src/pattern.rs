@@ -183,39 +183,52 @@ impl Pattern {
     /// drops no-op parts). An empty `parts` yields [`Pattern::empty`],
     /// the zero-cost identity — not a degenerate `Seq([])`-with-
     /// unspecified-semantics node.
-    pub fn seq(parts: Vec<Pattern>) -> Pattern {
-        let mut flat = Vec::with_capacity(parts.len());
-        for p in parts {
-            match p {
-                Pattern::Seq(inner) => flat.extend(inner),
-                other => flat.push(other),
+    pub fn seq(mut parts: Vec<Pattern>) -> Pattern {
+        // `parts` is kept as the node's list unless something needs
+        // flattening.
+        if parts.iter().any(|p| matches!(p, Pattern::Seq(_))) {
+            let mut flat = Vec::with_capacity(parts.len());
+            for p in parts {
+                match p {
+                    Pattern::Seq(inner) => flat.extend(inner),
+                    other => flat.push(other),
+                }
             }
+            parts = flat;
         }
-        if flat.len() == 1 {
-            flat.pop().unwrap()
+        if parts.len() == 1 {
+            parts.pop().unwrap()
         } else {
-            Pattern::Seq(flat)
+            Pattern::Seq(parts)
         }
     }
 
     /// Concurrent execution `⊙` of `parts` (flattens nested `Conc`s and
     /// drops no-op parts). An empty `parts` yields [`Pattern::empty`]:
     /// zero footprint, zero cost, cache state untouched.
-    pub fn conc(parts: Vec<Pattern>) -> Pattern {
-        let mut flat = Vec::with_capacity(parts.len());
-        for p in parts {
-            match p {
-                Pattern::Conc(inner) => flat.extend(inner),
-                other if other.is_empty() => {}
-                other => flat.push(other),
+    pub fn conc(mut parts: Vec<Pattern>) -> Pattern {
+        // `parts` is kept as the node's list unless something needs
+        // flattening or dropping.
+        if parts
+            .iter()
+            .any(|p| matches!(p, Pattern::Conc(_)) || p.is_empty())
+        {
+            let mut flat = Vec::with_capacity(parts.len());
+            for p in parts {
+                match p {
+                    Pattern::Conc(inner) => flat.extend(inner),
+                    other if other.is_empty() => {}
+                    other => flat.push(other),
+                }
             }
+            parts = flat;
         }
-        if flat.len() == 1 {
-            flat.pop().unwrap()
-        } else if flat.is_empty() {
+        if parts.len() == 1 {
+            parts.pop().unwrap()
+        } else if parts.is_empty() {
             Pattern::empty()
         } else {
-            Pattern::Conc(flat)
+            Pattern::Conc(parts)
         }
     }
 

@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -24,10 +25,14 @@ pub struct RegionId(pub u64);
 /// cache-state bookkeeping measures cached fractions *of the root*, which
 /// is what makes recursive patterns like quick-sort (repeated sweeps over
 /// ever-smaller segments of one table) come out right.
+///
+/// The name is shared, not copied: a clone or slice allocates nothing.
+/// Only the id carries identity; two regions created under one name are
+/// still distinct memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     id: RegionId,
-    name: String,
+    name: Arc<str>,
     /// Number of data items `R.n` in this (slice of the) region.
     pub n: u64,
     /// Width `R.w` of one data item in bytes.
@@ -40,7 +45,7 @@ pub struct Region {
 impl Region {
     /// A fresh region of `n` items of `w` bytes. `w` must be positive;
     /// `n = 0` is allowed (empty inputs are legal operator arguments).
-    pub fn new(name: impl Into<String>, n: u64, w: u64) -> Region {
+    pub fn new(name: impl Into<Arc<str>>, n: u64, w: u64) -> Region {
         assert!(w > 0, "region width must be positive");
         Region {
             id: RegionId(NEXT_ID.fetch_add(1, Ordering::Relaxed)),
@@ -83,7 +88,7 @@ impl Region {
         assert!(denom > 0);
         Region {
             id: self.id,
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             n: self.n / denom,
             w: self.w,
             root_bytes: self.root_bytes,
@@ -94,7 +99,7 @@ impl Region {
     pub fn slice_items(&self, n: u64) -> Region {
         Region {
             id: self.id,
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             n,
             w: self.w,
             root_bytes: self.root_bytes,

@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use gcm_engine::{ops, ExecContext};
-//! use gcm_core::CostModel;
+//! use gcm_core::{library, CostModel};
 //! use gcm_hardware::presets;
 //! use gcm_workload::Workload;
 //!
@@ -34,7 +34,7 @@
 //!
 //! // ...and predict the same quantities from the pattern description.
 //! let model = CostModel::new(presets::tiny());
-//! let predicted = model.report(&ops::sort::quick_sort_pattern(table.region()));
+//! let predicted = model.report(&library::quick_sort(table.region().clone()));
 //!
 //! assert!(measured.mem.clock_ns > 0.0);
 //! assert!(predicted.mem_ns > 0.0);

@@ -190,11 +190,6 @@ pub fn sort_dedup<B: MemoryBackend>(
     ctx.seal(out, out_name, cursor)
 }
 
-/// Pattern of [`sort_dedup`]: `quick_sort(U) ⊕ s_trav(U) ⊙ s_trav(W)`.
-pub fn sort_dedup_pattern(input: &Region, output: &Region) -> Pattern {
-    library::sort_aggregate(input.clone(), output.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,8 +260,10 @@ mod tests {
         assert!(hash_group_pattern(u.region(), h.region(), w.region())
             .to_string()
             .contains("r_acc(H"));
-        assert!(sort_dedup_pattern(u.region(), w.region())
-            .to_string()
-            .contains("⊕"));
+        assert!(
+            library::sort_aggregate(u.region().clone(), w.region().clone())
+                .to_string()
+                .contains("⊕")
+        );
     }
 }

@@ -284,12 +284,6 @@ pub fn build_hash_pattern(v: &Region, h: &Region) -> Pattern {
     library::build_hash(v.clone(), h.clone())
 }
 
-/// Pattern of [`hash_join`]:
-/// `s_trav(V) ⊙ r_trav(H) ⊕ s_trav(U) ⊙ r_acc(H, U.n) ⊙ s_trav(W)`.
-pub fn hash_join_pattern(u: &Region, v: &Region, h: &Region, w: &Region) -> Pattern {
-    library::hash_join(u.clone(), v.clone(), h.clone(), w.clone())
-}
-
 /// Pattern of [`hash_join_with_table`] — the probe phase alone, for a
 /// query reusing a shared build: `s_trav(U) ⊙ r_acc(H, U.n) ⊙ s_trav(W)`.
 pub fn probe_hash_pattern(u: &Region, h: &Region, w: &Region) -> Pattern {
@@ -419,7 +413,12 @@ mod tests {
         let v = c.relation("V", 10, 8);
         let h = c.relation("H", 32, 16);
         let w = c.relation("W", 10, 16);
-        let p = hash_join_pattern(u.region(), v.region(), h.region(), w.region());
+        let p = library::hash_join(
+            u.region().clone(),
+            v.region().clone(),
+            h.region().clone(),
+            w.region().clone(),
+        );
         assert_eq!(
             p.to_string(),
             "s_trav(V) ⊙ r_trav(H) ⊕ s_trav(U) ⊙ r_acc(H, 10) ⊙ s_trav(W)"

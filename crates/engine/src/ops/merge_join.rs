@@ -4,7 +4,6 @@
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::relation::Relation;
-use gcm_core::{library, Pattern, Region};
 
 /// Join two key-sorted relations; emits one output tuple per matching
 /// pair `(u.key == v.key)` into a fresh relation of width `out_w`
@@ -73,14 +72,10 @@ fn is_sorted_host<B: MemoryBackend>(ctx: &ExecContext<B>, rel: &Relation) -> boo
         .all(|i| ctx.mem.host_read_u64(rel.tuple(i - 1)) <= ctx.mem.host_read_u64(rel.tuple(i)))
 }
 
-/// Pattern of [`merge_join`]: `s_trav(U) ⊙ s_trav(V) ⊙ s_trav(W)`.
-pub fn merge_join_pattern(u: &Region, v: &Region, w: &Region) -> Pattern {
-    library::merge_join(u.clone(), v.clone(), w.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcm_core::library;
     use gcm_hardware::presets;
 
     fn ctx() -> ExecContext {
@@ -174,7 +169,8 @@ mod tests {
         let v = c.relation("V", 10, 8);
         let w = c.relation("W", 10, 16);
         assert_eq!(
-            merge_join_pattern(u.region(), v.region(), w.region()).to_string(),
+            library::merge_join(u.region().clone(), v.region().clone(), w.region().clone())
+                .to_string(),
             "s_trav(U) ⊙ s_trav(V) ⊙ s_trav(W)"
         );
     }

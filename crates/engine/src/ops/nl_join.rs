@@ -5,7 +5,6 @@
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::relation::Relation;
-use gcm_core::{library, Pattern, Region};
 
 /// Join `u ⋈ v` by scanning `v` once per tuple of `u`. Quadratic: use
 /// only as the model's baseline comparator. The output starts at `|U|`
@@ -34,15 +33,10 @@ pub fn nested_loop_join<B: MemoryBackend>(
     ctx.seal(out, out_name, cursor)
 }
 
-/// Pattern of [`nested_loop_join`]:
-/// `s_trav(U) ⊙ rs_trav(U.n, uni, V) ⊙ s_trav(W)`.
-pub fn nested_loop_join_pattern(u: &Region, v: &Region, w: &Region) -> Pattern {
-    library::nested_loop_join(u.clone(), v.clone(), w.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcm_core::library;
     use gcm_hardware::presets;
 
     fn ctx() -> ExecContext {
@@ -96,7 +90,8 @@ mod tests {
         let v = c.relation("V", 20, 8);
         let w = c.relation("W", 10, 16);
         assert_eq!(
-            nested_loop_join_pattern(u.region(), v.region(), w.region()).to_string(),
+            library::nested_loop_join(u.region().clone(), v.region().clone(), w.region().clone())
+                .to_string(),
             "s_trav(U) ⊙ rs_trav(10, uni, V) ⊙ s_trav(W)"
         );
     }

@@ -5,8 +5,8 @@
 //! point the segment splits and recursion proceeds depth-first. One
 //! recursion level sweeps the whole table once, and there are `⌈log₂ n⌉`
 //! levels. Recursion depth `i` splits the table into `2^i` segments, each
-//! swept by the two cursors over its halves, so [`quick_sort_pattern`]
-//! (which is [`library::quick_sort`]) prices
+//! swept by the two cursors over its halves, so
+//! [`library::quick_sort`](gcm_core::library::quick_sort) prices
 //!
 //! ```text
 //! quick_sort(U) = ⊕_{i=0}^{⌈log n⌉−1} 2^i × ( s_trav(U/2^{i+1}) ⊙ s_trav(U/2^{i+1}) )
@@ -18,7 +18,6 @@
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::relation::Relation;
-use gcm_core::{library, Pattern, Region};
 
 /// Sort the relation in place by key (Hoare partitioning with two
 /// converging cursors, exactly the access pattern the paper models).
@@ -88,12 +87,6 @@ pub fn quick_sort<B: MemoryBackend>(ctx: &mut ExecContext<B>, rel: &Relation) {
     }
 }
 
-/// Pattern of [`quick_sort`]:
-/// `⊕_{i=0}^{⌈log n⌉−1} 2^i × ( s_trav(U/2^{i+1}) ⊙ s_trav(U/2^{i+1}) )`.
-pub fn quick_sort_pattern(input: &Region) -> Pattern {
-    library::quick_sort(input.clone())
-}
-
 /// Expected logical ops of quick-sort on `n` tuples: ~`n·log₂ n`
 /// comparisons plus ~`n/2·log₂ n` swaps (used by the Eq 6.1 CPU
 /// predictor).
@@ -112,6 +105,7 @@ fn median3(a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcm_core::{library, Pattern};
     use gcm_hardware::presets;
     use gcm_workload::Workload;
 
@@ -217,7 +211,7 @@ mod tests {
     fn pattern_depth_matches_log() {
         let mut c = ctx();
         let rel = c.relation("U", 1024, 8);
-        match quick_sort_pattern(rel.region()) {
+        match library::quick_sort(rel.region().clone()) {
             Pattern::Seq(ps) => assert_eq!(ps.len(), 10),
             _ => panic!("expected Seq"),
         }

@@ -15,7 +15,7 @@ use crate::backend::MemoryBackend;
 use crate::ctx::{ExecContext, RunStats};
 use crate::ops;
 use crate::relation::{Relation, Segment};
-use gcm_core::{Pattern, Region};
+use gcm_core::{library, Pattern, Region};
 use gcm_obs::span::{Span, SpanKind, SpanSink};
 use std::borrow::Borrow;
 
@@ -498,7 +498,7 @@ fn exec_node<B: MemoryBackend>(
                 "sort",
                 |ctx, phases| {
                     ops::sort::quick_sort(ctx, &current);
-                    phases.push(ops::sort::quick_sort_pattern(current.region()));
+                    phases.push(library::quick_sort(current.region().clone()));
                     current
                 },
             ))
@@ -514,9 +514,9 @@ fn exec_node<B: MemoryBackend>(
                 |ctx, phases| {
                     let name = next_name(seq);
                     let out = ops::aggregate::sort_dedup(ctx, &current, &name);
-                    phases.push(ops::aggregate::sort_dedup_pattern(
-                        current.region(),
-                        out.region(),
+                    phases.push(library::sort_aggregate(
+                        current.region().clone(),
+                        out.region().clone(),
                     ));
                     out
                 },
@@ -559,27 +559,27 @@ fn exec_join<B: MemoryBackend>(
     match algorithm {
         JoinAlgorithm::NestedLoop => {
             let out = ops::nl_join::nested_loop_join(ctx, u, v, &name, OUT_TUPLE_BYTES);
-            phases.push(ops::nl_join::nested_loop_join_pattern(
-                u.region(),
-                v.region(),
-                out.region(),
+            phases.push(library::nested_loop_join(
+                u.region().clone(),
+                v.region().clone(),
+                out.region().clone(),
             ));
             Ok(out)
         }
         JoinAlgorithm::Merge { sort_u, sort_v } => {
             if *sort_u {
                 ops::sort::quick_sort(ctx, u);
-                phases.push(ops::sort::quick_sort_pattern(u.region()));
+                phases.push(library::quick_sort(u.region().clone()));
             }
             if *sort_v {
                 ops::sort::quick_sort(ctx, v);
-                phases.push(ops::sort::quick_sort_pattern(v.region()));
+                phases.push(library::quick_sort(v.region().clone()));
             }
             let out = ops::merge_join::merge_join(ctx, u, v, &name, OUT_TUPLE_BYTES);
-            phases.push(ops::merge_join::merge_join_pattern(
-                u.region(),
-                v.region(),
-                out.region(),
+            phases.push(library::merge_join(
+                u.region().clone(),
+                v.region().clone(),
+                out.region().clone(),
             ));
             Ok(out)
         }
@@ -613,11 +613,11 @@ fn exec_join<B: MemoryBackend>(
                 ops::hash::table_slots(v.n()),
                 ops::hash::ENTRY_BYTES,
             );
-            phases.push(ops::hash::hash_join_pattern(
-                u.region(),
-                v.region(),
-                &h,
-                out.region(),
+            phases.push(library::hash_join(
+                u.region().clone(),
+                v.region().clone(),
+                h,
+                out.region().clone(),
             ));
             Ok(out)
         }

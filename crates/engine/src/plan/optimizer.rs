@@ -16,13 +16,18 @@
 //! Ranking prices only what can still win. Eq 6.1 prices an
 //! alternative as `T = T_mem + T_cpu` with `T_mem ≥ 0`, and the CPU term
 //! is a cheap sum of logical operations, while the memory term is a
-//! pattern evaluation (a quick-sort pattern takes tens of µs). So
-//! alternatives are visited in ascending CPU order and the memory term
-//! is evaluated only while the CPU term alone is at most the `k`-th best
-//! total so far (`k` = the beam when pruning a node, 1 in
-//! [`Optimizer::optimize`]); the first alternative past that bound ends
-//! the ranking. The kept set and its order are exactly those of pricing
-//! everything and sorting stably by total.
+//! pattern evaluation. So alternatives are visited in ascending CPU
+//! order and the memory term is evaluated only while the CPU term alone
+//! is at most the `k`-th best total so far (`k` = the beam when pruning
+//! a node, 1 in [`Optimizer::optimize`]); the first alternative past
+//! that bound ends the ranking. The kept set and its order are exactly
+//! those of pricing everything and sorting stably by total.
+//!
+//! Alternatives are described first and built only when priced: a
+//! stage holds its operator, the regions it reads and writes and its
+//! logical-op estimate, and its pattern is built the first time ranking
+//! prices it, once for every alternative sharing the stage. An
+//! alternative that loses on CPU alone is never built.
 //!
 //! The logical-statistics side (cardinalities, key bounds, sortedness)
 //! is the component the paper assumes a perfect oracle for (§1); here
@@ -34,9 +39,11 @@ use super::physical::{JoinAlgorithm, PhysicalPlan};
 use super::OUT_TUPLE_BYTES;
 use crate::ops;
 use gcm_core::distinct::expected_distinct;
-use gcm_core::{CacheState, CostModel, CpuCost, Pattern, Region};
+use gcm_core::{library, CacheState, CostModel, CpuCost, Pattern, Region};
 use gcm_hardware::CacheLevel;
+use std::cell::OnceCell;
 use std::fmt;
+use std::rc::Rc;
 
 /// Why a plan could not be produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,12 +163,72 @@ impl PlannedQuery {
     }
 }
 
-/// One stage of a physical alternative: one operator's pattern plus its
-/// logical-op estimate.
-#[derive(Debug, Clone)]
+/// One operator with the regions it reads and writes, in the order its
+/// pattern function takes them: enough to build its access pattern.
+#[derive(Debug)]
+enum Op {
+    Select(Region, Region),
+    NestedLoop(Region, Region, Region),
+    /// `(u, v, w, sort u?, sort v?)`: sorts first, then merges.
+    Merge(Region, Region, Region, bool, bool),
+    Hash(Region, Region, Region, Region),
+    PartitionedHash(Region, Region, Region, u32, Region, Region),
+    Group(Region, Region, Region),
+    Sort(Region),
+    Dedup(Region, Region),
+    Partition(Region, Region, u32),
+}
+
+impl Op {
+    fn pattern(&self) -> Pattern {
+        match self {
+            Op::Select(u, w) => ops::scan::select_pattern(u, w),
+            Op::NestedLoop(u, v, w) => library::nested_loop_join(u.clone(), v.clone(), w.clone()),
+            Op::Merge(u, v, w, sort_u, sort_v) => {
+                let sorts = [(u, sort_u), (v, sort_v)].into_iter().filter(|(_, s)| **s);
+                let mut phases: Vec<Pattern> =
+                    sorts.map(|(r, _)| library::quick_sort(r.clone())).collect();
+                phases.push(library::merge_join(u.clone(), v.clone(), w.clone()));
+                Pattern::seq(phases)
+            }
+            Op::Hash(u, v, h, w) => library::hash_join(u.clone(), v.clone(), h.clone(), w.clone()),
+            Op::PartitionedHash(u, v, w, bits, up, vp) => {
+                ops::part_hash_join::part_hash_join_pattern(u, v, w, *bits, up, vp)
+            }
+            Op::Group(u, h, w) => ops::aggregate::hash_group_pattern(u, h, w),
+            Op::Sort(u) => library::quick_sort(u.clone()),
+            Op::Dedup(u, w) => library::sort_aggregate(u.clone(), w.clone()),
+            Op::Partition(u, w, bits) => ops::partition::radix_partition_pattern(u, w, *bits, 1),
+        }
+    }
+}
+
+/// One stage of a physical alternative: an operator and its logical-op
+/// estimate, shared by every alternative built on it. Its pattern is
+/// built from the operator the first time it is asked for.
+#[derive(Debug)]
 struct Stage {
-    pattern: Pattern,
+    op: Op,
     ops: u64,
+    pattern: OnceCell<Pattern>,
+}
+
+impl Stage {
+    fn new(op: Op, ops: u64) -> Rc<Stage> {
+        let pattern = OnceCell::new();
+        Rc::new(Stage { op, ops, pattern })
+    }
+
+    fn pattern(&self) -> &Pattern {
+        self.pattern.get_or_init(|| self.op.pattern())
+    }
+
+    /// The stage's pattern, moved out when `stage` is its last holder.
+    fn into_pattern(mut stage: Rc<Stage>) -> Pattern {
+        Rc::get_mut(&mut stage)
+            .and_then(|s| s.pattern.take())
+            .unwrap_or_else(|| stage.pattern().clone())
+    }
 }
 
 /// One in-progress alternative for a subtree.
@@ -169,18 +236,30 @@ struct Stage {
 struct Alt {
     plan: PhysicalPlan,
     /// Stages in execution order.
-    stages: Vec<Stage>,
+    stages: Vec<Rc<Stage>>,
     stats: NodeStats,
     /// Staged memory price, filled by [`Optimizer::rank`] and reused
     /// by the root-level ranking when the subtree is the whole plan.
-    /// Every `apply_*` constructor resets it to `None`, so a stale
-    /// subtree price can never leak into a larger tree.
+    /// Every constructor of a larger tree resets it to `None`, so a
+    /// stale subtree price can never leak into it.
     priced_mem: Option<f64>,
 }
 
 impl Alt {
-    fn total_ops(&self) -> u64 {
-        self.stages.iter().map(|s| s.ops).sum()
+    /// This alternative followed by `op` (`ops` logical operations),
+    /// producing `stats`, planned as `plan` of this one's plan.
+    fn then(
+        mut self,
+        plan: impl FnOnce(PhysicalPlan) -> PhysicalPlan,
+        op: Op,
+        ops: u64,
+        stats: NodeStats,
+    ) -> Alt {
+        self.stages.push(Stage::new(op, ops));
+        self.plan = plan(self.plan);
+        self.stats = stats;
+        self.priced_mem = None;
+        self
     }
 }
 
@@ -261,13 +340,15 @@ impl<'a> Optimizer<'a> {
         self.alts(plan, tables, &regions)
     }
 
-    /// A ranked root alternative as a priced complete plan.
+    /// A ranked root alternative as a priced complete plan. Its stages'
+    /// patterns are moved, not copied, once no other kept alternative
+    /// shares them.
     fn planned(&self, a: Alt) -> PlannedQuery {
         PlannedQuery {
             mem_ns: a.priced_mem.expect("ranked alternatives are priced"),
             cpu_ns: self.price_cpu(&a.stages),
-            ops: a.total_ops(),
-            pattern: Pattern::seq(a.stages.iter().map(|s| s.pattern.clone()).collect()),
+            ops: a.stages.iter().map(|s| s.ops).sum(),
+            pattern: Pattern::seq(a.stages.into_iter().map(Stage::into_pattern).collect()),
             plan: a.plan,
         }
     }
@@ -308,17 +389,17 @@ impl<'a> Optimizer<'a> {
 
     /// Elapsed memory time of a stage list: states threaded level by
     /// level across stages (Eq 5.2).
-    fn price_mem(&self, stages: &[Stage]) -> f64 {
+    fn price_mem(&self, stages: &[Rc<Stage>]) -> f64 {
         let mut st = self.model.staged(&CacheState::cold());
         let mut mem = 0.0;
         for stage in stages {
-            mem += self.model.advance(&stage.pattern, &mut st).mem_ns;
+            mem += self.model.advance(stage.pattern(), &mut st).mem_ns;
         }
         mem
     }
 
     /// Elapsed CPU time of a stage list (Eq 6.1).
-    fn price_cpu(&self, stages: &[Stage]) -> f64 {
+    fn price_cpu(&self, stages: &[Rc<Stage>]) -> f64 {
         let cpu = CpuCost::default_planner();
         let mut ns = 0.0;
         for stage in stages {
@@ -397,21 +478,17 @@ impl<'a> Optimizer<'a> {
         if alts.is_empty() {
             return Err(PlanError::NoCandidates);
         }
-        Ok(self.prune(alts))
-    }
-
-    /// Keep the `beam` cheapest alternatives by staged-subtree cost
-    /// ([`Optimizer::rank`]). Each survivor carries its memory price, so
-    /// the root-level ranking does not price it again.
-    fn prune(&self, alts: Vec<Alt>) -> Vec<Alt> {
-        if alts.len() <= self.beam {
-            return alts;
-        }
-        self.rank(alts, self.beam)
+        // Each survivor of the beam carries its memory price, so the
+        // root-level ranking does not price it again.
+        Ok(if alts.len() <= self.beam {
+            alts
+        } else {
+            self.rank(alts, self.beam)
+        })
     }
 
     fn apply_select(&self, input: Alt, threshold: u64) -> Alt {
-        let s = input.stats;
+        let s = &input.stats;
         let ratio = if s.key_bound == 0 {
             0.0
         } else {
@@ -419,24 +496,16 @@ impl<'a> Optimizer<'a> {
         };
         let out_n = (s.n as f64 * ratio).round() as u64;
         let region = Region::new("S", out_n, s.w);
-        let mut stages = input.stages;
-        stages.push(Stage {
-            pattern: ops::scan::select_pattern(&s.region, &region),
-            ops: s.n,
-        });
-        Alt {
-            priced_mem: None,
-            plan: input.plan.select_lt(threshold),
-            stats: NodeStats {
-                n: out_n,
-                w: s.w,
-                key_bound: s.key_bound.min(threshold),
-                distinct: (s.distinct * ratio).min(out_n as f64),
-                sorted: s.sorted,
-                region,
-            },
-            stages,
-        }
+        let (op, ops) = (Op::Select(s.region.clone(), region.clone()), s.n);
+        let stats = NodeStats {
+            n: out_n,
+            w: s.w,
+            key_bound: s.key_bound.min(threshold),
+            distinct: (s.distinct * ratio).min(out_n as f64),
+            sorted: s.sorted,
+            region,
+        };
+        input.then(|p| p.select_lt(threshold), op, ops, stats)
     }
 
     fn apply_join(&self, left: &Alt, right: &Alt) -> Vec<Alt> {
@@ -459,8 +528,8 @@ impl<'a> Optimizer<'a> {
                 sorted,
                 region: out_region.clone(),
             };
-            let mut stages = left.stages.clone();
-            stages.extend(right.stages.iter().cloned());
+            let mut stages = Vec::with_capacity(left.stages.len() + right.stages.len() + 1);
+            stages.extend(left.stages.iter().chain(&right.stages).cloned());
             stages.push(stage);
             out.push(Alt {
                 priced_mem: None,
@@ -482,125 +551,93 @@ impl<'a> Optimizer<'a> {
         l: &NodeStats,
         r: &NodeStats,
         w: &Region,
-    ) -> Vec<(JoinAlgorithm, Stage)> {
+    ) -> Vec<(JoinAlgorithm, Rc<Stage>)> {
         let (u, v) = (&l.region, &r.region);
-        let mut out = vec![(
-            JoinAlgorithm::NestedLoop,
-            Stage {
-                pattern: ops::nl_join::nested_loop_join_pattern(u, v, w),
-                ops: u.n.saturating_mul(v.n),
-            },
-        )];
+        let mut out = Vec::new();
+        let mut offer = |algorithm, op, ops| out.push((algorithm, Stage::new(op, ops)));
+        let nl = Op::NestedLoop(u.clone(), v.clone(), w.clone());
+        offer(JoinAlgorithm::NestedLoop, nl, u.n.saturating_mul(v.n));
 
         // Merge, sorting each unsorted input first.
-        let mut phases = Vec::new();
+        let (sort_u, sort_v) = (!l.sorted, !r.sorted);
         let mut merge_ops = 2 * (u.n + v.n) + w.n;
-        for (input, sorted) in [(u, l.sorted), (v, r.sorted)] {
-            if !sorted {
-                phases.push(gcm_core::library::quick_sort(input.clone()));
+        for (input, sort) in [(u, sort_u), (v, sort_v)] {
+            if sort {
                 merge_ops += ops::sort::quick_sort_expected_ops(input.n);
             }
         }
-        phases.push(ops::merge_join::merge_join_pattern(u, v, w));
-        out.push((
-            JoinAlgorithm::Merge {
-                sort_u: !l.sorted,
-                sort_v: !r.sorted,
-            },
-            Stage {
-                pattern: Pattern::seq(phases),
-                ops: merge_ops,
-            },
-        ));
+        let merge = Op::Merge(u.clone(), v.clone(), w.clone(), sort_u, sort_v);
+        offer(JoinAlgorithm::Merge { sort_u, sort_v }, merge, merge_ops);
 
         let h = Region::new("H", ops::hash::table_slots(v.n), ops::hash::ENTRY_BYTES);
-        out.push((
+        // Build share + probe share: kept in sync with the shared-build
+        // CPU adjustment through `ops::hash::build_ops`.
+        let hash_ops = ops::hash::build_ops(v.n) + 4 * u.n + w.n;
+        offer(
             JoinAlgorithm::Hash,
-            Stage {
-                pattern: ops::hash::hash_join_pattern(u, v, &h, w),
-                // Build share + probe share: kept in sync with the
-                // shared-build CPU adjustment through `ops::hash::build_ops`.
-                ops: ops::hash::build_ops(v.n) + 4 * u.n + w.n,
-            },
-        ));
+            Op::Hash(u.clone(), v.clone(), h, w.clone()),
+            hash_ops,
+        );
 
         let table_bytes = ops::hash::table_slots(v.n) * ops::hash::ENTRY_BYTES;
         for bits in self.level_fanouts(table_bytes) {
             let up = Region::new("Up", u.n, u.w);
             let vp = Region::new("Vp", v.n, v.w);
-            out.push((
-                JoinAlgorithm::PartitionedHash { bits },
-                Stage {
-                    pattern: ops::part_hash_join::part_hash_join_pattern(u, v, w, bits, &up, &vp),
-                    ops: 2 * (u.n + v.n) + 4 * v.n + 4 * u.n + w.n,
-                },
-            ));
+            let part = Op::PartitionedHash(u.clone(), v.clone(), w.clone(), bits, up, vp);
+            let part_ops = 2 * (u.n + v.n) + 4 * v.n + 4 * u.n + w.n;
+            offer(JoinAlgorithm::PartitionedHash { bits }, part, part_ops);
         }
         out
     }
 
     fn apply_aggregate(&self, input: Alt) -> Alt {
-        let s = input.stats;
+        let s = &input.stats;
         let out_n = (s.distinct.round() as u64).min(s.n);
         let region = Region::new("G", out_n, OUT_TUPLE_BYTES);
         let h = Region::new("H", ops::hash::table_slots(out_n), ops::hash::ENTRY_BYTES);
-        let mut stages = input.stages;
-        stages.push(Stage {
-            pattern: ops::aggregate::hash_group_pattern(&s.region, &h, &region),
-            ops: 2 * s.n + out_n,
-        });
-        Alt {
-            priced_mem: None,
-            plan: input.plan.group_count(),
-            stats: NodeStats {
-                n: out_n,
-                w: OUT_TUPLE_BYTES,
-                key_bound: s.key_bound,
-                distinct: out_n as f64,
-                sorted: false,
-                region,
-            },
-            stages,
-        }
+        let (op, ops) = (
+            Op::Group(s.region.clone(), h, region.clone()),
+            2 * s.n + out_n,
+        );
+        let stats = NodeStats {
+            n: out_n,
+            w: OUT_TUPLE_BYTES,
+            key_bound: s.key_bound,
+            distinct: out_n as f64,
+            sorted: false,
+            region,
+        };
+        input.then(PhysicalPlan::group_count, op, ops, stats)
     }
 
     fn apply_sort(&self, input: Alt) -> Alt {
-        let s = input.stats;
-        let mut stages = input.stages;
-        stages.push(Stage {
-            pattern: ops::sort::quick_sort_pattern(&s.region),
-            ops: ops::sort::quick_sort_expected_ops(s.n),
-        });
-        Alt {
-            priced_mem: None,
-            plan: input.plan.sort(),
-            stats: NodeStats { sorted: true, ..s },
-            stages,
-        }
+        let s = &input.stats;
+        let (op, ops) = (
+            Op::Sort(s.region.clone()),
+            ops::sort::quick_sort_expected_ops(s.n),
+        );
+        let stats = NodeStats {
+            sorted: true,
+            ..s.clone()
+        };
+        input.then(PhysicalPlan::sort, op, ops, stats)
     }
 
     fn apply_dedup(&self, input: Alt) -> Alt {
         let s = &input.stats;
         let out_n = (s.distinct.round() as u64).min(s.n);
         let region = Region::new("D", out_n, s.w);
-        let mut stages = input.stages;
-        stages.push(Stage {
-            pattern: ops::aggregate::sort_dedup_pattern(&s.region, &region),
-            ops: ops::sort::quick_sort_expected_ops(s.n) + s.n + out_n,
-        });
-        Alt {
-            priced_mem: None,
-            plan: input.plan.dedup(),
-            stats: NodeStats {
-                n: out_n,
-                w: s.w,
-                key_bound: s.key_bound,
-                distinct: out_n as f64,
-                sorted: true,
-                region,
-            },
-            stages,
-        }
+        let op = Op::Dedup(s.region.clone(), region.clone());
+        let ops = ops::sort::quick_sort_expected_ops(s.n) + s.n + out_n;
+        let stats = NodeStats {
+            n: out_n,
+            w: s.w,
+            key_bound: s.key_bound,
+            distinct: out_n as f64,
+            sorted: true,
+            region,
+        };
+        input.then(PhysicalPlan::dedup, op, ops, stats)
     }
 
     fn apply_partition(&self, input: &Alt, bits: Option<u32>) -> Vec<Alt> {
@@ -613,24 +650,16 @@ impl<'a> Optimizer<'a> {
             .into_iter()
             .map(|bits| {
                 let region = Region::new("P", s.n, s.w);
-                let mut stages = input.stages.clone();
-                stages.push(Stage {
-                    pattern: ops::partition::radix_partition_pattern(&s.region, &region, bits, 1),
-                    ops: s.n,
-                });
-                Alt {
-                    priced_mem: None,
-                    plan: input.plan.clone().partition(bits),
-                    stages,
-                    stats: NodeStats {
-                        n: s.n,
-                        w: s.w,
-                        key_bound: s.key_bound,
-                        distinct: s.distinct,
-                        sorted: false,
-                        region,
-                    },
-                }
+                let op = Op::Partition(s.region.clone(), region.clone(), bits);
+                let stats = NodeStats {
+                    n: s.n,
+                    w: s.w,
+                    key_bound: s.key_bound,
+                    distinct: s.distinct,
+                    sorted: false,
+                    region,
+                };
+                input.clone().then(|p| p.partition(bits), op, s.n, stats)
             })
             .collect()
     }

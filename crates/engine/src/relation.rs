@@ -36,7 +36,7 @@ pub struct Relation {
 
 impl Relation {
     /// Wrap an allocated range as a relation. `w ≥ 8` (the key).
-    pub fn new(name: impl Into<String>, base: Addr, n: u64, w: u64) -> Relation {
+    pub fn new(name: impl Into<Arc<str>>, base: Addr, n: u64, w: u64) -> Relation {
         assert!(w >= KEY_BYTES, "tuple width must hold the 8-byte key");
         Relation {
             base,

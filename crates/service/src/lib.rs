@@ -109,7 +109,8 @@ use gcm_hardware::HardwareSpec;
 use gcm_obs::{DriftMonitor, FlightRecorder, Span, SpanKind, SpanRecorder, SpanSink};
 use gcm_workload::TenantClass;
 use queue::Pending;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Service knobs. The CPU charge, the per-worker dispatch charge and
@@ -507,20 +508,53 @@ impl QueryService {
 }
 
 /// Derive a relation's [`TableStats`] from its actual key column — the
-/// service's statistics collector (exact, since the data is at hand).
+/// service's statistics collector (exact, since the data is at hand):
+/// the maximum, the sortedness and the distinct count in one pass.
+///
+/// Distinct keys are counted through a set hashed by one multiply, not
+/// SipHash. The keys are the columns the service's owner registers,
+/// never values read from the wire, so resistance to crafted collisions
+/// buys nothing here.
 pub fn derive_stats(keys: &[u64], w: u64) -> TableStats {
-    let n = keys.len() as u64;
-    let key_bound = keys.iter().copied().max().map_or(1, |m| m + 1);
-    let distinct = {
-        let mut seen = std::collections::HashSet::with_capacity(keys.len());
-        keys.iter().filter(|k| seen.insert(**k)).count() as f64
-    };
-    let sorted = keys.windows(2).all(|p| p[0] <= p[1]);
+    let mut seen: HashSet<u64, BuildHasherDefault<KeyHasher>> =
+        HashSet::with_capacity_and_hasher(keys.len(), BuildHasherDefault::default());
+    let mut max = None;
+    let mut sorted = true;
+    let mut prev = 0;
+    for &k in keys {
+        sorted &= prev <= k;
+        prev = k;
+        max = max.max(Some(k));
+        seen.insert(k);
+    }
     TableStats {
-        n,
+        n: keys.len() as u64,
         w,
-        key_bound,
-        distinct,
+        key_bound: max.map_or(1, |m| m + 1),
+        distinct: seen.len() as f64,
         sorted,
+    }
+}
+
+/// A [`Hasher`] for `u64` keys: the two halves of one 64×64→128-bit
+/// multiply by an odd constant, folded together, so a key's high bits
+/// also reach the low bits that pick its bucket.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p >> 64) as u64 ^ p as u64;
     }
 }

@@ -178,7 +178,7 @@ impl QueryService {
     /// unclassed queries sort behind every classed one.
     fn priority_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.queue.len()).collect();
-        order.sort_by_key(|&i| self.queue[i].class.map_or(u8::MAX, TenantClass::priority));
+        order.sort_by_cached_key(|&i| self.queue[i].class.map_or(u8::MAX, TenantClass::priority));
         order
     }
 

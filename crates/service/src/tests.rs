@@ -95,6 +95,26 @@ fn derive_stats_reads_the_data() {
 }
 
 #[test]
+fn derive_stats_counts_distinct_keys_like_the_default_hasher() {
+    // The multiplicative set must count exactly what SipHash counts, on
+    // keys whose differences sit in the low bits, the high bits only,
+    // or right under `u64::MAX`.
+    let mut wl = Workload::new(11);
+    let random = wl.foreign_keys(20_000, 4_096);
+    let sorted: Vec<u64> = (0..5_000).map(|i| i / 3).collect();
+    let high_bits: Vec<u64> = random.iter().map(|k| k << 48).collect();
+    let near_max: Vec<u64> = random.iter().map(|k| u64::MAX - 1 - k).collect();
+    for keys in [random, sorted, Vec::new(), high_bits, near_max] {
+        let s = derive_stats(&keys, 8);
+        let sip: std::collections::HashSet<u64> = keys.iter().copied().collect();
+        assert_eq!(s.distinct, sip.len() as f64);
+        assert_eq!(s.n, keys.len() as u64);
+        assert_eq!(s.key_bound, keys.iter().max().map_or(1, |m| m + 1));
+        assert_eq!(s.sorted, keys.windows(2).all(|p| p[0] <= p[1]));
+    }
+}
+
+#[test]
 fn submit_caches_repeated_plans() {
     let mut svc = service();
     let plan = LogicalPlan::scan(0).select_lt(100).group_count();
@@ -104,6 +124,77 @@ fn submit_caches_repeated_plans() {
     assert_eq!(svc.queue_len(), 5);
     assert_eq!(svc.cache().optimizer_runs(), 1);
     assert_eq!(svc.cache().hits(), 4);
+}
+
+#[test]
+fn cached_plans_match_fresh_optimizations_across_epoch_flips() {
+    // `plan_churn`'s answer check at test sizes: the fact table flips
+    // between two sizes past the drift threshold; at every version,
+    // every plan the service serves, from a miss or from its cache,
+    // prints and prices exactly as a fresh optimization against the
+    // current catalog.
+    let mut wl = Workload::new(5);
+    let big = wl.star_scenario(3_000, 256, 1);
+    let small = wl.foreign_keys(1_500, 256);
+    let mut svc = QueryService::new(presets::tiny_smp(4));
+    svc.register_table("F", big.fact.clone(), 8);
+    svc.register_table("D", big.dims[0].clone(), 8);
+    let model = CostModel::new(presets::tiny_smp(4));
+    let shapes = |cut: u64| {
+        let base = LogicalPlan::scan(0).select_lt(cut);
+        [
+            LogicalPlan::scan(1).select_lt(cut),
+            base.clone().group_count(),
+            base.join(LogicalPlan::scan(1)).group_count(),
+        ]
+    };
+    let ids = |p: &Pattern| -> std::collections::HashSet<gcm_core::RegionId> {
+        p.leaves()
+            .into_iter()
+            .filter_map(Pattern::region)
+            .map(gcm_core::Region::id)
+            .collect()
+    };
+    for flip in 0..4 {
+        // The second round is served from the cache.
+        for _round in 0..2 {
+            for cut in [8, 64, 200, 256] {
+                for plan in shapes(cut) {
+                    svc.submit(plan.clone()).unwrap();
+                    let batch = svc.next_batch_at(0).1.expect("one query queued");
+                    let served = &batch.entries[0].planned;
+                    let fresh = optimize_and_lower(&model, &plan, svc.catalog().tables()).unwrap();
+                    let at = format!("flip {flip}, {plan}");
+                    assert_eq!(served.plan.to_string(), fresh.plan.to_string(), "{at}");
+                    assert_eq!(served.mem_ns.to_bits(), fresh.mem_ns.to_bits(), "{at}");
+                    assert_eq!(served.cpu_ns.to_bits(), fresh.cpu_ns.to_bits(), "{at}");
+                    assert_eq!(
+                        served.pattern.to_string(),
+                        fresh.pattern.to_string(),
+                        "{at}"
+                    );
+                    // Two optimizations of one plan build their own
+                    // regions: names are shared, identities never.
+                    assert!(
+                        ids(&served.pattern).is_disjoint(&ids(&fresh.pattern)),
+                        "{at}"
+                    );
+                }
+            }
+        }
+        let keys = if flip % 2 == 0 {
+            small.clone()
+        } else {
+            big.fact.clone()
+        };
+        assert!(
+            svc.update_table(0, keys),
+            "flip {flip} crosses the drift threshold"
+        );
+    }
+    assert_eq!(svc.catalog().epoch(), 4);
+    assert_eq!(svc.cache().optimizer_runs(), 4 * 12);
+    assert_eq!(svc.cache().hits(), 4 * 12);
 }
 
 #[test]

@@ -46,8 +46,12 @@ fn main() {
     );
 
     let h_run = Region::new("H", (2 * n_run).next_power_of_two(), 16);
-    let run_pattern =
-        ops::hash::hash_join_pattern(u_rel.region(), v_rel.region(), &h_run, out.region());
+    let run_pattern = library::hash_join(
+        u_rel.region().clone(),
+        v_rel.region().clone(),
+        h_run,
+        out.region().clone(),
+    );
     let run_report = model.report(&run_pattern);
     println!("  level   measured misses   predicted misses");
     for (i, lvl) in hw.levels().iter().enumerate() {

@@ -7,7 +7,7 @@
 //! and, for the stream-dominated operators, in magnitude.
 
 use gcm_bench::compare::compare_levels;
-use gcm_core::{CostModel, CpuCost, Region};
+use gcm_core::{library, CostModel, CpuCost, Region};
 use gcm_engine::{ops, ExecContext};
 use gcm_hardware::presets;
 use gcm_workload::Workload;
@@ -30,7 +30,7 @@ fn quicksort_misses_and_step() {
         let keys = Workload::new(100).shuffled_keys(n as usize);
         let rel = ctx.relation_from_keys("U", &keys, 8);
         let (_, stats) = ctx.measure(|c| ops::sort::quick_sort(c, &rel));
-        let predicted = model.misses(&ops::sort::quick_sort_pattern(rel.region()));
+        let predicted = model.misses(&library::quick_sort(rel.region().clone()));
         results.push((n, total_measured(&stats.mem, l2), predicted[l2].total()));
     }
     let (_, m_small, p_small) = results[0];
@@ -66,10 +66,10 @@ fn merge_join_misses_match_closely() {
     let u = ctx.relation_from_keys("U", &keys, 8);
     let v = ctx.relation_from_keys("V", &keys, 8);
     let (out, stats) = ctx.measure(|c| ops::merge_join::merge_join(c, &u, &v, "W", 16));
-    let predicted = model.misses(&ops::merge_join::merge_join_pattern(
-        u.region(),
-        v.region(),
-        out.region(),
+    let predicted = model.misses(&library::merge_join(
+        u.region().clone(),
+        v.region().clone(),
+        out.region().clone(),
     ));
     for row in compare_levels(&spec, &stats.mem, &predicted) {
         assert!(
@@ -94,11 +94,11 @@ fn hash_join_cliff_position_agrees() {
         let v = ctx.relation_from_keys("V", &vk, 8);
         let (out, stats) = ctx.measure(|c| ops::hash::hash_join(c, &u, &v, "W", 16));
         let h = Region::new("H", (2 * n).next_power_of_two(), 16);
-        let predicted = model.misses(&ops::hash::hash_join_pattern(
-            u.region(),
-            v.region(),
-            &h,
-            out.region(),
+        let predicted = model.misses(&library::hash_join(
+            u.region().clone(),
+            v.region().clone(),
+            h,
+            out.region().clone(),
         ));
         (
             total_measured(&stats.mem, l2) / n as f64,
@@ -174,11 +174,11 @@ fn partitioned_hash_join_crossover() {
     let v = ctx.relation_from_keys("V", &vk, 8);
     let (out_plain, plain_stats) = ctx.measure(|c| ops::hash::hash_join(c, &u, &v, "W", 16));
     let h = Region::new("H", (2 * n).next_power_of_two(), 16);
-    let plain_pred = model.report(&ops::hash::hash_join_pattern(
-        u.region(),
-        v.region(),
-        &h,
-        out_plain.region(),
+    let plain_pred = model.report(&library::hash_join(
+        u.region().clone(),
+        v.region().clone(),
+        h,
+        out_plain.region().clone(),
     ));
 
     // Partitioned hash-join with cache-fitting partitions.
@@ -223,7 +223,7 @@ fn eq61_time_prediction_tracks_measurement() {
     let (_, stats) = ctx.measure(|c| ops::sort::quick_sort(c, &rel));
     let measured_total = stats.total_ns(per_op_ns);
 
-    let pattern = ops::sort::quick_sort_pattern(rel.region());
+    let pattern = library::quick_sort(rel.region().clone());
     let cpu = CpuCost::per_op(per_op_ns);
     let predicted_total = model.total_ns(&pattern, cpu, ops::sort::quick_sort_expected_ops(n));
 
@@ -287,12 +287,17 @@ fn join_planner_ranks_algorithms_like_measurements() {
     let vp = Region::new("Vp", n, 8);
     let predict = |alg: &str| -> f64 {
         match alg {
-            "merge" => model.mem_ns(&ops::merge_join::merge_join_pattern(&u, &v, &w)),
-            "hash" => model.mem_ns(&ops::hash::hash_join_pattern(&u, &v, &h, &w)),
+            "merge" => model.mem_ns(&library::merge_join(u.clone(), v.clone(), w.clone())),
+            "hash" => model.mem_ns(&library::hash_join(
+                u.clone(),
+                v.clone(),
+                h.clone(),
+                w.clone(),
+            )),
             "part" => model.mem_ns(&ops::part_hash_join::part_hash_join_pattern(
                 &u, &v, &w, 5, &up, &vp,
             )),
-            "nl" => model.mem_ns(&ops::nl_join::nested_loop_join_pattern(&u, &v, &w)),
+            "nl" => model.mem_ns(&library::nested_loop_join(u.clone(), v.clone(), w.clone())),
             _ => unreachable!(),
         }
     };
@@ -340,6 +345,6 @@ fn aggregation_hash_vs_sort_winner() {
     let h = Region::new("H", (2 * groups).next_power_of_two(), 16);
     let w = Region::new("W", groups, 16);
     let hash_pred = model.mem_ns(&ops::aggregate::hash_group_pattern(&u, &h, &w));
-    let sort_pred = model.mem_ns(&ops::aggregate::sort_dedup_pattern(&u, &w));
+    let sort_pred = model.mem_ns(&library::sort_aggregate(u.clone(), w.clone()));
     assert!(hash_pred < sort_pred);
 }

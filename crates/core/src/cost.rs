@@ -8,12 +8,25 @@
 //! `T_cpu` is the pure CPU cost of the algorithm, calibrated once per
 //! algorithm in an in-cache setting (paper §6.1); [`CpuCost`] carries that
 //! calibration.
+//!
+//! Eq 3.1 prices every level on its own, so a caller that needs only some
+//! levels, or only some prices, evaluates only those, to the bit:
+//!
+//! * [`CostModel::compose_cold_shared`] composes a cold batch at its
+//!   shared levels only. At a private level every member runs on a cold
+//!   level of its own, exactly as it ran solo, so its cost there is its
+//!   solo report's.
+//! * [`CostModel::staged_within`] prices a chain of stages level by
+//!   level and gives up once the levels priced so far — a lower bound,
+//!   since every term is `≥ 0` and rounded addition is monotone — rule
+//!   the chain out; a chain it prices in full sums as
+//!   [`CostModel::advance`] does, stage by stage.
 
 use crate::eval::{CacheState, Compiled};
 use crate::misses::{Geometry, MissPair};
 use crate::pattern::Pattern;
 use crate::region::Region;
-use gcm_hardware::{HardwareSpec, Sharing};
+use gcm_hardware::{CacheLevel, HardwareSpec, Sharing};
 use std::fmt;
 use std::sync::Arc;
 
@@ -172,6 +185,35 @@ pub struct ParallelCost {
     pub wall_ns: f64,
 }
 
+impl ParallelCost {
+    /// One thread's stage: its report is the stage's and its time the
+    /// wall.
+    fn alone(report: CostReport) -> ParallelCost {
+        let wall_ns = report.mem_ns;
+        ParallelCost {
+            per_thread_ns: vec![wall_ns],
+            wall_ns,
+            report,
+        }
+    }
+}
+
+/// A chain of stages priced by [`CostModel::staged_within`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct StagedPrice {
+    /// The chain's memory time, ns: the stages' `T_mem` summed in stage
+    /// order, each summed over its levels in spec order.
+    pub mem_ns: f64,
+    /// Each level's memory time summed over the stages, ns, in spec
+    /// order.
+    pub level_ns: Vec<f64>,
+}
+
+/// Misses `m` at level `lvl` scored with its latencies (Eq 3.1's term).
+fn scored(lvl: &CacheLevel, m: MissPair) -> f64 {
+    m.seq * lvl.seq_miss_ns + m.rand * lvl.rand_miss_ns
+}
+
 /// The cost model for one machine: estimates misses per level and scores
 /// them with the machine's latencies.
 #[derive(Debug, Clone)]
@@ -254,7 +296,7 @@ impl CostModel {
             name: Arc::clone(&self.names[i]),
             seq_misses: m.seq,
             rand_misses: m.rand,
-            ns: m.seq * lvl.seq_miss_ns + m.rand * lvl.rand_miss_ns,
+            ns: scored(lvl, m),
         }
     }
 
@@ -348,39 +390,92 @@ impl CostModel {
         shared: impl IntoIterator<Item = &'r Region>,
     ) -> ParallelCost {
         let threads = threads.into_iter();
-        let d = threads.len();
-        if d <= 1 {
+        if threads.len() <= 1 {
             let report = match threads.clone().next() {
                 Some(p) => self.advance(p, st),
                 None => self.advance(&Pattern::empty(), st),
             };
-            let wall_ns = report.mem_ns;
-            return ParallelCost {
-                per_thread_ns: vec![wall_ns],
-                wall_ns,
-                report,
-            };
+            return ParallelCost::alone(report);
         }
+        self.parallel(threads, st, shared, None::<std::iter::Empty<&CostReport>>)
+    }
+
+    /// [`advance_parallel_shared`](CostModel::advance_parallel_shared)
+    /// from cold caches, for members whose cold solo reports
+    /// ([`report`](CostModel::report) on this model) are already known:
+    /// per-thread times, per-level report and wall, to the bit.
+    ///
+    /// Only the [`Shared`](Sharing::Shared) levels are evaluated. At a
+    /// [`Private`](Sharing::Private) level every member has a whole
+    /// level of its own and, the composition starting cold, starts it
+    /// cold — exactly as it ran solo — so its misses there are its solo
+    /// report's, which are added in spec order. A single member's cost
+    /// is its solo report.
+    pub fn compose_cold_shared<'p, 'r>(
+        &self,
+        members: impl IntoIterator<
+            Item = (&'p Pattern, &'p CostReport),
+            IntoIter: Clone + ExactSizeIterator,
+        >,
+        shared: impl IntoIterator<Item = &'r Region>,
+    ) -> ParallelCost {
+        let members = members.into_iter();
+        let patterns = members.clone().map(|(p, _)| p);
+        let mut cold = self.staged(&CacheState::cold());
+        let mut solos = members.map(|(_, solo)| solo);
+        match solos.len() {
+            0 => self.advance_parallel_shared(patterns, &mut cold, shared),
+            1 => ParallelCost::alone(solos.next().expect("one member").clone()),
+            _ => self.parallel(patterns, &mut cold, shared, Some(solos)),
+        }
+    }
+
+    /// The `⊙`-across-cores rule for two or more threads, level by
+    /// level. With `solo`, each thread's cold solo report, a private
+    /// level takes the threads' misses from it instead of evaluating
+    /// them, and its state is left as it was (see
+    /// [`compose_cold_shared`](CostModel::compose_cold_shared)).
+    fn parallel<'p, 'r, 's>(
+        &self,
+        threads: impl Clone + ExactSizeIterator<Item = &'p Pattern>,
+        st: &mut HierarchyState,
+        shared: impl IntoIterator<Item = &'r Region>,
+        solo: Option<impl Iterator<Item = &'s CostReport> + Clone>,
+    ) -> ParallelCost {
+        let d = threads.len();
         let mut c = Compiled::lower(threads, &st.states);
         let shared = c.mark_shared(shared);
         let mut per_thread_ns = vec![0.0; d];
         let mut levels = Vec::with_capacity(self.spec.levels().len());
         for (i, lvl) in self.spec.levels().iter().enumerate() {
             let geo = Geometry::of(lvl);
-            c.load(&st.states[i]);
             let mut sum = MissPair::default();
             let mut t = 0;
-            let each = |pair: MissPair| {
-                per_thread_ns[t] += pair.seq * lvl.seq_miss_ns + pair.rand * lvl.rand_miss_ns;
+            let mut each = |pair: MissPair| {
+                per_thread_ns[t] += scored(lvl, pair);
                 sum += pair;
                 t += 1;
             };
-            if lvl.sharing == Sharing::Shared {
-                c.members_shared(&geo, &shared, each);
-            } else {
-                c.members_private(&geo, each);
+            match (&solo, lvl.sharing) {
+                (Some(solo), Sharing::Private) => {
+                    for report in solo.clone() {
+                        let l = &report.levels[i];
+                        each(MissPair {
+                            seq: l.seq_misses,
+                            rand: l.rand_misses,
+                        });
+                    }
+                }
+                (_, sharing) => {
+                    c.load(&st.states[i]);
+                    if sharing == Sharing::Shared {
+                        c.members_shared(&geo, &shared, each);
+                    } else {
+                        c.members_private(&geo, each);
+                    }
+                    c.store(&mut st.states[i]);
+                }
             }
-            c.store(&mut st.states[i]);
             levels.push(self.level_cost(i, sum));
         }
         let mem_ns = levels.iter().map(|l| l.ns).sum();
@@ -390,6 +485,61 @@ impl CostModel {
             per_thread_ns,
             wall_ns,
         }
+    }
+
+    /// The memory time of `stages` run one after another from `initial`
+    /// — to the bit the sum of [`advance`](CostModel::advance)'s
+    /// `mem_ns` over them, in stage order — unless it provably cannot
+    /// keep `cpu_ns` plus it within `bound_ns`.
+    ///
+    /// Levels are independent (Eq 3.1), so the stages are priced level
+    /// by level, the dearest first by `dearest` (a per-level cost in
+    /// spec order, e.g. another chain's [`StagedPrice::level_ns`]; ties
+    /// and an empty slice keep spec order). After each level the
+    /// stage-major sum with the levels not yet priced read as `0.0` is a
+    /// lower bound on the total: every term is `≥ 0` and rounded
+    /// addition is monotone. `None` as soon as that bound plus `cpu_ns`
+    /// exceeds `bound_ns` (strictly: a chain that can tie the bound is
+    /// priced in full); `f64::INFINITY` prices every chain.
+    pub fn staged_within<'p>(
+        &self,
+        stages: impl IntoIterator<Item = &'p Pattern, IntoIter: Clone>,
+        initial: &CacheState,
+        dearest: &[f64],
+        cpu_ns: f64,
+        bound_ns: f64,
+    ) -> Option<StagedPrice> {
+        let spec = self.spec.levels();
+        let mut order: Vec<usize> = (0..spec.len()).collect();
+        if dearest.len() == spec.len() {
+            order.sort_by(|&a, &b| dearest[b].total_cmp(&dearest[a]));
+        }
+        let mut c = Compiled::lower(stages, [initial]);
+        // `ns[stage · levels + level]`, 0.0 until the level is priced.
+        let mut ns = vec![0.0; c.patterns() * spec.len()];
+        let mut mem_ns = 0.0;
+        for &i in &order {
+            let lvl = &spec[i];
+            c.load(initial);
+            let mut at = i;
+            c.chain(&Geometry::of(lvl), |m| {
+                ns[at] = scored(lvl, m);
+                at += spec.len();
+            });
+            // The stage-major order `advance` sums in: levels within a
+            // stage, then stages.
+            mem_ns = ns
+                .chunks(spec.len())
+                .map(|stage| stage.iter().sum::<f64>())
+                .fold(0.0, |mem, stage| mem + stage);
+            if mem_ns + cpu_ns > bound_ns {
+                return None;
+            }
+        }
+        let level_ns = (0..spec.len())
+            .map(|i| ns.iter().skip(i).step_by(spec.len()).sum())
+            .collect();
+        Some(StagedPrice { mem_ns, level_ns })
     }
 
     /// Price a batch of heterogeneous coexisting queries — the `⊙` rule

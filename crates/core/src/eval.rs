@@ -29,6 +29,11 @@
 //! follow it, each after its predecessor's subtree, and every node
 //! records where its subtree ends. Every level then runs over that
 //! program; nothing in it allocates, and nothing outlives the call.
+//! Several patterns lowered together run either concurrently (the
+//! threads of a parallel stage or the members of a batch) or one after
+//! another from the state each leaves (a chain of staged `⊕` phases
+//! priced one level at a time), and a level that a caller already knows,
+//! or does not need, is simply not run.
 //!
 //! * **State.** A level's [`CacheState`] becomes a short list of
 //!   `(region, fraction)` entries in a buffer allocated once per call,
@@ -301,6 +306,11 @@ impl<'p> Compiled<'p> {
         }
     }
 
+    /// How many patterns were lowered.
+    pub(crate) fn patterns(&self) -> usize {
+        self.roots
+    }
+
     /// Where a basic pattern at depth `depth` leaves its residue.
     fn leaf_area(&self, depth: usize) -> usize {
         2 * self.cap + depth * (1 + 2 * self.cap)
@@ -401,10 +411,24 @@ impl<'p> Compiled<'p> {
     /// Evaluate the (only) lowered pattern at one level from the current
     /// state, updating it (Eq 5.1–5.3).
     pub(crate) fn level(&mut self, geo: &Geometry) -> MissPair {
+        let mut misses = MissPair::default();
+        self.chain(geo, |m| misses = m);
+        misses
+    }
+
+    /// Evaluate the lowered patterns one after another at one level from
+    /// the current state, each from the state the one before left — the
+    /// `⊕` of staged pricing, one [`crate::CostModel::advance`] per
+    /// pattern — handing each one's misses to `each`, in order.
+    pub(crate) fn chain(&mut self, geo: &Geometry, mut each: impl FnMut(MissPair)) {
         if self.has_conc {
             self.footprints(geo.b, false);
         }
-        self.eval(0, geo, 0)
+        let mut at = 0;
+        while at < self.ops.len() {
+            each(self.eval(at, geo, 0));
+            at = self.ops[at].end;
+        }
     }
 
     fn eval(&mut self, at: usize, geo: &Geometry, depth: usize) -> MissPair {

@@ -42,7 +42,7 @@ pub mod pattern;
 pub mod region;
 
 pub use cost::{
-    BatchCost, CostModel, CostReport, CpuCost, HierarchyState, LevelCost, ParallelCost,
+    BatchCost, CostModel, CostReport, CpuCost, HierarchyState, LevelCost, ParallelCost, StagedPrice,
 };
 pub use eval::{concurrent_shares, footprint_lines, CacheState};
 pub use misses::{Geometry, MissPair};

@@ -20,8 +20,14 @@
 //! order and the memory term is evaluated only while the CPU term alone
 //! is at most the `k`-th best total so far (`k` = the beam when pruning
 //! a node, 1 in [`Optimizer::optimize`]); the first alternative past
-//! that bound ends the ranking. The kept set and its order are exactly
-//! those of pricing everything and sorting stably by total.
+//! that bound ends the ranking. Below it, the memory term is evaluated
+//! one cache level at a time (Eq 3.1 prices levels independently), the
+//! level dearest for the best alternative so far first, and an
+//! alternative is dropped as soon as the levels priced so far — a lower
+//! bound on its `T_mem`, exact in floating point — put its total
+//! strictly past the `k`-th best ([`CostModel::staged_within`]). The
+//! kept set, its order and every kept price are exactly those of
+//! pricing everything stage by stage and sorting stably by total.
 //!
 //! Alternatives are described first and built only when priced: a
 //! stage holds its operator, the regions it reads and writes and its
@@ -360,6 +366,14 @@ impl<'a> Optimizer<'a> {
     /// order while their CPU term is at most the `keep`-th best total so
     /// far. `T_mem ≥ 0`, so the first alternative past that bound, and
     /// every one after it, cannot rank among the `keep`.
+    ///
+    /// Once `keep` alternatives are priced, the memory term is priced
+    /// level by level, the level dearest for the best alternative so far
+    /// first ([`CostModel::staged_within`]), and an alternative is
+    /// dropped as soon as the levels priced so far put it strictly past
+    /// the `keep`-th best total: its total can only be larger. Those
+    /// that survive are summed in stage order, so their prices are the
+    /// stage-by-stage ones to the bit.
     fn rank(&self, alts: Vec<Alt>, keep: usize) -> Vec<Alt> {
         let cpus: Vec<f64> = alts.iter().map(|a| self.price_cpu(&a.stages)).collect();
         let mut by_cpu: Vec<usize> = (0..alts.len()).collect();
@@ -367,35 +381,48 @@ impl<'a> Optimizer<'a> {
         let mut alts: Vec<Option<Alt>> = alts.into_iter().map(Some).collect();
         // The best `keep` so far as (total, enumeration index), ascending.
         let mut best: Vec<(f64, usize)> = Vec::with_capacity(keep.min(alts.len()) + 1);
+        // The best alternative's memory time per level, when it is known:
+        // the order the next one's levels are priced in.
+        let mut dearest: Vec<f64> = Vec::new();
         for i in by_cpu {
-            if best.len() == keep && best.last().is_some_and(|&(bound, _)| cpus[i] > bound) {
+            let bound = match best.last() {
+                Some(&(bound, _)) if best.len() == keep => bound,
+                _ => f64::INFINITY,
+            };
+            if cpus[i] > bound {
                 break;
             }
             let a = alts[i].as_mut().expect("each alternative is visited once");
-            let mem = *a
-                .priced_mem
-                .get_or_insert_with(|| self.price_mem(&a.stages));
+            let mut levels = None;
+            let mem = match a.priced_mem {
+                Some(mem) => mem,
+                None => {
+                    let stages = a.stages.iter().map(|s| s.pattern());
+                    let cold = CacheState::cold();
+                    let Some(price) = self
+                        .model
+                        .staged_within(stages, &cold, &dearest, cpus[i], bound)
+                    else {
+                        continue;
+                    };
+                    a.priced_mem = Some(price.mem_ns);
+                    levels = Some(price.level_ns);
+                    price.mem_ns
+                }
+            };
             let total = mem + cpus[i];
             let at = best.partition_point(|&(t, j)| t.total_cmp(&total).then(j.cmp(&i)).is_lt());
             if at < keep {
                 best.insert(at, (total, i));
                 best.truncate(keep);
+                if at == 0 {
+                    dearest = levels.unwrap_or_default();
+                }
             }
         }
         best.into_iter()
             .map(|(_, i)| alts[i].take().expect("kept once"))
             .collect()
-    }
-
-    /// Elapsed memory time of a stage list: states threaded level by
-    /// level across stages (Eq 5.2).
-    fn price_mem(&self, stages: &[Rc<Stage>]) -> f64 {
-        let mut st = self.model.staged(&CacheState::cold());
-        let mut mem = 0.0;
-        for stage in stages {
-            mem += self.model.advance(stage.pattern(), &mut st).mem_ns;
-        }
-        mem
     }
 
     /// Elapsed CPU time of a stage list (Eq 6.1).

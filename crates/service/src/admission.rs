@@ -25,15 +25,19 @@
 //! reconsidered for the following batch.
 //!
 //! Each query has one solo price, taken at submit from the serving
-//! pattern it will run (`Candidate::solo_mem_ns`), and the shed gate
-//! reads the same number; a formation prices no candidate alone. Each
-//! trial batch of two or more members costs one `⊙` composition
-//! ([`CostModel::advance_parallel_shared`]) over borrowed patterns, and
-//! a singleton's in-batch memory time is its solo price, so the head of
-//! the queue costs no evaluation at all. Every price is bit-identical to
-//! pricing each trial batch with [`CostModel::batch_cost_shared`].
+//! pattern it will run, per level (`Candidate::solo`), and the shed gate
+//! reads its total; a formation prices no candidate alone. A singleton's
+//! in-batch memory time is its solo price, so the head of the queue
+//! costs no evaluation at all. A trial batch of two or more members
+//! evaluates only the levels `⊙` can change: the composition starts
+//! cold, so at a private level each member has a cold level of its own,
+//! exactly as it ran solo, and its cost there is its stored solo cost;
+//! only the shared levels are composed
+//! ([`CostModel::compose_cold_shared`], over borrowed patterns). Every
+//! price is bit-identical to pricing each trial batch with
+//! [`CostModel::batch_cost_shared`].
 
-use gcm_core::{CacheState, CostModel, Pattern, Region};
+use gcm_core::{CostModel, CostReport, Pattern, Region};
 use gcm_workload::TenantClass;
 
 /// Per-tenant-class SLO budgets: the wall-clock sojourn (arrival →
@@ -76,7 +80,7 @@ impl SloPolicy {
 }
 
 /// One pending query, as the admission controller sees it: the
-/// pattern it will run, its solo memory price, and its predicted CPU
+/// pattern it will run, its solo memory price per level, and its predicted CPU
 /// time (Eq 6.1's `T_cpu`, which concurrency cannot change — every
 /// query runs on its own core).
 #[derive(Debug, Clone)]
@@ -84,9 +88,9 @@ pub(crate) struct Candidate<'a> {
     /// The query's serving pattern (the planned whole-plan pattern with
     /// its shared build phases stripped).
     pub(crate) pattern: &'a Pattern,
-    /// `pattern` priced alone from cold caches, ns — taken once, when
-    /// the query was submitted.
-    pub(crate) solo_mem_ns: f64,
+    /// `pattern` priced alone from cold caches — taken once, when the
+    /// query was submitted.
+    pub(crate) solo: &'a CostReport,
     /// Predicted CPU time, ns.
     pub(crate) cpu_ns: f64,
 }
@@ -128,15 +132,14 @@ impl BatchPrice {
     /// plus each member's CPU, the wall as the slowest member plus
     /// dispatch, and the serial fallback as the sum of solo times. A
     /// singleton's memory inside its batch *is* its solo price, so only
-    /// a batch of two or more is composed.
+    /// a batch of two or more is composed, and only at its shared levels.
     fn of(model: &CostModel, members: &[Candidate<'_>], shared: &[&Region]) -> BatchPrice {
         let mems: Vec<f64> = if let [only] = members {
-            vec![only.solo_mem_ns]
+            vec![only.solo.mem_ns]
         } else {
-            let patterns = members.iter().map(|m| m.pattern);
-            let mut cold = model.staged(&CacheState::cold());
+            let solos = members.iter().map(|m| (m.pattern, m.solo));
             model
-                .advance_parallel_shared(patterns, &mut cold, shared.iter().copied())
+                .compose_cold_shared(solos, shared.iter().copied())
                 .per_thread_ns
         };
         let per_query_ns: Vec<f64> = mems
@@ -148,7 +151,7 @@ impl BatchPrice {
             + DEFAULT_DISPATCH_NS * members.len() as f64;
         let serial_ns = members
             .iter()
-            .map(|m| m.solo_mem_ns + m.cpu_ns + DEFAULT_DISPATCH_NS)
+            .map(|m| m.solo.mem_ns + m.cpu_ns + DEFAULT_DISPATCH_NS)
             .sum();
         BatchPrice {
             wall_ns,
@@ -205,17 +208,30 @@ pub(crate) fn next_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcm_core::Region;
+    use gcm_core::{CacheState, Region};
     use gcm_hardware::presets;
 
-    /// A candidate for `pattern` with its solo price taken the way
-    /// submit takes it.
-    fn candidate<'a>(model: &CostModel, pattern: &'a Pattern, cpu_ns: f64) -> Candidate<'a> {
-        Candidate {
-            pattern,
-            solo_mem_ns: model.report_from(pattern, &CacheState::cold()).mem_ns,
-            cpu_ns,
-        }
+    /// Each pattern's solo price, taken the way submit takes it.
+    fn solos(model: &CostModel, patterns: &[Pattern]) -> Vec<CostReport> {
+        patterns.iter().map(|p| model.report(p)).collect()
+    }
+
+    /// A candidate per pattern, with its solo price from `solos` and its
+    /// CPU time from `cpu_ns`.
+    fn candidates<'a>(
+        patterns: &'a [Pattern],
+        solos: &'a [CostReport],
+        mut cpu_ns: impl FnMut() -> f64,
+    ) -> Vec<Candidate<'a>> {
+        patterns
+            .iter()
+            .zip(solos)
+            .map(|(pattern, solo)| Candidate {
+                pattern,
+                solo,
+                cpu_ns: cpu_ns(),
+            })
+            .collect()
     }
 
     /// `next_batch` priced the plain way, every trial batch through
@@ -234,7 +250,7 @@ mod tests {
             let shared: Vec<Region> = shared.iter().map(|&r| r.clone()).collect();
             let batch = model.batch_cost_shared(&patterns, &CacheState::cold(), &shared);
             for (solo, c) in batch.solo_ns.iter().zip(members) {
-                assert_eq!(solo.to_bits(), c.solo_mem_ns.to_bits(), "stored solo price");
+                assert_eq!(solo.to_bits(), c.solo.mem_ns.to_bits(), "stored solo price");
             }
             let per_query_ns: Vec<f64> = batch
                 .per_query_ns
@@ -246,7 +262,7 @@ mod tests {
                 + DEFAULT_DISPATCH_NS * members.len() as f64;
             let serial_ns: f64 = members
                 .iter()
-                .map(|c| c.solo_mem_ns + c.cpu_ns + DEFAULT_DISPATCH_NS)
+                .map(|c| c.solo.mem_ns + c.cpu_ns + DEFAULT_DISPATCH_NS)
                 .sum();
             BatchPrice {
                 wall_ns,
@@ -300,10 +316,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let candidates: Vec<Candidate<'_>> = patterns
-                .iter()
-                .map(|p| candidate(&model, p, rng.next_below(20_000) as f64))
-                .collect();
+            let solos = solos(&model, &patterns);
+            let candidates = candidates(&patterns, &solos, || rng.next_below(20_000) as f64);
             for shared in [&[][..], &[&h]] {
                 for max_batch in 1..=4 {
                     let got = next_batch(&model, &candidates, max_batch, shared).unwrap();
@@ -351,10 +365,8 @@ mod tests {
         let patterns: Vec<Pattern> = (0..6)
             .map(|i| Pattern::s_trav(Region::new(format!("Q{i}"), 100_000, 8)))
             .collect();
-        let candidates: Vec<Candidate<'_>> = patterns
-            .iter()
-            .map(|p| candidate(&model, p, 10_000.0))
-            .collect();
+        let solos = solos(&model, &patterns);
+        let candidates = candidates(&patterns, &solos, || 10_000.0);
         let (admitted, price) = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(admitted, vec![0, 1, 2, 3], "core budget caps at 4");
         assert!(price.speedup() > 2.0, "{}", price.speedup());
@@ -370,8 +382,8 @@ mod tests {
         let patterns: Vec<Pattern> = (0..2)
             .map(|i| Pattern::rr_trav(Region::new(format!("Q{i}"), 1_500, 8), 8, 64))
             .collect();
-        let candidates: Vec<Candidate<'_>> =
-            patterns.iter().map(|p| candidate(&model, p, 0.0)).collect();
+        let solos = solos(&model, &patterns);
+        let candidates = candidates(&patterns, &solos, || 0.0);
         let (admitted, _) = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(admitted, vec![0], "contending pair must serialize");
     }
@@ -392,8 +404,8 @@ mod tests {
                 ])
             })
             .collect();
-        let candidates: Vec<Candidate<'_>> =
-            patterns.iter().map(|p| candidate(&model, p, 0.0)).collect();
+        let solos = solos(&model, &patterns);
+        let candidates = candidates(&patterns, &solos, || 0.0);
         let (private, _) = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert_eq!(private, vec![0], "private builds must serialize");
         let (shared, price) = next_batch(&model, &candidates, 4, &[&h]).unwrap();
@@ -411,8 +423,8 @@ mod tests {
         let stream_a = Pattern::s_trav(Region::new("A", 100_000, 8));
         let stream_b = Pattern::s_trav(Region::new("B", 100_000, 8));
         let patterns = [head, twin, stream_a, stream_b];
-        let candidates: Vec<Candidate<'_>> =
-            patterns.iter().map(|p| candidate(&model, p, 0.0)).collect();
+        let solos = solos(&model, &patterns);
+        let candidates = candidates(&patterns, &solos, || 0.0);
         let (admitted, _) = next_batch(&model, &candidates, 4, &[]).unwrap();
         assert!(admitted.contains(&0));
         assert!(!admitted.contains(&1), "twin must be skipped");
@@ -424,15 +436,18 @@ mod tests {
         // One candidate: the batch *is* serial execution, so the wall
         // equals the serial fallback and the speedup is exactly 1.
         let model = CostModel::new(presets::tiny_smp(4));
-        let p = Pattern::s_trav(Region::new("Q", 10_000, 8));
-        let candidates = [candidate(&model, &p, 5_000.0)];
-        let (admitted, price) = next_batch(&model, &candidates, 4, &[]).unwrap();
+        let patterns = [
+            Pattern::s_trav(Region::new("Q", 10_000, 8)),
+            Pattern::s_trav(Region::new("R", 10_000, 8)),
+        ];
+        let solos = solos(&model, &patterns);
+        let one = candidates(&patterns[..1], &solos, || 5_000.0);
+        let (admitted, price) = next_batch(&model, &one, 4, &[]).unwrap();
         assert_eq!(admitted, vec![0]);
         assert!((price.wall_ns - price.serial_ns).abs() < 1e-9);
         assert!((price.speedup() - 1.0).abs() < 1e-9);
         // max_batch 1 degenerates to pure serial scheduling.
-        let p2 = Pattern::s_trav(Region::new("R", 10_000, 8));
-        let two = [candidate(&model, &p, 0.0), candidate(&model, &p2, 0.0)];
+        let two = candidates(&patterns, &solos, || 0.0);
         let (admitted, _) = next_batch(&model, &two, 1, &[]).unwrap();
         assert_eq!(admitted, vec![0]);
     }

@@ -11,12 +11,22 @@
 //! unreachable, and the next lookup re-optimizes against the fresh
 //! statistics.
 //!
+//! An entry also memoizes the form its plan is *served* in: the
+//! planned pattern with the shared builds a submit was offered attached,
+//! its cold solo price per level, and its CPU term. A hit offered the
+//! same builds (by identity) takes that form as it is, pricing nothing;
+//! a retired or rebuilt build, a new epoch's entry, the first requester
+//! of a build (which keeps its build phase) and a fingerprint-collision
+//! loser are served a fresh form.
+//!
 //! The cache is a plain [`HashMap`] with plain counters, changed
 //! through `&mut self`: its one owner is the
 //! [`QueryService`](crate::QueryService), and the thread that owns the
 //! service is the only one that submits, so lookups need no lock and no
 //! single-flight (DESIGN.md, "Owned maps on the serving path").
 
+use crate::builds::SharedBuild;
+use crate::Serving;
 use gcm_engine::plan::{LogicalPlan, PlanError, PlannedQuery};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
@@ -27,13 +37,47 @@ use std::sync::Arc;
 pub type PlanKey = (u64, u64);
 
 /// A memo table from [`PlanKey`] to optimized plans (or the error the
-/// optimizer returned), each stored with the logical plan it answers.
+/// optimizer returned), each stored with the logical plan it answers and,
+/// once a submit has attached its shared builds, the form it is served
+/// in.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    entries: HashMap<PlanKey, (LogicalPlan, Result<Arc<PlannedQuery>, PlanError>)>,
+    entries: HashMap<PlanKey, CacheEntry>,
     hits: u64,
     misses: u64,
     retired: u64,
+}
+
+#[derive(Debug)]
+struct CacheEntry {
+    plan: LogicalPlan,
+    planned: Result<Arc<PlannedQuery>, PlanError>,
+    serving: Option<ServingMemo>,
+}
+
+/// A plan's serving form, memoized in its plan-cache entry with the
+/// shared builds the submit that formed it was offered. A later submit
+/// offered the very same builds (`Arc::ptr_eq`, in the same order)
+/// serves the same form; any other offer forms it afresh.
+#[derive(Debug)]
+pub(crate) struct ServingMemo {
+    /// The builds the form was made against. Holding them keeps their
+    /// addresses from being reused while the memo can match.
+    pub(crate) offered: Vec<Arc<SharedBuild>>,
+    pub(crate) serving: Arc<Serving>,
+}
+
+impl ServingMemo {
+    /// The memoized form, if it was made against exactly `offered`.
+    pub(crate) fn serving_for(&self, offered: &[Arc<SharedBuild>]) -> Option<&Arc<Serving>> {
+        let same = self.offered.len() == offered.len()
+            && self
+                .offered
+                .iter()
+                .zip(offered)
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        same.then_some(&self.serving)
+    }
 }
 
 impl PlanCache {
@@ -58,25 +102,42 @@ impl PlanCache {
         plan: &LogicalPlan,
         optimize: impl FnOnce() -> Result<PlannedQuery, PlanError>,
     ) -> Result<Arc<PlannedQuery>, PlanError> {
-        match self.entries.entry(key) {
-            Entry::Occupied(e) if e.get().0 == *plan => {
+        self.lookup(key, plan, optimize).map(|(planned, _)| planned)
+    }
+
+    /// [`get_or_optimize`](PlanCache::get_or_optimize), also handing back
+    /// the entry's serving-form memo slot — `None` for a
+    /// fingerprint-collision loser, whose plan has no entry and so is
+    /// never memoized.
+    pub(crate) fn lookup(
+        &mut self,
+        key: PlanKey,
+        plan: &LogicalPlan,
+        optimize: impl FnOnce() -> Result<PlannedQuery, PlanError>,
+    ) -> Result<(Arc<PlannedQuery>, Option<&mut Option<ServingMemo>>), PlanError> {
+        let entry = match self.entries.entry(key) {
+            Entry::Occupied(e) if e.get().plan == *plan => {
                 self.hits += 1;
-                e.get().1.clone()
+                e.into_mut()
             }
             Entry::Occupied(_) => {
                 // Fingerprint collision: two distinct trees share the
                 // key. Serve the loser uncached — correctness over
                 // memoization.
                 self.misses += 1;
-                optimize().map(Arc::new)
+                return optimize().map(|planned| (Arc::new(planned), None));
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                let result = optimize().map(Arc::new);
-                v.insert((plan.clone(), result.clone()));
-                result
+                v.insert(CacheEntry {
+                    plan: plan.clone(),
+                    planned: optimize().map(Arc::new),
+                    serving: None,
+                })
             }
-        }
+        };
+        let planned = entry.planned.clone()?;
+        Ok((planned, Some(&mut entry.serving)))
     }
 
     /// Drop every entry whose epoch predates `epoch`. Called after a

@@ -200,7 +200,7 @@ impl Member {
         Member {
             planned: Arc::clone(&p.planned),
             tables: Arc::clone(&p.tables),
-            builds: MemberBuilds(p.builds.clone()),
+            builds: MemberBuilds(p.serving.builds.clone()),
         }
     }
 
@@ -569,7 +569,7 @@ impl QueryService {
         self.next_ticket += 1;
         let views = (backend == Backend::Sim).then(|| {
             let patterns: Vec<&Pattern> =
-                batch.entries.iter().map(|p| p.pattern.as_ref()).collect();
+                batch.entries.iter().map(|p| &p.serving.pattern).collect();
             member_views(self.spec(), &patterns, batch.shared_regions())
         });
         let mut queued: Vec<(u64, usize, Job)> = batch

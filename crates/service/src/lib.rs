@@ -91,6 +91,7 @@ mod tests;
 
 pub use admission::SloPolicy;
 pub use builds::{strip_build_phase, BuildRegistry, SharedBuild};
+use cache::ServingMemo;
 pub use cache::{PlanCache, PlanKey};
 pub use executor::{Backend, Completion, ExecutedQuery};
 pub use metrics::{BatchRecord, QueryRecord, ServiceMetrics, ShedRecord};
@@ -98,7 +99,7 @@ pub use mix::{plan_for, TenantTables};
 pub use queue::Batch;
 
 use executor::{Pool, Running, Tables};
-use gcm_core::{CacheState, CostModel, CpuCost, Pattern};
+use gcm_core::{CostModel, CostReport, CpuCost, Pattern};
 use gcm_engine::ops::hash::build_ops;
 use gcm_engine::plan::{
     explain_analyze, materialize_tables, optimize_and_lower, shared_build_tables, ExplainReport,
@@ -333,11 +334,18 @@ impl QueryService {
         let epoch = self.catalog.epoch();
         let key = (plan.fingerprint(), epoch);
         let t0 = self.ctl.now_ns();
-        let planned = self.cache.get_or_optimize(key, &plan, || {
+        let (planned, memo) = self.cache.lookup(key, &plan, || {
             optimize_and_lower(&self.model, &plan, self.catalog.tables())
         })?;
         let t1 = self.ctl.now_ns();
-        let (pattern, solo_mem_ns, cpu_ns, builds) = self.attach_shared_builds(&planned, epoch);
+        let serving = attach_shared_builds(
+            &self.model,
+            &mut self.builds,
+            &self.tables,
+            &planned,
+            epoch,
+            memo,
+        );
         let t2 = self.ctl.now_ns();
         let id = self.next_id;
         self.next_id += 1;
@@ -347,17 +355,14 @@ impl QueryService {
             SpanKind::Build,
             t1,
             t2,
-            builds.len() as u64,
+            serving.builds.len() as u64,
         );
         self.queue.push_back(Pending {
             id,
             plan,
             planned,
             tables: Arc::clone(&self.tables),
-            pattern,
-            solo_mem_ns,
-            cpu_ns,
-            builds,
+            serving,
             class,
             arrival_ns,
             committed: false,
@@ -368,45 +373,6 @@ impl QueryService {
             .registry
             .gauge_max(metrics::QUEUE_DEPTH_PEAK, depth);
         Ok(id)
-    }
-
-    /// Register (or reuse) a shared build for every hash join in the
-    /// planned query whose build side is a base-table scan, returning
-    /// the query's serving-path pattern, that pattern's one solo memory
-    /// price (cold caches, one worker), its matching CPU prediction, and
-    /// the builds to hand the executor. The *first* query to request
-    /// a (table, epoch) build registers the layout but keeps its charged
-    /// build phase — somebody has to pay for the build, and it is the
-    /// builder. Every later query at the same key reuses: its build
-    /// phase is stripped, its probe redirected at the canonical shared
-    /// region, and the optimizer's build share subtracted from its CPU
-    /// prediction (via [`build_ops`] — the same term the optimizer
-    /// charged). A rewrite that does not match keeps the planned pattern
-    /// for that join, so prediction and execution never disagree.
-    fn attach_shared_builds(
-        &mut self,
-        planned: &PlannedQuery,
-        epoch: u64,
-    ) -> (Arc<Pattern>, f64, f64, Vec<Arc<SharedBuild>>) {
-        let mut pattern = planned.pattern.clone();
-        let mut cpu_ns = planned.cpu_ns;
-        let mut builds: Vec<Arc<SharedBuild>> = Vec::new();
-        for t in shared_build_tables(&planned.plan) {
-            let Some(data) = self.tables.get(t) else {
-                continue;
-            };
-            let (b, computed) = self.builds.get_or_build(t, epoch, data);
-            if computed {
-                continue;
-            }
-            if let Some(stripped) = strip_build_phase(&pattern, &format!("T{t}"), &b.region) {
-                pattern = stripped;
-                cpu_ns -= CpuCost::default_planner().ns(build_ops(data.n()));
-                builds.push(b);
-            }
-        }
-        let solo_mem_ns = self.model.report_from(&pattern, &CacheState::cold()).mem_ns;
-        (Arc::new(pattern), solo_mem_ns, cpu_ns.max(0.0), builds)
     }
 
     /// Number of queries waiting for admission.
@@ -507,17 +473,99 @@ impl QueryService {
     }
 }
 
+/// How a planned query is served once its shared builds are attached:
+/// what admission prices and the executor runs.
+#[derive(Debug)]
+pub(crate) struct Serving {
+    /// The planned whole-plan pattern with every shared build phase
+    /// stripped and the probe redirected at the build's canonical region
+    /// ([`strip_build_phase`]); the planned pattern unchanged when
+    /// nothing is shared.
+    pub(crate) pattern: Pattern,
+    /// `pattern` priced alone from cold caches, per level: the query's
+    /// one solo price. The shed gate reads its `mem_ns`, and admission
+    /// its private levels, which a cold composition leaves as they are.
+    pub(crate) solo: CostReport,
+    /// Predicted CPU time matching `pattern`: the planned `cpu_ns` minus
+    /// the build share of every stripped build phase.
+    pub(crate) cpu_ns: f64,
+    /// The shared builds this query probes instead of building.
+    pub(crate) builds: Vec<Arc<SharedBuild>>,
+}
+
+/// Register (or reuse) a shared build for every hash join in the planned
+/// query whose build side is a base-table scan, and return the form the
+/// query is served in ([`Serving`]). The *first* query to request a
+/// (table, epoch) build registers the layout but keeps its charged build
+/// phase — somebody has to pay for the build, and it is the builder.
+/// Every later query at the same key reuses: its build phase is
+/// stripped, its probe redirected at the canonical shared region, and
+/// the optimizer's build share subtracted from its CPU prediction (via
+/// [`build_ops`] — the same term the optimizer charged). A rewrite that
+/// does not match keeps the planned pattern for that join, so prediction
+/// and execution never disagree.
+///
+/// `memo` is the plan-cache entry's memo slot (`None` for a plan the
+/// cache does not hold). When this submit computed no build and was
+/// offered exactly the builds the memoized form was made against, that
+/// form is served as it is; otherwise the form is made afresh and, when
+/// no build was computed, memoized.
+fn attach_shared_builds(
+    model: &CostModel,
+    registry: &mut BuildRegistry,
+    tables: &Tables,
+    planned: &PlannedQuery,
+    epoch: u64,
+    memo: Option<&mut Option<ServingMemo>>,
+) -> Arc<Serving> {
+    let mut offered: Vec<Arc<SharedBuild>> = Vec::new();
+    let mut computed = false;
+    for t in shared_build_tables(&planned.plan) {
+        let Some(data) = tables.get(t) else {
+            continue;
+        };
+        let (b, built_here) = registry.get_or_build(t, epoch, data);
+        if built_here {
+            computed = true;
+        } else {
+            offered.push(b);
+        }
+    }
+    let memoized = memo.as_deref().and_then(Option::as_ref);
+    if let (Some(serving), false) = (memoized.and_then(|m| m.serving_for(&offered)), computed) {
+        return Arc::clone(serving);
+    }
+    let mut pattern = planned.pattern.clone();
+    let mut cpu_ns = planned.cpu_ns;
+    let mut builds = Vec::new();
+    for b in &offered {
+        if let Some(stripped) = strip_build_phase(&pattern, &format!("T{}", b.table), &b.region) {
+            pattern = stripped;
+            cpu_ns -= CpuCost::default_planner().ns(build_ops(tables[b.table].n()));
+            builds.push(Arc::clone(b));
+        }
+    }
+    let serving = Arc::new(Serving {
+        solo: model.report(&pattern),
+        pattern,
+        cpu_ns: cpu_ns.max(0.0),
+        builds,
+    });
+    if let (Some(slot), false) = (memo, computed) {
+        *slot = Some(ServingMemo {
+            offered,
+            serving: Arc::clone(&serving),
+        });
+    }
+    serving
+}
+
 /// Derive a relation's [`TableStats`] from its actual key column — the
 /// service's statistics collector (exact, since the data is at hand):
-/// the maximum, the sortedness and the distinct count in one pass.
-///
-/// Distinct keys are counted through a set hashed by one multiply, not
-/// SipHash. The keys are the columns the service's owner registers,
-/// never values read from the wire, so resistance to crafted collisions
-/// buys nothing here.
+/// the maximum and the sortedness in one pass, then the distinct count
+/// (`distinct_keys`). The exclusive key bound saturates: a column
+/// holding `u64::MAX` gets the bound `u64::MAX`.
 pub fn derive_stats(keys: &[u64], w: u64) -> TableStats {
-    let mut seen: HashSet<u64, BuildHasherDefault<KeyHasher>> =
-        HashSet::with_capacity_and_hasher(keys.len(), BuildHasherDefault::default());
     let mut max = None;
     let mut sorted = true;
     let mut prev = 0;
@@ -525,14 +573,34 @@ pub fn derive_stats(keys: &[u64], w: u64) -> TableStats {
         sorted &= prev <= k;
         prev = k;
         max = max.max(Some(k));
-        seen.insert(k);
     }
     TableStats {
         n: keys.len() as u64,
         w,
-        key_bound: max.map_or(1, |m| m + 1),
-        distinct: seen.len() as f64,
+        key_bound: max.map_or(1, |m| m.saturating_add(1)),
+        distinct: max.map_or(0, |m| distinct_keys(keys, m)) as f64,
         sorted,
+    }
+}
+
+/// How many distinct values `keys`, none above `max`, holds — exactly.
+/// Dense keys (a bitmap over `[0, max]` of at most one word per key) are
+/// marked in that bitmap. Others go through a set hashed by one
+/// multiply, not SipHash: the keys are the columns the service's owner
+/// registers, never values read from the wire, so resistance to crafted
+/// collisions buys nothing here.
+fn distinct_keys(keys: &[u64], max: u64) -> usize {
+    if max / 64 < keys.len() as u64 {
+        let mut bits = vec![0u64; (max / 64 + 1) as usize];
+        for &k in keys {
+            bits[(k / 64) as usize] |= 1 << (k % 64);
+        }
+        bits.iter().map(|word| word.count_ones() as usize).sum()
+    } else {
+        let mut seen: HashSet<u64, BuildHasherDefault<KeyHasher>> =
+            HashSet::with_capacity_and_hasher(keys.len(), BuildHasherDefault::default());
+        seen.extend(keys);
+        seen.len()
     }
 }
 

@@ -9,11 +9,10 @@
 //! decided nowhere else.
 
 use crate::admission::{self, BatchPrice};
-use crate::builds::SharedBuild;
 use crate::executor::Tables;
 use crate::metrics::{self, ShedRecord};
-use crate::QueryService;
-use gcm_core::{Pattern, Region};
+use crate::{QueryService, Serving};
+use gcm_core::Region;
 use gcm_engine::plan::{LogicalPlan, PhysicalPlan, PlannedQuery};
 use gcm_obs::SpanKind;
 use gcm_workload::TenantClass;
@@ -28,21 +27,10 @@ pub(crate) struct Pending {
     /// The catalog version the query was admitted with: it executes
     /// over exactly these tables, whatever was published since.
     pub(crate) tables: Tables,
-    /// The pattern the admission controller prices: the planned pattern
-    /// with every shared build phase stripped and the probe redirected
-    /// at the build's canonical region
-    /// ([`strip_build_phase`](crate::strip_build_phase)); the planned
-    /// pattern unchanged when nothing is shared.
-    pub(crate) pattern: Arc<Pattern>,
-    /// `pattern` priced alone from cold caches, ns: the query's one
-    /// solo memory price, taken at submit from the serving pattern. The
-    /// shed gate and admission both read it.
-    pub(crate) solo_mem_ns: f64,
-    /// Predicted CPU time matching `pattern`: the planned `cpu_ns`
-    /// minus the build share of every stripped build phase.
-    pub(crate) cpu_ns: f64,
-    /// The shared builds this query probes instead of building.
-    pub(crate) builds: Vec<Arc<SharedBuild>>,
+    /// The form the query is served in: its serving pattern, its solo
+    /// price, its CPU term and the shared builds it probes — shared with
+    /// every submit of the same plan served the same form.
+    pub(crate) serving: Arc<Serving>,
     /// The submitter's tenant class ([`QueryService::submit_classed`]):
     /// `None` for plain [`QueryService::submit`], which exempts the
     /// query from shedding and sorts it behind every classed one.
@@ -105,7 +93,7 @@ impl Batch {
 fn shared_regions<'a>(entries: impl Iterator<Item = &'a Pending>) -> Vec<&'a Region> {
     let mut out: Vec<&Region> = Vec::new();
     for p in entries {
-        for b in &p.builds {
+        for b in &p.serving.builds {
             if !out.iter().any(|r| r.id() == b.region.id()) {
                 out.push(&b.region);
             }
@@ -201,7 +189,7 @@ impl QueryService {
         for &i in order.iter() {
             let p = &self.queue[i];
             // Stand-alone time: exactly admission's price for `p` alone.
-            let solo = p.solo_mem_ns + p.cpu_ns;
+            let solo = p.serving.solo.mem_ns + p.serving.cpu_ns;
             let Some(class) = p.class else {
                 cum += solo;
                 continue;
@@ -261,11 +249,11 @@ impl QueryService {
         let candidates: Vec<admission::Candidate<'_>> = order
             .iter()
             .map(|&i| {
-                let p = &self.queue[i];
+                let s = &self.queue[i].serving;
                 admission::Candidate {
-                    pattern: &p.pattern,
-                    solo_mem_ns: p.solo_mem_ns,
-                    cpu_ns: p.cpu_ns,
+                    pattern: &s.pattern,
+                    solo: &s.solo,
+                    cpu_ns: s.cpu_ns,
                 }
             })
             .collect();

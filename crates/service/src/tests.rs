@@ -115,6 +115,19 @@ fn derive_stats_counts_distinct_keys_like_the_default_hasher() {
 }
 
 #[test]
+fn derive_stats_saturates_the_key_bound_at_u64_max() {
+    // `max + 1` would overflow: a panic in a debug build, a bound of 0
+    // (every selection estimated empty) in release.
+    let s = derive_stats(&[1, u64::MAX], 8);
+    assert_eq!(s.key_bound, u64::MAX);
+    assert_eq!(s.distinct, 2.0);
+    assert_eq!(s.n, 2);
+    assert!(s.sorted);
+    let top = derive_stats(&[u64::MAX; 3], 8);
+    assert_eq!((top.key_bound, top.distinct), (u64::MAX, 1.0));
+}
+
+#[test]
 fn submit_caches_repeated_plans() {
     let mut svc = service();
     let plan = LogicalPlan::scan(0).select_lt(100).group_count();
@@ -287,6 +300,101 @@ fn a_sub_threshold_update_retires_the_tables_shared_build() {
         assert_ne!(before, fresh, "the update must change the answer");
         assert_eq!(after, fresh, "{backend:?}: joins probed a stale build");
     }
+}
+
+#[test]
+fn plan_cache_hits_serve_the_form_memoized_for_the_builds_offered() {
+    // One join plan submitted over and over: the first submit computes
+    // the dimension's build and keeps its build phase, the second is
+    // served the stripped form, and later hits share that form. A
+    // sub-threshold dimension update rebuilds the build in the same
+    // epoch, so the cached plan hits on — and must be served against the
+    // new build, never the memoized form of the old one.
+    let star = Workload::new(314).star_scenario(8_000, 1_000, 1);
+    let dim = &star.dims[0];
+    let max = *dim.iter().max().unwrap();
+    let dim2: Vec<u64> = dim
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| if i % 10 == 0 { max - k % 7 } else { k })
+        .collect();
+    let mut svc = QueryService::new(presets::modern_smp(2));
+    svc.register_table("F", star.fact.clone(), 8);
+    svc.register_table("D", dim.clone(), 8);
+    let join = LogicalPlan::scan(0)
+        .select_lt(120)
+        .join(LogicalPlan::scan(1))
+        .group_count();
+    let serve = |svc: &mut QueryService| {
+        svc.submit(join.clone()).unwrap();
+        let p = svc.queue.back().unwrap();
+        (Arc::clone(&p.planned), Arc::clone(&p.serving))
+    };
+    let reads = |s: &Serving, r: &gcm_core::Region| {
+        s.pattern
+            .leaves()
+            .iter()
+            .any(|l| l.region().is_some_and(|x| x.id() == r.id()))
+    };
+    let bits = |s: &Serving| (report_bits(&s.solo), s.cpu_ns.to_bits());
+
+    let (planned, builder) = serve(&mut svc);
+    assert!(
+        builder.builds.is_empty(),
+        "the builder keeps its build phase"
+    );
+    assert_eq!(builder.pattern, planned.pattern);
+    let (_, first) = serve(&mut svc);
+    let (_, second) = serve(&mut svc);
+    assert_eq!(first.builds.len(), 1, "the next requester shares the build");
+    assert_ne!(first.pattern, planned.pattern);
+    assert!(reads(&first, &first.builds[0].region));
+    assert!(Arc::ptr_eq(&first, &second), "hits share one form");
+    let fresh = attach_shared_builds(
+        &svc.model,
+        &mut svc.builds,
+        &svc.tables,
+        &planned,
+        svc.catalog.epoch(),
+        None,
+    );
+    assert!(!Arc::ptr_eq(&fresh, &second));
+    assert_eq!(fresh.pattern, second.pattern);
+    assert_eq!(
+        bits(&fresh),
+        bits(&second),
+        "memoized prices are fresh ones"
+    );
+
+    assert!(!svc.update_table(1, dim2), "same epoch, same cached plan");
+    let (replanned, rebuilder) = serve(&mut svc);
+    assert!(Arc::ptr_eq(&replanned, &planned), "the plan cache hits");
+    assert!(
+        rebuilder.builds.is_empty(),
+        "the new build's builder builds"
+    );
+    assert_eq!(rebuilder.pattern, planned.pattern);
+    let (_, after) = serve(&mut svc);
+    let (_, again) = serve(&mut svc);
+    assert_eq!(after.builds.len(), 1);
+    assert!(!Arc::ptr_eq(&after.builds[0], &first.builds[0]));
+    assert!(
+        reads(&after, &after.builds[0].region),
+        "probes the new build"
+    );
+    assert!(!reads(&after, &first.builds[0].region), "never the old one");
+    assert!(Arc::ptr_eq(&after, &again));
+    assert_eq!(svc.cache().hits(), 5);
+    assert_eq!(svc.cache().optimizer_runs(), 1);
+}
+
+/// Every level's misses and nanoseconds and the total, as bits.
+fn report_bits(r: &CostReport) -> Vec<u64> {
+    let levels = r
+        .levels
+        .iter()
+        .flat_map(|l| [l.seq_misses, l.rand_misses, l.ns]);
+    levels.chain([r.mem_ns]).map(f64::to_bits).collect()
 }
 
 #[test]

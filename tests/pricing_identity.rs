@@ -9,7 +9,11 @@
 //! whole report's nanoseconds, every thread's time and every fraction
 //! left in the state agree **to the bit** (`f64::to_bits`), not within a
 //! tolerance: the lowering may change how a price is computed, never
-//! what it is.
+//! what it is. The two shortcuts pricing takes are held to the full
+//! computation the same way: a cold `⊙` composition that evaluates only
+//! the shared levels, taking each member's private-level misses from its
+//! solo report, and staged pricing that prices level by level and stops
+//! once a lower bound exceeds a given bound.
 
 use gcm::core::misses::{self, Geometry, MissPair};
 use gcm::core::{
@@ -671,12 +675,18 @@ fn check_chain(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// A batch priced with `batch_cost_shared` against the reference's
-/// parallel stage and solo reports, from a warm start.
-fn check_batch(seed: u64) -> Result<(), String> {
+/// A random batch: its machine, a warm state, the member patterns, and
+/// a shared list holding one region twice and one no member references.
+struct RandomBatch {
+    spec: HardwareSpec,
+    entries: Vec<(Region, f64)>,
+    queries: Vec<Pattern>,
+    shared: Vec<Region>,
+}
+
+fn random_batch(seed: u64) -> RandomBatch {
     let mut rng = Rng(seed);
     let spec = machine(rng.next());
-    let model = CostModel::new(spec.clone());
     let pool = roots(&mut rng);
     let foreign = roots(&mut rng);
     let entries = warm(&mut rng, &pool, &foreign);
@@ -685,6 +695,24 @@ fn check_batch(seed: u64) -> Result<(), String> {
         .collect();
     let mut shared = vec![region(&mut rng, &pool), rng.pick(&foreign).clone()];
     shared.push(shared[0].clone());
+    RandomBatch {
+        spec,
+        entries,
+        queries,
+        shared,
+    }
+}
+
+/// A batch priced with `batch_cost_shared` against the reference's
+/// parallel stage and solo reports, from a warm start.
+fn check_batch(seed: u64) -> Result<(), String> {
+    let RandomBatch {
+        spec,
+        entries,
+        queries,
+        shared,
+    } = random_batch(seed);
+    let model = CostModel::new(spec.clone());
     let got = model.batch_cost_shared(&queries, &cache_state(&entries), &shared);
     let mut reference = vec![ref_state(&entries); spec.levels().len()];
     let (_, want) = ref_parallel(&spec, &queries, &mut reference, &shared);
@@ -695,6 +723,102 @@ fn check_batch(seed: u64) -> Result<(), String> {
         .map(|q| ref_report_from(&spec, q, &ref_state(&entries)).mem_ns)
         .collect();
     same_bits(&got.solo_ns, &solos, &format!("{what} solo_ns"))
+}
+
+/// Every level's misses and nanoseconds and the total, as bits.
+fn report_bits(r: &CostReport) -> Vec<u64> {
+    let levels = r
+        .levels
+        .iter()
+        .flat_map(|l| [l.seq_misses, l.rand_misses, l.ns]);
+    levels.chain([r.mem_ns]).map(f64::to_bits).collect()
+}
+
+/// The same random batch composed from cold caches two ways: in full by
+/// `advance_parallel_shared`, and at the shared levels only by
+/// `compose_cold_shared`, given each member's cold solo report.
+fn check_cold_composition(seed: u64) -> Result<(), String> {
+    let RandomBatch {
+        spec,
+        queries,
+        shared,
+        ..
+    } = random_batch(seed);
+    let model = CostModel::new(spec.clone());
+    let solos: Vec<CostReport> = queries.iter().map(|q| model.report(q)).collect();
+    let full =
+        model.advance_parallel_shared(&queries, &mut model.staged(&CacheState::cold()), &shared);
+    let got = model.compose_cold_shared(queries.iter().zip(&solos), &shared);
+    let what = format!("{} cold batch of {}", spec.name, queries.len());
+    same_bits(
+        &got.per_thread_ns,
+        &full.per_thread_ns,
+        &format!("{what} per_thread_ns"),
+    )?;
+    same_bits(&[got.wall_ns], &[full.wall_ns], &format!("{what} wall_ns"))?;
+    if report_bits(&got.report) != report_bits(&full.report) {
+        return Err(format!("{what}: report {} != {}", got.report, full.report));
+    }
+    Ok(())
+}
+
+/// A staged chain from a warm start priced by `staged_within` under a
+/// random level order, CPU term and bound — one of them exactly the
+/// chain's total — against the fold of `advance` over its stages.
+fn check_bounded_chain(seed: u64) -> Result<(), String> {
+    let mut rng = Rng(seed);
+    let spec = machine(rng.next());
+    let model = CostModel::new(spec.clone());
+    let pool = roots(&mut rng);
+    let foreign = roots(&mut rng);
+    let initial = cache_state(&warm(&mut rng, &pool, &foreign));
+    let stages: Vec<Pattern> = (0..rng.below(5))
+        .map(|_| some_pattern(&mut rng, &pool, 4))
+        .collect();
+    let mut st = model.staged(&initial);
+    let mut mem = 0.0;
+    let mut level_ns = vec![Vec::new(); spec.levels().len()];
+    for p in &stages {
+        let report = model.advance(p, &mut st);
+        mem += report.mem_ns;
+        for (per, l) in level_ns.iter_mut().zip(&report.levels) {
+            per.push(l.ns);
+        }
+    }
+    let level_ns: Vec<f64> = level_ns.iter().map(|per| per.iter().sum()).collect();
+    let cpu = rng.below(1 << 20) as f64 * rng.below(3) as f64;
+    let total = mem + cpu;
+    let dearest: Vec<f64> = if rng.chance(20) {
+        Vec::new()
+    } else {
+        (0..spec.levels().len())
+            .map(|_| rng.below(4) as f64)
+            .collect()
+    };
+    let what = format!("{} chain of {} under {dearest:?}", spec.name, stages.len());
+    let bounds = [
+        total,
+        f64::INFINITY,
+        0.0,
+        total * rng.below(1 << 10) as f64 / (1 << 9) as f64,
+        mem,
+        cpu,
+    ];
+    for bound in bounds {
+        match model.staged_within(&stages, &initial, &dearest, cpu, bound) {
+            Some(price) => {
+                same_bits(&[price.mem_ns], &[mem], &format!("{what} bound {bound:e}"))?;
+                same_bits(&price.level_ns, &level_ns, &format!("{what} level_ns"))?;
+            }
+            None if total > bound => {}
+            None => {
+                return Err(format!(
+                    "{what}: pruned at bound {bound:e} though mem {mem:e} + cpu {cpu:e} fits"
+                ))
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -715,6 +839,18 @@ proptest! {
     #[test]
     fn batches_match_the_recursive_reference_to_the_bit(seed in 0u64..u64::MAX) {
         let checked = check_batch(seed);
+        prop_assert!(checked.is_ok(), "seed {seed}: {}", checked.unwrap_err());
+    }
+
+    #[test]
+    fn shared_level_composition_matches_the_full_one_to_the_bit(seed in 0u64..u64::MAX) {
+        let checked = check_cold_composition(seed);
+        prop_assert!(checked.is_ok(), "seed {seed}: {}", checked.unwrap_err());
+    }
+
+    #[test]
+    fn bounded_staged_pricing_matches_the_fold_or_exceeds_the_bound(seed in 0u64..u64::MAX) {
+        let checked = check_bounded_chain(seed);
         prop_assert!(checked.is_ok(), "seed {seed}: {}", checked.unwrap_err());
     }
 }

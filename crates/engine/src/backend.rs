@@ -20,10 +20,12 @@
 //!
 //! Inside a measured operator the `host_*` accesses are the key reads
 //! that ride along with a charged [`touch`](MemoryBackend::touch) of the
-//! same tuple, plus the one sizing sweep group-count needs for its table
-//! (a distinct count). No operator runs a separate counting pass to size
-//! an output it writes densely: it allocates at an upper bound and seals
-//! to what the charged pass wrote ([`MemoryBackend::set_high_water`]).
+//! same tuple, the `EMPTY` fill of a fresh hash table, plus the one
+//! sizing sweep group-count needs for its table (a distinct count over
+//! one borrowed view of its input, [`MemoryBackend::host_bytes`]). No
+//! operator runs a separate counting pass to size an output it writes
+//! densely: it allocates at an upper bound and seals to what the
+//! charged pass wrote ([`MemoryBackend::set_high_water`]).
 //!
 //! The operators' hot loops enter the backend through six bulk entry
 //! points (scan, select, partition scatter, hash build, hash probe,
@@ -123,9 +125,14 @@ pub trait MemoryBackend {
 
     /// How many items ahead operators should issue software prefetches
     /// on this backend. `0` disables prefetching entirely (the
-    /// simulator's default — hints would neither help nor be priced);
-    /// the native backend derives a positive distance from the
-    /// calibrated latency/bandwidth ratio.
+    /// simulator's default — hints would neither help nor be priced).
+    /// The native backend advertises the fixed
+    /// [`DEFAULT_PREFETCH_DISTANCE`](crate::kernels::DEFAULT_PREFETCH_DISTANCE)
+    /// of 8 unless a caller sets another
+    /// ([`NativeBackend::set_prefetch_distance`](crate::native::NativeBackend::set_prefetch_distance),
+    /// e.g. with [`prefetch_distance_for`](crate::kernels::prefetch_distance_for)
+    /// of a calibrated latency/bandwidth ratio); the executor's resident
+    /// arenas keep the default.
     fn prefetch_distance(&self) -> u64 {
         0
     }
@@ -244,29 +251,55 @@ pub trait MemoryBackend {
     }
 
     /// Charged bulk group-count: add one to the count of each tuple's
-    /// key in the counting table whose slots are `table`, inserting
-    /// absent keys with count 1, and return the logical ops counted
-    /// (one per tuple plus one per slot probed). The default is the
-    /// scalar upsert loop `ops::aggregate::group_count_scalar`
-    /// (per-tuple full-width touch, one charged read per slot probed,
-    /// then a charged read and write of the count on a hit or a charged
-    /// touch of the slot filled); overrides must preserve that
-    /// accounting.
-    fn group_count_bulk(&mut self, input: &Relation, table: &Relation) -> u64 {
-        crate::ops::aggregate::group_count_scalar(self, input, table)
+    /// key in the empty counting table whose slots are `table`,
+    /// inserting absent keys with count 1, then sweep the table and
+    /// write each occupied slot's `(key, count)` densely into `out` (one
+    /// 16-byte tuple per group, `out.n()` of them). Returns the logical
+    /// ops counted: one per tuple, one per slot probed and one per group
+    /// emitted. The default is the scalar loop
+    /// `ops::aggregate::group_count_scalar` (upsert: per-tuple
+    /// full-width touch, one charged read per slot probed, then a
+    /// charged read and write of the count on a hit or a charged touch
+    /// of the slot filled; emit: one charged read per slot, and per group
+    /// a charged read of the count and a touch of the output tuple);
+    /// overrides must preserve that accounting.
+    fn group_count_bulk(&mut self, input: &Relation, table: &Relation, out: &Relation) -> u64 {
+        crate::ops::aggregate::group_count_scalar(self, input, table, out)
     }
 
-    /// Uncharged (setup/oracle) read of a `u64`.
-    fn host_read_u64(&self, addr: Addr) -> u64;
+    /// Uncharged (setup/oracle) view of the `len` bytes at `addr`,
+    /// borrowed where they lie: the arena, or a mapped segment. Host-side
+    /// passes that read a whole range (a sizing sweep, a result hash)
+    /// take one view instead of a call per word.
+    fn host_bytes(&self, addr: Addr, len: u64) -> &[u8];
 
-    /// Uncharged (setup/oracle) write of a `u64`.
-    fn host_write_u64(&mut self, addr: Addr, v: u64);
+    /// Uncharged writable view of the `len` bytes at `addr`. Only arena
+    /// memory is writable: a mapped segment has no such view.
+    fn host_bytes_mut(&mut self, addr: Addr, len: u64) -> &mut [u8];
+
+    /// Uncharged (setup/oracle) read of a little-endian `u64`.
+    #[inline]
+    fn host_read_u64(&self, addr: Addr) -> u64 {
+        u64::from_le_bytes(self.host_bytes(addr, 8).try_into().expect("8 bytes"))
+    }
+
+    /// Uncharged (setup/oracle) write of a little-endian `u64`.
+    #[inline]
+    fn host_write_u64(&mut self, addr: Addr, v: u64) {
+        self.host_bytes_mut(addr, 8)
+            .copy_from_slice(&v.to_le_bytes());
+    }
 
     /// Uncharged read into `buf`.
-    fn host_read_bytes(&self, addr: Addr, buf: &mut [u8]);
+    fn host_read_bytes(&self, addr: Addr, buf: &mut [u8]) {
+        buf.copy_from_slice(self.host_bytes(addr, buf.len() as u64));
+    }
 
     /// Uncharged write of `buf`.
-    fn host_write_bytes(&mut self, addr: Addr, buf: &[u8]);
+    fn host_write_bytes(&mut self, addr: Addr, buf: &[u8]) {
+        self.host_bytes_mut(addr, buf.len() as u64)
+            .copy_from_slice(buf);
+    }
 
     /// Current cumulative counters (monotone; diff two with
     /// [`counters_since`](MemoryBackend::counters_since) for an interval).
@@ -344,20 +377,12 @@ impl MemoryBackend for MemorySystem {
         MemorySystem::copy(self, src, dst, len);
     }
 
-    fn host_read_u64(&self, addr: Addr) -> u64 {
-        self.host().read_u64(addr)
+    fn host_bytes(&self, addr: Addr, len: u64) -> &[u8] {
+        self.host().bytes(addr, len)
     }
 
-    fn host_write_u64(&mut self, addr: Addr, v: u64) {
-        self.host_mut().write_u64(addr, v);
-    }
-
-    fn host_read_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        self.host().read_bytes(addr, buf);
-    }
-
-    fn host_write_bytes(&mut self, addr: Addr, buf: &[u8]) {
-        self.host_mut().write_bytes(addr, buf);
+    fn host_bytes_mut(&mut self, addr: Addr, len: u64) -> &mut [u8] {
+        self.host_mut().bytes_mut(addr, len)
     }
 
     fn counters(&self) -> gcm_sim::Snapshot {

@@ -274,15 +274,20 @@ impl<B: MemoryBackend> ExecContext<B> {
         rel
     }
 
-    /// Read a relation's full content host-side, as raw bytes — the
+    /// A relation's full content host-side, borrowed where it lies
+    /// ([`MemoryBackend::host_bytes`]): uncharged, and no copy.
+    pub fn relation_view(&self, rel: &Relation) -> &[u8] {
+        if rel.bytes() == 0 {
+            return &[];
+        }
+        self.mem.host_bytes(rel.base(), rel.bytes())
+    }
+
+    /// A relation's full content host-side, as owned raw bytes — the
     /// result-equality surface: two backends executing the same plan must
     /// produce byte-identical relation contents.
     pub fn relation_bytes(&self, rel: &Relation) -> Vec<u8> {
-        let mut buf = vec![0u8; rel.bytes() as usize];
-        if !buf.is_empty() {
-            self.mem.host_read_bytes(rel.base(), &mut buf);
-        }
-        buf
+        self.relation_view(rel).to_vec()
     }
 
     /// Read tuple `i`'s key (charged access).

@@ -22,11 +22,14 @@
 //!
 //! Dense bulk operations run kernels instead of the per-access
 //! interface: the SIMD scan and filter of [`crate::kernels`], a
-//! prefetched scatter, and the hash build, probe and group-count loops,
-//! which index the slab directly and add the accesses, lines and logical
-//! ops they charge once per call. Each override charges exactly what
-//! the trait's scalar default charges; [`NativeBackend::scalar_reference`]
-//! runs those defaults.
+//! prefetched scatter, the hash build and probe loops, and group-count's
+//! upsert loop and emit sweep in one kernel. They index the slab and the
+//! mapped segments directly and add the accesses, lines and logical ops
+//! they charge once per call. Each override charges exactly what the
+//! trait's scalar default charges; [`NativeBackend::scalar_reference`]
+//! runs those defaults. Uncharged host-side passes (group-count's
+//! distinct count, a hash table's `EMPTY` fill, result reads and hashes)
+//! borrow the bytes where they lie ([`MemoryBackend::host_bytes`]).
 //!
 //! The arena is meant to live as long as its worker. [`NativeBackend::reset`]
 //! starts the next job by moving the bump pointer back: the slab is
@@ -48,7 +51,7 @@ use crate::backend::MemoryBackend;
 use crate::ctx::{grow_tail, ExecContext};
 use crate::kernels;
 use crate::ops::hash::{EMPTY, ENTRY_BYTES};
-use crate::ops::{aggregate, hash, mix};
+use crate::ops::{aggregate, hash, mix, put_word, word};
 use crate::relation::{Relation, Segment};
 use gcm_hardware::stride;
 use gcm_sim::Addr;
@@ -281,42 +284,44 @@ impl NativeBackend {
         (i < bytes.len()).then(|| bytes.as_ptr().wrapping_add(i))
     }
 
-    /// One real 8-byte load per line of `[addr, addr+len)`, via the
-    /// shared [`stride::sweep_fold`] walk (the very loop the calibrator
-    /// times), black-boxed so the loads cannot be elided. Returns the
-    /// lines loaded.
-    #[inline]
-    fn load_lines(&self, addr: Addr, len: u64) -> u64 {
-        // Arena and segments both start line-aligned, so line boundaries
-        // are the same measured from either.
-        let first = addr & !(NATIVE_LINE - 1);
-        let last = (addr + len - 1) & !(NATIVE_LINE - 1);
-        let (bytes, i) = self.view(addr);
-        let lo = i - (addr - first) as usize;
-        let hi = lo + (last - first) as usize + 8;
-        let (acc, steps) = stride::sweep_fold(&bytes[lo..hi], NATIVE_LINE as usize);
-        black_box(acc);
-        steps
-    }
-
-    /// A charged touch: [`load_lines`](Self::load_lines), counted.
+    /// A charged touch: [`load_lines`] wherever `addr` lies, counted.
     #[inline]
     fn touch_lines(&mut self, addr: Addr, len: u64) {
-        self.lines += self.load_lines(addr, len);
+        let (bytes, i) = self.view(addr);
+        let lines = load_lines(bytes, i, addr, len);
+        self.lines += lines;
         self.accesses += 1;
     }
+}
 
-    /// The lines a charged touch of the `w`-byte tuple at `addr` counts.
-    /// A tuple inside one line is loaded by the caller's own access to
-    /// its key word; a wider one is loaded line by line here, as
-    /// [`touch`](MemoryBackend::touch) would.
-    #[inline]
-    fn tuple_lines(&self, addr: Addr, w: u64) -> u64 {
-        if (addr ^ (addr + w - 1)) < NATIVE_LINE {
-            1
-        } else {
-            self.load_lines(addr, w)
-        }
+/// One real 8-byte load per line of `[addr, addr+len)`, which starts at
+/// index `i` of `bytes` (a mapped segment with its pad, or the slab),
+/// via the shared [`stride::sweep_fold`] walk (the very loop the
+/// calibrator times), black-boxed so the loads cannot be elided. Returns
+/// the lines loaded.
+#[inline]
+fn load_lines(bytes: &[u8], i: usize, addr: Addr, len: u64) -> u64 {
+    // Arena and segments both start line-aligned, so line boundaries
+    // are the same measured from either.
+    let first = addr & !(NATIVE_LINE - 1);
+    let last = (addr + len - 1) & !(NATIVE_LINE - 1);
+    let lo = i - (addr - first) as usize;
+    let hi = lo + (last - first) as usize + 8;
+    let (acc, steps) = stride::sweep_fold(&bytes[lo..hi], NATIVE_LINE as usize);
+    black_box(acc);
+    steps
+}
+
+/// The lines a charged touch of the `w`-byte tuple at `addr` (index `i`
+/// of `bytes`) counts. A tuple inside one line is loaded by the caller's
+/// own access to its key word; a wider one is loaded line by line here,
+/// as [`touch`](MemoryBackend::touch) would.
+#[inline]
+fn tuple_lines(bytes: &[u8], i: usize, addr: Addr, w: u64) -> u64 {
+    if (addr ^ (addr + w - 1)) < NATIVE_LINE {
+        1
+    } else {
+        load_lines(bytes, i, addr, w)
     }
 }
 
@@ -341,28 +346,15 @@ fn operand(mapped: &[Segment], addr: Addr) -> (Option<&[u8]>, usize) {
 }
 
 /// Software-prefetch the home slot of `key` in the hash table whose
-/// slots start at index `t0` of `slab`: its line and the line of the
-/// fourth slot of its run, which is the same line when the home slot
-/// opens one (a linear-probing run at load factor ½ is short, but often
-/// crosses into the next line).
+/// first slot is at `slots`: its line and the line of the fourth slot of
+/// its run, which is the same line when the home slot opens one (a
+/// linear-probing run at load factor ½ is short, but often crosses into
+/// the next line).
 #[inline]
-fn prefetch_home_slot(slab: &[u8], t0: usize, mask: u64, key: u64) {
-    let at = t0 + ((mix(key) & mask) * ENTRY_BYTES) as usize;
-    let p = slab.as_ptr();
-    stride::prefetch_read(p.wrapping_add(at));
-    stride::prefetch_read(p.wrapping_add(at + 3 * ENTRY_BYTES as usize));
-}
-
-/// The little-endian word at slab index `i`.
-#[inline]
-fn word(data: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(data[i..i + 8].try_into().expect("8 bytes"))
-}
-
-/// Store `v` as the little-endian word at slab index `i`.
-#[inline]
-fn put_word(data: &mut [u8], i: usize, v: u64) {
-    data[i..i + 8].copy_from_slice(&v.to_le_bytes());
+fn prefetch_home_slot(slots: *const u8, mask: u64, key: u64) {
+    let at = ((mix(key) & mask) * ENTRY_BYTES) as usize;
+    stride::prefetch_read(slots.wrapping_add(at));
+    stride::prefetch_read(slots.wrapping_add(at + 3 * ENTRY_BYTES as usize));
 }
 
 impl MemoryBackend for NativeBackend {
@@ -589,10 +581,11 @@ impl MemoryBackend for NativeBackend {
         for i in 0..n {
             if dist > 0 && i + dist < n {
                 let ahead = key_at(&self.arena.data, i + dist);
-                prefetch_home_slot(&self.arena.data, t0, mask, ahead);
+                prefetch_home_slot(self.arena.data.as_ptr().wrapping_add(t0), mask, ahead);
             }
             let key = key_at(&self.arena.data, i);
-            lines += self.tuple_lines(input.tuple(i), w);
+            let at_key = k0 + (i * w) as usize;
+            lines += tuple_lines(keys.unwrap_or(&self.arena.data), at_key, input.tuple(i), w);
             let mut slot = mix(key) & mask;
             loop {
                 let at = t0 + (slot * ENTRY_BYTES) as usize;
@@ -647,10 +640,12 @@ impl MemoryBackend for NativeBackend {
         for i in 0..n {
             if dist > 0 && i + dist < n {
                 let ahead = key_at(&self.arena.data, i + dist);
-                prefetch_home_slot(slots.unwrap_or(&self.arena.data), t0, mask, ahead);
+                let slab = slots.unwrap_or(&self.arena.data);
+                prefetch_home_slot(slab.as_ptr().wrapping_add(t0), mask, ahead);
             }
             let key = key_at(&self.arena.data, i);
-            lines += self.tuple_lines(input.tuple(i), w);
+            let at_key = k0 + (i * w) as usize;
+            lines += tuple_lines(keys.unwrap_or(&self.arena.data), at_key, input.tuple(i), w);
             let mut slot = mix(key) & mask;
             loop {
                 let at = t0 + (slot * ENTRY_BYTES) as usize;
@@ -676,8 +671,8 @@ impl MemoryBackend for NativeBackend {
                         matches,
                     );
                     let to = out + matches * out_w;
-                    lines += self.tuple_lines(to, out_w);
                     let o = self.idx(to);
+                    lines += tuple_lines(&self.arena.data, o, to, out_w);
                     put_word(&mut self.arena.data, o, key);
                     matches += 1;
                 }
@@ -693,54 +688,96 @@ impl MemoryBackend for NativeBackend {
         (matches, cap, visits + matches)
     }
 
-    /// The upsert loop of `ops::aggregate::group_count_scalar` over the
-    /// slab, with the home slot of the key `dist` tuples ahead
-    /// prefetched; counters kept in locals and added once. Per tuple it
-    /// charges one access of the lines the tuple spans and one op, per
-    /// slot probed one access/line and one op, then either a read and a
-    /// write of the count (two accesses/lines) or one access/line for
-    /// the slot it fills.
-    fn group_count_bulk(&mut self, input: &Relation, table: &Relation) -> u64 {
-        if !self.use_kernels || !table.base().is_multiple_of(ENTRY_BYTES) {
-            return aggregate::group_count_scalar(self, input, table);
+    /// `ops::aggregate::group_count_scalar` over borrowed slices: the
+    /// upsert loop reads the keys and updates the slots in place, with
+    /// the home slot of the key `dist` tuples ahead prefetched, and the
+    /// emit sweep copies each occupied slot to the output in one pass;
+    /// counters kept in locals and added once. Per tuple it charges one
+    /// access of the lines the tuple spans and one op, per slot probed
+    /// one access/line and one op, then either a read and a write of the
+    /// count (two accesses/lines) or one access/line for the slot it
+    /// fills. The sweep charges one access/line per slot and, per group,
+    /// two more (the count's read and the output tuple's touch; slots
+    /// and output tuples are 16-byte aligned, so none straddles a line)
+    /// and one op.
+    ///
+    /// The slices are disjoint because of where `hash_group_count`
+    /// allocates: the input below the table (or mapped), the output
+    /// above it. Other layouts run the scalar loop.
+    fn group_count_bulk(&mut self, input: &Relation, table: &Relation, out: &Relation) -> u64 {
+        let (tb, ob) = (table.base(), out.base());
+        let below = input.base() >= MAPPED_BASE || input.base() + input.bytes() <= tb;
+        if !self.use_kernels
+            || !tb.is_multiple_of(ENTRY_BYTES)
+            || !ob.is_multiple_of(ENTRY_BYTES)
+            || ob < tb + table.bytes()
+            || !below
+        {
+            return aggregate::group_count_scalar(self, input, table, out);
         }
-        let (n, w, mask) = (input.n(), input.w(), table.n() - 1);
-        let (keys, k0) = operand(&self.mapped, input.base());
-        let key_at = |data: &[u8], i: u64| word(keys.unwrap_or(data), k0 + (i * w) as usize);
-        let t0 = self.idx(table.base());
-        let dist = self.prefetch_dist;
+        let (n, w, mask) = (input.n() as usize, input.w() as usize, table.n() - 1);
+        let t0 = self.idx(tb);
+        let (arena, above) = self.arena.data.split_at_mut(t0);
+        let (slots, rest) = above.split_at_mut((ob - tb) as usize);
+        let slots = &mut slots[..table.bytes() as usize];
+        let emitted = &mut rest[..out.bytes() as usize];
+        let (keys, k0) = match operand(&self.mapped, input.base()) {
+            (Some(seg), k0) => (seg, k0),
+            (None, k0) => (&*arena, k0),
+        };
+        let dist = self.prefetch_dist as usize;
+        // A tuple whose width divides the line, at a multiple of it,
+        // never straddles one: its key read loads its only line.
+        let flat = NATIVE_LINE.is_multiple_of(w as u64) && input.base().is_multiple_of(w as u64);
+        let first = slots.as_ptr();
+        let (entries, _) = slots.as_chunks_mut::<{ ENTRY_BYTES as usize }>();
         let (mut probes, mut hits, mut lines) = (0u64, 0u64, 0u64);
         for i in 0..n {
             if dist > 0 && i + dist < n {
-                let ahead = key_at(&self.arena.data, i + dist);
-                prefetch_home_slot(&self.arena.data, t0, mask, ahead);
+                prefetch_home_slot(first, mask, word(keys, k0 + (i + dist) * w));
             }
-            let key = key_at(&self.arena.data, i);
-            lines += self.tuple_lines(input.tuple(i), w);
+            let at_key = k0 + i * w;
+            let key = word(keys, at_key);
+            if !flat {
+                lines += tuple_lines(keys, at_key, input.tuple(i as u64), w as u64);
+            }
             let mut slot = mix(key) & mask;
             loop {
-                let at = t0 + (slot * ENTRY_BYTES) as usize;
+                let entry = &mut entries[slot as usize];
                 probes += 1;
-                let resident = word(&self.arena.data, at);
+                let resident = word(entry, 0);
                 if resident == key {
-                    let c = word(&self.arena.data, at + 8);
-                    put_word(&mut self.arena.data, at + 8, c + 1);
+                    let count = word(entry, 8);
+                    put_word(entry, 8, count + 1);
                     hits += 1;
                     break;
                 }
                 if resident == EMPTY {
-                    put_word(&mut self.arena.data, at, key);
-                    put_word(&mut self.arena.data, at + 8, 1);
+                    put_word(entry, 0, key);
+                    put_word(entry, 8, 1);
                     break;
                 }
                 slot = (slot + 1) & mask;
             }
         }
+        if flat {
+            lines = n as u64;
+        }
+        let mut groups = 0usize;
+        for entry in entries.iter() {
+            if word(entry, 0) != EMPTY {
+                emitted[groups * 16..(groups + 1) * 16].copy_from_slice(entry);
+                groups += 1;
+            }
+        }
+        debug_assert_eq!(groups as u64, out.n());
+        let (n, groups) = (n as u64, groups as u64);
         // A hit reads and writes the count; a miss fills one slot.
-        let charged = n + probes + 2 * hits + (n - hits);
-        self.accesses += charged;
-        self.lines += charged - n + lines;
-        n + probes
+        let upsert = n + probes + 2 * hits + (n - hits);
+        let sweep = table.n() + 2 * groups;
+        self.accesses += upsert + sweep;
+        self.lines += upsert - n + lines + sweep;
+        n + probes + groups
     }
 
     fn copy(&mut self, src: Addr, dst: Addr, len: u64) {
@@ -772,24 +809,14 @@ impl MemoryBackend for NativeBackend {
         self.lines += 2 * w.div_ceil(NATIVE_LINE).max(1);
     }
 
-    fn host_read_u64(&self, addr: Addr) -> u64 {
+    fn host_bytes(&self, addr: Addr, len: u64) -> &[u8] {
         let (bytes, i) = self.view(addr);
-        word(bytes, i)
+        &bytes[i..i + len as usize]
     }
 
-    fn host_write_u64(&mut self, addr: Addr, v: u64) {
+    fn host_bytes_mut(&mut self, addr: Addr, len: u64) -> &mut [u8] {
         let i = self.idx(addr);
-        put_word(&mut self.arena.data, i, v);
-    }
-
-    fn host_read_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        let (bytes, i) = self.view(addr);
-        buf.copy_from_slice(&bytes[i..i + buf.len()]);
-    }
-
-    fn host_write_bytes(&mut self, addr: Addr, buf: &[u8]) {
-        let i = self.idx(addr);
-        self.arena.data[i..i + buf.len()].copy_from_slice(buf);
+        &mut self.arena.data[i..i + len as usize]
     }
 
     fn counters(&self) -> NativeCounters {
@@ -1101,8 +1128,10 @@ mod tests {
 
     /// Run the three hash entry points on `backend`: build over `build`,
     /// probe with `probe` into a `|probe|`-tuple tail output of
-    /// `out_w`-byte tuples, group-count `probe`. Returns, per entry point,
-    /// the result bytes, the returned values and the access/line deltas.
+    /// `out_w`-byte tuples, group-count `probe` and emit its groups.
+    /// Returns, per entry point, the result bytes (for group-count the
+    /// table's, then the output's), the returned values and the
+    /// access/line deltas.
     ///
     /// With `mapped`, the inputs are mapped segments read in place and
     /// the probe runs against the mapped shared layout of `build`
@@ -1157,11 +1186,14 @@ mod tests {
         );
         ctx.mem.set_high_water(out + (matches * out_w).max(1));
 
-        let distinct = ops::aggregate::distinct_count(u.n(), |i| probe[i as usize]);
+        let distinct = ops::aggregate::distinct_count(probe.iter().copied());
         let groups = ops::hash::HashTable::alloc(&mut ctx, "G", distinct.max(1));
+        let out = ctx.relation("C", distinct, 16);
         let c0 = ctx.mem.counters();
-        let ops = ctx.mem.group_count_bulk(&u, groups.slots());
-        record(&ctx, ctx.relation_bytes(groups.slots()), vec![ops], c0);
+        let ops = ctx.mem.group_count_bulk(&u, groups.slots(), &out);
+        let mut bytes = ctx.relation_bytes(groups.slots());
+        bytes.extend(ctx.relation_view(&out));
+        record(&ctx, bytes, vec![ops], c0);
         runs
     }
 

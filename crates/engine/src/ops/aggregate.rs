@@ -2,66 +2,59 @@
 //! implemented using sorting or hashing; thus, they perform the
 //! respective patterns").
 //!
-//! Hash group-count's aggregating pass is one call into the backend
-//! ([`MemoryBackend::group_count_bulk`]); its scalar loop lives here.
+//! Hash group-count's aggregating pass and emit sweep are one call into
+//! the backend ([`MemoryBackend::group_count_bulk`]); its scalar loop
+//! lives here.
 
 use crate::backend::MemoryBackend;
 use crate::ctx::ExecContext;
 use crate::ops::hash::{HashTable, EMPTY, ENTRY_BYTES};
-use crate::ops::mix;
 use crate::ops::sort::quick_sort;
+use crate::ops::{mix, word};
 use crate::relation::Relation;
 use gcm_core::{library, Pattern, Region};
 
 /// Hash-based group-by count: returns a relation of `(group_key, count)`
 /// pairs (width 16), in table order.
 ///
-/// The table is sized from an exact [`distinct_count`] of the input:
-/// its capacity fixes the slot layout, hence the emit order and the
-/// priced `H` region, so an upper bound would not do here. The
-/// aggregating pass is the backend's
+/// The table is sized from an exact [`distinct_count`] of the input,
+/// read over one host-side view of it: its capacity fixes the slot
+/// layout, hence the emit order and the priced `H` region, so an upper
+/// bound would not do here. The output's size is then known too, so it
+/// is allocated right after the table, before any charged access. The
+/// aggregating pass and the emit sweep are the backend's
 /// [`group_count_bulk`](MemoryBackend::group_count_bulk):
-/// `group_count_scalar` on the simulator, the same loop over the slab
-/// on native memory, where the upsert's random table line N tuples ahead
-/// is software-prefetched for write.
+/// `group_count_scalar` on the simulator, one kernel over the slab on
+/// native memory, where the upsert's random table line N tuples ahead
+/// is software-prefetched.
 pub fn hash_group_count<B: MemoryBackend>(
     ctx: &mut ExecContext<B>,
     input: &Relation,
     out_name: &str,
 ) -> Relation {
-    let distinct = distinct_count(input.n(), |i| ctx.mem.host_read_u64(input.tuple(i)));
+    let tuples = ctx.relation_view(input).chunks_exact(input.w() as usize);
+    let distinct = distinct_count(tuples.map(|t| word(t, 0)));
     let table = HashTable::alloc(ctx, &format!("H({out_name})"), distinct.max(1));
-    let ops = ctx.mem.group_count_bulk(input, table.slots());
-    ctx.count_ops(ops);
-    // Emit: sweep the table, writing occupied slots out sequentially.
     let out = ctx.relation(out_name, distinct, 16);
-    let mut cursor = 0u64;
-    for s in 0..table.capacity() {
-        let addr = table.slot_addr(s);
-        let key = ctx.mem.read_u64(addr);
-        if key != EMPTY {
-            let count = ctx.mem.read_u64(addr + 8);
-            ctx.mem.touch(out.tuple(cursor), 16);
-            ctx.mem.host_write_u64(out.tuple(cursor), key);
-            ctx.mem.host_write_u64(out.tuple(cursor) + 8, count);
-            ctx.count_ops(1);
-            cursor += 1;
-        }
-    }
-    debug_assert_eq!(cursor, distinct);
+    let ops = ctx.mem.group_count_bulk(input, table.slots(), &out);
+    ctx.count_ops(ops);
     out
 }
 
-/// The scalar aggregating loop, the default of
-/// [`MemoryBackend::group_count_bulk`] and the native scalar reference:
-/// touch each tuple of `input` entirely, then add one to its key's count
-/// in the counting table whose slots are `slots`, inserting the key with
-/// count 1 if absent (linear probing). Returns the logical ops counted:
-/// one per tuple and one per slot probed.
+/// The scalar group-count, the default of
+/// [`MemoryBackend::group_count_bulk`] and the native scalar reference.
+/// Upsert: touch each tuple of `input` entirely, then add one to its
+/// key's count in the counting table whose slots are `slots`, inserting
+/// the key with count 1 if absent (linear probing). Emit: sweep the
+/// slots with a charged read each, and write every occupied one's
+/// `(key, count)` sequentially into `out` (a charged read of the count,
+/// a touch of the output tuple). Returns the logical ops counted: one
+/// per tuple, one per slot probed and one per group emitted.
 pub(crate) fn group_count_scalar<B: MemoryBackend + ?Sized>(
     mem: &mut B,
     input: &Relation,
     slots: &Relation,
+    out: &Relation,
 ) -> u64 {
     let mask = slots.n() - 1;
     let mut ops = 0u64;
@@ -89,6 +82,21 @@ pub(crate) fn group_count_scalar<B: MemoryBackend + ?Sized>(
             slot = (slot + 1) & mask;
         }
     }
+    let mut cursor = 0u64;
+    for s in 0..slots.n() {
+        let at = slots.tuple(s);
+        let key = mem.read_u64(at);
+        if key != EMPTY {
+            let count = mem.read_u64(at + 8);
+            let to = out.tuple(cursor);
+            mem.touch(to, 16);
+            mem.host_write_u64(to, key);
+            mem.host_write_u64(to + 8, count);
+            ops += 1;
+            cursor += 1;
+        }
+    }
+    debug_assert_eq!(cursor, out.n());
     ops
 }
 
@@ -96,38 +104,35 @@ pub(crate) fn group_count_scalar<B: MemoryBackend + ?Sized>(
 /// bitmap: at most `64·n` bits, i.e. one word per input tuple.
 pub const BITMAP_SPAN_PER_KEY: u64 = 64;
 
-/// Exact number of distinct values among `key(0), …, key(n−1)` (keys
-/// other than [`EMPTY`]), read host-side: the sizing sweep of
-/// [`hash_group_count`]. Which of two exact counts runs follows from the
-/// input alone. When the key span `max − min` is at most
-/// [`BITMAP_SPAN_PER_KEY`]`·n`, a min/max sweep and a test-and-set sweep
-/// over a bitmap of the span; otherwise an open-addressing set over
-/// [`mix`], doubled at load ½.
-pub fn distinct_count(n: u64, key: impl Fn(u64) -> u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let (mut min, mut max) = (u64::MAX, 0u64);
-    for i in 0..n {
-        let k = key(i);
+/// Exact number of distinct values among `keys` (keys other than
+/// [`EMPTY`]), read host-side: the sizing sweep of [`hash_group_count`],
+/// over one view of its input. Which of two exact counts runs follows
+/// from the input alone. When the key span `max − min` is at most
+/// [`BITMAP_SPAN_PER_KEY`]`·n`, a min/max sweep, a sweep setting bits in
+/// a bitmap of the span and a count of the bits set; otherwise an
+/// open-addressing set over [`mix`], doubled at load ½.
+pub fn distinct_count(keys: impl Iterator<Item = u64> + Clone) -> u64 {
+    let (mut n, mut min, mut max) = (0u64, u64::MAX, 0u64);
+    for k in keys.clone() {
+        n += 1;
         min = min.min(k);
         max = max.max(k);
+    }
+    if n == 0 {
+        return 0;
     }
     let span = max - min;
     if span <= BITMAP_SPAN_PER_KEY.saturating_mul(n) {
         let mut bits = vec![0u64; (span / 64 + 1) as usize];
-        let mut distinct = 0u64;
-        for i in 0..n {
-            let off = key(i) - min;
-            let (word, bit) = (&mut bits[(off / 64) as usize], 1u64 << (off % 64));
-            distinct += u64::from(*word & bit == 0);
-            *word |= bit;
+        for k in keys {
+            let off = k - min;
+            bits[(off / 64) as usize] |= 1u64 << (off % 64);
         }
-        return distinct;
+        return bits.iter().map(|b| u64::from(b.count_ones())).sum();
     }
     let mut slots = vec![EMPTY; 16];
     let mut distinct = 0u64;
-    for i in 0..n {
+    for k in keys {
         if 2 * (distinct + 1) > slots.len() as u64 {
             let grown = vec![EMPTY; 2 * slots.len()];
             let old = std::mem::replace(&mut slots, grown);
@@ -135,7 +140,7 @@ pub fn distinct_count(n: u64, key: impl Fn(u64) -> u64) -> u64 {
                 set_insert(&mut slots, k);
             }
         }
-        distinct += u64::from(set_insert(&mut slots, key(i)));
+        distinct += u64::from(set_insert(&mut slots, k));
     }
     distinct
 }

@@ -47,12 +47,14 @@ pub struct HashTable {
 impl HashTable {
     /// Allocate an empty table sized for `items` entries at load factor
     /// ≤ ½ (capacity = next power of two ≥ 2·items). The empty-slot
-    /// sentinel fill is host-side setup.
+    /// sentinel fill is host-side setup: one pass over a writable view of
+    /// the slots, setting each key word (the value words stay zero).
     pub fn alloc<B: MemoryBackend>(ctx: &mut ExecContext<B>, name: &str, items: u64) -> HashTable {
         let capacity = table_slots(items);
         let slots = ctx.relation(name, capacity, ENTRY_BYTES);
-        for i in 0..capacity {
-            ctx.mem.host_write_u64(slots.tuple(i), EMPTY);
+        let bytes = ctx.mem.host_bytes_mut(slots.base(), slots.bytes());
+        for slot in bytes.chunks_exact_mut(ENTRY_BYTES as usize) {
+            slot[..8].copy_from_slice(&EMPTY.to_le_bytes());
         }
         HashTable {
             slots,
@@ -68,11 +70,6 @@ impl HashTable {
     /// The model region describing the table.
     pub fn region(&self) -> &Region {
         self.slots.region()
-    }
-
-    /// Address of slot `slot` (for operators updating entries in place).
-    pub fn slot_addr(&self, slot: u64) -> Addr {
-        self.slots.tuple(slot)
     }
 
     /// The slot array, `capacity` entries of [`ENTRY_BYTES`] each — what

@@ -32,6 +32,18 @@ pub fn mix(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The little-endian word at index `i` of a host-side view.
+#[inline]
+pub(crate) fn word(bytes: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"))
+}
+
+/// Store `v` as the little-endian word at index `i` of a host-side view.
+#[inline]
+pub(crate) fn put_word(bytes: &mut [u8], i: usize, v: u64) {
+    bytes[i..i + 8].copy_from_slice(&v.to_le_bytes());
+}
+
 #[cfg(test)]
 mod tests {
     use super::mix;

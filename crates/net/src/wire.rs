@@ -9,9 +9,13 @@
 //! | 2   | s → c     | tag, id `u64`, output_n `u64`, output_hash `u64`, sojourn `u64` |
 //! | 3   | s → c     | tag, id `u64`, sojourn `u64`                            |
 //!
-//! Selectivity travels as raw `f64` bits so the round trip is exact —
-//! the overload test asserts byte-identical `output_hash` against a
-//! direct [`gcm_service`] execution, which needs bit-equal plans.
+//! A SERVED frame's `output_hash` is the executor's hash of the output
+//! relation: FNV-1a over its little-endian 8-byte words, with a byte
+//! fold for any tail ([`gcm_service::ExecutedQuery::output_hash`]). It
+//! is only ever compared with another such hash. Selectivity travels as
+//! raw `f64` bits so the round trip is exact — the overload test asserts
+//! an identical `output_hash` against a direct [`gcm_service`]
+//! execution, which needs bit-equal plans.
 //!
 //! The decoder is a pure pushdown buffer: feed bytes with
 //! [`FrameDecoder::push`], pull frames with [`FrameDecoder::next`].
@@ -58,8 +62,9 @@ impl SubmitFrame {
 /// The server's verdict on one submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseFrame {
-    /// Executed: result cardinality + FNV-1a content hash, plus queue
-    /// sojourn (submit → response enqueue) in wall nanoseconds.
+    /// Executed: result cardinality + content hash (FNV-1a over the
+    /// output's 8-byte words), plus queue sojourn (submit → response
+    /// enqueue) in wall nanoseconds.
     Served {
         id: u64,
         output_n: u64,

@@ -110,10 +110,12 @@ impl BuildSource for MemberBuilds {
 pub struct ExecutedQuery {
     /// Output cardinality.
     pub output_n: u64,
-    /// FNV-1a hash of the output relation's raw bytes — the
+    /// FNV-1a over the output relation's little-endian 8-byte words
+    /// (a byte fold for any tail), read where the output lies — the
     /// result-equality surface: two executions of the same query agree
     /// byte for byte iff their hashes agree (with or without shared
-    /// builds, on any backend).
+    /// builds, on any backend). Compare it only with another
+    /// `output_hash`: it is not the byte-wise FNV-1a of the output.
     pub output_hash: u64,
     /// Measured elapsed time
     /// ([`RunStats::total_ns`](gcm_engine::RunStats::total_ns) at the
@@ -125,13 +127,22 @@ pub struct ExecutedQuery {
     pub ops: u64,
 }
 
-/// FNV-1a over a byte slice (order-sensitive, so tuple order matters —
-/// exactly what byte identity means).
+/// FNV-1a over the little-endian 8-byte words of `bytes`, then over
+/// the bytes of any tail shorter than a word: one multiply per word
+/// instead of per byte. Order-sensitive, so tuple order matters —
+/// exactly what byte identity means.
 fn fnv1a(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for w in words {
+        h ^= u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        h = h.wrapping_mul(PRIME);
+    }
+    for &b in tail {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(PRIME);
     }
     h
 }
@@ -222,7 +233,7 @@ impl Member {
             ctx.measure(|c| plan::execute_traced(c, plan, &rels, &self.builds, &mut tracer));
         run.map(|r| ExecutedQuery {
             output_n: r.output.n(),
-            output_hash: fnv1a(&ctx.relation_bytes(&r.output)),
+            output_hash: fnv1a(ctx.relation_view(&r.output)),
             measured_ns: stats.total_ns(CpuCost::DEFAULT_PLANNER_PER_OP_NS),
             ops: stats.ops,
         })
@@ -915,6 +926,23 @@ mod tests {
             .join_with(PhysicalPlan::scan(1), JoinAlgorithm::Hash)
             .group_count();
         (select, join)
+    }
+
+    #[test]
+    fn output_hash_folds_words_then_tail_bytes() {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        assert_eq!(fnv1a(&[]), OFFSET);
+        let word = 0x0807_0605_0403_0201u64;
+        let one = (OFFSET ^ word).wrapping_mul(PRIME);
+        assert_eq!(fnv1a(&word.to_le_bytes()), one);
+        // A 9-byte input: one word, then the tail byte alone.
+        let mut nine = word.to_le_bytes().to_vec();
+        nine.push(0xAB);
+        assert_eq!(fnv1a(&nine), (one ^ 0xAB).wrapping_mul(PRIME));
+        // Tuple order matters: swapping two words changes the hash.
+        let (a, b) = (1u64.to_le_bytes(), 2u64.to_le_bytes());
+        assert_ne!(fnv1a(&[a, b].concat()), fnv1a(&[b, a].concat()));
     }
 
     #[test]

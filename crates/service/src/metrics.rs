@@ -51,7 +51,7 @@ pub struct QueryRecord {
     pub measured_ns: f64,
     /// Output cardinality.
     pub output_n: u64,
-    /// FNV-1a hash of the output relation's bytes
+    /// FNV-1a hash of the output relation's 8-byte words
     /// ([`ExecutedQuery::output_hash`](crate::executor::ExecutedQuery)):
     /// equal hashes ⇔ byte-identical results.
     pub output_hash: u64,

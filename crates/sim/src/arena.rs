@@ -68,16 +68,20 @@ impl Arena {
         (addr - ARENA_BASE) as usize
     }
 
-    /// Read `buf.len()` bytes starting at `addr` (host-side; no simulation).
-    pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) {
+    /// The `len` bytes starting at `addr`, borrowed where they lie
+    /// (host-side; no simulation).
+    #[inline]
+    pub fn bytes(&self, addr: Addr, len: u64) -> &[u8] {
         let i = self.idx(addr);
-        buf.copy_from_slice(&self.data[i..i + buf.len()]);
+        &self.data[i..i + len as usize]
     }
 
-    /// Write `buf` starting at `addr` (host-side; no simulation).
-    pub fn write_bytes(&mut self, addr: Addr, buf: &[u8]) {
+    /// The `len` bytes starting at `addr`, borrowed writable (host-side;
+    /// no simulation).
+    #[inline]
+    pub fn bytes_mut(&mut self, addr: Addr, len: u64) -> &mut [u8] {
         let i = self.idx(addr);
-        self.data[i..i + buf.len()].copy_from_slice(buf);
+        &mut self.data[i..i + len as usize]
     }
 
     /// Read a little-endian `u64` at `addr` (host-side).
@@ -141,11 +145,9 @@ mod tests {
         let mut a = Arena::new();
         let src = a.alloc(16, 8);
         let dst = a.alloc(16, 8);
-        a.write_bytes(src, b"hello world!!!!!");
+        a.bytes_mut(src, 16).copy_from_slice(b"hello world!!!!!");
         a.copy(src, dst, 16);
-        let mut buf = [0u8; 16];
-        a.read_bytes(dst, &mut buf);
-        assert_eq!(&buf, b"hello world!!!!!");
+        assert_eq!(a.bytes(dst, 16), b"hello world!!!!!");
     }
 
     #[test]

@@ -173,7 +173,7 @@ mod distinct_count {
     use std::collections::HashSet;
 
     fn counted(keys: &[u64]) -> u64 {
-        distinct_count(keys.len() as u64, |i| keys[i as usize])
+        distinct_count(keys.iter().copied())
     }
 
     fn reference(keys: &[u64]) -> u64 {

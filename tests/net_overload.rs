@@ -9,8 +9,9 @@
 //! * **SLO protection** — while the gate sheds, the served
 //!   point-lookup tail stays within its sojourn budget;
 //! * **zero corruption** — every byte of every served result
-//!   (`output_n`, FNV-1a `output_hash`) is identical to a direct
-//!   in-process execution of the same request.
+//!   (`output_n`, and `output_hash`: FNV-1a over the output's 8-byte
+//!   words) is identical to a direct in-process execution of the same
+//!   request.
 //!
 //! The in-run bounds are generous so a loaded CI box cannot flake
 //! them, the run is sized so the verdict does not hinge on how it

@@ -58,10 +58,6 @@ pub struct CalibrationReport {
     pub caches: Vec<DetectedCache>,
     /// The TLB, if one was detected.
     pub tlb: Option<DetectedTlb>,
-    /// Best software-prefetch look-ahead (in items) found by the
-    /// gather probe; 0 when not probed or when prefetching did not
-    /// help.
-    pub prefetch_depth: u64,
 }
 
 impl CalibrationReport {
@@ -80,9 +76,8 @@ impl CalibrationReport {
             caches.raw(&o.finish());
         }
         let mut top = gcm_obs::json::Obj::new();
-        top.str("report", "gcm-calibration/v1")
-            .raw("caches", &caches.finish())
-            .u64("prefetch_depth", self.prefetch_depth);
+        top.str("report", "gcm-calibration/v2")
+            .raw("caches", &caches.finish());
         match &self.tlb {
             Some(t) => {
                 let mut o = gcm_obs::json::Obj::new();
@@ -129,11 +124,7 @@ impl Calibrator {
     pub fn run(&mut self) -> CalibrationReport {
         let tlb = self.detect_tlb();
         let caches = self.detect_caches(&tlb);
-        CalibrationReport {
-            caches,
-            tlb,
-            prefetch_depth: 0,
-        }
+        CalibrationReport { caches, tlb }
     }
 
     /// TLB scan (stage 1).
@@ -422,10 +413,9 @@ mod tests {
                 page: 4096,
                 miss_ns: 20.0,
             }),
-            prefetch_depth: 8,
         };
         let json = r.to_json();
-        assert!(json.contains("\"report\":\"gcm-calibration/v1\""), "{json}");
+        assert!(json.contains("\"report\":\"gcm-calibration/v2\""), "{json}");
         assert!(json.contains("\"capacity_bytes\":32768"), "{json}");
         assert!(json.contains("\"rand_miss_ns\":12.500"), "{json}");
         assert!(json.contains("\"page_bytes\":4096"), "{json}");

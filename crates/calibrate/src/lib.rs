@@ -31,9 +31,7 @@ pub mod detect;
 pub mod native;
 
 pub use detect::{CalibrationReport, Calibrator, DetectedCache, DetectedTlb};
-pub use native::{
-    calibrate_host, calibrate_prefetch_depth, chase_ns_per_step, detect_host_tlb, sweep_ns_per_byte,
-};
+pub use native::{calibrate_host, chase_ns_per_step, detect_host_tlb, sweep_ns_per_byte};
 
 use gcm_hardware::{Associativity, CacheLevel, HardwareSpec, LevelKind, Sharing};
 
@@ -160,7 +158,6 @@ mod tests {
                 page: 1024,
                 miss_ns: 100.0,
             }),
-            prefetch_depth: 8,
         };
         let table = comparison_table(&presets::tiny(), &report);
         assert!(table.contains("L1 capacity"));

@@ -113,49 +113,6 @@ pub fn sweep_ns_per_byte(bytes: u64) -> f64 {
     best
 }
 
-/// Find the software-prefetch look-ahead that minimizes a random
-/// gather over `bytes` of host memory. Depth 0 (no prefetch) competes
-/// on equal terms: on hardware where explicit prefetching does not pay
-/// (or under a hypervisor that ignores the hints) the probe honestly
-/// reports 0 and the engine's kernels fall back to their default.
-pub fn calibrate_prefetch_depth(bytes: u64) -> u64 {
-    let n = (bytes / 8).max(1024) as usize;
-    let buf = vec![1u64; n];
-    // One shared random visit order: the work is identical across
-    // depths, only the hint placement differs.
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    let mut rng = 0xF00D_u64;
-    for i in (1..n).rev() {
-        let j = (splitmix(&mut rng) % (i as u64 + 1)) as usize;
-        idx.swap(i, j);
-    }
-    let gather = |depth: usize| {
-        let mut acc = 0u64;
-        for i in 0..n {
-            if depth > 0 && i + depth < n {
-                let ahead = idx[i + depth] as usize;
-                stride::prefetch_read(buf[ahead..].as_ptr().cast());
-            }
-            acc = acc.wrapping_add(buf[idx[i] as usize]);
-        }
-        acc
-    };
-    let mut best = (f64::INFINITY, 0u64);
-    for &depth in &[0usize, 1, 2, 4, 8, 16, 32] {
-        black_box(gather(depth)); // warm-up
-        let mut best_ns = f64::INFINITY;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            black_box(gather(depth));
-            best_ns = best_ns.min(t0.elapsed().as_secs_f64() * 1e9);
-        }
-        if best_ns < best.0 {
-            best = (best_ns, depth as u64);
-        }
-    }
-    best.1
-}
-
 /// Detect the host's data TLB: pointer chases with one node per 4 KiB
 /// page over a doubling page-count grid. While the pages fit the TLB
 /// each step costs one (cached) line fetch; past the entry count every
@@ -197,8 +154,7 @@ pub fn detect_host_tlb(max_pages: u64) -> Option<DetectedTlb> {
 /// the R10000's, §6.1); the ubiquitous 64-byte line is assumed.
 ///
 /// Beyond the classic capacity/latency staircase, the report also
-/// carries the detected host TLB (page-stride chase) and the winning
-/// software-prefetch depth the engine's prefetched kernels use.
+/// carries the detected host TLB (page-stride chase).
 ///
 /// The returned report plugs into
 /// [`CalibrationReport::to_spec`] to instantiate the cost model for
@@ -277,12 +233,7 @@ pub fn calibrate_host(max_bytes: u64) -> CalibrationReport {
         });
     }
     let tlb = detect_host_tlb((max_bytes / 4096).min(4096));
-    let prefetch_depth = calibrate_prefetch_depth((8 * 1024 * 1024).min(max_bytes));
-    CalibrationReport {
-        caches,
-        tlb,
-        prefetch_depth,
-    }
+    CalibrationReport { caches, tlb }
 }
 
 #[cfg(test)]
@@ -320,20 +271,12 @@ mod tests {
             assert!(c.capacity >= 4096, "{c:?}");
             assert!(c.seq_miss_ns > 0.0 && c.rand_miss_ns > 0.0, "{c:?}");
         }
-        // Kernel-layer extension: a bounded prefetch depth.
-        assert!(report.prefetch_depth <= 64, "{report:?}");
         if let Some(t) = &report.tlb {
             assert_eq!(t.page, 4096);
             assert!(t.entries >= 16 && t.miss_ns > 0.0, "{t:?}");
         }
         let spec = report.to_spec("host", 1000.0).expect("valid spec");
         assert!(!spec.levels().is_empty());
-    }
-
-    #[test]
-    fn prefetch_depth_probe_stays_in_range() {
-        let d = calibrate_prefetch_depth(2 * 1024 * 1024);
-        assert!(d <= 32, "{d}");
     }
 
     #[test]

@@ -126,13 +126,9 @@ pub trait MemoryBackend {
     /// How many items ahead operators should issue software prefetches
     /// on this backend. `0` disables prefetching entirely (the
     /// simulator's default — hints would neither help nor be priced).
-    /// The native backend advertises the fixed
-    /// [`DEFAULT_PREFETCH_DISTANCE`](crate::kernels::DEFAULT_PREFETCH_DISTANCE)
-    /// of 8 unless a caller sets another
-    /// ([`NativeBackend::set_prefetch_distance`](crate::native::NativeBackend::set_prefetch_distance),
-    /// e.g. with [`prefetch_distance_for`](crate::kernels::prefetch_distance_for)
-    /// of a calibrated latency/bandwidth ratio); the executor's resident
-    /// arenas keep the default.
+    /// The native backend advertises the constant
+    /// [`PREFETCH_DISTANCE`](crate::kernels::PREFETCH_DISTANCE) of 8 on
+    /// its kernel path and 0 on its scalar reference.
     fn prefetch_distance(&self) -> u64 {
         0
     }

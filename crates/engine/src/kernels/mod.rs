@@ -10,20 +10,18 @@
 //! (`crate::native::calibrate_kernel_per_op_ns`):
 //!
 //! * **SIMD sweeps** ([`sum_words`], [`lt_mask`]) process dense 8-byte
-//!   keys in `u64x8`-style blocks. With the `simd` cargo feature (on by
-//!   default) an AVX2 path is selected **at runtime** via
-//!   [`is_x86_feature_detected!`]; otherwise — feature off, non-x86
-//!   target, or no AVX2 at runtime — a scalar block-of-8 fallback runs,
-//!   written so the autovectorizer can widen it. Both paths fold with
+//!   keys in `u64x8`-style blocks. On x86-64 an AVX2 path is selected
+//!   **at runtime** via [`is_x86_feature_detected!`]; otherwise —
+//!   non-x86 target or no AVX2 at runtime — a scalar block-of-8 fallback
+//!   runs, written so the autovectorizer can widen it. Both paths fold with
 //!   wrapping addition, which is associative and commutative, so every
 //!   dispatch returns **bit-identical** results.
 //! * **Software prefetch** for the cache-hostile operators (hash build,
-//!   probe and group-count upsert, radix/hash scatter): the backend's
-//!   N-ahead distance ([`MemoryBackend::prefetch_distance`]) says how
-//!   many items ahead to hint the line that will be needed. The
-//!   distance comes from the calibrated latency/bandwidth ratio
-//!   ([`gcm_hardware::stride::prefetch_distance`]): a miss is hidden
-//!   when it is issued `latency × bandwidth / item` items early.
+//!   probe and group-count upsert, radix/hash scatter): each hints the
+//!   line it will need [`PREFETCH_DISTANCE`] items ahead. The distance is
+//!   a constant: distances 8–64 moved the served operators by under 5%,
+//!   and Eq 6.1 prices a kernel by its pattern and per-op CPU term,
+//!   never by a prefetch distance.
 //! * **Hash loops** (build, probe, group-count) need no SIMD: what
 //!   slows them on native memory is the charged per-access interface,
 //!   so `NativeBackend` overrides the bulk hash entry points of
@@ -36,9 +34,8 @@
 //! unaligned little-endian loads.
 //!
 //! [`MemoryBackend`]: crate::backend::MemoryBackend
-//! [`MemoryBackend::prefetch_distance`]: crate::backend::MemoryBackend::prefetch_distance
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd;
 
 /// Which kernel implementation [`active`] selected.
@@ -50,11 +47,10 @@ pub enum Dispatch {
     Simd,
 }
 
-/// The implementation the current build *and* machine dispatch to:
-/// [`Dispatch::Simd`] only when the `simd` feature is compiled in, the
-/// target is x86-64, and the CPU reports AVX2 at runtime.
+/// The implementation this machine dispatches to: [`Dispatch::Simd`]
+/// only when the target is x86-64 and the CPU reports AVX2 at runtime.
 pub fn active() -> Dispatch {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             return Dispatch::Simd;
@@ -63,34 +59,17 @@ pub fn active() -> Dispatch {
     Dispatch::Scalar
 }
 
-/// Fallback prefetch distance (items ahead) used before any calibration
-/// is available: 8 lines ahead hides ~80 ns of latency at ~6 B/ns — the
-/// right order of magnitude for every machine in the paper's Table 1
-/// and for current commodity parts.
-pub const DEFAULT_PREFETCH_DISTANCE: u64 = 8;
-
-/// Prefetch distance for a calibrated machine spec: the
-/// latency/bandwidth rule of [`gcm_hardware::stride::prefetch_distance`]
-/// applied to the outermost data-cache level (whose random-miss latency
-/// is what a probe or scatter stalls on), with the innermost line size
-/// as the item granularity. Falls back to
-/// [`DEFAULT_PREFETCH_DISTANCE`] on a spec without data caches.
-pub fn prefetch_distance_for(spec: &gcm_hardware::HardwareSpec) -> u64 {
-    match spec.data_caches().last() {
-        Some(outer) => gcm_hardware::stride::prefetch_distance(
-            outer.rand_miss_ns,
-            outer.seq_bandwidth(),
-            outer.line.max(1),
-        ),
-        None => DEFAULT_PREFETCH_DISTANCE,
-    }
-}
+/// Software-prefetch distance (items ahead) of the native hash and
+/// scatter kernels: 8 lines ahead hides ~80 ns of latency at ~6 B/ns —
+/// the right order of magnitude for every machine in the paper's
+/// Table 1 and for current commodity parts.
+pub const PREFETCH_DISTANCE: u64 = 8;
 
 /// Wrapping sum of the dense little-endian `u64` words of `buf`
 /// (trailing bytes beyond the last full word are ignored), dispatched
 /// per [`active`]. Bit-identical to a scalar left-to-right fold.
 pub fn sum_words(buf: &[u8]) -> u64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 presence was just verified at runtime.
@@ -125,7 +104,7 @@ pub fn sum_words_scalar(buf: &[u8]) -> u64 {
 /// overflow).
 pub fn lt_mask(buf: &[u8], threshold: u64) -> u64 {
     assert!(buf.len() <= 512, "lt_mask processes at most 64 keys");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 presence was just verified at runtime.
@@ -149,7 +128,6 @@ pub fn lt_mask_scalar(buf: &[u8], threshold: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcm_hardware::presets;
 
     fn words(keys: &[u64]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(keys.len() * 8);
@@ -206,23 +184,12 @@ mod tests {
     #[test]
     fn active_dispatch_is_consistent_with_feature_and_cpu() {
         let d = active();
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         assert_eq!(d, Dispatch::Scalar);
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         assert_eq!(
             d == Dispatch::Simd,
             std::arch::is_x86_feature_detected!("avx2")
         );
-    }
-
-    #[test]
-    fn prefetch_distance_for_spec_tracks_the_outer_level() {
-        // origin2000 memory: the distance follows lat·bw/line, clamped.
-        let d = prefetch_distance_for(&presets::origin2000());
-        assert!((1..=64).contains(&d), "d = {d}");
-        // A slower outer level (higher latency, same bandwidth shape)
-        // never *reduces* the distance on the same line size.
-        let tiny = prefetch_distance_for(&presets::tiny());
-        assert!((1..=64).contains(&tiny));
     }
 }

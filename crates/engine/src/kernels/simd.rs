@@ -1,6 +1,6 @@
 //! Explicit AVX2 implementations of the kernel primitives.
 //!
-//! Compiled only with the `simd` feature on x86-64; callers in
+//! Compiled only on x86-64; callers in
 //! [`super`] verify AVX2 at runtime with [`is_x86_feature_detected!`]
 //! before entering these `unsafe` functions. All loads are unaligned
 //! (`loadu`) — the native slab carries no alignment guarantee.

@@ -176,12 +176,10 @@ pub struct NativeBackend {
     lines: u64,
     wipe: Vec<u8>,
     /// Route bulk operations through the kernels — the SIMD ones of
-    /// [`crate::kernels`] and the hash loops below (on by default). Off =
-    /// the per-tuple scalar reference path, byte-identical in results and
-    /// counters.
+    /// [`crate::kernels`] and the hash loops below. Off only in
+    /// [`NativeBackend::scalar_reference`]: the per-tuple reference path,
+    /// byte-identical in results and counters.
     use_kernels: bool,
-    /// N-ahead software-prefetch distance advertised to operators.
-    prefetch_dist: u64,
 }
 
 impl Default for NativeBackend {
@@ -191,9 +189,9 @@ impl Default for NativeBackend {
 }
 
 impl NativeBackend {
-    /// A fresh native address space (grows on demand), with the
-    /// vectorized kernel path enabled and the fallback prefetch
-    /// distance ([`kernels::DEFAULT_PREFETCH_DISTANCE`]).
+    /// A fresh native address space (grows on demand) on the kernel
+    /// path, advertising the prefetch distance
+    /// [`kernels::PREFETCH_DISTANCE`].
     pub fn new() -> NativeBackend {
         NativeBackend {
             arena: Arena::new(),
@@ -203,7 +201,6 @@ impl NativeBackend {
             lines: 0,
             wipe: Vec::new(),
             use_kernels: true,
-            prefetch_dist: kernels::DEFAULT_PREFETCH_DISTANCE,
         }
     }
 
@@ -217,27 +214,15 @@ impl NativeBackend {
     }
 
     /// A backend pinned to the scalar reference path: bulk operations
-    /// run the per-tuple trait defaults and no prefetch distance is
-    /// advertised. This is the baseline of the `kernel_throughput`
+    /// run the per-tuple trait defaults and the advertised prefetch
+    /// distance is 0. This is the baseline of the `kernel_throughput`
     /// bench and of the kernel-identity tests — it executes exactly the
     /// loops the paper's Eq 6.1 assumes.
     pub fn scalar_reference() -> NativeBackend {
-        let mut b = NativeBackend::new();
-        b.use_kernels = false;
-        b.prefetch_dist = 0;
-        b
-    }
-
-    /// Enable or disable the vectorized kernel path (disabling also
-    /// silences [`MemoryBackend::prefetch_distance`]).
-    pub fn set_use_kernels(&mut self, on: bool) {
-        self.use_kernels = on;
-    }
-
-    /// Override the N-ahead prefetch distance (e.g. with a calibrated
-    /// value from [`kernels::prefetch_distance_for`]).
-    pub fn set_prefetch_distance(&mut self, items: u64) {
-        self.prefetch_dist = items;
+        NativeBackend {
+            use_kernels: false,
+            ..NativeBackend::new()
+        }
     }
 
     /// Start the next job on this address space: unmap every segment and
@@ -420,7 +405,7 @@ impl MemoryBackend for NativeBackend {
 
     fn prefetch_distance(&self) -> u64 {
         if self.use_kernels {
-            self.prefetch_dist
+            kernels::PREFETCH_DISTANCE
         } else {
             0
         }
@@ -532,11 +517,11 @@ impl MemoryBackend for NativeBackend {
     ) {
         debug_assert_eq!(buckets.len() as u64, n);
         if self.use_kernels && w == 8 && src.is_multiple_of(8) && dst.is_multiple_of(8) {
-            let dist = self.prefetch_dist as usize;
+            let dist = kernels::PREFETCH_DISTANCE as usize;
             let (input, s0) = operand(&self.mapped, src);
             let d0 = self.idx(dst);
             for i in 0..n as usize {
-                if dist > 0 && i + dist < n as usize {
+                if i + dist < n as usize {
                     let ba = buckets[i + dist] as usize;
                     let di = d0 + cursors[ba] as usize * 8;
                     if di < self.arena.data.len() {
@@ -576,10 +561,10 @@ impl MemoryBackend for NativeBackend {
         let (keys, k0) = operand(&self.mapped, input.base());
         let key_at = |data: &[u8], i: u64| word(keys.unwrap_or(data), k0 + (i * w) as usize);
         let t0 = self.idx(table.base());
-        let dist = self.prefetch_dist;
+        let dist = kernels::PREFETCH_DISTANCE;
         let (mut probes, mut lines) = (0u64, 0u64);
         for i in 0..n {
-            if dist > 0 && i + dist < n {
+            if i + dist < n {
                 let ahead = key_at(&self.arena.data, i + dist);
                 prefetch_home_slot(self.arena.data.as_ptr().wrapping_add(t0), mask, ahead);
             }
@@ -634,11 +619,11 @@ impl MemoryBackend for NativeBackend {
         let key_at = |data: &[u8], i: u64| word(keys.unwrap_or(data), k0 + (i * w) as usize);
         let (slots, t0) = operand(&self.mapped, table.base());
         let o0 = self.idx(out);
-        let dist = self.prefetch_dist;
+        let dist = kernels::PREFETCH_DISTANCE;
         let flat = NATIVE_LINE.is_multiple_of(out_w) && out.is_multiple_of(out_w);
         let (mut visits, mut matches, mut lines, mut values) = (0u64, 0u64, 0u64, 0u64);
         for i in 0..n {
-            if dist > 0 && i + dist < n {
+            if i + dist < n {
                 let ahead = key_at(&self.arena.data, i + dist);
                 let slab = slots.unwrap_or(&self.arena.data);
                 prefetch_home_slot(slab.as_ptr().wrapping_add(t0), mask, ahead);
@@ -725,7 +710,7 @@ impl MemoryBackend for NativeBackend {
             (Some(seg), k0) => (seg, k0),
             (None, k0) => (&*arena, k0),
         };
-        let dist = self.prefetch_dist as usize;
+        let dist = kernels::PREFETCH_DISTANCE as usize;
         // A tuple whose width divides the line, at a multiple of it,
         // never straddles one: its key read loads its only line.
         let flat = NATIVE_LINE.is_multiple_of(w as u64) && input.base().is_multiple_of(w as u64);
@@ -733,7 +718,7 @@ impl MemoryBackend for NativeBackend {
         let (entries, _) = slots.as_chunks_mut::<{ ENTRY_BYTES as usize }>();
         let (mut probes, mut hits, mut lines) = (0u64, 0u64, 0u64);
         for i in 0..n {
-            if dist > 0 && i + dist < n {
+            if i + dist < n {
                 prefetch_home_slot(first, mask, word(keys, k0 + (i + dist) * w));
             }
             let at_key = k0 + i * w;
@@ -1066,7 +1051,7 @@ mod tests {
     fn prefetch_hints_are_uncharged_and_safe() {
         let mut m = NativeBackend::new();
         let a = MemoryBackend::alloc(&mut m, 256, 64);
-        assert!(m.prefetch_distance() > 0);
+        assert_eq!(m.prefetch_distance(), kernels::PREFETCH_DISTANCE);
         let before = m.counters();
         m.prefetch_read(a);
         m.prefetch_write(a + 64);
@@ -1077,11 +1062,6 @@ mod tests {
         assert_eq!((d.accesses, d.lines), (0, 0));
         // The scalar reference advertises no distance.
         assert_eq!(NativeBackend::scalar_reference().prefetch_distance(), 0);
-        m.set_use_kernels(false);
-        assert_eq!(m.prefetch_distance(), 0);
-        m.set_use_kernels(true);
-        m.set_prefetch_distance(16);
-        assert_eq!(m.prefetch_distance(), 16);
     }
 
     #[test]

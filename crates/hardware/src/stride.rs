@@ -13,10 +13,9 @@
 //!
 //! Keeping the stride loop in one tested helper means the kernel and the
 //! calibrator can never drift apart: the loop the calibrator times is
-//! the loop the backend charges. The software-prefetch hints and the
-//! N-ahead distance rule live here for the same reason — the distance
-//! formula is derived from the very latency/bandwidth parameters this
-//! crate describes ([`crate::CacheLevel`]).
+//! the loop the backend charges. The software-prefetch hints the
+//! engine's kernels issue live here too, beside the other host-memory
+//! primitives.
 
 /// Load one little-endian `u64` every `stride` bytes of `buf`, folding
 /// the values with wrapping addition; returns `(fold, steps)`. Steps
@@ -76,23 +75,6 @@ pub fn prefetch_write(p: *const u8) {
     prefetch_read(p);
 }
 
-/// N-ahead software-prefetch distance, in items, from the calibrated
-/// latency/bandwidth ratio: a prefetch issued `D` items early hides a
-/// full miss when `D · (item time) ≥ latency`, and the steady-state
-/// item time of a stream moving `item_bytes` per item at sustained
-/// bandwidth `bytes_per_ns` is `item_bytes / bytes_per_ns`. Hence
-/// `D = ⌈latency · bandwidth / item_bytes⌉`, clamped to `[1, 64]`
-/// (beyond ~64 lines ahead the hint outruns every real prefetch queue).
-#[inline]
-pub fn prefetch_distance(latency_ns: f64, bytes_per_ns: f64, item_bytes: u64) -> u64 {
-    let well_formed = latency_ns > 0.0 && bytes_per_ns > 0.0 && item_bytes > 0;
-    if !well_formed {
-        return 1;
-    }
-    let d = (latency_ns * bytes_per_ns / item_bytes as f64).ceil();
-    (d as u64).clamp(1, 64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,19 +124,5 @@ mod tests {
         prefetch_write(std::ptr::null());
         let v = [0u8; 8];
         prefetch_read(v.as_ptr());
-    }
-
-    #[test]
-    fn prefetch_distance_follows_latency_bandwidth_ratio() {
-        // 100 ns latency, 8 bytes/ns stream, 64-byte lines: 12.5 → 13.
-        assert_eq!(prefetch_distance(100.0, 8.0, 64), 13);
-        // Tiny latency: floor of 1.
-        assert_eq!(prefetch_distance(0.5, 1.0, 64), 1);
-        // Huge ratio: clamped at 64.
-        assert_eq!(prefetch_distance(1e6, 100.0, 8), 64);
-        // Degenerate inputs fall back to 1.
-        assert_eq!(prefetch_distance(0.0, 8.0, 64), 1);
-        assert_eq!(prefetch_distance(10.0, 0.0, 64), 1);
-        assert_eq!(prefetch_distance(10.0, 8.0, 0), 1);
     }
 }

@@ -1,9 +1,10 @@
 //! Calibrate the host machine and emit the report as JSON.
 //!
 //! Runs the native calibration probes (cache-capacity/line/latency
-//! sweeps, TLB and prefetch-depth detection) against the real machine, prints a human-readable
-//! summary, and then the whole [`gcm::calibrate::CalibrationReport`]
-//! through its JSON serializer (`gcm-calibration/v1`, built on
+//! sweeps and TLB detection) against the real machine, prints a
+//! human-readable summary, and then the whole
+//! [`gcm::calibrate::CalibrationReport`] through its JSON serializer
+//! (`gcm-calibration/v2`, built on
 //! [`gcm::obs::json`]) — the form worth committing next to a bench
 //! artifact so later runs on the same host can be diffed.
 //!
@@ -34,7 +35,6 @@ fn main() {
         ),
         None => println!("  TLB: not detected"),
     }
-    println!("  prefetch depth: {}", r.prefetch_depth);
 
     println!("\n{}", r.to_json());
 }
